@@ -13,12 +13,35 @@ Crashes are permanent. A crashed process handles nothing from its crash
 step on; messages addressed to it are dropped, while messages it already
 sent stay in flight (the network does not forget). Step indices exist
 only in traces and the checker; no protocol handler ever sees one.
+
+Every pending event gets a sequence number (seq) when it is created, and
+the scheduler keeps `Simulation.ready`, the ascending list of the seqs it
+may pick. Three invariants make a step cost independent of how many
+events are pending:
+
+- `created_step` never decreases as seq grows, because seqs and steps
+  both only count up. So if any ready event is overdue, `ready[0]` is,
+  and the overdue check looks at `ready[0]` alone.
+- `ready` is sorted. A new seq is larger than every existing one, so it
+  is appended; `take(seq)` removes one by bisection and, on a FIFO
+  channel, inserts the channel's next head in order. Without FIFO every
+  pending seq is ready; with FIFO the ready seqs are the invocations plus
+  the head of each channel.
+- `rng.choice(ready)` draws from the same list, in the same order, as a
+  sorted scan of every pending event filtered by the FIFO rule, so the
+  random index sequence, and with it every schedule, is unchanged.
+
+Message events are recorded unrendered. `RunResult.trace` renders them
+to plain JSON types one at a time as it is iterated, so runs whose trace
+nobody reads never pay for rendering.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
+from collections import defaultdict, deque
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .client import ClientBase, ReaderClient, WriterClient
 from .faults import (
@@ -239,17 +262,51 @@ def build_world(config: Config) -> World:
     return World(config, processes, clients, digests, workload)
 
 
+# A recorded trace event: a rendered dict, or (step, ev, reason, msg) for
+# an event that carries a message, whose rendering is deferred.
+Event = dict | tuple[int, str, str | None, Message]
+
+
+def render_event(event: Event) -> dict:
+    if isinstance(event, dict):
+        return event
+    step, ev, reason, msg = event
+    out: dict = {"step": step, "ev": ev}
+    if reason is not None:
+        out["reason"] = reason
+    out["msg"] = msg.render()
+    return out
+
+
+class Trace:
+    """A run's trace, rendered one entry at a time as it is iterated.
+
+    Nothing rendered is kept, so each iteration renders afresh; the
+    entries are the same on every pass.
+    """
+
+    def __init__(self, events: list[Event]):
+        self._events = events
+
+    def __iter__(self) -> Iterator[dict]:
+        return map(render_event, self._events)
+
+
 @dataclass
 class RunResult:
     config: Config
     steps: int
     quiescent: bool
-    trace: list[dict]
+    events: list[Event]
     history: list[OpRecord]
     dir_ops: list[DirOpRecord]
     final_states: dict[str, dict]
     crashed: set[str]
     collisions: list[tuple[str, str, str]]
+
+    @property
+    def trace(self) -> Trace:
+        return Trace(self.events)
 
     def latencies(self) -> dict[int, int | None]:
         return {
@@ -277,9 +334,11 @@ class Simulation:
         self.rng = random.Random(f"{self.config.seed}|sched")
         self.step = 0
         self.seq = 0
+        # Pending events in seq order: seqs are inserted in increasing order.
         self.pending: dict[int, Delivery] = {}
-        self.chan_order: dict[tuple[str, str], list[int]] = {}
-        self.trace: list[dict] = []
+        self.ready: list[int] = []  # ascending; see the module docstring
+        self.channels: defaultdict[tuple[str, str], deque[int]] = defaultdict(deque)  # FIFO only
+        self.events: list[Event] = []
         self.crashed: set[str] = set()
         self.ops: dict[int, OpRecord] = {}
         self.mds_entries: list[dict] = []
@@ -302,14 +361,19 @@ class Simulation:
         if msg.src in self.crashed:
             return
         if msg.dst in self.crashed:
-            self._trace("drop", reason="destination-crashed", msg=msg.render())
+            self._trace_msg("drop", msg, "destination-crashed")
             return
         self.seq += 1
-        self.pending[self.seq] = Delivery(
-            seq=self.seq, kind="deliver", created_step=self.step, msg=msg
-        )
-        self.chan_order.setdefault((msg.src, msg.dst), []).append(self.seq)
-        self._trace("send", msg=msg.render())
+        seq = self.seq
+        self.pending[seq] = Delivery(seq=seq, kind="deliver", created_step=self.step, msg=msg)
+        if self.config.fifo:
+            chan = self.channels[(msg.src, msg.dst)]
+            chan.append(seq)
+            if len(chan) == 1:
+                self.ready.append(seq)
+        else:
+            self.ready.append(seq)
+        self._trace_msg("send", msg)
 
     def _trace_note(self, proc: str, note: str, **payload: Any) -> None:
         self._trace("note", proc=proc, note=note,
@@ -350,27 +414,20 @@ class Simulation:
             raise ConfigError(f"crash target {pid!r} does not exist")
         self.crashed.add(pid)
         self._trace("crash", proc=pid)
-        for seq, delivery in sorted(self.pending.items()):
-            drop = False
-            if delivery.msg is not None and delivery.msg.dst == pid:
-                drop = True
-            if delivery.kind == "invoke" and delivery.payload.get("pid") == pid:
-                drop = True
-            if drop:
-                self._drop_pending(seq, reason="target-crashed")
+        doomed = [
+            d.seq for d in self.pending.values()
+            if (d.msg is not None and d.msg.dst == pid)
+            or (d.kind == "invoke" and d.payload.get("pid") == pid)
+        ]
+        for seq in doomed:
+            delivery = self.take(seq)
+            if delivery.msg is not None:
+                self._trace_msg("drop", delivery.msg, "target-crashed")
+            else:
+                self._trace("drop", reason="target-crashed", kind=delivery.kind,
+                            payload=dict(delivery.payload))
         if pid in self.queues:
             self.queues[pid] = []
-
-    def _drop_pending(self, seq: int, reason: str) -> None:
-        delivery = self.pending.pop(seq)
-        if delivery.msg is not None:
-            order = self.chan_order.get((delivery.msg.src, delivery.msg.dst))
-            if order and seq in order:
-                order.remove(seq)
-            self._trace("drop", reason=reason, msg=delivery.msg.render())
-        else:
-            self._trace("drop", reason=reason, kind=delivery.kind,
-                        payload=dict(delivery.payload))
 
     def adversary(self, pid: str, action: str, params: dict) -> None:
         proc = self.world.processes.get(pid)
@@ -409,6 +466,22 @@ class Simulation:
         self.pending[self.seq] = Delivery(
             seq=self.seq, kind="invoke", created_step=self.step, payload={"pid": pid}
         )
+        self.ready.append(self.seq)
+
+    def take(self, seq: int) -> Delivery:
+        """Remove a ready event from `pending` and `ready`, promoting the
+        next message of its FIFO channel. Only ready events are ever taken:
+        crashes drop a channel's messages oldest first."""
+        delivery = self.pending.pop(seq)
+        ready = self.ready
+        del ready[bisect_left(ready, seq)]
+        if self.config.fifo and delivery.msg is not None:
+            chan = self.channels[(delivery.msg.src, delivery.msg.dst)]
+            head = chan.popleft()
+            assert head == seq, "took a FIFO message that was not its channel's head"
+            if chan:
+                insort(ready, chan[0])
+        return delivery
 
     def _after_completion(self, pid: str) -> None:
         self._check_completion_crashes(pid)
@@ -435,7 +508,10 @@ class Simulation:
     def _trace(self, ev: str, **payload: Any) -> None:
         entry = {"step": self.step, "ev": ev}
         entry.update(payload)
-        self.trace.append(entry)
+        self.events.append(entry)
+
+    def _trace_msg(self, ev: str, msg: Message, reason: str | None = None) -> None:
+        self.events.append((self.step, ev, reason, msg))
 
     def dispatch(self, delivery: Delivery) -> None:
         if delivery.kind == "invoke":
@@ -445,13 +521,10 @@ class Simulation:
             self.invoke_next(pid)
         elif delivery.kind == "deliver":
             msg = delivery.msg
-            order = self.chan_order.get((msg.src, msg.dst))
-            if order and delivery.seq in order:
-                order.remove(delivery.seq)
             if msg.dst in self.crashed:
-                self._trace("drop", reason="destination-crashed", msg=msg.render())
+                self._trace_msg("drop", msg, "destination-crashed")
                 return
-            self._trace("deliver", msg=msg.render())
+            self._trace_msg("deliver", msg)
             self.world.processes[msg.dst].on_message(msg)
         else:
             raise HarnessError(f"cannot dispatch event kind {delivery.kind!r}")
@@ -460,23 +533,13 @@ class Simulation:
 
     # -- random-schedule loop -----------------------------------------------
 
-    def _eligible(self, delivery: Delivery) -> bool:
-        if delivery.msg is None or not self.config.fifo:
-            return True
-        order = self.chan_order[(delivery.msg.src, delivery.msg.dst)]
-        return bool(order) and order[0] == delivery.seq
-
-    def _choose(self) -> Delivery | None:
-        eligible = [d for _, d in sorted(self.pending.items()) if self._eligible(d)]
-        if not eligible:
+    def _choose(self) -> int | None:
+        ready = self.ready
+        if not ready:
             return None
-        overdue = [
-            d for d in eligible
-            if self.step - d.created_step >= self.config.fairness
-        ]
-        if overdue:
-            return overdue[0]
-        return self.rng.choice(eligible)
+        if self.step - self.pending[ready[0]].created_step >= self.config.fairness:
+            return ready[0]
+        return self.rng.choice(ready)
 
     def _fire_scheduled_faults(self) -> None:
         for spec in self.config.crashes:
@@ -494,22 +557,20 @@ class Simulation:
         quiescent = False
         while self.step < self.config.max_steps:
             self._fire_scheduled_faults()
-            delivery = self._choose()
-            if delivery is None:
+            seq = self._choose()
+            if seq is None:
                 quiescent = True
                 break
-            del self.pending[delivery.seq]
-            self.dispatch(delivery)
+            self.dispatch(self.take(seq))
             self.step += 1
         return self.finish(quiescent)
 
     # -- wrap-up ------------------------------------------------------------
 
     def finish(self, quiescent: bool) -> RunResult:
-        for seq in sorted(self.pending):
-            delivery = self.pending[seq]
+        for delivery in self.pending.values():
             if delivery.msg is not None:
-                self._trace("undelivered", msg=delivery.msg.render())
+                self._trace_msg("undelivered", delivery.msg)
             else:
                 self._trace("undelivered", kind=delivery.kind,
                             payload=dict(delivery.payload))
@@ -523,7 +584,7 @@ class Simulation:
             config=self.config,
             steps=self.step,
             quiescent=quiescent,
-            trace=self.trace,
+            events=self.events,
             history=history,
             dir_ops=assemble_dir_ops(self.mds_entries),
             final_states=final_states,
@@ -558,11 +619,13 @@ class Script:
     def __init__(self, sim: Simulation):
         self.sim = sim
 
-    def _matching(self, match: Match) -> list[int]:
-        return [
-            seq for seq, d in sorted(self.sim.pending.items())
-            if d.msg is not None and match.covers(d.msg) and self.sim._eligible(d)
-        ]
+    def _first_ready(self, accept: Callable[[Delivery], bool]) -> int | None:
+        pending = self.sim.pending
+        return next((seq for seq in self.sim.ready if accept(pending[seq])), None)
+
+    def _fire(self, seq: int) -> None:
+        self.sim.dispatch(self.sim.take(seq))
+        self.sim.step += 1
 
     def invoke(self, pid: str) -> int:
         op_id = self.sim.invoke_next(pid)
@@ -573,12 +636,10 @@ class Script:
         """Deliver the oldest `count` matching messages (all if count=None)."""
         delivered = 0
         while count is None or delivered < count:
-            seqs = self._matching(match)
-            if not seqs:
+            seq = self._first_ready(lambda d: d.msg is not None and match.covers(d.msg))
+            if seq is None:
                 break
-            delivery = self.sim.pending.pop(seqs[0])
-            self.sim.dispatch(delivery)
-            self.sim.step += 1
+            self._fire(seq)
             delivered += 1
         if count is not None and delivered < count:
             raise HarnessError(
@@ -590,16 +651,12 @@ class Script:
         """Deliver everything except messages matching a starve pattern."""
         delivered = 0
         while True:
-            candidates = [
-                seq for seq, d in sorted(self.sim.pending.items())
-                if (d.msg is None or not any(m.covers(d.msg) for m in starve))
-                and self.sim._eligible(d)
-            ]
-            if not candidates:
+            seq = self._first_ready(
+                lambda d: d.msg is None or not any(m.covers(d.msg) for m in starve)
+            )
+            if seq is None:
                 return delivered
-            delivery = self.sim.pending.pop(candidates[0])
-            self.sim.dispatch(delivery)
-            self.sim.step += 1
+            self._fire(seq)
             delivered += 1
 
     def crash(self, pid: str) -> None:

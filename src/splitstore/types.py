@@ -24,12 +24,6 @@ class HarnessError(Exception):
     misbehavior, which is reported through checker verdicts)."""
 
 
-class Ordering(enum.Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
 @dataclass(frozen=True)
 class Timestamp:
     """Multi-writer timestamp: a counter paired with the writer id that
@@ -73,14 +67,6 @@ class Timestamp:
 
 # The timestamp every store starts from.
 TS_INIT = Timestamp(0, NIL)
-
-
-def ts_compare(a: Timestamp, b: Timestamp) -> Ordering:
-    if a.key() < b.key():
-        return Ordering.LESS
-    if a.key() > b.key():
-        return Ordering.GREATER
-    return Ordering.EQUAL
 
 
 @dataclass(frozen=True)

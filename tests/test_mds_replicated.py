@@ -8,6 +8,7 @@ from splitstore.checker import check_run
 from splitstore.faults import ByzSpec, ByzStrategy, CrashSpec
 from splitstore.mds_replicated import INITIAL_PAIR, MetaReplica
 from splitstore.net import MsgKind, Port, make_message
+from splitstore.scenarios import random_config
 from splitstore.simnet import Config, run
 from splitstore.types import HarnessError, Metadata, Timestamp
 
@@ -192,5 +193,20 @@ def test_byzantine_metadata_plus_data_replica_together():
         byz_meta={"m2": ByzSpec(ByzStrategy.FABRICATE_HIGH_TS)},
     )
     res = run(cfg)
+    verdict = check_run(res)
+    assert verdict.ok, verdict.failed()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: a tsread lets an older snapshot overwrite a newer current. "
+    "In r1's tsread [100,198], m3's snapshot (sent at step 106) arrives at 170, "
+    "after m3's later live update, and resets m3's dir currents to 0:nil. With "
+    "the stale-concurrent m4 and m1's snapshot from before w2's tswrite 1:2 "
+    "completed at 140, three replicas then vouch that dir/2 holds nothing, and "
+    "the read returns w1's 1:1, whose tswrite began at 142"
+))
+def test_seed_2333_stale_snapshot_read_is_directory_linearizable():
+    res = run(random_config(2333))
+    assert res.config.mds_mode == "replicated"
     verdict = check_run(res)
     assert verdict.ok, verdict.failed()

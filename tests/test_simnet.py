@@ -3,7 +3,9 @@ import json
 import pytest
 
 from splitstore.faults import ByzSpec, ByzStrategy, CrashSpec
-from splitstore.simnet import AdversaryAction, Config, Match, Simulation, build_world, run
+from splitstore.simnet import (
+    AdversaryAction, Config, Match, Script, Simulation, build_world, run,
+)
 from splitstore.types import ConfigError
 
 
@@ -153,3 +155,83 @@ def test_final_states_are_rendered_into_the_trace():
     assert {e["proc"] for e in finals} >= {"d1", "d2", "d3", "dir", "hash"}
     payload = json.dumps(finals, sort_keys=True)  # must be plain JSON types
     assert "Timestamp" not in payload
+
+
+# -- scheduler ready list -------------------------------------------------------
+
+
+def reference_ready(sim):
+    """Brute force: every pending seq in order, except that on a FIFO
+    channel only the oldest pending message may be delivered."""
+    seqs = sorted(sim.pending)
+    if not sim.config.fifo:
+        return seqs
+    heads = {}
+    for seq in seqs:
+        msg = sim.pending[seq].msg
+        if msg is not None:
+            heads.setdefault((msg.src, msg.dst), seq)
+    return [
+        seq for seq in seqs
+        if sim.pending[seq].msg is None
+        or heads[(sim.pending[seq].msg.src, sim.pending[seq].msg.dst)] == seq
+    ]
+
+
+def checked_simulation(cfg):
+    """A simulation that compares `ready` with the reference around every
+    dispatch, whether the random loop or a script fires the event."""
+    sim = Simulation(build_world(cfg))
+    dispatch = sim.dispatch
+    checks = []
+
+    def dispatch_checked(delivery):
+        assert sim.ready == reference_ready(sim)
+        dispatch(delivery)
+        assert sim.ready == reference_ready(sim)
+        checks.append(sim.step)
+
+    sim.dispatch = dispatch_checked
+    return sim, checks
+
+
+READY_LIST_RUNS = {
+    "step-crash": dict(seed=8, crashes=(CrashSpec(process="d1", at_step=30),)),
+    "phase-crash": dict(seed=5, crashes=(CrashSpec(process="w2", at_phase="WRITE-DIR"),)),
+    "after-ops-crash": dict(seed=4, crashes=(CrashSpec(process="w1", after_ops=1),)),
+    "byzantine": dict(
+        seed=31, mds_mode="replicated",
+        byz_data={"d3": ByzSpec(ByzStrategy.EQUIVOCATE)},
+        byz_meta={"m4": ByzSpec(ByzStrategy.STALE_CONCURRENT)},
+    ),
+}
+
+
+@pytest.mark.parametrize("fifo", [False, True], ids=["fifo-off", "fifo-on"])
+@pytest.mark.parametrize("name", sorted(READY_LIST_RUNS))
+def test_ready_list_matches_brute_force_at_every_step(name, fifo):
+    sim, checks = checked_simulation(Config(ops=3, fifo=fifo, **READY_LIST_RUNS[name]))
+    res = sim.run()
+    assert res.quiescent
+    assert len(checks) == res.steps
+    assert sim.ready == reference_ready(sim) == []
+
+
+@pytest.mark.parametrize("fifo", [False, True], ids=["fifo-off", "fifo-on"])
+def test_ready_list_matches_brute_force_under_a_script(fifo):
+    cfg = Config(seed=0, writers=1, readers=1, ops=2, fifo=fifo)
+    sim, checks = checked_simulation(cfg)
+    s = Script(sim)
+    s.invoke("w1")
+    s.drain(Match(dst="d3"))  # both writes finish on d1 and d2; w1->d3 backs up
+    backlog = [seq for seq, d in sim.pending.items() if d.msg.dst == "d3"]
+    assert len(backlog) == 4
+    assert sim.ready == reference_ready(sim)
+    assert len(sim.ready) == (1 if fifo else 4)
+    s.crash("d3")  # drops the backed-up channel, oldest first
+    assert not sim.pending and sim.ready == []
+    s.invoke("r1")
+    s.deliver(Match(dst="dir"))
+    s.drain()
+    assert checks
+    assert not sim.pending and sim.ready == []
