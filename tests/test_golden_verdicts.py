@@ -1,0 +1,177 @@
+"""Golden verdict fingerprints: sha256 digests of rendered checker verdicts
+for a fixed set of runs.
+
+test_golden_traces.py pins what the simulator does; these digests pin what
+the checker says about it. A digest covers `check_run(result).render()` as
+one compact, sort-keys JSON document, so every check's pass/fail flag,
+detail string, counterexample and witness order is pinned byte for byte.
+They were taken before the checker's real-time and precedence scans were
+rewritten, and the two mutated large runs pin the failure path, where the
+checker must still explain a violation with the same counterexamples.
+
+Do not regenerate a digest to make a test pass. A mismatch means a verdict
+changed; if that is intended, say so in the change that updates the digest.
+"""
+import hashlib
+import json
+
+import pytest
+
+from splitstore.checker import check_run
+from splitstore.scenarios import SCENARIOS, random_config, run_scenario
+from splitstore.simnet import Config, run
+from splitstore.types import Timestamp
+
+
+def fingerprint(result) -> str:
+    text = json.dumps(check_run(result).render(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def lower_middle_read(result):
+    """Lower the timestamp of the middle value-returning register read by
+    one counter step: a stale read the witness and the lemmas must catch."""
+    reads = [o for o in result.history if o.kind == "READ" and o.ret is not None]
+    read = reads[len(reads) // 2]
+    read.ts = Timestamp(read.ts.num - 1, read.ts.cid)
+    return result
+
+
+def stale_middle_dir_read(result):
+    """Make the middle completed directory tsread return what the earliest
+    tsread that saw a written record returned: a well-formed but stale
+    directory read, so the witness replays and only real-time order can
+    catch it."""
+    reads = [o for o in result.dir_ops if o.op == "tsread" and o.complete and o.ts.num > 0]
+    read, first = reads[len(reads) // 2], reads[0]
+    read.ts, read.md = first.ts, first.md
+    return result
+
+
+# Same seeds as test_golden_traces.py: one full period of random_config's
+# fault plans plus the known directory-linearizability failure 2333.
+RANDOM_CONFIG = {
+    0: "6e2c777bfb50c86de08dfef3d6d757dcdb2b1f831add75bd77fcc920673249a2",
+    1: "4d7b9f462cc7f843b1a2314b982b679a3d95efdd6e162dc68a4f05a752129976",
+    2: "9d76bc6cd0e7f0bbb73391e77a6bb4269625bdca43d8459362269594abecf64f",
+    3: "402c3ed67c594a1055f9f304eb93126a84b7ba740839357ca8b3ba0f2e6d76f7",
+    4: "7f7639e334eae7e29d04aabeb3c1ea70b5a32de1df22afa0948e72694678a4fa",
+    5: "d383b31f67d349d9219234e4f11d4d162a1de3c2b5a7c103b711909081a61d41",
+    6: "8fb54ccd398c52c33baeb2311ba63e3b377b21b7dd87ffb929570f863cda1c2b",
+    7: "1deef586e63440957b2d64adee9c4a57b19e212f1702c320c43b4973244c4d82",
+    8: "5fea0966a80baf08c37d23d3c85873bce5764ac72718568a5ce299fdf1ad928e",
+    9: "50995751ec88ccfed3aae2d0d5cff27baed42ec2de9e9a278f18d0dc8fe1991f",
+    10: "c37a1621abfc73339addf383efa2eed88872e0b1018864ec3837660b3935a600",
+    11: "ff5c681f9f04a2a80d7f1827fbc963b558d6b6c6ac4e20c23c23d7a994cad919",
+    12: "239dcb16ac41534f948579a20f22776c09268bf4b1c6053c2a95049a6cb2aa35",
+    13: "05ec68e2a18a9dc595d0319a1e78d15936d0972b7e247b68ad668fa942e623dd",
+    14: "c88d7922367e000ae7bc63f00e40976fd6c898c9e5d80c3eb07bacafb944af20",
+    15: "042cf970ebd89003718940179ce537087a7464e2d9038b9bb7e85ec2759e8413",
+    16: "5decf3c17b21b0193243c4e3bd6308c0bff965fba1f2cf679de54b962c9ca634",
+    17: "47c45bd1d87bb77dd9045ac0c1adc900964dadc5279c2931036df0da3afc99d6",
+    18: "f79d891c7fd13e9f7dc4a674f5771d4fe3cd9fb1bbd2e4b33bd30a870cbf311b",
+    19: "93d039771b8890225198f9d160ae3f82f9a1b5d558e09e03f1d7a7df839a0ac7",
+    20: "e0441b29e0fbc6cf20fd1eb3e20eeef8ed9a0b67816f9261f7ee1cfce6d4d7b6",
+    21: "90ce835584c590131798347844dac9ec90706aa82c74459d5a7bc9ff3b3f0c6f",
+    22: "6855b293495b0ab29a55fe11cef4b1bb46bef817b560c230528f75a6d67d5723",
+    23: "2560f2da658342b294f2e417487ef2d0ab52fbb1c6ab48fbd14a0cf923b1e27c",
+    24: "f19fba88a077c6e39096ed3f255eada8c8bc76bd6566b7e41427d634f09230de",
+    25: "0b954e1ce427eda1f20b2fc288ee64e1cb83a63faedcde8e57d23ff56bb9be0f",
+    26: "f0ced6440ec9a91a8cdabd4c2194adb5a6ca1b3c8cd12fdb6293d47a36a3ba2d",
+    27: "bb34b519ccad465297fba432579477aa960850035615bbffe2f1dc209796899f",
+    28: "846b8ad8b555c5211ff9297099cb37839a19a3f4b4de44ec23c3a624df6bf638",
+    29: "1e3418e72a340b700e0d42de481de6ffb1bf31b6bc8a6e944124aad09d2932c7",
+    30: "b153b462496146061a52e688b3c2e1b93b61e94a67acdee8a3cc64a503519ca0",
+    31: "5ab0f981f55d414a491dc465cf7efa5134cfa985a3f4bc9cac2d6979d7251c48",
+    32: "345ef3fc5159455875791116ffc7c7b524d5cbc79c5e580a2b74e44f8abe0b76",
+    33: "3707360549f9aba56bf4c5b8cebf3e5c5542d11f84a66a7449cac95177f858ec",
+    34: "94c93741d105d70a1def82bc369cad7b747cc978902a3f1e2d88a8109d4632c9",
+    35: "432717ba1cd05dbac6c5d83f2e5495f99191770d922ea02090b83df0d43a5b18",
+    36: "52a1ce911f862902eb4b86f2765d130364d5701e0141d2370ae915c5f348fab7",
+    37: "d5eb08a772beca138816cf682aa5ee911b83d2554eaa99b293ca43fb5e430cee",
+    38: "cf2bc77e12dbd1d280090790bfc8f04470f256cd34d1e3b3fee7a037f30743eb",
+    39: "35fb3c7994ce8612983900a4a5d47bc3188570d3a9d593e70c4c284f85ac94c9",
+    40: "d383b31f67d349d9219234e4f11d4d162a1de3c2b5a7c103b711909081a61d41",
+    41: "13f938fc13f2d012a55fd2f3bfe519f60ebd244865867a204c4989257142bc89",
+    42: "88d930ed754651feaa1751f172fe793834d4de0a24f26bf2c355ff03169466ae",
+    43: "04c3eb0c807728039c0b0b7c0cb55d0b3cc259213e8cd54cb8b54558c31829a6",
+    44: "038dfb9f0d7be7ab7aeda10c3a412d807002f47c6c798144d828904d392f3b13",
+    45: "94833f09b08f04fabece72341b27267badc060a4f9a782980be385548b569cf2",
+    46: "afa80fda04be379a8eed038a2fce8a5679e5edb1ce3eba513544ef0f4e7d2e52",
+    47: "33c41444795512045692bdba1374850cae32bb1db9885da2df1a0d77cce4f58a",
+    48: "fcc69ddc7f13cf97f8a9d37f2a8b920803a6027c195ad24f34eb00caeb36ab7b",
+    49: "a44433611ad053f252ae913869a93acfec79abf32bf275eae9659727204e22eb",
+    50: "df90e153b8ff6e69beb18ae146b9e5733510ff95bf996b0975461966afb1cd62",
+    51: "b7647961a4019b9267f9b58c6c8bd92682eaddf73726a0cc9797e890cd3b2194",
+    52: "0e5181ec46cf44d6750aa021a792cd84f314eda1348f494742242684ddd4b546",
+    53: "a2457a96bb85af5990bdb0611f73843926a4c6304599005b86b004b4c8eb0d0a",
+    54: "14fb25bc8272dd4401e3423299fa0918dd452f1c305a931e02101dbb54c3ab64",
+    55: "313fa42fe47db74c0bdfb8ae415313eca09fde74ccd833485288d75babe65276",
+    56: "6674633cdb6107ce6cd95e64789ee1ebf905d722884c9840fd23826bd38584bc",
+    57: "dfd0f0a0e6260890a3a3a22d95d56c2b3f387e85d112810704ad91dca804f918",
+    58: "2fa2e30521a4db9d44755b89e332a8806448f906f33fbb5f098d4b4d2c66bc95",
+    59: "bff084bb9aaa9136ff1c23ee7675316f1eaa3b39edd529df6811a9b64ca95c3e",
+    2333: "12309cd7d45d9f314eae86917ec52ce6471bce0df3b8155b975c76b18f1dde7f",
+}
+
+# Large histories that take the witness path for both the register and
+# the directory (4w/4r ops=50 is the cli-long workload's shape).
+FIXED_CONFIGS = {
+    "oracle-4w4r-ops50": dict(writers=4, readers=4, ops=50, mds_mode="oracle"),
+    "replicated-ops30": dict(mds_mode="replicated", ops=30),
+}
+MUTATED = {
+    "oracle-4w4r-ops50-stale-read": ("oracle-4w4r-ops50", lower_middle_read),
+    "oracle-4w4r-ops50-stale-dir-read": ("oracle-4w4r-ops50", stale_middle_dir_read),
+}
+FIXED = {
+    "oracle-4w4r-ops50": "640702c78861ef5cd15c60a7f932ec165a547673e15e9a6d4ee3e65138d1867b",
+    "replicated-ops30": "76c573057f84f427db95c33a02b67da01bbeeed733b58957ef26a2cc50e02eec",
+    "oracle-4w4r-ops50-stale-read": "672c18ba1c3ecdf89c9bab4dde119ad50524bd92b96858e5dc94d6a57a89bc39",
+    "oracle-4w4r-ops50-stale-dir-read": "d3ec8ad8b4e54204212a9ac60a80fa3a86b5afc87f4be86e94eff167f9ae36e0",
+}
+
+SCENARIOS_AT_SEED_0 = {
+    "control-2t1": {
+        "control": "a535b90bbc3f6872114797c6f92654761445111b534faa0646fb1494d27bb0dd",
+    },
+    "fig1": {
+        "fig1": "1c717060fd47f9d200ae62adff275b9aecc2d539c8852a2d7abc0d36c5f42e32",
+    },
+    "gc-quiescence": {
+        "gc": "92ac97ad4fa5084a303978f6706ebb01e501e018e4a8e94ab2c983eafda4c641",
+    },
+    "random": {
+        "random": "6e2c777bfb50c86de08dfef3d6d757dcdb2b1f831add75bd77fcc920673249a2",
+    },
+    "theorem1-byz": {
+        "baseline": "b7ed7139e13776bca0ad2ed5b7b4451b812c08faae5a9cea970954a5b24456a9",
+        "forged": "ed148920ecf2a97994ed32bd408fc4b98401a565ac2e8553394c37507e3ca703",
+    },
+    "theorem1-crash": {
+        "crash-lower-bound": "f8ff05b123987c8e1601a941f46ba33d05f031334e8f4665db2ca1d3656e54f0",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RANDOM_CONFIG))
+def test_random_config_verdict_is_pinned(seed):
+    assert fingerprint(run(random_config(seed))) == RANDOM_CONFIG[seed]
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
+def test_fixed_config_verdict_is_pinned(name):
+    base, mutate = MUTATED.get(name, (name, lambda result: result))
+    result = mutate(run(Config(seed=0, **FIXED_CONFIGS[base])))
+    assert fingerprint(result) == FIXED[name]
+
+
+def test_every_scenario_is_pinned():
+    assert sorted(SCENARIOS) == sorted(SCENARIOS_AT_SEED_0)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS_AT_SEED_0))
+def test_scenario_verdicts_are_pinned(name):
+    outcome = run_scenario(name, 0)
+    got = {label: fingerprint(result) for label, result, _ in outcome.runs}
+    assert got == SCENARIOS_AT_SEED_0[name]
