@@ -18,12 +18,26 @@ store semantics. Lemma monitors re-check the protocol's structural
 invariants (directory monotonicity, the read-timestamp sandwich, the
 real-time/timestamp partial order, unique write timestamps, and value
 integrity under collision resistance) directly from annotations.
+
+Real-time and precedence checks certify fast and explain exactly. Op a
+precedes op b in real time when a.response < b.invoke, strictly: an op
+that responds at the step another is invoked at is concurrent with it.
+To certify, `_max_ts_before` sorts complete ops by response and keeps a
+running max of timestamps, so one bisect on an invoke step gives the
+largest timestamp of any op that preceded it; `_respects_real_time`
+checks a witness order with one reverse scan. Both are O(n log n) at
+most. Only when one of them finds a violation does the original
+pairwise scan run, to name the violating pairs, so counterexamples,
+failure counts and detail strings are what the pairwise scans alone
+would give, and the quadratic work is spent only on failing histories.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from itertools import accumulate
+from typing import Any, Callable, Iterable, Sequence
 
 from .history import DirOpRecord, OpRecord
 from .types import HarnessError, Timestamp, TS_INIT
@@ -31,6 +45,9 @@ from .types import HarnessError, Timestamp, TS_INIT
 SMALL_LIMIT = 8
 FALLBACK_CAP = 14
 NODE_BUDGET = 500_000
+
+# Compares below every Timestamp.key(): the prefix max of an empty set.
+_BELOW_EVERY_TS = (float("-inf"),)
 
 
 @dataclass
@@ -166,6 +183,54 @@ def check_register_exhaustive(
     )
 
 
+# -- real-time precedence ------------------------------------------------------
+
+
+def _respects_real_time(order: Sequence[Any]) -> bool:
+    """True when no op in ``order`` responded strictly before an op placed
+    ahead of it was invoked. One reverse scan keeps the earliest response
+    among the ops placed after the current one."""
+    earliest_later = float("inf")
+    for op in reversed(order):
+        if earliest_later < op.invoke:
+            return False
+        if op.response is not None and op.response < earliest_later:
+            earliest_later = op.response
+    return True
+
+
+def _real_time_violation(order: Sequence[Any]) -> tuple[Any, Any] | None:
+    """The first pair (a, b), in position order, where ``a`` responded
+    strictly before ``b`` was invoked yet is placed after it, or None.
+    The pairwise scan that names the pair runs only once the linear
+    check has found that one exists."""
+    if _respects_real_time(order):
+        return None
+    for i, a in enumerate(order):
+        if a.response is None:
+            continue
+        for b in order[:i]:
+            if a.response < b.invoke:
+                return a, b
+    return None
+
+
+def _max_ts_before(ops: Iterable[Any]) -> Callable[[int], tuple]:
+    """Index the complete ``ops`` for precedence queries: the returned
+    function maps a step ``s`` to the largest ``ts.key()`` of any op whose
+    response is strictly before ``s`` (real-time precedence is strict, so
+    an op that responds at the step another is invoked does not precede
+    it), or to ``_BELOW_EVERY_TS`` when none did."""
+    done = sorted((o for o in ops if o.response is not None), key=lambda o: o.response)
+    responses = [o.response for o in done]
+    prefix_max = [_BELOW_EVERY_TS] + list(accumulate((o.ts.key() for o in done), max))
+
+    def query(step: int) -> tuple:
+        return prefix_max[bisect_left(responses, step)]
+
+    return query
+
+
 # -- timestamp witness ------------------------------------------------------
 
 
@@ -227,19 +292,6 @@ def _build_witness(ops: Sequence[OpRecord]) -> _WitnessOutcome:
         order.append(write)
         order.extend(sorted(reads_for[write.op_id], key=lambda o: (o.invoke, o.op_id)))
     return _WitnessOutcome(order=order)
-
-
-def _real_time_violation(
-    order: Sequence[OpRecord],
-) -> tuple[OpRecord, OpRecord] | None:
-    position = {op.op_id: i for i, op in enumerate(order)}
-    for a in order:
-        if a.response is None:
-            continue
-        for b in order:
-            if a.response < b.invoke and position[a.op_id] > position[b.op_id]:
-                return a, b
-    return None
 
 
 def check_register_linearizable(
@@ -360,6 +412,43 @@ def _search_directory(dir_ops: list[DirOpRecord], budget: _SearchBudget) -> list
     return walk(frozenset(), TS_INIT, None, [])
 
 
+def _insert_superseded(
+    order: list[DirOpRecord], noop_writes: Sequence[DirOpRecord]
+) -> list[DirOpRecord]:
+    """Insert each superseded write, in (invoke, proc) order, right after
+    the last op already placed that responded strictly before the write
+    was invoked, or at the front when none did.
+
+    The writes go into gaps: the gap after entry i of ``order`` holds the
+    writes whose last earlier-responding entry is i. Invokes only grow, so
+    that index only grows too, and one walk over the entries sorted by
+    response finds it. A write placed in a lower gap lies before that
+    entry and cannot be the last op to respond first, so each insert scans
+    only its own gap."""
+    by_response = sorted(
+        (i for i, op in enumerate(order) if op.response is not None),
+        key=lambda i: order[i].response,
+    )
+    gaps: dict[int, list[DirOpRecord]] = {}  # entry index -> writes after it
+    last = -1
+    k = 0
+    for noop in sorted(noop_writes, key=lambda o: (o.invoke, o.proc)):
+        while k < len(by_response) and order[by_response[k]].response < noop.invoke:
+            last = max(last, by_response[k])
+            k += 1
+        gap = gaps.setdefault(last, [])
+        slot = 0
+        for i, placed in enumerate(gap):
+            if placed.response < noop.invoke:
+                slot = i + 1
+        gap.insert(slot, noop)
+    merged = list(gaps.get(-1, ()))
+    for i, op in enumerate(order):
+        merged.append(op)
+        merged.extend(gaps.get(i, ()))
+    return merged
+
+
 def check_directory_linearizable(
     dir_ops: Sequence[DirOpRecord],
     small_limit: int = SMALL_LIMIT,
@@ -402,29 +491,22 @@ def check_directory_linearizable(
     # instead of at its timestamp position.
     entries = []
     noop_writes = []
+    max_ts_before = _max_ts_before(complete)
     for op in complete:
         if op.op == "tswrite":
-            superseded = any(
-                o.response < op.invoke and o.ts > op.ts for o in complete
-            )
-            if superseded:
+            if max_ts_before(op.invoke) > op.ts.key():  # superseded
                 noop_writes.append(op)
             else:
                 entries.append(((op.ts.key(), 0, op.invoke), op))
         else:
             entries.append(((op.ts.key(), 1, op.invoke), op))
-    read_backed = {(o.ts, _dir_value_token(o.md)) for o in complete if o.op == "tsread"}
-    for op in open_writes:
-        if (op.ts, _dir_value_token(op.md)) in read_backed:
-            entries.append(((op.ts.key(), 0, op.invoke), op))
+    if open_writes:
+        read_backed = {(o.ts, _dir_value_token(o.md)) for o in complete if o.op == "tsread"}
+        for op in open_writes:
+            if (op.ts, _dir_value_token(op.md)) in read_backed:
+                entries.append(((op.ts.key(), 0, op.invoke), op))
     entries.sort(key=lambda e: e[0])
-    order = [op for _, op in entries]
-    for noop in sorted(noop_writes, key=lambda o: (o.invoke, o.proc)):
-        slot = 0
-        for i, placed in enumerate(order):
-            if placed.response is not None and placed.response < noop.invoke:
-                slot = i + 1
-        order.insert(slot, noop)
+    order = _insert_superseded([op for _, op in entries], noop_writes)
 
     ts, md = TS_INIT, None
     for op in order:
@@ -439,17 +521,7 @@ def check_directory_linearizable(
                 detail=f"witness replay mismatch at directory read tag {op.tag}",
                 counterexample=[op.tag],
             )
-    violation = None
-    position = {id(op): i for i, op in enumerate(order)}
-    for a in order:
-        if a.response is None:
-            continue
-        for b in order:
-            if a.response < b.invoke and position[id(a)] > position[id(b)]:
-                violation = (a, b)
-                break
-        if violation:
-            break
+    violation = _real_time_violation(order)
     if violation is None:
         return CheckResult("directory-linearizable", True, detail="timestamp witness")
     if len(complete) + len(open_writes) <= fallback_cap:
@@ -506,13 +578,15 @@ def lemma_directory_monotone(dir_ops: Sequence[DirOpRecord]) -> CheckResult:
     """A directory read that starts after another directory operation
     completed never returns a smaller timestamp."""
     ops = [o for o in dir_ops if o.op in ("tsread", "tswrite") and o.complete]
+    max_ts_before = _max_ts_before(ops)
     failures = []
-    for a in ops:
-        for b in ops:
-            if b.op != "tsread" or a.response >= b.invoke:
-                continue
-            if b.ts < a.ts:
-                failures.append([a.tag, b.tag])
+    if any(b.op == "tsread" and max_ts_before(b.invoke) > b.ts.key() for b in ops):
+        for a in ops:
+            for b in ops:
+                if b.op != "tsread" or a.response >= b.invoke:
+                    continue
+                if b.ts < a.ts:
+                    failures.append([a.tag, b.tag])
     return _lemma("directory-monotone", failures, f"{len(ops)} directory ops checked")
 
 
@@ -537,16 +611,23 @@ def lemma_timestamp_order(history: Sequence[OpRecord]) -> CheckResult:
     """Real-time precedence never decreases operation timestamps, and a
     later write's timestamp strictly grows."""
     annotated = [o for o in history if o.complete and o.ts is not None]
+    max_ts_before = _max_ts_before(annotated)
+
+    def overtaken(b: OpRecord) -> bool:
+        before = max_ts_before(b.invoke)
+        return before >= b.ts.key() if b.kind == "WRITE" else before > b.ts.key()
+
     failures = []
-    for a in annotated:
-        for b in annotated:
-            if a.response >= b.invoke:
-                continue
-            if b.kind == "WRITE":
-                if not a.ts < b.ts:
+    if any(overtaken(b) for b in annotated):
+        for a in annotated:
+            for b in annotated:
+                if a.response >= b.invoke:
+                    continue
+                if b.kind == "WRITE":
+                    if not a.ts < b.ts:
+                        failures.append([a.op_id, b.op_id])
+                elif not a.ts <= b.ts:
                     failures.append([a.op_id, b.op_id])
-            elif not a.ts <= b.ts:
-                failures.append([a.op_id, b.op_id])
     return _lemma("timestamp-order", failures, f"{len(annotated)} annotated ops checked")
 
 

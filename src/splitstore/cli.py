@@ -56,8 +56,13 @@ def _parse_byz(specs: list[str]) -> tuple[dict, dict]:
     return byz_data, byz_meta
 
 
+# One encoder for every trace line: json.dumps builds a new one per call
+# whenever it is given options.
+_JSON_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _json_line(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _JSON_LINE_ENCODER.encode(payload)
 
 
 def write_outputs(out_dir: Path, outcome: ScenarioOutcome) -> list[Path]:

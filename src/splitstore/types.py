@@ -24,28 +24,17 @@ class HarnessError(Exception):
     misbehavior, which is reported through checker verdicts)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Timestamp:
     """Multi-writer timestamp: a counter paired with the writer id that
-    produced it. Ordered lexicographically, counter first."""
+    produced it. Ordered lexicographically, counter first (the field order
+    below is the comparison order)."""
 
     num: int
     cid: int
 
     def key(self) -> tuple[int, int]:
         return (self.num, self.cid)
-
-    def __lt__(self, other: "Timestamp") -> bool:
-        return self.key() < other.key()
-
-    def __le__(self, other: "Timestamp") -> bool:
-        return self.key() <= other.key()
-
-    def __gt__(self, other: "Timestamp") -> bool:
-        return self.key() > other.key()
-
-    def __ge__(self, other: "Timestamp") -> bool:
-        return self.key() >= other.key()
 
     def next_for(self, cid: int) -> "Timestamp":
         """The timestamp a writer with id ``cid`` produces after reading

@@ -3,6 +3,12 @@ import random
 import pytest
 
 from splitstore.checker import (
+    _BELOW_EVERY_TS,
+    _insert_superseded,
+    _lemma,
+    _max_ts_before,
+    _real_time_violation,
+    _respects_real_time,
     check_directory_linearizable,
     check_register_exhaustive,
     check_register_linearizable,
@@ -310,3 +316,178 @@ def test_random_history_generator_is_deterministic():
     a = [op.render() for op in random_history(random.Random("g"))]
     b = [op.render() for op in random_history(random.Random("g"))]
     assert a == b
+
+
+# -- fast precedence checks against pairwise references -----------------------
+#
+# The checker certifies real-time and timestamp precedence with a sort and a
+# running max, and keeps its pairwise scans only to explain a violation. The
+# references below are those pairwise scans, written out in full.
+
+
+def ref_max_ts_before(ops, step):
+    keys = [o.ts.key() for o in ops if o.response is not None and o.response < step]
+    return max(keys, default=None)
+
+
+def ref_respects_real_time(order):
+    return not any(
+        a.response is not None and a.response < b.invoke
+        for i, a in enumerate(order) for b in order[:i]
+    )
+
+
+def ref_real_time_violation(order):
+    for i, a in enumerate(order):
+        if a.response is None:
+            continue
+        for j, b in enumerate(order):
+            if a.response < b.invoke and i > j:
+                return a, b
+    return None
+
+
+def ref_timestamp_order(history):
+    annotated = [o for o in history if o.complete and o.ts is not None]
+    failures = []
+    for a in annotated:
+        for b in annotated:
+            if a.response >= b.invoke:
+                continue
+            if b.kind == "WRITE":
+                if not a.ts < b.ts:
+                    failures.append([a.op_id, b.op_id])
+            elif not a.ts <= b.ts:
+                failures.append([a.op_id, b.op_id])
+    return _lemma("timestamp-order", failures, f"{len(annotated)} annotated ops checked")
+
+
+def ref_directory_monotone(dir_ops):
+    ops = [o for o in dir_ops if o.op in ("tsread", "tswrite") and o.complete]
+    failures = []
+    for a in ops:
+        for b in ops:
+            if b.op != "tsread" or a.response >= b.invoke:
+                continue
+            if b.ts < a.ts:
+                failures.append([a.tag, b.tag])
+    return _lemma("directory-monotone", failures, f"{len(ops)} directory ops checked")
+
+
+def ref_insert_superseded(order, noop_writes):
+    order = list(order)
+    for noop in sorted(noop_writes, key=lambda o: (o.invoke, o.proc)):
+        slot = 0
+        for i, placed in enumerate(order):
+            if placed.response is not None and placed.response < noop.invoke:
+                slot = i + 1
+        order.insert(slot, noop)
+    return order
+
+
+def tied_shapes(rng):
+    """10-40 operations over 2-5 sequential clients on a coarse step grid,
+    so one client often responds at the very step another is invoked, the
+    case where strict and non-strict precedence differ. A timestamp's
+    counter is its op's invoke step, so ops invoked at the same step can
+    carry equal timestamps, and about one in thirty is corrupted."""
+    clients = list(range(1, rng.randint(2, 5) + 1))
+    free = {c: 0 for c in clients}  # earliest step the client may invoke at
+    shapes = []
+    for _ in range(rng.randint(10, 40)):
+        if not clients:
+            break
+        c = rng.choice(clients)
+        invoke = free[c] + rng.randint(0, 2)
+        response = None if rng.random() < 0.08 else invoke + rng.randint(1, 3)
+        if response is None:
+            clients.remove(c)
+        else:
+            free[c] = response + 1
+        num = invoke
+        if rng.random() < 0.03:
+            num += rng.randint(-6, 6)
+        shapes.append((c, rng.random() < 0.5, invoke, response, Timestamp(num, rng.randint(1, 2))))
+    return shapes
+
+
+def as_register_ops(shapes, rng):
+    return [
+        OpRecord(op_id=i, client=f"c{c}", kind="WRITE" if write else "READ", arg=None,
+                 invoke=invoke, response=response,
+                 ts=None if rng.random() < 0.05 else ts)
+        for i, (c, write, invoke, response, ts) in enumerate(shapes, 1)
+    ]
+
+
+def as_dir_ops(shapes):
+    return [
+        DirOpRecord(proc=f"c{c}", op="tswrite" if write else "tsread", tag=i,
+                    invoke=invoke, response=response, ts=ts)
+        for i, (c, write, invoke, response, ts) in enumerate(shapes, 1)
+    ]
+
+
+def test_fast_precedence_checks_match_pairwise_references():
+    rng = random.Random("certify-vs-explain")
+    seen = {"ties": 0, "ts-order-fail": 0, "monotone-fail": 0,
+            "real-time-fail": 0, "real-time-ok": 0, "superseded": 0}
+    for _ in range(2000):
+        shapes = tied_shapes(rng)
+        responses = {s[3] for s in shapes}
+        seen["ties"] += any(s[2] in responses for s in shapes)
+
+        hist = as_register_ops(shapes, rng)
+        annotated = [o for o in hist if o.ts is not None]
+        max_ts_before = _max_ts_before(annotated)
+        for step in sorted({o.invoke for o in hist} | responses - {None}):
+            expected = ref_max_ts_before(annotated, step)
+            assert max_ts_before(step) == (_BELOW_EVERY_TS if expected is None else expected)
+        got = lemma_timestamp_order(hist)
+        assert got.render() == ref_timestamp_order(hist).render()
+        seen["ts-order-fail"] += got.passed is False
+
+        order = sorted(annotated, key=lambda o: (o.ts.key(), o.op_id))
+        assert _respects_real_time(order) == ref_respects_real_time(order)
+        assert _real_time_violation(order) == ref_real_time_violation(order)
+        seen["real-time-ok" if ref_respects_real_time(order) else "real-time-fail"] += 1
+
+        dir_ops = as_dir_ops(shapes)
+        got = lemma_directory_monotone(dir_ops)
+        assert got.render() == ref_directory_monotone(dir_ops).render()
+        seen["monotone-fail"] += got.passed is False
+
+        writes = [o for o in dir_ops if o.op == "tswrite" and o.complete]
+        noops = rng.sample(writes, rng.randint(0, len(writes)))
+        rest = sorted((o for o in dir_ops if o not in noops), key=lambda o: (o.ts.key(), o.tag))
+        assert _insert_superseded(rest, noops) == ref_insert_superseded(rest, noops)
+        seen["superseded"] += len(noops) > 1
+    # the generator must exercise both outcomes of every check, and ties
+    assert min(seen.values()) > 100, seen
+
+
+def test_fast_precedence_checks_match_references_on_mutated_large_runs():
+    result = run(Config(seed=0, writers=4, readers=4, ops=50))
+    failed = 0
+    reads = [o for o in result.history if o.kind == "READ" and o.ret is not None]
+    for read in reads[::len(reads) // 4]:
+        saved = read.ts
+        read.ts = Timestamp(read.ts.num - 3, read.ts.cid)
+        got = lemma_timestamp_order(result.history)
+        assert got.render() == ref_timestamp_order(result.history).render()
+        order = sorted(result.history, key=lambda o: (o.ts.key(), o.op_id))
+        assert _real_time_violation(order) == ref_real_time_violation(order)
+        failed += got.passed is False
+        read.ts = saved
+    assert lemma_timestamp_order(result.history).passed
+
+    dir_reads = [o for o in result.dir_ops if o.op == "tsread" and o.ts.num > 3]
+    for read in dir_reads[::len(dir_reads) // 2]:
+        saved = read.ts
+        read.ts = Timestamp(read.ts.num - 3, read.ts.cid)
+        got = lemma_directory_monotone(result.dir_ops)
+        assert got.render() == ref_directory_monotone(result.dir_ops).render()
+        failed += got.passed is False
+        read.ts = saved
+    assert lemma_directory_monotone(result.dir_ops).passed
+    assert failed >= 4
