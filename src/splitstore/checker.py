@@ -1,23 +1,30 @@
 """Post-hoc verification of run results.
 
-Register histories are checked for linearizability two ways. Small
-histories go straight to an exhaustive search over permutations
-(memoized on the placed-set and register value, so it prunes hard).
-Larger histories first try a timestamp witness: BOTTOM-returning reads
-go first, writes follow in timestamp order, and each accepted read sits
-right after the write whose timestamp it carries, ties in trace order.
-A witness order that replays correctly and respects real-time proves
-linearizability outright. When the witness fails, the checker never
-trusts it: it extracts a small candidate subset, re-validates that
-subset with the exhaustive engine, and falls back to a full exhaustive
-pass when the subset does not confirm. A negative verdict therefore
-always carries a counterexample that independently re-validates.
+One exhaustive search serves both linearizability checks: `_search`, a
+Wing-Gong/Lowe depth-first search over orderings of a history that takes
+a sequential spec `step(state, op) -> state | None`, tries each subset of
+the open writes (an open write may or may not have taken effect), prunes
+by real-time order and memoizes on the placed set and the spec state.
+There are two specs: `_register_step` for the register and
+`_directory_step` for the directory, whose write rule is
+`mds_oracle.TimestampedStore.after_write`.
 
-The directory sub-history gets the same treatment against timestamped-
-store semantics. Lemma monitors re-check the protocol's structural
-invariants (directory monotonicity, the read-timestamp sandwich, the
-real-time/timestamp partial order, unique write timestamps, and value
-integrity under collision resistance) directly from annotations.
+Histories of at most SMALL_LIMIT ops go straight to the search. Larger
+ones first try a timestamp witness. For the register: BOTTOM-returning
+reads go first, writes follow in timestamp order, and each accepted read
+sits right after the write whose timestamp it carries, ties in trace
+order. A witness order that replays correctly and respects real-time
+proves linearizability outright. When the witness fails, the checker
+never trusts it: it extracts a small candidate subset, re-validates that
+subset with the search, and falls back to a full search when the subset
+does not confirm and the history has at most FALLBACK_CAP ops. A
+negative verdict therefore always carries a counterexample that
+independently re-validates. The directory sub-history gets the same
+treatment, and its witness is replayed through `_directory_step`. Lemma
+monitors re-check the protocol's structural invariants (directory
+monotonicity, the read-timestamp sandwich, the real-time/timestamp
+partial order, unique write timestamps, and value integrity under
+collision resistance) directly from annotations.
 
 Real-time and precedence checks certify fast and explain exactly. Op a
 precedes op b in real time when a.response < b.invoke, strictly: an op
@@ -40,11 +47,12 @@ from itertools import accumulate
 from typing import Any, Callable, Iterable, Sequence
 
 from .history import DirOpRecord, OpRecord
+from .mds_oracle import TimestampedStore
 from .types import HarnessError, Timestamp, TS_INIT
 
-SMALL_LIMIT = 8
-FALLBACK_CAP = 14
-NODE_BUDGET = 500_000
+SMALL_LIMIT = 8  # histories this small skip the witness
+FALLBACK_CAP = 14  # largest history searched after its witness fails
+NODE_BUDGET = 500_000  # search nodes per check, over all open-write subsets
 
 # Compares below every Timestamp.key(): the prefix max of an empty set.
 _BELOW_EVERY_TS = (float("-inf"),)
@@ -100,83 +108,93 @@ def _well_formed(ops: Sequence[OpRecord]) -> None:
                 )
 
 
-# -- exhaustive register search ----------------------------------------------
+# -- one linearizability search over a sequential spec -----------------------
 
 
-def _subsets(items: Sequence) -> Iterable[tuple]:
-    n = len(items)
-    for mask in range(1 << n):
-        yield tuple(items[i] for i in range(n) if mask >> i & 1)
+def _search(
+    complete: list,
+    open_writes: list,
+    step: Callable[[Any, Any], Any],
+    init: Any,
+    order_key: Callable[[Any], Any],
+) -> tuple[list | None, bool]:
+    """Wing-Gong/Lowe search for a linearization of ``complete`` plus each
+    subset of ``open_writes`` (an open write may or may not have taken
+    effect). ``step(state, op)`` is the sequential spec: the next state, or
+    None when ``op`` cannot run in ``state``. Each subset's ops are tried
+    in ``order_key`` order, an op only when no unplaced op responded
+    before it was invoked, and the walk is memoized on the placed set and
+    the spec state. All subsets share one budget of NODE_BUDGET nodes.
 
+    Returns the accepted order (or None) and whether the budget ran out."""
+    left = NODE_BUDGET
+    for mask in range(1 << len(open_writes)):
+        included = [w for i, w in enumerate(open_writes) if mask >> i & 1]
+        ops = sorted(complete + included, key=order_key)
+        resp = [o.response if o.response is not None else float("inf") for o in ops]
+        seen: set[tuple[int, Any]] = set()
 
-class _SearchBudget:
-    def __init__(self, nodes: int):
-        self.left = nodes
-
-    def spend(self) -> bool:
-        self.left -= 1
-        return self.left >= 0
-
-
-def _search_register(ops: list[OpRecord], budget: _SearchBudget) -> list[int] | None:
-    """One exhaustive search attempt over a fixed op set (no open ops)."""
-    resp = {
-        o.op_id: (o.response if o.response is not None else float("inf")) for o in ops
-    }
-    by_id = {o.op_id: o for o in ops}
-    order = sorted(by_id, key=lambda i: (by_id[i].invoke, i))
-    seen: set[tuple[frozenset, Any]] = set()
-
-    def walk(placed: frozenset, value: bytes | None, path: list[int]) -> list[int] | None:
-        if len(path) == len(order):
-            return list(path)
-        if not budget.spend():
-            return None
-        key = (placed, value)
-        if key in seen:
-            return None
-        seen.add(key)
-        for op_id in order:
-            if op_id in placed:
-                continue
-            op = by_id[op_id]
-            if any(
-                resp[other] < op.invoke
-                for other in order
-                if other not in placed and other != op_id
-            ):
-                continue
-            if op.kind == "READ":
-                if op.ret != value:
+        def walk(placed: int, state: Any, path: list) -> list | None:
+            nonlocal left
+            if len(path) == len(ops):
+                return list(path)
+            left -= 1
+            if left < 0:
+                return None
+            if (placed, state) in seen:
+                return None
+            seen.add((placed, state))
+            for i, op in enumerate(ops):
+                if placed >> i & 1:
                     continue
-                found = walk(placed | {op_id}, value, path + [op_id])
-            else:
-                found = walk(placed | {op_id}, op.arg, path + [op_id])
-            if found:
-                return found
-        return None
+                if any(
+                    resp[j] < op.invoke
+                    for j in range(len(ops))
+                    if j != i and not placed >> j & 1
+                ):
+                    continue
+                after = step(state, op)
+                if after is None:
+                    continue
+                found = walk(placed | 1 << i, after, path + [op])
+                if found is not None:
+                    return found
+            return None
 
-    return walk(frozenset(), None, [])
+        order = walk(0, init, [])
+        if order is not None:
+            return order, False
+        if left < 0:
+            return None, True
+    return None, False
 
 
-def check_register_exhaustive(
-    ops: Sequence[OpRecord], node_budget: int = NODE_BUDGET
-) -> CheckResult:
+def _register_step(state: tuple, op: OpRecord) -> tuple | None:
+    """Register spec. The state is a 1-tuple ``(value,)``, so BOTTOM
+    (None) is a value and None means "rejected"."""
+    if op.kind == "READ":
+        return state if op.ret == state[0] else None
+    return (op.arg,)
+
+
+def check_register_exhaustive(ops: Sequence[OpRecord]) -> CheckResult:
     """Ground-truth linearizability over all completions and permutations."""
     _well_formed(ops)
     complete = [o for o in ops if o.complete]
     open_writes = [o for o in ops if not o.complete and o.kind == "WRITE"]
-    budget = _SearchBudget(node_budget)
-    for included in _subsets(open_writes):
-        witness = _search_register(complete + list(included), budget)
-        if witness is not None:
-            return CheckResult("linearizable", True, detail="exhaustive", witness=witness)
-        if budget.left < 0:
-            return CheckResult(
-                "linearizable", False,
-                detail="exhaustive search exceeded its node budget",
-                counterexample=sorted(o.op_id for o in ops),
-            )
+    order, out_of_budget = _search(
+        complete, open_writes, _register_step, (None,), lambda o: (o.invoke, o.op_id)
+    )
+    if order is not None:
+        return CheckResult(
+            "linearizable", True, detail="exhaustive", witness=[o.op_id for o in order]
+        )
+    if out_of_budget:
+        return CheckResult(
+            "linearizable", False,
+            detail="exhaustive search exceeded its node budget",
+            counterexample=sorted(o.op_id for o in ops),
+        )
     return CheckResult(
         "linearizable", False, detail="exhaustive: no valid permutation",
         counterexample=sorted(o.op_id for o in complete + open_writes),
@@ -268,7 +286,6 @@ def _build_witness(ops: Sequence[OpRecord]) -> _WitnessOutcome:
     included: dict[int, OpRecord] = {
         w.op_id: w for w in writes if w.complete and w.ts is not None
     }
-    reads_for: dict[int, list[OpRecord]] = {w.op_id: [] for w in included.values()}
     for read in val_reads:
         write = writes_by_ts.get(read.ts)
         if write is None:
@@ -282,29 +299,26 @@ def _build_witness(ops: Sequence[OpRecord]) -> _WitnessOutcome:
                 reason=f"read {read.op_id} disagrees with write {write.op_id} on the value",
                 suspects=[read, write],
             )
-        if write.op_id not in included:
-            included[write.op_id] = write  # open write that took effect
-            reads_for[write.op_id] = []
-        reads_for[write.op_id].append(read)
+        included.setdefault(write.op_id, write)  # an open write that took effect
 
-    order = sorted(bot_reads, key=lambda o: (o.invoke, o.op_id))
-    for write in sorted(included.values(), key=lambda w: w.ts.key()):
-        order.append(write)
-        order.extend(sorted(reads_for[write.op_id], key=lambda o: (o.invoke, o.op_id)))
+    # BOTTOM reads first, then each write right before the reads that
+    # carry its timestamp; ties in trace order.
+    def position(o: OpRecord) -> tuple:
+        ts_key = _BELOW_EVERY_TS if o.kind == "READ" and o.ret is None else o.ts.key()
+        return ts_key, o.kind == "READ", o.invoke, o.op_id
+
+    order = sorted(bot_reads + val_reads + list(included.values()), key=position)
     return _WitnessOutcome(order=order)
 
 
 def check_register_linearizable(
-    ops: Sequence[OpRecord],
-    small_limit: int = SMALL_LIMIT,
-    fallback_cap: int = FALLBACK_CAP,
-    node_budget: int = NODE_BUDGET,
+    ops: Sequence[OpRecord], small_limit: int = SMALL_LIMIT
 ) -> CheckResult:
     """Production pipeline: exhaustive when small, witness-first when not."""
     _well_formed(ops)
     checkable = [o for o in ops if o.complete or o.kind == "WRITE"]
     if len(checkable) <= small_limit:
-        return check_register_exhaustive(ops, node_budget)
+        return check_register_exhaustive(ops)
 
     outcome = _build_witness(ops)
     if outcome.order is not None:
@@ -322,17 +336,19 @@ def check_register_linearizable(
 
     # The witness failed; distrust it and confirm independently.
     if outcome.suspects:
-        subset = _close_over_clients(ops, outcome.suspects)
+        # Whole operations only, so the sub-history stays per-client sequential.
+        picked = {o.op_id for o in outcome.suspects}
+        subset = [o for o in ops if o.op_id in picked]
         if len(subset) <= small_limit:
-            confirm = check_register_exhaustive(subset, node_budget)
+            confirm = check_register_exhaustive(subset)
             if confirm.passed is False:
                 return CheckResult(
                     "linearizable", False,
                     detail=f"{outcome.reason}; counterexample re-validated exhaustively",
                     counterexample=sorted(o.op_id for o in subset),
                 )
-    if len(checkable) <= fallback_cap:
-        result = check_register_exhaustive(ops, node_budget)
+    if len(checkable) <= FALLBACK_CAP:
+        result = check_register_exhaustive(ops)
         if result.passed:
             result.detail = f"witness failed ({outcome.reason}); exhaustive fallback passed"
         return result
@@ -356,60 +372,17 @@ def _expand_suspects(
     return list(suspects.values())
 
 
-def _close_over_clients(
-    ops: Sequence[OpRecord], subset: Iterable[OpRecord]
-) -> list[OpRecord]:
-    """Sub-histories must stay per-client sequential; completing the subset
-    with nothing keeps it so because we only ever pick whole operations."""
-    picked = {o.op_id for o in subset}
-    return [o for o in ops if o.op_id in picked]
-
-
 # -- directory (timestamped store) checking ----------------------------------
 
-
-def _dir_value_token(md: Any) -> str:
-    return "none" if md is None else repr(md)
+_DIR_INIT = (TS_INIT, None)
 
 
-def _search_directory(dir_ops: list[DirOpRecord], budget: _SearchBudget) -> list[int] | None:
-    resp = {
-        id(o): (o.response if o.response is not None else float("inf")) for o in dir_ops
-    }
-    order = sorted(range(len(dir_ops)), key=lambda i: (dir_ops[i].invoke, i))
-    seen: set[tuple[frozenset, Timestamp, str]] = set()
-
-    def walk(placed: frozenset, ts: Timestamp, md: Any, path: list[int]) -> list[int] | None:
-        if len(path) == len(order):
-            return list(path)
-        if not budget.spend():
-            return None
-        key = (placed, ts, _dir_value_token(md))
-        if key in seen:
-            return None
-        seen.add(key)
-        for idx in order:
-            if idx in placed:
-                continue
-            op = dir_ops[idx]
-            if any(
-                resp[id(dir_ops[j])] < op.invoke
-                for j in order
-                if j not in placed and j != idx
-            ):
-                continue
-            if op.op == "tsread":
-                if op.ts != ts or op.md != md:
-                    continue
-                found = walk(placed | {idx}, ts, md, path + [idx])
-            else:
-                nts, nmd = (op.ts, op.md) if op.ts >= ts else (ts, md)
-                found = walk(placed | {idx}, nts, nmd, path + [idx])
-            if found:
-                return found
-        return None
-
-    return walk(frozenset(), TS_INIT, None, [])
+def _directory_step(state: tuple, op: DirOpRecord) -> tuple | None:
+    """Directory spec over (ts, md) states: `TimestampedStore`'s write
+    rule, and a tsread must return the state exactly."""
+    if op.op == "tsread":
+        return state if (op.ts, op.md) == state else None
+    return TimestampedStore.after_write(state, op.ts, op.md)
 
 
 def _insert_superseded(
@@ -450,28 +423,26 @@ def _insert_superseded(
 
 
 def check_directory_linearizable(
-    dir_ops: Sequence[DirOpRecord],
-    small_limit: int = SMALL_LIMIT,
-    fallback_cap: int = FALLBACK_CAP,
-    node_budget: int = NODE_BUDGET,
+    dir_ops: Sequence[DirOpRecord], small_limit: int = SMALL_LIMIT
 ) -> CheckResult:
     """Linearizability of the directory sub-history against timestamped-
     store semantics. Digest-array operations are not part of this check."""
     ops = [o for o in dir_ops if o.op in ("tsread", "tswrite")]
     complete = [o for o in ops if o.complete]
     open_writes = [o for o in ops if not o.complete and o.op == "tswrite"]
+    size = len(complete) + len(open_writes)
 
     def exhaustive() -> CheckResult:
-        budget = _SearchBudget(node_budget)
-        for included in _subsets(open_writes):
-            witness = _search_directory(complete + list(included), budget)
-            if witness is not None:
-                return CheckResult("directory-linearizable", True, detail="exhaustive")
-            if budget.left < 0:
-                return CheckResult(
-                    "directory-linearizable", False,
-                    detail="exhaustive search exceeded its node budget",
-                )
+        order, out_of_budget = _search(
+            complete, open_writes, _directory_step, _DIR_INIT, lambda o: o.invoke
+        )
+        if order is not None:
+            return CheckResult("directory-linearizable", True, detail="exhaustive")
+        if out_of_budget:
+            return CheckResult(
+                "directory-linearizable", False,
+                detail="exhaustive search exceeded its node budget",
+            )
         return CheckResult(
             "directory-linearizable", False,
             detail="exhaustive: no valid permutation",
@@ -480,7 +451,7 @@ def check_directory_linearizable(
             ),
         )
 
-    if len(complete) + len(open_writes) <= small_limit:
+    if size <= small_limit:
         return exhaustive()
 
     # Witness: writes in timestamp order, each read right after the write
@@ -501,20 +472,18 @@ def check_directory_linearizable(
         else:
             entries.append(((op.ts.key(), 1, op.invoke), op))
     if open_writes:
-        read_backed = {(o.ts, _dir_value_token(o.md)) for o in complete if o.op == "tsread"}
+        read_backed = {(o.ts, o.md) for o in complete if o.op == "tsread"}
         for op in open_writes:
-            if (op.ts, _dir_value_token(op.md)) in read_backed:
+            if (op.ts, op.md) in read_backed:
                 entries.append(((op.ts.key(), 0, op.invoke), op))
     entries.sort(key=lambda e: e[0])
     order = _insert_superseded([op for _, op in entries], noop_writes)
 
-    ts, md = TS_INIT, None
+    state = _DIR_INIT
     for op in order:
-        if op.op == "tswrite":
-            if op.ts >= ts:
-                ts, md = op.ts, op.md
-        elif op.ts != ts or op.md != md:
-            if len(complete) + len(open_writes) <= fallback_cap:
+        state = _directory_step(state, op)
+        if state is None:
+            if size <= FALLBACK_CAP:
                 return exhaustive()
             return CheckResult(
                 "directory-linearizable", False,
@@ -524,7 +493,7 @@ def check_directory_linearizable(
     violation = _real_time_violation(order)
     if violation is None:
         return CheckResult("directory-linearizable", True, detail="timestamp witness")
-    if len(complete) + len(open_writes) <= fallback_cap:
+    if size <= FALLBACK_CAP:
         return exhaustive()
     return CheckResult(
         "directory-linearizable", False,

@@ -27,12 +27,6 @@ class OpRecord:
     def complete(self) -> bool:
         return self.response is not None
 
-    def value(self) -> bytes | None:
-        """The register value this operation wrote or returned."""
-        if self.kind == "WRITE":
-            return self.arg
-        return self.ret if isinstance(self.ret, bytes) else None
-
     def render(self) -> dict:
         return {
             "op_id": self.op_id,

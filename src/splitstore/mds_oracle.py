@@ -2,8 +2,11 @@
 
 The directory and the digest array are single logical processes whose
 handlers run atomically, so their operations are trivially linearizable.
-The same sequential objects double as the reference semantics the
-checker replays against.
+`TimestampedStore` is also the checker's reference for the directory:
+the checker's directory spec applies writes with
+`TimestampedStore.after_write`, the one statement of the write rule.
+`HashArraySpec` is not used by the checker yet, so digest-array
+histories stay unchecked.
 
 The directory is a timestamped store: a write carries its own timestamp
 and takes effect only when that timestamp is at least the stored one,
@@ -29,10 +32,15 @@ class TimestampedStore:
         self.ts: Timestamp = TS_INIT
         self.payload: Any = None
 
+    @staticmethod
+    def after_write(
+        state: tuple[Timestamp, Any], ts: Timestamp, payload: Any
+    ) -> tuple[Timestamp, Any]:
+        """The (ts, payload) state that tswrite(ts, payload) leaves behind."""
+        return (ts, payload) if ts >= state[0] else state
+
     def tswrite(self, ts: Timestamp, payload: Any) -> str:
-        if ts >= self.ts:
-            self.ts = ts
-            self.payload = payload
+        self.ts, self.payload = self.after_write((self.ts, self.payload), ts, payload)
         return "OK"
 
     def tsread(self) -> tuple[Timestamp, Any]:

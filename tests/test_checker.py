@@ -1,9 +1,12 @@
+import copy
 import random
 
 import pytest
 
+from splitstore import checker
 from splitstore.checker import (
     _BELOW_EVERY_TS,
+    FALLBACK_CAP,
     _insert_superseded,
     _lemma,
     _max_ts_before,
@@ -22,6 +25,7 @@ from splitstore.checker import (
     random_history,
 )
 from splitstore.history import DirOpRecord, OpRecord
+from splitstore.scenarios import random_config
 from splitstore.simnet import Config, run
 from splitstore.types import HarnessError, Metadata, Timestamp
 
@@ -211,6 +215,107 @@ def test_directory_metadata_must_match_the_write():
         DR(1, "r1", 10, 15, 1, 1, replicas=(2, 3)),  # same ts, different payload
     ]
     assert check_directory_linearizable(ops).passed is False
+
+
+def test_directory_open_write_may_count_as_applied():
+    ops = [DW(1, "w1", 0, None, 1, 1), DR(1, "r1", 10, 20, 1, 1)]  # write never returned
+    res = check_directory_linearizable(ops)
+    assert res.passed, res.detail
+    assert res.detail == "exhaustive"
+
+
+def test_directory_open_write_may_also_be_dropped():
+    ops = [DW(1, "w1", 0, None, 1, 1), DR(1, "r1", 10, 20, 0, 0)]
+    res = check_directory_linearizable(ops)
+    assert res.passed, res.detail
+    assert res.detail == "exhaustive"
+
+
+def test_directory_open_write_cannot_take_effect_twice():
+    # r1 saw the open write, so r2, invoked after r1 returned, cannot see
+    # the initial state again
+    ops = [
+        DW(1, "w1", 0, None, 1, 1),
+        DR(1, "r1", 10, 20, 1, 1),
+        DR(1, "r2", 30, 40, 0, 0),
+    ]
+    assert check_directory_linearizable(ops).passed is False
+
+
+def test_exhausted_node_budget_is_a_failure_not_a_verdict(monkeypatch):
+    hist = [
+        W(1, "w1", b"a", 0, 10, 1, 1),
+        R(2, "r1", b"a", 20, 30, 1, 1),
+        W(3, "w1", b"b", 40, 50, 2, 1),
+        R(4, "r1", b"b", 60, 70, 2, 1),
+    ]
+    dir_ops = [
+        DW(1, "w1", 0, 10, 1, 1),
+        DR(1, "r1", 20, 30, 1, 1),
+        DW(2, "w1", 40, 50, 2, 1),
+        DR(2, "r1", 60, 70, 2, 1),
+    ]
+    assert check_register_linearizable(hist).passed
+    assert check_directory_linearizable(dir_ops).passed
+    # a linearization of four ops visits four nodes before it is complete
+    monkeypatch.setattr(checker, "NODE_BUDGET", 3)
+    for res in (check_register_exhaustive(hist), check_register_linearizable(hist)):
+        assert res.passed is False
+        assert res.detail == "exhaustive search exceeded its node budget"
+        assert res.counterexample == [1, 2, 3, 4]
+    res = check_directory_linearizable(dir_ops)
+    assert res.passed is False
+    assert res.detail == "exhaustive search exceeded its node budget"
+    monkeypatch.setattr(checker, "NODE_BUDGET", 4)
+    assert check_register_exhaustive(hist).passed
+    assert check_directory_linearizable(dir_ops).passed
+
+
+def directory_slices(rng, count):
+    """Windows of at most FALLBACK_CAP directory ops cut from random_config
+    runs. Some tsreads are made stale (they return an earlier write's
+    record, or the initial state), and some tswrites that end their
+    process's part of the window lose their response, so open writes
+    occur. Windows also cut reads off from the writes they observed."""
+    runs = [
+        [o for o in run(random_config(seed)).dir_ops if o.op in ("tsread", "tswrite")]
+        for seed in range(20)
+    ]
+    for _ in range(count):
+        ops = rng.choice(runs)
+        start = rng.randrange(len(ops))
+        window = [copy.copy(o) for o in ops[start:start + rng.randint(3, FALLBACK_CAP)]]
+        writes = [o for o in window if o.op == "tswrite"]
+        for read in [o for o in window if o.op == "tsread"]:
+            if rng.random() < 0.15:
+                src = rng.choice(writes) if writes and rng.random() < 0.7 else None
+                read.ts, read.md = (src.ts, src.md) if src else (Timestamp(0, 0), None)
+        last_of_proc = {o.proc: o for o in window}
+        for write in writes:
+            if last_of_proc[write.proc] is write and rng.random() < 0.6:
+                write.response = None
+        yield window
+
+
+def test_directory_witness_agrees_with_exhaustive_search():
+    rng = random.Random("directory-witness-vs-exhaustive")
+    seen = {"pass": 0, "fail": 0, "witness passed": 0, "witness included an open write": 0}
+    for ops in directory_slices(rng, 1000):
+        full = check_directory_linearizable(ops, small_limit=FALLBACK_CAP)
+        assert full.detail.startswith("exhaustive"), full.detail
+        ladder = check_directory_linearizable(ops, small_limit=0)
+        assert ladder.passed == full.passed, [o.render() for o in ops]
+        seen["pass" if full.passed else "fail"] += 1
+        if ladder.detail != "timestamp witness":
+            continue
+        seen["witness passed"] += 1
+        if any(o.op == "tswrite" and not o.complete for o in ops):
+            # the open writes were needed when the history fails without them
+            closed = [o for o in ops if o.complete or o.op != "tswrite"]
+            seen["witness included an open write"] += not check_directory_linearizable(
+                closed, small_limit=FALLBACK_CAP
+            ).passed
+    assert min(seen.values()) >= 50, seen
 
 
 # -- wait-freedom -------------------------------------------------------------
