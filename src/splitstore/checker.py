@@ -63,7 +63,8 @@ class CheckResult:
     name: str
     passed: bool | None  # None = not applicable in this mode
     detail: str = ""
-    counterexample: list[int] | None = None  # op ids
+    # register op ids, directory ops as [proc, tag], or (lemmas) lists of either
+    counterexample: list | None = None
     witness: list[int] | None = None
 
     def render(self) -> dict:
@@ -377,6 +378,12 @@ def _expand_suspects(
 _DIR_INIT = (TS_INIT, None)
 
 
+def _dir_name(op: DirOpRecord) -> list:
+    """How counterexamples name a directory op: tags count per process,
+    so a tag alone is ambiguous."""
+    return [op.proc, op.tag]
+
+
 def _directory_step(state: tuple, op: DirOpRecord) -> tuple | None:
     """Directory spec over (ts, md) states: `TimestampedStore`'s write
     rule, and a tsread must return the state exactly."""
@@ -446,9 +453,7 @@ def check_directory_linearizable(
         return CheckResult(
             "directory-linearizable", False,
             detail="exhaustive: no valid permutation",
-            counterexample=sorted(
-                {o.tag for o in complete + open_writes if o.tag is not None}
-            ),
+            counterexample=sorted(_dir_name(o) for o in complete + open_writes),
         )
 
     if size <= small_limit:
@@ -487,8 +492,8 @@ def check_directory_linearizable(
                 return exhaustive()
             return CheckResult(
                 "directory-linearizable", False,
-                detail=f"witness replay mismatch at directory read tag {op.tag}",
-                counterexample=[op.tag],
+                detail=f"witness replay mismatch at directory read {op.proc} tag {op.tag}",
+                counterexample=[_dir_name(op)],
             )
     violation = _real_time_violation(order)
     if violation is None:
@@ -498,7 +503,7 @@ def check_directory_linearizable(
     return CheckResult(
         "directory-linearizable", False,
         detail="witness violates real-time order; history too large to re-validate",
-        counterexample=[violation[0].tag, violation[1].tag],
+        counterexample=[_dir_name(violation[0]), _dir_name(violation[1])],
     )
 
 
@@ -555,7 +560,7 @@ def lemma_directory_monotone(dir_ops: Sequence[DirOpRecord]) -> CheckResult:
                 if b.op != "tsread" or a.response >= b.invoke:
                     continue
                 if b.ts < a.ts:
-                    failures.append([a.tag, b.tag])
+                    failures.append([_dir_name(a), _dir_name(b)])
     return _lemma("directory-monotone", failures, f"{len(ops)} directory ops checked")
 
 

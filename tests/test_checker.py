@@ -217,6 +217,20 @@ def test_directory_metadata_must_match_the_write():
     assert check_directory_linearizable(ops).passed is False
 
 
+def test_directory_counterexamples_name_the_process():
+    # every process counts its own tags, so tag 1 alone names three ops
+    ops = [
+        DW(1, "w1", 0, 5, 1, 1),
+        DR(1, "r1", 10, 15, 1, 1),
+        DR(1, "r2", 20, 25, 0, 0),
+    ]
+    res = check_directory_linearizable(ops)
+    assert res.passed is False
+    assert res.counterexample == [["r1", 1], ["r2", 1], ["w1", 1]]
+    res = lemma_directory_monotone(ops)
+    assert res.counterexample == [[["w1", 1], ["r2", 1]], [["r1", 1], ["r2", 1]]]
+
+
 def test_directory_open_write_may_count_as_applied():
     ops = [DW(1, "w1", 0, None, 1, 1), DR(1, "r1", 10, 20, 1, 1)]  # write never returned
     res = check_directory_linearizable(ops)
@@ -475,7 +489,7 @@ def ref_directory_monotone(dir_ops):
             if b.op != "tsread" or a.response >= b.invoke:
                 continue
             if b.ts < a.ts:
-                failures.append([a.tag, b.tag])
+                failures.append([[a.proc, a.tag], [b.proc, b.tag]])
     return _lemma("directory-monotone", failures, f"{len(ops)} directory ops checked")
 
 
