@@ -138,7 +138,7 @@ def _search(
         def walk(placed: int, state: Any, path: list) -> list | None:
             nonlocal left
             if len(path) == len(ops):
-                return list(path)
+                return path
             left -= 1
             if left < 0:
                 return None
