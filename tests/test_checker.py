@@ -5,8 +5,8 @@ import pytest
 
 from splitstore import checker
 from splitstore.checker import (
-    _BELOW_EVERY_TS,
     FALLBACK_CAP,
+    _BELOW_EVERY_TS,
     _insert_superseded,
     _lemma,
     _max_ts_before,
@@ -256,7 +256,7 @@ def test_directory_open_write_cannot_take_effect_twice():
     assert check_directory_linearizable(ops).passed is False
 
 
-def test_exhausted_node_budget_is_a_failure_not_a_verdict(monkeypatch):
+def test_exhausted_node_budget_fails_the_check(monkeypatch):
     hist = [
         W(1, "w1", b"a", 0, 10, 1, 1),
         R(2, "r1", b"a", 20, 30, 1, 1),
