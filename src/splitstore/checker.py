@@ -1,27 +1,44 @@
 """Post-hoc verification of run results.
 
-One exhaustive search serves both linearizability checks: `_search`, a
-Wing-Gong/Lowe depth-first search over orderings of a history that takes
-a sequential spec `step(state, op) -> state | None`, tries each subset of
-the open writes (an open write may or may not have taken effect), prunes
-by real-time order and memoizes on the placed set and the spec state.
-There are two specs: `_register_step` for the register and
-`_directory_step` for the directory, whose write rule is
-`mds_oracle.TimestampedStore.after_write`.
+Both linearizability checks run one pipeline, `_linearize`, over a
+`_Spec`: a sequential spec `step(state, op) -> state | None` (the
+register's `_register_step`, or `_directory_step`, whose write rule is
+`mds_oracle.TimestampedStore.after_write`), how to read and name an op,
+and a timestamp witness. `_search` is the one exhaustive search, a
+Wing-Gong/Lowe depth-first search over orderings that tries each subset
+of the open writes (an open write may or may not have taken effect),
+prunes by real-time order and memoizes on the placed set and spec state.
 
-Histories of at most SMALL_LIMIT ops go straight to the search. Larger
-ones first try a timestamp witness. For the register: BOTTOM-returning
-reads go first, writes follow in timestamp order, and each accepted read
-sits right after the write whose timestamp it carries, ties in trace
-order. A witness order that replays correctly and respects real-time
-proves linearizability outright. When the witness fails, the checker
-never trusts it: it extracts a small candidate subset, re-validates that
-subset with the search, and falls back to a full search when the subset
-does not confirm and the history has at most FALLBACK_CAP ops. A
-negative verdict therefore always carries a counterexample that
-independently re-validates. The directory sub-history gets the same
-treatment, and its witness is replayed through `_directory_step`. Lemma
-monitors re-check the protocol's structural invariants (directory
+1. A history of at most `small_limit` ops is searched whole.
+2. Otherwise a witness order that replays through the spec and respects
+   real-time order proves linearizability outright.
+3. A failed witness is never trusted. Its suspects are the pair that
+   breaks real-time order; or the read the replay rejects, the write that
+   set the state it met and, for each write of the read's value, the
+   complete op of largest timestamp that responded before that write was
+   invoked (what superseded it); or the witness builder's own.
+4. The suspects are closed: every complete read brings in every write
+   whose value equals its return, unless the read responded before that
+   write was invoked. A closed subset of at most FALLBACK_CAP ops that
+   the search rejects is a re-validated counterexample.
+5. Otherwise a history of at most FALLBACK_CAP ops is searched whole; a
+   larger one fails with the witness's reason. FALLBACK_CAP is the one
+   cap on what is searched after a witness fails.
+
+The closure is sound. Restrict any linearization S of the whole history
+to a closed subset X: real-time order carries over, and each open write
+in X keeps S's choice of taking effect. For the register, a read's last
+preceding write in S carries its value and was invoked before the read
+responded, so it is in X and is still the read's last preceding write.
+For the directory (a write takes effect when its timestamp is at least
+the stored one), a read returns what the last-applied write of the
+largest timestamp before it in S wrote; that write is in X, and among
+X's writes before the read it still has the largest timestamp and is
+the last of them applied. A read with no write before it in S has none
+in X either. So S restricted to X linearizes X, and a closed subset
+with no linearization proves the whole history has none.
+
+Lemma monitors re-check the protocol's structural invariants (directory
 monotonicity, the read-timestamp sandwich, the real-time/timestamp
 partial order, unique write timestamps, and value integrity under
 collision resistance) directly from annotations.
@@ -33,13 +50,13 @@ To certify, `_max_ts_before` sorts complete ops by response and keeps a
 running max of timestamps, so one bisect on an invoke step gives the
 largest timestamp of any op that preceded it; `_respects_real_time`
 checks a witness order with one reverse scan. Both are O(n log n) at
-most. Only when one of them finds a violation does the original
-pairwise scan run, to name the violating pairs, so counterexamples,
-failure counts and detail strings are what the pairwise scans alone
-would give, and the quadratic work is spent only on failing histories.
+most. Only when one of them finds a violation does a pairwise scan run
+to name the violating pairs, so quadratic work is spent only on failing
+histories.
 """
 from __future__ import annotations
 
+import json
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -51,8 +68,8 @@ from .mds_oracle import TimestampedStore
 from .types import HarnessError, Timestamp, TS_INIT
 
 SMALL_LIMIT = 8  # histories this small skip the witness
-FALLBACK_CAP = 14  # largest history searched after its witness fails
-NODE_BUDGET = 500_000  # search nodes per check, over all open-write subsets
+FALLBACK_CAP = 14  # largest history or closed suspect subset searched after a witness fails
+NODE_BUDGET = 500_000  # search nodes per search, over all open-write subsets
 
 # Compares below every Timestamp.key(): the prefix max of an empty set.
 _BELOW_EVERY_TS = (float("-inf"),)
@@ -109,35 +126,43 @@ def _well_formed(ops: Sequence[OpRecord]) -> None:
                 )
 
 
+@dataclass(frozen=True)
+class _Spec:
+    """What one linearizability check supplies to `_linearize`."""
+
+    step: Callable[[Any, Any], Any]  # sequential spec: next state, or None if rejected
+    init: Any  # the spec's initial state
+    order_key: Callable[[Any], Any]  # the order `_search` tries ops in
+    is_write: Callable[[Any], bool]
+    value: Callable[[Any], Any]  # the state a read observes or a write would install
+    name: Callable[[Any], Any]  # how counterexamples and details name an op
+    witness: Callable[[list], tuple]  # (order, "", []) or (None, reason, suspects)
+
+
 # -- one linearizability search over a sequential spec -----------------------
 
 
-def _search(
-    complete: list,
-    open_writes: list,
-    step: Callable[[Any, Any], Any],
-    init: Any,
-    order_key: Callable[[Any], Any],
-) -> tuple[list | None, bool]:
-    """Wing-Gong/Lowe search for a linearization of ``complete`` plus each
-    subset of ``open_writes`` (an open write may or may not have taken
-    effect). ``step(state, op)`` is the sequential spec: the next state, or
-    None when ``op`` cannot run in ``state``. Each subset's ops are tried
-    in ``order_key`` order, an op only when no unplaced op responded
-    before it was invoked, and the walk is memoized on the placed set and
-    the spec state. All subsets share one budget of NODE_BUDGET nodes.
+def _search(ops: list, spec: _Spec) -> tuple[list | None, bool]:
+    """Wing-Gong/Lowe search for a linearization of the complete ``ops``
+    plus each subset of the incomplete ones, which are open writes. Each
+    subset's ops are tried in ``spec.order_key`` order, an op only when no
+    unplaced op responded before it was invoked and ``spec.step`` accepts
+    it, and the walk is memoized on the placed set and the spec state. All
+    subsets share one budget of NODE_BUDGET nodes.
 
     Returns the accepted order (or None) and whether the budget ran out."""
+    complete = [o for o in ops if o.complete]
+    open_writes = [o for o in ops if not o.complete]
     left = NODE_BUDGET
     for mask in range(1 << len(open_writes)):
         included = [w for i, w in enumerate(open_writes) if mask >> i & 1]
-        ops = sorted(complete + included, key=order_key)
-        resp = [o.response if o.response is not None else float("inf") for o in ops]
+        ordered = sorted(complete + included, key=spec.order_key)
+        resp = [o.response if o.response is not None else float("inf") for o in ordered]
         seen: set[tuple[int, Any]] = set()
 
         def walk(placed: int, state: Any, path: list) -> list | None:
             nonlocal left
-            if len(path) == len(ops):
+            if len(path) == len(ordered):
                 return path
             left -= 1
             if left < 0:
@@ -145,16 +170,16 @@ def _search(
             if (placed, state) in seen:
                 return None
             seen.add((placed, state))
-            for i, op in enumerate(ops):
+            for i, op in enumerate(ordered):
                 if placed >> i & 1:
                     continue
                 if any(
                     resp[j] < op.invoke
-                    for j in range(len(ops))
+                    for j in range(len(ordered))
                     if j != i and not placed >> j & 1
                 ):
                     continue
-                after = step(state, op)
+                after = spec.step(state, op)
                 if after is None:
                     continue
                 found = walk(placed | 1 << i, after, path + [op])
@@ -162,44 +187,12 @@ def _search(
                     return found
             return None
 
-        order = walk(0, init, [])
+        order = walk(0, spec.init, [])
         if order is not None:
             return order, False
         if left < 0:
             return None, True
     return None, False
-
-
-def _register_step(state: tuple, op: OpRecord) -> tuple | None:
-    """Register spec. The state is a 1-tuple ``(value,)``, so BOTTOM
-    (None) is a value and None means "rejected"."""
-    if op.kind == "READ":
-        return state if op.ret == state[0] else None
-    return (op.arg,)
-
-
-def check_register_exhaustive(ops: Sequence[OpRecord]) -> CheckResult:
-    """Ground-truth linearizability over all completions and permutations."""
-    _well_formed(ops)
-    complete = [o for o in ops if o.complete]
-    open_writes = [o for o in ops if not o.complete and o.kind == "WRITE"]
-    order, out_of_budget = _search(
-        complete, open_writes, _register_step, (None,), lambda o: (o.invoke, o.op_id)
-    )
-    if order is not None:
-        return CheckResult(
-            "linearizable", True, detail="exhaustive", witness=[o.op_id for o in order]
-        )
-    if out_of_budget:
-        return CheckResult(
-            "linearizable", False,
-            detail="exhaustive search exceeded its node budget",
-            counterexample=sorted(o.op_id for o in ops),
-        )
-    return CheckResult(
-        "linearizable", False, detail="exhaustive: no valid permutation",
-        counterexample=sorted(o.op_id for o in complete + open_writes),
-    )
 
 
 # -- real-time precedence ------------------------------------------------------
@@ -250,17 +243,102 @@ def _max_ts_before(ops: Iterable[Any]) -> Callable[[int], tuple]:
     return query
 
 
-# -- timestamp witness ------------------------------------------------------
+# -- the witness-then-confirm pipeline ---------------------------------------
 
 
-@dataclass
-class _WitnessOutcome:
-    order: list[OpRecord] | None = None
-    reason: str = ""
-    suspects: list[OpRecord] | None = None
+def _closure(ops: list, suspects: list, spec: _Spec) -> list:
+    """``suspects`` closed under the rule of step 4 in the module
+    docstring, in history order."""
+    picked = {id(o) for o in suspects}
+    for read in suspects:
+        if read.complete and not spec.is_write(read):
+            value = spec.value(read)
+            picked.update(id(w) for w in ops if spec.is_write(w) and spec.value(w) == value
+                          and not read.response < w.invoke)
+    return [o for o in ops if id(o) in picked]
 
 
-def _build_witness(ops: Sequence[OpRecord]) -> _WitnessOutcome:
+def _mismatch_suspects(ops: list, prefix: list, state: Any, read: Any, spec: _Spec) -> list:
+    """Step 3's suspects when the witness replay rejects ``read`` in
+    ``state``, the state ``prefix`` left."""
+    setter = [w for w in prefix if spec.is_write(w) and spec.value(w) == state][-1:]
+    suspects = [read] + setter
+    for write in ops:
+        if spec.is_write(write) and spec.value(write) == spec.value(read):
+            earlier = [o for o in ops if o.complete and o.response < write.invoke]
+            if earlier:
+                suspects.append(max(earlier, key=lambda o: o.ts.key()))
+    return suspects
+
+
+def _linearize(ops: list, small_limit: int, spec: _Spec) -> tuple:
+    """Check ``ops``, the complete ops plus the open writes, in the steps
+    the module docstring lists. Returns the linearization found (None on
+    failure), the detail, and the counterexample's names on failure."""
+
+    def show(op: Any) -> str:
+        return json.dumps(spec.name(op))
+
+    def failed(detail: str, culprits: list) -> tuple:
+        return None, detail, sorted(map(spec.name, culprits))
+
+    def exhaustive() -> tuple:
+        order, out_of_budget = _search(ops, spec)
+        if order is not None:
+            return order, "exhaustive", None
+        if out_of_budget:
+            return failed("exhaustive search exceeded its node budget", ops)
+        return failed("exhaustive: no valid permutation", ops)
+
+    if len(ops) <= small_limit:
+        return exhaustive()
+
+    order, reason, suspects = spec.witness(ops)
+    if order is not None:
+        state = spec.init
+        for i, op in enumerate(order):
+            after = spec.step(state, op)
+            if after is None:
+                reason = f"witness replay mismatch at read {show(op)}"
+                suspects = _mismatch_suspects(ops, order[:i], state, op, spec)
+                break
+            state = after
+        else:
+            violation = _real_time_violation(order)
+            if violation is None:
+                return order, "timestamp witness", None
+            a, b = violation
+            reason = f"witness places op {show(b)} before op {show(a)} against real-time order"
+            suspects = [a, b]
+
+    subset = _closure(ops, suspects, spec)
+    if subset and len(subset) <= FALLBACK_CAP:
+        found, out_of_budget = _search(subset, spec)
+        if found is None and not out_of_budget:
+            return failed(f"{reason}; counterexample re-validated exhaustively", subset)
+    if len(ops) <= FALLBACK_CAP:
+        order, detail, counterexample = exhaustive()
+        if order is not None:
+            detail = f"witness failed ({reason}); exhaustive fallback passed"
+        return order, detail, counterexample
+    return failed(f"{reason}; history too large to re-validate", subset or ops)
+
+
+# -- register checking ---------------------------------------------------------
+
+
+def _register_step(state: tuple, op: OpRecord) -> tuple | None:
+    """Register spec. The state is a 1-tuple ``(value,)``, so BOTTOM
+    (None) is a value and None means "rejected"."""
+    if op.kind == "READ":
+        return state if op.ret == state[0] else None
+    return (op.arg,)
+
+
+def _register_witness(ops: list[OpRecord]) -> tuple[list | None, str, list]:
+    """BOTTOM-returning reads first, then writes in timestamp order, each
+    accepted read right after the write whose timestamp it carries, ties in
+    trace order. An order it builds always replays."""
     complete = [o for o in ops if o.complete]
     bot_reads = [o for o in complete if o.kind == "READ" and o.ret is None]
     val_reads = [o for o in complete if o.kind == "READ" and o.ret is not None]
@@ -268,114 +346,64 @@ def _build_witness(ops: Sequence[OpRecord]) -> _WitnessOutcome:
 
     for read in val_reads:
         if read.ts is None:
-            return _WitnessOutcome(reason=f"read {read.op_id} lacks a timestamp annotation")
+            return None, f"read {read.op_id} lacks a timestamp annotation", []
     writes_by_ts: dict[Timestamp, OpRecord] = {}
     for write in writes:
         if write.ts is None:
             if write.complete:
-                return _WitnessOutcome(
-                    reason=f"write {write.op_id} lacks a timestamp annotation"
-                )
+                return None, f"write {write.op_id} lacks a timestamp annotation", []
             continue  # never got a timestamp: unreadable, drop
         if write.ts in writes_by_ts:
-            return _WitnessOutcome(
-                reason=f"duplicate write timestamp {write.ts.render()}",
-                suspects=[writes_by_ts[write.ts], write],
-            )
+            suspects = [writes_by_ts[write.ts], write]
+            return None, f"duplicate write timestamp {write.ts.render()}", suspects
         writes_by_ts[write.ts] = write
 
-    included: dict[int, OpRecord] = {
-        w.op_id: w for w in writes if w.complete and w.ts is not None
-    }
+    included = {w.op_id: w for w in writes if w.complete and w.ts is not None}
     for read in val_reads:
         write = writes_by_ts.get(read.ts)
         if write is None:
-            suspects = [read] + [w for w in writes if w.arg == read.ret and w.ts is not None]
-            return _WitnessOutcome(
-                reason=f"read {read.op_id} returned an unmatched timestamp",
-                suspects=suspects,
-            )
+            return None, f"read {read.op_id} returned an unmatched timestamp", [read]
         if write.arg != read.ret:
-            return _WitnessOutcome(
-                reason=f"read {read.op_id} disagrees with write {write.op_id} on the value",
-                suspects=[read, write],
-            )
+            reason = f"read {read.op_id} disagrees with write {write.op_id} on the value"
+            return None, reason, [read, write]
         included.setdefault(write.op_id, write)  # an open write that took effect
 
-    # BOTTOM reads first, then each write right before the reads that
-    # carry its timestamp; ties in trace order.
     def position(o: OpRecord) -> tuple:
         ts_key = _BELOW_EVERY_TS if o.kind == "READ" and o.ret is None else o.ts.key()
         return ts_key, o.kind == "READ", o.invoke, o.op_id
 
-    order = sorted(bot_reads + val_reads + list(included.values()), key=position)
-    return _WitnessOutcome(order=order)
+    return sorted(bot_reads + val_reads + list(included.values()), key=position), "", []
+
+
+_REGISTER = _Spec(
+    step=_register_step,
+    init=(None,),
+    order_key=lambda o: (o.invoke, o.op_id),
+    is_write=lambda o: o.kind == "WRITE",
+    value=lambda o: (o.arg if o.kind == "WRITE" else o.ret,),
+    name=lambda o: o.op_id,
+    witness=_register_witness,
+)
 
 
 def check_register_linearizable(
     ops: Sequence[OpRecord], small_limit: int = SMALL_LIMIT
 ) -> CheckResult:
-    """Production pipeline: exhaustive when small, witness-first when not."""
+    """Linearizability of the register history: searched whole when small,
+    witness-first when not. A pass lists its linearization as the witness."""
     _well_formed(ops)
     checkable = [o for o in ops if o.complete or o.kind == "WRITE"]
-    if len(checkable) <= small_limit:
-        return check_register_exhaustive(ops)
-
-    outcome = _build_witness(ops)
-    if outcome.order is not None:
-        violation = _real_time_violation(outcome.order)
-        if violation is None:
-            return CheckResult(
-                "linearizable", True, detail="timestamp witness",
-                witness=[o.op_id for o in outcome.order],
-            )
-        outcome.reason = (
-            f"witness places op {violation[1].op_id} before op {violation[0].op_id} "
-            "against real-time order"
-        )
-        outcome.suspects = _expand_suspects(ops, violation)
-
-    # The witness failed; distrust it and confirm independently.
-    if outcome.suspects:
-        # Whole operations only, so the sub-history stays per-client sequential.
-        picked = {o.op_id for o in outcome.suspects}
-        subset = [o for o in ops if o.op_id in picked]
-        if len(subset) <= small_limit:
-            confirm = check_register_exhaustive(subset)
-            if confirm.passed is False:
-                return CheckResult(
-                    "linearizable", False,
-                    detail=f"{outcome.reason}; counterexample re-validated exhaustively",
-                    counterexample=sorted(o.op_id for o in subset),
-                )
-    if len(checkable) <= FALLBACK_CAP:
-        result = check_register_exhaustive(ops)
-        if result.passed:
-            result.detail = f"witness failed ({outcome.reason}); exhaustive fallback passed"
-        return result
-    return CheckResult(
-        "linearizable", False,
-        detail=f"{outcome.reason}; history too large to re-validate",
-        counterexample=sorted(o.op_id for o in (outcome.suspects or ops)),
-    )
+    order, detail, counterexample = _linearize(checkable, small_limit, _REGISTER)
+    witness = None if order is None else [o.op_id for o in order]
+    return CheckResult("linearizable", order is not None, detail, counterexample, witness)
 
 
-def _expand_suspects(
-    ops: Sequence[OpRecord], violation: tuple[OpRecord, OpRecord]
-) -> list[OpRecord]:
-    a, b = violation
-    suspects = {a.op_id: a, b.op_id: b}
-    for op in (a, b):
-        if op.kind == "READ" and op.ts is not None:
-            for w in ops:
-                if w.kind == "WRITE" and w.ts == op.ts:
-                    suspects[w.op_id] = w
-    return list(suspects.values())
+def check_register_exhaustive(ops: Sequence[OpRecord]) -> CheckResult:
+    """Ground-truth linearizability: the search alone, whatever the size."""
+    return check_register_linearizable(ops, small_limit=len(ops))
 
 
 # -- directory (timestamped store) checking ----------------------------------
-
-_DIR_INIT = (TS_INIT, None)
 
 
 def _dir_name(op: DirOpRecord) -> list:
@@ -429,42 +457,14 @@ def _insert_superseded(
     return merged
 
 
-def check_directory_linearizable(
-    dir_ops: Sequence[DirOpRecord], small_limit: int = SMALL_LIMIT
-) -> CheckResult:
-    """Linearizability of the directory sub-history against timestamped-
-    store semantics. Digest-array operations are not part of this check."""
-    ops = [o for o in dir_ops if o.op in ("tsread", "tswrite")]
+def _directory_witness(ops: list[DirOpRecord]) -> tuple[list, str, list]:
+    """Writes in timestamp order, each read right after the write whose
+    (ts, payload) it observed; initial-state reads first. A write already
+    superseded when it was invoked (a completed op had observed a larger
+    timestamp) never takes effect, so it goes to its earliest
+    real-time-consistent slot instead. An open write is placed only when a
+    read returned its record."""
     complete = [o for o in ops if o.complete]
-    open_writes = [o for o in ops if not o.complete and o.op == "tswrite"]
-    size = len(complete) + len(open_writes)
-
-    def exhaustive() -> CheckResult:
-        order, out_of_budget = _search(
-            complete, open_writes, _directory_step, _DIR_INIT, lambda o: o.invoke
-        )
-        if order is not None:
-            return CheckResult("directory-linearizable", True, detail="exhaustive")
-        if out_of_budget:
-            return CheckResult(
-                "directory-linearizable", False,
-                detail="exhaustive search exceeded its node budget",
-            )
-        return CheckResult(
-            "directory-linearizable", False,
-            detail="exhaustive: no valid permutation",
-            counterexample=sorted(_dir_name(o) for o in complete + open_writes),
-        )
-
-    if size <= small_limit:
-        return exhaustive()
-
-    # Witness: writes in timestamp order, each read right after the write
-    # whose (ts, payload) it observed; initial-state reads first. A write
-    # that was already superseded when it was invoked (some completed op
-    # had observed a larger timestamp) can never take effect, so it is
-    # inserted separately at its earliest real-time-consistent slot
-    # instead of at its timestamp position.
     entries = []
     noop_writes = []
     max_ts_before = _max_ts_before(complete)
@@ -476,35 +476,33 @@ def check_directory_linearizable(
                 entries.append(((op.ts.key(), 0, op.invoke), op))
         else:
             entries.append(((op.ts.key(), 1, op.invoke), op))
-    if open_writes:
-        read_backed = {(o.ts, o.md) for o in complete if o.op == "tsread"}
-        for op in open_writes:
-            if (op.ts, op.md) in read_backed:
-                entries.append(((op.ts.key(), 0, op.invoke), op))
+    read_backed = {(o.ts, o.md) for o in complete if o.op == "tsread"}
+    for op in ops:
+        if not op.complete and (op.ts, op.md) in read_backed:
+            entries.append(((op.ts.key(), 0, op.invoke), op))
     entries.sort(key=lambda e: e[0])
-    order = _insert_superseded([op for _, op in entries], noop_writes)
+    return _insert_superseded([op for _, op in entries], noop_writes), "", []
 
-    state = _DIR_INIT
-    for op in order:
-        state = _directory_step(state, op)
-        if state is None:
-            if size <= FALLBACK_CAP:
-                return exhaustive()
-            return CheckResult(
-                "directory-linearizable", False,
-                detail=f"witness replay mismatch at directory read {op.proc} tag {op.tag}",
-                counterexample=[_dir_name(op)],
-            )
-    violation = _real_time_violation(order)
-    if violation is None:
-        return CheckResult("directory-linearizable", True, detail="timestamp witness")
-    if size <= FALLBACK_CAP:
-        return exhaustive()
-    return CheckResult(
-        "directory-linearizable", False,
-        detail="witness violates real-time order; history too large to re-validate",
-        counterexample=[_dir_name(violation[0]), _dir_name(violation[1])],
-    )
+
+_DIRECTORY = _Spec(
+    step=_directory_step,
+    init=(TS_INIT, None),
+    order_key=lambda o: o.invoke,
+    is_write=lambda o: o.op == "tswrite",
+    value=lambda o: (o.ts, o.md),
+    name=_dir_name,
+    witness=_directory_witness,
+)
+
+
+def check_directory_linearizable(
+    dir_ops: Sequence[DirOpRecord], small_limit: int = SMALL_LIMIT
+) -> CheckResult:
+    """Linearizability of the directory sub-history against timestamped-
+    store semantics. Digest-array operations are not part of this check."""
+    ops = [o for o in dir_ops if o.op == "tswrite" or (o.op == "tsread" and o.complete)]
+    order, detail, counterexample = _linearize(ops, small_limit, _DIRECTORY)
+    return CheckResult("directory-linearizable", order is not None, detail, counterexample)
 
 
 # -- wait-freedom -------------------------------------------------------------

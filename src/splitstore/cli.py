@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .checker import check_run
@@ -123,19 +124,15 @@ def write_outputs(out_dir: Path, outcome: ScenarioOutcome) -> list[Path]:
 
 def _custom_random_outcome(args: argparse.Namespace, seed: object) -> ScenarioOutcome:
     byz_data, byz_meta = _parse_byz(args.byz or [])
-    pick = lambda value, fallback: fallback if value is None else value
+    given = {
+        flag: getattr(args, flag) for flag in _CONFIG_FLAGS if getattr(args, flag) is not None
+    }
     config = Config(
-        t=pick(args.t, 1), tm=pick(args.tm, 1),
-        writers=pick(args.writers, 2), readers=pick(args.readers, 2),
-        seed=seed, ops=pick(args.ops, 3),
-        hash_mode=HashMode(pick(args.hash_mode, "production")),
-        mds_mode=pick(args.mds_mode, "oracle"),
-        budget=pick(args.budget, 10_000), fifo=args.fifo,
-        byz_data=byz_data, byz_meta=byz_meta,
+        seed=seed, fifo=args.fifo, byz_data=byz_data, byz_meta=byz_meta,
         crashes=tuple(
             CrashSpec(process=pid, at_step=0) for pid in (args.crash or [])
         ),
-        lower_bound=args.lower_bound,
+        lower_bound=args.lower_bound, **given,
     )
     result = run(config)
     verdict = check_run(result)
@@ -158,27 +155,36 @@ def _wants_custom_config(args: argparse.Namespace) -> bool:
         or args.fifo or args.lower_bound
 
 
+# Scenario-file keys are Config field names. These four are converted
+# from JSON, alphabet and adversary have no JSON form, and every other
+# field's value is taken as given.
+_CONVERTED_KEYS = frozenset({"byz_data", "byz_meta", "crashes", "workload"})
+_SCALAR_KEYS = {f.name for f in fields(Config)} - _CONVERTED_KEYS - {"alphabet", "adversary"}
+
+
 def load_scenario_file(path: Path) -> Config:
-    """Declarative run description; the JSON mirrors Config field names."""
+    """Declarative run description; the JSON mirrors Config field names,
+    and Config supplies every default. An unknown key is a ConfigError."""
     raw = json.loads(path.read_text(encoding="utf-8"))
-    byz_data = {
-        pid: ByzSpec(ByzStrategy.parse(name))
-        for pid, name in raw.get("byz_data", {}).items()
-    }
-    byz_meta = {
-        pid: ByzSpec(ByzStrategy.parse(name))
-        for pid, name in raw.get("byz_meta", {}).items()
-    }
-    crashes = tuple(
-        CrashSpec(
-            process=c["process"], at_step=c.get("at_step"),
-            after_ops=c.get("after_ops"), at_phase=c.get("at_phase"),
+    unknown = sorted(set(raw) - _SCALAR_KEYS - _CONVERTED_KEYS)
+    if unknown:
+        raise ConfigError(f"{path.name}: unknown key(s) {', '.join(unknown)}")
+    kwargs = {key: value for key, value in raw.items() if key in _SCALAR_KEYS}
+    for key in ("byz_data", "byz_meta"):
+        if key in raw:
+            kwargs[key] = {
+                pid: ByzSpec(ByzStrategy.parse(name)) for pid, name in raw[key].items()
+            }
+    if "crashes" in raw:
+        kwargs["crashes"] = tuple(
+            CrashSpec(
+                process=c["process"], at_step=c.get("at_step"),
+                after_ops=c.get("after_ops"), at_phase=c.get("at_phase"),
+            )
+            for c in raw["crashes"]
         )
-        for c in raw.get("crashes", [])
-    )
-    workload = None
     if "workload" in raw:
-        workload = {
+        kwargs["workload"] = {
             pid: [
                 ("WRITE", op["value"].encode("latin-1"))
                 if op["op"].upper() == "WRITE" else ("READ", None)
@@ -186,19 +192,7 @@ def load_scenario_file(path: Path) -> Config:
             ]
             for pid, ops in raw["workload"].items()
         }
-    return Config(
-        t=raw.get("t", 1), tm=raw.get("tm", 1),
-        writers=raw.get("writers", 2), readers=raw.get("readers", 2),
-        d=raw.get("d"), m=raw.get("m"),
-        seed=raw.get("seed", 0), ops=raw.get("ops", 3),
-        hash_mode=HashMode(raw.get("hash_mode", "production")),
-        mds_mode=raw.get("mds_mode", "oracle"),
-        budget=raw.get("budget", 10_000),
-        fifo=raw.get("fifo", False),
-        byz_data=byz_data, byz_meta=byz_meta, crashes=crashes,
-        lower_bound=raw.get("lower_bound", False),
-        workload=workload,
-    )
+    return Config(**kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,19 +211,19 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--seeds", default=None,
                       help="inclusive range 'LO..HI' or comma-separated list")
     runp.add_argument("--t", type=int, default=None,
-                      help="data fault threshold (default 1)")
+                      help=f"data fault threshold (default {Config.t})")
     runp.add_argument("--tm", type=int, default=None,
-                      help="metadata fault threshold (default 1)")
+                      help=f"metadata fault threshold (default {Config.tm})")
     runp.add_argument("--writers", type=int, default=None)
     runp.add_argument("--readers", type=int, default=None)
     runp.add_argument("--ops", type=int, default=None,
-                      help="operations per client (default 3)")
+                      help=f"operations per client (default {Config.ops})")
     runp.add_argument("--hash-mode", choices=[m.value for m in HashMode],
-                      default=None, help="default production")
+                      default=None, help=f"default {Config.hash_mode.value}")
     runp.add_argument("--mds-mode", choices=["oracle", "replicated"], default=None,
-                      help="default oracle")
+                      help=f"default {Config.mds_mode}")
     runp.add_argument("--budget", type=int, default=None,
-                      help="wait-freedom step budget (default 10000)")
+                      help=f"wait-freedom step budget (default {Config.budget})")
     runp.add_argument("--fifo", action="store_true",
                       help="per-channel in-order delivery")
     runp.add_argument("--lower-bound", action="store_true",

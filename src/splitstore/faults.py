@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .mds_replicated import MetaReplica, Pair
-from .net import Message, MsgKind, Process
+from .net import Message, MsgKind
 from .replica import DataReplica
 from .types import ConfigError, Metadata, Timestamp, TS_INIT
 
@@ -197,24 +197,6 @@ class ByzMetaReplica(MetaReplica):
                     scrambled.add(pair)
             rs.established = scrambled
         self.trace_note("byz-state-switch")
-
-
-class ByzReaderProbe(Process):
-    """Byzantine client: an unrestricted message source.
-
-    It has no workload and no history entries; scripted adversary actions
-    make it emit arbitrary protocol messages toward replicas or the
-    metadata service.
-    """
-
-    def on_message(self, msg: Message) -> None:
-        self.trace_note("byz-probe-ignores", kind=msg.kind.value, src=msg.src)
-
-    def apply_adversary(self, action: str, params: dict) -> None:
-        if action != "send":
-            raise ConfigError(f"unknown adversary action {action!r} for {self.pid}")
-        kind = MsgKind(params["kind"])
-        self.send(kind, params["dst"], **params.get("fields", {}))
 
 
 def make_data_replica(

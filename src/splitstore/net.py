@@ -146,11 +146,11 @@ class Process:
 
 @dataclass
 class Delivery:
-    """A schedulable event: a message delivery, a client invocation, a
-    crash, or a scripted adversary action."""
+    """A schedulable event: a message delivery or a client invocation.
+    Crashes and adversary actions fire outside the pending set."""
 
     seq: int
-    kind: str  # "deliver" | "invoke" | "crash" | "adversary"
+    kind: str  # "deliver" | "invoke"
     created_step: int
     msg: Message | None = None
     payload: dict = field(default_factory=dict)

@@ -45,7 +45,6 @@ from typing import Any, Callable, Iterator
 
 from .client import ClientBase, ReaderClient, WriterClient
 from .faults import (
-    ByzReaderProbe,
     ByzSpec,
     CrashSpec,
     make_data_replica,
@@ -91,7 +90,6 @@ class Config:
     byz_meta: dict = dc_field(default_factory=dict)  # pid -> ByzSpec
     crashes: tuple = ()  # CrashSpec, ...
     adversary: tuple = ()  # AdversaryAction, ... (random-schedule runs)
-    probes: tuple = ()  # extra Byzantine client pids
     lower_bound: bool = False
     workload: dict | None = None  # pid -> [("WRITE", bytes) | ("READ", None)]
 
@@ -251,9 +249,6 @@ def build_world(config: Config) -> World:
             )
         client.attach_driver(driver)
         processes[pid] = client
-
-    for pid in config.probes:
-        processes[pid] = ByzReaderProbe(pid)
 
     workload = config.workload if config.workload is not None else default_workload(config)
     for pid in workload:

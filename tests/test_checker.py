@@ -6,6 +6,7 @@ import pytest
 from splitstore import checker
 from splitstore.checker import (
     FALLBACK_CAP,
+    SMALL_LIMIT,
     _BELOW_EVERY_TS,
     _insert_superseded,
     _lemma,
@@ -149,6 +150,50 @@ def test_ladder_agrees_with_exhaustive_on_random_histories():
         assert full.passed == lad.passed, [op.render() for op in hist]
 
 
+def test_a_failing_suspect_pair_does_not_convict_a_repeated_value():
+    # The read carries w1's timestamp, so the witness puts it before w2 and
+    # fails; but w3 wrote the same value again, and reading it is linearizable.
+    hist = [
+        W(1, "w1", b"a", 0, 10, 1, 1),
+        W(2, "w1", b"b", 20, 30, 2, 1),
+        W(3, "w1", b"a", 40, 50, 3, 1),
+        R(4, "r1", b"a", 60, 70, 1, 1),
+    ]
+    assert check_register_exhaustive(hist).passed
+    res = check_register_linearizable(hist, small_limit=3)
+    assert res.passed, res.detail
+    assert res.detail.endswith("exhaustive fallback passed")
+    padded = hist + [R(5 + i, "r1", b"a", 80 + 20 * i, 90 + 20 * i, 3, 1) for i in range(6)]
+    assert SMALL_LIMIT < len(padded) <= FALLBACK_CAP
+    assert check_register_exhaustive(padded).passed
+    assert check_register_linearizable(padded).passed
+
+
+def on_two_values(hist):
+    """The same history with every written and read value folded onto
+    b"a" or b"b", so values repeat the way a small workload alphabet
+    makes them repeat."""
+    fold = lambda v: bytes([97 + v[0] % 2]) if isinstance(v, bytes) else v
+    for op in hist:
+        op.arg, op.ret = fold(op.arg), fold(op.ret)
+    return hist
+
+
+def test_ladder_agrees_with_exhaustive_when_values_repeat():
+    rng = random.Random("repeated-values")
+    disagreements = {0: 0, 3: 0}
+    revalidated = {0: 0, 3: 0}
+    for _ in range(3000):
+        hist = on_two_values(random_history(rng, max_ops=8))
+        full = check_register_exhaustive(hist)
+        for small_limit in disagreements:
+            lad = check_register_linearizable(hist, small_limit=small_limit)
+            disagreements[small_limit] += lad.passed != full.passed
+            revalidated[small_limit] += "re-validated" in lad.detail
+    assert disagreements == {0: 0, 3: 0}
+    assert min(revalidated.values()) >= 100, revalidated
+
+
 # -- directory checking -------------------------------------------------------
 
 
@@ -280,9 +325,28 @@ def test_exhausted_node_budget_fails_the_check(monkeypatch):
     res = check_directory_linearizable(dir_ops)
     assert res.passed is False
     assert res.detail == "exhaustive search exceeded its node budget"
+    assert res.counterexample == [["r1", 1], ["r1", 2], ["w1", 1], ["w1", 2]]
     monkeypatch.setattr(checker, "NODE_BUDGET", 4)
     assert check_register_exhaustive(hist).passed
     assert check_directory_linearizable(dir_ops).passed
+
+
+def test_superseded_write_read_back_is_confirmed_on_a_subset():
+    # w2's record completes before w1's older one is invoked, so w1's write
+    # never takes effect, yet a read concurrent with w1 returns its record.
+    # Later reads pad the history past FALLBACK_CAP, so only a re-validated
+    # subset can back the verdict.
+    ops = [
+        DW(1, "w2", 0, 5, 1, 2),
+        DW(1, "w1", 10, 20, 1, 1),
+        DR(1, "r1", 12, 18, 1, 1),
+    ]
+    ops += [DR(tag, "r2", 20 + 10 * tag, 25 + 10 * tag, 1, 2) for tag in range(1, 13)]
+    assert len(ops) > FALLBACK_CAP
+    res = check_directory_linearizable(ops)
+    assert res.passed is False
+    assert res.detail.endswith("counterexample re-validated exhaustively"), res.detail
+    assert res.counterexample == [["r1", 1], ["w1", 1], ["w2", 1]]
 
 
 def directory_slices(rng, count):

@@ -129,3 +129,19 @@ def test_scenario_file_with_a_crash_plan(tmp_path):
                  "--out-dir", str(tmp_path)]) == 0
     rep = json.loads((tmp_path / "crashy-0.report.json").read_text())
     assert rep["runs"]["file"]["crashed"] == ["w2"]
+
+
+def test_scenario_file_sets_any_scalar_config_field(tmp_path):
+    spec = {"writers": 1, "readers": 1, "ops": 2, "fairness": 8, "max_steps": 5000}
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", "--scenario-file", str(path), "--out-dir", str(tmp_path)]) == 0
+    cfg = json.loads((tmp_path / "tight-0.report.json").read_text())["runs"]["file"]["config"]
+    assert (cfg["fairness"], cfg["max_steps"], cfg["writers"]) == (8, 5000, 1)
+
+
+def test_scenario_file_with_a_misspelt_key_exits_with_config_error(tmp_path, capsys):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({"fairness": 8, "wirters": 3}))
+    assert main(["run", "--scenario-file", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "wirters" in capsys.readouterr().err

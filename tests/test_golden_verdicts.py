@@ -11,7 +11,13 @@ checker must still explain a violation with the same counterexamples.
 The digests of random_config 2333 and oracle-4w4r-ops50-stale-dir-read
 were re-taken once, on purpose, when directory counterexamples changed
 from bare tags to [proc, tag] pairs (tags count per process); no other
-byte of those verdicts changed.
+byte of those verdicts changed. They and the stale-read digest were
+re-taken once more when both linearizability checks moved to one
+witness-then-confirm pipeline whose failed witness brings in suspects
+closed under a sound rule: random_config 2333 and the stale directory
+read now carry a re-validated three-op counterexample, and the stale
+register read names the closed suspect set. Only the failing
+linearizability result of each of the three changed.
 
 Do not regenerate a digest to make a test pass. A mismatch means a verdict
 changed; if that is intended, say so in the change that updates the digest.
@@ -115,7 +121,7 @@ RANDOM_CONFIG = {
     57: "dfd0f0a0e6260890a3a3a22d95d56c2b3f387e85d112810704ad91dca804f918",
     58: "2fa2e30521a4db9d44755b89e332a8806448f906f33fbb5f098d4b4d2c66bc95",
     59: "bff084bb9aaa9136ff1c23ee7675316f1eaa3b39edd529df6811a9b64ca95c3e",
-    2333: "1acf60b01d90d724abc49b1d7cd0d253889415c2d7fc46d9bac4e00b893636a0",
+    2333: "5d9d6bef133897a8c2ccb0c11749f1dbb9b32fb98e1224024b7f541901f6e09e",
 }
 
 # Large histories that take the witness path for both the register and
@@ -131,8 +137,8 @@ MUTATED = {
 FIXED = {
     "oracle-4w4r-ops50": "640702c78861ef5cd15c60a7f932ec165a547673e15e9a6d4ee3e65138d1867b",
     "replicated-ops30": "76c573057f84f427db95c33a02b67da01bbeeed733b58957ef26a2cc50e02eec",
-    "oracle-4w4r-ops50-stale-read": "672c18ba1c3ecdf89c9bab4dde119ad50524bd92b96858e5dc94d6a57a89bc39",
-    "oracle-4w4r-ops50-stale-dir-read": "315aadd2e10707eacc741d2b83d30b07ab0d734d3f3e5000dd1a9d5477edab4e",
+    "oracle-4w4r-ops50-stale-read": "c231c252f4b888f8bd27908d381cb5d2e77223f209d22b125c880e148cb04354",
+    "oracle-4w4r-ops50-stale-dir-read": "ee30584e5e60b881f18b950c4f429b25422510140bbf826ed26d7a02807470d9",
 }
 
 SCENARIOS_AT_SEED_0 = {
