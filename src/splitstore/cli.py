@@ -23,7 +23,7 @@ from .scenarios import (
     run_scenario,
     scenario_random,
 )
-from .simnet import Config, CrashSpec, run
+from .simnet import Config, CrashSpec, json_line, run
 from .types import ConfigError, HashMode
 
 TRACE_SCHEMA = "trace/v1"
@@ -57,15 +57,6 @@ def _parse_byz(specs: list[str]) -> tuple[dict, dict]:
     return byz_data, byz_meta
 
 
-# One encoder for every trace line: json.dumps builds a new one per call
-# whenever it is given options.
-_JSON_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _json_line(payload: dict) -> str:
-    return _JSON_LINE_ENCODER.encode(payload)
-
-
 def write_outputs(out_dir: Path, outcome: ScenarioOutcome) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -79,15 +70,14 @@ def write_outputs(out_dir: Path, outcome: ScenarioOutcome) -> list[Path]:
         run_stem = stem if len(outcome.runs) == 1 else f"{stem}-{label}"
         trace_path = out_dir / f"{run_stem}.trace.jsonl"
         with trace_path.open("w", encoding="utf-8") as fh:
-            fh.write(_json_line({
+            fh.write(json_line({
                 "schema": TRACE_SCHEMA,
                 "scenario": outcome.name,
                 "seed": outcome.seed,
                 "label": label,
                 "config": result.config.render(),
             }) + "\n")
-            for entry in result.trace:
-                fh.write(_json_line(entry) + "\n")
+            fh.writelines(result.trace.lines())
         written.append(trace_path)
         history_path = out_dir / f"{run_stem}.history.json"
         history_payload = {
@@ -155,43 +145,96 @@ def _wants_custom_config(args: argparse.Namespace) -> bool:
         or args.fifo or args.lower_bound
 
 
+def _byz_specs(path: Path, value: dict) -> dict:
+    return {pid: ByzSpec(ByzStrategy.parse(name)) for pid, name in value.items()}
+
+
+def _crash_specs(path: Path, value: list) -> tuple:
+    return tuple(CrashSpec(**_checked(path, "crashes: ", _CRASH_TYPES, c)) for c in value)
+
+
+def _workload_op(op: dict) -> tuple[str, bytes | None]:
+    kind = op["op"].upper()
+    if kind == "WRITE":
+        return "WRITE", op["value"].encode("latin-1")
+    if kind == "READ":
+        return "READ", None
+    raise ValueError(f"op {op['op']!r} is neither read nor write")
+
+
+def _workload(path: Path, value: dict) -> dict:
+    return {pid: [_workload_op(op) for op in ops] for pid, ops in value.items()}
+
+
 # Scenario-file keys are Config field names. These four are converted
 # from JSON, alphabet and adversary have no JSON form, and every other
-# field's value is taken as given.
-_CONVERTED_KEYS = frozenset({"byz_data", "byz_meta", "crashes", "workload"})
-_SCALAR_KEYS = {f.name for f in fields(Config)} - _CONVERTED_KEYS - {"alphabet", "adversary"}
+# field's value is taken as given once it has its field's type.
+_CONVERTERS = {
+    "byz_data": _byz_specs, "byz_meta": _byz_specs,
+    "crashes": _crash_specs, "workload": _workload,
+}
+_SCALAR_TYPES = {
+    f.name: f.type for f in fields(Config)
+    if f.name not in {*_CONVERTERS, "alphabet", "adversary"}
+}
+_CRASH_TYPES = {f.name: f.type for f in fields(CrashSpec)}
+# The JSON values each field annotation accepts. JSON true and false are
+# Python bools, which are ints, so only a bool field takes them.
+_JSON_TYPES = {
+    "int": (int, "an integer"),
+    "int | None": ((int, type(None)), "null or an integer"),
+    "str": (str, "a string"),
+    "str | None": ((str, type(None)), "null or a string"),
+    "bool": (bool, "true or false"),
+}
+
+
+def _wanted(annotation: str, value: object) -> str | None:
+    """What a value of a field annotated `annotation` must be, or None
+    when `value` is one."""
+    if annotation == "Any":
+        return None
+    if annotation == "HashMode":
+        modes = [m.value for m in HashMode]
+        return None if value in modes else f"one of {', '.join(modes)}"
+    expected, wanted = _JSON_TYPES[annotation]
+    if isinstance(value, expected) and (annotation == "bool" or not isinstance(value, bool)):
+        return None
+    return wanted
+
+
+def _checked(path: Path, where: str, annotations: dict, values: dict) -> dict:
+    """`values` unchanged once each has the type its field's annotation
+    names; an unknown key raises KeyError, an ill-typed value ConfigError."""
+    for key, value in values.items():
+        wanted = _wanted(annotations[key], value)
+        if wanted is not None:
+            raise ConfigError(
+                f"{path.name}: {where}{key} must be {wanted}, got {json.dumps(value)}"
+            )
+    return values
 
 
 def load_scenario_file(path: Path) -> Config:
     """Declarative run description; the JSON mirrors Config field names,
-    and Config supplies every default. An unknown key is a ConfigError."""
+    and Config supplies every default. An unknown key, a scalar of the
+    wrong type or a malformed structured value is a ConfigError."""
     raw = json.loads(path.read_text(encoding="utf-8"))
-    unknown = sorted(set(raw) - _SCALAR_KEYS - _CONVERTED_KEYS)
+    unknown = sorted(set(raw) - set(_SCALAR_TYPES) - set(_CONVERTERS))
     if unknown:
         raise ConfigError(f"{path.name}: unknown key(s) {', '.join(unknown)}")
-    kwargs = {key: value for key, value in raw.items() if key in _SCALAR_KEYS}
-    for key in ("byz_data", "byz_meta"):
-        if key in raw:
-            kwargs[key] = {
-                pid: ByzSpec(ByzStrategy.parse(name)) for pid, name in raw[key].items()
-            }
-    if "crashes" in raw:
-        kwargs["crashes"] = tuple(
-            CrashSpec(
-                process=c["process"], at_step=c.get("at_step"),
-                after_ops=c.get("after_ops"), at_phase=c.get("at_phase"),
-            )
-            for c in raw["crashes"]
-        )
-    if "workload" in raw:
-        kwargs["workload"] = {
-            pid: [
-                ("WRITE", op["value"].encode("latin-1"))
-                if op["op"].upper() == "WRITE" else ("READ", None)
-                for op in ops
-            ]
-            for pid, ops in raw["workload"].items()
-        }
+    kwargs = _checked(
+        path, "", _SCALAR_TYPES, {k: v for k, v in raw.items() if k in _SCALAR_TYPES}
+    )
+    for key, convert in _CONVERTERS.items():
+        if key not in raw:
+            continue
+        try:
+            kwargs[key] = convert(path, raw[key])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"{path.name}: malformed {key} ({type(exc).__name__}: {exc})"
+            ) from None
     return Config(**kwargs)
 
 

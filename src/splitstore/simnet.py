@@ -33,10 +33,16 @@ events are pending:
 
 Message events are recorded unrendered. `RunResult.trace` renders them
 to plain JSON types one at a time as it is iterated, so runs whose trace
-nobody reads never pay for rendering.
+nobody reads never pay for rendering. `Trace.lines()` is the one writer of
+the trace file's JSON lines. Every message that is sent appears twice, at
+its send and at its deliver, drop or undelivered event, so `lines()`
+renders and encodes each message's body once and splices it into both
+lines. It keeps a body only while its message is in flight, so its memory
+is bounded by the pending messages, not by the length of the trace.
 """
 from __future__ import annotations
 
+import json
 import random
 from bisect import bisect_left, insort
 from collections import defaultdict, deque
@@ -251,15 +257,24 @@ def build_world(config: Config) -> World:
         processes[pid] = client
 
     workload = config.workload if config.workload is not None else default_workload(config)
-    for pid in workload:
+    for pid, ops in workload.items():
         if pid not in clients:
             raise ConfigError(f"workload names unknown client {pid!r}")
+        kind = "WRITE" if pid in writer_pids else "READ"
+        if any(op_kind != kind for op_kind, _ in ops):
+            raise ConfigError(f"workload gives {pid!r} an operation other than {kind}")
     return World(config, processes, clients, digests, workload)
 
 
 # A recorded trace event: a rendered dict, or (step, ev, reason, msg) for
 # an event that carries a message, whose rendering is deferred.
 Event = dict | tuple[int, str, str | None, Message]
+
+
+# A trace-file line without its newline: compact, sort-keys JSON. One
+# encoder serves every line; json.dumps builds a new one per call whenever
+# it is given options.
+json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def render_event(event: Event) -> dict:
@@ -277,7 +292,10 @@ class Trace:
     """A run's trace, rendered one entry at a time as it is iterated.
 
     Nothing rendered is kept, so each iteration renders afresh; the
-    entries are the same on every pass.
+    entries are the same on every pass. `lines()` yields the same entries
+    as the trace file's JSON lines. It encodes each message's body once
+    for the message's two lines and keeps it only while the message is in
+    flight, so its memory is bounded by the pending messages.
     """
 
     def __init__(self, events: list[Event]):
@@ -285,6 +303,33 @@ class Trace:
 
     def __iter__(self) -> Iterator[dict]:
         return map(render_event, self._events)
+
+    def lines(self, open_bodies: dict | None = None) -> Iterator[str]:
+        """Yield each entry as `json_line(render_event(e)) + "\n"`.
+
+        A body is encoded at its message's send, kept in `open_bodies` (a
+        fresh dict unless one is passed in) and popped at the deliver, drop
+        or undelivered event that closes the message. A message dropped as
+        it is sent has no send event, so its body is encoded and not kept.
+        """
+        # Keyed by id: a Message holds a mapping proxy and is unhashable, and
+        # the event list keeps every message alive, so no id is reused.
+        bodies = {} if open_bodies is None else open_bodies
+        for event in self._events:
+            if isinstance(event, dict):
+                yield json_line(event) + "\n"
+                continue
+            step, ev, reason, msg = event
+            if ev == "send":
+                body = bodies[id(msg)] = json_line(msg.render())
+            else:
+                body = bodies.pop(id(msg), None) or json_line(msg.render())
+            # The keys in sort order: ev, msg, reason, step. ev and reason are
+            # fixed names set in this module, so they need no JSON escaping.
+            if reason is None:
+                yield f'{{"ev":"{ev}","msg":{body},"step":{step}}}\n'
+            else:
+                yield f'{{"ev":"{ev}","msg":{body},"reason":"{reason}","step":{step}}}\n'
 
 
 @dataclass

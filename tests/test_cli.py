@@ -145,3 +145,44 @@ def test_scenario_file_with_a_misspelt_key_exits_with_config_error(tmp_path, cap
     path.write_text(json.dumps({"fairness": 8, "wirters": 3}))
     assert main(["run", "--scenario-file", str(path), "--out-dir", str(tmp_path)]) == 2
     assert "wirters" in capsys.readouterr().err
+
+
+def test_scenario_file_with_an_unknown_hash_mode_exits_with_config_error(tmp_path, capsys):
+    path = tmp_path / "badmode.json"
+    path.write_text(json.dumps({"hash_mode": "nope"}))
+    assert main(["run", "--scenario-file", str(path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: badmode.json: hash_mode must be one of")
+    assert '"nope"' in err and "Traceback" not in err
+
+
+def test_scenario_file_with_an_ill_typed_scalar_exits_with_config_error(tmp_path, capsys):
+    for spec, field in (({"fairness": "8"}, "fairness"), ({"ops": True}, "ops"),
+                        ({"d": 3.0}, "d"), ({"fifo": 1}, "fifo")):
+        path = tmp_path / "badtype.json"
+        path.write_text(json.dumps(spec))
+        assert main(["run", "--scenario-file", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: badtype.json: {field} must be "), err
+    assert not list(tmp_path.glob("badtype-*"))
+
+
+def test_scenario_file_with_a_malformed_structured_value_exits_with_config_error(
+        tmp_path, capsys):
+    for spec, says in (
+        ({"byz_data": 3}, "shape.json: malformed byz_data (AttributeError"),
+        ({"crashes": [{"at_step": 1}]}, "shape.json: malformed crashes (TypeError"),
+        ({"crashes": [{"process": "w1", "at_stp": 1}]}, "shape.json: malformed crashes (KeyError"),
+        ({"crashes": [{"process": "w1", "at_step": "5"}]},
+         'shape.json: crashes: at_step must be null or an integer, got "5"'),
+        ({"workload": {"w1": [{"op": "write"}]}}, "shape.json: malformed workload (KeyError"),
+        ({"workload": {"w1": [{"op": "wrte", "value": "x"}]}},
+         "shape.json: malformed workload (ValueError: op 'wrte' is neither read nor write)"),
+        ({"workload": {"r1": [{"op": "write", "value": "x"}]}},
+         "workload gives 'r1' an operation other than READ"),
+    ):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(spec))
+        assert main(["run", "--scenario-file", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and says in err, err

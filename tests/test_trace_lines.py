@@ -1,0 +1,103 @@
+"""`Trace.lines()` against a plain re-encoding of every rendered entry.
+
+`lines()` encodes a message's body once, at its send, keeps it while the
+message is in flight and splices it into the send line and the line that
+closes the message. Each case below is a way a message's life can end
+that the cache must survive. Besides the bytes, every case checks that
+the cache holds exactly one body per message in flight after each line
+and nothing at the end, which is what bounds the writer's memory.
+"""
+import json
+
+from splitstore.scenarios import random_config, run_scenario
+from splitstore.simnet import Config, Match, render_event, run
+
+
+def reference_lines(result) -> list[str]:
+    return [
+        json.dumps(render_event(e), sort_keys=True, separators=(",", ":")) + "\n"
+        for e in result.events
+    ]
+
+
+def in_flight_after_each(events) -> list[int]:
+    sent: set[int] = set()
+    counts = []
+    for event in events:
+        if not isinstance(event, dict):
+            _step, ev, _reason, msg = event
+            if ev == "send":
+                sent.add(id(msg))
+            else:
+                sent.discard(id(msg))
+        counts.append(len(sent))
+    return counts
+
+
+def assert_lines_match(result) -> None:
+    bodies: dict = {}
+    lines, cached = [], []
+    for line in result.trace.lines(bodies):
+        lines.append(line)
+        cached.append(len(bodies))
+    assert lines == reference_lines(result)
+    assert cached == in_flight_after_each(result.events)
+    assert bodies == {}
+
+
+def message_events(result, ev: str) -> list[tuple]:
+    return [e for e in result.events if not isinstance(e, dict) and e[1] == ev]
+
+
+def test_a_message_dropped_at_its_send():
+    def script(s, world):
+        s.crash("d1")
+        s.invoke("w1")  # the WRITE to d1 is dropped as it is sent
+        s.drain()
+
+    result = run(Config(ops=1), script)
+    sent = {id(e[3]) for e in message_events(result, "send")}
+    at_send = [e for e in message_events(result, "drop") if id(e[3]) not in sent]
+    assert at_send and at_send[0][2] == "destination-crashed"
+    assert_lines_match(result)
+
+
+def test_a_crash_drops_pending_messages_and_invocations():
+    def script(s, world):
+        s.invoke("w1")
+        s.drain(Match(dst="d1"))  # both writes finish on d2 and d3
+        s.crash("d1")  # drops the WRITEs and COMMITs still pending to d1
+        s.invoke("r1")
+        s.deliver(Match(), count=None)  # messages only: r1's next invoke waits
+        s.crash("r1")  # drops that invoke
+        s.drain()
+
+    result = run(Config(writers=1, readers=1, ops=2), script)
+    sent = {id(e[3]) for e in message_events(result, "send")}
+    crash_drops = [e for e in message_events(result, "drop") if e[2] == "target-crashed"]
+    assert crash_drops and all(id(e[3]) in sent for e in crash_drops)
+    assert any(e["ev"] == "drop" and e["reason"] == "target-crashed"
+               for e in result.events if isinstance(e, dict))
+    assert_lines_match(result)
+
+
+def test_a_run_cut_by_max_steps_leaves_messages_undelivered():
+    result = run(Config(seed=4, ops=3, max_steps=40))
+    assert not result.quiescent
+    assert message_events(result, "undelivered")
+    assert_lines_match(result)
+
+
+def test_scripted_deliver_and_drain_runs():
+    for name in ("fig1", "theorem1-byz"):
+        for _label, result, _verdict in run_scenario(name, 0).runs:
+            assert_lines_match(result)
+
+
+def test_random_runs_with_notes_and_faults():
+    notes = 0
+    for seed in range(12):
+        result = run(random_config(seed))
+        notes += sum(1 for e in result.events if isinstance(e, dict) and e["ev"] == "note")
+        assert_lines_match(result)
+    assert notes
