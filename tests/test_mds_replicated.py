@@ -5,8 +5,8 @@ from collections import deque
 import pytest
 
 from splitstore.checker import check_run
-from splitstore.faults import ByzSpec, ByzStrategy, CrashSpec
-from splitstore.mds_replicated import INITIAL_PAIR, MetaReplica
+from splitstore.faults import ByzMetaReplica, ByzSpec, ByzStrategy, CrashSpec
+from splitstore.mds_replicated import INITIAL_PAIR, MetaReplica, pair_sort_key
 from splitstore.net import MsgKind, Port, make_message
 from splitstore.scenarios import random_config
 from splitstore.simnet import Config, run
@@ -18,10 +18,13 @@ CLIENTS = {"w1": 1, "w2": 2, "r1": 3}
 class Router:
     """Synchronous pump for a group of metadata replicas."""
 
-    def __init__(self, tm=1, m=4):
+    def __init__(self, tm=1, m=4, byz=None):
         pids = [f"m{i}" for i in range(1, m + 1)]
+        byz = byz or {}
         self.replicas = {
-            pid: MetaReplica(pid, pids, tm, CLIENTS, [1, 2]) for pid in pids
+            pid: ByzMetaReplica(pid, pids, tm, CLIENTS, [1, 2], byz[pid])
+            if pid in byz else MetaReplica(pid, pids, tm, CLIENTS, [1, 2])
+            for pid in pids
         }
         self.queue = deque()
         self.outbox = []  # traffic addressed to clients
@@ -138,6 +141,29 @@ def test_subscribers_get_snapshot_and_live_updates():
     updates = [m for m in r.outbox if m.kind is MsgKind.META_UPDATE and m.dst == "r1"]
     pushed = {p.key for u in updates[-1]["updates"] for p in u["pairs"]}
     assert Timestamp(2, 2) in pushed
+
+
+def test_scrambled_replica_snapshots_its_scrambled_state_in_order():
+    r = Router(byz={"m4": ByzSpec(ByzStrategy.STATE_SWITCH)})
+    for num in (1, 2, 10):
+        md = Metadata(ts=Timestamp(num, 1), replicas=frozenset({1, 2}))
+        store_to(r, ["m1", "m2", "m3", "m4"], key=Timestamp(num, 1), payload=md, seq=num)
+        r.pump()
+    m4 = r.replicas["m4"]
+
+    def snapshot(tag):
+        r.inject(MsgKind.META_QUERY, "r1", "m4", scope="dir", tag=tag)
+        update = r.outbox[-1]["updates"][0]
+        assert update["reg"] == ("dir", 1)
+        return update["pairs"]
+
+    before = snapshot(1)
+    assert len(before) == 3
+    m4.apply_adversary("scramble", {})
+    established = m4.registers[("dir", 1)].established
+    # no new establishment between the scramble and the query
+    assert tuple(snapshot(2)) == tuple(sorted(established, key=pair_sort_key))
+    assert tuple(snapshot(2)) != tuple(before)
 
 
 def test_unsubscribe_stops_the_updates():
