@@ -137,7 +137,6 @@ class ByzMetaReplica(MetaReplica):
     ):
         super().__init__(pid, peer_pids, tm, client_ids, writer_cids)
         self.spec = spec
-        self._scrambled: dict = {}
 
     def on_message(self, msg: Message) -> None:
         if self.spec.strategy is ByzStrategy.MUTE:
@@ -196,6 +195,7 @@ class ByzMetaReplica(MetaReplica):
                 else:
                     scrambled.add(pair)
             rs.established = scrambled
+            rs.snapshot = None
         self.trace_note("byz-state-switch")
 
 

@@ -27,6 +27,15 @@ which is what makes reads atomic relative to each other. Digest-array
 reads skip the write-back: their register is write-once and only safe
 semantics are promised, so tm + 1 matching reports (or 2*tm + 1 empty
 reports for an unwritten entry) settle the answer.
+
+Neither side recomputes a quorum from scratch per message. A replica
+keeps each register's established pairs sorted between establishments
+and ships that tuple in every snapshot. A reader counts each report once,
+as it arrives: per register it keeps the replicas that reported each
+pair and the highest pair that has reached tm + 1 of them. Only the
+current-key evidence, one entry per replica, is recounted on each
+evaluation. Each process memoizes a pair's order key (``PairOrder``), so
+payload tokens are rendered once per pair, not once per comparison.
 """
 from __future__ import annotations
 
@@ -60,6 +69,16 @@ def pair_sort_key(pair: Pair) -> tuple:
     return (pair.key.key(), payload_token(pair.payload))
 
 
+class PairOrder(dict):
+    """One process's memo of ``pair_sort_key``: ``order[pair]`` renders a
+    pair's order key the first time the process meets the pair and looks
+    it up after that."""
+
+    def __missing__(self, pair: Pair) -> tuple:
+        key = self[pair] = pair_sort_key(pair)
+        return key
+
+
 @dataclass
 class _PairState:
     echoes: set[str] = field(default_factory=set)
@@ -72,6 +91,8 @@ class _PairState:
 class _Register:
     pairs: dict[Pair, _PairState] = field(default_factory=dict)
     established: set[Pair] = field(default_factory=set)
+    # ``established`` in pair order, as snapshots ship it; None when stale
+    snapshot: tuple[Pair, ...] | None = None
     current: Pair = INITIAL_PAIR
     # digest registers: the one digest stored over an authenticated channel
     authentic_payload: Any = None
@@ -98,6 +119,7 @@ class MetaReplica(Process):
         }
         # (client pid, tag) -> scope: "dir" or ("hash", index)
         self.listeners: dict[tuple[str, int], Any] = {}
+        self._order = PairOrder()
 
     # -- message handlers --------------------------------------------------
 
@@ -187,7 +209,8 @@ class MetaReplica(Process):
         st.established = True
         rs = self.registers[reg]
         rs.established.add(pair)
-        if pair_sort_key(pair) > pair_sort_key(rs.current):
+        rs.snapshot = None
+        if self._order[pair] > self._order[rs.current]:
             rs.current = pair
         # Pass the pair on even when we only learned it from echoes, so
         # that establishment spreads to every correct replica.
@@ -213,12 +236,14 @@ class MetaReplica(Process):
                 self.send(MsgKind.META_UPDATE, pid, tag=tag, updates=(update,))
 
     def _render_update(self, reg: RegisterId, pairs: tuple[Pair, ...]) -> dict:
+        """An update for ``reg``; ``pairs`` must already be in pair order."""
+        return {"reg": reg, "pairs": pairs, "current": self.register_for(reg).current.key}
+
+    def _sorted_established(self, reg: RegisterId) -> tuple[Pair, ...]:
         rs = self.register_for(reg)
-        return {
-            "reg": reg,
-            "pairs": tuple(sorted(pairs, key=pair_sort_key)),
-            "current": rs.current.key,
-        }
+        if rs.snapshot is None:
+            rs.snapshot = tuple(sorted(rs.established, key=self._order.__getitem__))
+        return rs.snapshot
 
     def on_query(self, msg: Message) -> None:
         scope = msg["scope"]
@@ -229,8 +254,7 @@ class MetaReplica(Process):
         else:
             regs = [scope]
         updates = tuple(
-            self._render_update(reg, tuple(self.register_for(reg).established))
-            for reg in regs
+            self._render_update(reg, self._sorted_established(reg)) for reg in regs
         )
         self.send(MsgKind.META_UPDATE, msg.src, tag=tag, updates=updates)
 
@@ -242,7 +266,7 @@ class MetaReplica(Process):
                 "current": rs.current.key,
                 "established": [
                     {"key": p.key, "payload": p.payload}
-                    for p in sorted(rs.established, key=pair_sort_key)
+                    for p in self._sorted_established(reg)
                 ],
             }
         return out
@@ -266,7 +290,9 @@ class _ReadOp:
     op: str  # "tsread" | "hashread"
     done: Callable[..., None]
     snapshots: set[str] = field(default_factory=set)
-    reports: dict = field(default_factory=dict)  # reg -> pid -> set[Pair]
+    reporters: dict = field(default_factory=dict)  # reg -> Pair -> set of pids
+    reported: dict = field(default_factory=dict)  # reg -> pids that reported a pair
+    best: dict = field(default_factory=dict)  # reg -> highest pair with tm + 1 reporters
     currents: dict = field(default_factory=dict)  # reg -> pid -> Timestamp
     state: str = "collect"  # "collect" | "writeback"
 
@@ -295,6 +321,7 @@ class ReplicatedMdsDriver:
         self._tag = 0
         self._stores: dict[int, _StoreOp] = {}
         self._reads: dict[int, _ReadOp] = {}
+        self._order = PairOrder()
 
     @property
     def quorum(self) -> int:
@@ -387,29 +414,33 @@ class ReplicatedMdsDriver:
             store.done()
 
     def _on_update(self, msg: Message) -> None:
+        """Count each reported pair once per reporting replica, as it
+        arrives. Reporters are kept as sets, so a replica that repeats a
+        pair counts once. A pair is compared with its register's best
+        when its reporters reach tm + 1; they only grow, so every pair
+        confirmed so far has been compared."""
         read = self._reads.get(msg["tag"])
-        if read is None:
-            return
-        read.snapshots.add(msg.src)
+        if read is None or read.state != "collect":
+            return  # a read in write-back never evaluates again
+        src = msg.src
+        read.snapshots.add(src)
         for update in msg["updates"]:
             reg = update["reg"]
-            pairs = read.reports.setdefault(reg, {}).setdefault(msg.src, set())
-            for pair in update["pairs"]:
-                pairs.add(Pair(pair[0], pair[1]))
+            if update["pairs"]:
+                read.reported.setdefault(reg, set()).add(src)
+                reporters = read.reporters.setdefault(reg, {})
+                for pair in update["pairs"]:
+                    pids = reporters.setdefault(pair, set())
+                    pids.add(src)
+                    if len(pids) == self.tm + 1:
+                        best = read.best.get(reg)
+                        if best is None or self._order[pair] > self._order[best]:
+                            read.best[reg] = pair
             if update["current"] is not None:
-                read.currents.setdefault(reg, {})[msg.src] = update["current"]
-        if read.state == "collect":
-            self._evaluate(read)
+                read.currents.setdefault(reg, {})[src] = update["current"]
+        self._evaluate(read)
 
     # -- read evaluation ----------------------------------------------------
-
-    def _confirmed(self, read: _ReadOp, reg: RegisterId) -> list[Pair]:
-        counts: dict[Pair, int] = {}
-        for pid in sorted(read.reports.get(reg, {})):
-            for pair in read.reports[reg][pid]:
-                counts[pair] = counts.get(pair, 0) + 1
-        out = [pair for pair, n in counts.items() if n >= self.tm + 1]
-        return out
 
     def _evaluate(self, read: _ReadOp) -> None:
         if len(read.snapshots) < self.quorum:
@@ -421,14 +452,11 @@ class ReplicatedMdsDriver:
 
     def _evaluate_hashread(self, read: _ReadOp) -> None:
         reg = read.scope
-        confirmed = self._confirmed(read, reg)
-        if confirmed:
-            best = max(confirmed, key=pair_sort_key)
+        best = read.best.get(reg)
+        if best is not None:
             self._finish_hashread(read, best.payload)
             return
-        empties = sum(
-            1 for pid in sorted(read.snapshots) if not read.reports.get(reg, {}).get(pid)
-        )
+        empties = len(read.snapshots) - len(read.reported.get(reg, ()))
         if empties >= self.quorum:
             self._finish_hashread(read, None)
 
@@ -445,17 +473,16 @@ class ReplicatedMdsDriver:
         best_reg: RegisterId | None = None
         for cid in self.writer_cids:
             reg = ("dir", cid)
-            confirmed = self._confirmed(read, reg)
-            confirmed.append(INITIAL_PAIR)
-            candidate = max(confirmed, key=pair_sort_key)
+            candidate = read.best.get(reg, INITIAL_PAIR)
+            # Currents can go down, so the evidence is recounted each time;
+            # it is at most one entry per replica.
             evidence = sum(
-                1
-                for pid in sorted(read.currents.get(reg, {}))
-                if read.currents[reg][pid] <= candidate.key
+                1 for current in read.currents.get(reg, {}).values()
+                if current <= candidate.key
             )
             if evidence < self.quorum:
                 return  # cannot yet rule out a higher completed store here
-            if best is None or pair_sort_key(candidate) > pair_sort_key(best):
+            if best is None or self._order[candidate] > self._order[best]:
                 best, best_reg = candidate, reg
         assert best is not None
         if best.key == TS_INIT:

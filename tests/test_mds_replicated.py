@@ -1,16 +1,19 @@
 """The quorum metadata service: unit tests against a hand-pumped replica
 group, then whole-system runs through the simulator."""
-from collections import deque
+import random
+from collections import Counter, deque
 
 import pytest
 
 from splitstore.checker import check_run
 from splitstore.faults import ByzMetaReplica, ByzSpec, ByzStrategy, CrashSpec
-from splitstore.mds_replicated import INITIAL_PAIR, MetaReplica, pair_sort_key
+from splitstore.mds_replicated import (
+    INITIAL_PAIR, MetaReplica, Pair, ReplicatedMdsDriver, pair_sort_key,
+)
 from splitstore.net import MsgKind, Port, make_message
 from splitstore.scenarios import random_config
 from splitstore.simnet import Config, run
-from splitstore.types import HarnessError, Metadata, Timestamp
+from splitstore.types import TS_INIT, HarnessError, Metadata, Timestamp
 
 CLIENTS = {"w1": 1, "w2": 2, "r1": 3}
 
@@ -176,6 +179,184 @@ def test_unsubscribe_stops_the_updates():
     updates = [m for m in r.outbox[before:]
                if m.kind is MsgKind.META_UPDATE and m.dst == "r1"]
     assert not updates
+
+
+# -- incremental read evaluation against a recount ------------------------------
+
+
+class RecountRead:
+    """Reference read evaluation: keep every replica's reports and recount
+    them from scratch on each message, as the driver once did."""
+
+    def __init__(self, tm, writer_cids, scope):
+        self.tm = tm
+        self.quorum = 2 * tm + 1
+        self.writer_cids = writer_cids
+        self.scope = scope
+        self.snapshots = set()
+        self.reports = {}  # reg -> pid -> set of pairs
+        self.currents = {}  # reg -> pid -> key
+
+    def add(self, src, updates):
+        self.snapshots.add(src)
+        for update in updates:
+            reg = update["reg"]
+            pairs = self.reports.setdefault(reg, {}).setdefault(src, set())
+            pairs.update(update["pairs"])
+            if update["current"] is not None:
+                self.currents.setdefault(reg, {})[src] = update["current"]
+
+    def confirmed(self, reg):
+        counts = Counter()
+        for pairs in self.reports.get(reg, {}).values():
+            counts.update(pairs)
+        return [pair for pair, n in counts.items() if n >= self.tm + 1]
+
+    def decision(self):
+        """None while undecided, else what the read does next."""
+        if len(self.snapshots) < self.quorum:
+            return None
+        if self.scope != "dir":
+            confirmed = self.confirmed(self.scope)
+            if confirmed:
+                return ("digest", max(confirmed, key=pair_sort_key).payload)
+            empties = sum(1 for pid in self.snapshots
+                          if not self.reports.get(self.scope, {}).get(pid))
+            return ("digest", None) if empties >= self.quorum else None
+        best = best_reg = None
+        for cid in self.writer_cids:
+            reg = ("dir", cid)
+            candidate = max(self.confirmed(reg) + [INITIAL_PAIR], key=pair_sort_key)
+            evidence = sum(1 for key in self.currents.get(reg, {}).values()
+                           if key <= candidate.key)
+            if evidence < self.quorum:
+                return None
+            if best is None or pair_sort_key(candidate) > pair_sort_key(best):
+                best, best_reg = candidate, reg
+        if best.key == TS_INIT:
+            return ("tsread", TS_INIT, None)
+        return ("writeback", best_reg, best.key, best.payload)
+
+
+class DriverOwner:
+    """Stands in for the client process that owns a driver."""
+
+    pid = "r1"
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, kind, dst, **fields):
+        self.sent.append((kind, dst, fields))
+
+    def record(self, channel, **entry):
+        pass
+
+
+def pair_pool(rng, scope, writer_cids):
+    """Candidate pairs per register: equal keys with different payloads,
+    a key-only initial pair and a pair no writer stored."""
+    if scope != "dir":
+        index = scope[1]
+        return {scope: [Pair(index, d * 32) for d in ("aa", "bb", "ff")]}
+    pool = {}
+    for cid in writer_cids:
+        pairs = [INITIAL_PAIR]
+        for num in (1, 2, 3):
+            ts = Timestamp(num, cid)
+            for replicas in ({1, 2}, {2, 3}):
+                pairs.append(Pair(ts, Metadata(ts=ts, replicas=frozenset(replicas))))
+        fake = Timestamp(999, 99)
+        pairs.append(Pair(fake, Metadata(ts=fake, replicas=frozenset({1}))))
+        pool[("dir", cid)] = pairs
+    return pool
+
+
+def random_updates(rng, pool, sent_before, sparse):
+    """One META-UPDATE's updates: a snapshot of every register or a live
+    update of one, with empty, repeated and fabricated pairs and currents
+    that may go down. ``sparse`` is the chance of an empty report."""
+    regs = sorted(pool)
+    if rng.random() < 0.4:
+        regs = [rng.choice(regs)]
+    updates = []
+    for reg in regs:
+        roll = rng.random()
+        if roll < sparse:
+            pairs = ()
+        elif roll < sparse + 0.2 and sent_before.get(reg):
+            pairs = tuple(rng.sample(sent_before[reg], k=min(2, len(sent_before[reg]))))
+        else:
+            pairs = tuple(rng.sample(pool[reg], k=rng.randint(1, 3)))
+        sent_before.setdefault(reg, []).extend(pairs)
+        roll = rng.random()
+        if roll < 0.05:
+            current = None
+        elif roll < sparse:
+            current = TS_INIT
+        else:
+            current = rng.choice([p.key for p in pool[reg]])
+        updates.append({"reg": reg, "pairs": pairs, "current": current})
+    return tuple(updates)
+
+
+def driver_decision(owner, done_calls, scope, tag):
+    if done_calls:
+        (args,) = done_calls
+        return ("digest", args[0]) if scope != "dir" else ("tsread",) + args
+    writebacks = [f for kind, _, f in owner.sent if kind is MsgKind.META_WRITEBACK]
+    if writebacks:
+        f = writebacks[0]
+        assert f["reg"][0] == "dir"
+        return ("writeback", f["reg"], f["key"], f["payload"])
+    return None
+
+
+@pytest.mark.parametrize("tm", [1, 2])
+@pytest.mark.parametrize("op", ["tsread", "hashread"])
+def test_incremental_read_evaluation_matches_a_recount(tm, op):
+    """After every META-UPDATE, the driver has decided exactly when the
+    recount decides, and on the same pair or digest."""
+    rng = random.Random(f"{op}-{tm}")
+    meta_pids = [f"m{i}" for i in range(1, 3 * tm + 2)]
+    writer_cids = [1, 2]
+    outcomes = Counter()
+    for _ in range(300):
+        sparse = rng.choice([0.2, 0.6, 0.9])
+        owner = DriverOwner()
+        driver = ReplicatedMdsDriver(owner, meta_pids, tm, writer_cids, cid=3)
+        done_calls = []
+        if op == "tsread":
+            scope = "dir"
+            driver.tsread(lambda *args: done_calls.append(args))
+        else:
+            scope = ("hash", Timestamp(rng.randint(1, 3), 1))
+            driver.hash_read(scope[1], lambda *args: done_calls.append(args))
+        tag = owner.sent[0][2]["tag"]
+        reference = RecountRead(tm, writer_cids, scope)
+        pool = pair_pool(rng, scope, writer_cids)
+        sent_before = {pid: {} for pid in meta_pids}
+        for step in range(40):
+            src = rng.choice(meta_pids)
+            updates = random_updates(rng, pool, sent_before[src], sparse)
+            reference.add(src, updates)
+            driver.handle(make_message(MsgKind.META_UPDATE, src, "r1", tag=tag, updates=updates))
+            want = reference.decision()
+            got = driver_decision(owner, done_calls, scope, tag)
+            assert got == want, (step, got, want)
+            if want is not None:
+                outcomes[want[0], want[-1] is None] += 1
+                break
+            if len(reference.snapshots) >= reference.quorum:
+                outcomes["not yet after a quorum of snapshots"] += 1
+    # the streams reach every outcome, and often stay undecided after a
+    # quorum of snapshots has arrived
+    if op == "tsread":
+        kinds = {("writeback", False), ("tsread", True)}
+    else:
+        kinds = {("digest", False), ("digest", True)}
+    assert kinds <= set(outcomes), outcomes
+    assert outcomes["not yet after a quorum of snapshots"] >= 100, outcomes
 
 
 # -- full-system runs ---------------------------------------------------------
