@@ -150,6 +150,12 @@ def _search(ops: list, spec: _Spec) -> tuple[list | None, bool]:
     it, and the walk is memoized on the placed set and the spec state. All
     subsets share one budget of NODE_BUDGET nodes.
 
+    The real-time rule is one comparison per candidate: each node takes
+    the earliest response among its unplaced ops, its horizon, and allows
+    an op iff it was invoked at or before the horizon. The candidate's own
+    response is in the minimum, which is harmless because no op responds
+    before it is invoked.
+
     Returns the accepted order (or None) and whether the budget ran out."""
     complete = [o for o in ops if o.complete]
     open_writes = [o for o in ops if not o.complete]
@@ -170,14 +176,9 @@ def _search(ops: list, spec: _Spec) -> tuple[list | None, bool]:
             if (placed, state) in seen:
                 return None
             seen.add((placed, state))
+            horizon = min(r for j, r in enumerate(resp) if not placed >> j & 1)
             for i, op in enumerate(ordered):
-                if placed >> i & 1:
-                    continue
-                if any(
-                    resp[j] < op.invoke
-                    for j in range(len(ordered))
-                    if j != i and not placed >> j & 1
-                ):
+                if placed >> i & 1 or op.invoke > horizon:
                     continue
                 after = spec.step(state, op)
                 if after is None:

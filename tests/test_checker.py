@@ -1,5 +1,6 @@
 import copy
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,7 +29,7 @@ from splitstore.checker import (
 from splitstore.history import DirOpRecord, OpRecord
 from splitstore.scenarios import random_config
 from splitstore.simnet import Config, run
-from splitstore.types import HarnessError, Metadata, Timestamp
+from splitstore.types import TS_INIT, HarnessError, Metadata, Timestamp
 
 
 def W(op_id, client, val, invoke, response, num, cid):
@@ -674,3 +675,87 @@ def test_fast_precedence_checks_match_references_on_mutated_large_runs():
         read.ts = saved
     assert lemma_directory_monotone(result.dir_ops).passed
     assert failed >= 4
+
+
+# -- the search's real-time rule against the pairwise scan --------------------
+
+
+def ref_search(ops, spec, budget):
+    """`_search` with the real-time rule as a pairwise scan: a candidate is
+    blocked when any other unplaced op responded before it was invoked."""
+    complete = [o for o in ops if o.complete]
+    open_writes = [o for o in ops if not o.complete]
+    left = budget
+    for mask in range(1 << len(open_writes)):
+        included = [w for i, w in enumerate(open_writes) if mask >> i & 1]
+        ordered = sorted(complete + included, key=spec.order_key)
+        resp = [o.response if o.response is not None else float("inf") for o in ordered]
+        seen = set()
+
+        def walk(placed, state, path):
+            nonlocal left
+            if len(path) == len(ordered):
+                return path
+            left -= 1
+            if left < 0 or (placed, state) in seen:
+                return None
+            seen.add((placed, state))
+            for i, op in enumerate(ordered):
+                if placed >> i & 1:
+                    continue
+                if any(resp[j] < op.invoke for j in range(len(ordered))
+                       if j != i and not placed >> j & 1):
+                    continue
+                after = spec.step(state, op)
+                if after is not None:
+                    found = walk(placed | 1 << i, after, path + [op])
+                    if found is not None:
+                        return found
+            return None
+
+        order = walk(0, spec.init, [])
+        if order is not None:
+            return order, False
+        if left < 0:
+            return None, True
+    return None, False
+
+
+def searchable_histories(rng):
+    """A register and a directory history of 2-9 ops on `tied_shapes`'
+    coarse step grid, so an op is often invoked at the very step another
+    responds. Values come from two, and reads return a value some write
+    carries or the initial one, so both verdicts occur."""
+    shapes = tied_shapes(rng)[:rng.randint(2, 9)]
+    register, directory, writes = [], [], []
+    for i, (c, write, invoke, response, ts) in enumerate(shapes, 1):
+        if write:
+            val = rng.choice([b"a", b"b"])
+            writes.append((val, ts))
+            register.append(W(i, f"c{c}", val, invoke, response, ts.num, ts.cid))
+            directory.append(DirOpRecord(proc=f"c{c}", op="tswrite", tag=i, invoke=invoke,
+                                         response=response, ts=ts, md=val))
+        elif response is not None:
+            val, read_ts = rng.choice(writes) if writes and rng.random() < 0.8 else (None, TS_INIT)
+            register.append(R(i, f"c{c}", val, invoke, response, read_ts.num, read_ts.cid))
+            directory.append(DirOpRecord(proc=f"c{c}", op="tsread", tag=i, invoke=invoke,
+                                         response=response, ts=read_ts, md=val))
+    return register, directory
+
+
+def test_search_horizon_matches_the_pairwise_real_time_rule(monkeypatch):
+    """Same order, same budget verdict: at every budget the two rules
+    agree, so they expand the same nodes in the same order."""
+    rng = random.Random("search-horizon")
+    seen = Counter()
+    for _ in range(1500):
+        register, directory = searchable_histories(rng)
+        for ops, spec in ((register, checker._REGISTER), (directory, checker._DIRECTORY)):
+            for budget in (rng.randint(1, 40), 100_000):
+                monkeypatch.setattr(checker, "NODE_BUDGET", budget)
+                got = checker._search(ops, spec)
+                assert got == ref_search(ops, spec, budget)
+                seen["found" if got[0] is not None else "budget" if got[1] else "none"] += 1
+        responses = {o.response for o in register}
+        seen["ties"] += any(o.invoke in responses for o in register)
+    assert min(seen.values()) > 100, seen
