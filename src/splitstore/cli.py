@@ -31,15 +31,17 @@ HISTORY_SCHEMA = "history/v1"
 REPORT_SCHEMA = "report/v1"
 
 
-def _parse_seeds(args: argparse.Namespace) -> list:
-    if args.seeds:
-        text = args.seeds
+def _parse_seeds(args: argparse.Namespace) -> list[int]:
+    if not args.seeds:
+        return [args.seed]
+    text = args.seeds
+    try:
         if ".." in text:
             lo, hi = text.split("..", 1)
             return list(range(int(lo), int(hi) + 1))
-        return [int(part) if part.lstrip("-").isdigit() else part
-                for part in text.split(",") if part]
-    return [args.seed]
+        return [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise ConfigError(f"--seeds expects integers as A..B or A,B,...; got {text!r}") from None
 
 
 def _parse_byz(specs: list[str]) -> tuple[dict, dict]:
@@ -289,10 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = args.out_dir
     if out_dir is None:
         out_dir = Path(os.environ.get("SPLITSTORE_OUT_DIR", "runs"))
-    seeds = _parse_seeds(args)
     outcomes: list[ScenarioOutcome] = []
     try:
-        for seed in seeds:
+        for seed in _parse_seeds(args):
             if args.scenario_file is not None:
                 config = load_scenario_file(args.scenario_file)
                 config.seed = seed

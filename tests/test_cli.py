@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from splitstore.cli import main
 
 
@@ -40,6 +42,15 @@ def test_seed_list_is_accepted(tmp_path):
                  "--out-dir", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "gc-quiescence-5.report.json").exists()
+
+
+@pytest.mark.parametrize("seeds", ["1..x", "1,x"])
+def test_a_non_integer_seed_is_a_configuration_error(tmp_path, capsys, seeds):
+    code = main(["run", "--scenario", "fig1", "--seeds", seeds,
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "--seeds expects integers" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_expected_violation_scenarios_exit_zero(tmp_path):
