@@ -38,10 +38,14 @@ def _parse_seeds(args: argparse.Namespace) -> list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(part) for part in text.split(",") if part]
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(part) for part in text.split(",") if part]
     except ValueError:
         raise ConfigError(f"--seeds expects integers as A..B or A,B,...; got {text!r}") from None
+    if not seeds:
+        raise ConfigError(f"--seeds names no seed: {text!r}")
+    return seeds
 
 
 def _parse_byz(specs: list[str]) -> tuple[dict, dict]:

@@ -44,12 +44,16 @@ def test_seed_list_is_accepted(tmp_path):
     assert (tmp_path / "gc-quiescence-5.report.json").exists()
 
 
-@pytest.mark.parametrize("seeds", ["1..x", "1,x"])
-def test_a_non_integer_seed_is_a_configuration_error(tmp_path, capsys, seeds):
+@pytest.mark.parametrize("seeds, error", [
+    ("1..x", "--seeds expects integers"),
+    ("1,x", "--seeds expects integers"),
+    ("3..1", "--seeds names no seed"),
+])
+def test_a_malformed_seed_list_is_a_configuration_error(tmp_path, capsys, seeds, error):
     code = main(["run", "--scenario", "fig1", "--seeds", seeds,
                  "--out-dir", str(tmp_path)])
     assert code == 2
-    assert "--seeds expects integers" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

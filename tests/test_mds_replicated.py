@@ -186,7 +186,7 @@ def test_unsubscribe_stops_the_updates():
 
 class RecountRead:
     """Reference read evaluation: keep every replica's reports and recount
-    them from scratch on each message, as the driver once did."""
+    them from scratch on each message."""
 
     def __init__(self, tm, writer_cids, scope):
         self.tm = tm
@@ -253,7 +253,7 @@ class DriverOwner:
         pass
 
 
-def pair_pool(rng, scope, writer_cids):
+def pair_pool(scope, writer_cids):
     """Candidate pairs per register: equal keys with different payloads,
     a key-only initial pair and a pair no writer stored."""
     if scope != "dir":
@@ -300,7 +300,7 @@ def random_updates(rng, pool, sent_before, sparse):
     return tuple(updates)
 
 
-def driver_decision(owner, done_calls, scope, tag):
+def driver_decision(owner, done_calls, scope):
     if done_calls:
         (args,) = done_calls
         return ("digest", args[0]) if scope != "dir" else ("tsread",) + args
@@ -334,7 +334,7 @@ def test_incremental_read_evaluation_matches_a_recount(tm, op):
             driver.hash_read(scope[1], lambda *args: done_calls.append(args))
         tag = owner.sent[0][2]["tag"]
         reference = RecountRead(tm, writer_cids, scope)
-        pool = pair_pool(rng, scope, writer_cids)
+        pool = pair_pool(scope, writer_cids)
         sent_before = {pid: {} for pid in meta_pids}
         for step in range(40):
             src = rng.choice(meta_pids)
@@ -342,7 +342,7 @@ def test_incremental_read_evaluation_matches_a_recount(tm, op):
             reference.add(src, updates)
             driver.handle(make_message(MsgKind.META_UPDATE, src, "r1", tag=tag, updates=updates))
             want = reference.decision()
-            got = driver_decision(owner, done_calls, scope, tag)
+            got = driver_decision(owner, done_calls, scope)
             assert got == want, (step, got, want)
             if want is not None:
                 outcomes[want[0], want[-1] is None] += 1
