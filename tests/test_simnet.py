@@ -3,6 +3,7 @@ import json
 import pytest
 
 from splitstore.faults import ByzSpec, ByzStrategy, CrashSpec
+from splitstore.net import Port
 from splitstore.simnet import (
     AdversaryAction, Config, Match, Script, Simulation, build_world, run,
 )
@@ -235,3 +236,49 @@ def test_ready_list_matches_brute_force_under_a_script(fifo):
     s.drain()
     assert checks
     assert not sim.pending and sim.ready == []
+
+
+# -- the benchmark tracer's entry points ---------------------------------------
+
+
+@pytest.fixture
+def port_call_counts():
+    """Count calls of `Port.send` and `Port.trace` through class-level
+    wrappers, installed the way perfbench's span tracer installs them."""
+    counts = {"send": 0, "trace": 0}
+    originals = {name: Port.__dict__[name] for name in counts}
+
+    def counting(name):
+        original = originals[name]
+
+        def wrapper(port, *args, **kwargs):
+            counts[name] += 1
+            return original(port, *args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        setattr(Port, name, counting(name))
+    try:
+        yield counts
+    finally:
+        for name, original in originals.items():
+            setattr(Port, name, original)
+
+
+@pytest.mark.parametrize("fifo", [False, True], ids=["fifo-off", "fifo-on"])
+@pytest.mark.parametrize("mds_mode", ["oracle", "replicated"])
+def test_every_message_and_note_passes_through_the_port(port_call_counts, mds_mode, fifo):
+    # A mute data replica notes every message it swallows, so notes occur
+    # in every run; nothing crashes, so every send is traced.
+    mute = {"d3": ByzSpec(ByzStrategy.MUTE)}
+    sends = notes = 0
+    for seed in range(3):
+        res = run(Config(seed=seed, ops=3, readers=3, mds_mode=mds_mode, fifo=fifo,
+                         byz_data=mute))
+        assert res.quiescent and not res.crashed
+        events = [e["ev"] for e in res.trace]
+        sends += events.count("send")
+        notes += events.count("note")
+    assert sends > 0 and notes > 0
+    assert port_call_counts == {"send": sends, "trace": notes}
