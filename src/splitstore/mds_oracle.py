@@ -126,6 +126,16 @@ class HashArrayOracle(Process):
         return {"entries": {idx.render(): d for idx, d in self.array.entries.items()}}
 
 
+# The responses an OracleMdsDriver consumes. A tuple: membership is tested
+# by identity, where a frozenset would call MsgKind's Python-level __hash__.
+RESPONSE_KINDS = (
+    MsgKind.DIR_READ_RESP,
+    MsgKind.DIR_WRITE_RESP,
+    MsgKind.HASH_READ_RESP,
+    MsgKind.HASH_WRITE_RESP,
+)
+
+
 class OracleMdsDriver:
     """Client-side access to the oracle metadata service.
 
@@ -180,12 +190,7 @@ class OracleMdsDriver:
     def handle(self, msg: Message) -> bool:
         """Consume a metadata response addressed to the owner. Returns
         False when the message belongs to someone else's plane."""
-        if msg.kind not in (
-            MsgKind.DIR_READ_RESP,
-            MsgKind.DIR_WRITE_RESP,
-            MsgKind.HASH_READ_RESP,
-            MsgKind.HASH_WRITE_RESP,
-        ):
+        if msg.kind not in RESPONSE_KINDS:
             return False
         entry = self._pending.pop(msg["tag"], None)
         if entry is None:

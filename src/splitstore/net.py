@@ -8,7 +8,7 @@ field is set by the runtime, not by the sender.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable
 
@@ -62,7 +62,9 @@ class Message:
 
 
 def make_message(kind: MsgKind, src: str, dst: str, **fields: Any) -> Message:
-    return Message(kind, src, dst, MappingProxyType(dict(fields)))
+    # A ** parameter is a fresh dict that nothing else holds, so the proxy
+    # is the only way to it and the message stays immutable without a copy.
+    return Message(kind, src, dst, MappingProxyType(fields))
 
 
 def render_field(value: Any) -> Any:
@@ -91,30 +93,34 @@ def render_field(value: Any) -> Any:
 class Port:
     """Runtime interface handed to a process when a simulation starts.
 
-    ``send`` queues a message for asynchronous delivery. ``trace`` adds a
-    free-form note to the trace. ``record`` feeds structured side channels
-    (client operation events, metadata sub-operations) that the simulator
-    assembles into the history; the simulator stamps the current step.
+    ``send`` builds the message and hands it to the sender, which queues
+    it for asynchronous delivery; it is the one way a message enters the
+    network. ``trace`` adds a free-form note to the trace. ``record`` feeds
+    structured side channels (client operation events, metadata
+    sub-operations) that the simulator assembles into the history; the
+    recorder is given the entry dict itself, keeps it and stamps the
+    current step into it.
     """
 
     def __init__(
         self,
         sender: Callable[[Message], None],
         tracer: Callable[..., None],
-        recorder: Callable[..., None],
+        recorder: Callable[[str, dict], None],
     ):
         self._sender = sender
         self._tracer = tracer
         self._recorder = recorder
 
     def send(self, kind: MsgKind, src: str, dst: str, **fields: Any) -> None:
-        self._sender(make_message(kind, src, dst, **fields))
+        # make_message's body, inlined: this runs once per message.
+        self._sender(Message(kind, src, dst, MappingProxyType(fields)))
 
     def trace(self, proc: str, note: str, **payload: Any) -> None:
         self._tracer(proc, note, **payload)
 
     def record(self, channel: str, **entry: Any) -> None:
-        self._recorder(channel, **entry)
+        self._recorder(channel, entry)
 
 
 class Process:
@@ -144,7 +150,7 @@ class Process:
         return {}
 
 
-@dataclass
+@dataclass(slots=True)
 class Delivery:
     """A schedulable event: a message delivery or a client invocation.
     Crashes and adversary actions fire outside the pending set."""
@@ -153,4 +159,4 @@ class Delivery:
     kind: str  # "deliver" | "invoke"
     created_step: int
     msg: Message | None = None
-    payload: dict = field(default_factory=dict)
+    payload: dict | None = None  # invocations only: {"pid": client}

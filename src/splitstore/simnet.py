@@ -31,6 +31,17 @@ events are pending:
   sorted scan of every pending event filtered by the FIFO rule, so the
   random index sequence, and with it every schedule, is unchanged.
 
+What one step costs. A message makes one hop: `Port.send` builds it and
+hands it to `Simulation._send`, which adds it to the pending set and
+records its send event. No other path puts a message on the network,
+which is what lets a class-level wrapper on `Port.send` see every one.
+Fault checks run only when the config has faults: `Simulation.__init__`
+works out once whether there are at-step crashes or adversary actions
+(checked before each step) and at-phase crashes (checked after each
+dispatch), and queued crash requests are run only when there are some.
+`ready` and `pending` are mutated in place and never rebound, which is
+why `run()` may hold them in locals.
+
 Message events are recorded unrendered. `RunResult.trace` renders them
 to plain JSON types one at a time as it is iterated, so runs whose trace
 nobody reads never pay for rendering. `Trace.lines()` is the one writer of
@@ -116,6 +127,13 @@ class Config:
             raise ConfigError("fault thresholds must be non-negative")
         if self.writers < 0 or self.readers < 0 or self.ops < 0:
             raise ConfigError("process and operation counts must be non-negative")
+        for name in ("fairness", "max_steps", "budget"):
+            # At fairness 0 every event is overdue, so the schedule is
+            # oldest-first and never random; max_steps 0 simulates nothing
+            # and passes the empty history as clean; no operation completes
+            # within a budget of 0 steps.
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.data_count < 1 or self.meta_count < 1:
             raise ConfigError("need at least one data and one metadata replica")
         if self.mds_mode not in ("oracle", "replicated"):
@@ -371,6 +389,8 @@ class Simulation:
     def __init__(self, world: World):
         self.world = world
         self.config = world.config
+        self.processes = world.processes
+        self.fifo = self.config.fifo
         self.rng = random.Random(f"{self.config.seed}|sched")
         self.step = 0
         self.seq = 0
@@ -389,6 +409,11 @@ class Simulation:
         self.active_op: dict[str, int] = {}
         self.completed_ops: dict[str, int] = {pid: 0 for pid in world.clients}
         self._crash_requests: list[str] = []
+        # The fault checks this config needs; see the module docstring.
+        self.phase_crashes = [c for c in self.config.crashes if c.at_phase is not None]
+        self.timed_faults = bool(self.config.adversary) or any(
+            c.at_step is not None for c in self.config.crashes
+        )
         port = Port(self._send, self._trace_note, self._record)
         for proc in world.processes.values():
             proc.port = port
@@ -396,31 +421,31 @@ class Simulation:
     # -- port callbacks -----------------------------------------------------
 
     def _send(self, msg: Message) -> None:
-        if msg.dst not in self.world.processes:
-            raise HarnessError(f"message to unknown process {msg.dst!r}")
-        if msg.src in self.crashed:
+        dst = msg.dst
+        if dst not in self.processes:
+            raise HarnessError(f"message to unknown process {dst!r}")
+        crashed = self.crashed
+        if msg.src in crashed:
             return
-        if msg.dst in self.crashed:
-            self._trace_msg("drop", msg, "destination-crashed")
+        if dst in crashed:
+            self.events.append((self.step, "drop", "destination-crashed", msg))
             return
-        self.seq += 1
-        seq = self.seq
-        self.pending[seq] = Delivery(seq=seq, kind="deliver", created_step=self.step, msg=msg)
-        if self.config.fifo:
-            chan = self.channels[(msg.src, msg.dst)]
+        self.seq = seq = self.seq + 1
+        self.pending[seq] = Delivery(seq, "deliver", self.step, msg)
+        if self.fifo:
+            chan = self.channels[(msg.src, dst)]
             chan.append(seq)
             if len(chan) == 1:
                 self.ready.append(seq)
         else:
             self.ready.append(seq)
-        self._trace_msg("send", msg)
+        self.events.append((self.step, "send", None, msg))
 
     def _trace_note(self, proc: str, note: str, **payload: Any) -> None:
         self._trace("note", proc=proc, note=note,
                     **{k: render_field(v) for k, v in payload.items()})
 
-    def _record(self, channel: str, **entry: Any) -> None:
-        entry = dict(entry)
+    def _record(self, channel: str, entry: dict) -> None:
         entry["step"] = self.step
         if channel == "mds":
             self.mds_entries.append(entry)
@@ -484,8 +509,8 @@ class Simulation:
             self.crash(self._crash_requests.pop(0))
 
     def _check_phase_crashes(self) -> None:
-        for spec in self.config.crashes:
-            if spec.at_phase is None or spec.process in self.crashed:
+        for spec in self.phase_crashes:
+            if spec.process in self.crashed:
                 continue
             client = self.world.clients.get(spec.process)
             ctx = getattr(client, "ctx", None)
@@ -502,11 +527,9 @@ class Simulation:
     # -- operations ---------------------------------------------------------
 
     def enqueue_invoke(self, pid: str) -> None:
-        self.seq += 1
-        self.pending[self.seq] = Delivery(
-            seq=self.seq, kind="invoke", created_step=self.step, payload={"pid": pid}
-        )
-        self.ready.append(self.seq)
+        self.seq = seq = self.seq + 1
+        self.pending[seq] = Delivery(seq, "invoke", self.step, payload={"pid": pid})
+        self.ready.append(seq)
 
     def take(self, seq: int) -> Delivery:
         """Remove a ready event from `pending` and `ready`, promoting the
@@ -515,7 +538,7 @@ class Simulation:
         delivery = self.pending.pop(seq)
         ready = self.ready
         del ready[bisect_left(ready, seq)]
-        if self.config.fifo and delivery.msg is not None:
+        if self.fifo and delivery.msg is not None:
             chan = self.channels[(delivery.msg.src, delivery.msg.dst)]
             head = chan.popleft()
             assert head == seq, "took a FIFO message that was not its channel's head"
@@ -554,32 +577,27 @@ class Simulation:
         self.events.append((self.step, ev, reason, msg))
 
     def dispatch(self, delivery: Delivery) -> None:
-        if delivery.kind == "invoke":
+        kind = delivery.kind
+        if kind == "deliver":
+            msg = delivery.msg
+            if msg.dst in self.crashed:
+                self.events.append((self.step, "drop", "destination-crashed", msg))
+                return
+            self.events.append((self.step, "deliver", None, msg))
+            self.processes[msg.dst].on_message(msg)
+        elif kind == "invoke":
             pid = delivery.payload["pid"]
             if pid in self.crashed:
                 return
             self.invoke_next(pid)
-        elif delivery.kind == "deliver":
-            msg = delivery.msg
-            if msg.dst in self.crashed:
-                self._trace_msg("drop", msg, "destination-crashed")
-                return
-            self._trace_msg("deliver", msg)
-            self.world.processes[msg.dst].on_message(msg)
         else:
-            raise HarnessError(f"cannot dispatch event kind {delivery.kind!r}")
-        self._check_phase_crashes()
-        self._run_crash_requests()
+            raise HarnessError(f"cannot dispatch event kind {kind!r}")
+        if self.phase_crashes:
+            self._check_phase_crashes()
+        if self._crash_requests:
+            self._run_crash_requests()
 
     # -- random-schedule loop -----------------------------------------------
-
-    def _choose(self) -> int | None:
-        ready = self.ready
-        if not ready:
-            return None
-        if self.step - self.pending[ready[0]].created_step >= self.config.fairness:
-            return ready[0]
-        return self.rng.choice(ready)
 
     def _fire_scheduled_faults(self) -> None:
         for spec in self.config.crashes:
@@ -594,15 +612,25 @@ class Simulation:
         for pid in sorted(self.queues):
             if self.queues[pid]:
                 self.enqueue_invoke(pid)
+        # ready and pending are only ever mutated in place, so these locals
+        # stay the live lists; nothing but this loop advances the step.
+        ready, pending = self.ready, self.pending
+        fairness, max_steps = self.config.fairness, self.config.max_steps
+        timed_faults = self.timed_faults
+        choice = self.rng.choice
+        step = self.step
         quiescent = False
-        while self.step < self.config.max_steps:
-            self._fire_scheduled_faults()
-            seq = self._choose()
-            if seq is None:
+        while step < max_steps:
+            if timed_faults:
+                self._fire_scheduled_faults()
+            if not ready:
                 quiescent = True
                 break
+            seq = ready[0]
+            if step - pending[seq].created_step < fairness:  # ready[0] is not overdue
+                seq = choice(ready)
             self.dispatch(self.take(seq))
-            self.step += 1
+            self.step = step = step + 1
         return self.finish(quiescent)
 
     # -- wrap-up ------------------------------------------------------------

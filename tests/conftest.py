@@ -19,7 +19,7 @@ class PortProbe:
         proc.port = Port(
             self.sent.append,
             lambda pid, note, **payload: self.notes.append((pid, note, payload)),
-            lambda channel, **entry: self.records.append((channel, entry)),
+            lambda channel, entry: self.records.append((channel, entry)),
         )
         return proc
 

@@ -155,6 +155,21 @@ def test_scenario_file_sets_any_scalar_config_field(tmp_path):
     assert (cfg["fairness"], cfg["max_steps"], cfg["writers"]) == (8, 5000, 1)
 
 
+@pytest.mark.parametrize("spec", [{"max_steps": 0}, {"max_steps": -1}, {"fairness": 0},
+                                  {"budget": 0}, {"budget": -5}])
+def test_scenario_file_with_a_schedule_limit_below_one_exits_with_config_error(
+        tmp_path, capsys, spec):
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", "--scenario-file", str(path), "--seeds", "0..2",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    (name, value), = spec.items()
+    assert captured.err == f"configuration error: {name} must be at least 1, got {value}\n"
+    assert "PASS" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
 def test_scenario_file_with_a_misspelt_key_exits_with_config_error(tmp_path, capsys):
     path = tmp_path / "typo.json"
     path.write_text(json.dumps({"fairness": 8, "wirters": 3}))

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from splitstore.faults import ByzSpec, ByzStrategy, CrashSpec
-from splitstore.net import Port
+from splitstore.net import MsgKind, Port, Process
 from splitstore.simnet import (
     AdversaryAction, Config, Match, Script, Simulation, build_world, run,
 )
@@ -37,6 +37,16 @@ def test_undersized_replica_group_needs_the_lower_bound_flag():
     with pytest.raises(ConfigError):
         Config(t=1, d=2).validate()
     Config(t=1, d=2, lower_bound=True).validate()
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("name", ["fairness", "max_steps", "budget"])
+def test_schedule_limits_below_one_are_config_errors(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be at least 1"):
+        Config(**{name: value}).validate()
+    with pytest.raises(ConfigError):
+        run(Config(**{name: value}))
+    Config(**{name: 1}).validate()
 
 
 def test_too_many_byzantine_replicas_is_a_config_error():
@@ -282,3 +292,34 @@ def test_every_message_and_note_passes_through_the_port(port_call_counts, mds_mo
         notes += events.count("note")
     assert sends > 0 and notes > 0
     assert port_call_counts == {"send": sends, "trace": notes}
+
+
+def test_delivered_messages_are_immutable():
+    sim = Simulation(build_world(Config(seed=1, ops=2, mds_mode="replicated")))
+    delivered = []
+    for proc in sim.world.processes.values():
+        def on_message(msg, handle=proc.on_message):
+            delivered.append(msg)
+            handle(msg)
+        proc.on_message = on_message
+    assert sim.run().quiescent
+    assert {msg.kind for msg in delivered} >= {MsgKind.WRITE, MsgKind.META_UPDATE}
+    for msg in delivered:
+        with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+            msg.dst = "elsewhere"
+        with pytest.raises(AttributeError):
+            msg.fields = {}
+        key = next(iter(msg.fields))
+        with pytest.raises(TypeError):
+            msg.fields[key] = None
+        with pytest.raises(TypeError):
+            del msg.fields[key]
+
+
+def test_a_sent_message_does_not_alias_the_senders_dict(probe):
+    proc = probe.attach(Process("p"))
+    fields = {"tag": 1}
+    proc.send(MsgKind.DIR_READ, "dir", **fields)
+    fields["tag"] = 2
+    msg, = probe.take_sent()
+    assert msg["tag"] == 1
