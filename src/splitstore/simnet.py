@@ -613,7 +613,7 @@ class Simulation:
             if self.queues[pid]:
                 self.enqueue_invoke(pid)
         # ready and pending are only ever mutated in place, so these locals
-        # stay the live lists; nothing but this loop advances the step.
+        # stay the live containers; nothing but this loop advances the step.
         ready, pending = self.ready, self.pending
         fairness, max_steps = self.config.fairness, self.config.max_steps
         timed_faults = self.timed_faults
