@@ -316,6 +316,28 @@ def test_delivered_messages_are_immutable():
             del msg.fields[key]
 
 
+def test_a_message_is_unhashable_and_indexes_its_fields(probe):
+    proc = probe.attach(Process("p"))
+    proc.send(MsgKind.DIR_READ, "dir", tag=7, index=None)
+    msg, = probe.take_sent()
+    # The fields mapping is unhashable, so a message is too: nothing may
+    # key a set or dict by message value.
+    with pytest.raises(TypeError):
+        hash(msg)
+    assert (msg.kind, msg.src, msg.dst) == (MsgKind.DIR_READ, "p", "dir")
+    assert msg["tag"] == 7
+    assert msg.get("tag") == 7
+    assert msg.get("index", "absent") is None
+    assert msg.get("missing") is None
+    assert msg.get("missing", "absent") == "absent"
+    # Indexing looks fields up by name; it never reads positional slots.
+    for slot in (0, 1, 3, -1):
+        with pytest.raises(KeyError):
+            msg[slot]
+    with pytest.raises(KeyError):
+        msg["kind"]
+
+
 def test_a_sent_message_does_not_alias_the_senders_dict(probe):
     proc = probe.attach(Process("p"))
     fields = {"tag": 1}

@@ -1,5 +1,6 @@
 import pytest
 
+from splitstore.net import render_field
 from splitstore.types import (
     NIL,
     TS_INIT,
@@ -7,6 +8,7 @@ from splitstore.types import (
     HarnessError,
     HashMode,
     Metadata,
+    TaggedValue,
     Timestamp,
     parse_value,
     render_value,
@@ -57,6 +59,77 @@ def test_value_render_round_trips_arbitrary_bytes():
 def test_metadata_render():
     md = Metadata(ts=Timestamp(2, 1), replicas=frozenset({3, 1}))
     assert md.render() == {"ts": "2:1", "replicas": [1, 3]}
+
+
+# The value-type contract. Set iteration order, dict order and therefore
+# traces depend on these hashes; `payload_token` and
+# `MetaReplica.final_state` depend on these reprs.
+
+VALUES = [
+    Timestamp(3, 2),
+    TaggedValue(ts=Timestamp(1, 1), val=b"v"),
+    TaggedValue(ts=TS_INIT, val=None),
+    Metadata(ts=Timestamp(2, 1), replicas=frozenset({3, 1})),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_hash_is_the_hash_of_the_field_tuple(value):
+    fields = tuple(getattr(value, name) for name in type(value).__annotations__)
+    assert len(fields) == 2
+    assert hash(value) == hash(fields)
+    assert value == type(value)(*fields)
+    assert hash(value) == hash(type(value)(*fields))
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_value_types_reject_attribute_assignment(value):
+    for name in type(value).__annotations__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+def test_sorted_orders_timestamps_by_num_then_cid():
+    stamps = [Timestamp(2, 1), Timestamp(1, 3), TS_INIT, Timestamp(1, 1), Timestamp(2, 0)]
+    assert sorted(stamps) == sorted(stamps, key=lambda ts: (ts.num, ts.cid))
+    assert sorted(stamps) == [
+        TS_INIT, Timestamp(1, 1), Timestamp(1, 3), Timestamp(2, 0), Timestamp(2, 1),
+    ]
+    assert max(stamps) == Timestamp(2, 1)
+
+
+def test_reprs_are_exact():
+    assert repr(Timestamp(1, 2)) == "Timestamp(num=1, cid=2)"
+    assert repr(Metadata(ts=Timestamp(1, 2), replicas=frozenset({4}))) == (
+        "Metadata(ts=Timestamp(num=1, cid=2), replicas=frozenset({4}))"
+    )
+    assert repr(TaggedValue(ts=TS_INIT, val=b"x")) == (
+        "TaggedValue(ts=Timestamp(num=0, cid=0), val=b'x')"
+    )
+    assert str(("hash", Timestamp(3, 1))) == "('hash', Timestamp(num=3, cid=1))"
+
+
+def test_initial_timestamp_is_truthy():
+    # OpRecord.render writes the timestamp only `if self.ts`.
+    assert TS_INIT
+    assert bool(Timestamp(0, NIL)) is True
+
+
+def test_render_field_renders_value_types_by_their_own_render():
+    ts = Timestamp(2, 1)
+    md = Metadata(ts=ts, replicas=frozenset({3, 1}))
+    tv = TaggedValue(ts=ts, val=b"v")
+    md_out = {"ts": "2:1", "replicas": [1, 3]}
+    tv_out = {"ts": "2:1", "val": "v"}
+    assert render_field(ts) == "2:1"
+    assert render_field(TS_INIT) == "0:nil"
+    assert render_field(md) == md_out
+    assert render_field(tv) == tv_out
+    assert render_field((ts, md, tv)) == ["2:1", md_out, tv_out]
+    assert render_field(((ts, md),)) == [["2:1", md_out]]
+    assert render_field(frozenset({ts, TS_INIT})) == ["0:nil", "2:1"]
+    assert render_field(frozenset({md})) == [md_out]
+    assert render_field(frozenset({tv})) == [tv_out]
 
 
 class TestDigestFacility:
