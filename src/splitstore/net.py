@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .types import Metadata, TaggedValue, Timestamp, render_value
 
@@ -41,8 +41,11 @@ class MsgKind(enum.Enum):
     META_ECHO = "META-ECHO"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """An immutable message. A tuple, so building one is a C call; its
+    ``fields`` mapping proxy keeps it unhashable, and ``msg[key]`` looks a
+    field up by name, never a tuple slot."""
+
     kind: MsgKind
     src: str
     dst: str
@@ -73,11 +76,9 @@ def render_field(value: Any) -> Any:
         return value
     if isinstance(value, bytes):
         return render_value(value)
-    if isinstance(value, Timestamp):
-        return value.render()
-    if isinstance(value, Metadata):
-        return value.render()
-    if isinstance(value, TaggedValue):
+    # The value types are tuples, so they must be matched before the
+    # tuple branch below renders them as lists.
+    if isinstance(value, (Timestamp, Metadata, TaggedValue)):
         return value.render()
     if isinstance(value, (frozenset, set)):
         return sorted(render_field(v) for v in value)

@@ -4,12 +4,21 @@ records, and the digest facility used to validate data replies.
 Values travel as ``bytes``. The absent value (a read that observed no
 completed write) is represented by ``None`` and rendered as ``null`` in
 JSON output.
+
+``Timestamp``, ``TaggedValue`` and ``Metadata`` are ``NamedTuple``s. Every
+replica, driver and reader hashes and compares them on every store, echo
+and report, and as tuples their hashing, equality, ordering and
+construction run in C. Their hashes are those of the frozen dataclasses
+they replace, which hashed the tuple of their fields, so set and dict
+orders (and with them traces) are unchanged; so are their reprs. The one
+looseness a tuple brings: a ``Timestamp`` equals, and orders against, the
+plain tuple ``(num, cid)``.
 """
 from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Client id that sorts below every real client id. Real ids are positive.
 NIL = 0
@@ -24,8 +33,7 @@ class HarnessError(Exception):
     misbehavior, which is reported through checker verdicts)."""
 
 
-@dataclass(frozen=True, order=True)
-class Timestamp:
+class Timestamp(NamedTuple):
     """Multi-writer timestamp: a counter paired with the writer id that
     produced it. Ordered lexicographically, counter first (the field order
     below is the comparison order)."""
@@ -58,8 +66,7 @@ class Timestamp:
 TS_INIT = Timestamp(0, NIL)
 
 
-@dataclass(frozen=True)
-class TaggedValue:
+class TaggedValue(NamedTuple):
     """A value labeled with the timestamp of the write that produced it."""
 
     ts: Timestamp
@@ -69,8 +76,7 @@ class TaggedValue:
         return {"ts": self.ts.render(), "val": render_value(self.val)}
 
 
-@dataclass(frozen=True)
-class Metadata:
+class Metadata(NamedTuple):
     """Directory record for the most recent write: its timestamp and the
     set of data replicas known to have acknowledged the value."""
 

@@ -305,7 +305,7 @@ def test_delivered_messages_are_immutable():
     assert sim.run().quiescent
     assert {msg.kind for msg in delivered} >= {MsgKind.WRITE, MsgKind.META_UPDATE}
     for msg in delivered:
-        with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+        with pytest.raises(AttributeError):  # a NamedTuple's fields are read-only
             msg.dst = "elsewhere"
         with pytest.raises(AttributeError):
             msg.fields = {}
