@@ -42,9 +42,9 @@ class MsgKind(enum.Enum):
 
 
 class Message(NamedTuple):
-    """An immutable message. A tuple, so building one is a C call; its
-    ``fields`` mapping proxy keeps it unhashable, and ``msg[key]`` looks a
-    field up by name, never a tuple slot."""
+    """An immutable message. As a tuple it is built by one tuple
+    allocation; its ``fields`` mapping proxy keeps it unhashable, and
+    ``msg[key]`` looks a field up by name, never a tuple slot."""
 
     kind: MsgKind
     src: str
@@ -58,9 +58,11 @@ class Message(NamedTuple):
         return self.fields[key]
 
     def render(self) -> dict:
-        out = {"kind": self.kind.value, "src": self.src, "dst": self.dst}
-        for key in sorted(self.fields):
-            out[key] = render_field(self.fields[key])
+        # One unpack: a tuple field read by name costs a descriptor call.
+        kind, src, dst, fields = self
+        out = {"kind": kind.value, "src": src, "dst": dst}
+        for key in sorted(fields):
+            out[key] = render_field(fields[key])
         return out
 
 
@@ -78,7 +80,11 @@ def render_field(value: Any) -> Any:
         return render_value(value)
     # The value types are tuples, so they must be matched before the
     # tuple branch below renders them as lists.
-    if isinstance(value, (Timestamp, Metadata, TaggedValue)):
+    if isinstance(value, Timestamp):
+        return value.render()
+    if isinstance(value, Metadata):
+        return value.render()
+    if isinstance(value, TaggedValue):
         return value.render()
     if isinstance(value, (frozenset, set)):
         return sorted(render_field(v) for v in value)

@@ -35,9 +35,9 @@ What one step costs. A message makes one hop: `Port.send` builds it and
 hands it to `Simulation._send`, which adds it to the pending set and
 records its send event. No other path puts a message on the network,
 which is what lets a class-level wrapper on `Port.send` see every one.
-A `Message` is a NamedTuple, so building it is one C-level tuple
-construction rather than a frozen dataclass's `__init__` with one
-`object.__setattr__` per field.
+A `Message` is a NamedTuple, so building it is one tuple allocation,
+not a frozen dataclass's `__init__` with one `object.__setattr__` per
+field.
 Fault checks run only when the config has faults: `Simulation.__init__`
 works out once whether there are at-step crashes or adversary actions
 (checked before each step) and at-phase crashes (checked after each

@@ -7,12 +7,12 @@ JSON output.
 
 ``Timestamp``, ``TaggedValue`` and ``Metadata`` are ``NamedTuple``s. Every
 replica, driver and reader hashes and compares them on every store, echo
-and report, and as tuples their hashing, equality, ordering and
-construction run in C. Their hashes are those of the frozen dataclasses
-they replace, which hashed the tuple of their fields, so set and dict
-orders (and with them traces) are unchanged; so are their reprs. The one
-looseness a tuple brings: a ``Timestamp`` equals, and orders against, the
-plain tuple ``(num, cid)``.
+and report; as tuples they hash, compare and order in C, and building one
+is a single tuple allocation. A frozen dataclass hashes the tuple of its
+fields, so these hashes are the ones the earlier dataclasses had, and set
+and dict orders (and with them traces) are unchanged; so are the reprs.
+The looseness a tuple brings: each type equals the plain tuple of its
+fields, so a ``Timestamp`` equals, and orders against, ``(num, cid)``.
 """
 from __future__ import annotations
 
