@@ -5,9 +5,12 @@ Both linearizability checks run one pipeline, `_linearize`, over a
 register's `_register_step`, or `_directory_step`, whose write rule is
 `mds_oracle.TimestampedStore.after_write`), how to read and name an op,
 and a timestamp witness. `_search` is the one exhaustive search, a
-Wing-Gong/Lowe depth-first search over orderings that tries each subset
-of the open writes (an open write may or may not have taken effect),
-prunes by real-time order and memoizes on the placed set and spec state.
+Wing-Gong/Lowe depth-first walk over orderings in which an open write
+is optional (it may or may not have taken effect): the walk is done once
+every complete op is placed. It prunes by real-time order, memoizes on
+the placed set and spec state, and keeps its own stack, so it runs on a
+history of any length. Two constants bound the checker: SMALL_LIMIT and
+the search's NODE_BUDGET.
 
 1. A history of at most `small_limit` ops is searched whole.
 2. Otherwise a witness order that replays through the spec and respects
@@ -19,11 +22,11 @@ prunes by real-time order and memoizes on the placed set and spec state.
    invoked (what superseded it); or the witness builder's own.
 4. The suspects are closed: every complete read brings in every write
    whose value equals its return, unless the read responded before that
-   write was invoked. A closed subset of at most FALLBACK_CAP ops that
-   the search rejects is a re-validated counterexample.
-5. Otherwise a history of at most FALLBACK_CAP ops is searched whole; a
-   larger one fails with the witness's reason. FALLBACK_CAP is the one
-   cap on what is searched after a witness fails.
+   write was invoked. A closed subset that the search rejects, whatever
+   its size, is a re-validated counterexample.
+5. Otherwise the whole history is searched, and its verdict is the
+   check's. Only NODE_BUDGET bounds either search; a search that runs
+   out of it fails the check.
 
 The closure is sound. Restrict any linearization S of the whole history
 to a closed subset X: real-time order carries over, and each open write
@@ -68,10 +71,10 @@ from .mds_oracle import TimestampedStore
 from .types import HarnessError, Timestamp, TS_INIT
 
 SMALL_LIMIT = 8  # histories this small skip the witness
-FALLBACK_CAP = 14  # largest history or closed suspect subset searched after a witness fails
-NODE_BUDGET = 500_000  # search nodes per search, over all open-write subsets
+NODE_BUDGET = 500_000  # search nodes per search
 
-# Compares below every Timestamp.key(): the prefix max of an empty set.
+# Compares below every Timestamp (a tuple whose first field is a counter):
+# the prefix max of an empty set.
 _BELOW_EVERY_TS = (float("-inf"),)
 
 
@@ -132,7 +135,7 @@ class _Spec:
 
     step: Callable[[Any, Any], Any]  # sequential spec: next state, or None if rejected
     init: Any  # the spec's initial state
-    order_key: Callable[[Any], Any]  # the order `_search` tries ops in
+    order_key: Callable[[Any], Any]  # the order `_search` tries ops in: invoke first
     is_write: Callable[[Any], bool]
     value: Callable[[Any], Any]  # the state a read observes or a write would install
     name: Callable[[Any], Any]  # how counterexamples and details name an op
@@ -143,57 +146,67 @@ class _Spec:
 
 
 def _search(ops: list, spec: _Spec) -> tuple[list | None, bool]:
-    """Wing-Gong/Lowe search for a linearization of the complete ``ops``
-    plus each subset of the incomplete ones, which are open writes. Each
-    subset's ops are tried in ``spec.order_key`` order, an op only when no
-    unplaced op responded before it was invoked and ``spec.step`` accepts
-    it, and the walk is memoized on the placed set and the spec state. All
-    subsets share one budget of NODE_BUDGET nodes.
+    """Wing-Gong/Lowe search for a linearization of ``ops``: one walk over
+    orderings in which an open write (an incomplete op) is optional, so a
+    node is a solution once every complete op is placed. Ops are tried in
+    ``spec.order_key`` order, an op only when no unplaced op responded
+    before it was invoked and ``spec.step`` accepts it, and the walk is
+    memoized on the placed set and the spec state. It visits at most
+    NODE_BUDGET nodes.
 
     The real-time rule is one comparison per candidate: each node takes
     the earliest response among its unplaced ops, its horizon, and allows
     an op iff it was invoked at or before the horizon. The candidate's own
     response is in the minimum, which is harmless because no op responds
-    before it is invoked.
+    before it is invoked. Both specs order by invoke first, so a node's
+    scans start at its first unplaced op; the horizon's scan ends at the
+    first op invoked at or after the running minimum (no later op can
+    respond earlier), and the candidates end at the first op invoked
+    after the horizon.
+
+    The walk keeps its own stack, so no history is too deep for it: a
+    frame is [placed, state, horizon, next candidate], and ``path`` holds
+    the ops placed on the way to the top frame's node.
 
     Returns the accepted order (or None) and whether the budget ran out."""
-    complete = [o for o in ops if o.complete]
-    open_writes = [o for o in ops if not o.complete]
+    ordered = sorted(ops, key=spec.order_key)
+    resp = [o.response if o.response is not None else float("inf") for o in ordered]
+    need = sum(1 << i for i, o in enumerate(ordered) if o.complete)
     left = NODE_BUDGET
-    for mask in range(1 << len(open_writes)):
-        included = [w for i, w in enumerate(open_writes) if mask >> i & 1]
-        ordered = sorted(complete + included, key=spec.order_key)
-        resp = [o.response if o.response is not None else float("inf") for o in ordered]
-        seen: set[tuple[int, Any]] = set()
-
-        def walk(placed: int, state: Any, path: list) -> list | None:
-            nonlocal left
-            if len(path) == len(ordered):
-                return path
-            left -= 1
-            if left < 0:
-                return None
-            if (placed, state) in seen:
-                return None
+    seen: set[tuple[int, Any]] = set()
+    frames: list[list] = []
+    path: list = []
+    placed, state = 0, spec.init
+    while True:
+        if placed & need == need:
+            return path, False
+        left -= 1
+        if left >= 0 and (placed, state) not in seen:
             seen.add((placed, state))
-            horizon = min(r for j, r in enumerate(resp) if not placed >> j & 1)
-            for i, op in enumerate(ordered):
-                if placed >> i & 1 or op.invoke > horizon:
-                    continue
-                after = spec.step(state, op)
-                if after is None:
-                    continue
-                found = walk(placed | 1 << i, after, path + [op])
-                if found is not None:
-                    return found
-            return None
-
-        order = walk(0, spec.init, [])
-        if order is not None:
-            return order, False
-        if left < 0:
-            return None, True
-    return None, False
+            first = ((placed + 1) & ~placed).bit_length() - 1  # the first unplaced op
+            horizon = float("inf")
+            for j in range(first, len(ordered)):
+                if ordered[j].invoke >= horizon:
+                    break
+                if not placed >> j & 1 and resp[j] < horizon:
+                    horizon = resp[j]
+            frames.append([placed, state, horizon, first])
+        after = None
+        while frames and after is None:
+            frame = frames[-1]
+            placed, state, horizon, i = frame
+            del path[len(frames) - 1:]
+            while after is None and i < len(ordered) and ordered[i].invoke <= horizon:
+                op = ordered[i]
+                after = None if placed >> i & 1 else spec.step(state, op)
+                i += 1
+            frame[3] = i
+            if after is None:
+                frames.pop()
+        if after is None:
+            return None, left < 0
+        path.append(op)
+        placed, state = placed | 1 << i - 1, after
 
 
 # -- real-time precedence ------------------------------------------------------
@@ -230,13 +243,13 @@ def _real_time_violation(order: Sequence[Any]) -> tuple[Any, Any] | None:
 
 def _max_ts_before(ops: Iterable[Any]) -> Callable[[int], tuple]:
     """Index the complete ``ops`` for precedence queries: the returned
-    function maps a step ``s`` to the largest ``ts.key()`` of any op whose
+    function maps a step ``s`` to the largest timestamp of any op whose
     response is strictly before ``s`` (real-time precedence is strict, so
     an op that responds at the step another is invoked does not precede
     it), or to ``_BELOW_EVERY_TS`` when none did."""
     done = sorted((o for o in ops if o.response is not None), key=lambda o: o.response)
     responses = [o.response for o in done]
-    prefix_max = [_BELOW_EVERY_TS] + list(accumulate((o.ts.key() for o in done), max))
+    prefix_max = [_BELOW_EVERY_TS] + list(accumulate((o.ts for o in done), max))
 
     def query(step: int) -> tuple:
         return prefix_max[bisect_left(responses, step)]
@@ -268,7 +281,7 @@ def _mismatch_suspects(ops: list, prefix: list, state: Any, read: Any, spec: _Sp
         if spec.is_write(write) and spec.value(write) == spec.value(read):
             earlier = [o for o in ops if o.complete and o.response < write.invoke]
             if earlier:
-                suspects.append(max(earlier, key=lambda o: o.ts.key()))
+                suspects.append(max(earlier, key=lambda o: o.ts))
     return suspects
 
 
@@ -313,16 +326,14 @@ def _linearize(ops: list, small_limit: int, spec: _Spec) -> tuple:
             suspects = [a, b]
 
     subset = _closure(ops, suspects, spec)
-    if subset and len(subset) <= FALLBACK_CAP:
+    if subset:
         found, out_of_budget = _search(subset, spec)
         if found is None and not out_of_budget:
             return failed(f"{reason}; counterexample re-validated exhaustively", subset)
-    if len(ops) <= FALLBACK_CAP:
-        order, detail, counterexample = exhaustive()
-        if order is not None:
-            detail = f"witness failed ({reason}); exhaustive fallback passed"
-        return order, detail, counterexample
-    return failed(f"{reason}; history too large to re-validate", subset or ops)
+    order, detail, counterexample = exhaustive()
+    if order is not None:
+        detail = f"witness failed ({reason}); exhaustive fallback passed"
+    return order, detail, counterexample
 
 
 # -- register checking ---------------------------------------------------------
@@ -370,7 +381,7 @@ def _register_witness(ops: list[OpRecord]) -> tuple[list | None, str, list]:
         included.setdefault(write.op_id, write)  # an open write that took effect
 
     def position(o: OpRecord) -> tuple:
-        ts_key = _BELOW_EVERY_TS if o.kind == "READ" and o.ret is None else o.ts.key()
+        ts_key = _BELOW_EVERY_TS if o.kind == "READ" and o.ret is None else o.ts
         return ts_key, o.kind == "READ", o.invoke, o.op_id
 
     return sorted(bot_reads + val_reads + list(included.values()), key=position), "", []
@@ -471,16 +482,16 @@ def _directory_witness(ops: list[DirOpRecord]) -> tuple[list, str, list]:
     max_ts_before = _max_ts_before(complete)
     for op in complete:
         if op.op == "tswrite":
-            if max_ts_before(op.invoke) > op.ts.key():  # superseded
+            if max_ts_before(op.invoke) > op.ts:  # superseded
                 noop_writes.append(op)
             else:
-                entries.append(((op.ts.key(), 0, op.invoke), op))
+                entries.append(((op.ts, 0, op.invoke), op))
         else:
-            entries.append(((op.ts.key(), 1, op.invoke), op))
+            entries.append(((op.ts, 1, op.invoke), op))
     read_backed = {(o.ts, o.md) for o in complete if o.op == "tsread"}
     for op in ops:
         if not op.complete and (op.ts, op.md) in read_backed:
-            entries.append(((op.ts.key(), 0, op.invoke), op))
+            entries.append(((op.ts, 0, op.invoke), op))
     entries.sort(key=lambda e: e[0])
     return _insert_superseded([op for _, op in entries], noop_writes), "", []
 
@@ -553,7 +564,7 @@ def lemma_directory_monotone(dir_ops: Sequence[DirOpRecord]) -> CheckResult:
     ops = [o for o in dir_ops if o.op in ("tsread", "tswrite") and o.complete]
     max_ts_before = _max_ts_before(ops)
     failures = []
-    if any(b.op == "tsread" and max_ts_before(b.invoke) > b.ts.key() for b in ops):
+    if any(b.op == "tsread" and max_ts_before(b.invoke) > b.ts for b in ops):
         for a in ops:
             for b in ops:
                 if b.op != "tsread" or a.response >= b.invoke:
@@ -588,7 +599,7 @@ def lemma_timestamp_order(history: Sequence[OpRecord]) -> CheckResult:
 
     def overtaken(b: OpRecord) -> bool:
         before = max_ts_before(b.invoke)
-        return before >= b.ts.key() if b.kind == "WRITE" else before > b.ts.key()
+        return before >= b.ts if b.kind == "WRITE" else before > b.ts
 
     failures = []
     if any(overtaken(b) for b in annotated):

@@ -66,7 +66,7 @@ def payload_token(payload: Any) -> str:
 
 
 def pair_sort_key(pair: Pair) -> tuple:
-    return (pair.key.key(), payload_token(pair.payload))
+    return (pair.key, payload_token(pair.payload))
 
 
 class PairOrder(dict):

@@ -74,6 +74,6 @@ class DataReplica(Process):
         return {
             "committed": self.committed,
             "data": [
-                {"ts": t, "val": v} for t, v in sorted(self.data.items(), key=lambda kv: kv[0].key())
+                {"ts": t, "val": v} for t, v in sorted(self.data.items(), key=lambda kv: kv[0])
             ],
         }

@@ -41,9 +41,6 @@ class Timestamp(NamedTuple):
     num: int
     cid: int
 
-    def key(self) -> tuple[int, int]:
-        return (self.num, self.cid)
-
     def next_for(self, cid: int) -> "Timestamp":
         """The timestamp a writer with id ``cid`` produces after reading
         this one: counter bumped by one, writer id replaced."""

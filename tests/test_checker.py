@@ -6,7 +6,6 @@ import pytest
 
 from splitstore import checker
 from splitstore.checker import (
-    FALLBACK_CAP,
     SMALL_LIMIT,
     _BELOW_EVERY_TS,
     _insert_superseded,
@@ -164,10 +163,13 @@ def test_a_failing_suspect_pair_does_not_convict_a_repeated_value():
     res = check_register_linearizable(hist, small_limit=3)
     assert res.passed, res.detail
     assert res.detail.endswith("exhaustive fallback passed")
+    # ten ops take the witness path, and the whole-history search clears them
     padded = hist + [R(5 + i, "r1", b"a", 80 + 20 * i, 90 + 20 * i, 3, 1) for i in range(6)]
-    assert SMALL_LIMIT < len(padded) <= FALLBACK_CAP
+    assert len(padded) == 10 > SMALL_LIMIT
     assert check_register_exhaustive(padded).passed
-    assert check_register_linearizable(padded).passed
+    res = check_register_linearizable(padded)
+    assert res.passed, res.detail
+    assert res.detail.endswith("exhaustive fallback passed")
 
 
 def on_two_values(hist):
@@ -335,23 +337,26 @@ def test_exhausted_node_budget_fails_the_check(monkeypatch):
 def test_superseded_write_read_back_is_confirmed_on_a_subset():
     # w2's record completes before w1's older one is invoked, so w1's write
     # never takes effect, yet a read concurrent with w1 returns its record.
-    # Later reads pad the history past FALLBACK_CAP, so only a re-validated
-    # subset can back the verdict.
+    # Later reads pad the history to 15 ops; the verdict must still name
+    # the re-validated three-op subset, not the whole history.
     ops = [
         DW(1, "w2", 0, 5, 1, 2),
         DW(1, "w1", 10, 20, 1, 1),
         DR(1, "r1", 12, 18, 1, 1),
     ]
     ops += [DR(tag, "r2", 20 + 10 * tag, 25 + 10 * tag, 1, 2) for tag in range(1, 13)]
-    assert len(ops) > FALLBACK_CAP
+    assert len(ops) == 15
     res = check_directory_linearizable(ops)
     assert res.passed is False
     assert res.detail.endswith("counterexample re-validated exhaustively"), res.detail
     assert res.counterexample == [["r1", 1], ["w1", 1], ["w2", 1]]
 
 
+WINDOW = 14  # largest directory_slices window: small_limit=WINDOW searches one whole
+
+
 def directory_slices(rng, count):
-    """Windows of at most FALLBACK_CAP directory ops cut from random_config
+    """Windows of at most WINDOW directory ops cut from random_config
     runs. Some tsreads are made stale (they return an earlier write's
     record, or the initial state), and some tswrites that end their
     process's part of the window lose their response, so open writes
@@ -363,7 +368,7 @@ def directory_slices(rng, count):
     for _ in range(count):
         ops = rng.choice(runs)
         start = rng.randrange(len(ops))
-        window = [copy.copy(o) for o in ops[start:start + rng.randint(3, FALLBACK_CAP)]]
+        window = [copy.copy(o) for o in ops[start:start + rng.randint(3, WINDOW)]]
         writes = [o for o in window if o.op == "tswrite"]
         for read in [o for o in window if o.op == "tsread"]:
             if rng.random() < 0.15:
@@ -380,7 +385,7 @@ def test_directory_witness_agrees_with_exhaustive_search():
     rng = random.Random("directory-witness-vs-exhaustive")
     seen = {"pass": 0, "fail": 0, "witness passed": 0, "witness included an open write": 0}
     for ops in directory_slices(rng, 1000):
-        full = check_directory_linearizable(ops, small_limit=FALLBACK_CAP)
+        full = check_directory_linearizable(ops, small_limit=WINDOW)
         assert full.detail.startswith("exhaustive"), full.detail
         ladder = check_directory_linearizable(ops, small_limit=0)
         assert ladder.passed == full.passed, [o.render() for o in ops]
@@ -392,7 +397,7 @@ def test_directory_witness_agrees_with_exhaustive_search():
             # the open writes were needed when the history fails without them
             closed = [o for o in ops if o.complete or o.op != "tswrite"]
             seen["witness included an open write"] += not check_directory_linearizable(
-                closed, small_limit=FALLBACK_CAP
+                closed, small_limit=WINDOW
             ).passed
     assert min(seen.values()) >= 50, seen
 
@@ -510,7 +515,7 @@ def test_random_history_generator_is_deterministic():
 
 
 def ref_max_ts_before(ops, step):
-    keys = [o.ts.key() for o in ops if o.response is not None and o.response < step]
+    keys = [o.ts for o in ops if o.response is not None and o.response < step]
     return max(keys, default=None)
 
 
@@ -631,7 +636,7 @@ def test_fast_precedence_checks_match_pairwise_references():
         assert got.render() == ref_timestamp_order(hist).render()
         seen["ts-order-fail"] += got.passed is False
 
-        order = sorted(annotated, key=lambda o: (o.ts.key(), o.op_id))
+        order = sorted(annotated, key=lambda o: (o.ts, o.op_id))
         assert _respects_real_time(order) == ref_respects_real_time(order)
         assert _real_time_violation(order) == ref_real_time_violation(order)
         seen["real-time-ok" if ref_respects_real_time(order) else "real-time-fail"] += 1
@@ -643,7 +648,7 @@ def test_fast_precedence_checks_match_pairwise_references():
 
         writes = [o for o in dir_ops if o.op == "tswrite" and o.complete]
         noops = rng.sample(writes, rng.randint(0, len(writes)))
-        rest = sorted((o for o in dir_ops if o not in noops), key=lambda o: (o.ts.key(), o.tag))
+        rest = sorted((o for o in dir_ops if o not in noops), key=lambda o: (o.ts, o.tag))
         assert _insert_superseded(rest, noops) == ref_insert_superseded(rest, noops)
         seen["superseded"] += len(noops) > 1
     # the generator must exercise both outcomes of every check, and ties
@@ -659,7 +664,7 @@ def test_fast_precedence_checks_match_references_on_mutated_large_runs():
         read.ts = Timestamp(read.ts.num - 3, read.ts.cid)
         got = lemma_timestamp_order(result.history)
         assert got.render() == ref_timestamp_order(result.history).render()
-        order = sorted(result.history, key=lambda o: (o.ts.key(), o.op_id))
+        order = sorted(result.history, key=lambda o: (o.ts, o.op_id))
         assert _real_time_violation(order) == ref_real_time_violation(order)
         failed += got.passed is False
         read.ts = saved
@@ -681,8 +686,44 @@ def test_fast_precedence_checks_match_references_on_mutated_large_runs():
 
 
 def ref_search(ops, spec, budget):
-    """`_search` with the real-time rule as a pairwise scan: a candidate is
-    blocked when any other unplaced op responded before it was invoked."""
+    """`_search` as a recursive walk with the real-time rule as a pairwise
+    scan: a candidate is blocked when any other unplaced op responded
+    before it was invoked. Open writes are optional, so a node is a
+    solution once every complete op is placed."""
+    ordered = sorted(ops, key=spec.order_key)
+    resp = [o.response if o.response is not None else float("inf") for o in ordered]
+    need = sum(1 << i for i, o in enumerate(ordered) if o.complete)
+    left = budget
+    seen = set()
+
+    def walk(placed, state, path):
+        nonlocal left
+        if placed & need == need:
+            return path
+        left -= 1
+        if left < 0 or (placed, state) in seen:
+            return None
+        seen.add((placed, state))
+        for i, op in enumerate(ordered):
+            if placed >> i & 1:
+                continue
+            if any(resp[j] < op.invoke for j in range(len(ordered))
+                   if j != i and not placed >> j & 1):
+                continue
+            after = spec.step(state, op)
+            if after is not None:
+                found = walk(placed | 1 << i, after, path + [op])
+                if found is not None:
+                    return found
+        return None
+
+    order = walk(0, spec.init, [])
+    return order, order is None and left < 0
+
+
+def ref_subset_search(ops, spec, budget):
+    """The earlier search: one walk per subset of the open writes, each
+    subset re-sorted and memoized on its own, all sharing one budget."""
     complete = [o for o in ops if o.complete]
     open_writes = [o for o in ops if not o.complete]
     left = budget
@@ -700,11 +741,9 @@ def ref_search(ops, spec, budget):
             if left < 0 or (placed, state) in seen:
                 return None
             seen.add((placed, state))
+            horizon = min(r for j, r in enumerate(resp) if not placed >> j & 1)
             for i, op in enumerate(ordered):
-                if placed >> i & 1:
-                    continue
-                if any(resp[j] < op.invoke for j in range(len(ordered))
-                       if j != i and not placed >> j & 1):
+                if placed >> i & 1 or op.invoke > horizon:
                     continue
                 after = spec.step(state, op)
                 if after is not None:
@@ -759,3 +798,67 @@ def test_search_horizon_matches_the_pairwise_real_time_rule(monkeypatch):
         responses = {o.response for o in register}
         seen["ties"] += any(o.invoke in responses for o in register)
     assert min(seen.values()) > 100, seen
+
+
+def replays(order, ops, spec):
+    """``order`` places every complete op of ``ops`` and any of its open
+    writes once each, the spec accepts it, and it respects real time."""
+    assert len({id(o) for o in order}) == len(order)
+    assert {id(o) for o in ops if o.complete} <= {id(o) for o in order} <= {id(o) for o in ops}
+    state = spec.init
+    for op in order:
+        state = spec.step(state, op)
+        if state is None:
+            return False
+    return _respects_real_time(order)
+
+
+def test_one_walk_agrees_with_the_open_write_subset_loop():
+    """Open writes as optional ops in one walk decide every history the
+    way one walk per subset of them did, and every order it returns is a
+    linearization."""
+    rng = random.Random("one-walk-vs-subsets")
+    cases = []
+    for _ in range(800):
+        cases.extend(zip(searchable_histories(rng), (checker._REGISTER, checker._DIRECTORY)))
+    for _ in range(800):
+        cases.append((random_history(rng, max_ops=8), checker._REGISTER))
+        cases.append((on_two_values(random_history(rng, max_ops=8)), checker._REGISTER))
+    seen = Counter()
+    for ops, spec in cases:
+        if spec is checker._REGISTER:
+            ops = [o for o in ops if o.complete or o.kind == "WRITE"]
+        order, out_of_budget = checker._search(ops, spec)
+        expected, _ = ref_subset_search(ops, spec, checker.NODE_BUDGET)
+        assert not out_of_budget
+        assert (order is None) == (expected is None), [o.render() for o in ops]
+        if order is not None:
+            assert replays(order, ops, spec), [o.render() for o in ops]
+            seen["open write placed"] += any(not o.complete for o in order)
+            seen["open write dropped"] += len(order) < len(ops)
+        seen["found" if order is not None else "none"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_a_long_sequential_history_is_decided_exactly(monkeypatch):
+    """1,500 sequential ops, one read's timestamp lowered by 2 so the
+    witness fails while the value read stays right. The history is
+    linearizable, and the walk, which keeps its own stack, visits one
+    node per op on the way to proving it."""
+    hist = []
+    t = 0
+    for i in range(1, 751):
+        val = b"ab"[i % 2:i % 2 + 1]
+        hist.append(W(2 * i - 1, "w1", val, t, t + 5, i, 1))
+        hist.append(R(2 * i, "r1", val, t + 10, t + 15, i, 1))
+        t += 20
+    read = hist[751]
+    read.ts = read.md_ts = Timestamp(read.ts.num - 2, read.ts.cid)
+    assert len(hist) == 1500
+    monkeypatch.setattr(checker, "NODE_BUDGET", len(hist))
+    res = check_register_linearizable(hist)
+    assert res.passed, res.detail
+    assert res.detail.startswith("witness failed (witness places op")
+    assert res.detail.endswith("; exhaustive fallback passed")
+    assert res.witness == list(range(1, 1501))
+    assert check_register_exhaustive(hist).passed
