@@ -14,7 +14,10 @@ the search's NODE_BUDGET.
 
 1. A history of at most `small_limit` ops is searched whole.
 2. Otherwise a witness order that replays through the spec and respects
-   real-time order proves linearizability outright.
+   real-time order proves linearizability outright. The directory's
+   witness leaves out the writes a completed op had already superseded
+   when they were invoked: each is a no-op at a slot real-time order
+   always leaves for it (see `_directory_witness`).
 3. A failed witness is never trusted. Its suspects are the pair that
    breaks real-time order; or the read the replay rejects, the write that
    set the state it met and, for each write of the read's value, the
@@ -49,13 +52,14 @@ collision resistance) directly from annotations.
 Real-time and precedence checks certify fast and explain exactly. Op a
 precedes op b in real time when a.response < b.invoke, strictly: an op
 that responds at the step another is invoked at is concurrent with it.
-To certify, `_max_ts_before` sorts complete ops by response and keeps a
+`_real_time_violation` checks a witness order with one forward scan that
+keeps the latest invoke so far, and names the first violating pair
+directly. `_max_ts_before` sorts complete ops by response and keeps a
 running max of timestamps, so one bisect on an invoke step gives the
-largest timestamp of any op that preceded it; `_respects_real_time`
-checks a witness order with one reverse scan. Both are O(n log n) at
-most. Only when one of them finds a violation does a pairwise scan run
-to name the violating pairs, so quadratic work is spent only on failing
-histories.
+largest timestamp of any op that preceded it. `_precedence_failures`,
+which both precedence lemmas use, certifies with it in O(n log n), and
+only when it finds a violation does a pairwise scan run to name every
+violating pair, so quadratic work is spent only on failing histories.
 """
 from __future__ import annotations
 
@@ -212,32 +216,18 @@ def _search(ops: list, spec: _Spec) -> tuple[list | None, bool]:
 # -- real-time precedence ------------------------------------------------------
 
 
-def _respects_real_time(order: Sequence[Any]) -> bool:
-    """True when no op in ``order`` responded strictly before an op placed
-    ahead of it was invoked. One reverse scan keeps the earliest response
-    among the ops placed after the current one."""
-    earliest_later = float("inf")
-    for op in reversed(order):
-        if earliest_later < op.invoke:
-            return False
-        if op.response is not None and op.response < earliest_later:
-            earliest_later = op.response
-    return True
-
-
 def _real_time_violation(order: Sequence[Any]) -> tuple[Any, Any] | None:
     """The first pair (a, b), in position order, where ``a`` responded
     strictly before ``b`` was invoked yet is placed after it, or None.
-    The pairwise scan that names the pair runs only once the linear
-    check has found that one exists."""
-    if _respects_real_time(order):
-        return None
+    One forward scan keeps the latest invoke placed so far: ``a`` is the
+    first op that responded before it, and ``b`` the first op placed
+    ahead of ``a`` that was invoked after ``a`` responded."""
+    latest_invoke = float("-inf")
     for i, a in enumerate(order):
-        if a.response is None:
-            continue
-        for b in order[:i]:
-            if a.response < b.invoke:
-                return a, b
+        if a.response is not None and a.response < latest_invoke:
+            return a, next(b for b in order[:i] if a.response < b.invoke)
+        if a.invoke > latest_invoke:
+            latest_invoke = a.invoke
     return None
 
 
@@ -255,6 +245,22 @@ def _max_ts_before(ops: Iterable[Any]) -> Callable[[int], tuple]:
         return prefix_max[bisect_left(responses, step)]
 
     return query
+
+
+def _precedence_failures(
+    ops: list, fails: Callable[[Any, Any], bool], name: Callable[[Any], Any]
+) -> list:
+    """``[name(a), name(b)]`` for each pair of the complete ``ops`` where
+    ``a`` responded strictly before ``b`` was invoked and ``fails(a.ts,
+    b)``, a-outer, b-inner. ``fails`` must be monotone in ``ts`` (true for
+    a timestamp, true for any larger one), so testing each ``b`` against
+    the largest timestamp that preceded it decides whether any pair fails,
+    and the pairwise scan runs only when one does."""
+    max_ts_before = _max_ts_before(ops)
+    if not any(fails(max_ts_before(b.invoke), b) for b in ops):
+        return []
+    return [[name(a), name(b)] for a in ops for b in ops
+            if a.response < b.invoke and fails(a.ts, b)]
 
 
 # -- the witness-then-confirm pipeline ---------------------------------------
@@ -432,68 +438,37 @@ def _directory_step(state: tuple, op: DirOpRecord) -> tuple | None:
     return TimestampedStore.after_write(state, op.ts, op.md)
 
 
-def _insert_superseded(
-    order: list[DirOpRecord], noop_writes: Sequence[DirOpRecord]
-) -> list[DirOpRecord]:
-    """Insert each superseded write, in (invoke, proc) order, right after
-    the last op already placed that responded strictly before the write
-    was invoked, or at the front when none did.
-
-    The writes go into gaps: the gap after entry i of ``order`` holds the
-    writes whose last earlier-responding entry is i. Invokes only grow, so
-    that index only grows too, and one walk over the entries sorted by
-    response finds it. A write placed in a lower gap lies before that
-    entry and cannot be the last op to respond first, so each insert scans
-    only its own gap."""
-    by_response = sorted(
-        (i for i, op in enumerate(order) if op.response is not None),
-        key=lambda i: order[i].response,
-    )
-    gaps: dict[int, list[DirOpRecord]] = {}  # entry index -> writes after it
-    last = -1
-    k = 0
-    for noop in sorted(noop_writes, key=lambda o: (o.invoke, o.proc)):
-        while k < len(by_response) and order[by_response[k]].response < noop.invoke:
-            last = max(last, by_response[k])
-            k += 1
-        gap = gaps.setdefault(last, [])
-        slot = 0
-        for i, placed in enumerate(gap):
-            if placed.response < noop.invoke:
-                slot = i + 1
-        gap.insert(slot, noop)
-    merged = list(gaps.get(-1, ()))
-    for i, op in enumerate(order):
-        merged.append(op)
-        merged.extend(gaps.get(i, ()))
-    return merged
-
-
 def _directory_witness(ops: list[DirOpRecord]) -> tuple[list, str, list]:
     """Writes in timestamp order, each read right after the write whose
-    (ts, payload) it observed; initial-state reads first. A write already
-    superseded when it was invoked (a completed op had observed a larger
-    timestamp) never takes effect, so it goes to its earliest
-    real-time-consistent slot instead. An open write is placed only when a
-    read returned its record."""
+    (ts, payload) it observed; initial-state reads first. An open write is
+    placed only when a read returned its record.
+
+    A complete write W that a completed op had superseded when W was
+    invoked is left out, and the order still proves the whole history
+    linearizable. Let A be the op of largest timestamp that responded
+    before W was invoked. An op that superseded A would also have done so
+    before W was invoked, with a larger timestamp than A's, so A is not
+    superseded and is in the order. Directory state never decreases,
+    so at any slot after A it is at least A.ts > W.ts, and W is a no-op
+    there. Every op that responded before W was invoked precedes, in real
+    time, every op invoked after W responded, so an order that respects
+    real time has a slot after all of the former (A among them) and
+    before all of the latter, and W fits there without changing a state.
+    `check_directory_linearizable` renders no witness, so no verdict byte
+    depends on where W would go."""
     complete = [o for o in ops if o.complete]
-    entries = []
-    noop_writes = []
     max_ts_before = _max_ts_before(complete)
-    for op in complete:
-        if op.op == "tswrite":
-            if max_ts_before(op.invoke) > op.ts:  # superseded
-                noop_writes.append(op)
-            else:
-                entries.append(((op.ts, 0, op.invoke), op))
-        else:
-            entries.append(((op.ts, 1, op.invoke), op))
+    entries = [
+        ((op.ts, op.op == "tsread", op.invoke), op)
+        for op in complete
+        if op.op == "tsread" or max_ts_before(op.invoke) <= op.ts  # not superseded
+    ]
     read_backed = {(o.ts, o.md) for o in complete if o.op == "tsread"}
     for op in ops:
         if not op.complete and (op.ts, op.md) in read_backed:
-            entries.append(((op.ts, 0, op.invoke), op))
+            entries.append(((op.ts, False, op.invoke), op))
     entries.sort(key=lambda e: e[0])
-    return _insert_superseded([op for _, op in entries], noop_writes), "", []
+    return [op for _, op in entries], "", []
 
 
 _DIRECTORY = _Spec(
@@ -562,15 +537,9 @@ def lemma_directory_monotone(dir_ops: Sequence[DirOpRecord]) -> CheckResult:
     """A directory read that starts after another directory operation
     completed never returns a smaller timestamp."""
     ops = [o for o in dir_ops if o.op in ("tsread", "tswrite") and o.complete]
-    max_ts_before = _max_ts_before(ops)
-    failures = []
-    if any(b.op == "tsread" and max_ts_before(b.invoke) > b.ts for b in ops):
-        for a in ops:
-            for b in ops:
-                if b.op != "tsread" or a.response >= b.invoke:
-                    continue
-                if b.ts < a.ts:
-                    failures.append([_dir_name(a), _dir_name(b)])
+    failures = _precedence_failures(
+        ops, lambda ts, b: b.op == "tsread" and b.ts < ts, _dir_name
+    )
     return _lemma("directory-monotone", failures, f"{len(ops)} directory ops checked")
 
 
@@ -595,23 +564,11 @@ def lemma_timestamp_order(history: Sequence[OpRecord]) -> CheckResult:
     """Real-time precedence never decreases operation timestamps, and a
     later write's timestamp strictly grows."""
     annotated = [o for o in history if o.complete and o.ts is not None]
-    max_ts_before = _max_ts_before(annotated)
 
-    def overtaken(b: OpRecord) -> bool:
-        before = max_ts_before(b.invoke)
-        return before >= b.ts if b.kind == "WRITE" else before > b.ts
+    def overtaken(ts: tuple, b: OpRecord) -> bool:
+        return ts >= b.ts if b.kind == "WRITE" else ts > b.ts
 
-    failures = []
-    if any(overtaken(b) for b in annotated):
-        for a in annotated:
-            for b in annotated:
-                if a.response >= b.invoke:
-                    continue
-                if b.kind == "WRITE":
-                    if not a.ts < b.ts:
-                        failures.append([a.op_id, b.op_id])
-                elif not a.ts <= b.ts:
-                    failures.append([a.op_id, b.op_id])
+    failures = _precedence_failures(annotated, overtaken, lambda o: o.op_id)
     return _lemma("timestamp-order", failures, f"{len(annotated)} annotated ops checked")
 
 
@@ -676,7 +633,7 @@ def check_run(result: Any) -> Verdict:
         lemma_value_integrity(
             result.history,
             result.config.client_ids(),
-            result.config.hash_mode.value != "forgeable",
+            result.config.hash_mode.collision_resistant(),
         )
     )
     return verdict

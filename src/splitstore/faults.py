@@ -165,7 +165,7 @@ class ByzMetaReplica(MetaReplica):
         tag = msg["tag"]
         if strat is ByzStrategy.STALE_CONCURRENT:
             self.listeners[(msg.src, tag)] = scope
-            regs = [("dir", cid) for cid in self.writer_cids] if scope == "dir" else [scope]
+            regs = self._scope_registers(scope)
             updates = tuple(
                 {"reg": reg, "pairs": (), "current": TS_INIT} for reg in regs
             )
@@ -175,7 +175,7 @@ class ByzMetaReplica(MetaReplica):
             strat is ByzStrategy.EQUIVOCATE and tag % 2 == 1
         ):
             self.listeners[(msg.src, tag)] = scope
-            regs = [("dir", cid) for cid in self.writer_cids] if scope == "dir" else [scope]
+            regs = self._scope_registers(scope)
             updates = tuple(self._fabricated_update(reg) for reg in regs)
             self.send(MsgKind.META_UPDATE, msg.src, tag=tag, updates=updates)
             return

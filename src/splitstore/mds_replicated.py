@@ -229,6 +229,13 @@ class MetaReplica(Process):
             return reg[0] == "dir"
         return scope == reg
 
+    def _scope_registers(self, scope: Any) -> list[RegisterId]:
+        """The registers a query for ``scope`` reports on: "dir" stands
+        for every writer's ``("dir", cid)`` register."""
+        if scope == "dir":
+            return [("dir", cid) for cid in self.writer_cids]
+        return [scope]
+
     def _notify(self, reg: RegisterId, pair: Pair) -> None:
         update = self._render_update(reg, (pair,))
         for (pid, tag), scope in sorted(self.listeners.items()):
@@ -249,12 +256,9 @@ class MetaReplica(Process):
         scope = msg["scope"]
         tag = msg["tag"]
         self.listeners[(msg.src, tag)] = scope
-        if scope == "dir":
-            regs = [("dir", cid) for cid in self.writer_cids]
-        else:
-            regs = [scope]
         updates = tuple(
-            self._render_update(reg, self._sorted_established(reg)) for reg in regs
+            self._render_update(reg, self._sorted_established(reg))
+            for reg in self._scope_registers(scope)
         )
         self.send(MsgKind.META_UPDATE, msg.src, tag=tag, updates=updates)
 
@@ -275,10 +279,7 @@ class MetaReplica(Process):
 @dataclass
 class _StoreOp:
     seq: int
-    reg: RegisterId
     key: Timestamp
-    op: str  # "tswrite" | "hashwrite" | "writeback"
-    tag: int | None  # recorded mds tag, None for write-backs
     done: Callable[[], None]
     acks: set[str] = field(default_factory=set)
 
@@ -342,13 +343,11 @@ class ReplicatedMdsDriver:
         reg: RegisterId,
         key: Timestamp,
         payload: Any,
-        op: str,
-        tag: int | None,
+        kind: MsgKind,
         done: Callable[[], None],
     ) -> None:
         seq = self._next_seq()
-        self._stores[seq] = _StoreOp(seq=seq, reg=reg, key=key, op=op, tag=tag, done=done)
-        kind = MsgKind.META_WRITEBACK if op == "writeback" else MsgKind.META_STORE
+        self._stores[seq] = _StoreOp(seq=seq, key=key, done=done)
         for pid in self.meta_pids:
             self.owner.send(kind, pid, reg=reg, key=key, payload=payload, seq=seq)
 
@@ -360,7 +359,7 @@ class ReplicatedMdsDriver:
         def finish() -> None:
             self.owner.record("mds", proc=self.owner.pid, op="tswrite", tag=tag, phase="end")
             done()
-        self._start_store(("dir", self.cid), md.ts, md, "tswrite", tag, finish)
+        self._start_store(("dir", self.cid), md.ts, md, MsgKind.META_STORE, finish)
 
     def hash_write(self, index: Timestamp, digest: str, done: Callable[[], None]) -> None:
         tag = self._next_tag()
@@ -371,7 +370,7 @@ class ReplicatedMdsDriver:
         def finish() -> None:
             self.owner.record("mds", proc=self.owner.pid, op="hashwrite", tag=tag, phase="end")
             done()
-        self._start_store(("hash", index), index, digest, "hashwrite", tag, finish)
+        self._start_store(("hash", index), index, digest, MsgKind.META_STORE, finish)
 
     # -- read side ----------------------------------------------------------
 
@@ -490,7 +489,7 @@ class ReplicatedMdsDriver:
             return
         read.state = "writeback"
         self._start_store(
-            best_reg, best.key, best.payload, "writeback", None,
+            best_reg, best.key, best.payload, MsgKind.META_WRITEBACK,
             lambda: self._finish_tsread(read, best),
         )
 

@@ -325,17 +325,17 @@ class Trace:
     def __iter__(self) -> Iterator[dict]:
         return map(render_event, self._events)
 
-    def lines(self, open_bodies: dict | None = None) -> Iterator[str]:
+    def lines(self) -> Iterator[str]:
         """Yield each entry as `json_line(render_event(e)) + "\n"`.
 
-        A body is encoded at its message's send, kept in `open_bodies` (a
-        fresh dict unless one is passed in) and popped at the deliver, drop
-        or undelivered event that closes the message. A message dropped as
-        it is sent has no send event, so its body is encoded and not kept.
+        A body is encoded at its message's send, kept in `bodies` and
+        popped at the deliver, drop or undelivered event that closes the
+        message. A message dropped as it is sent has no send event, so its
+        body is encoded and not kept.
         """
         # Keyed by id: a Message holds a mapping proxy and is unhashable, and
         # the event list keeps every message alive, so no id is reused.
-        bodies = {} if open_bodies is None else open_bodies
+        bodies: dict[int, str] = {}
         for event in self._events:
             if isinstance(event, dict):
                 yield json_line(event) + "\n"
@@ -375,15 +375,11 @@ class RunResult:
             for op in self.history
         }
 
-    def incomplete_ops(self, include_crashed: bool = False) -> list[OpRecord]:
-        out = []
-        for op in self.history:
-            if op.complete:
-                continue
-            if not include_crashed and op.client in self.crashed:
-                continue
-            out.append(op)
-        return out
+    def incomplete_ops(self) -> list[OpRecord]:
+        """The ops that never responded, except those of crashed clients."""
+        return [
+            op for op in self.history if not op.complete and op.client not in self.crashed
+        ]
 
 
 class Simulation:

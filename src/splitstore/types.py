@@ -109,6 +109,11 @@ class HashMode(enum.Enum):
     PRODUCTION = "production"
     FORGEABLE = "forgeable"
 
+    def collision_resistant(self) -> bool:
+        """True when the mode guarantees distinct values get distinct
+        digests, which is what the integrity monitor relies on."""
+        return self in (HashMode.ORACLE, HashMode.PRODUCTION)
+
 
 class DigestFacility:
     """Produces digests for values and audits collisions.
@@ -153,9 +158,7 @@ class DigestFacility:
         self._note(target, value)
 
     def collision_resistant(self) -> bool:
-        """True when the mode guarantees distinct values get distinct
-        digests, which is what the integrity monitor relies on."""
-        return self.mode in (HashMode.ORACLE, HashMode.PRODUCTION)
+        return self.mode.collision_resistant()
 
     def _note(self, token: str, value: bytes) -> None:
         first = self._first_preimage.setdefault(token, value)
