@@ -4,9 +4,10 @@ from splitstore.mds_oracle import (
     DirectoryOracle,
     HashArrayOracle,
     HashArraySpec,
+    OracleMdsDriver,
     TimestampedStore,
 )
-from splitstore.net import MsgKind, make_message
+from splitstore.net import MsgKind, Process, make_message
 from splitstore.types import TS_INIT, HarnessError, Metadata, Timestamp
 
 
@@ -132,3 +133,60 @@ def test_hash_process_read_miss(probe):
         make_message(MsgKind.HASH_READ, "r1", "hash", tag=1, index=Timestamp(3, 1))
     )
     assert probe.sent[-1]["digest"] is None
+
+
+# -- client driver ------------------------------------------------------------
+
+
+def test_oracle_driver_records_each_call_and_its_response(probe):
+    """Each call sends one tagged request and records one start; its
+    response records one end and hands the response's fields to done."""
+    driver = OracleMdsDriver(probe.attach(Process("r1")))
+    md = Metadata(ts=Timestamp(1, 1), replicas=frozenset({1, 2}))
+    idx, digest = Timestamp(1, 1), "d" * 64
+    done = []
+    driver.tsread(lambda ts, got: done.append(("tsread", ts, got)))
+    driver.tswrite(md, lambda: done.append(("tswrite",)))
+    driver.hash_write(idx, digest, lambda: done.append(("hashwrite",)))
+    driver.hash_read(idx, lambda got: done.append(("hashread", got)))
+    assert [(m.kind, m.dst, dict(m.fields)) for m in probe.take_sent()] == [
+        (MsgKind.DIR_READ, "dir", {"tag": 1}),
+        (MsgKind.DIR_WRITE, "dir", {"tag": 2, "md": md}),
+        (MsgKind.HASH_WRITE, "hash", {"tag": 3, "index": idx, "digest": digest}),
+        (MsgKind.HASH_READ, "hash", {"tag": 4, "index": idx}),
+    ]
+
+    def record(op, tag, phase, **fields):
+        return ("mds", [("proc", "r1"), ("op", op), ("tag", tag), ("phase", phase),
+                        *fields.items()])
+
+    def records():
+        return [(channel, list(entry.items())) for channel, entry in probe.records]
+
+    assert records() == [
+        record("tsread", 1, "start"),
+        record("tswrite", 2, "start", ts=md.ts, md=md),
+        record("hashwrite", 3, "start", index=idx, digest=digest),
+        record("hashread", 4, "start", index=idx),
+    ]
+    probe.records.clear()
+    for reply in (
+        make_message(MsgKind.HASH_READ_RESP, "hash", "r1", tag=4, digest=digest),
+        make_message(MsgKind.DIR_WRITE_RESP, "dir", "r1", tag=2),
+        make_message(MsgKind.DIR_READ_RESP, "dir", "r1", tag=1, ts=md.ts, md=md),
+        make_message(MsgKind.HASH_WRITE_RESP, "hash", "r1", tag=3),
+    ):
+        assert driver.handle(reply)
+    assert done == [("hashread", digest), ("tswrite",), ("tsread", md.ts, md), ("hashwrite",)]
+    assert records() == [
+        record("hashread", 4, "end", digest=digest),
+        record("tswrite", 2, "end"),
+        record("tsread", 1, "end", ts=md.ts, md=md),
+        record("hashwrite", 3, "end"),
+    ]
+    # a second response to a finished call is consumed and ignored; the
+    # data plane's messages are not the driver's
+    probe.records.clear()
+    assert driver.handle(make_message(MsgKind.DIR_WRITE_RESP, "dir", "r1", tag=2))
+    assert not driver.handle(make_message(MsgKind.READ_VAL, "d1", "r1", ts=md.ts, val=b"v"))
+    assert probe.records == [] and len(done) == 4 and not probe.sent

@@ -6,7 +6,9 @@ from collections import Counter, deque
 import pytest
 
 from splitstore.checker import check_run
-from splitstore.faults import ByzMetaReplica, ByzSpec, ByzStrategy, CrashSpec
+from splitstore.faults import (
+    FABRICATED_CID, ByzMetaReplica, ByzSpec, ByzStrategy, CrashSpec,
+)
 from splitstore.mds_replicated import (
     INITIAL_PAIR, MetaReplica, Pair, ReplicatedMdsDriver, pair_sort_key,
 )
@@ -179,6 +181,63 @@ def test_unsubscribe_stops_the_updates():
     updates = [m for m in r.outbox[before:]
                if m.kind is MsgKind.META_UPDATE and m.dst == "r1"]
     assert not updates
+
+
+FAKE_TS = Timestamp(999, FABRICATED_CID)
+FAKE_PAIRS = {
+    "dir": Pair(FAKE_TS, Metadata(ts=FAKE_TS, replicas=frozenset({1}))),
+    "hash": Pair(FAKE_TS, "00" * 32),
+}
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [ByzStrategy.STALE_CONCURRENT, ByzStrategy.FABRICATE_HIGH_TS, ByzStrategy.EQUIVOCATE],
+    ids=lambda s: s.value,
+)
+def test_byzantine_snapshot_replies(strategy):
+    """A lying replica's snapshot for each register against the honest m1's:
+    STALE reports nothing, FABRICATE-HIGH-TS an invented high pair, and
+    EQUIVOCATE fabricates on odd tags only. Live pushes stay honest, and
+    STALE sends none."""
+    r = Router(byz={"m4": ByzSpec(strategy)})
+    idx = Timestamp(1, 1)
+    store_to(r, ["m1", "m2", "m3", "m4"])
+    store_to(r, ["m1", "m2", "m3", "m4"], reg=("hash", idx), key=idx, payload="d" * 64, seq=2)
+    r.pump()
+    for tag, scope in ((1, "dir"), (2, "dir"), (3, ("hash", idx)), (4, ("hash", idx))):
+        r.inject(MsgKind.META_QUERY, "r1", "m1", scope=scope, tag=tag)
+        honest = r.outbox[-1]["updates"]
+        r.inject(MsgKind.META_QUERY, "r1", "m4", scope=scope, tag=tag)
+        reply = r.outbox[-1]
+        assert (reply.kind, reply.src, reply.dst, reply["tag"]) == (
+            MsgKind.META_UPDATE, "m4", "r1", tag)
+        regs = [u["reg"] for u in honest]
+        assert regs == ([("dir", 1), ("dir", 2)] if scope == "dir" else [scope])
+        if strategy is ByzStrategy.STALE_CONCURRENT:
+            want = tuple({"reg": reg, "pairs": (), "current": TS_INIT} for reg in regs)
+        elif strategy is ByzStrategy.FABRICATE_HIGH_TS or tag % 2 == 1:
+            want = tuple(
+                {"reg": reg, "pairs": (FAKE_PAIRS[reg[0]],), "current": FAKE_TS}
+                for reg in regs
+            )
+        else:
+            want = honest
+        assert reply["updates"] == want
+        stored = MD if scope == "dir" else "d" * 64
+        assert honest[0]["pairs"] == (Pair(idx, stored),)
+    before = len(r.outbox)
+    md2 = Metadata(ts=Timestamp(2, 2), replicas=frozenset({2, 3}))
+    for pid in ("m1", "m2", "m3"):
+        r.inject(MsgKind.META_STORE, "w2", pid,
+                 reg=("dir", 2), key=Timestamp(2, 2), payload=md2, seq=1)
+    r.pump()
+    pushed = [m for m in r.outbox[before:] if m.src == "m4" and m.kind is MsgKind.META_UPDATE]
+    if strategy is ByzStrategy.STALE_CONCURRENT:
+        assert pushed == []
+    else:
+        update = {"reg": ("dir", 2), "pairs": (Pair(md2.ts, md2),), "current": md2.ts}
+        assert [(m["tag"], m["updates"]) for m in pushed] == [(1, (update,)), (2, (update,))]
 
 
 # -- incremental read evaluation against a recount ------------------------------
