@@ -18,7 +18,6 @@ from .types import (
     HarnessError,
     HashMode,
     Metadata,
-    TaggedValue,
     Timestamp,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "SCENARIO_NAMES",
     "ScenarioOutcome",
     "Simulation",
-    "TaggedValue",
     "Timestamp",
     "TS_INIT",
     "Verdict",

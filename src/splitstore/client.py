@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .net import Message, MsgKind, Process
-from .types import DigestFacility, HarnessError, Metadata, TaggedValue, Timestamp, TS_INIT
+from .types import DigestFacility, HarnessError, Metadata, Timestamp, TS_INIT
 
 
 class WritePhase(enum.Enum):
@@ -43,7 +43,6 @@ class WriteContext:
 class ReadContext:
     op_id: int
     md: Metadata | None = None
-    readval: TaggedValue | None = None
 
 
 class ClientBase(Process):
@@ -182,7 +181,7 @@ class ReaderClient(ClientBase):
 
     def _on_read_val(self, msg: Message) -> None:
         ctx = self.ctx
-        if ctx is None or ctx.md is None or ctx.readval is not None:
+        if ctx is None or ctx.md is None:
             return
         ts: Timestamp = msg["ts"]
         val = msg["val"]
@@ -205,7 +204,7 @@ class ReaderClient(ClientBase):
         dir_ts: Timestamp,
         md2: Metadata | None,
     ) -> None:
-        if self.ctx is not ctx or ctx.readval is not None:
+        if self.ctx is not ctx:
             return
         if md2 is not None and md2.ts >= ts:
             self._check(ctx, ts, val, md2_ts=md2.ts)
@@ -233,12 +232,11 @@ class ReaderClient(ClientBase):
         md2_ts: Timestamp | None,
         digest: str | None,
     ) -> None:
-        if self.ctx is not ctx or ctx.readval is not None:
+        if self.ctx is not ctx:
             return
         if digest is None or digest != self.digests.digest(val):
             self.trace_note("digest-check-failed", ts=ts)
             return
-        ctx.readval = TaggedValue(ts=ts, val=val)
         ann: dict[str, Any] = {"ts": ts}
         if md2_ts is not None:
             ann["md2_ts"] = md2_ts

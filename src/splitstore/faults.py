@@ -120,10 +120,12 @@ class ByzMetaReplica(MetaReplica):
 
     MUTE drops everything. STALE keeps its internal state honest (so it
     cannot be blamed for breaking echo liveness) but reports only the
-    initial, empty view and never pushes updates. FABRICATE-HIGH-TS adds
-    an invented high pair to every directory report. EQUIVOCATE serves
-    honest snapshots to even tags and fabricated ones to odd tags.
-    STATE-SWITCH corrupts established payloads on an adversary action.
+    initial, empty view and never pushes updates. FABRICATE-HIGH-TS
+    reports an invented high pair, in place of its view, for every
+    register. EQUIVOCATE serves honest snapshots to even tags and
+    fabricated ones to odd tags. STATE-SWITCH corrupts established
+    payloads on an adversary action. The snapshot strategies override
+    only `MetaReplica._report`; live pushes stay honest except under STALE.
     """
 
     def __init__(
@@ -144,42 +146,27 @@ class ByzMetaReplica(MetaReplica):
             return
         super().on_message(msg)
 
-    def _fabricated_update(self, reg: tuple) -> dict:
-        fake_ts = Timestamp(999, FABRICATED_CID)
-        payload: Any
-        if reg[0] == "dir":
-            payload = Metadata(ts=fake_ts, replicas=frozenset({1}))
-        else:
-            payload = "00" * 32
-        return {"reg": reg, "pairs": (Pair(fake_ts, payload),), "current": fake_ts}
-
     def _notify(self, reg: tuple, pair: Pair) -> None:
         strat = self.spec.strategy
         if strat is ByzStrategy.STALE_CONCURRENT:
             return  # stale: never push updates
         super()._notify(reg, pair)
 
-    def on_query(self, msg: Message) -> None:
+    def _report(self, reg: tuple, tag: int) -> dict:
         strat = self.spec.strategy
-        scope = msg["scope"]
-        tag = msg["tag"]
         if strat is ByzStrategy.STALE_CONCURRENT:
-            self.listeners[(msg.src, tag)] = scope
-            regs = self._scope_registers(scope)
-            updates = tuple(
-                {"reg": reg, "pairs": (), "current": TS_INIT} for reg in regs
-            )
-            self.send(MsgKind.META_UPDATE, msg.src, tag=tag, updates=updates)
-            return
+            return {"reg": reg, "pairs": (), "current": TS_INIT}
         if strat is ByzStrategy.FABRICATE_HIGH_TS or (
             strat is ByzStrategy.EQUIVOCATE and tag % 2 == 1
         ):
-            self.listeners[(msg.src, tag)] = scope
-            regs = self._scope_registers(scope)
-            updates = tuple(self._fabricated_update(reg) for reg in regs)
-            self.send(MsgKind.META_UPDATE, msg.src, tag=tag, updates=updates)
-            return
-        super().on_query(msg)
+            fake_ts = Timestamp(999, FABRICATED_CID)
+            payload: Any
+            if reg[0] == "dir":
+                payload = Metadata(ts=fake_ts, replicas=frozenset({1}))
+            else:
+                payload = "00" * 32
+            return {"reg": reg, "pairs": (Pair(fake_ts, payload),), "current": fake_ts}
+        return super()._report(reg, tag)
 
     def apply_adversary(self, action: str, params: dict) -> None:
         if action != "scramble":

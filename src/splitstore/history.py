@@ -1,10 +1,18 @@
-"""Operation-history records produced by runs and consumed by the checker."""
+"""Operation-history records produced by runs and consumed by the checker.
+
+Client operations arrive on the "op" record channel. Directory and
+digest-array operations arrive on the "mds" channel: `DirOpLog` is the one
+writer of its records and `assemble_dir_ops` the one reader.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .types import Timestamp, render_value
+
+if TYPE_CHECKING:
+    from .net import Process
 
 
 @dataclass
@@ -72,6 +80,25 @@ class DirOpRecord:
             "index": self.index.render() if self.index else None,
             "digest": self.digest,
         }
+
+
+class DirOpLog:
+    """One client's "mds" records. It numbers the client's directory and
+    digest-array operations; the number is the operation's tag, and the
+    metadata driver uses it as its only request tag."""
+
+    def __init__(self, owner: Process):
+        self.owner = owner
+        self.tag = 0
+
+    def start(self, op: str, **fields: Any) -> int:
+        """Number a new operation and record its start; returns its tag."""
+        self.tag = tag = self.tag + 1
+        self.owner.record("mds", proc=self.owner.pid, op=op, tag=tag, phase="start", **fields)
+        return tag
+
+    def end(self, op: str, tag: int, **fields: Any) -> None:
+        self.owner.record("mds", proc=self.owner.pid, op=op, tag=tag, phase="end", **fields)
 
 
 def assemble_dir_ops(entries: list[dict]) -> list[DirOpRecord]:

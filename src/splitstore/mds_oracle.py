@@ -5,7 +5,10 @@ handlers run atomically, so their operations are trivially linearizable.
 `TimestampedStore` is also the checker's reference for the directory:
 the checker's directory spec applies writes with
 `TimestampedStore.after_write`, the one statement of the write rule.
-`HashArraySpec` is not used by the checker yet, so digest-array
+`HashArraySpec` is the one statement of the digest array's write-once
+rule: the hash-array oracle applies it, and so does every replicated
+`MetaReplica`, which writes each digest a client stores through its own
+`HashArraySpec`. The checker does not use it yet, so digest-array
 histories stay unchecked.
 
 The directory is a timestamped store: a write carries its own timestamp
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from .history import DirOpLog
 from .net import Message, MsgKind, Process
 from .types import NIL, HarnessError, Metadata, Timestamp, TS_INIT
 
@@ -58,8 +62,8 @@ class HashArraySpec:
         prior_writer = self.writers.get(index)
         if prior_writer is not None and (prior_writer != writer or self.entries[index] != digest):
             raise HarnessError(
-                f"single-writer violation on digest index {index.render()}: "
-                f"writer {writer} after writer {prior_writer}"
+                f"write-once violation on digest index {index.render()}: writer {writer} "
+                f"with {digest} after writer {prior_writer} with {self.entries[index]}"
             )
         self.writers[index] = writer
         self.entries[index] = digest
@@ -141,74 +145,52 @@ class OracleMdsDriver:
 
     Each call sends one request and resolves the continuation when the
     matching response arrives; the owner routes inbound metadata messages
-    here. The structured "mds" record channel captures operation
-    intervals for the checker.
+    here. Its `DirOpLog` records operation intervals for the checker.
     """
 
-    def __init__(self, owner: Process, dir_pid: str = DIR_PID, hash_pid: str = HASH_PID):
+    def __init__(self, owner: Process):
         self.owner = owner
-        self.dir_pid = dir_pid
-        self.hash_pid = hash_pid
-        self._next_tag = 0
+        self.log = DirOpLog(owner)
         self._pending: dict[int, tuple[str, Callable[..., None]]] = {}
 
-    def _tag(self) -> int:
-        self._next_tag += 1
-        return self._next_tag
+    def _request(
+        self, op: str, kind: MsgKind, dst: str, done: Callable[..., None], logged: dict,
+        **fields: Any,
+    ) -> None:
+        tag = self.log.start(op, **logged)
+        self._pending[tag] = (op, done)
+        self.owner.send(kind, dst, tag=tag, **fields)
 
     def tsread(self, done: Callable[[Timestamp, Metadata | None], None]) -> None:
-        tag = self._tag()
-        self._pending[tag] = ("tsread", done)
-        self.owner.record("mds", proc=self.owner.pid, op="tsread", tag=tag, phase="start")
-        self.owner.send(MsgKind.DIR_READ, self.dir_pid, tag=tag)
+        self._request("tsread", MsgKind.DIR_READ, DIR_PID, done, {})
 
     def tswrite(self, md: Metadata, done: Callable[[], None]) -> None:
-        tag = self._tag()
-        self._pending[tag] = ("tswrite", done)
-        self.owner.record(
-            "mds", proc=self.owner.pid, op="tswrite", tag=tag, phase="start", ts=md.ts, md=md
-        )
-        self.owner.send(MsgKind.DIR_WRITE, self.dir_pid, tag=tag, md=md)
+        self._request("tswrite", MsgKind.DIR_WRITE, DIR_PID, done, {"ts": md.ts, "md": md}, md=md)
 
     def hash_write(self, index: Timestamp, digest: str, done: Callable[[], None]) -> None:
-        tag = self._tag()
-        self._pending[tag] = ("hashwrite", done)
-        self.owner.record(
-            "mds", proc=self.owner.pid, op="hashwrite", tag=tag, phase="start",
-            index=index, digest=digest,
-        )
-        self.owner.send(MsgKind.HASH_WRITE, self.hash_pid, tag=tag, index=index, digest=digest)
+        fields = {"index": index, "digest": digest}
+        self._request("hashwrite", MsgKind.HASH_WRITE, HASH_PID, done, fields, **fields)
 
     def hash_read(self, index: Timestamp, done: Callable[[str | None], None]) -> None:
-        tag = self._tag()
-        self._pending[tag] = ("hashread", done)
-        self.owner.record(
-            "mds", proc=self.owner.pid, op="hashread", tag=tag, phase="start", index=index
-        )
-        self.owner.send(MsgKind.HASH_READ, self.hash_pid, tag=tag, index=index)
+        self._request("hashread", MsgKind.HASH_READ, HASH_PID, done, {"index": index}, index=index)
 
     def handle(self, msg: Message) -> bool:
         """Consume a metadata response addressed to the owner. Returns
         False when the message belongs to someone else's plane."""
-        if msg.kind not in RESPONSE_KINDS:
+        kind = msg.kind
+        if kind not in RESPONSE_KINDS:
             return False
-        entry = self._pending.pop(msg["tag"], None)
+        tag = msg["tag"]
+        entry = self._pending.pop(tag, None)
         if entry is None:
             return True  # response for a superseded operation
         op, done = entry
-        if msg.kind is MsgKind.DIR_READ_RESP:
-            ts, md = msg["ts"], msg["md"]
-            self.owner.record(
-                "mds", proc=self.owner.pid, op=op, tag=msg["tag"], phase="end", ts=ts, md=md
-            )
-            done(ts, md)
-        elif msg.kind is MsgKind.HASH_READ_RESP:
-            digest = msg["digest"]
-            self.owner.record(
-                "mds", proc=self.owner.pid, op=op, tag=msg["tag"], phase="end", digest=digest
-            )
-            done(digest)
+        if kind is MsgKind.DIR_READ_RESP:
+            result = {"ts": msg["ts"], "md": msg["md"]}
+        elif kind is MsgKind.HASH_READ_RESP:
+            result = {"digest": msg["digest"]}
         else:
-            self.owner.record("mds", proc=self.owner.pid, op=op, tag=msg["tag"], phase="end")
-            done()
+            result = {}
+        self.log.end(op, tag, **result)
+        done(*result.values())
         return True

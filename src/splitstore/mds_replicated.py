@@ -2,7 +2,10 @@
 
 The directory becomes one single-writer register per writer client; a
 directory read returns the highest pair across all of them. The digest
-array reuses the same register machinery with write-once usage.
+array reuses the same register machinery with write-once usage: each
+replica writes every digest a client stores through its own
+`mds_oracle.HashArraySpec`, which raises on a rewrite with a different
+digest.
 
 Register replication works as follows. A client stores a (key, payload)
 pair by sending it to every replica. A correct replica that accepts a
@@ -36,14 +39,23 @@ pair and the highest pair that has reached tm + 1 of them. Only the
 current-key evidence, one entry per replica, is recounted on each
 evaluation. Each process memoizes a pair's order key (``PairOrder``), so
 payload tokens are rendered once per pair, not once per comparison.
+
+A replica answers a query with one ``_report`` per register in the
+query's scope; that method is the one hook through which a Byzantine
+replica (``faults.ByzMetaReplica``) lies in its snapshots. On the client
+side, ``ReplicatedMdsDriver`` has one store path (``_store``) for both
+writes and one read path (``_read`` and ``_finish_read``) for both reads,
+and its ``history.DirOpLog`` records every operation for the checker.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
+from .history import DirOpLog
+from .mds_oracle import HashArraySpec
 from .net import Message, MsgKind, Process
-from .types import HarnessError, Metadata, Timestamp, TS_INIT
+from .types import Metadata, Timestamp, TS_INIT
 
 RegisterId = tuple  # ("dir", writer_cid) or ("hash", Timestamp)
 
@@ -94,8 +106,6 @@ class _Register:
     # ``established`` in pair order, as snapshots ship it; None when stale
     snapshot: tuple[Pair, ...] | None = None
     current: Pair = INITIAL_PAIR
-    # digest registers: the one digest stored over an authenticated channel
-    authentic_payload: Any = None
 
 
 class MetaReplica(Process):
@@ -119,6 +129,8 @@ class MetaReplica(Process):
         }
         # (client pid, tag) -> scope: "dir" or ("hash", index)
         self.listeners: dict[tuple[str, int], Any] = {}
+        # the digests stored over an authenticated channel, write-once
+        self.digests = HashArraySpec()
         self._order = PairOrder()
 
     # -- message handlers --------------------------------------------------
@@ -146,13 +158,7 @@ class MetaReplica(Process):
             self.trace_note("meta-store-rejected", src=msg.src, reg=reg)
             return
         if reg[0] == "hash":
-            rs = self.register_for(reg)
-            if rs.authentic_payload is None:
-                rs.authentic_payload = msg["payload"]
-            elif rs.authentic_payload != msg["payload"]:
-                raise HarnessError(
-                    f"digest register {reg[1].render()} rewritten with a different digest"
-                )
+            self.digests.write(reg[1], msg["payload"], self.client_ids[msg.src])
         self._accept(reg, Pair(msg["key"], msg["payload"]), (msg.src, msg["seq"]))
 
     def on_writeback(self, msg: Message) -> None:
@@ -252,14 +258,15 @@ class MetaReplica(Process):
             rs.snapshot = tuple(sorted(rs.established, key=self._order.__getitem__))
         return rs.snapshot
 
+    def _report(self, reg: RegisterId, tag: int) -> dict:
+        """The snapshot of ``reg`` this replica reports to query ``tag``."""
+        return self._render_update(reg, self._sorted_established(reg))
+
     def on_query(self, msg: Message) -> None:
         scope = msg["scope"]
         tag = msg["tag"]
         self.listeners[(msg.src, tag)] = scope
-        updates = tuple(
-            self._render_update(reg, self._sorted_established(reg))
-            for reg in self._scope_registers(scope)
-        )
+        updates = tuple(self._report(reg, tag) for reg in self._scope_registers(scope))
         self.send(MsgKind.META_UPDATE, msg.src, tag=tag, updates=updates)
 
     def final_state(self) -> dict:
@@ -318,8 +325,8 @@ class ReplicatedMdsDriver:
         self.tm = tm
         self.writer_cids = list(writer_cids)
         self.cid = cid
+        self.log = DirOpLog(owner)
         self._seq = 0
-        self._tag = 0
         self._stores: dict[int, _StoreOp] = {}
         self._reads: dict[int, _ReadOp] = {}
         self._order = PairOrder()
@@ -327,14 +334,6 @@ class ReplicatedMdsDriver:
     @property
     def quorum(self) -> int:
         return 2 * self.tm + 1
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _next_tag(self) -> int:
-        self._tag += 1
-        return self._tag
 
     # -- store side ---------------------------------------------------------
 
@@ -346,51 +345,42 @@ class ReplicatedMdsDriver:
         kind: MsgKind,
         done: Callable[[], None],
     ) -> None:
-        seq = self._next_seq()
+        self._seq = seq = self._seq + 1
         self._stores[seq] = _StoreOp(seq=seq, key=key, done=done)
         for pid in self.meta_pids:
             self.owner.send(kind, pid, reg=reg, key=key, payload=payload, seq=seq)
 
-    def tswrite(self, md: Metadata, done: Callable[[], None]) -> None:
-        tag = self._next_tag()
-        self.owner.record(
-            "mds", proc=self.owner.pid, op="tswrite", tag=tag, phase="start", ts=md.ts, md=md
-        )
+    def _store(
+        self, op: str, reg: RegisterId, key: Timestamp, payload: Any,
+        done: Callable[[], None], **logged: Any,
+    ) -> None:
+        tag = self.log.start(op, **logged)
+
         def finish() -> None:
-            self.owner.record("mds", proc=self.owner.pid, op="tswrite", tag=tag, phase="end")
+            self.log.end(op, tag)
             done()
-        self._start_store(("dir", self.cid), md.ts, md, MsgKind.META_STORE, finish)
+
+        self._start_store(reg, key, payload, MsgKind.META_STORE, finish)
+
+    def tswrite(self, md: Metadata, done: Callable[[], None]) -> None:
+        self._store("tswrite", ("dir", self.cid), md.ts, md, done, ts=md.ts, md=md)
 
     def hash_write(self, index: Timestamp, digest: str, done: Callable[[], None]) -> None:
-        tag = self._next_tag()
-        self.owner.record(
-            "mds", proc=self.owner.pid, op="hashwrite", tag=tag, phase="start",
-            index=index, digest=digest,
-        )
-        def finish() -> None:
-            self.owner.record("mds", proc=self.owner.pid, op="hashwrite", tag=tag, phase="end")
-            done()
-        self._start_store(("hash", index), index, digest, MsgKind.META_STORE, finish)
+        self._store("hashwrite", ("hash", index), index, digest, done, index=index, digest=digest)
 
     # -- read side ----------------------------------------------------------
 
-    def tsread(self, done: Callable[[Timestamp, Metadata | None], None]) -> None:
-        tag = self._next_tag()
-        self.owner.record("mds", proc=self.owner.pid, op="tsread", tag=tag, phase="start")
-        read = _ReadOp(tag=tag, scope="dir", op="tsread", done=done)
-        self._reads[tag] = read
+    def _read(self, op: str, scope: Any, done: Callable[..., None], **logged: Any) -> None:
+        tag = self.log.start(op, **logged)
+        self._reads[tag] = _ReadOp(tag=tag, scope=scope, op=op, done=done)
         for pid in self.meta_pids:
-            self.owner.send(MsgKind.META_QUERY, pid, scope="dir", tag=tag)
+            self.owner.send(MsgKind.META_QUERY, pid, scope=scope, tag=tag)
+
+    def tsread(self, done: Callable[[Timestamp, Metadata | None], None]) -> None:
+        self._read("tsread", "dir", done)
 
     def hash_read(self, index: Timestamp, done: Callable[[str | None], None]) -> None:
-        tag = self._next_tag()
-        self.owner.record(
-            "mds", proc=self.owner.pid, op="hashread", tag=tag, phase="start", index=index
-        )
-        read = _ReadOp(tag=tag, scope=("hash", index), op="hashread", done=done)
-        self._reads[tag] = read
-        for pid in self.meta_pids:
-            self.owner.send(MsgKind.META_QUERY, pid, scope=("hash", index), tag=tag)
+        self._read("hashread", ("hash", index), done, index=index)
 
     # -- inbound ------------------------------------------------------------
 
@@ -453,19 +443,11 @@ class ReplicatedMdsDriver:
         reg = read.scope
         best = read.best.get(reg)
         if best is not None:
-            self._finish_hashread(read, best.payload)
+            self._finish_read(read, digest=best.payload)
             return
         empties = len(read.snapshots) - len(read.reported.get(reg, ()))
         if empties >= self.quorum:
-            self._finish_hashread(read, None)
-
-    def _finish_hashread(self, read: _ReadOp, digest: str | None) -> None:
-        del self._reads[read.tag]
-        self._unsub(read.tag)
-        self.owner.record(
-            "mds", proc=self.owner.pid, op="hashread", tag=read.tag, phase="end", digest=digest
-        )
-        read.done(digest)
+            self._finish_read(read, digest=None)
 
     def _evaluate_tsread(self, read: _ReadOp) -> None:
         best: Pair | None = None
@@ -485,23 +467,18 @@ class ReplicatedMdsDriver:
                 best, best_reg = candidate, reg
         assert best is not None
         if best.key == TS_INIT:
-            self._finish_tsread(read, INITIAL_PAIR)
+            self._finish_read(read, ts=TS_INIT, md=None)
             return
         read.state = "writeback"
         self._start_store(
             best_reg, best.key, best.payload, MsgKind.META_WRITEBACK,
-            lambda: self._finish_tsread(read, best),
+            lambda: self._finish_read(read, ts=best.key, md=best.payload),
         )
 
-    def _finish_tsread(self, read: _ReadOp, pair: Pair) -> None:
+    def _finish_read(self, read: _ReadOp, **result: Any) -> None:
+        """Unsubscribe, record the end and pass the result's values on."""
         del self._reads[read.tag]
-        self._unsub(read.tag)
-        self.owner.record(
-            "mds", proc=self.owner.pid, op="tsread", tag=read.tag, phase="end",
-            ts=pair.key, md=pair.payload,
-        )
-        read.done(pair.key, pair.payload)
-
-    def _unsub(self, tag: int) -> None:
         for pid in self.meta_pids:
-            self.owner.send(MsgKind.META_UNSUB, pid, tag=tag)
+            self.owner.send(MsgKind.META_UNSUB, pid, tag=read.tag)
+        self.log.end(read.op, read.tag, **result)
+        read.done(*result.values())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, NamedTuple
 
-from .types import Metadata, TaggedValue, Timestamp, render_value
+from .types import Metadata, Timestamp, render_value
 
 
 class MsgKind(enum.Enum):
@@ -84,8 +84,6 @@ def render_field(value: Any) -> Any:
         return value.render()
     if isinstance(value, Metadata):
         return value.render()
-    if isinstance(value, TaggedValue):
-        return value.render()
     if isinstance(value, (frozenset, set)):
         return sorted(render_field(v) for v in value)
     if isinstance(value, (tuple, list)):
@@ -126,7 +124,7 @@ class Port:
     def trace(self, proc: str, note: str, **payload: Any) -> None:
         self._tracer(proc, note, **payload)
 
-    def record(self, channel: str, **entry: Any) -> None:
+    def record(self, channel: str, entry: dict) -> None:
         self._recorder(channel, entry)
 
 
@@ -147,7 +145,7 @@ class Process:
 
     def record(self, channel: str, **entry: Any) -> None:
         assert self.port is not None, "process used outside a simulation"
-        self.port.record(channel, **entry)
+        self.port.record(channel, entry)
 
     def on_message(self, msg: Message) -> None:
         raise NotImplementedError

@@ -143,12 +143,12 @@ def scenario_theorem1_crash(seed: object = 0) -> ScenarioOutcome:
     return outcome
 
 
-def _theorem1_config(seed: object) -> Config:
+def _theorem1_config(seed: object, value: bytes) -> Config:
     return Config(
         t=1, tm=1, writers=1, readers=1, seed=seed,
         hash_mode=HashMode.FORGEABLE, mds_mode="oracle",
         byz_data={"d3": ByzSpec(ByzStrategy.STATE_SWITCH)},
-        workload={"w1": [("WRITE", b"v")], "r1": [("READ", None)]},
+        workload={"w1": [("WRITE", value)], "r1": [("READ", None)]},
     )
 
 
@@ -171,9 +171,7 @@ def scenario_theorem1_byz(seed: object = 0) -> ScenarioOutcome:
         s.invoke("r1")
         s.drain(*d1_down)
 
-    base_cfg = _theorem1_config(seed)
-    base_cfg.workload = {"w1": [("WRITE", b"v")], "r1": [("READ", None)]}
-    base_result = run(base_cfg, baseline_script)
+    base_result = run(_theorem1_config(seed, b"v"), baseline_script)
     base_verdict = check_run(base_result)
     base_read = _op_result(base_result, "r1")
 
@@ -187,9 +185,7 @@ def scenario_theorem1_byz(seed: object = 0) -> ScenarioOutcome:
         s.invoke("r1")
         s.drain(*d1_down)
 
-    attack_cfg = _theorem1_config(seed)
-    attack_cfg.workload = {"w1": [("WRITE", b"vp")], "r1": [("READ", None)]}
-    attack_result = run(attack_cfg, attack_script)
+    attack_result = run(_theorem1_config(seed, b"vp"), attack_script)
     attack_verdict = check_run(attack_result)
     attack_read = _op_result(attack_result, "r1")
 

@@ -10,9 +10,12 @@ events by pattern, which is how the proof-style executions with their
 precise delays and starved channels are reproduced.
 
 Crashes are permanent. A crashed process handles nothing from its crash
-step on; messages addressed to it are dropped, while messages it already
-sent stay in flight (the network does not forget). Step indices exist
-only in traces and the checker; no protocol handler ever sees one.
+step on, while messages it already sent stay in flight (the network does
+not forget). Events for it are dropped in two places and nowhere else:
+`crash()` drops every pending event that targets or invokes the process,
+and `_send` drops each later message to it. So `dispatch` never meets an
+event for a crashed process and does not test for one. Step indices
+exist only in traces and the checker; no protocol handler ever sees one.
 
 Every pending event gets a sequence number (seq) when it is created, and
 the scheduler keeps `Simulation.ready`, the ascending list of the seqs it
@@ -269,7 +272,7 @@ def build_world(config: Config) -> World:
         clients[pid] = client
     for pid, client in clients.items():
         if config.mds_mode == "oracle":
-            driver = OracleMdsDriver(client, DIR_PID, HASH_PID)
+            driver = OracleMdsDriver(client)
         else:
             driver = ReplicatedMdsDriver(
                 client, config.meta_pids(), config.tm, writer_cids, client.cid
@@ -405,7 +408,6 @@ class Simulation:
         self.queues: dict[str, list[tuple[str, bytes | None]]] = {
             pid: list(ops) for pid, ops in world.workload.items()
         }
-        self.active_op: dict[str, int] = {}
         self.completed_ops: dict[str, int] = {pid: 0 for pid in world.clients}
         self._crash_requests: list[str] = []
         # The fault checks this config needs; see the module docstring.
@@ -456,7 +458,6 @@ class Simulation:
             op.response = self.step
             op.ret = entry["ret"]
             pid = op.client
-            self.active_op.pop(pid, None)
             self.completed_ops[pid] += 1
             self._trace("response", op_id=op.op_id, client=pid,
                         ret=render_value(op.ret) if isinstance(op.ret, bytes) else op.ret)
@@ -558,7 +559,6 @@ class Simulation:
         self.op_seq += 1
         op = OpRecord(op_id=self.op_seq, client=pid, kind=kind, arg=arg, invoke=self.step)
         self.ops[op.op_id] = op
-        self.active_op[pid] = op.op_id
         self._trace("invoke", op_id=op.op_id, client=pid, kind=kind,
                     arg=render_value(arg) if arg is not None else None)
         client = self.world.clients[pid]
@@ -579,16 +579,10 @@ class Simulation:
         kind = delivery.kind
         if kind == "deliver":
             msg = delivery.msg
-            if msg.dst in self.crashed:
-                self.events.append((self.step, "drop", "destination-crashed", msg))
-                return
             self.events.append((self.step, "deliver", None, msg))
             self.processes[msg.dst].on_message(msg)
         elif kind == "invoke":
-            pid = delivery.payload["pid"]
-            if pid in self.crashed:
-                return
-            self.invoke_next(pid)
+            self.invoke_next(delivery.payload["pid"])
         else:
             raise HarnessError(f"cannot dispatch event kind {kind!r}")
         if self.phase_crashes:

@@ -1,14 +1,14 @@
-"""Core types shared by every layer: timestamps, tagged values, metadata
-records, and the digest facility used to validate data replies.
+"""Core types shared by every layer: timestamps, metadata records, and
+the digest facility used to validate data replies.
 
 Values travel as ``bytes``. The absent value (a read that observed no
 completed write) is represented by ``None`` and rendered as ``null`` in
 JSON output.
 
-``Timestamp``, ``TaggedValue`` and ``Metadata`` are ``NamedTuple``s. Every
-replica, driver and reader hashes and compares them on every store, echo
-and report; as tuples they hash, compare and order in C, and building one
-is a single tuple allocation. A frozen dataclass hashes the tuple of its
+``Timestamp`` and ``Metadata`` are ``NamedTuple``s. Every replica,
+driver and reader hashes and compares them on every store, echo and
+report; as tuples they hash, compare and order in C, and building one is
+a single tuple allocation. A frozen dataclass hashes the tuple of its
 fields, so these hashes are the ones the earlier dataclasses had, and set
 and dict orders (and with them traces) are unchanged; so are the reprs.
 The looseness a tuple brings: each type equals the plain tuple of its
@@ -52,25 +52,9 @@ class Timestamp(NamedTuple):
         cid = "nil" if self.cid == NIL else str(self.cid)
         return f"{self.num}:{cid}"
 
-    @staticmethod
-    def parse(text: str) -> "Timestamp":
-        num_part, _, cid_part = text.partition(":")
-        cid = NIL if cid_part == "nil" else int(cid_part)
-        return Timestamp(int(num_part), cid)
-
 
 # The timestamp every store starts from.
 TS_INIT = Timestamp(0, NIL)
-
-
-class TaggedValue(NamedTuple):
-    """A value labeled with the timestamp of the write that produced it."""
-
-    ts: Timestamp
-    val: bytes | None
-
-    def render(self) -> dict:
-        return {"ts": self.ts.render(), "val": render_value(self.val)}
 
 
 class Metadata(NamedTuple):
@@ -88,12 +72,6 @@ def render_value(val: bytes | None) -> str | None:
     if val is None:
         return None
     return val.decode("latin-1")
-
-
-def parse_value(text: str | None) -> bytes | None:
-    if text is None:
-        return None
-    return text.encode("latin-1")
 
 
 class HashMode(enum.Enum):

@@ -191,12 +191,18 @@ def reference_ready(sim):
 
 def checked_simulation(cfg):
     """A simulation that compares `ready` with the reference around every
-    dispatch, whether the random loop or a script fires the event."""
+    dispatch, whether the random loop or a script fires the event, and
+    checks that no event it could fire targets or invokes a crashed
+    process."""
     sim = Simulation(build_world(cfg))
     dispatch = sim.dispatch
     checks = []
 
     def dispatch_checked(delivery):
+        assert not any(
+            (d.msg.dst if d.msg is not None else d.payload["pid"]) in sim.crashed
+            for d in (delivery, *sim.pending.values())
+        )
         assert sim.ready == reference_ready(sim)
         dispatch(delivery)
         assert sim.ready == reference_ready(sim)
