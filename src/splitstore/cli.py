@@ -173,15 +173,14 @@ def _workload(path: Path, value: dict) -> dict:
 
 
 # Scenario-file keys are Config field names. These four are converted
-# from JSON, alphabet and adversary have no JSON form, and every other
-# field's value is taken as given once it has its field's type.
+# from JSON, adversary has no JSON form, and every other field's value is
+# taken as given once it has its field's type.
 _CONVERTERS = {
     "byz_data": _byz_specs, "byz_meta": _byz_specs,
     "crashes": _crash_specs, "workload": _workload,
 }
 _SCALAR_TYPES = {
-    f.name: f.type for f in fields(Config)
-    if f.name not in {*_CONVERTERS, "alphabet", "adversary"}
+    f.name: f.type for f in fields(Config) if f.name not in {*_CONVERTERS, "adversary"}
 }
 _CRASH_TYPES = {f.name: f.type for f in fields(CrashSpec)}
 # The JSON values each field annotation accepts. JSON true and false are

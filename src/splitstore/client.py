@@ -11,6 +11,9 @@ re-read each, and are accepted only if the directory has caught up.
 
 Clients are single-threaded state machines: the simulator delivers one
 message at a time, and at most one operation per client is in flight.
+The simulator hands each invocation's `history.OpRecord` to the client,
+which sets its timestamp annotations and return value and ends it
+through the port.
 """
 from __future__ import annotations
 
@@ -18,30 +21,32 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any
 
+from .history import OpRecord
 from .net import Message, MsgKind, Process
 from .types import DigestFacility, HarnessError, Metadata, Timestamp, TS_INIT
 
 
 class WritePhase(enum.Enum):
+    """The phases an in-flight write can be seen in. The commit messages
+    go out in the handler that ends the write, so no step sees a commit
+    phase."""
+
     READ_DIR = "READ-DIR"
     WRITE_HASH = "WRITE-HASH"
     WRITE_DATA = "WRITE-DATA"
     WRITE_DIR = "WRITE-DIR"
-    COMMIT = "COMMIT"
 
 
 @dataclass
 class WriteContext:
-    op_id: int
-    value: bytes
+    op: OpRecord  # its arg is the value; its ts is set once the directory is read
     phase: WritePhase = WritePhase.READ_DIR
-    ts: Timestamp | None = None
     acks: set[int] = field(default_factory=set)
 
 
 @dataclass
 class ReadContext:
-    op_id: int
+    op: OpRecord
     md: Metadata | None = None
 
 
@@ -72,14 +77,12 @@ class ClientBase(Process):
     def replica_pid(self, index: int) -> str:
         return self.data_pids[index - 1]
 
-    def invoke(self, op_id: int, op: str, arg: bytes | None) -> None:
+    def invoke(self, op: OpRecord) -> None:
         raise NotImplementedError
 
-    def respond(self, op_id: int, ret: Any) -> None:
-        self.record("op", event="response", op_id=op_id, ret=ret)
-
-    def annotate(self, op_id: int, **ann: Any) -> None:
-        self.record("op", event="annotate", op_id=op_id, **ann)
+    def respond(self, op: OpRecord, ret: Any) -> None:
+        op.ret = ret
+        self.port.end(op)
 
 
 class WriterClient(ClientBase):
@@ -87,30 +90,31 @@ class WriterClient(ClientBase):
         super().__init__(*args, **kwargs)
         self.ctx: WriteContext | None = None
 
-    def invoke(self, op_id: int, op: str, arg: bytes | None) -> None:
-        if op != "write" or arg is None:
-            raise HarnessError(f"writer {self.pid} got invocation {op!r}")
+    def invoke(self, op: OpRecord) -> None:
+        if op.kind != "WRITE" or op.arg is None:
+            raise HarnessError(f"writer {self.pid} got invocation {op.kind!r}")
         if self.ctx is not None:
             raise HarnessError(f"writer {self.pid} already has an operation in flight")
-        ctx = WriteContext(op_id=op_id, value=arg)
+        ctx = WriteContext(op)
         self.ctx = ctx
         self.driver.tsread(lambda ts, md, ctx=ctx: self._dir_read_done(ctx, ts, md))
 
     def _dir_read_done(self, ctx: WriteContext, ts: Timestamp, md: Metadata | None) -> None:
         if self.ctx is not ctx or ctx.phase is not WritePhase.READ_DIR:
             return
-        ctx.ts = ts.next_for(self.cid)
+        op = ctx.op
+        op.ts = ts.next_for(self.cid)
         ctx.phase = WritePhase.WRITE_HASH
-        self.annotate(ctx.op_id, ts=ctx.ts)
-        digest = self.digests.digest(ctx.value)
-        self.driver.hash_write(ctx.ts, digest, lambda ctx=ctx: self._hash_written(ctx))
+        digest = self.digests.digest(op.arg)
+        self.driver.hash_write(op.ts, digest, lambda ctx=ctx: self._hash_written(ctx))
 
     def _hash_written(self, ctx: WriteContext) -> None:
         if self.ctx is not ctx or ctx.phase is not WritePhase.WRITE_HASH:
             return
         ctx.phase = WritePhase.WRITE_DATA
+        op = ctx.op
         for pid in self.data_pids:
-            self.send(MsgKind.WRITE, pid, ts=ctx.ts, val=ctx.value)
+            self.send(MsgKind.WRITE, pid, ts=op.ts, val=op.arg)
 
     def on_message(self, msg: Message) -> None:
         if self.driver.handle(msg):
@@ -122,27 +126,27 @@ class WriterClient(ClientBase):
         ctx = self.ctx
         if ctx is None or ctx.phase is not WritePhase.WRITE_DATA:
             return
-        if msg["ts"] != ctx.ts or msg.src not in self.data_pids:
+        ts = ctx.op.ts
+        if msg["ts"] != ts or msg.src not in self.data_pids:
             return  # ack for some other write, or from a stranger
         ctx.acks.add(self.replica_index(msg.src))
         if len(ctx.acks) >= self.t + 1:
             ctx.phase = WritePhase.WRITE_DIR
-            md = Metadata(ts=ctx.ts, replicas=frozenset(ctx.acks))
+            md = Metadata(ts=ts, replicas=frozenset(ctx.acks))
             self.driver.tswrite(md, lambda ctx=ctx: self._dir_written(ctx))
 
     def _dir_written(self, ctx: WriteContext) -> None:
         if self.ctx is not ctx or ctx.phase is not WritePhase.WRITE_DIR:
             return
-        ctx.phase = WritePhase.COMMIT
         for pid in self.data_pids:
-            self.send(MsgKind.COMMIT, pid, ts=ctx.ts)
+            self.send(MsgKind.COMMIT, pid, ts=ctx.op.ts)
         self.ctx = None
-        self.respond(ctx.op_id, "OK")
+        self.respond(ctx.op, "OK")
 
     def final_state(self) -> dict:
         if self.ctx is None:
             return {"idle": True}
-        return {"idle": False, "phase": self.ctx.phase.value, "ts": self.ctx.ts}
+        return {"idle": False, "phase": self.ctx.phase.value, "ts": self.ctx.op.ts}
 
 
 class ReaderClient(ClientBase):
@@ -150,12 +154,12 @@ class ReaderClient(ClientBase):
         super().__init__(*args, **kwargs)
         self.ctx: ReadContext | None = None
 
-    def invoke(self, op_id: int, op: str, arg: bytes | None) -> None:
-        if op != "read":
-            raise HarnessError(f"reader {self.pid} got invocation {op!r}")
+    def invoke(self, op: OpRecord) -> None:
+        if op.kind != "READ":
+            raise HarnessError(f"reader {self.pid} got invocation {op.kind!r}")
         if self.ctx is not None:
             raise HarnessError(f"reader {self.pid} already has an operation in flight")
-        ctx = ReadContext(op_id=op_id)
+        ctx = ReadContext(op)
         self.ctx = ctx
         self.driver.tsread(lambda ts, md, ctx=ctx: self._dir_read_done(ctx, ts, md))
 
@@ -164,12 +168,13 @@ class ReaderClient(ClientBase):
             return
         if md is None:
             # Nothing written yet: return the absent value.
-            self.annotate(ctx.op_id, ts=TS_INIT, md_ts=ts)
+            ctx.op.ts = TS_INIT
+            ctx.op.md_ts = ts
             self.ctx = None
-            self.respond(ctx.op_id, None)
+            self.respond(ctx.op, None)
             return
         ctx.md = md
-        self.annotate(ctx.op_id, md_ts=md.ts)
+        ctx.op.md_ts = md.ts
         for index in sorted(md.replicas):
             self.send(MsgKind.READ, self.replica_pid(index), ts=md.ts)
 
@@ -237,12 +242,11 @@ class ReaderClient(ClientBase):
         if digest is None or digest != self.digests.digest(val):
             self.trace_note("digest-check-failed", ts=ts)
             return
-        ann: dict[str, Any] = {"ts": ts}
+        ctx.op.ts = ts
         if md2_ts is not None:
-            ann["md2_ts"] = md2_ts
-        self.annotate(ctx.op_id, **ann)
+            ctx.op.md2_ts = md2_ts
         self.ctx = None
-        self.respond(ctx.op_id, val)
+        self.respond(ctx.op, val)
 
     def final_state(self) -> dict:
         if self.ctx is None:

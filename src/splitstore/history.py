@@ -1,8 +1,11 @@
 """Operation-history records produced by runs and consumed by the checker.
 
-Client operations arrive on the "op" record channel. Directory and
-digest-array operations arrive on the "mds" channel: `DirOpLog` is the one
-writer of its records and `assemble_dir_ops` the one reader.
+A record is filled in by the process that runs its operation and stamped
+by the runtime: the simulator creates each client operation's `OpRecord`
+at its invocation and hands it to the client, and `DirOpLog` creates each
+directory and digest-array operation's `DirOpRecord`. The process sets
+the record's protocol fields; the port stamps its invoke and response
+steps, which no process reads.
 """
 from __future__ import annotations
 
@@ -57,7 +60,7 @@ class DirOpRecord:
     proc: str
     op: str  # "tsread" | "tswrite" | "hashread" | "hashwrite"
     tag: int
-    invoke: int
+    invoke: int | None = None  # stamped by the port's begin
     response: int | None = None
     ts: Timestamp | None = None
     md: Any = None
@@ -83,47 +86,23 @@ class DirOpRecord:
 
 
 class DirOpLog:
-    """One client's "mds" records. It numbers the client's directory and
-    digest-array operations; the number is the operation's tag, and the
-    metadata driver uses it as its only request tag."""
+    """One client's directory and digest-array operations. It numbers
+    them; the number is the operation's tag, and the metadata driver uses
+    it as its only request tag."""
 
     def __init__(self, owner: Process):
         self.owner = owner
         self.tag = 0
 
-    def start(self, op: str, **fields: Any) -> int:
-        """Number a new operation and record its start; returns its tag."""
+    def start(self, op: str, **fields: Any) -> DirOpRecord:
+        """Number a new operation and begin its record."""
         self.tag = tag = self.tag + 1
-        self.owner.record("mds", proc=self.owner.pid, op=op, tag=tag, phase="start", **fields)
-        return tag
+        rec = DirOpRecord(self.owner.pid, op, tag, **fields)
+        self.owner.port.begin(rec)
+        return rec
 
-    def end(self, op: str, tag: int, **fields: Any) -> None:
-        self.owner.record("mds", proc=self.owner.pid, op=op, tag=tag, phase="end", **fields)
-
-
-def assemble_dir_ops(entries: list[dict]) -> list[DirOpRecord]:
-    """Pair up start/end records from the metadata-driver channel."""
-    open_ops: dict[tuple, DirOpRecord] = {}
-    done: list[DirOpRecord] = []
-    for entry in entries:
-        key = (entry["proc"], entry["op"], entry["tag"])
-        if entry["phase"] == "start":
-            rec = DirOpRecord(
-                proc=entry["proc"], op=entry["op"], tag=entry["tag"],
-                invoke=entry["step"],
-                ts=entry.get("ts"), md=entry.get("md"),
-                index=entry.get("index"), digest=entry.get("digest"),
-            )
-            open_ops[key] = rec
-        else:
-            rec = open_ops.pop(key)
-            rec.response = entry["step"]
-            if "ts" in entry:
-                rec.ts = entry["ts"]
-            if "md" in entry:
-                rec.md = entry["md"]
-            if "digest" in entry:
-                rec.digest = entry["digest"]
-            done.append(rec)
-    done.extend(sorted(open_ops.values(), key=lambda r: (r.invoke, r.tag)))
-    return sorted(done, key=lambda r: (r.invoke, r.proc, r.tag))
+    def end(self, rec: DirOpRecord, **result: Any) -> None:
+        """Fill in the operation's result fields and end its record."""
+        for key, value in result.items():
+            setattr(rec, key, value)
+        self.owner.port.end(rec)

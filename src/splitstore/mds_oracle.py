@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .history import DirOpLog
+from .history import DirOpLog, DirOpRecord
 from .net import Message, MsgKind, Process
 from .types import NIL, HarnessError, Metadata, Timestamp, TS_INIT
 
@@ -151,15 +151,15 @@ class OracleMdsDriver:
     def __init__(self, owner: Process):
         self.owner = owner
         self.log = DirOpLog(owner)
-        self._pending: dict[int, tuple[str, Callable[..., None]]] = {}
+        self._pending: dict[int, tuple[DirOpRecord, Callable[..., None]]] = {}
 
     def _request(
         self, op: str, kind: MsgKind, dst: str, done: Callable[..., None], logged: dict,
         **fields: Any,
     ) -> None:
-        tag = self.log.start(op, **logged)
-        self._pending[tag] = (op, done)
-        self.owner.send(kind, dst, tag=tag, **fields)
+        rec = self.log.start(op, **logged)
+        self._pending[rec.tag] = (rec, done)
+        self.owner.send(kind, dst, tag=rec.tag, **fields)
 
     def tsread(self, done: Callable[[Timestamp, Metadata | None], None]) -> None:
         self._request("tsread", MsgKind.DIR_READ, DIR_PID, done, {})
@@ -180,17 +180,16 @@ class OracleMdsDriver:
         kind = msg.kind
         if kind not in RESPONSE_KINDS:
             return False
-        tag = msg["tag"]
-        entry = self._pending.pop(tag, None)
+        entry = self._pending.pop(msg["tag"], None)
         if entry is None:
             return True  # response for a superseded operation
-        op, done = entry
+        rec, done = entry
         if kind is MsgKind.DIR_READ_RESP:
             result = {"ts": msg["ts"], "md": msg["md"]}
         elif kind is MsgKind.HASH_READ_RESP:
             result = {"digest": msg["digest"]}
         else:
             result = {}
-        self.log.end(op, tag, **result)
+        self.log.end(rec, **result)
         done(*result.values())
         return True

@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
-from .history import DirOpLog
+from .history import DirOpLog, DirOpRecord
 from .mds_oracle import HashArraySpec
 from .net import Message, MsgKind, Process
 from .types import Metadata, Timestamp, TS_INIT
@@ -293,9 +293,8 @@ class _StoreOp:
 
 @dataclass
 class _ReadOp:
-    tag: int
+    rec: DirOpRecord  # a tsread or a hashread
     scope: Any
-    op: str  # "tsread" | "hashread"
     done: Callable[..., None]
     snapshots: set[str] = field(default_factory=set)
     reporters: dict = field(default_factory=dict)  # reg -> Pair -> set of pids
@@ -354,10 +353,10 @@ class ReplicatedMdsDriver:
         self, op: str, reg: RegisterId, key: Timestamp, payload: Any,
         done: Callable[[], None], **logged: Any,
     ) -> None:
-        tag = self.log.start(op, **logged)
+        rec = self.log.start(op, **logged)
 
         def finish() -> None:
-            self.log.end(op, tag)
+            self.log.end(rec)
             done()
 
         self._start_store(reg, key, payload, MsgKind.META_STORE, finish)
@@ -371,10 +370,10 @@ class ReplicatedMdsDriver:
     # -- read side ----------------------------------------------------------
 
     def _read(self, op: str, scope: Any, done: Callable[..., None], **logged: Any) -> None:
-        tag = self.log.start(op, **logged)
-        self._reads[tag] = _ReadOp(tag=tag, scope=scope, op=op, done=done)
+        rec = self.log.start(op, **logged)
+        self._reads[rec.tag] = _ReadOp(rec=rec, scope=scope, done=done)
         for pid in self.meta_pids:
-            self.owner.send(MsgKind.META_QUERY, pid, scope=scope, tag=tag)
+            self.owner.send(MsgKind.META_QUERY, pid, scope=scope, tag=rec.tag)
 
     def tsread(self, done: Callable[[Timestamp, Metadata | None], None]) -> None:
         self._read("tsread", "dir", done)
@@ -434,7 +433,7 @@ class ReplicatedMdsDriver:
     def _evaluate(self, read: _ReadOp) -> None:
         if len(read.snapshots) < self.quorum:
             return
-        if read.op == "hashread":
+        if read.rec.op == "hashread":
             self._evaluate_hashread(read)
         else:
             self._evaluate_tsread(read)
@@ -477,8 +476,9 @@ class ReplicatedMdsDriver:
 
     def _finish_read(self, read: _ReadOp, **result: Any) -> None:
         """Unsubscribe, record the end and pass the result's values on."""
-        del self._reads[read.tag]
+        tag = read.rec.tag
+        del self._reads[tag]
         for pid in self.meta_pids:
-            self.owner.send(MsgKind.META_UNSUB, pid, tag=read.tag)
-        self.log.end(read.op, read.tag, **result)
+            self.owner.send(MsgKind.META_UNSUB, pid, tag=tag)
+        self.log.end(read.rec, **result)
         read.done(*result.values())

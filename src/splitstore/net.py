@@ -3,7 +3,10 @@
 Processes never see the scheduler clock or each other's objects; they
 only receive immutable messages and emit new ones through the runtime
 port bound by the simulator. Channels are authenticated: the ``src``
-field is set by the runtime, not by the sender.
+field is set by the runtime, not by the sender. The step belongs to the
+runtime too: a process fills in the fields of its own history records,
+and the port stamps their invoke and response steps, which no process
+ever reads.
 """
 from __future__ import annotations
 
@@ -74,16 +77,19 @@ def make_message(kind: MsgKind, src: str, dst: str, **fields: Any) -> Message:
 
 def render_field(value: Any) -> Any:
     """Render a message field or state entry for the JSON trace."""
-    if value is None or isinstance(value, (bool, int, str)):
+    # The value types are the most common fields, so they are tested
+    # before the scalar types, which they never belong to; they are tuples,
+    # so they must also come before the tuple branch.
+    if value is None:
         return value
-    if isinstance(value, bytes):
-        return render_value(value)
-    # The value types are tuples, so they must be matched before the
-    # tuple branch below renders them as lists.
     if isinstance(value, Timestamp):
         return value.render()
     if isinstance(value, Metadata):
         return value.render()
+    if isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, bytes):
+        return render_value(value)
     if isinstance(value, (frozenset, set)):
         return sorted(render_field(v) for v in value)
     if isinstance(value, (tuple, list)):
@@ -100,22 +106,26 @@ class Port:
 
     ``send`` builds the message and hands it to the sender, which queues
     it for asynchronous delivery; it is the one way a message enters the
-    network. ``trace`` adds a free-form note to the trace. ``record`` feeds
-    structured side channels (client operation events, metadata
-    sub-operations) that the simulator assembles into the history; the
-    recorder is given the entry dict itself, keeps it and stamps the
-    current step into it.
+    network. ``trace`` adds a free-form note to the trace. ``begin`` and
+    ``end`` are the runtime's own callables. ``begin(rec)`` stamps the
+    current step as a `history.DirOpRecord`'s invoke and adds the record
+    to the run's directory operations; the simulator begins client
+    operations itself. ``end(rec)`` stamps the current step as the
+    response of a record the process has filled in, a `DirOpRecord` or
+    a client's `history.OpRecord`.
     """
 
     def __init__(
         self,
         sender: Callable[[Message], None],
         tracer: Callable[..., None],
-        recorder: Callable[[str, dict], None],
+        begin: Callable[[Any], None],
+        end: Callable[[Any], None],
     ):
         self._sender = sender
         self._tracer = tracer
-        self._recorder = recorder
+        self.begin = begin
+        self.end = end
 
     def send(self, kind: MsgKind, src: str, dst: str, **fields: Any) -> None:
         # make_message's body, inlined: this runs once per message.
@@ -123,9 +133,6 @@ class Port:
 
     def trace(self, proc: str, note: str, **payload: Any) -> None:
         self._tracer(proc, note, **payload)
-
-    def record(self, channel: str, entry: dict) -> None:
-        self._recorder(channel, entry)
 
 
 class Process:
@@ -143,10 +150,6 @@ class Process:
         if self.port is not None:
             self.port.trace(self.pid, note, **payload)
 
-    def record(self, channel: str, **entry: Any) -> None:
-        assert self.port is not None, "process used outside a simulation"
-        self.port.record(channel, entry)
-
     def on_message(self, msg: Message) -> None:
         raise NotImplementedError
 
@@ -157,11 +160,11 @@ class Process:
 
 @dataclass(slots=True)
 class Delivery:
-    """A schedulable event: a message delivery or a client invocation.
-    Crashes and adversary actions fire outside the pending set."""
+    """A schedulable event: a message delivery, or a client invocation
+    when ``msg`` is None. Crashes and adversary actions fire outside the
+    pending set."""
 
     seq: int
-    kind: str  # "deliver" | "invoke"
     created_step: int
     msg: Message | None = None
-    payload: dict | None = None  # invocations only: {"pid": client}
+    pid: str | None = None  # invocations only: the invoking client

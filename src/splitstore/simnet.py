@@ -14,8 +14,16 @@ step on, while messages it already sent stay in flight (the network does
 not forget). Events for it are dropped in two places and nowhere else:
 `crash()` drops every pending event that targets or invokes the process,
 and `_send` drops each later message to it. So `dispatch` never meets an
-event for a crashed process and does not test for one. Step indices
-exist only in traces and the checker; no protocol handler ever sees one.
+event for a crashed process and does not test for one.
+
+The simulator owns the history and its steps. `invoke_next` creates each
+client operation's `OpRecord` and hands it to the client; a metadata
+driver's `DirOpLog` creates each directory operation's `DirOpRecord`.
+Processes fill in their records' protocol fields but never read a step:
+the port's `begin` and `end` stamp the current step as a record's invoke
+and response, and `end` on a client operation also traces the response
+and runs the completion bookkeeping (after-ops crashes, the client's next
+invocation).
 
 Every pending event gets a sequence number (seq) when it is created, and
 the scheduler keeps `Simulation.ready`, the ascending list of the seqs it
@@ -66,18 +74,24 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable, Iterator
 
-from .client import ClientBase, ReaderClient, WriterClient
+from .client import ClientBase, ReaderClient, WritePhase, WriterClient
 from .faults import (
     ByzSpec,
     CrashSpec,
     make_data_replica,
     make_meta_replica,
 )
-from .history import DirOpRecord, OpRecord, assemble_dir_ops
+from .history import DirOpRecord, OpRecord
 from .mds_oracle import DIR_PID, HASH_PID, DirectoryOracle, HashArrayOracle, OracleMdsDriver
 from .mds_replicated import ReplicatedMdsDriver
 from .net import Delivery, Message, MsgKind, Port, Process, render_field
 from .types import ConfigError, DigestFacility, HarnessError, HashMode, render_value
+
+# The values a generated workload writes.
+ALPHABET = (b"a", b"b", b"c", b"d")
+# The phases an at_phase crash may name: those a writer's operation can be
+# seen in between steps.
+CRASH_PHASES = tuple(phase.value for phase in WritePhase)
 
 DEFAULT_BUDGET = 10_000
 DEFAULT_MAX_STEPS = 50_000
@@ -89,7 +103,6 @@ class AdversaryAction:
     step: int
     process: str
     action: str
-    params: dict = dc_field(default_factory=dict)
 
 
 @dataclass
@@ -104,7 +117,6 @@ class Config:
     hash_mode: HashMode = HashMode.PRODUCTION
     mds_mode: str = "oracle"
     ops: int = 3
-    alphabet: tuple[bytes, ...] = (b"a", b"b", b"c", b"d")
     fairness: int = DEFAULT_FAIRNESS
     budget: int = DEFAULT_BUDGET
     max_steps: int = DEFAULT_MAX_STEPS
@@ -170,9 +182,32 @@ class Config:
         if self.byz_meta and self.mds_mode != "replicated":
             raise ConfigError("Byzantine metadata replicas require replicated mds mode")
         faulty = set(self.byz_data) | set(self.byz_meta)
+        built = {*data_pids, *self.writer_pids(), *self.reader_pids()}
+        built |= meta_pids if self.mds_mode == "replicated" else {DIR_PID, HASH_PID}
         for spec in self.crashes:
-            if spec.process in faulty:
-                raise ConfigError(f"crash target {spec.process!r} is already Byzantine")
+            # A crash names a process this run builds and exactly one
+            # trigger: a step or an operation count, or a writer's phase.
+            pid, phase = spec.process, spec.at_phase
+            if pid not in built:
+                raise ConfigError(f"crash target {pid!r} is not a process of this run")
+            if pid in faulty:
+                raise ConfigError(f"crash target {pid!r} is already Byzantine")
+            triggers = [t for t in (spec.at_step, spec.after_ops, phase) if t is not None]
+            if len(triggers) != 1:
+                raise ConfigError(
+                    f"crash of {pid!r} needs exactly one of at_step, after_ops and at_phase"
+                )
+            if phase is None and triggers[0] < 0:
+                name = "at_step" if spec.at_step is not None else "after_ops"
+                raise ConfigError(
+                    f"crash of {pid!r}: {name} must be non-negative, got {triggers[0]}"
+                )
+            if phase is not None and pid not in self.writer_pids():
+                raise ConfigError(f"at_phase crash target {pid!r} is not a writer")
+            if phase is not None and phase not in CRASH_PHASES:
+                raise ConfigError(
+                    f"crash of {pid!r}: at_phase {phase!r} is not one of {', '.join(CRASH_PHASES)}"
+                )
 
     def writer_pids(self) -> list[str]:
         return [f"w{i + 1}" for i in range(self.writers)]
@@ -234,7 +269,7 @@ def default_workload(config: Config) -> dict[str, list[tuple[str, bytes | None]]
     rng = random.Random(f"{config.seed}|workload")
     plan: dict[str, list[tuple[str, bytes | None]]] = {}
     for pid in config.writer_pids():
-        plan[pid] = [("WRITE", rng.choice(config.alphabet)) for _ in range(config.ops)]
+        plan[pid] = [("WRITE", rng.choice(ALPHABET)) for _ in range(config.ops)]
     for pid in config.reader_pids():
         plan[pid] = [("READ", None)] * config.ops
     return plan
@@ -366,7 +401,6 @@ class RunResult:
     dir_ops: list[DirOpRecord]
     final_states: dict[str, dict]
     crashed: set[str]
-    collisions: list[tuple[str, str, str]]
 
     @property
     def trace(self) -> Trace:
@@ -402,9 +436,8 @@ class Simulation:
         self.channels: defaultdict[tuple[str, str], deque[int]] = defaultdict(deque)  # FIFO only
         self.events: list[Event] = []
         self.crashed: set[str] = set()
-        self.ops: dict[int, OpRecord] = {}
-        self.mds_entries: list[dict] = []
-        self.op_seq = 0
+        self.history: list[OpRecord] = []  # in invocation order
+        self.dir_ops: list[DirOpRecord] = []  # in begin order
         self.queues: dict[str, list[tuple[str, bytes | None]]] = {
             pid: list(ops) for pid, ops in world.workload.items()
         }
@@ -415,7 +448,7 @@ class Simulation:
         self.timed_faults = bool(self.config.adversary) or any(
             c.at_step is not None for c in self.config.crashes
         )
-        port = Port(self._send, self._trace_note, self._record)
+        port = Port(self._send, self._trace_note, self._begin, self._end)
         for proc in world.processes.values():
             proc.port = port
 
@@ -432,7 +465,7 @@ class Simulation:
             self.events.append((self.step, "drop", "destination-crashed", msg))
             return
         self.seq = seq = self.seq + 1
-        self.pending[seq] = Delivery(seq, "deliver", self.step, msg)
+        self.pending[seq] = Delivery(seq, self.step, msg)
         if self.fifo:
             chan = self.channels[(msg.src, dst)]
             chan.append(seq)
@@ -446,29 +479,18 @@ class Simulation:
         self._trace("note", proc=proc, note=note,
                     **{k: render_field(v) for k, v in payload.items()})
 
-    def _record(self, channel: str, entry: dict) -> None:
-        entry["step"] = self.step
-        if channel == "mds":
-            self.mds_entries.append(entry)
-            return
-        if channel != "op":
-            raise HarnessError(f"unknown record channel {channel!r}")
-        if entry["event"] == "response":
-            op = self.ops[entry["op_id"]]
-            op.response = self.step
-            op.ret = entry["ret"]
-            pid = op.client
+    def _begin(self, rec: DirOpRecord) -> None:
+        rec.invoke = self.step
+        self.dir_ops.append(rec)
+
+    def _end(self, rec: OpRecord | DirOpRecord) -> None:
+        rec.response = self.step
+        if isinstance(rec, OpRecord):
+            pid = rec.client
             self.completed_ops[pid] += 1
-            self._trace("response", op_id=op.op_id, client=pid,
-                        ret=render_value(op.ret) if isinstance(op.ret, bytes) else op.ret)
+            self._trace("response", op_id=rec.op_id, client=pid,
+                        ret=render_value(rec.ret) if isinstance(rec.ret, bytes) else rec.ret)
             self._after_completion(pid)
-        elif entry["event"] == "annotate":
-            op = self.ops[entry["op_id"]]
-            for key in ("ts", "md_ts", "md2_ts"):
-                if key in entry:
-                    setattr(op, key, entry[key])
-        else:
-            raise HarnessError(f"unknown op event {entry['event']!r}")
 
     # -- fault machinery ----------------------------------------------------
 
@@ -481,16 +503,15 @@ class Simulation:
         self._trace("crash", proc=pid)
         doomed = [
             d.seq for d in self.pending.values()
-            if (d.msg is not None and d.msg.dst == pid)
-            or (d.kind == "invoke" and d.payload.get("pid") == pid)
+            if (d.msg.dst if d.msg is not None else d.pid) == pid
         ]
         for seq in doomed:
             delivery = self.take(seq)
             if delivery.msg is not None:
                 self._trace_msg("drop", delivery.msg, "target-crashed")
             else:
-                self._trace("drop", reason="target-crashed", kind=delivery.kind,
-                            payload=dict(delivery.payload))
+                self._trace("drop", reason="target-crashed", kind="invoke",
+                            payload={"pid": delivery.pid})
         if pid in self.queues:
             self.queues[pid] = []
 
@@ -512,8 +533,7 @@ class Simulation:
         for spec in self.phase_crashes:
             if spec.process in self.crashed:
                 continue
-            client = self.world.clients.get(spec.process)
-            ctx = getattr(client, "ctx", None)
+            ctx = self.world.clients[spec.process].ctx  # a writer's; see Config.validate
             if ctx is not None and ctx.phase.value == spec.at_phase:
                 self.request_crash(spec.process)
 
@@ -528,7 +548,7 @@ class Simulation:
 
     def enqueue_invoke(self, pid: str) -> None:
         self.seq = seq = self.seq + 1
-        self.pending[seq] = Delivery(seq, "invoke", self.step, payload={"pid": pid})
+        self.pending[seq] = Delivery(seq, self.step, pid=pid)
         self.ready.append(seq)
 
     def take(self, seq: int) -> Delivery:
@@ -556,13 +576,12 @@ class Simulation:
         if not queue:
             raise HarnessError(f"no queued operations left for {pid!r}")
         kind, arg = queue.pop(0)
-        self.op_seq += 1
-        op = OpRecord(op_id=self.op_seq, client=pid, kind=kind, arg=arg, invoke=self.step)
-        self.ops[op.op_id] = op
+        op = OpRecord(op_id=len(self.history) + 1, client=pid, kind=kind, arg=arg,
+                      invoke=self.step)
+        self.history.append(op)
         self._trace("invoke", op_id=op.op_id, client=pid, kind=kind,
                     arg=render_value(arg) if arg is not None else None)
-        client = self.world.clients[pid]
-        client.invoke(op.op_id, kind.lower(), arg)
+        self.world.clients[pid].invoke(op)
         return op.op_id
 
     # -- event dispatch -----------------------------------------------------
@@ -576,15 +595,12 @@ class Simulation:
         self.events.append((self.step, ev, reason, msg))
 
     def dispatch(self, delivery: Delivery) -> None:
-        kind = delivery.kind
-        if kind == "deliver":
-            msg = delivery.msg
+        msg = delivery.msg
+        if msg is None:
+            self.invoke_next(delivery.pid)
+        else:
             self.events.append((self.step, "deliver", None, msg))
             self.processes[msg.dst].on_message(msg)
-        elif kind == "invoke":
-            self.invoke_next(delivery.payload["pid"])
-        else:
-            raise HarnessError(f"cannot dispatch event kind {kind!r}")
         if self.phase_crashes:
             self._check_phase_crashes()
         if self._crash_requests:
@@ -599,7 +615,7 @@ class Simulation:
                     self.crash(spec.process)
         for act in self.config.adversary:
             if act.step == self.step:
-                self.adversary(act.process, act.action, act.params)
+                self.adversary(act.process, act.action, {})
 
     def run(self) -> RunResult:
         for pid in sorted(self.queues):
@@ -633,24 +649,21 @@ class Simulation:
             if delivery.msg is not None:
                 self._trace_msg("undelivered", delivery.msg)
             else:
-                self._trace("undelivered", kind=delivery.kind,
-                            payload=dict(delivery.payload))
+                self._trace("undelivered", kind="invoke", payload={"pid": delivery.pid})
         final_states = {}
         for pid, proc in sorted(self.world.processes.items()):
             state = render_field(proc.final_state())
             final_states[pid] = state
             self._trace("final", proc=pid, crashed=pid in self.crashed, state=state)
-        history = sorted(self.ops.values(), key=lambda op: (op.invoke, op.op_id))
         return RunResult(
             config=self.config,
             steps=self.step,
             quiescent=quiescent,
             events=self.events,
-            history=history,
-            dir_ops=assemble_dir_ops(self.mds_entries),
+            history=self.history,
+            dir_ops=sorted(self.dir_ops, key=lambda r: (r.invoke, r.proc, r.tag)),
             final_states=final_states,
             crashed=set(self.crashed),
-            collisions=list(self.world.digests.collisions),
         )
 
 

@@ -216,3 +216,18 @@ def test_scenario_file_with_a_malformed_structured_value_exits_with_config_error
         assert main(["run", "--scenario-file", str(path), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and says in err, err
+
+
+@pytest.mark.parametrize("crash, says", [
+    ({"process": "r1", "at_phase": "WRITE-DATA"}, "at_phase crash target 'r1' is not a writer"),
+    ({"process": "w1", "at_phase": "WRITE-DATTA"}, "at_phase 'WRITE-DATTA' is not one of"),
+], ids=["reader", "typo"])
+def test_scenario_file_with_a_crash_that_cannot_fire_exits_with_config_error(
+        tmp_path, capsys, crash, says):
+    path = tmp_path / "crash.json"
+    path.write_text(json.dumps({"crashes": [crash]}))
+    assert main(["run", "--scenario-file", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ") and says in captured.err
+    assert "Traceback" not in captured.err and "PASS" not in captured.out
+    assert not (tmp_path / "out").exists()

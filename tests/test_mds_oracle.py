@@ -1,5 +1,6 @@
 import pytest
 
+from splitstore.history import DirOpRecord
 from splitstore.mds_oracle import (
     DirectoryOracle,
     HashArrayOracle,
@@ -139,8 +140,9 @@ def test_hash_process_read_miss(probe):
 
 
 def test_oracle_driver_records_each_call_and_its_response(probe):
-    """Each call sends one tagged request and records one start; its
-    response records one end and hands the response's fields to done."""
+    """Each call sends one tagged request and begins one record; its
+    response fills in and ends that record and hands the response's fields
+    to done."""
     driver = OracleMdsDriver(probe.attach(Process("r1")))
     md = Metadata(ts=Timestamp(1, 1), replicas=frozenset({1, 2}))
     idx, digest = Timestamp(1, 1), "d" * 64
@@ -156,20 +158,17 @@ def test_oracle_driver_records_each_call_and_its_response(probe):
         (MsgKind.HASH_READ, "hash", {"tag": 4, "index": idx}),
     ]
 
-    def record(op, tag, phase, **fields):
-        return ("mds", [("proc", "r1"), ("op", op), ("tag", tag), ("phase", phase),
-                        *fields.items()])
+    def record(op, tag, response=None, **fields):
+        return DirOpRecord("r1", op, tag, invoke=0, response=response, **fields)
 
-    def records():
-        return [(channel, list(entry.items())) for channel, entry in probe.records]
-
-    assert records() == [
-        record("tsread", 1, "start"),
-        record("tswrite", 2, "start", ts=md.ts, md=md),
-        record("hashwrite", 3, "start", index=idx, digest=digest),
-        record("hashread", 4, "start", index=idx),
+    assert probe.begun == [
+        record("tsread", 1),
+        record("tswrite", 2, ts=md.ts, md=md),
+        record("hashwrite", 3, index=idx, digest=digest),
+        record("hashread", 4, index=idx),
     ]
-    probe.records.clear()
+    assert probe.ended == []
+    probe.step = 1
     for reply in (
         make_message(MsgKind.HASH_READ_RESP, "hash", "r1", tag=4, digest=digest),
         make_message(MsgKind.DIR_WRITE_RESP, "dir", "r1", tag=2),
@@ -178,15 +177,16 @@ def test_oracle_driver_records_each_call_and_its_response(probe):
     ):
         assert driver.handle(reply)
     assert done == [("hashread", digest), ("tswrite",), ("tsread", md.ts, md), ("hashwrite",)]
-    assert records() == [
-        record("hashread", 4, "end", digest=digest),
-        record("tswrite", 2, "end"),
-        record("tsread", 1, "end", ts=md.ts, md=md),
-        record("hashwrite", 3, "end"),
+    assert probe.ended == [
+        record("hashread", 4, 1, index=idx, digest=digest),
+        record("tswrite", 2, 1, ts=md.ts, md=md),
+        record("tsread", 1, 1, ts=md.ts, md=md),
+        record("hashwrite", 3, 1, index=idx, digest=digest),
     ]
+    # each response ends the record its call began
+    assert all(ended is probe.begun[i] for ended, i in zip(probe.ended, (3, 1, 0, 2)))
     # a second response to a finished call is consumed and ignored; the
     # data plane's messages are not the driver's
-    probe.records.clear()
     assert driver.handle(make_message(MsgKind.DIR_WRITE_RESP, "dir", "r1", tag=2))
     assert not driver.handle(make_message(MsgKind.READ_VAL, "d1", "r1", ts=md.ts, val=b"v"))
-    assert probe.records == [] and len(done) == 4 and not probe.sent
+    assert len(probe.begun) == len(probe.ended) == len(done) == 4 and not probe.sent

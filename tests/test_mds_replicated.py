@@ -12,7 +12,8 @@ from splitstore.faults import (
 from splitstore.mds_replicated import (
     INITIAL_PAIR, MetaReplica, Pair, ReplicatedMdsDriver, pair_sort_key,
 )
-from splitstore.net import MsgKind, Port, make_message
+from splitstore.history import DirOpRecord
+from splitstore.net import MsgKind, Port, Process, make_message
 from splitstore.scenarios import random_config
 from splitstore.simnet import Config, run
 from splitstore.types import TS_INIT, HarnessError, Metadata, Timestamp
@@ -34,7 +35,8 @@ class Router:
         self.queue = deque()
         self.outbox = []  # traffic addressed to clients
         for rep in self.replicas.values():
-            rep.port = Port(self._route, lambda *a, **k: None, lambda *a, **k: None)
+            # replicas keep no history records, so they get no begin or end
+            rep.port = Port(self._route, lambda *a, **k: None, None, None)
 
     def _route(self, msg):
         if msg.dst in self.replicas:
@@ -298,18 +300,19 @@ class RecountRead:
 
 
 class DriverOwner:
-    """Stands in for the client process that owns a driver."""
+    """Stands in for the client process that owns a driver; it keeps the
+    history records the driver begins and ends."""
 
     pid = "r1"
 
     def __init__(self):
         self.sent = []
+        self.begun = []
+        self.ended = []
+        self.port = Port(None, None, self.begun.append, self.ended.append)
 
     def send(self, kind, dst, **fields):
         self.sent.append((kind, dst, fields))
-
-    def record(self, channel, **entry):
-        pass
 
 
 def pair_pool(scope, writer_cids):
@@ -403,6 +406,8 @@ def test_incremental_read_evaluation_matches_a_recount(tm, op):
             want = reference.decision()
             got = driver_decision(owner, done_calls, scope)
             assert got == want, (step, got, want)
+            # the read's record ends exactly when it hands its result on
+            assert owner.ended == (owner.begun if done_calls else [])
             if want is not None:
                 outcomes[want[0], want[-1] is None] += 1
                 break
@@ -416,6 +421,81 @@ def test_incremental_read_evaluation_matches_a_recount(tm, op):
         kinds = {("digest", False), ("digest", True)}
     assert kinds <= set(outcomes), outcomes
     assert outcomes["not yet after a quorum of snapshots"] >= 100, outcomes
+
+
+def test_replicated_driver_records_each_call_and_its_result(probe):
+    """Each call begins one record. A store ends it at its 2t_M+1-th ack;
+    a tsread only after its write-back quorum, with ts and md; a hashread
+    with its digest. Late acks and updates end nothing."""
+    meta_pids = ["m1", "m2", "m3", "m4"]
+    driver = ReplicatedMdsDriver(
+        probe.attach(Process("w1")), meta_pids, 1, [1, 2], cid=1
+    )
+    md = Metadata(ts=Timestamp(1, 1), replicas=frozenset({1, 2}))
+    idx, digest = md.ts, "d" * 64
+    done = []
+
+    def feed(kind, src, **fields):
+        probe.step += 1
+        assert driver.handle(make_message(kind, src, "w1", **fields))
+
+    def record(op, tag, response=None, invoke=0, **fields):
+        return DirOpRecord("w1", op, tag, invoke=invoke, response=response, **fields)
+
+    driver.tswrite(md, lambda: done.append(("tswrite",)))
+    driver.hash_write(idx, digest, lambda: done.append(("hashwrite",)))
+    assert probe.begun == [
+        record("tswrite", 1, ts=md.ts, md=md),
+        record("hashwrite", 2, index=idx, digest=digest),
+    ]
+    stores = [(m.kind, m["seq"]) for m in probe.take_sent()]
+    assert stores == [(MsgKind.META_STORE, 1)] * 4 + [(MsgKind.META_STORE, 2)] * 4
+    for seq, reg, key in ((1, ("dir", 1), md.ts), (2, ("hash", idx), idx)):
+        for src in ("m1", "m2", "m3"):
+            assert len(probe.ended) == seq - 1
+            feed(MsgKind.META_ACK, src, reg=reg, key=key, seq=seq)
+    assert probe.ended == [
+        record("tswrite", 1, 3, ts=md.ts, md=md),
+        record("hashwrite", 2, 6, index=idx, digest=digest),
+    ]
+    assert done == [("tswrite",), ("hashwrite",)]
+
+    driver.tsread(lambda ts, got: done.append(("tsread", ts, got)))
+    driver.hash_read(idx, lambda got: done.append(("hashread", got)))
+    assert probe.begun[2:] == [
+        record("tsread", 3, invoke=6), record("hashread", 4, invoke=6, index=idx),
+    ]
+    probe.take_sent()
+    dir_updates = (
+        {"reg": ("dir", 1), "pairs": (Pair(md.ts, md),), "current": md.ts},
+        {"reg": ("dir", 2), "pairs": (), "current": TS_INIT},
+    )
+    for src in ("m1", "m2", "m3"):
+        feed(MsgKind.META_UPDATE, src, tag=3, updates=dir_updates)
+    # the tsread writes the confirmed pair back before it returns
+    writebacks = [m for m in probe.take_sent() if m.kind is MsgKind.META_WRITEBACK]
+    assert [(m["reg"], m["key"], m["payload"], m["seq"]) for m in writebacks] == [
+        (("dir", 1), md.ts, md, 3)] * 4
+    for src in ("m1", "m2"):
+        feed(MsgKind.META_ACK, src, reg=("dir", 1), key=md.ts, seq=3)
+    assert len(probe.ended) == 2
+    feed(MsgKind.META_ACK, "m3", reg=("dir", 1), key=md.ts, seq=3)
+    hash_updates = ({"reg": ("hash", idx), "pairs": (Pair(idx, digest),), "current": idx},)
+    for src in ("m1", "m2", "m3"):
+        feed(MsgKind.META_UPDATE, src, tag=4, updates=hash_updates)
+    assert probe.ended[2:] == [
+        record("tsread", 3, 12, invoke=6, ts=md.ts, md=md),
+        record("hashread", 4, 15, invoke=6, index=idx, digest=digest),
+    ]
+    assert all(ended is begun for ended, begun in zip(probe.ended, probe.begun))
+    assert done[2:] == [("tsread", md.ts, md), ("hashread", digest)]
+
+    # late acks and updates, for stores and reads that have ended
+    feed(MsgKind.META_ACK, "m4", reg=("dir", 1), key=md.ts, seq=1)
+    feed(MsgKind.META_ACK, "m4", reg=("dir", 1), key=md.ts, seq=3)
+    feed(MsgKind.META_UPDATE, "m4", tag=3, updates=dir_updates)
+    feed(MsgKind.META_UPDATE, "m4", tag=4, updates=hash_updates)
+    assert len(probe.begun) == len(probe.ended) == len(done) == 4
 
 
 # -- full-system runs ---------------------------------------------------------

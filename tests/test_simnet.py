@@ -61,6 +61,35 @@ def test_too_many_byzantine_replicas_is_a_config_error():
         bad.validate()
 
 
+@pytest.mark.parametrize("crash, says", [
+    (CrashSpec(process="w9", at_step=3), "'w9' is not a process of this run"),
+    (CrashSpec(process="m1", at_step=3), "'m1' is not a process of this run"),  # oracle mode
+    (CrashSpec(process="w1"), "exactly one of at_step, after_ops and at_phase"),
+    (CrashSpec(process="w1", at_step=1, after_ops=1), "exactly one of"),
+    (CrashSpec(process="w1", at_step=1, at_phase="WRITE-DIR"), "exactly one of"),
+    (CrashSpec(process="w1", at_step=-1), "at_step must be non-negative, got -1"),
+    (CrashSpec(process="r1", after_ops=-2), "after_ops must be non-negative, got -2"),
+    (CrashSpec(process="r1", at_phase="WRITE-DATA"), "'r1' is not a writer"),
+    (CrashSpec(process="d1", at_phase="WRITE-DIR"), "'d1' is not a writer"),
+    (CrashSpec(process="w1", at_phase="WRITE-DATTA"), "'WRITE-DATTA' is not one of"),
+    (CrashSpec(process="w1", at_phase="COMMIT"), "'COMMIT' is not one of"),
+])
+def test_a_crash_that_cannot_fire_is_a_config_error(crash, says):
+    with pytest.raises(ConfigError, match=says):
+        Config(crashes=(crash,)).validate()
+
+
+@pytest.mark.parametrize("crash, mode", [
+    (CrashSpec(process="dir", at_step=0), "oracle"),
+    (CrashSpec(process="m4", at_step=5), "replicated"),
+    (CrashSpec(process="d3", after_ops=0), "oracle"),
+    *((CrashSpec(process="w2", at_phase=p), "oracle")
+      for p in ("READ-DIR", "WRITE-HASH", "WRITE-DATA", "WRITE-DIR")),
+])
+def test_a_crash_with_one_trigger_on_a_built_process_is_valid(crash, mode):
+    Config(crashes=(crash,), mds_mode=mode).validate()
+
+
 def test_run_reaches_quiescence_without_faults():
     res = run(Config(seed=3, ops=2))
     assert res.quiescent
@@ -200,7 +229,7 @@ def checked_simulation(cfg):
 
     def dispatch_checked(delivery):
         assert not any(
-            (d.msg.dst if d.msg is not None else d.payload["pid"]) in sim.crashed
+            (d.msg.dst if d.msg is not None else d.pid) in sim.crashed
             for d in (delivery, *sim.pending.values())
         )
         assert sim.ready == reference_ready(sim)
