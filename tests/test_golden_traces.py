@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+from splitstore.faults import CrashSpec
 from splitstore.scenarios import SCENARIOS, random_config, run_scenario
 from splitstore.simnet import Config, run
 
@@ -116,6 +117,28 @@ FIXED = {
     "replicated-ops10-fifo-1": "5b1df3034929c17d01bf60021abcb81f62c2b6d5b1eb77b48eebf0e5f7a7410f",
 }
 
+# after_ops crashes on a writer and a reader, in both metadata modes, with
+# FIFO off and on. Each run crashes its target right after the completion
+# that reaches the count, and so drops the target's queued next invocation.
+AFTER_OPS_TARGETS = {"w1": 1, "r2": 2}
+AFTER_OPS = {
+    "w1-after-1-oracle-fifo-0": "0e33411256d68dd6544e12693179827c8ea018bafe8d7c226f5c31c8cdd057c9",
+    "w1-after-1-oracle-fifo-1": "a2a05bac76e80354d3f8b6bd2659d90788ddd2a3084b96fad6c5a408373c0738",
+    "w1-after-1-replicated-fifo-0": "b19a97e8fb624294644a2c7b95cf141ef83b14589f9ad39cc7c6c168e6ea483e",
+    "w1-after-1-replicated-fifo-1": "d03c5c1ed23387ddb9fc32dc5206ad81c0c236023a3b5f70a1b26c716387ec1b",
+    "r2-after-2-oracle-fifo-0": "2af98a4d73d2dad9cffc0bccdf61ddcaf86d839c5738b8228aa6b0d0471ea7e9",
+    "r2-after-2-oracle-fifo-1": "25be954ba330502253e0561d3e429e6fbcfaee68a15fb73d6c41e58e8dd038c3",
+    "r2-after-2-replicated-fifo-0": "12db80e6220ec9ef50adf460d2c2f89b94618abb4f66f14bdf955558ae8a7686",
+    "r2-after-2-replicated-fifo-1": "9403c9215628f706a97911e546ed3f66cf32f03084f3ffdf642de33f88db8ba6",
+}
+
+
+def after_ops_config(name: str) -> Config:
+    target, _, count, mode, _, fifo = name.split("-")
+    assert AFTER_OPS_TARGETS[target] == int(count)
+    return Config(seed=4, ops=3, mds_mode=mode, fifo=fifo == "1",
+                  crashes=(CrashSpec(process=target, after_ops=int(count)),))
+
 SCENARIOS_AT_SEED_0 = {
     "control-2t1": {
         "control": "91e9a31706ad4386fefa38453cb9ab6721fb388895b1e782925761916b576b98",
@@ -148,6 +171,14 @@ def test_random_config_trace_is_pinned(seed):
 def test_fixed_config_trace_is_pinned(name):
     config = Config(seed=0, **FIXED_CONFIGS[name])
     assert fingerprint(run(config)) == FIXED[name]
+
+
+@pytest.mark.parametrize("name", sorted(AFTER_OPS))
+def test_after_ops_crash_trace_is_pinned(name):
+    result = run(after_ops_config(name))
+    dropped = [e for e in result.trace if e["ev"] == "drop" and e.get("kind") == "invoke"]
+    assert result.crashed == {name.split("-")[0]} and len(dropped) == 1
+    assert fingerprint(result) == AFTER_OPS[name]
 
 
 def test_every_scenario_is_pinned():
