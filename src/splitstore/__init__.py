@@ -6,7 +6,7 @@ The public surface is intentionally small: build a `Config`, call `run`,
 feed the `RunResult` to `check_run`, or go through the named scenarios.
 """
 from .checker import CheckResult, Verdict, check_run
-from .faults import ByzSpec, ByzStrategy, CrashSpec
+from .faults import ByzStrategy, CrashSpec
 from .history import DirOpRecord, OpRecord
 from .scenarios import SCENARIO_NAMES, ScenarioOutcome, run_scenario
 from .simnet import AdversaryAction, Config, RunResult, Simulation, run
@@ -23,7 +23,6 @@ from .types import (
 
 __all__ = [
     "AdversaryAction",
-    "ByzSpec",
     "ByzStrategy",
     "CheckResult",
     "Config",

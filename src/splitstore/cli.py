@@ -16,7 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .checker import check_run
-from .faults import ByzSpec, ByzStrategy
+from .faults import ByzStrategy
 from .scenarios import (
     SCENARIO_NAMES,
     ScenarioOutcome,
@@ -49,17 +49,17 @@ def _parse_seeds(args: argparse.Namespace) -> list[int]:
 
 
 def _parse_byz(specs: list[str]) -> tuple[dict, dict]:
-    byz_data: dict[str, ByzSpec] = {}
-    byz_meta: dict[str, ByzSpec] = {}
+    byz_data: dict[str, ByzStrategy] = {}
+    byz_meta: dict[str, ByzStrategy] = {}
     for item in specs:
         if ":" not in item:
             raise ConfigError(f"--byz expects replica:strategy, got {item!r}")
-        pid, strategy = item.split(":", 1)
-        spec = ByzSpec(ByzStrategy.parse(strategy))
+        pid, name = item.split(":", 1)
+        strategy = ByzStrategy.parse(name)
         if pid.startswith("m"):
-            byz_meta[pid] = spec
+            byz_meta[pid] = strategy
         else:
-            byz_data[pid] = spec
+            byz_data[pid] = strategy
     return byz_data, byz_meta
 
 
@@ -151,8 +151,8 @@ def _wants_custom_config(args: argparse.Namespace) -> bool:
         or args.fifo or args.lower_bound
 
 
-def _byz_specs(path: Path, value: dict) -> dict:
-    return {pid: ByzSpec(ByzStrategy.parse(name)) for pid, name in value.items()}
+def _byz_strategies(path: Path, value: dict) -> dict:
+    return {pid: ByzStrategy.parse(name) for pid, name in value.items()}
 
 
 def _crash_specs(path: Path, value: list) -> tuple:
@@ -176,7 +176,7 @@ def _workload(path: Path, value: dict) -> dict:
 # from JSON, adversary has no JSON form, and every other field's value is
 # taken as given once it has its field's type.
 _CONVERTERS = {
-    "byz_data": _byz_specs, "byz_meta": _byz_specs,
+    "byz_data": _byz_strategies, "byz_meta": _byz_strategies,
     "crashes": _crash_specs, "workload": _workload,
 }
 _SCALAR_TYPES = {

@@ -66,10 +66,8 @@ class ClientBase(Process):
         self.digests = digests
         self.data_pids = data_pids
         self.t = t
-        self.driver = None  # bound by the simulator wiring
-
-    def attach_driver(self, driver: Any) -> None:
-        self.driver = driver
+        self.driver: Any = None  # bound by the simulator wiring
+        self.ctx: WriteContext | ReadContext | None = None  # the operation in flight
 
     def replica_index(self, pid: str) -> int:
         return self.data_pids.index(pid) + 1
@@ -86,10 +84,6 @@ class ClientBase(Process):
 
 
 class WriterClient(ClientBase):
-    def __init__(self, *args: Any, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        self.ctx: WriteContext | None = None
-
     def invoke(self, op: OpRecord) -> None:
         if op.kind != "WRITE" or op.arg is None:
             raise HarnessError(f"writer {self.pid} got invocation {op.kind!r}")
@@ -150,10 +144,6 @@ class WriterClient(ClientBase):
 
 
 class ReaderClient(ClientBase):
-    def __init__(self, *args: Any, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        self.ctx: ReadContext | None = None
-
     def invoke(self, op: OpRecord) -> None:
         if op.kind != "READ":
             raise HarnessError(f"reader {self.pid} got invocation {op.kind!r}")

@@ -5,6 +5,9 @@ replace selected handlers. Every strategy is reactive and deterministic:
 outputs depend only on the process state and the inbound event, so runs
 stay reproducible. STATE-SWITCH is the one scripted strategy; it swaps
 replica state when the scheduler delivers an adversary action to it.
+A run's `Config.adversary` plan may name only a Byzantine class's
+`PLAN_ACTIONS`, the actions that take no params; a `Script` may also
+pass params (the data replica's `swap-values`).
 """
 from __future__ import annotations
 
@@ -34,12 +37,6 @@ class ByzStrategy(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ByzSpec:
-    strategy: ByzStrategy
-    params: tuple = ()  # (key, value) pairs, kept hashable
-
-
-@dataclass(frozen=True)
 class CrashSpec:
     """When to crash a process: at a step, after N completed ops, or when a
     writer's in-flight operation first reaches a protocol phase."""
@@ -64,19 +61,19 @@ class ByzDataReplica(DataReplica):
     covers.
     """
 
-    def __init__(self, pid: str, writer_pids: frozenset[str], spec: ByzSpec):
+    def __init__(self, pid: str, writer_pids: frozenset[str], strategy: ByzStrategy):
         super().__init__(pid, writer_pids)
-        self.spec = spec
+        self.strategy = strategy
         self._flip = 0
 
     def on_message(self, msg: Message) -> None:
-        if self.spec.strategy is ByzStrategy.MUTE:
+        if self.strategy is ByzStrategy.MUTE:
             self.trace_note("byz-mute-drop", kind=msg.kind.value, src=msg.src)
             return
         super().on_message(msg)
 
     def on_read(self, msg: Message) -> None:
-        strat = self.spec.strategy
+        strat = self.strategy
         if strat is ByzStrategy.STALE_CONCURRENT:
             self._reply_max_pair(msg)
         elif strat is ByzStrategy.FABRICATE_HIGH_TS:
@@ -100,6 +97,9 @@ class ByzDataReplica(DataReplica):
             self.send(MsgKind.READ_VAL, msg.src, ts=ts, val=self.data[ts])
         else:
             self.send(MsgKind.READ_VAL, msg.src, ts=self.committed, val=None)
+
+    # The actions a run's fault plan may schedule: those that take no params.
+    PLAN_ACTIONS = ("corrupt-all",)
 
     def apply_adversary(self, action: str, params: dict) -> None:
         if action == "swap-values":
@@ -135,25 +135,24 @@ class ByzMetaReplica(MetaReplica):
         tm: int,
         client_ids: dict[str, int],
         writer_cids: list[int],
-        spec: ByzSpec,
+        strategy: ByzStrategy,
     ):
         super().__init__(pid, peer_pids, tm, client_ids, writer_cids)
-        self.spec = spec
+        self.strategy = strategy
 
     def on_message(self, msg: Message) -> None:
-        if self.spec.strategy is ByzStrategy.MUTE:
+        if self.strategy is ByzStrategy.MUTE:
             self.trace_note("byz-mute-drop", kind=msg.kind.value, src=msg.src)
             return
         super().on_message(msg)
 
     def _notify(self, reg: tuple, pair: Pair) -> None:
-        strat = self.spec.strategy
-        if strat is ByzStrategy.STALE_CONCURRENT:
+        if self.strategy is ByzStrategy.STALE_CONCURRENT:
             return  # stale: never push updates
         super()._notify(reg, pair)
 
     def _report(self, reg: tuple, tag: int) -> dict:
-        strat = self.spec.strategy
+        strat = self.strategy
         if strat is ByzStrategy.STALE_CONCURRENT:
             return {"reg": reg, "pairs": (), "current": TS_INIT}
         if strat is ByzStrategy.FABRICATE_HIGH_TS or (
@@ -167,6 +166,9 @@ class ByzMetaReplica(MetaReplica):
                 payload = "00" * 32
             return {"reg": reg, "pairs": (Pair(fake_ts, payload),), "current": fake_ts}
         return super()._report(reg, tag)
+
+    # The actions a run's fault plan may schedule: those that take no params.
+    PLAN_ACTIONS = ("scramble",)
 
     def apply_adversary(self, action: str, params: dict) -> None:
         if action != "scramble":
@@ -187,11 +189,11 @@ class ByzMetaReplica(MetaReplica):
 
 
 def make_data_replica(
-    pid: str, writer_pids: frozenset[str], spec: ByzSpec | None
+    pid: str, writer_pids: frozenset[str], strategy: ByzStrategy | None
 ) -> DataReplica:
-    if spec is None:
+    if strategy is None:
         return DataReplica(pid, writer_pids)
-    return ByzDataReplica(pid, writer_pids, spec)
+    return ByzDataReplica(pid, writer_pids, strategy)
 
 
 def make_meta_replica(
@@ -200,8 +202,8 @@ def make_meta_replica(
     tm: int,
     client_ids: dict[str, int],
     writer_cids: list[int],
-    spec: ByzSpec | None,
+    strategy: ByzStrategy | None,
 ) -> MetaReplica:
-    if spec is None:
+    if strategy is None:
         return MetaReplica(pid, peer_pids, tm, client_ids, writer_cids)
-    return ByzMetaReplica(pid, peer_pids, tm, client_ids, writer_cids, spec)
+    return ByzMetaReplica(pid, peer_pids, tm, client_ids, writer_cids, strategy)

@@ -11,19 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .checker import Verdict, check_run
-from .faults import ByzSpec, ByzStrategy, CrashSpec
+from .faults import ByzStrategy, CrashSpec
 from .net import MsgKind
 from .simnet import AdversaryAction, Config, Match, RunResult, Script, World, run
 from .types import ConfigError, HashMode, Timestamp
-
-SCENARIO_NAMES = (
-    "fig1",
-    "theorem1-crash",
-    "theorem1-byz",
-    "control-2t1",
-    "gc-quiescence",
-    "random",
-)
 
 
 @dataclass
@@ -77,7 +68,7 @@ def scenario_fig1(seed: object = 0) -> ScenarioOutcome:
     config = Config(
         t=1, tm=1, writers=2, readers=1, seed=seed,
         hash_mode=HashMode.PRODUCTION, mds_mode="replicated",
-        byz_data={"d3": ByzSpec(ByzStrategy.STALE_CONCURRENT)},
+        byz_data={"d3": ByzStrategy.STALE_CONCURRENT},
         workload={
             "w1": [("WRITE", b"v1")],
             "w2": [("WRITE", b"v2")],
@@ -147,7 +138,7 @@ def _theorem1_config(seed: object, value: bytes) -> Config:
     return Config(
         t=1, tm=1, writers=1, readers=1, seed=seed,
         hash_mode=HashMode.FORGEABLE, mds_mode="oracle",
-        byz_data={"d3": ByzSpec(ByzStrategy.STATE_SWITCH)},
+        byz_data={"d3": ByzStrategy.STATE_SWITCH},
         workload={"w1": [("WRITE", value)], "r1": [("READ", None)]},
     )
 
@@ -223,7 +214,7 @@ def scenario_control_2t1(seed: object = 0) -> ScenarioOutcome:
     config = Config(
         t=1, tm=1, writers=2, readers=2, seed=seed, ops=2,
         hash_mode=HashMode.PRODUCTION, mds_mode="oracle",
-        byz_data={"d3": ByzSpec(ByzStrategy.STATE_SWITCH)},
+        byz_data={"d3": ByzStrategy.STATE_SWITCH},
         adversary=(
             AdversaryAction(step=25 + h % 50, process="d3", action="corrupt-all"),
         ),
@@ -309,13 +300,13 @@ def random_config(
     byz_data = {}
     strategy = DATA_STRATEGY_CYCLE[h % len(DATA_STRATEGY_CYCLE)]
     if strategy is not None:
-        byz_data["d3"] = ByzSpec(strategy)
+        byz_data["d3"] = strategy
     mode = mds_mode if mds_mode is not None else ("oracle" if h % 2 == 0 else "replicated")
     byz_meta = {}
     if mode == "replicated" and with_meta_faults:
         meta_strategy = META_STRATEGY_CYCLE[(h // 2) % len(META_STRATEGY_CYCLE)]
         if meta_strategy is not None:
-            byz_meta["m4"] = ByzSpec(meta_strategy)
+            byz_meta["m4"] = meta_strategy
     crashes = ()
     if h % 5 == 0 and h > 0:
         phase = CRASH_PHASE_CYCLE[(h // 5) % len(CRASH_PHASE_CYCLE)]
@@ -325,7 +316,7 @@ def random_config(
         adversary.append(
             AdversaryAction(step=40 + h % 60, process="d3", action="corrupt-all")
         )
-    if byz_meta.get("m4") is not None and byz_meta["m4"].strategy is ByzStrategy.STATE_SWITCH:
+    if byz_meta.get("m4") is ByzStrategy.STATE_SWITCH:
         adversary.append(
             AdversaryAction(step=50 + h % 60, process="m4", action="scramble")
         )
@@ -361,6 +352,7 @@ SCENARIOS = {
     "gc-quiescence": scenario_gc_quiescence,
     "random": scenario_random,
 }
+SCENARIO_NAMES = tuple(SCENARIOS)
 
 
 def run_scenario(name: str, seed: object = 0, **kwargs: object) -> ScenarioOutcome:

@@ -1,13 +1,15 @@
 """Deterministic discrete-event simulator for the protocol.
 
-One event fires per step: a message delivery, a client invocation, a
-crash, or an adversary action. The default scheduler picks uniformly at
+One event fires per step: a message delivery or a client invocation,
+or, under a script, a crash or an adversary action; the fault plan's
+timed entries fire at the start of their step. The default scheduler picks uniformly at
 random (seeded) among pending events, with a bounded-fairness override:
 any event older than the fairness window is delivered first, oldest
 first, so every message between correct processes lands within a bounded
 number of steps. Scenario scripts bypass the random scheduler and pick
 events by pattern, which is how the proof-style executions with their
-precise delays and starved channels are reproduced.
+precise delays and starved channels are reproduced. Both honour the
+config's fault plan the same way (see "The fault plan" below).
 
 Crashes are permanent. A crashed process handles nothing from its crash
 step on, while messages it already sent stay in flight (the network does
@@ -22,8 +24,22 @@ driver's `DirOpLog` creates each directory operation's `DirOpRecord`.
 Processes fill in their records' protocol fields but never read a step:
 the port's `begin` and `end` stamp the current step as a record's invoke
 and response, and `end` on a client operation also traces the response
-and runs the completion bookkeeping (after-ops crashes, the client's next
-invocation).
+and queues the client's next invocation.
+
+The fault plan. `Simulation.__init__` compiles `Config.crashes` and
+`Config.adversary` once, into two parts:
+
+- timed entries, keyed by step: at-step crashes in config order, then
+  adversary actions. `fire_timed` fires a step's entries when the step
+  starts, and pops them, so a step started twice fires them once. The
+  random loop and every `Script` step start there.
+- watched crashes: after-ops counts, and at-phase crashes with their
+  phase resolved to a `WritePhase`, compared by identity. They are
+  checked at the end of every `dispatch`, which a `Script.invoke` goes
+  through too. A client completes an operation, and a writer changes
+  phase, only in a dispatch to that process, so at most one process
+  falls due per dispatch. Its crash then drops the invocation that `end`
+  has just queued, which the trace shows as a `drop` of an `invoke`.
 
 Every pending event gets a sequence number (seq) when it is created, and
 the scheduler keeps `Simulation.ready`, the ascending list of the seqs it
@@ -49,10 +65,8 @@ which is what lets a class-level wrapper on `Port.send` see every one.
 A `Message` is a NamedTuple, so building it is one tuple allocation,
 not a frozen dataclass's `__init__` with one `object.__setattr__` per
 field.
-Fault checks run only when the config has faults: `Simulation.__init__`
-works out once whether there are at-step crashes or adversary actions
-(checked before each step) and at-phase crashes (checked after each
-dispatch), and queued crash requests are run only when there are some.
+A run without faults pays one dict lookup per step for the timed entries
+and one loop over an empty list per dispatch for the watched crashes.
 `ready` and `pending` are mutated in place and never rebound, which is
 why `run()` may hold them in locals.
 
@@ -76,7 +90,8 @@ from typing import Any, Callable, Iterator
 
 from .client import ClientBase, ReaderClient, WritePhase, WriterClient
 from .faults import (
-    ByzSpec,
+    ByzDataReplica,
+    ByzMetaReplica,
     CrashSpec,
     make_data_replica,
     make_meta_replica,
@@ -121,10 +136,10 @@ class Config:
     budget: int = DEFAULT_BUDGET
     max_steps: int = DEFAULT_MAX_STEPS
     fifo: bool = False
-    byz_data: dict = dc_field(default_factory=dict)  # pid -> ByzSpec
-    byz_meta: dict = dc_field(default_factory=dict)  # pid -> ByzSpec
+    byz_data: dict = dc_field(default_factory=dict)  # pid -> ByzStrategy
+    byz_meta: dict = dc_field(default_factory=dict)  # pid -> ByzStrategy
     crashes: tuple = ()  # CrashSpec, ...
-    adversary: tuple = ()  # AdversaryAction, ... (random-schedule runs)
+    adversary: tuple = ()  # AdversaryAction, ...
     lower_bound: bool = False
     workload: dict | None = None  # pid -> [("WRITE", bytes) | ("READ", None)]
 
@@ -182,11 +197,12 @@ class Config:
         if self.byz_meta and self.mds_mode != "replicated":
             raise ConfigError("Byzantine metadata replicas require replicated mds mode")
         faulty = set(self.byz_data) | set(self.byz_meta)
-        built = {*data_pids, *self.writer_pids(), *self.reader_pids()}
+        clients = {*self.writer_pids(), *self.reader_pids()}
+        built = {*data_pids, *clients}
         built |= meta_pids if self.mds_mode == "replicated" else {DIR_PID, HASH_PID}
         for spec in self.crashes:
             # A crash names a process this run builds and exactly one
-            # trigger: a step or an operation count, or a writer's phase.
+            # trigger: a step, a client's operation count, or a writer's phase.
             pid, phase = spec.process, spec.at_phase
             if pid not in built:
                 raise ConfigError(f"crash target {pid!r} is not a process of this run")
@@ -197,16 +213,39 @@ class Config:
                 raise ConfigError(
                     f"crash of {pid!r} needs exactly one of at_step, after_ops and at_phase"
                 )
-            if phase is None and triggers[0] < 0:
-                name = "at_step" if spec.at_step is not None else "after_ops"
+            if spec.at_step is not None and spec.at_step < 0:
                 raise ConfigError(
-                    f"crash of {pid!r}: {name} must be non-negative, got {triggers[0]}"
+                    f"crash of {pid!r}: at_step must be non-negative, got {spec.at_step}"
+                )
+            if spec.after_ops is not None and pid not in clients:
+                raise ConfigError(f"after_ops crash target {pid!r} is not a client")
+            # The crash follows the completion that reaches the count, so
+            # there must be one.
+            if spec.after_ops is not None and spec.after_ops < 1:
+                raise ConfigError(
+                    f"crash of {pid!r}: after_ops must be at least 1, got {spec.after_ops}"
                 )
             if phase is not None and pid not in self.writer_pids():
                 raise ConfigError(f"at_phase crash target {pid!r} is not a writer")
             if phase is not None and phase not in CRASH_PHASES:
                 raise ConfigError(
                     f"crash of {pid!r}: at_phase {phase!r} is not one of {', '.join(CRASH_PHASES)}"
+                )
+        for act in self.adversary:
+            # An action names a Byzantine process of this run, a step the
+            # run can reach, and an action its class takes without params.
+            pid = act.process
+            if pid not in faulty:
+                raise ConfigError(f"adversary action targets non-Byzantine process {pid!r}")
+            if act.step < 0:
+                raise ConfigError(
+                    f"adversary action on {pid!r}: step must be non-negative, got {act.step}"
+                )
+            actions = (ByzDataReplica if pid in self.byz_data else ByzMetaReplica).PLAN_ACTIONS
+            if act.action not in actions:
+                raise ConfigError(
+                    f"adversary action on {pid!r}: {act.action!r} is not one of "
+                    f"{', '.join(actions)}"
                 )
 
     def writer_pids(self) -> list[str]:
@@ -245,8 +284,8 @@ class Config:
             "budget": self.budget,
             "max_steps": self.max_steps,
             "fifo": self.fifo,
-            "byz_data": {p: s.strategy.value for p, s in sorted(self.byz_data.items())},
-            "byz_meta": {p: s.strategy.value for p, s in sorted(self.byz_meta.items())},
+            "byz_data": {p: s.value for p, s in sorted(self.byz_data.items())},
+            "byz_meta": {p: s.value for p, s in sorted(self.byz_meta.items())},
             "crashes": [
                 {"process": c.process, "at_step": c.at_step,
                  "after_ops": c.after_ops, "at_phase": c.at_phase}
@@ -307,12 +346,11 @@ def build_world(config: Config) -> World:
         clients[pid] = client
     for pid, client in clients.items():
         if config.mds_mode == "oracle":
-            driver = OracleMdsDriver(client)
+            client.driver = OracleMdsDriver(client)
         else:
-            driver = ReplicatedMdsDriver(
+            client.driver = ReplicatedMdsDriver(
                 client, config.meta_pids(), config.tm, writer_cids, client.cid
             )
-        client.attach_driver(driver)
         processes[pid] = client
 
     workload = config.workload if config.workload is not None else default_workload(config)
@@ -442,12 +480,19 @@ class Simulation:
             pid: list(ops) for pid, ops in world.workload.items()
         }
         self.completed_ops: dict[str, int] = {pid: 0 for pid in world.clients}
-        self._crash_requests: list[str] = []
-        # The fault checks this config needs; see the module docstring.
-        self.phase_crashes = [c for c in self.config.crashes if c.at_phase is not None]
-        self.timed_faults = bool(self.config.adversary) or any(
-            c.at_step is not None for c in self.config.crashes
-        )
+        # The fault plan, compiled once; see the module docstring. Timed
+        # entries map a step to (pid, action) pairs, action None for a crash.
+        self.timed: dict[int, list[tuple[str, str | None]]] = {}
+        for spec in self.config.crashes:
+            if spec.at_step is not None:
+                self.timed.setdefault(spec.at_step, []).append((spec.process, None))
+        for act in self.config.adversary:
+            self.timed.setdefault(act.step, []).append((act.process, act.action))
+        # Watched crashes: (pid, after_ops, None) or (pid, None, phase).
+        self.watched: list[tuple[str, int | None, WritePhase | None]] = [
+            (spec.process, spec.after_ops, spec.at_phase and WritePhase(spec.at_phase))
+            for spec in self.config.crashes if spec.at_step is None
+        ]
         port = Port(self._send, self._trace_note, self._begin, self._end)
         for proc in world.processes.values():
             proc.port = port
@@ -490,7 +535,8 @@ class Simulation:
             self.completed_ops[pid] += 1
             self._trace("response", op_id=rec.op_id, client=pid,
                         ret=render_value(rec.ret) if isinstance(rec.ret, bytes) else rec.ret)
-            self._after_completion(pid)
+            if self.queues[pid]:
+                self.enqueue_invoke(pid)
 
     # -- fault machinery ----------------------------------------------------
 
@@ -522,27 +568,14 @@ class Simulation:
         self._trace("adversary", proc=pid, action=action)
         proc.apply_adversary(action, params)
 
-    def request_crash(self, pid: str) -> None:
-        self._crash_requests.append(pid)
-
-    def _run_crash_requests(self) -> None:
-        while self._crash_requests:
-            self.crash(self._crash_requests.pop(0))
-
-    def _check_phase_crashes(self) -> None:
-        for spec in self.phase_crashes:
-            if spec.process in self.crashed:
-                continue
-            ctx = self.world.clients[spec.process].ctx  # a writer's; see Config.validate
-            if ctx is not None and ctx.phase.value == spec.at_phase:
-                self.request_crash(spec.process)
-
-    def _check_completion_crashes(self, pid: str) -> None:
-        for spec in self.config.crashes:
-            if spec.process != pid or spec.after_ops is None:
-                continue
-            if pid not in self.crashed and self.completed_ops[pid] >= spec.after_ops:
-                self.request_crash(pid)
+    def fire_timed(self) -> None:
+        """Start the current step: fire the plan's timed entries for it,
+        at most once however often the step is started."""
+        for pid, action in self.timed.pop(self.step, ()):
+            if action is None:
+                self.crash(pid)
+            else:
+                self.adversary(pid, action, {})
 
     # -- operations ---------------------------------------------------------
 
@@ -565,11 +598,6 @@ class Simulation:
             if chan:
                 insort(ready, chan[0])
         return delivery
-
-    def _after_completion(self, pid: str) -> None:
-        self._check_completion_crashes(pid)
-        if self.queues.get(pid) and pid not in self.crashed:
-            self.enqueue_invoke(pid)
 
     def invoke_next(self, pid: str) -> int:
         queue = self.queues[pid]
@@ -601,21 +629,16 @@ class Simulation:
         else:
             self.events.append((self.step, "deliver", None, msg))
             self.processes[msg.dst].on_message(msg)
-        if self.phase_crashes:
-            self._check_phase_crashes()
-        if self._crash_requests:
-            self._run_crash_requests()
+        for pid, ops, phase in self.watched:
+            if phase is None:
+                due = self.completed_ops[pid] >= ops
+            else:
+                ctx = self.world.clients[pid].ctx
+                due = ctx is not None and ctx.phase is phase
+            if due:
+                self.crash(pid)  # a no-op once pid has crashed
 
     # -- random-schedule loop -----------------------------------------------
-
-    def _fire_scheduled_faults(self) -> None:
-        for spec in self.config.crashes:
-            if spec.at_step is not None and spec.at_step <= self.step:
-                if spec.process not in self.crashed:
-                    self.crash(spec.process)
-        for act in self.config.adversary:
-            if act.step == self.step:
-                self.adversary(act.process, act.action, {})
 
     def run(self) -> RunResult:
         for pid in sorted(self.queues):
@@ -625,13 +648,13 @@ class Simulation:
         # stay the live containers; nothing but this loop advances the step.
         ready, pending = self.ready, self.pending
         fairness, max_steps = self.config.fairness, self.config.max_steps
-        timed_faults = self.timed_faults
+        timed = self.timed
         choice = self.rng.choice
         step = self.step
         quiescent = False
         while step < max_steps:
-            if timed_faults:
-                self._fire_scheduled_faults()
+            if step in timed:
+                self.fire_timed()
             if not ready:
                 quiescent = True
                 break
@@ -688,32 +711,43 @@ class Match:
 
 
 class Script:
-    """Driver for proof-style schedules: deliver by pattern, starve the rest."""
+    """Driver for proof-style schedules: deliver by pattern, starve the rest.
+
+    Each method call is one step per event it fires, and every step starts
+    at `Simulation.fire_timed`, so the config's fault plan fires as it does
+    in a random run.
+    """
 
     def __init__(self, sim: Simulation):
         self.sim = sim
 
-    def _first_ready(self, accept: Callable[[Delivery], bool]) -> int | None:
-        pending = self.sim.pending
-        return next((seq for seq in self.sim.ready if accept(pending[seq])), None)
-
-    def _fire(self, seq: int) -> None:
-        self.sim.dispatch(self.sim.take(seq))
+    def _step(self, act: Callable[[], object]) -> None:
+        """One step: fire the plan's timed entries for it, then `act`."""
+        self.sim.fire_timed()
+        act()
         self.sim.step += 1
+
+    def _fire_first(self, accept: Callable[[Delivery], bool]) -> bool:
+        """Dispatch the oldest ready event that `accept` takes, if any."""
+        sim = self.sim
+        sim.fire_timed()  # before the pick: a timed crash may drop a candidate
+        seq = next((seq for seq in sim.ready if accept(sim.pending[seq])), None)
+        if seq is not None:
+            self._step(lambda: sim.dispatch(sim.take(seq)))
+        return seq is not None
 
     def invoke(self, pid: str) -> int:
-        op_id = self.sim.invoke_next(pid)
-        self.sim.step += 1
-        return op_id
+        sim = self.sim
+        # An invocation the script makes, not one taken from the pending set.
+        self._step(lambda: sim.dispatch(Delivery(0, sim.step, pid=pid)))
+        return sim.history[-1].op_id
 
     def deliver(self, match: Match, count: int | None = 1) -> int:
         """Deliver the oldest `count` matching messages (all if count=None)."""
         delivered = 0
-        while count is None or delivered < count:
-            seq = self._first_ready(lambda d: d.msg is not None and match.covers(d.msg))
-            if seq is None:
-                break
-            self._fire(seq)
+        while (count is None or delivered < count) and self._fire_first(
+            lambda d: d.msg is not None and match.covers(d.msg)
+        ):
             delivered += 1
         if count is not None and delivered < count:
             raise HarnessError(
@@ -724,22 +758,17 @@ class Script:
     def drain(self, *starve: Match) -> int:
         """Deliver everything except messages matching a starve pattern."""
         delivered = 0
-        while True:
-            seq = self._first_ready(
-                lambda d: d.msg is None or not any(m.covers(d.msg) for m in starve)
-            )
-            if seq is None:
-                return delivered
-            self._fire(seq)
+        while self._fire_first(
+            lambda d: d.msg is None or not any(m.covers(d.msg) for m in starve)
+        ):
             delivered += 1
+        return delivered
 
     def crash(self, pid: str) -> None:
-        self.sim.crash(pid)
-        self.sim.step += 1
+        self._step(lambda: self.sim.crash(pid))
 
     def adversary(self, pid: str, action: str, params: dict | None = None) -> None:
-        self.sim.adversary(pid, action, params or {})
-        self.sim.step += 1
+        self._step(lambda: self.sim.adversary(pid, action, params or {}))
 
 
 def run(config: Config, script: Callable[[Script, World], None] | None = None) -> RunResult:

@@ -94,7 +94,8 @@ class HashMode(enum.Enum):
 
 
 class DigestFacility:
-    """Produces digests for values and audits collisions.
+    """Produces digests for values and rejects collisions in the
+    collision-resistant modes.
 
     One instance is shared by all processes in a run, mirroring a hash
     function everyone agrees on. In ORACLE mode the instance keeps the
@@ -109,7 +110,6 @@ class DigestFacility:
         self._forged: dict[bytes, str] = {}
         # digest token -> first value observed for it
         self._first_preimage: dict[str, bytes] = {}
-        self.collisions: list[tuple[bytes, bytes, str]] = []
 
     def digest(self, value: bytes) -> str:
         if value is None:
@@ -140,12 +140,8 @@ class DigestFacility:
 
     def _note(self, token: str, value: bytes) -> None:
         first = self._first_preimage.setdefault(token, value)
-        if first != value:
-            record = (first, value, token)
-            if record not in self.collisions:
-                self.collisions.append(record)
-            if self.collision_resistant():
-                raise HarnessError(
-                    f"digest collision in {self.mode.value} mode: "
-                    f"{first!r} and {value!r} -> {token}"
-                )
+        if first != value and self.collision_resistant():
+            raise HarnessError(
+                f"digest collision in {self.mode.value} mode: "
+                f"{first!r} and {value!r} -> {token}"
+            )

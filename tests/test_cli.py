@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +147,15 @@ def test_scenario_file_with_a_crash_plan(tmp_path):
     assert rep["runs"]["file"]["crashed"] == ["w2"]
 
 
+def test_the_example_scenario_file_crashes_its_writer_at_its_phase(tmp_path):
+    example = Path(__file__).resolve().parents[1] / "examples" / "scenario.json"
+    assert main(["run", "--scenario-file", str(example), "--seeds", "0..2",
+                 "--out-dir", str(tmp_path)]) == 0
+    for seed in range(3):
+        rep = json.loads((tmp_path / f"scenario-{seed}.report.json").read_text())
+        assert rep["runs"]["file"]["crashed"] == ["w2"]
+
+
 def test_scenario_file_sets_any_scalar_config_field(tmp_path):
     spec = {"writers": 1, "readers": 1, "ops": 2, "fairness": 8, "max_steps": 5000}
     path = tmp_path / "tight.json"
@@ -221,7 +231,9 @@ def test_scenario_file_with_a_malformed_structured_value_exits_with_config_error
 @pytest.mark.parametrize("crash, says", [
     ({"process": "r1", "at_phase": "WRITE-DATA"}, "at_phase crash target 'r1' is not a writer"),
     ({"process": "w1", "at_phase": "WRITE-DATTA"}, "at_phase 'WRITE-DATTA' is not one of"),
-], ids=["reader", "typo"])
+    ({"process": "d1", "after_ops": 1}, "after_ops crash target 'd1' is not a client"),
+    ({"process": "r1", "after_ops": 0}, "after_ops must be at least 1, got 0"),
+], ids=["reader", "typo", "replica-count", "zero-count"])
 def test_scenario_file_with_a_crash_that_cannot_fire_exits_with_config_error(
         tmp_path, capsys, crash, says):
     path = tmp_path / "crash.json"

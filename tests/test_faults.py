@@ -4,7 +4,6 @@ from splitstore.faults import (
     FABRICATED_CID,
     JUNK_VALUE,
     ByzDataReplica,
-    ByzSpec,
     ByzStrategy,
 )
 from splitstore.net import MsgKind, make_message
@@ -14,7 +13,7 @@ WRITERS = frozenset({"w1"})
 
 
 def byz(probe, strategy):
-    return probe.attach(ByzDataReplica("d3", WRITERS, ByzSpec(strategy)))
+    return probe.attach(ByzDataReplica("d3", WRITERS, strategy))
 
 
 def seed_pairs(replica):

@@ -7,7 +7,7 @@ import pytest
 
 from splitstore.checker import check_run
 from splitstore.faults import (
-    FABRICATED_CID, ByzMetaReplica, ByzSpec, ByzStrategy, CrashSpec,
+    FABRICATED_CID, ByzMetaReplica, ByzStrategy, CrashSpec,
 )
 from splitstore.mds_replicated import (
     INITIAL_PAIR, MetaReplica, Pair, ReplicatedMdsDriver, pair_sort_key,
@@ -151,7 +151,7 @@ def test_subscribers_get_snapshot_and_live_updates():
 
 
 def test_scrambled_replica_snapshots_its_scrambled_state_in_order():
-    r = Router(byz={"m4": ByzSpec(ByzStrategy.STATE_SWITCH)})
+    r = Router(byz={"m4": ByzStrategy.STATE_SWITCH})
     for num in (1, 2, 10):
         md = Metadata(ts=Timestamp(num, 1), replicas=frozenset({1, 2}))
         store_to(r, ["m1", "m2", "m3", "m4"], key=Timestamp(num, 1), payload=md, seq=num)
@@ -202,7 +202,7 @@ def test_byzantine_snapshot_replies(strategy):
     STALE reports nothing, FABRICATE-HIGH-TS an invented high pair, and
     EQUIVOCATE fabricates on odd tags only. Live pushes stay honest, and
     STALE sends none."""
-    r = Router(byz={"m4": ByzSpec(strategy)})
+    r = Router(byz={"m4": strategy})
     idx = Timestamp(1, 1)
     store_to(r, ["m1", "m2", "m3", "m4"])
     store_to(r, ["m1", "m2", "m3", "m4"], reg=("hash", idx), key=idx, payload="d" * 64, seq=2)
@@ -515,7 +515,7 @@ def test_fault_free_replicated_run_is_clean():
 
 @pytest.mark.parametrize("strategy", list(ByzStrategy))
 def test_one_byzantine_metadata_replica_is_tolerated(strategy):
-    cfg = replicated_config(byz_meta={"m4": ByzSpec(strategy)})
+    cfg = replicated_config(byz_meta={"m4": strategy})
     res = run(cfg)
     verdict = check_run(res)
     assert verdict.ok, verdict.failed()
@@ -535,8 +535,8 @@ def test_writer_crash_mid_write_leaves_readers_live():
 def test_byzantine_metadata_plus_data_replica_together():
     cfg = replicated_config(
         seed=31,
-        byz_data={"d3": ByzSpec(ByzStrategy.EQUIVOCATE)},
-        byz_meta={"m2": ByzSpec(ByzStrategy.FABRICATE_HIGH_TS)},
+        byz_data={"d3": ByzStrategy.EQUIVOCATE},
+        byz_meta={"m2": ByzStrategy.FABRICATE_HIGH_TS},
     )
     res = run(cfg)
     verdict = check_run(res)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from splitstore.faults import ByzSpec, ByzStrategy, CrashSpec
+from splitstore.faults import ByzStrategy, CrashSpec
 from splitstore.net import MsgKind, Port, Process
 from splitstore.simnet import (
     AdversaryAction, Config, Match, Script, Simulation, build_world, run,
@@ -53,8 +53,8 @@ def test_too_many_byzantine_replicas_is_a_config_error():
     bad = Config(
         t=1,
         byz_data={
-            "d1": ByzSpec(ByzStrategy.MUTE),
-            "d2": ByzSpec(ByzStrategy.MUTE),
+            "d1": ByzStrategy.MUTE,
+            "d2": ByzStrategy.MUTE,
         },
     )
     with pytest.raises(ConfigError):
@@ -68,11 +68,13 @@ def test_too_many_byzantine_replicas_is_a_config_error():
     (CrashSpec(process="w1", at_step=1, after_ops=1), "exactly one of"),
     (CrashSpec(process="w1", at_step=1, at_phase="WRITE-DIR"), "exactly one of"),
     (CrashSpec(process="w1", at_step=-1), "at_step must be non-negative, got -1"),
-    (CrashSpec(process="r1", after_ops=-2), "after_ops must be non-negative, got -2"),
+    (CrashSpec(process="r1", after_ops=-2), "after_ops must be at least 1, got -2"),
     (CrashSpec(process="r1", at_phase="WRITE-DATA"), "'r1' is not a writer"),
     (CrashSpec(process="d1", at_phase="WRITE-DIR"), "'d1' is not a writer"),
     (CrashSpec(process="w1", at_phase="WRITE-DATTA"), "'WRITE-DATTA' is not one of"),
     (CrashSpec(process="w1", at_phase="COMMIT"), "'COMMIT' is not one of"),
+    (CrashSpec(process="r1", after_ops=0), "after_ops must be at least 1, got 0"),
+    (CrashSpec(process="d3", after_ops=1), "after_ops crash target 'd3' is not a client"),
 ])
 def test_a_crash_that_cannot_fire_is_a_config_error(crash, says):
     with pytest.raises(ConfigError, match=says):
@@ -82,7 +84,7 @@ def test_a_crash_that_cannot_fire_is_a_config_error(crash, says):
 @pytest.mark.parametrize("crash, mode", [
     (CrashSpec(process="dir", at_step=0), "oracle"),
     (CrashSpec(process="m4", at_step=5), "replicated"),
-    (CrashSpec(process="d3", after_ops=0), "oracle"),
+    (CrashSpec(process="r1", after_ops=1), "oracle"),
     *((CrashSpec(process="w2", at_phase=p), "oracle")
       for p in ("READ-DIR", "WRITE-HASH", "WRITE-DATA", "WRITE-DIR")),
 ])
@@ -173,12 +175,99 @@ def test_fairness_bounds_message_age():
 def test_adversary_actions_fire_at_their_step():
     cfg = Config(
         seed=2, ops=2,
-        byz_data={"d3": ByzSpec(ByzStrategy.STATE_SWITCH)},
+        byz_data={"d3": ByzStrategy.STATE_SWITCH},
         adversary=(AdversaryAction(step=10, process="d3", action="corrupt-all"),),
     )
     res = run(cfg)
-    events = [e for e in res.trace if e["ev"] == "adversary"]
-    assert events and events[0]["step"] >= 10
+    assert [e["step"] for e in res.trace if e["ev"] == "adversary"] == [10]
+
+
+STATE_SWITCH_D3 = {"d3": ByzStrategy.STATE_SWITCH}
+
+
+@pytest.mark.parametrize("action, mode, says", [
+    (AdversaryAction(step=5, process="d3", action="swap-values"), "oracle",
+     "'swap-values' is not one of corrupt-all"),
+    (AdversaryAction(step=5, process="d3", action="scramble"), "oracle",
+     "'scramble' is not one of corrupt-all"),
+    (AdversaryAction(step=5, process="m4", action="corrupt-all"), "replicated",
+     "'corrupt-all' is not one of scramble"),
+    (AdversaryAction(step=5, process="d1", action="corrupt-all"), "oracle",
+     "non-Byzantine process 'd1'"),
+    (AdversaryAction(step=5, process="d9", action="corrupt-all"), "oracle",
+     "non-Byzantine process 'd9'"),
+    (AdversaryAction(step=-3, process="d3", action="corrupt-all"), "oracle",
+     "step must be non-negative, got -3"),
+])
+def test_an_adversary_action_that_cannot_fire_is_a_config_error(action, mode, says):
+    byz_meta = {"m4": ByzStrategy.STATE_SWITCH} if mode == "replicated" else {}
+    cfg = Config(mds_mode=mode, byz_data=STATE_SWITCH_D3, byz_meta=byz_meta,
+                 adversary=(action,))
+    with pytest.raises(ConfigError, match=says):
+        cfg.validate()
+    with pytest.raises(ConfigError, match=says):
+        run(cfg)  # before step 0, not at the action's step
+
+
+def test_planned_adversary_actions_on_byzantine_replicas_are_valid():
+    Config(
+        mds_mode="replicated", byz_data=STATE_SWITCH_D3,
+        byz_meta={"m4": ByzStrategy.STATE_SWITCH},
+        adversary=(AdversaryAction(step=0, process="d3", action="corrupt-all"),
+                   AdversaryAction(step=9, process="m4", action="scramble")),
+    ).validate()
+
+
+# -- the fault plan under a script ---------------------------------------------
+
+
+def steps_of(result, ev, **match):
+    return [e["step"] for e in result.trace
+            if e["ev"] == ev and all(e.get(k) == v for k, v in match.items())]
+
+
+def test_a_config_step_crash_fires_at_its_step_under_a_script():
+    cfg = Config(seed=0, writers=1, readers=1, ops=1,
+                 crashes=(CrashSpec(process="d1", at_step=3),))
+
+    def script(s, world):
+        s.invoke("w1")
+        s.drain()
+
+    res = run(cfg, script)
+    assert res.crashed == {"d1"}
+    assert steps_of(res, "crash", proc="d1") == [3]
+    assert not [e for e in res.trace if e["ev"] == "deliver" and e["step"] >= 3
+                and e["msg"]["dst"] == "d1"]
+
+
+def test_a_read_dir_phase_crash_fires_at_the_scripted_invoke():
+    cfg = Config(seed=0, writers=2, readers=0, ops=1,
+                 crashes=(CrashSpec(process="w2", at_phase="READ-DIR"),))
+
+    def script(s, world):
+        s.invoke("w1")
+        s.drain()
+        s.invoke("w2")
+        s.drain()
+
+    res = run(cfg, script)
+    assert res.crashed == {"w2"}
+    assert steps_of(res, "crash", proc="w2") == steps_of(res, "invoke", client="w2")
+
+
+def test_config_adversary_actions_fire_once_at_their_step_under_a_script():
+    cfg = Config(seed=0, writers=1, readers=1, ops=1, byz_data=STATE_SWITCH_D3,
+                 adversary=(AdversaryAction(step=0, process="d3", action="corrupt-all"),
+                            AdversaryAction(step=4, process="d3", action="corrupt-all")))
+
+    def script(s, world):
+        assert s.drain() == 0  # starts step 0 and fires its action; no event to deliver
+        s.invoke("w1")  # starts step 0 again: its action is not fired twice
+        s.drain()
+
+    res = run(cfg, script)
+    assert steps_of(res, "adversary", proc="d3") == [0, 4]
 
 
 def test_latency_table_covers_completed_ops():
@@ -247,8 +336,8 @@ READY_LIST_RUNS = {
     "after-ops-crash": dict(seed=4, crashes=(CrashSpec(process="w1", after_ops=1),)),
     "byzantine": dict(
         seed=31, mds_mode="replicated",
-        byz_data={"d3": ByzSpec(ByzStrategy.EQUIVOCATE)},
-        byz_meta={"m4": ByzSpec(ByzStrategy.STALE_CONCURRENT)},
+        byz_data={"d3": ByzStrategy.EQUIVOCATE},
+        byz_meta={"m4": ByzStrategy.STALE_CONCURRENT},
     ),
 }
 
@@ -316,7 +405,7 @@ def port_call_counts():
 def test_every_message_and_note_passes_through_the_port(port_call_counts, mds_mode, fifo):
     # A mute data replica notes every message it swallows, so notes occur
     # in every run; nothing crashes, so every send is traced.
-    mute = {"d3": ByzSpec(ByzStrategy.MUTE)}
+    mute = {"d3": ByzStrategy.MUTE}
     sends = notes = 0
     for seed in range(3):
         res = run(Config(seed=seed, ops=3, readers=3, mds_mode=mds_mode, fifo=fifo,

@@ -134,7 +134,6 @@ class TestDigestFacility:
         d.forge(b"fake", target)
         assert d.digest(b"fake") == target
         assert not d.collision_resistant()
-        assert d.collisions  # the forgery is audited
 
     @pytest.mark.parametrize("mode", [HashMode.PRODUCTION, HashMode.ORACLE])
     def test_forgery_requires_forgeable_mode(self, mode):
