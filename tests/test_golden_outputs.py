@@ -13,16 +13,21 @@ random_config's fault plans) and 2333, every other scenario at seed 0, and
 three runs of the benchmark's cli-long shape wrapped the way the benchmark
 wraps them: 209 files.
 
+`CLI_DIGESTS` pins the CLI's two one-off runs the same way, through
+`cli.main`: a run built from sizing and fault flags, and a scenario file
+with a workload and a crash, each at seeds 0-2.
+
 Do not regenerate a digest to make a test pass. A mismatch means the bytes
 of an output file changed; if that is intended, say so in the change that
 updates the digest.
 """
 import hashlib
+import json
 
 import pytest
 
 from splitstore.checker import check_run
-from splitstore.cli import write_outputs
+from splitstore.cli import main, write_outputs
 from splitstore.scenarios import SCENARIOS, ScenarioOutcome, run_scenario, scenario_random
 from splitstore.simnet import Config, run
 
@@ -618,3 +623,75 @@ def test_written_files_are_pinned(case, tmp_path):
 
 def test_the_pinned_set_covers_209_files():
     assert sum(len(files) for files in DIGESTS.values()) == 209
+
+
+# A scenario file with a workload and an after_ops crash, and no "ops".
+PINNED_FILE = {
+    "writers": 2, "readers": 2, "mds_mode": "oracle",
+    "byz_data": {"d2": "fabricate-high-ts"},
+    "crashes": [{"process": "w1", "after_ops": 1}],
+    "workload": {
+        "w1": [{"op": "write", "value": "one"}, {"op": "write", "value": "two"}],
+        "w2": [{"op": "write", "value": "three"}],
+        "r1": [{"op": "read"}, {"op": "read"}],
+        "r2": [{"op": "read"}],
+    },
+}
+CLI_CASES = {
+    "flags": ["--random", "--writers", "1", "--readers", "2", "--ops", "3",
+              "--mds-mode", "replicated", "--byz", "d3:stale-concurrent",
+              "--byz", "m4:equivocate", "--fifo", "--seeds", "0..2"],
+    "file": ["--scenario-file", "pinned.json", "--seeds", "0..2"],
+}
+CLI_DIGESTS = {
+    "flags": {
+        "random-0.history.json":
+            "37f56f0c9e858bfa1129281025564667dfa4a0a06ac199957104802c8cfc7dc7",
+        "random-0.report.json":
+            "685f1fff5429879ddf06f7e9b06fc35d54e13d12552d5882816798191c7e942e",
+        "random-0.trace.jsonl":
+            "94ba09877ab4dd4fad97197f58ccd2971d723d20e5e021917d1e75668936ced3",
+        "random-1.history.json":
+            "11580a8cf0ad4092948bb43d07804e8c01adb9b357d46b072218a00aeab85fb5",
+        "random-1.report.json":
+            "c84caa3c1fc51935d2f9d26d1a7cd7d619deb66a72750f3c6f45b653d5db40d2",
+        "random-1.trace.jsonl":
+            "6c9f3d943dc256ffbe214398a811df0287f4729705f5b8b3e8f006f7edbc9be6",
+        "random-2.history.json":
+            "c5c9ef55d241a35f70dd32f4a9a5af827d05aa8c65c9742e1ec7e91347fc87a6",
+        "random-2.report.json":
+            "5ce3941e311a61f7f25bb0d3063ffef310afdc94888db45950b85a88fea86869",
+        "random-2.trace.jsonl":
+            "9c37ed3b202025c6627f46f54a5bd2fc2351704feb30b8a04934d61c77f27bab",
+    },
+    "file": {
+        "pinned-0.history.json":
+            "64e6a0da9041495740f9281bb1dd56e2ce455d8e3cfcd7b57712a1a04df7dabf",
+        "pinned-0.report.json":
+            "d77fcdb2f0cc2ef350b07de4f35ef3d8a242b244f178b5b2ab5c2bea9502148d",
+        "pinned-0.trace.jsonl":
+            "9c0722f0ac030a40045c078eaf6ec989c8499c51da1232e786144557e9e091ed",
+        "pinned-1.history.json":
+            "ed07b288f612673fd540d7d67494162ff44344f22723eb3a646cb29c8ff3c844",
+        "pinned-1.report.json":
+            "17f913a42b561d093e67a76fc44854311c21b19117e40a676837bfdf5c9662e6",
+        "pinned-1.trace.jsonl":
+            "ef397da97fd13294812529130c311495291a81796a33851c10ec24b4db311385",
+        "pinned-2.history.json":
+            "da3a6c1fc7a13a4ba3d7f50fa0214229b1bfc5209db662ce0be1ac160c443256",
+        "pinned-2.report.json":
+            "e83d443a8585b3ebb6a16dff14f7e5950a6e3fb55f1ab5f5b53f398b109021d1",
+        "pinned-2.trace.jsonl":
+            "da78fca12ed137283f9d8b309cf8d3ab71de491452757e66ab3af15a3682d8ae",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_one_off_runs_are_pinned(case, tmp_path):
+    spec = tmp_path / "pinned.json"
+    spec.write_text(json.dumps(PINNED_FILE))
+    argv = [str(spec) if arg == "pinned.json" else arg for arg in CLI_CASES[case]]
+    out = tmp_path / "out"
+    assert main(["run", *argv, "--out-dir", str(out)]) == 0
+    assert digests(sorted(out.iterdir())) == CLI_DIGESTS[case]
