@@ -12,18 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .checker import check_run
 from .faults import ByzStrategy
-from .scenarios import (
-    SCENARIO_NAMES,
-    ScenarioOutcome,
-    run_scenario,
-    scenario_random,
-)
-from .simnet import Config, CrashSpec, json_line, run
+from .scenarios import SCENARIO_NAMES, ScenarioOutcome, run_scenario, single_run
+from .simnet import Config, CrashSpec, json_line
 from .types import ConfigError, HashMode
 
 TRACE_SCHEMA = "trace/v1"
@@ -46,21 +40,6 @@ def _parse_seeds(args: argparse.Namespace) -> list[int]:
     if not seeds:
         raise ConfigError(f"--seeds names no seed: {text!r}")
     return seeds
-
-
-def _parse_byz(specs: list[str]) -> tuple[dict, dict]:
-    byz_data: dict[str, ByzStrategy] = {}
-    byz_meta: dict[str, ByzStrategy] = {}
-    for item in specs:
-        if ":" not in item:
-            raise ConfigError(f"--byz expects replica:strategy, got {item!r}")
-        pid, name = item.split(":", 1)
-        strategy = ByzStrategy.parse(name)
-        if pid.startswith("m"):
-            byz_meta[pid] = strategy
-        else:
-            byz_data[pid] = strategy
-    return byz_data, byz_meta
 
 
 def write_outputs(out_dir: Path, outcome: ScenarioOutcome) -> list[Path]:
@@ -118,45 +97,42 @@ def write_outputs(out_dir: Path, outcome: ScenarioOutcome) -> list[Path]:
     return written
 
 
-def _custom_random_outcome(args: argparse.Namespace, seed: object) -> ScenarioOutcome:
-    byz_data, byz_meta = _parse_byz(args.byz or [])
-    given = {
-        flag: getattr(args, flag) for flag in _CONFIG_FLAGS if getattr(args, flag) is not None
-    }
-    config = Config(
-        seed=seed, fifo=args.fifo, byz_data=byz_data, byz_meta=byz_meta,
-        crashes=tuple(
-            CrashSpec(process=pid, at_step=0) for pid in (args.crash or [])
-        ),
-        lower_bound=args.lower_bound, **given,
-    )
-    result = run(config)
-    verdict = check_run(result)
-    outcome = ScenarioOutcome(
-        name="random", seed=seed, passed=verdict.ok,
-        expectation="configured run keeps the history clean",
-        runs=[("random", result, verdict)],
-    )
-    return outcome
+# The flags that are shorthand for the scenario-file key of the same name.
+_KEY_FLAGS = ("t", "tm", "writers", "readers", "ops", "hash_mode", "mds_mode", "budget")
 
 
-_CONFIG_FLAGS = (
-    "t", "tm", "writers", "readers", "ops", "hash_mode", "mds_mode", "budget",
-)
+def flag_description(args: argparse.Namespace) -> dict:
+    """The scenario-file mapping that the sizing and fault flags stand for:
+    `--byz m*:S` sets `byz_meta`, any other `--byz` sets `byz_data`, each
+    `--crash P` is a crash at step 0, and `--fifo` and `--lower-bound` set
+    their keys to true. No such flag gives the empty mapping."""
+    raw = {key: getattr(args, key) for key in _KEY_FLAGS if getattr(args, key) is not None}
+    for item in args.byz:
+        pid, sep, name = item.partition(":")
+        if not sep:
+            raise ConfigError(f"--byz expects replica:strategy, got {item!r}")
+        raw.setdefault("byz_meta" if pid.startswith("m") else "byz_data", {})[pid] = name
+    if args.crash:
+        raw["crashes"] = [{"process": pid, "at_step": 0} for pid in args.crash]
+    if args.fifo:
+        raw["fifo"] = True
+    if args.lower_bound:
+        raw["lower_bound"] = True
+    return raw
 
 
-def _wants_custom_config(args: argparse.Namespace) -> bool:
-    tweaked = any(getattr(args, flag) is not None for flag in _CONFIG_FLAGS)
-    return tweaked or bool(args.byz) or bool(args.crash) \
-        or args.fifo or args.lower_bound
+def _flag_names(raw: dict) -> list[str]:
+    """The flags that set the keys of `raw`, as `flag_description` reads them."""
+    names = {"byz_data": "--byz", "byz_meta": "--byz", "crashes": "--crash"}
+    return list(dict.fromkeys(names.get(key, "--" + key.replace("_", "-")) for key in raw))
 
 
-def _byz_strategies(path: Path, value: dict) -> dict:
+def _byz_strategies(where: str, value: dict) -> dict:
     return {pid: ByzStrategy.parse(name) for pid, name in value.items()}
 
 
-def _crash_specs(path: Path, value: list) -> tuple:
-    return tuple(CrashSpec(**_checked(path, "crashes: ", _CRASH_TYPES, c)) for c in value)
+def _crash_specs(where: str, value: list) -> tuple:
+    return tuple(CrashSpec(**_checked(where, "crashes: ", _CRASH_TYPES, c)) for c in value)
 
 
 def _workload_op(op: dict) -> tuple[str, bytes | None]:
@@ -168,7 +144,7 @@ def _workload_op(op: dict) -> tuple[str, bytes | None]:
     raise ValueError(f"op {op['op']!r} is neither read nor write")
 
 
-def _workload(path: Path, value: dict) -> dict:
+def _workload(where: str, value: dict) -> dict:
     return {pid: [_workload_op(op) for op in ops] for pid, ops in value.items()}
 
 
@@ -208,37 +184,41 @@ def _wanted(annotation: str, value: object) -> str | None:
     return wanted
 
 
-def _checked(path: Path, where: str, annotations: dict, values: dict) -> dict:
+def _checked(where: str, prefix: str, annotations: dict, values: dict) -> dict:
     """`values` unchanged once each has the type its field's annotation
     names; an unknown key raises KeyError, an ill-typed value ConfigError."""
     for key, value in values.items():
         wanted = _wanted(annotations[key], value)
         if wanted is not None:
             raise ConfigError(
-                f"{path.name}: {where}{key} must be {wanted}, got {json.dumps(value)}"
+                f"{where}: {prefix}{key} must be {wanted}, got {json.dumps(value)}"
             )
     return values
 
 
-def load_scenario_file(path: Path) -> Config:
-    """Declarative run description; the JSON mirrors Config field names,
+def config_from(where: str, raw: dict) -> Config:
+    """The Config a run description gives: a scenario file's JSON, or the
+    mapping `flag_description` builds. Its keys are Config field names,
     and Config supplies every default. An unknown key, a scalar of the
-    wrong type or a malformed structured value is a ConfigError."""
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    wrong type, a malformed structured value, or `ops` next to `workload`
+    (ops sizes only a generated workload) is a ConfigError naming `where`.
+    Whether the Config can run is `Config.validate`'s to judge."""
     unknown = sorted(set(raw) - set(_SCALAR_TYPES) - set(_CONVERTERS))
     if unknown:
-        raise ConfigError(f"{path.name}: unknown key(s) {', '.join(unknown)}")
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
+    if "ops" in raw and "workload" in raw:
+        raise ConfigError(f"{where}: ops sizes only a generated workload; drop it or workload")
     kwargs = _checked(
-        path, "", _SCALAR_TYPES, {k: v for k, v in raw.items() if k in _SCALAR_TYPES}
+        where, "", _SCALAR_TYPES, {k: v for k, v in raw.items() if k in _SCALAR_TYPES}
     )
     for key, convert in _CONVERTERS.items():
         if key not in raw:
             continue
         try:
-            kwargs[key] = convert(path, raw[key])
+            kwargs[key] = convert(where, raw[key])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(
-                f"{path.name}: malformed {key} ({type(exc).__name__}: {exc})"
+                f"{where}: malformed {key} ({type(exc).__name__}: {exc})"
             ) from None
     return Config(**kwargs)
 
@@ -254,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--random", action="store_true", dest="random_alias",
                       help="shorthand for --scenario random")
     runp.add_argument("--scenario-file", type=Path, default=None,
-                      help="JSON run description; overrides --scenario")
+                      help="JSON run description; overrides --scenario and takes "
+                           "no sizing or fault flag")
     runp.add_argument("--seed", default=0, type=int)
     runp.add_argument("--seeds", default=None,
                       help="inclusive range 'LO..HI' or comma-separated list")
@@ -296,24 +277,37 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(os.environ.get("SPLITSTORE_OUT_DIR", "runs"))
     outcomes: list[ScenarioOutcome] = []
     try:
-        for seed in _parse_seeds(args):
-            if args.scenario_file is not None:
-                config = load_scenario_file(args.scenario_file)
-                config.seed = seed
-                result = run(config)
-                verdict = check_run(result)
-                outcome = ScenarioOutcome(
-                    name=args.scenario_file.stem, seed=seed, passed=verdict.ok,
-                    expectation="scenario file run keeps the history clean",
-                    runs=[("file", result, verdict)],
-                )
-            elif args.scenario == "random":
-                if _wants_custom_config(args):
-                    outcome = _custom_random_outcome(args, seed)
-                else:
-                    outcome = scenario_random(seed)
-            else:
+        seeds = _parse_seeds(args)
+        flags = flag_description(args)
+        path = args.scenario_file
+        if flags and (path is not None or args.scenario != "random"):
+            # A file or a named scenario is the whole run description, so
+            # a flag beside it would be dropped.
+            given = (
+                f"--scenario-file {path.name}" if path is not None
+                else f"--scenario {args.scenario}"
+            )
+            raise ConfigError(
+                f"{given} takes no sizing or fault flags, got {', '.join(_flag_names(flags))}"
+            )
+        config = None
+        if path is not None:
+            config = config_from(path.name, json.loads(path.read_text(encoding="utf-8")))
+            name, label, expectation = (
+                path.stem, "file", "scenario file run keeps the history clean"
+            )
+        elif flags:
+            config = config_from("flags", flags)
+            name, label, expectation = (
+                "random", "random", "configured run keeps the history clean"
+            )
+        for seed in seeds:
+            if config is None:
                 outcome = run_scenario(args.scenario, seed)
+            else:
+                outcome = single_run(
+                    name, seed, expectation, replace(config, seed=seed), label=label
+                )
             outcomes.append(outcome)
             write_outputs(out_dir, outcome)
             status = "PASS" if outcome.passed else "FAIL"

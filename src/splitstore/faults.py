@@ -187,23 +187,3 @@ class ByzMetaReplica(MetaReplica):
             rs.snapshot = None
         self.trace_note("byz-state-switch")
 
-
-def make_data_replica(
-    pid: str, writer_pids: frozenset[str], strategy: ByzStrategy | None
-) -> DataReplica:
-    if strategy is None:
-        return DataReplica(pid, writer_pids)
-    return ByzDataReplica(pid, writer_pids, strategy)
-
-
-def make_meta_replica(
-    pid: str,
-    peer_pids: list[str],
-    tm: int,
-    client_ids: dict[str, int],
-    writer_cids: list[int],
-    strategy: ByzStrategy | None,
-) -> MetaReplica:
-    if strategy is None:
-        return MetaReplica(pid, peer_pids, tm, client_ids, writer_cids)
-    return ByzMetaReplica(pid, peer_pids, tm, client_ids, writer_cids, strategy)

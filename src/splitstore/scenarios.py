@@ -9,6 +9,7 @@ detected; everything else passes when the verdict is clean.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .checker import Verdict, check_run
 from .faults import ByzStrategy, CrashSpec
@@ -46,6 +47,24 @@ class ScenarioOutcome:
                 for label, result, verdict in self.runs
             ],
         }
+
+
+def single_run(
+    name: str, seed: object, expectation: str, config: Config, label: str | None = None,
+    script: Callable[[Script, World], None] | None = None,
+    judge: Callable[[RunResult, Verdict], tuple[bool, list[str]]] | None = None,
+) -> ScenarioOutcome:
+    """Run `config` (under `script`, if given), check the run, and judge
+    it: `judge(result, verdict)` returns `(passed, notes)`, and with no
+    judge the run passes when its verdict is clean. The outcome's one run
+    is labelled `label`, or `name` when that is None."""
+    result = run(config, script)
+    verdict = check_run(result)
+    passed, notes = judge(result, verdict) if judge is not None else (verdict.ok, [])
+    return ScenarioOutcome(
+        name=name, seed=seed, passed=passed, expectation=expectation,
+        runs=[(label if label is not None else name, result, verdict)], notes=notes,
+    )
 
 
 def _op_result(result: RunResult, client: str) -> object:
@@ -92,17 +111,14 @@ def scenario_fig1(seed: object = 0) -> ScenarioOutcome:
         s.drain(*d1_down, hold_w2_acks)  # d2's honest pair completes the read
         s.drain(*d1_down)  # now let the second write finish
 
-    result = run(config, script)
-    verdict = check_run(result)
-    read_back = _op_result(result, "r1")
-    passed = verdict.ok and read_back == b"v1"
-    outcome = ScenarioOutcome(
-        name="fig1", seed=seed, passed=passed,
-        expectation="read returns v1 and the history is linearizable",
-        runs=[("fig1", result, verdict)],
+    def judge(result: RunResult, verdict: Verdict) -> tuple[bool, list[str]]:
+        read_back = _op_result(result, "r1")
+        return verdict.ok and read_back == b"v1", [f"read returned {read_back!r}"]
+
+    return single_run(
+        "fig1", seed, "read returns v1 and the history is linearizable", config,
+        script=script, judge=judge,
     )
-    outcome.notes.append(f"read returned {read_back!r}")
-    return outcome
 
 
 # -- theorem1: lower-bound demonstrations --------------------------------------
@@ -119,19 +135,18 @@ def scenario_theorem1_crash(seed: object = 0) -> ScenarioOutcome:
         crashes=(CrashSpec(process="d1", at_step=0),),
         workload={"w1": [("WRITE", b"v")], "r1": [("READ", None)]},
     )
-    result = run(config)
-    verdict = check_run(result)
-    wait_free = verdict.results["wait-free"].passed
-    linearizable = verdict.results["linearizable"].passed
-    passed = wait_free is False and linearizable is True
-    outcome = ScenarioOutcome(
-        name="theorem1-crash", seed=seed, passed=passed,
-        expectation="the write blocks forever (liveness violation) while safety holds",
-        runs=[("crash-lower-bound", result, verdict)],
+
+    def judge(result: RunResult, verdict: Verdict) -> tuple[bool, list[str]]:
+        checks = verdict.results
+        passed = checks["wait-free"].passed is False and checks["linearizable"].passed is True
+        blocked = [op.op_id for op in result.incomplete_ops()]
+        return passed, [f"operations blocked at quiescence: {blocked}"]
+
+    return single_run(
+        "theorem1-crash", seed,
+        "the write blocks forever (liveness violation) while safety holds", config,
+        label="crash-lower-bound", judge=judge,
     )
-    blocked = [op.op_id for op in result.incomplete_ops()]
-    outcome.notes.append(f"operations blocked at quiescence: {blocked}")
-    return outcome
 
 
 def _theorem1_config(seed: object, value: bytes) -> Config:
@@ -219,14 +234,11 @@ def scenario_control_2t1(seed: object = 0) -> ScenarioOutcome:
             AdversaryAction(step=25 + h % 50, process="d3", action="corrupt-all"),
         ),
     )
-    result = run(config)
-    verdict = check_run(result)
-    outcome = ScenarioOutcome(
-        name="control-2t1", seed=seed, passed=verdict.ok,
-        expectation="no violations with 2t+1 replicas and a collision-resistant digest",
-        runs=[("control", result, verdict)],
+    return single_run(
+        "control-2t1", seed,
+        "no violations with 2t+1 replicas and a collision-resistant digest", config,
+        label="control",
     )
-    return outcome
 
 
 # -- garbage collection ---------------------------------------------------------
@@ -239,24 +251,22 @@ def scenario_gc_quiescence(seed: object = 0) -> ScenarioOutcome:
         t=1, tm=1, writers=2, readers=1, seed=seed, ops=3,
         hash_mode=HashMode.PRODUCTION, mds_mode="oracle", fifo=True,
     )
-    result = run(config)
-    verdict = check_run(result)
-    stored_ok = True
-    notes = []
-    for pid in config.data_pids():
-        state = result.final_states[pid]
-        pairs = state["data"]
-        if len(pairs) != 1 or state["committed"] != pairs[0]["ts"]:
-            stored_ok = False
-            notes.append(f"{pid} holds {len(pairs)} pairs, committed {state['committed']}")
-    passed = verdict.ok and result.quiescent and stored_ok
-    outcome = ScenarioOutcome(
-        name="gc-quiescence", seed=seed, passed=passed,
-        expectation="at quiescence every replica stores exactly one tagged value",
-        runs=[("gc", result, verdict)],
-        notes=notes or ["all replicas hold exactly the committed pair"],
+
+    def judge(result: RunResult, verdict: Verdict) -> tuple[bool, list[str]]:
+        notes = []
+        for pid in config.data_pids():
+            state = result.final_states[pid]
+            pairs = state["data"]
+            if len(pairs) != 1 or state["committed"] != pairs[0]["ts"]:
+                notes.append(f"{pid} holds {len(pairs)} pairs, committed {state['committed']}")
+        passed = verdict.ok and result.quiescent and not notes
+        return passed, notes or ["all replicas hold exactly the committed pair"]
+
+    return single_run(
+        "gc-quiescence", seed,
+        "at quiescence every replica stores exactly one tagged value", config,
+        label="gc", judge=judge,
     )
-    return outcome
 
 
 # -- randomized suite -----------------------------------------------------------
@@ -330,18 +340,14 @@ def random_config(
 
 def scenario_random(seed: object = 0, mds_mode: str | None = None) -> ScenarioOutcome:
     config = random_config(seed, mds_mode=mds_mode)
-    result = run(config)
-    verdict = check_run(result)
-    outcome = ScenarioOutcome(
-        name="random", seed=seed, passed=verdict.ok,
-        expectation="randomized fault plan keeps the history clean",
-        runs=[("random", result, verdict)],
-    )
-    outcome.notes.append(
+    note = (
         f"mode={config.mds_mode} byz_data={sorted(config.byz_data)} "
         f"byz_meta={sorted(config.byz_meta)} crashes={len(config.crashes)}"
     )
-    return outcome
+    return single_run(
+        "random", seed, "randomized fault plan keeps the history clean", config,
+        judge=lambda result, verdict: (verdict.ok, [note]),
+    )
 
 
 SCENARIOS = {

@@ -89,17 +89,12 @@ from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable, Iterator
 
 from .client import ClientBase, ReaderClient, WritePhase, WriterClient
-from .faults import (
-    ByzDataReplica,
-    ByzMetaReplica,
-    CrashSpec,
-    make_data_replica,
-    make_meta_replica,
-)
+from .faults import ByzDataReplica, ByzMetaReplica, CrashSpec
 from .history import DirOpRecord, OpRecord
 from .mds_oracle import DIR_PID, HASH_PID, DirectoryOracle, HashArrayOracle, OracleMdsDriver
-from .mds_replicated import ReplicatedMdsDriver
+from .mds_replicated import MetaReplica, ReplicatedMdsDriver
 from .net import Delivery, Message, MsgKind, Port, Process, render_field
+from .replica import DataReplica
 from .types import ConfigError, DigestFacility, HarnessError, HashMode, render_value
 
 # The values a generated workload writes.
@@ -127,7 +122,6 @@ class Config:
     writers: int = 2
     readers: int = 2
     d: int | None = None
-    m: int | None = None
     seed: Any = 0
     hash_mode: HashMode = HashMode.PRODUCTION
     mds_mode: str = "oracle"
@@ -153,7 +147,7 @@ class Config:
 
     @property
     def meta_count(self) -> int:
-        return self.m if self.m is not None else 3 * self.tm + 1
+        return 3 * self.tm + 1
 
     def validate(self) -> None:
         if self.t < 0 or self.tm < 0:
@@ -167,19 +161,14 @@ class Config:
             # within a budget of 0 steps.
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.data_count < 1 or self.meta_count < 1:
-            raise ConfigError("need at least one data and one metadata replica")
+        if self.data_count < 1:
+            raise ConfigError("need at least one data replica")
         if self.mds_mode not in ("oracle", "replicated"):
             raise ConfigError(f"unknown mds mode {self.mds_mode!r}")
         if not self.lower_bound:
             if self.data_count != 2 * self.t + 1:
                 raise ConfigError(
                     f"D={self.data_count} breaks the 2t+1 plan; "
-                    "set lower_bound for deliberate under-provisioning"
-                )
-            if self.meta_count != 3 * self.tm + 1:
-                raise ConfigError(
-                    f"M={self.meta_count} breaks the 3t_M+1 plan; "
                     "set lower_bound for deliberate under-provisioning"
                 )
             if len(self.byz_data) > self.t:
@@ -197,7 +186,8 @@ class Config:
         if self.byz_meta and self.mds_mode != "replicated":
             raise ConfigError("Byzantine metadata replicas require replicated mds mode")
         faulty = set(self.byz_data) | set(self.byz_meta)
-        clients = {*self.writer_pids(), *self.reader_pids()}
+        writers = set(self.writer_pids())
+        clients = {*writers, *self.reader_pids()}
         built = {*data_pids, *clients}
         built |= meta_pids if self.mds_mode == "replicated" else {DIR_PID, HASH_PID}
         for spec in self.crashes:
@@ -225,7 +215,7 @@ class Config:
                 raise ConfigError(
                     f"crash of {pid!r}: after_ops must be at least 1, got {spec.after_ops}"
                 )
-            if phase is not None and pid not in self.writer_pids():
+            if phase is not None and pid not in writers:
                 raise ConfigError(f"at_phase crash target {pid!r} is not a writer")
             if phase is not None and phase not in CRASH_PHASES:
                 raise ConfigError(
@@ -247,6 +237,14 @@ class Config:
                     f"adversary action on {pid!r}: {act.action!r} is not one of "
                     f"{', '.join(actions)}"
                 )
+        for pid, ops in (self.workload or {}).items():
+            # A given workload names clients of this run, each with only
+            # operations of its own kind.
+            if pid not in clients:
+                raise ConfigError(f"workload names unknown client {pid!r}")
+            kind = "WRITE" if pid in writers else "READ"
+            if any(op_kind != kind for op_kind, _ in ops):
+                raise ConfigError(f"workload gives {pid!r} an operation other than {kind}")
 
     def writer_pids(self) -> list[str]:
         return [f"w{i + 1}" for i in range(self.writers)]
@@ -324,7 +322,11 @@ def build_world(config: Config) -> World:
 
     processes: dict[str, Process] = {}
     for pid in data_pids:
-        processes[pid] = make_data_replica(pid, writer_pids, config.byz_data.get(pid))
+        strategy = config.byz_data.get(pid)
+        processes[pid] = (
+            DataReplica(pid, writer_pids) if strategy is None
+            else ByzDataReplica(pid, writer_pids, strategy)
+        )
 
     if config.mds_mode == "oracle":
         processes[DIR_PID] = DirectoryOracle(DIR_PID, client_ids, writer_pids)
@@ -332,9 +334,10 @@ def build_world(config: Config) -> World:
     else:
         meta_pids = config.meta_pids()
         for pid in meta_pids:
-            processes[pid] = make_meta_replica(
-                pid, meta_pids, config.tm, client_ids, writer_cids,
-                config.byz_meta.get(pid),
+            args = (pid, meta_pids, config.tm, client_ids, writer_cids)
+            strategy = config.byz_meta.get(pid)
+            processes[pid] = (
+                MetaReplica(*args) if strategy is None else ByzMetaReplica(*args, strategy)
             )
 
     clients: dict[str, ClientBase] = {}
@@ -354,12 +357,6 @@ def build_world(config: Config) -> World:
         processes[pid] = client
 
     workload = config.workload if config.workload is not None else default_workload(config)
-    for pid, ops in workload.items():
-        if pid not in clients:
-            raise ConfigError(f"workload names unknown client {pid!r}")
-        kind = "WRITE" if pid in writer_pids else "READ"
-        if any(op_kind != kind for op_kind, _ in ops):
-            raise ConfigError(f"workload gives {pid!r} an operation other than {kind}")
     return World(config, processes, clients, digests, workload)
 
 

@@ -86,6 +86,7 @@ def test_custom_flags_build_a_bespoke_run(tmp_path):
     code = main(["run", "--scenario", "random", "--seed", "9",
                  "--writers", "1", "--readers", "1", "--ops", "2",
                  "--mds-mode", "replicated", "--byz", "d3:mute",
+                 "--byz", "m2:stale-concurrent", "--crash", "r1",
                  "--out-dir", str(tmp_path)])
     assert code == 0
     rep = json.loads((tmp_path / "random-9.report.json").read_text())
@@ -93,6 +94,8 @@ def test_custom_flags_build_a_bespoke_run(tmp_path):
     assert cfg["writers"] == 1
     assert cfg["mds_mode"] == "replicated"
     assert cfg["byz_data"] == {"d3": "mute"}
+    assert cfg["byz_meta"] == {"m2": "stale-concurrent"}
+    assert cfg["crashes"] == [{"process": "r1", "at_step": 0, "after_ops": None, "at_phase": None}]
 
 
 def test_traces_are_reproducible(tmp_path):
@@ -116,7 +119,7 @@ def test_invalid_threshold_exits_with_config_error(tmp_path):
 
 def test_scenario_file_round_trip(tmp_path):
     spec = {
-        "writers": 1, "readers": 1, "ops": 1,
+        "writers": 1, "readers": 1,
         "mds_mode": "oracle",
         "byz_data": {"d2": "equivocate"},
         "workload": {
@@ -147,13 +150,18 @@ def test_scenario_file_with_a_crash_plan(tmp_path):
     assert rep["runs"]["file"]["crashed"] == ["w2"]
 
 
+EXAMPLE = Path(__file__).resolve().parents[1] / "examples" / "scenario.json"
+
+
 def test_the_example_scenario_file_crashes_its_writer_at_its_phase(tmp_path):
-    example = Path(__file__).resolve().parents[1] / "examples" / "scenario.json"
-    assert main(["run", "--scenario-file", str(example), "--seeds", "0..2",
+    assert main(["run", "--scenario-file", str(EXAMPLE), "--seeds", "0..2",
                  "--out-dir", str(tmp_path)]) == 0
     for seed in range(3):
         rep = json.loads((tmp_path / f"scenario-{seed}.report.json").read_text())
         assert rep["runs"]["file"]["crashed"] == ["w2"]
+        # Its workload sizes the run; the echo shows Config's default ops.
+        assert rep["summary"]["runs"][0]["ops"] == 3
+        assert rep["runs"]["file"]["config"]["ops"] == 3
 
 
 def test_scenario_file_sets_any_scalar_config_field(tmp_path):
@@ -243,3 +251,40 @@ def test_scenario_file_with_a_crash_that_cannot_fire_exits_with_config_error(
     assert captured.err.startswith("configuration error: ") and says in captured.err
     assert "Traceback" not in captured.err and "PASS" not in captured.out
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["--scenario-file", str(EXAMPLE), "--t", "2", "--writers", "5", "--byz", "d1:mute"],
+     "--scenario-file scenario.json takes no sizing or fault flags, got --t, --writers, --byz"),
+    (["--scenario-file", str(EXAMPLE), "--fifo"],
+     "--scenario-file scenario.json takes no sizing or fault flags, got --fifo"),
+    (["--scenario", "fig1", "--ops", "5", "--crash", "w1", "--lower-bound"],
+     "--scenario fig1 takes no sizing or fault flags, got --ops, --crash, --lower-bound"),
+    (["--scenario", "theorem1-byz", "--byz", "m4:mute", "--mds-mode", "replicated"],
+     "--scenario theorem1-byz takes no sizing or fault flags, got --mds-mode, --byz"),
+], ids=["file-sizing", "file-fifo", "named-scenario", "named-byz-meta"])
+def test_a_flag_beside_a_file_or_a_named_scenario_exits_with_config_error(
+        tmp_path, capsys, argv, says):
+    assert main(["run", *argv, "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: {says}\n"
+    assert "PASS" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+def test_ops_next_to_a_workload_exits_with_config_error(tmp_path, capsys):
+    spec = json.loads(EXAMPLE.read_text())
+    spec["ops"] = 2
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", "--scenario-file", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: both.json: ops sizes only a generated workload; "
+        "drop it or workload\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_byz_flag_without_a_strategy_exits_with_config_error(tmp_path, capsys):
+    assert main(["run", "--random", "--byz", "d3", "--out-dir", str(tmp_path)]) == 2
+    assert "--byz expects replica:strategy, got 'd3'" in capsys.readouterr().err

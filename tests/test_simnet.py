@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -47,6 +48,45 @@ def test_schedule_limits_below_one_are_config_errors(name, value):
     with pytest.raises(ConfigError):
         run(Config(**{name: value}))
     Config(**{name: 1}).validate()
+
+
+@pytest.mark.parametrize("config, says", [
+    (Config(writers=-1), "process and operation counts must be non-negative"),
+    (Config(ops=-1), "process and operation counts must be non-negative"),
+    (Config(d=0, lower_bound=True), "need at least one data replica"),
+    (Config(mds_mode="sharded"), "unknown mds mode 'sharded'"),
+    (Config(mds_mode="replicated", byz_meta={"m1": ByzStrategy.MUTE, "m2": ByzStrategy.MUTE}),
+     "more Byzantine metadata replicas than t_M"),
+    (Config(byz_data={"d4": ByzStrategy.MUTE}), "unknown data replica 'd4'"),
+    (Config(mds_mode="replicated", byz_meta={"m5": ByzStrategy.MUTE}),
+     "unknown metadata replica 'm5'"),
+    (Config(byz_meta={"m4": ByzStrategy.MUTE}),
+     "Byzantine metadata replicas require replicated mds mode"),
+    (Config(byz_data={"d3": ByzStrategy.MUTE}, crashes=(CrashSpec(process="d3", at_step=0),)),
+     "crash target 'd3' is already Byzantine"),
+    (Config(workload={"w3": [("WRITE", b"x")]}), "workload names unknown client 'w3'"),
+    (Config(workload={"w1": [("READ", None)]}), "workload gives 'w1' an operation other than WRITE"),
+], ids=["writers", "ops", "no-data-replica", "mds-mode", "byz-meta-count", "byz-data-pid",
+        "byz-meta-pid", "byz-meta-oracle", "crash-byzantine", "workload-client",
+        "workload-kind"])
+def test_a_config_that_cannot_run_is_a_config_error(config, says):
+    with pytest.raises(ConfigError, match=says):
+        config.validate()
+
+
+def test_metadata_replicas_follow_3tm_plus_1_only():
+    assert [Config(tm=tm).meta_count for tm in (0, 1, 2)] == [1, 4, 7]
+    assert "m" not in {f.name for f in dataclasses.fields(Config)}
+
+
+def test_a_run_cut_by_max_steps_traces_its_undelivered_invocations():
+    res = run(Config(seed=0, max_steps=1))
+    assert (res.steps, res.quiescent) == (1, False)
+    invoked = [e["client"] for e in res.trace if e["ev"] == "invoke"]
+    left = [e["payload"]["pid"] for e in res.trace
+            if e["ev"] == "undelivered" and e.get("kind") == "invoke"]
+    assert len(invoked) == 1
+    assert sorted(left + invoked) == ["r1", "r2", "w1", "w2"]
 
 
 def test_too_many_byzantine_replicas_is_a_config_error():
