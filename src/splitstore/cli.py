@@ -203,6 +203,10 @@ def config_from(where: str, raw: dict) -> Config:
     wrong type, a malformed structured value, or `ops` next to `workload`
     (ops sizes only a generated workload) is a ConfigError naming `where`.
     Whether the Config can run is `Config.validate`'s to judge."""
+    if not isinstance(raw, dict):
+        raise ConfigError(
+            f"{where}: a run description is a JSON object, got {type(raw).__name__}"
+        )
     unknown = sorted(set(raw) - set(_SCALAR_TYPES) - set(_CONVERTERS))
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
@@ -221,6 +225,17 @@ def config_from(where: str, raw: dict) -> Config:
                 f"{where}: malformed {key} ({type(exc).__name__}: {exc})"
             ) from None
     return Config(**kwargs)
+
+
+def _read_json(path: Path) -> object:
+    """The JSON value in the file at `path`; a file that cannot be read or
+    decoded is a ConfigError naming it."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{path.name}: cannot read it ({exc.strerror})") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"{path.name}: not valid JSON ({exc})") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         config = None
         if path is not None:
-            config = config_from(path.name, json.loads(path.read_text(encoding="utf-8")))
+            config = config_from(path.name, _read_json(path))
             name, label, expectation = (
                 path.stem, "file", "scenario file run keeps the history clean"
             )

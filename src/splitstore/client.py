@@ -37,10 +37,18 @@ class WritePhase(enum.Enum):
     WRITE_DIR = "WRITE-DIR"
 
 
+# The kinds and phases this module compares or sends, bound once (see
+# `MsgKind`).
+WRITE, WRITE_ACK, COMMIT = MsgKind.WRITE, MsgKind.WRITE_ACK, MsgKind.COMMIT
+READ, READ_VAL = MsgKind.READ, MsgKind.READ_VAL
+READ_DIR, WRITE_HASH = WritePhase.READ_DIR, WritePhase.WRITE_HASH
+WRITE_DATA, WRITE_DIR = WritePhase.WRITE_DATA, WritePhase.WRITE_DIR
+
+
 @dataclass
 class WriteContext:
     op: OpRecord  # its arg is the value; its ts is set once the directory is read
-    phase: WritePhase = WritePhase.READ_DIR
+    phase: WritePhase = READ_DIR
     acks: set[int] = field(default_factory=set)
 
 
@@ -66,7 +74,7 @@ class ClientBase(Process):
         self.digests = digests
         self.data_pids = data_pids
         self.t = t
-        self.driver: Any = None  # bound by the simulator wiring
+        self.driver: Any = None  # bound by build_world, dropped by Simulation.finish
         self.ctx: WriteContext | ReadContext | None = None  # the operation in flight
 
     def replica_index(self, pid: str) -> int:
@@ -94,46 +102,49 @@ class WriterClient(ClientBase):
         self.driver.tsread(lambda ts, md, ctx=ctx: self._dir_read_done(ctx, ts, md))
 
     def _dir_read_done(self, ctx: WriteContext, ts: Timestamp, md: Metadata | None) -> None:
-        if self.ctx is not ctx or ctx.phase is not WritePhase.READ_DIR:
+        if self.ctx is not ctx or ctx.phase is not READ_DIR:
             return
         op = ctx.op
         op.ts = ts.next_for(self.cid)
-        ctx.phase = WritePhase.WRITE_HASH
+        ctx.phase = WRITE_HASH
         digest = self.digests.digest(op.arg)
         self.driver.hash_write(op.ts, digest, lambda ctx=ctx: self._hash_written(ctx))
 
     def _hash_written(self, ctx: WriteContext) -> None:
-        if self.ctx is not ctx or ctx.phase is not WritePhase.WRITE_HASH:
+        if self.ctx is not ctx or ctx.phase is not WRITE_HASH:
             return
-        ctx.phase = WritePhase.WRITE_DATA
+        ctx.phase = WRITE_DATA
         op = ctx.op
+        send, me, ts, val = self.port.send, self.pid, op.ts, op.arg
         for pid in self.data_pids:
-            self.send(MsgKind.WRITE, pid, ts=op.ts, val=op.arg)
+            send(WRITE, me, pid, ts=ts, val=val)
 
     def on_message(self, msg: Message) -> None:
         if self.driver.handle(msg):
             return
-        if msg.kind is MsgKind.WRITE_ACK:
+        if msg.kind is WRITE_ACK:
             self._on_write_ack(msg)
 
     def _on_write_ack(self, msg: Message) -> None:
         ctx = self.ctx
-        if ctx is None or ctx.phase is not WritePhase.WRITE_DATA:
+        if ctx is None or ctx.phase is not WRITE_DATA:
             return
         ts = ctx.op.ts
-        if msg["ts"] != ts or msg.src not in self.data_pids:
+        src = msg.src
+        if msg["ts"] != ts or src not in self.data_pids:
             return  # ack for some other write, or from a stranger
-        ctx.acks.add(self.replica_index(msg.src))
+        ctx.acks.add(self.replica_index(src))
         if len(ctx.acks) >= self.t + 1:
-            ctx.phase = WritePhase.WRITE_DIR
+            ctx.phase = WRITE_DIR
             md = Metadata(ts=ts, replicas=frozenset(ctx.acks))
             self.driver.tswrite(md, lambda ctx=ctx: self._dir_written(ctx))
 
     def _dir_written(self, ctx: WriteContext) -> None:
-        if self.ctx is not ctx or ctx.phase is not WritePhase.WRITE_DIR:
+        if self.ctx is not ctx or ctx.phase is not WRITE_DIR:
             return
+        send, me, ts = self.port.send, self.pid, ctx.op.ts
         for pid in self.data_pids:
-            self.send(MsgKind.COMMIT, pid, ts=ctx.op.ts)
+            send(COMMIT, me, pid, ts=ts)
         self.ctx = None
         self.respond(ctx.op, "OK")
 
@@ -163,15 +174,17 @@ class ReaderClient(ClientBase):
             self.ctx = None
             self.respond(ctx.op, None)
             return
+        ts, replicas = md
         ctx.md = md
-        ctx.op.md_ts = md.ts
-        for index in sorted(md.replicas):
-            self.send(MsgKind.READ, self.replica_pid(index), ts=md.ts)
+        ctx.op.md_ts = ts
+        send, me = self.port.send, self.pid
+        for index in sorted(replicas):
+            send(READ, me, self.replica_pid(index), ts=ts)
 
     def on_message(self, msg: Message) -> None:
         if self.driver.handle(msg):
             return
-        if msg.kind is MsgKind.READ_VAL:
+        if msg.kind is READ_VAL:
             self._on_read_val(msg)
 
     def _on_read_val(self, msg: Message) -> None:
@@ -180,9 +193,10 @@ class ReaderClient(ClientBase):
             return
         ts: Timestamp = msg["ts"]
         val = msg["val"]
-        if ts == ctx.md.ts:
+        md_ts = ctx.md.ts
+        if ts == md_ts:
             self._check(ctx, ts, val, md2_ts=None)
-        elif ts > ctx.md.ts:
+        elif ts > md_ts:
             # The replica is ahead of the directory record we hold. Re-read
             # the directory once for this reply; accept only if it caught up.
             self.driver.tsread(

@@ -36,6 +36,14 @@ class ByzStrategy(enum.Enum):
         raise ConfigError(f"unknown Byzantine strategy {name!r}")
 
 
+# The strategies and kinds this module compares or sends, bound once
+# (see `MsgKind`).
+STALE_CONCURRENT = ByzStrategy.STALE_CONCURRENT
+FABRICATE_HIGH_TS = ByzStrategy.FABRICATE_HIGH_TS
+MUTE, EQUIVOCATE = ByzStrategy.MUTE, ByzStrategy.EQUIVOCATE
+READ_VAL = MsgKind.READ_VAL
+
+
 @dataclass(frozen=True)
 class CrashSpec:
     """When to crash a process: at a step, after N completed ops, or when a
@@ -67,20 +75,20 @@ class ByzDataReplica(DataReplica):
         self._flip = 0
 
     def on_message(self, msg: Message) -> None:
-        if self.strategy is ByzStrategy.MUTE:
+        if self.strategy is MUTE:
             self.trace_note("byz-mute-drop", kind=msg.kind.value, src=msg.src)
             return
         super().on_message(msg)
 
     def on_read(self, msg: Message) -> None:
         strat = self.strategy
-        if strat is ByzStrategy.STALE_CONCURRENT:
+        if strat is STALE_CONCURRENT:
             self._reply_max_pair(msg)
-        elif strat is ByzStrategy.FABRICATE_HIGH_TS:
+        elif strat is FABRICATE_HIGH_TS:
             fake = Timestamp(msg["ts"].num + 100, FABRICATED_CID)
             self.trace_note("byz-fabricate", ts=fake)
-            self.send(MsgKind.READ_VAL, msg.src, ts=fake, val=JUNK_VALUE)
-        elif strat is ByzStrategy.EQUIVOCATE:
+            self.port.send(READ_VAL, self.pid, msg.src, ts=fake, val=JUNK_VALUE)
+        elif strat is EQUIVOCATE:
             self._flip += 1
             if self._flip % 2 == 0:
                 super().on_read(msg)
@@ -94,9 +102,9 @@ class ByzDataReplica(DataReplica):
         if self.data:
             ts = max(self.data)
             self.trace_note("byz-stale-concurrent", ts=ts)
-            self.send(MsgKind.READ_VAL, msg.src, ts=ts, val=self.data[ts])
+            self.port.send(READ_VAL, self.pid, msg.src, ts=ts, val=self.data[ts])
         else:
-            self.send(MsgKind.READ_VAL, msg.src, ts=self.committed, val=None)
+            self.port.send(READ_VAL, self.pid, msg.src, ts=self.committed, val=None)
 
     # The actions a run's fault plan may schedule: those that take no params.
     PLAN_ACTIONS = ("corrupt-all",)
@@ -141,23 +149,21 @@ class ByzMetaReplica(MetaReplica):
         self.strategy = strategy
 
     def on_message(self, msg: Message) -> None:
-        if self.strategy is ByzStrategy.MUTE:
+        if self.strategy is MUTE:
             self.trace_note("byz-mute-drop", kind=msg.kind.value, src=msg.src)
             return
         super().on_message(msg)
 
     def _notify(self, reg: tuple, pair: Pair) -> None:
-        if self.strategy is ByzStrategy.STALE_CONCURRENT:
+        if self.strategy is STALE_CONCURRENT:
             return  # stale: never push updates
         super()._notify(reg, pair)
 
     def _report(self, reg: tuple, tag: int) -> dict:
         strat = self.strategy
-        if strat is ByzStrategy.STALE_CONCURRENT:
+        if strat is STALE_CONCURRENT:
             return {"reg": reg, "pairs": (), "current": TS_INIT}
-        if strat is ByzStrategy.FABRICATE_HIGH_TS or (
-            strat is ByzStrategy.EQUIVOCATE and tag % 2 == 1
-        ):
+        if strat is FABRICATE_HIGH_TS or (strat is EQUIVOCATE and tag % 2 == 1):
             fake_ts = Timestamp(999, FABRICATED_CID)
             payload: Any
             if reg[0] == "dir":

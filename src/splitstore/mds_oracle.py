@@ -27,6 +27,12 @@ from .types import NIL, HarnessError, Metadata, Timestamp, TS_INIT
 DIR_PID = "dir"
 HASH_PID = "hash"
 
+# The kinds this module compares or sends, bound once (see `MsgKind`).
+DIR_READ, DIR_READ_RESP = MsgKind.DIR_READ, MsgKind.DIR_READ_RESP
+DIR_WRITE, DIR_WRITE_RESP = MsgKind.DIR_WRITE, MsgKind.DIR_WRITE_RESP
+HASH_READ, HASH_READ_RESP = MsgKind.HASH_READ, MsgKind.HASH_READ_RESP
+HASH_WRITE, HASH_WRITE_RESP = MsgKind.HASH_WRITE, MsgKind.HASH_WRITE_RESP
+
 
 class TimestampedStore:
     """Sequential timestamped register: (ts, payload) with a monotone
@@ -84,20 +90,22 @@ class DirectoryOracle(Process):
         self.writer_pids = writer_pids
 
     def on_message(self, msg: Message) -> None:
-        if msg.kind is MsgKind.DIR_READ:
+        kind, src, _, _ = msg
+        if kind is DIR_READ:
             ts, payload = self.store.tsread()
-            self.send(MsgKind.DIR_READ_RESP, msg.src, tag=msg["tag"], ts=ts, md=payload)
-        elif msg.kind is MsgKind.DIR_WRITE:
-            if msg.src not in self.writer_pids:
-                self.trace_note("dir-write-rejected", src=msg.src)
+            self.port.send(DIR_READ_RESP, self.pid, src, tag=msg["tag"], ts=ts, md=payload)
+        elif kind is DIR_WRITE:
+            if src not in self.writer_pids:
+                self.trace_note("dir-write-rejected", src=src)
                 return
             md: Metadata = msg["md"]
-            if md.ts.cid != self.client_ids[msg.src]:
+            ts = md.ts
+            if ts.cid != self.client_ids[src]:
                 raise HarnessError(
-                    f"directory write from {msg.src} with foreign timestamp {md.ts.render()}"
+                    f"directory write from {src} with foreign timestamp {ts.render()}"
                 )
-            self.store.tswrite(md.ts, md)
-            self.send(MsgKind.DIR_WRITE_RESP, msg.src, tag=msg["tag"])
+            self.store.tswrite(ts, md)
+            self.port.send(DIR_WRITE_RESP, self.pid, src, tag=msg["tag"])
 
     def final_state(self) -> dict:
         ts, payload = self.store.tsread()
@@ -113,18 +121,19 @@ class HashArrayOracle(Process):
         self.client_ids = client_ids
 
     def on_message(self, msg: Message) -> None:
-        if msg.kind is MsgKind.HASH_WRITE:
+        kind, src, _, _ = msg
+        if kind is HASH_WRITE:
             index: Timestamp = msg["index"]
-            writer = self.client_ids.get(msg.src, NIL)
+            writer = self.client_ids.get(src, NIL)
             if writer != index.cid:
                 raise HarnessError(
                     f"digest index {index.render()} written by client {writer}"
                 )
             self.array.write(index, msg["digest"], writer)
-            self.send(MsgKind.HASH_WRITE_RESP, msg.src, tag=msg["tag"])
-        elif msg.kind is MsgKind.HASH_READ:
+            self.port.send(HASH_WRITE_RESP, self.pid, src, tag=msg["tag"])
+        elif kind is HASH_READ:
             digest = self.array.read(msg["index"])
-            self.send(MsgKind.HASH_READ_RESP, msg.src, tag=msg["tag"], digest=digest)
+            self.port.send(HASH_READ_RESP, self.pid, src, tag=msg["tag"], digest=digest)
 
     def final_state(self) -> dict:
         return {"entries": {idx.render(): d for idx, d in self.array.entries.items()}}
@@ -132,12 +141,7 @@ class HashArrayOracle(Process):
 
 # The responses an OracleMdsDriver consumes. A tuple: membership is tested
 # by identity, where a frozenset would call MsgKind's Python-level __hash__.
-RESPONSE_KINDS = (
-    MsgKind.DIR_READ_RESP,
-    MsgKind.DIR_WRITE_RESP,
-    MsgKind.HASH_READ_RESP,
-    MsgKind.HASH_WRITE_RESP,
-)
+RESPONSE_KINDS = (DIR_READ_RESP, DIR_WRITE_RESP, HASH_READ_RESP, HASH_WRITE_RESP)
 
 
 class OracleMdsDriver:
@@ -158,21 +162,23 @@ class OracleMdsDriver:
         **fields: Any,
     ) -> None:
         rec = self.log.start(op, **logged)
-        self._pending[rec.tag] = (rec, done)
-        self.owner.send(kind, dst, tag=rec.tag, **fields)
+        tag = rec.tag
+        self._pending[tag] = (rec, done)
+        owner = self.owner
+        owner.port.send(kind, owner.pid, dst, tag=tag, **fields)
 
     def tsread(self, done: Callable[[Timestamp, Metadata | None], None]) -> None:
-        self._request("tsread", MsgKind.DIR_READ, DIR_PID, done, {})
+        self._request("tsread", DIR_READ, DIR_PID, done, {})
 
     def tswrite(self, md: Metadata, done: Callable[[], None]) -> None:
-        self._request("tswrite", MsgKind.DIR_WRITE, DIR_PID, done, {"ts": md.ts, "md": md}, md=md)
+        self._request("tswrite", DIR_WRITE, DIR_PID, done, {"ts": md.ts, "md": md}, md=md)
 
     def hash_write(self, index: Timestamp, digest: str, done: Callable[[], None]) -> None:
         fields = {"index": index, "digest": digest}
-        self._request("hashwrite", MsgKind.HASH_WRITE, HASH_PID, done, fields, **fields)
+        self._request("hashwrite", HASH_WRITE, HASH_PID, done, fields, **fields)
 
     def hash_read(self, index: Timestamp, done: Callable[[str | None], None]) -> None:
-        self._request("hashread", MsgKind.HASH_READ, HASH_PID, done, {"index": index}, index=index)
+        self._request("hashread", HASH_READ, HASH_PID, done, {"index": index}, index=index)
 
     def handle(self, msg: Message) -> bool:
         """Consume a metadata response addressed to the owner. Returns
@@ -184,9 +190,9 @@ class OracleMdsDriver:
         if entry is None:
             return True  # response for a superseded operation
         rec, done = entry
-        if kind is MsgKind.DIR_READ_RESP:
+        if kind is DIR_READ_RESP:
             result = {"ts": msg["ts"], "md": msg["md"]}
-        elif kind is MsgKind.HASH_READ_RESP:
+        elif kind is HASH_READ_RESP:
             result = {"digest": msg["digest"]}
         else:
             result = {}

@@ -59,6 +59,11 @@ from .types import Metadata, Timestamp, TS_INIT
 
 RegisterId = tuple  # ("dir", writer_cid) or ("hash", Timestamp)
 
+# The kinds this module compares or sends, bound once (see `MsgKind`).
+META_STORE, META_ACK, META_ECHO = MsgKind.META_STORE, MsgKind.META_ACK, MsgKind.META_ECHO
+META_QUERY, META_UPDATE = MsgKind.META_QUERY, MsgKind.META_UPDATE
+META_UNSUB, META_WRITEBACK = MsgKind.META_UNSUB, MsgKind.META_WRITEBACK
+
 
 class Pair(NamedTuple):
     key: Timestamp
@@ -136,15 +141,16 @@ class MetaReplica(Process):
     # -- message handlers --------------------------------------------------
 
     def on_message(self, msg: Message) -> None:
-        if msg.kind is MsgKind.META_STORE:
+        kind = msg.kind
+        if kind is META_STORE:
             self.on_store(msg)
-        elif msg.kind is MsgKind.META_WRITEBACK:
+        elif kind is META_WRITEBACK:
             self.on_writeback(msg)
-        elif msg.kind is MsgKind.META_ECHO:
+        elif kind is META_ECHO:
             self.on_echo(msg)
-        elif msg.kind is MsgKind.META_QUERY:
+        elif kind is META_QUERY:
             self.on_query(msg)
-        elif msg.kind is MsgKind.META_UNSUB:
+        elif kind is META_UNSUB:
             self.listeners.pop((msg.src, msg["tag"]), None)
 
     def register_for(self, reg: RegisterId) -> _Register:
@@ -154,12 +160,13 @@ class MetaReplica(Process):
 
     def on_store(self, msg: Message) -> None:
         reg: RegisterId = msg["reg"]
-        if not self._store_allowed(reg, msg.src):
-            self.trace_note("meta-store-rejected", src=msg.src, reg=reg)
+        src = msg.src
+        if not self._store_allowed(reg, src):
+            self.trace_note("meta-store-rejected", src=src, reg=reg)
             return
         if reg[0] == "hash":
-            self.digests.write(reg[1], msg["payload"], self.client_ids[msg.src])
-        self._accept(reg, Pair(msg["key"], msg["payload"]), (msg.src, msg["seq"]))
+            self.digests.write(reg[1], msg["payload"], self.client_ids[src])
+        self._accept(reg, Pair(msg["key"], msg["payload"]), (src, msg["seq"]))
 
     def on_writeback(self, msg: Message) -> None:
         # Write-backs republish a pair a reader confirmed; any client may
@@ -199,15 +206,15 @@ class MetaReplica(Process):
             self._maybe_establish(reg, pair, st)
 
     def _echo(self, reg: RegisterId, pair: Pair, st: _PairState) -> None:
-        if self.pid in st.echoes:
+        me = self.pid
+        if me in st.echoes:
             return
-        st.echoes.add(self.pid)
+        st.echoes.add(me)
         storers = tuple(sorted(st.storers))
+        key, payload = pair
+        send = self.port.send
         for peer in self.peers:
-            self.send(
-                MsgKind.META_ECHO, peer,
-                reg=reg, key=pair.key, payload=pair.payload, storers=storers,
-            )
+            send(META_ECHO, me, peer, reg=reg, key=key, payload=payload, storers=storers)
 
     def _maybe_establish(self, reg: RegisterId, pair: Pair, st: _PairState) -> None:
         if st.established or len(st.echoes) < self.tm + 1:
@@ -228,7 +235,7 @@ class MetaReplica(Process):
         for storer in sorted(st.storers - st.acked):
             st.acked.add(storer)
             pid, seq = storer
-            self.send(MsgKind.META_ACK, pid, reg=reg, key=pair.key, seq=seq)
+            self.port.send(META_ACK, self.pid, pid, reg=reg, key=pair.key, seq=seq)
 
     def _scope_covers(self, scope: Any, reg: RegisterId) -> bool:
         if scope == "dir":
@@ -246,7 +253,7 @@ class MetaReplica(Process):
         update = self._render_update(reg, (pair,))
         for (pid, tag), scope in sorted(self.listeners.items()):
             if self._scope_covers(scope, reg):
-                self.send(MsgKind.META_UPDATE, pid, tag=tag, updates=(update,))
+                self.port.send(META_UPDATE, self.pid, pid, tag=tag, updates=(update,))
 
     def _render_update(self, reg: RegisterId, pairs: tuple[Pair, ...]) -> dict:
         """An update for ``reg``; ``pairs`` must already be in pair order."""
@@ -265,9 +272,10 @@ class MetaReplica(Process):
     def on_query(self, msg: Message) -> None:
         scope = msg["scope"]
         tag = msg["tag"]
-        self.listeners[(msg.src, tag)] = scope
+        src = msg.src
+        self.listeners[(src, tag)] = scope
         updates = tuple(self._report(reg, tag) for reg in self._scope_registers(scope))
-        self.send(MsgKind.META_UPDATE, msg.src, tag=tag, updates=updates)
+        self.port.send(META_UPDATE, self.pid, src, tag=tag, updates=updates)
 
     def final_state(self) -> dict:
         out = {}
@@ -287,7 +295,9 @@ class MetaReplica(Process):
 class _StoreOp:
     seq: int
     key: Timestamp
-    done: Callable[[], None]
+    # Called with the driver rather than closing over it, so a store still
+    # pending when the run ends leaves no reference cycle.
+    done: Callable[[ReplicatedMdsDriver], None]
     acks: set[str] = field(default_factory=set)
 
 
@@ -342,12 +352,14 @@ class ReplicatedMdsDriver:
         key: Timestamp,
         payload: Any,
         kind: MsgKind,
-        done: Callable[[], None],
+        done: Callable[[ReplicatedMdsDriver], None],
     ) -> None:
         self._seq = seq = self._seq + 1
         self._stores[seq] = _StoreOp(seq=seq, key=key, done=done)
+        owner = self.owner
+        send, me = owner.port.send, owner.pid
         for pid in self.meta_pids:
-            self.owner.send(kind, pid, reg=reg, key=key, payload=payload, seq=seq)
+            send(kind, me, pid, reg=reg, key=key, payload=payload, seq=seq)
 
     def _store(
         self, op: str, reg: RegisterId, key: Timestamp, payload: Any,
@@ -355,11 +367,11 @@ class ReplicatedMdsDriver:
     ) -> None:
         rec = self.log.start(op, **logged)
 
-        def finish() -> None:
-            self.log.end(rec)
+        def finish(driver: ReplicatedMdsDriver) -> None:
+            driver.log.end(rec)
             done()
 
-        self._start_store(reg, key, payload, MsgKind.META_STORE, finish)
+        self._start_store(reg, key, payload, META_STORE, finish)
 
     def tswrite(self, md: Metadata, done: Callable[[], None]) -> None:
         self._store("tswrite", ("dir", self.cid), md.ts, md, done, ts=md.ts, md=md)
@@ -371,9 +383,12 @@ class ReplicatedMdsDriver:
 
     def _read(self, op: str, scope: Any, done: Callable[..., None], **logged: Any) -> None:
         rec = self.log.start(op, **logged)
-        self._reads[rec.tag] = _ReadOp(rec=rec, scope=scope, done=done)
+        tag = rec.tag
+        self._reads[tag] = _ReadOp(rec=rec, scope=scope, done=done)
+        owner = self.owner
+        send, me = owner.port.send, owner.pid
         for pid in self.meta_pids:
-            self.owner.send(MsgKind.META_QUERY, pid, scope=scope, tag=rec.tag)
+            send(META_QUERY, me, pid, scope=scope, tag=tag)
 
     def tsread(self, done: Callable[[Timestamp, Metadata | None], None]) -> None:
         self._read("tsread", "dir", done)
@@ -384,10 +399,11 @@ class ReplicatedMdsDriver:
     # -- inbound ------------------------------------------------------------
 
     def handle(self, msg: Message) -> bool:
-        if msg.kind is MsgKind.META_ACK:
+        kind = msg.kind
+        if kind is META_ACK:
             self._on_ack(msg)
             return True
-        if msg.kind is MsgKind.META_UPDATE:
+        if kind is META_UPDATE:
             self._on_update(msg)
             return True
         return False
@@ -399,7 +415,7 @@ class ReplicatedMdsDriver:
         store.acks.add(msg.src)
         if len(store.acks) >= self.quorum:
             del self._stores[store.seq]
-            store.done()
+            store.done(self)
 
     def _on_update(self, msg: Message) -> None:
         """Count each reported pair once per reporting replica, as it
@@ -470,15 +486,17 @@ class ReplicatedMdsDriver:
             return
         read.state = "writeback"
         self._start_store(
-            best_reg, best.key, best.payload, MsgKind.META_WRITEBACK,
-            lambda: self._finish_read(read, ts=best.key, md=best.payload),
+            best_reg, best.key, best.payload, META_WRITEBACK,
+            lambda driver: driver._finish_read(read, ts=best.key, md=best.payload),
         )
 
     def _finish_read(self, read: _ReadOp, **result: Any) -> None:
         """Unsubscribe, record the end and pass the result's values on."""
         tag = read.rec.tag
         del self._reads[tag]
+        owner = self.owner
+        send, me = owner.port.send, owner.pid
         for pid in self.meta_pids:
-            self.owner.send(MsgKind.META_UNSUB, pid, tag=tag)
+            send(META_UNSUB, me, pid, tag=tag)
         self.log.end(read.rec, **result)
         read.done(*result.values())

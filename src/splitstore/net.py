@@ -2,11 +2,12 @@
 
 Processes never see the scheduler clock or each other's objects; they
 only receive immutable messages and emit new ones through the runtime
-port bound by the simulator. Channels are authenticated: the ``src``
-field is set by the runtime, not by the sender. The step belongs to the
-runtime too: a process fills in the fields of its own history records,
-and the port stamps their invoke and response steps, which no process
-ever reads.
+port bound by the simulator. ``Port.send(kind, src, dst, **fields)`` is
+the send path and the only way a message enters the network. Channels
+are authenticated: a process passes its own pid as ``src``, never
+another's. The step belongs to the runtime too: a process fills in the
+fields of its own history records, and the port stamps their invoke and
+response steps, which no process ever reads.
 """
 from __future__ import annotations
 
@@ -19,6 +20,12 @@ from .types import Metadata, Timestamp, render_value
 
 
 class MsgKind(enum.Enum):
+    """The one type of message kinds, for messages, `simnet.Match` and
+    traces. Modules bind the members (and `WritePhase` and `ByzStrategy`
+    members) they test per message to module globals at import: under
+    Python 3.11 ``MsgKind.X`` runs the enum metaclass's ``__getattr__``,
+    about ten times the cost of reading a global."""
+
     # data plane
     WRITE = "WRITE"
     WRITE_ACK = "WRITE-ACK"
@@ -136,15 +143,12 @@ class Port:
 
 
 class Process:
-    """Base class for every simulated participant."""
+    """Base class for every simulated participant. A simulation binds its
+    port when it starts and unbinds it when it finishes."""
 
     def __init__(self, pid: str):
         self.pid = pid
         self.port: Port | None = None
-
-    def send(self, kind: MsgKind, dst: str, **fields: Any) -> None:
-        assert self.port is not None, "process used outside a simulation"
-        self.port.send(kind, self.pid, dst, **fields)
 
     def trace_note(self, note: str, **payload: Any) -> None:
         if self.port is not None:

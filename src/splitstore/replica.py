@@ -12,6 +12,10 @@ from __future__ import annotations
 from .net import Message, MsgKind, Process
 from .types import HarnessError, Timestamp, TS_INIT
 
+# The kinds this module compares or sends, bound once (see `MsgKind`).
+WRITE, WRITE_ACK, COMMIT = MsgKind.WRITE, MsgKind.WRITE_ACK, MsgKind.COMMIT
+READ, READ_VAL = MsgKind.READ, MsgKind.READ_VAL
+
 
 class DataReplica(Process):
     def __init__(self, pid: str, writer_pids: frozenset[str]):
@@ -23,16 +27,18 @@ class DataReplica(Process):
     # -- handlers ---------------------------------------------------------
 
     def on_message(self, msg: Message) -> None:
-        if msg.kind is MsgKind.WRITE:
+        kind = msg.kind
+        if kind is WRITE:
             self.on_write(msg)
-        elif msg.kind is MsgKind.COMMIT:
+        elif kind is COMMIT:
             self.on_commit(msg)
-        elif msg.kind is MsgKind.READ:
+        elif kind is READ:
             self.on_read(msg)
 
     def on_write(self, msg: Message) -> None:
-        if msg.src not in self.writer_pids:
-            self.trace_note("write-rejected", src=msg.src)
+        src = msg.src
+        if src not in self.writer_pids:
+            self.trace_note("write-rejected", src=src)
             return
         ts: Timestamp = msg["ts"]
         val: bytes = msg["val"]
@@ -42,7 +48,7 @@ class DataReplica(Process):
                 raise HarnessError(f"conflicting values for timestamp {ts.render()}")
             self.data[ts] = val
         # The ack is unconditional: a stale write is simply subsumed.
-        self.send(MsgKind.WRITE_ACK, msg.src, ts=ts)
+        self.port.send(WRITE_ACK, self.pid, src, ts=ts)
 
     def on_commit(self, msg: Message) -> None:
         if msg.src not in self.writer_pids:
@@ -57,14 +63,14 @@ class DataReplica(Process):
         if ts < self.committed:
             ts = self.committed
         if ts in self.data:
-            self.send(MsgKind.READ_VAL, msg.src, ts=ts, val=self.data[ts])
+            self.port.send(READ_VAL, self.pid, msg.src, ts=ts, val=self.data[ts])
         else:
             # No tagged value at the requested timestamp (the requester is
             # ahead of us or fabricated the timestamp): answer with the
             # committed pair instead of blocking. A fresh replica serves
             # the initial pair, whose absent value readers reject.
-            self.send(
-                MsgKind.READ_VAL, msg.src,
+            self.port.send(
+                READ_VAL, self.pid, msg.src,
                 ts=self.committed, val=self.data.get(self.committed),
             )
 

@@ -54,21 +54,27 @@ events are pending:
   channel, inserts the channel's next head in order. Without FIFO every
   pending seq is ready; with FIFO the ready seqs are the invocations plus
   the head of each channel.
-- `rng.choice(ready)` draws from the same list, in the same order, as a
-  sorted scan of every pending event filtered by the FIFO rule, so the
-  random index sequence, and with it every schedule, is unchanged.
+- the random pick indexes the same list, in the same order, as a sorted
+  scan of every pending event filtered by the FIFO rule. The loop draws
+  the index with `getrandbits` as `random.choice` does on Python 3.10 to
+  3.12, so the random index sequence, and every schedule, is unchanged.
 
-What one step costs. A message makes one hop: `Port.send` builds it and
-hands it to `Simulation._send`, which adds it to the pending set and
-records its send event. No other path puts a message on the network,
-which is what lets a class-level wrapper on `Port.send` see every one.
-A `Message` is a NamedTuple, so building it is one tuple allocation,
-not a frozen dataclass's `__init__` with one `object.__setattr__` per
-field.
-A run without faults pays one dict lookup per step for the timed entries
-and one loop over an empty list per dispatch for the watched crashes.
-`ready` and `pending` are mutated in place and never rebound, which is
-why `run()` may hold them in locals.
+What one step costs.
+- One hop per message: handlers and drivers call `port.send(kind, pid,
+  dst, ...)`, which builds the message and hands it to `_send`. No other
+  path puts a message on the network, so a class-level wrapper on
+  `Port.send` sees every one. A `Message` is a NamedTuple, built by one
+  tuple allocation; `_send` and `dispatch` unpack it once.
+- Bound kinds: no per-message path looks a member up on an enum class
+  (see `net.MsgKind`).
+- The collector sleeps through the loop: `run()` pauses it, so the
+  growing event list is not walked over and over. `finish` breaks the
+  run's two reference cycles (each process drops its port, each client
+  its driver), so a dropped `RunResult` is freed by reference counting.
+- A run without faults pays one dict lookup per step for the timed
+  entries and one loop over an empty list per dispatch for the watched
+  crashes. `ready` and `pending` are mutated in place and never rebound,
+  which is why `run()` may hold them in locals.
 
 Message events are recorded unrendered. `RunResult.trace` renders them
 to plain JSON types one at a time as it is iterated, so runs whose trace
@@ -81,6 +87,7 @@ is bounded by the pending messages, not by the length of the trace.
 """
 from __future__ import annotations
 
+import gc
 import json
 import random
 from bisect import bisect_left, insort
@@ -497,11 +504,11 @@ class Simulation:
     # -- port callbacks -----------------------------------------------------
 
     def _send(self, msg: Message) -> None:
-        dst = msg.dst
+        _, src, dst, _ = msg
         if dst not in self.processes:
             raise HarnessError(f"message to unknown process {dst!r}")
         crashed = self.crashed
-        if msg.src in crashed:
+        if src in crashed:
             return
         if dst in crashed:
             self.events.append((self.step, "drop", "destination-crashed", msg))
@@ -509,7 +516,7 @@ class Simulation:
         self.seq = seq = self.seq + 1
         self.pending[seq] = Delivery(seq, self.step, msg)
         if self.fifo:
-            chan = self.channels[(msg.src, dst)]
+            chan = self.channels[(src, dst)]
             chan.append(seq)
             if len(chan) == 1:
                 self.ready.append(seq)
@@ -588,8 +595,10 @@ class Simulation:
         delivery = self.pending.pop(seq)
         ready = self.ready
         del ready[bisect_left(ready, seq)]
-        if self.fifo and delivery.msg is not None:
-            chan = self.channels[(delivery.msg.src, delivery.msg.dst)]
+        msg = delivery.msg
+        if self.fifo and msg is not None:
+            _, src, dst, _ = msg
+            chan = self.channels[(src, dst)]
             head = chan.popleft()
             assert head == seq, "took a FIFO message that was not its channel's head"
             if chan:
@@ -624,8 +633,9 @@ class Simulation:
         if msg is None:
             self.invoke_next(delivery.pid)
         else:
+            _, _, dst, _ = msg
             self.events.append((self.step, "deliver", None, msg))
-            self.processes[msg.dst].on_message(msg)
+            self.processes[dst].on_message(msg)
         for pid, ops, phase in self.watched:
             if phase is None:
                 due = self.completed_ops[pid] >= ops
@@ -638,6 +648,14 @@ class Simulation:
     # -- random-schedule loop -----------------------------------------------
 
     def run(self) -> RunResult:
+        """Run the random schedule to quiescence or `max_steps`, then finish.
+
+        The loop pauses the cyclic garbage collector, a global side effect:
+        nothing in the interpreter is collected meanwhile. The caller's
+        collector state is restored in a `finally` and before `finish`, so
+        the pass the loop deferred is charged to this run, not to the
+        caller's next allocation.
+        """
         for pid in sorted(self.queues):
             if self.queues[pid]:
                 self.enqueue_invoke(pid)
@@ -646,20 +664,32 @@ class Simulation:
         ready, pending = self.ready, self.pending
         fairness, max_steps = self.config.fairness, self.config.max_steps
         timed = self.timed
-        choice = self.rng.choice
+        getrandbits = self.rng.getrandbits
         step = self.step
         quiescent = False
-        while step < max_steps:
-            if step in timed:
-                self.fire_timed()
-            if not ready:
-                quiescent = True
-                break
-            seq = ready[0]
-            if step - pending[seq].created_step < fairness:  # ready[0] is not overdue
-                seq = choice(ready)
-            self.dispatch(self.take(seq))
-            self.step = step = step + 1
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while step < max_steps:
+                if step in timed:
+                    self.fire_timed()
+                if not ready:
+                    quiescent = True
+                    break
+                seq = ready[0]
+                if step - pending[seq].created_step < fairness:  # ready[0] is not overdue
+                    # rng.choice(ready)'s draws, without its two Python frames
+                    n = len(ready)
+                    k = n.bit_length()
+                    i = getrandbits(k)
+                    while i >= n:
+                        i = getrandbits(k)
+                    seq = ready[i]
+                self.dispatch(self.take(seq))
+                self.step = step = step + 1
+        finally:
+            if collecting:
+                gc.enable()
         return self.finish(quiescent)
 
     # -- wrap-up ------------------------------------------------------------
@@ -675,6 +705,12 @@ class Simulation:
             state = render_field(proc.final_state())
             final_states[pid] = state
             self._trace("final", proc=pid, crashed=pid in self.crashed, state=state)
+        # Break the run's cycles: simulation -> process -> port -> bound
+        # callback -> simulation, and client <-> driver.
+        for proc in self.processes.values():
+            proc.port = None
+        for client in self.world.clients.values():
+            client.driver = None
         return RunResult(
             config=self.config,
             steps=self.step,

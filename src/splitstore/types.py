@@ -49,8 +49,8 @@ class Timestamp(NamedTuple):
         return Timestamp(self.num + 1, cid)
 
     def render(self) -> str:
-        cid = "nil" if self.cid == NIL else str(self.cid)
-        return f"{self.num}:{cid}"
+        num, cid = self  # one unpack: a field read by name is a descriptor call
+        return f"{num}:nil" if cid == NIL else f"{num}:{cid}"
 
 
 # The timestamp every store starts from.
@@ -65,7 +65,8 @@ class Metadata(NamedTuple):
     replicas: frozenset[int]
 
     def render(self) -> dict:
-        return {"ts": self.ts.render(), "replicas": sorted(self.replicas)}
+        ts, replicas = self
+        return {"ts": ts.render(), "replicas": sorted(replicas)}
 
 
 def render_value(val: bytes | None) -> str | None:

@@ -288,3 +288,19 @@ def test_ops_next_to_a_workload_exits_with_config_error(tmp_path, capsys):
 def test_a_byz_flag_without_a_strategy_exits_with_config_error(tmp_path, capsys):
     assert main(["run", "--random", "--byz", "d3", "--out-dir", str(tmp_path)]) == 2
     assert "--byz expects replica:strategy, got 'd3'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, says", [
+    (None, "run.json: cannot read it (No such file or directory)"),
+    ('{"t": 1,', "run.json: not valid JSON (Expecting property name enclosed"),
+    ("[1]", "run.json: a run description is a JSON object, got list"),
+], ids=["missing", "malformed", "not-an-object"])
+def test_an_unusable_scenario_file_exits_with_config_error(tmp_path, capsys, content, says):
+    path = tmp_path / "run.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["run", "--scenario-file", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: {says}")
+    assert "Traceback" not in captured.err and "PASS" not in captured.out
+    assert not (tmp_path / "out").exists()

@@ -300,8 +300,9 @@ class RecountRead:
 
 
 class DriverOwner:
-    """Stands in for the client process that owns a driver; it keeps the
-    history records the driver begins and ends."""
+    """Stands in for the client process that owns a driver. Its port
+    records each message the driver sends, as (kind, dst, fields), and
+    keeps the history records the driver begins and ends."""
 
     pid = "r1"
 
@@ -309,10 +310,11 @@ class DriverOwner:
         self.sent = []
         self.begun = []
         self.ended = []
-        self.port = Port(None, None, self.begun.append, self.ended.append)
+        self.port = Port(self._record, None, self.begun.append, self.ended.append)
 
-    def send(self, kind, dst, **fields):
-        self.sent.append((kind, dst, fields))
+    def _record(self, msg):
+        assert msg.src == self.pid
+        self.sent.append((msg.kind, msg.dst, dict(msg.fields)))
 
 
 def pair_pool(scope, writer_cids):

@@ -1,14 +1,16 @@
 import dataclasses
+import gc
 import json
 
 import pytest
 
 from splitstore.faults import ByzStrategy, CrashSpec
 from splitstore.net import MsgKind, Port, Process
+from splitstore.scenarios import SCENARIO_NAMES, random_config, run_scenario
 from splitstore.simnet import (
     AdversaryAction, Config, Match, Script, Simulation, build_world, run,
 )
-from splitstore.types import ConfigError
+from splitstore.types import ConfigError, HarnessError
 
 
 def trace_bytes(result):
@@ -482,7 +484,7 @@ def test_delivered_messages_are_immutable():
 
 def test_a_message_is_unhashable_and_indexes_its_fields(probe):
     proc = probe.attach(Process("p"))
-    proc.send(MsgKind.DIR_READ, "dir", tag=7, index=None)
+    proc.port.send(MsgKind.DIR_READ, proc.pid, "dir", tag=7, index=None)
     msg, = probe.take_sent()
     # The fields mapping is unhashable, so a message is too: nothing may
     # key a set or dict by message value.
@@ -505,7 +507,93 @@ def test_a_message_is_unhashable_and_indexes_its_fields(probe):
 def test_a_sent_message_does_not_alias_the_senders_dict(probe):
     proc = probe.attach(Process("p"))
     fields = {"tag": 1}
-    proc.send(MsgKind.DIR_READ, "dir", **fields)
+    proc.port.send(MsgKind.DIR_READ, proc.pid, "dir", **fields)
     fields["tag"] = 2
     msg, = probe.take_sent()
     assert msg["tag"] == 1
+
+
+def test_every_message_carries_its_senders_pid(monkeypatch):
+    """Channels are authenticated: each message's src is the process whose
+    handler or invocation the simulator is dispatching when it is sent."""
+    dispatching = []
+    dispatch, send = Simulation.dispatch, Port.send
+
+    def dispatch_tracking(sim, delivery):
+        msg = delivery.msg
+        dispatching.append(delivery.pid if msg is None else msg.dst)
+        try:
+            dispatch(sim, delivery)
+        finally:
+            dispatching.pop()
+
+    sends = 0
+
+    def send_checked(port, kind, src, dst, **fields):
+        nonlocal sends
+        assert dispatching and src == dispatching[-1], (kind, src, dst)
+        sends += 1
+        send(port, kind, src, dst, **fields)
+
+    monkeypatch.setattr(Simulation, "dispatch", dispatch_tracking)
+    monkeypatch.setattr(Port, "send", send_checked)
+    for seed in range(60):
+        run(random_config(seed))
+    assert sends > 0
+
+
+# -- the collector ---------------------------------------------------------------
+
+
+def test_a_dropped_run_leaves_no_cyclic_garbage():
+    """A finished run is freed by reference counting alone: with the
+    collector off, dropping random, named-scenario and scripted runs leaves
+    nothing for `gc.collect()` to find."""
+
+    def script(s, world):
+        s.invoke("w1")
+        s.drain()
+
+    run(random_config(0))  # warm-up: first-use allocations are not the run's
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for mode in ("oracle", "replicated"):
+            for seed in range(60):
+                run(random_config(seed, mds_mode=mode))
+        for name in SCENARIO_NAMES:
+            run_scenario(name)
+        run(Config(seed=0, writers=1, readers=1, ops=1), script)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_run_pauses_the_collector_and_restores_the_callers_state(enabled, fails):
+    sim = Simulation(build_world(Config(seed=0)))
+    if fails:
+        del sim.processes["d3"]  # the first write to d3 then raises
+    collecting = []
+    dispatch = sim.dispatch
+
+    def dispatch_watching(delivery):
+        collecting.append(gc.isenabled())
+        dispatch(delivery)
+
+    sim.dispatch = dispatch_watching
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if fails:
+            with pytest.raises(HarnessError, match="unknown process 'd3'"):
+                sim.run()
+        else:
+            assert sim.run().quiescent
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert collecting and not any(collecting)
