@@ -68,9 +68,10 @@ What one step costs.
 - Bound kinds: no per-message path looks a member up on an enum class
   (see `net.MsgKind`).
 - The collector sleeps through the loop: `run()` pauses it, so the
-  growing event list is not walked over and over. `finish` breaks the
-  run's two reference cycles (each process drops its port, each client
-  its driver), so a dropped `RunResult` is freed by reference counting.
+  growing event list is not walked over and over, and collects the young
+  generations once on the way out. `finish` breaks the run's two
+  reference cycles (each process drops its port, each client its
+  driver), so a dropped `RunResult` is freed by reference counting.
 - A run without faults pays one dict lookup per step for the timed
   entries and one loop over an empty list per dispatch for the watched
   crashes. `ready` and `pending` are mutated in place and never rebound,
@@ -652,9 +653,12 @@ class Simulation:
 
         The loop pauses the cyclic garbage collector, a global side effect:
         nothing in the interpreter is collected meanwhile. The caller's
-        collector state is restored in a `finally` and before `finish`, so
-        the pass the loop deferred is charged to this run, not to the
-        caller's next allocation.
+        collector state is restored in a `finally`. If it was on, the
+        collection the loop deferred runs here, before `finish`, as one
+        pass over the two young generations. That charges it to this run
+        and moves the run's objects straight to the oldest generation;
+        left to the thresholds, a young pass here and a middle-generation
+        pass in the caller's next allocations would each walk them.
         """
         for pid in sorted(self.queues):
             if self.queues[pid]:
@@ -690,6 +694,8 @@ class Simulation:
         finally:
             if collecting:
                 gc.enable()
+        if collecting:
+            gc.collect(1)
         return self.finish(quiescent)
 
     # -- wrap-up ------------------------------------------------------------

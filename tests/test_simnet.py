@@ -592,8 +592,14 @@ def test_run_pauses_the_collector_and_restores_the_callers_state(enabled, fails)
             with pytest.raises(HarnessError, match="unknown process 'd3'"):
                 sim.run()
         else:
-            assert sim.run().quiescent
+            result = sim.run()
+            assert result.quiescent
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
     assert collecting and not any(collecting)
+    if enabled and not fails:
+        # The deferred collection ran as one pass that moved the run's
+        # objects to the oldest generation.
+        msg = next(e[3] for e in result.events if isinstance(e, tuple))
+        assert any(o is msg for o in gc.get_objects(generation=2))
