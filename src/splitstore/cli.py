@@ -42,6 +42,69 @@ def _parse_seeds(args: argparse.Namespace) -> list[int]:
     return seeds
 
 
+_ascii = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+# Leaves by exact type. Any other type, subclasses included, takes
+# `_indented`'s isinstance chain, which is json's.
+_LEAVES = {
+    str: _ascii,
+    int: _int_repr,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    float: json_line,
+}
+
+
+def json_indent(doc: object) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte.
+
+    json's indenting encoder is pure Python and runs a generator per
+    container; this walk builds each container's text with one join."""
+    return _indented(doc, "\n")
+
+
+def _indented(o: object, nl: str) -> str:
+    """`o` encoded with `nl` (a newline and the indent) before its closing
+    bracket, testing types in the order json's encoder does."""
+    leaf = _LEAVES.get(type(o))
+    if leaf is not None:
+        return leaf(o)
+    if isinstance(o, str):
+        return _ascii(o)
+    if isinstance(o, int):
+        return _int_repr(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        get = _LEAVES.get
+        return "[" + inner + ("," + inner).join([
+            leaf(v) if (leaf := get(type(v))) is not None else _indented(v, inner)
+            for v in o
+        ]) + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        get = _LEAVES.get
+        return "{" + inner + ("," + inner).join([
+            (_ascii(k) if type(k) is str else _key(k)) + ": "
+            + (leaf(v) if (leaf := get(type(v))) is not None else _indented(v, inner))
+            for k, v in sorted(o.items())
+        ]) + nl + "}"
+    return json_line(o)  # a float subclass; anything else raises TypeError
+
+
+def _key(key: object) -> str:
+    """A dict key that is not exactly a str, as json writes it: a str
+    subclass as itself, a number, bool or None as its JSON text, quoted."""
+    if isinstance(key, str):
+        return _ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return _ascii(json_line(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def write_outputs(out_dir: Path, outcome: ScenarioOutcome) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -73,10 +136,7 @@ def write_outputs(out_dir: Path, outcome: ScenarioOutcome) -> list[Path]:
             "ops": [op.render() for op in result.history],
             "directory_ops": [op.render() for op in result.dir_ops],
         }
-        history_path.write_text(
-            json.dumps(history_payload, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        history_path.write_text(json_indent(history_payload) + "\n", encoding="utf-8")
         written.append(history_path)
         report["runs"][label] = {
             "config": result.config.render(),
@@ -90,9 +150,7 @@ def write_outputs(out_dir: Path, outcome: ScenarioOutcome) -> list[Path]:
             "verdict_ok": verdict.ok,
         }
     report_path = out_dir / f"{stem}.report.json"
-    report_path.write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    report_path.write_text(json_indent(report) + "\n", encoding="utf-8")
     written.append(report_path)
     return written
 

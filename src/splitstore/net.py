@@ -12,11 +12,15 @@ response steps, which no process ever reads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, NamedTuple
 
 from .types import Metadata, Timestamp, render_value
+
+
+# A NamedTuple's generated __new__ is a Python function; `Port.send`
+# builds each message with this one C call instead.
+_new_tuple = tuple.__new__
 
 
 class MsgKind(enum.Enum):
@@ -135,8 +139,10 @@ class Port:
         self.end = end
 
     def send(self, kind: MsgKind, src: str, dst: str, **fields: Any) -> None:
-        # make_message's body, inlined: this runs once per message.
-        self._sender(Message(kind, src, dst, MappingProxyType(fields)))
+        # make_message's body, inlined, and built by tuple.__new__: this
+        # runs once per message, and the NamedTuple's own __new__ is a
+        # Python-level function.
+        self._sender(_new_tuple(Message, (kind, src, dst, MappingProxyType(fields))))
 
     def trace(self, proc: str, note: str, **payload: Any) -> None:
         self._tracer(proc, note, **payload)
@@ -162,11 +168,11 @@ class Process:
         return {}
 
 
-@dataclass(slots=True)
-class Delivery:
+class Delivery(NamedTuple):
     """A schedulable event: a message delivery, or a client invocation
     when ``msg`` is None. Crashes and adversary actions fire outside the
-    pending set."""
+    pending set. The simulator builds each with ``tuple.__new__``, as
+    `Port.send` builds a message."""
 
     seq: int
     created_step: int

@@ -63,8 +63,10 @@ What one step costs.
 - One hop per message: handlers and drivers call `port.send(kind, pid,
   dst, ...)`, which builds the message and hands it to `_send`. No other
   path puts a message on the network, so a class-level wrapper on
-  `Port.send` sees every one. A `Message` is a NamedTuple, built by one
-  tuple allocation; `_send` and `dispatch` unpack it once.
+  `Port.send` sees every one. A `Message` and each pending event's
+  `Delivery` are NamedTuples built by `tuple.__new__`, one C call that
+  skips the generated Python-level `__new__`; `_send`, `take`, `dispatch`
+  and the loop unpack them once.
 - Bound kinds: no per-message path looks a member up on an enum class
   (see `net.MsgKind`).
 - The collector sleeps through the loop: `run()` pauses it, so the
@@ -82,18 +84,26 @@ to plain JSON types one at a time as it is iterated, so runs whose trace
 nobody reads never pay for rendering. `Trace.lines()` is the one writer of
 the trace file's JSON lines. Every message that is sent appears twice, at
 its send and at its deliver, drop or undelivered event, so `lines()`
-renders and encodes each message's body once and splices it into both
-lines. It keeps a body only while its message is in flight, so its memory
-is bounded by the pending messages, not by the length of the trace.
+encodes each message's body once and splices it into both lines. It keeps
+a body only while its message is in flight, so its memory is bounded by
+the pending messages, not by the length of the trace. A body is written
+by `message_body` straight from the message's fields, with no rendered
+dict in between: the key order for each kind and set of field names is
+worked out once, and strings, ints, bools, None, timestamps and bytes are
+encoded inline. Any other field value is rendered by `render_field` and
+encoded by `json_line`, so the bytes are those of
+`json_line(msg.render())`.
 """
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import random
 from bisect import bisect_left, insort
 from collections import defaultdict, deque
 from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from .client import ClientBase, ReaderClient, WritePhase, WriterClient
@@ -103,7 +113,7 @@ from .mds_oracle import DIR_PID, HASH_PID, DirectoryOracle, HashArrayOracle, Ora
 from .mds_replicated import MetaReplica, ReplicatedMdsDriver
 from .net import Delivery, Message, MsgKind, Port, Process, render_field
 from .replica import DataReplica
-from .types import ConfigError, DigestFacility, HarnessError, HashMode, render_value
+from .types import NIL, ConfigError, DigestFacility, HarnessError, HashMode, Timestamp, render_value
 
 # The values a generated workload writes.
 ALPHABET = (b"a", b"b", b"c", b"d")
@@ -114,6 +124,10 @@ CRASH_PHASES = tuple(phase.value for phase in WritePhase)
 DEFAULT_BUDGET = 10_000
 DEFAULT_MAX_STEPS = 50_000
 DEFAULT_FAIRNESS = 64
+
+# A NamedTuple's generated __new__ is a Python function; each pending
+# event's Delivery is built by this one C call instead.
+_new_tuple = tuple.__new__
 
 
 @dataclass
@@ -378,6 +392,62 @@ Event = dict | tuple[int, str, str | None, Message]
 # it is given options.
 json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+_ascii = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+
+
+# Cached per message shape; the protocol sends a few dozen.
+@functools.cache
+def _body_format(kind: MsgKind, names: tuple[str, ...]) -> tuple[str, Callable]:
+    """The %-template of a body of `kind` with fields `names`, in sort-key
+    order, and the picker that orders the encoded (src, dst, *fields)
+    values for it. The kind is written into the template. As in
+    `Message.render`, a field named kind, src or dst takes the place of the
+    header key (`Port.send` cannot build one: Python rejects the keyword)."""
+    slots: dict[str, int | None] = {"kind": None, "src": 0, "dst": 1}
+    for i, name in enumerate(names, 2):
+        slots[name] = i
+    template, order = [], []
+    for key in sorted(slots):
+        i = slots[key]
+        value = "%s" if i is not None else json_line(kind.value).replace("%", "%%")
+        template.append(json_line(key).replace("%", "%%") + ":" + value)
+        if i is not None:
+            order.append(i)
+    # order holds src and dst or the fields that replace them, so
+    # itemgetter always returns a tuple.
+    return "{" + ",".join(template) + "}", itemgetter(*order)
+
+
+def message_body(msg: Message) -> str:
+    """`json_line(msg.render())`, written straight from the message's fields.
+
+    Strings, ints, bools, None, timestamps and bytes are encoded inline;
+    any other field value is rendered and encoded as `render` does. The
+    header's src and dst are pids, so they are strings."""
+    kind, src, dst, fields = msg
+    template, pick = _body_format(kind, tuple(fields))
+    values = [_ascii(src), _ascii(dst)]
+    append = values.append
+    for value in fields.values():
+        cls = type(value)
+        if cls is Timestamp:
+            num, cid = value  # Timestamp.render, inlined
+            append(_ascii(f"{num}:nil" if cid == NIL else f"{num}:{cid}"))
+        elif cls is int:
+            append(_int_repr(value))
+        elif cls is str:
+            append(_ascii(value))
+        elif cls is bytes:
+            append(_ascii(value.decode("latin-1")))
+        elif value is None:
+            append("null")
+        elif cls is bool:
+            append("true" if value else "false")
+        else:
+            append(json_line(render_field(value)))
+    return template % pick(values)
+
 
 def render_event(event: Event) -> dict:
     if isinstance(event, dict):
@@ -395,9 +465,10 @@ class Trace:
 
     Nothing rendered is kept, so each iteration renders afresh; the
     entries are the same on every pass. `lines()` yields the same entries
-    as the trace file's JSON lines. It encodes each message's body once
-    for the message's two lines and keeps it only while the message is in
-    flight, so its memory is bounded by the pending messages.
+    as the trace file's JSON lines without rendering a message: it encodes
+    each message's body once with `message_body`, for the message's two
+    lines, and keeps it only while the message is in flight, so its memory
+    is bounded by the pending messages.
     """
 
     def __init__(self, events: list[Event]):
@@ -409,10 +480,10 @@ class Trace:
     def lines(self) -> Iterator[str]:
         """Yield each entry as `json_line(render_event(e)) + "\n"`.
 
-        A body is encoded at its message's send, kept in `bodies` and
-        popped at the deliver, drop or undelivered event that closes the
-        message. A message dropped as it is sent has no send event, so its
-        body is encoded and not kept.
+        A body is encoded by `message_body` at its message's send, kept in
+        `bodies` and popped at the deliver, drop or undelivered event that
+        closes the message. A message dropped as it is sent has no send
+        event, so its drop line encodes its body and does not keep it.
         """
         # Keyed by id: a Message holds a mapping proxy and is unhashable, and
         # the event list keeps every message alive, so no id is reused.
@@ -423,9 +494,9 @@ class Trace:
                 continue
             step, ev, reason, msg = event
             if ev == "send":
-                body = bodies[id(msg)] = json_line(msg.render())
+                body = bodies[id(msg)] = message_body(msg)
             else:
-                body = bodies.pop(id(msg), None) or json_line(msg.render())
+                body = bodies.pop(id(msg), None) or message_body(msg)
             # The keys in sort order: ev, msg, reason, step. ev and reason are
             # fixed names set in this module, so they need no JSON escaping.
             if reason is None:
@@ -515,7 +586,7 @@ class Simulation:
             self.events.append((self.step, "drop", "destination-crashed", msg))
             return
         self.seq = seq = self.seq + 1
-        self.pending[seq] = Delivery(seq, self.step, msg)
+        self.pending[seq] = _new_tuple(Delivery, (seq, self.step, msg, None))
         if self.fifo:
             chan = self.channels[(src, dst)]
             chan.append(seq)
@@ -586,7 +657,7 @@ class Simulation:
 
     def enqueue_invoke(self, pid: str) -> None:
         self.seq = seq = self.seq + 1
-        self.pending[seq] = Delivery(seq, self.step, pid=pid)
+        self.pending[seq] = _new_tuple(Delivery, (seq, self.step, None, pid))
         self.ready.append(seq)
 
     def take(self, seq: int) -> Delivery:
@@ -596,7 +667,7 @@ class Simulation:
         delivery = self.pending.pop(seq)
         ready = self.ready
         del ready[bisect_left(ready, seq)]
-        msg = delivery.msg
+        _, _, msg, _ = delivery
         if self.fifo and msg is not None:
             _, src, dst, _ = msg
             chan = self.channels[(src, dst)]
@@ -630,9 +701,9 @@ class Simulation:
         self.events.append((self.step, ev, reason, msg))
 
     def dispatch(self, delivery: Delivery) -> None:
-        msg = delivery.msg
+        _, _, msg, client = delivery
         if msg is None:
-            self.invoke_next(delivery.pid)
+            self.invoke_next(client)
         else:
             _, _, dst, _ = msg
             self.events.append((self.step, "deliver", None, msg))
@@ -681,7 +752,8 @@ class Simulation:
                     quiescent = True
                     break
                 seq = ready[0]
-                if step - pending[seq].created_step < fairness:  # ready[0] is not overdue
+                _, created_step, _, _ = pending[seq]
+                if step - created_step < fairness:  # ready[0] is not overdue
                     # rng.choice(ready)'s draws, without its two Python frames
                     n = len(ready)
                     k = n.bit_length()
