@@ -44,8 +44,7 @@ def _parse_seeds(args: argparse.Namespace) -> list[int]:
 
 _ascii = json.encoder.encode_basestring_ascii
 _int_repr = int.__repr__
-# Leaves by exact type. Any other type, subclasses included, takes
-# `_indented`'s isinstance chain, which is json's.
+# Leaves by exact type; subclasses take `_indented`'s isinstance tests.
 _LEAVES = {
     str: _ascii,
     int: _int_repr,
@@ -65,14 +64,10 @@ def json_indent(doc: object) -> str:
 
 def _indented(o: object, nl: str) -> str:
     """`o` encoded with `nl` (a newline and the indent) before its closing
-    bracket, testing types in the order json's encoder does."""
+    bracket."""
     leaf = _LEAVES.get(type(o))
     if leaf is not None:
         return leaf(o)
-    if isinstance(o, str):
-        return _ascii(o)
-    if isinstance(o, int):
-        return _int_repr(o)
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
@@ -92,7 +87,10 @@ def _indented(o: object, nl: str) -> str:
             + (leaf(v) if (leaf := get(type(v))) is not None else _indented(v, inner))
             for k, v in sorted(o.items())
         ]) + nl + "}"
-    return json_line(o)  # a float subclass; anything else raises TypeError
+    # A str, int or float subclass, which the compact encoder writes as
+    # json does; anything else raises json's TypeError. No type is both a
+    # leaf and a container, so json's order of tests needs no more here.
+    return json_line(o)
 
 
 def _key(key: object) -> str:
