@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any
 
-from .mds_replicated import MetaReplica, Pair
+from .mds_replicated import MetaReplica, Pair, update_entry
 from .net import Message, MsgKind
 from .replica import DataReplica
 from .types import ConfigError, Metadata, Timestamp, TS_INIT
@@ -131,9 +131,14 @@ class ByzMetaReplica(MetaReplica):
     initial, empty view and never pushes updates. FABRICATE-HIGH-TS
     reports an invented high pair, in place of its view, for every
     register. EQUIVOCATE serves honest snapshots to even tags and
-    fabricated ones to odd tags. STATE-SWITCH corrupts established
-    payloads on an adversary action. The snapshot strategies override
-    only `MetaReplica._report`; live pushes stay honest except under STALE.
+    fabricated ones to odd tags. The snapshot strategies override only
+    `MetaReplica._report` and build their entries with
+    `mds_replicated.update_entry`; live pushes stay honest except under
+    STALE. STATE-SWITCH corrupts established payloads on an adversary
+    action: the register's sorted tuple of established pairs, which its
+    snapshots ship, is replaced by the scrambled pairs in pair order, while
+    each pair's own state keeps the honest truth, so the replica still
+    echoes and acks honestly.
     """
 
     def __init__(
@@ -162,7 +167,7 @@ class ByzMetaReplica(MetaReplica):
     def _report(self, reg: tuple, tag: int) -> dict:
         strat = self.strategy
         if strat is STALE_CONCURRENT:
-            return {"reg": reg, "pairs": (), "current": TS_INIT}
+            return update_entry(reg, (), TS_INIT)
         if strat is FABRICATE_HIGH_TS or (strat is EQUIVOCATE and tag % 2 == 1):
             fake_ts = Timestamp(999, FABRICATED_CID)
             payload: Any
@@ -170,7 +175,7 @@ class ByzMetaReplica(MetaReplica):
                 payload = Metadata(ts=fake_ts, replicas=frozenset({1}))
             else:
                 payload = "00" * 32
-            return {"reg": reg, "pairs": (Pair(fake_ts, payload),), "current": fake_ts}
+            return update_entry(reg, (Pair(fake_ts, payload),), fake_ts)
         return super()._report(reg, tag)
 
     # The actions a run's fault plan may schedule: those that take no params.
@@ -189,7 +194,6 @@ class ByzMetaReplica(MetaReplica):
                     scrambled.add(Pair(pair.key, "ff" * 32))
                 else:
                     scrambled.add(pair)
-            rs.established = scrambled
-            rs.snapshot = None
+            rs.established = tuple(sorted(scrambled, key=self._order.__getitem__))
         self.trace_note("byz-state-switch")
 

@@ -32,25 +32,32 @@ semantics are promised, so tm + 1 matching reports (or 2*tm + 1 empty
 reports for an unwritten entry) settle the answer.
 
 Neither side recomputes a quorum from scratch per message. A replica
-keeps each register's established pairs sorted between establishments
-and ships that tuple in every snapshot. A reader counts each report once,
-as it arrives: per register it keeps the replicas that reported each
-pair and the highest pair that has reached tm + 1 of them. Only the
-current-key evidence, one entry per replica, is recounted on each
-evaluation. Each process memoizes a pair's order key (``PairOrder``), so
-payload tokens are rendered once per pair, not once per comparison.
+keeps each register's established pairs as one tuple in pair order,
+which gains each pair as it is established and is exactly what a
+snapshot ships; the register's current pair is the tuple's last entry.
+A reader counts each report once, as it arrives: per register it keeps
+the replicas that reported each pair and the highest pair that has
+reached tm + 1 of them. Only the current-key evidence, one entry per
+replica, is recounted on each evaluation. Each process memoizes a pair's
+order key (``PairOrder``), so payload tokens are rendered once per pair,
+not once per comparison.
 
-A replica answers a query with one ``_report`` per register in the
-query's scope; that method is the one hook through which a Byzantine
-replica (``faults.ByzMetaReplica``) lies in its snapshots. On the client
-side, ``ReplicatedMdsDriver`` has one store path (``_store``) for both
-writes and one read path (``_read`` and ``_finish_read``) for both reads,
-and its ``history.DirOpLog`` records every operation for the checker.
+A replica takes in every pair, stored, written back or echoed, through
+one method (``_take``). It answers a query with one ``_report`` per
+register in the query's scope; that method is the one hook through
+which a Byzantine replica (``faults.ByzMetaReplica``) lies in its
+snapshots, and ``update_entry`` builds every entry of an update. On the
+client side, ``ReplicatedMdsDriver`` has one store path (``_store``) for
+both writes and one read path (``_read`` and ``_finish_read``) for both
+reads, and its ``history.DirOpLog`` records every operation for the
+checker. A read is in ``_reads`` only while it collects reports; a tsread
+leaves it when its write-back starts.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .history import DirOpLog, DirOpRecord
 from .mds_oracle import HashArraySpec
@@ -86,6 +93,12 @@ def pair_sort_key(pair: Pair) -> tuple:
     return (pair.key, payload_token(pair.payload))
 
 
+def update_entry(reg: RegisterId, pairs: tuple[Pair, ...], current: Timestamp) -> dict:
+    """One entry of a META-UPDATE: ``pairs`` of ``reg`` in pair order, and
+    the reporting replica's current key for ``reg``."""
+    return {"reg": reg, "pairs": pairs, "current": current}
+
+
 class PairOrder(dict):
     """One process's memo of ``pair_sort_key``: ``order[pair]`` renders a
     pair's order key the first time the process meets the pair and looks
@@ -107,10 +120,13 @@ class _PairState:
 @dataclass
 class _Register:
     pairs: dict[Pair, _PairState] = field(default_factory=dict)
-    established: set[Pair] = field(default_factory=set)
-    # ``established`` in pair order, as snapshots ship it; None when stale
-    snapshot: tuple[Pair, ...] | None = None
-    current: Pair = INITIAL_PAIR
+    # the established pairs in pair order, as a snapshot ships them
+    established: tuple[Pair, ...] = ()
+
+    @property
+    def current(self) -> Pair:
+        """The highest established pair."""
+        return self.established[-1] if self.established else INITIAL_PAIR
 
 
 class MetaReplica(Process):
@@ -132,8 +148,8 @@ class MetaReplica(Process):
         self.registers: dict[RegisterId, _Register] = {
             ("dir", cid): _Register() for cid in self.writer_cids
         }
-        # (client pid, tag) -> scope: "dir" or ("hash", index)
-        self.listeners: dict[tuple[str, int], Any] = {}
+        # (client pid, tag) -> the registers the query covers
+        self.listeners: dict[tuple[str, int], list[RegisterId]] = {}
         # the digests stored over an authenticated channel, write-once
         self.digests = HashArraySpec()
         self._order = PairOrder()
@@ -166,12 +182,16 @@ class MetaReplica(Process):
             return
         if reg[0] == "hash":
             self.digests.write(reg[1], msg["payload"], self.client_ids[src])
-        self._accept(reg, Pair(msg["key"], msg["payload"]), (src, msg["seq"]))
+        self._take(reg, Pair(msg["key"], msg["payload"]), ((src, msg["seq"]),))
 
     def on_writeback(self, msg: Message) -> None:
         # Write-backs republish a pair a reader confirmed; any client may
         # send them, which is sound only because clients here are benign.
-        self._accept(msg["reg"], Pair(msg["key"], msg["payload"]), (msg.src, msg["seq"]))
+        self._take(msg["reg"], Pair(msg["key"], msg["payload"]), ((msg.src, msg["seq"]),))
+
+    def on_echo(self, msg: Message) -> None:
+        pair = Pair(msg["key"], msg["payload"])
+        self._take(msg["reg"], pair, map(tuple, msg["storers"]), echoer=msg.src)
 
     def _store_allowed(self, reg: RegisterId, src: str) -> bool:
         cid = self.client_ids.get(src)
@@ -183,27 +203,23 @@ class MetaReplica(Process):
             return reg[1].cid == cid
         return False
 
-    def _accept(self, reg: RegisterId, pair: Pair, storer: tuple[str, int]) -> None:
-        rs = self.register_for(reg)
-        st = rs.pairs.setdefault(pair, _PairState())
-        st.storers.add(storer)
+    def _take(
+        self, reg: RegisterId, pair: Pair, storers: Iterable[tuple[str, int]],
+        echoer: str | None = None,
+    ) -> None:
+        """Take in a pair from a store or a write-back, or from ``echoer``'s
+        echo. A stored pair is echoed at once, an echoed one only once it
+        establishes; a pair already established acks its storers."""
+        st = self.register_for(reg).pairs.setdefault(pair, _PairState())
+        st.storers.update(storers)
+        if echoer is not None:
+            st.echoes.add(echoer)
         if st.established:
             self._ack_storers(reg, pair, st)
             return
-        self._echo(reg, pair, st)
+        if echoer is None:
+            self._echo(reg, pair, st)
         self._maybe_establish(reg, pair, st)
-
-    def on_echo(self, msg: Message) -> None:
-        reg: RegisterId = msg["reg"]
-        pair = Pair(msg["key"], msg["payload"])
-        rs = self.register_for(reg)
-        st = rs.pairs.setdefault(pair, _PairState())
-        st.echoes.add(msg.src)
-        st.storers.update(tuple(s) for s in msg["storers"])
-        if st.established:
-            self._ack_storers(reg, pair, st)
-        else:
-            self._maybe_establish(reg, pair, st)
 
     def _echo(self, reg: RegisterId, pair: Pair, st: _PairState) -> None:
         me = self.pid
@@ -221,10 +237,10 @@ class MetaReplica(Process):
             return
         st.established = True
         rs = self.registers[reg]
-        rs.established.add(pair)
-        rs.snapshot = None
-        if self._order[pair] > self._order[rs.current]:
-            rs.current = pair
+        # A copy: an update in flight may hold the old tuple.
+        established = list(rs.established)
+        bisect.insort(established, pair, key=self._order.__getitem__)
+        rs.established = tuple(established)
         # Pass the pair on even when we only learned it from echoes, so
         # that establishment spreads to every correct replica.
         self._echo(reg, pair, st)
@@ -237,11 +253,6 @@ class MetaReplica(Process):
             pid, seq = storer
             self.port.send(META_ACK, self.pid, pid, reg=reg, key=pair.key, seq=seq)
 
-    def _scope_covers(self, scope: Any, reg: RegisterId) -> bool:
-        if scope == "dir":
-            return reg[0] == "dir"
-        return scope == reg
-
     def _scope_registers(self, scope: Any) -> list[RegisterId]:
         """The registers a query for ``scope`` reports on: "dir" stands
         for every writer's ``("dir", cid)`` register."""
@@ -250,31 +261,21 @@ class MetaReplica(Process):
         return [scope]
 
     def _notify(self, reg: RegisterId, pair: Pair) -> None:
-        update = self._render_update(reg, (pair,))
-        for (pid, tag), scope in sorted(self.listeners.items()):
-            if self._scope_covers(scope, reg):
+        update = update_entry(reg, (pair,), self.registers[reg].current.key)
+        for (pid, tag), regs in sorted(self.listeners.items()):
+            if reg in regs:
                 self.port.send(META_UPDATE, self.pid, pid, tag=tag, updates=(update,))
-
-    def _render_update(self, reg: RegisterId, pairs: tuple[Pair, ...]) -> dict:
-        """An update for ``reg``; ``pairs`` must already be in pair order."""
-        return {"reg": reg, "pairs": pairs, "current": self.register_for(reg).current.key}
-
-    def _sorted_established(self, reg: RegisterId) -> tuple[Pair, ...]:
-        rs = self.register_for(reg)
-        if rs.snapshot is None:
-            rs.snapshot = tuple(sorted(rs.established, key=self._order.__getitem__))
-        return rs.snapshot
 
     def _report(self, reg: RegisterId, tag: int) -> dict:
         """The snapshot of ``reg`` this replica reports to query ``tag``."""
-        return self._render_update(reg, self._sorted_established(reg))
+        rs = self.register_for(reg)
+        return update_entry(reg, rs.established, rs.current.key)
 
     def on_query(self, msg: Message) -> None:
-        scope = msg["scope"]
         tag = msg["tag"]
         src = msg.src
-        self.listeners[(src, tag)] = scope
-        updates = tuple(self._report(reg, tag) for reg in self._scope_registers(scope))
+        regs = self.listeners[(src, tag)] = self._scope_registers(msg["scope"])
+        updates = tuple(self._report(reg, tag) for reg in regs)
         self.port.send(META_UPDATE, self.pid, src, tag=tag, updates=updates)
 
     def final_state(self) -> dict:
@@ -284,8 +285,7 @@ class MetaReplica(Process):
             out[name] = {
                 "current": rs.current.key,
                 "established": [
-                    {"key": p.key, "payload": p.payload}
-                    for p in self._sorted_established(reg)
+                    {"key": p.key, "payload": p.payload} for p in rs.established
                 ],
             }
         return out
@@ -308,10 +308,8 @@ class _ReadOp:
     done: Callable[..., None]
     snapshots: set[str] = field(default_factory=set)
     reporters: dict = field(default_factory=dict)  # reg -> Pair -> set of pids
-    reported: dict = field(default_factory=dict)  # reg -> pids that reported a pair
     best: dict = field(default_factory=dict)  # reg -> highest pair with tm + 1 reporters
     currents: dict = field(default_factory=dict)  # reg -> pid -> Timestamp
-    state: str = "collect"  # "collect" | "writeback"
 
 
 class ReplicatedMdsDriver:
@@ -424,22 +422,20 @@ class ReplicatedMdsDriver:
         when its reporters reach tm + 1; they only grow, so every pair
         confirmed so far has been compared."""
         read = self._reads.get(msg["tag"])
-        if read is None or read.state != "collect":
-            return  # a read in write-back never evaluates again
+        if read is None:
+            return  # the read has ended or is writing its pair back
         src = msg.src
         read.snapshots.add(src)
         for update in msg["updates"]:
             reg = update["reg"]
-            if update["pairs"]:
-                read.reported.setdefault(reg, set()).add(src)
-                reporters = read.reporters.setdefault(reg, {})
-                for pair in update["pairs"]:
-                    pids = reporters.setdefault(pair, set())
-                    pids.add(src)
-                    if len(pids) == self.tm + 1:
-                        best = read.best.get(reg)
-                        if best is None or self._order[pair] > self._order[best]:
-                            read.best[reg] = pair
+            reporters = read.reporters.setdefault(reg, {})
+            for pair in update["pairs"]:
+                pids = reporters.setdefault(pair, set())
+                pids.add(src)
+                if len(pids) == self.tm + 1:
+                    best = read.best.get(reg)
+                    if best is None or self._order[pair] > self._order[best]:
+                        read.best[reg] = pair
             if update["current"] is not None:
                 read.currents.setdefault(reg, {})[src] = update["current"]
         self._evaluate(read)
@@ -460,8 +456,8 @@ class ReplicatedMdsDriver:
         if best is not None:
             self._finish_read(read, digest=best.payload)
             return
-        empties = len(read.snapshots) - len(read.reported.get(reg, ()))
-        if empties >= self.quorum:
+        reported = set().union(*read.reporters.get(reg, {}).values())
+        if len(read.snapshots - reported) >= self.quorum:
             self._finish_read(read, digest=None)
 
     def _evaluate_tsread(self, read: _ReadOp) -> None:
@@ -484,7 +480,8 @@ class ReplicatedMdsDriver:
         if best.key == TS_INIT:
             self._finish_read(read, ts=TS_INIT, md=None)
             return
-        read.state = "writeback"
+        # Out of `_reads` for its write-back, so no update evaluates it again.
+        del self._reads[read.rec.tag]
         self._start_store(
             best_reg, best.key, best.payload, META_WRITEBACK,
             lambda driver: driver._finish_read(read, ts=best.key, md=best.payload),
@@ -493,7 +490,7 @@ class ReplicatedMdsDriver:
     def _finish_read(self, read: _ReadOp, **result: Any) -> None:
         """Unsubscribe, record the end and pass the result's values on."""
         tag = read.rec.tag
-        del self._reads[tag]
+        self._reads.pop(tag, None)  # a read in write-back has left already
         owner = self.owner
         send, me = owner.port.send, owner.pid
         for pid in self.meta_pids:

@@ -161,7 +161,12 @@ class Config:
 
     def __post_init__(self) -> None:
         if isinstance(self.hash_mode, str):
-            self.hash_mode = HashMode(self.hash_mode)
+            modes = {m.value: m for m in HashMode}
+            if self.hash_mode not in modes:
+                raise ConfigError(
+                    f"unknown hash mode {self.hash_mode!r}; expected one of {', '.join(modes)}"
+                )
+            self.hash_mode = modes[self.hash_mode]
 
     @property
     def data_count(self) -> int:
@@ -244,8 +249,10 @@ class Config:
                     f"crash of {pid!r}: at_phase {phase!r} is not one of {', '.join(CRASH_PHASES)}"
                 )
         for act in self.adversary:
-            # An action names a Byzantine process of this run, a step the
-            # run can reach, and an action its class takes without params.
+            # An action names a Byzantine process of this run, a
+            # non-negative step, and an action its class takes without
+            # params. A step the run never starts is not rejected; the
+            # action then never fires.
             pid = act.process
             if pid not in faulty:
                 raise ConfigError(f"adversary action targets non-Byzantine process {pid!r}")

@@ -173,6 +173,33 @@ def test_scrambled_replica_snapshots_its_scrambled_state_in_order():
     assert tuple(snapshot(2)) != tuple(before)
 
 
+def test_a_late_establishment_keeps_pair_order():
+    """A replica may establish a lower pair after a higher one, when the
+    lower pair's echoes reach it last. Its established pairs stay in pair
+    order, so its current stays the higher pair, in snapshots and in the
+    live push of the lower one."""
+    r = Router()
+    m1 = r.replicas["m1"]
+    r.inject(MsgKind.META_QUERY, "r1", "m1", scope="dir", tag=7)
+    pairs = [Pair(Timestamp(n, 1), Metadata(ts=Timestamp(n, 1), replicas=frozenset({1, 2})))
+             for n in (1, 2)]
+    for pair in reversed(pairs):
+        for src in ("m2", "m3"):
+            r.inject(MsgKind.META_ECHO, src, "m1", reg=("dir", 1), key=pair.key,
+                     payload=pair.payload, storers=(("w1", pair.key.num),))
+    reg = m1.registers[("dir", 1)]
+    assert reg.established == tuple(pairs)
+    assert reg.current == pairs[1]
+    pushed = [m["updates"] for m in r.outbox if m.kind is MsgKind.META_UPDATE][1:]
+    assert pushed == [
+        ({"reg": ("dir", 1), "pairs": (pair,), "current": pairs[1].key},)
+        for pair in reversed(pairs)
+    ]
+    r.inject(MsgKind.META_QUERY, "r1", "m1", scope="dir", tag=8)
+    assert r.outbox[-1]["updates"][0] == {
+        "reg": ("dir", 1), "pairs": tuple(pairs), "current": pairs[1].key}
+
+
 def test_unsubscribe_stops_the_updates():
     r = Router()
     r.inject(MsgKind.META_QUERY, "r1", "m1", scope="dir", tag=7)
@@ -498,6 +525,127 @@ def test_replicated_driver_records_each_call_and_its_result(probe):
     feed(MsgKind.META_UPDATE, "m4", tag=3, updates=dir_updates)
     feed(MsgKind.META_UPDATE, "m4", tag=4, updates=hash_updates)
     assert len(probe.begun) == len(probe.ended) == len(done) == 4
+
+
+def test_a_tsread_in_write_back_takes_no_more_reports(probe):
+    """Once a tsread writes its pair back, later reports change nothing:
+    updates that confirm a higher pair and fresh snapshots send no second
+    write-back, the record ends once, with the first pair, at the
+    write-back's third ack, and one META-UNSUB then goes to each replica."""
+    meta_pids = ["m1", "m2", "m3", "m4"]
+    driver = ReplicatedMdsDriver(probe.attach(Process("r1")), meta_pids, 1, [1, 2], cid=3)
+    md1 = Metadata(ts=Timestamp(1, 1), replicas=frozenset({1, 2}))
+    md2 = Metadata(ts=Timestamp(2, 1), replicas=frozenset({2, 3}))
+    done = []
+
+    def feed(kind, src, **fields):
+        probe.step += 1
+        assert driver.handle(make_message(kind, src, "r1", **fields))
+
+    driver.tsread(lambda ts, md: done.append((ts, md)))
+    tag = probe.begun[0].tag
+    probe.take_sent()
+    empty_dir2 = {"reg": ("dir", 2), "pairs": (), "current": TS_INIT}
+    snapshot = ({"reg": ("dir", 1), "pairs": (Pair(md1.ts, md1),), "current": md1.ts}, empty_dir2)
+    for src in ("m1", "m2", "m3"):
+        feed(MsgKind.META_UPDATE, src, tag=tag, updates=snapshot)
+    assert [(m.kind, m.dst, m["key"], m["seq"]) for m in probe.take_sent()] == [
+        (MsgKind.META_WRITEBACK, pid, md1.ts, 1) for pid in meta_pids]
+
+    # the window: every replica confirms a higher pair, m4's first snapshot
+    # lists it, and the other replicas snapshot again
+    higher = ({"reg": ("dir", 1), "pairs": (Pair(md2.ts, md2),), "current": md2.ts},)
+    both = ({"reg": ("dir", 1), "pairs": (Pair(md1.ts, md1), Pair(md2.ts, md2)),
+             "current": md2.ts}, empty_dir2)
+    for src in meta_pids:
+        feed(MsgKind.META_UPDATE, src, tag=tag, updates=higher)
+    for src in meta_pids:
+        feed(MsgKind.META_UPDATE, src, tag=tag, updates=both)
+    feed(MsgKind.META_ACK, "m1", reg=("dir", 1), key=md1.ts, seq=1)
+    feed(MsgKind.META_UPDATE, "m2", tag=tag, updates=higher)
+    feed(MsgKind.META_ACK, "m2", reg=("dir", 1), key=md1.ts, seq=1)
+    assert probe.sent == [] and probe.ended == [] and done == []
+
+    feed(MsgKind.META_ACK, "m3", reg=("dir", 1), key=md1.ts, seq=1)
+    assert probe.ended == [DirOpRecord("r1", "tsread", tag, invoke=0, response=probe.step,
+                                       ts=md1.ts, md=md1)]
+    assert done == [(md1.ts, md1)]
+    assert [(m.kind, m.dst, m["tag"]) for m in probe.take_sent()] == [
+        (MsgKind.META_UNSUB, pid, tag) for pid in meta_pids]
+
+    # a late ack and a late update end nothing and send nothing
+    feed(MsgKind.META_ACK, "m4", reg=("dir", 1), key=md1.ts, seq=1)
+    feed(MsgKind.META_UPDATE, "m4", tag=tag, updates=higher)
+    assert probe.sent == [] and len(probe.ended) == len(done) == 1
+
+
+# the payloads a scrambled replica reports in place of the stored ones
+SCRAMBLED = (
+    Metadata(ts=Timestamp(998, FABRICATED_CID), replicas=frozenset({1})),
+    "ff" * 32,
+)
+
+
+def test_replicas_report_established_pairs_in_pair_order(monkeypatch):
+    """Over the replicated seeds of the campaign, which cover every metadata
+    strategy, scramble among them: every META-UPDATE entry an honest
+    replica sends lists its pairs strictly ascending in pair order, and in
+    a query's reply its current is the last pair's key, or TS_INIT when it
+    lists none. Every honest replica's final state keeps the same rule. A
+    scrambled replica's entries are still ascending."""
+    send, final_state = Port.send, MetaReplica.final_state
+    byz = {}  # pid -> strategy, for the run in progress
+    queried = set()  # (replica, client, tag) of each query not yet answered
+    seen = Counter()
+
+    def ascending(pairs):
+        keys = [pair_sort_key(p) for p in pairs]
+        return all(a < b for a, b in zip(keys, keys[1:]))
+
+    def send_checked(port, kind, src, dst, **fields):
+        if kind is MsgKind.META_QUERY:
+            queried.add((dst, src, fields["tag"]))
+        elif kind is MsgKind.META_UPDATE and byz.get(src) in (None, ByzStrategy.STATE_SWITCH):
+            reply = (src, dst, fields["tag"]) in queried
+            queried.discard((src, dst, fields["tag"]))
+            for entry in fields["updates"]:
+                pairs = entry["pairs"]
+                assert ascending(pairs), (src, entry)
+                if byz.get(src) is not None:
+                    seen["scrambled"] += any(
+                        p.key != TS_INIT and p.payload in SCRAMBLED for p in pairs)
+                elif reply:
+                    assert entry["current"] == (pairs[-1].key if pairs else TS_INIT), entry
+                    seen["reply of 2+ pairs"] += len(pairs) >= 2
+                else:
+                    assert len(pairs) == 1 and entry["current"] >= pairs[0].key, entry
+                    seen["push"] += 1
+        send(port, kind, src, dst, **fields)
+
+    def final_state_checked(rep):
+        out = final_state(rep)
+        if rep.pid not in byz:
+            for reg in out.values():
+                pairs = [Pair(p["key"], p["payload"]) for p in reg["established"]]
+                assert ascending(pairs), (rep.pid, reg)
+                assert reg["current"] == (pairs[-1].key if pairs else TS_INIT), (rep.pid, reg)
+                seen["final register"] += 1
+        return out
+
+    monkeypatch.setattr(Port, "send", send_checked)
+    monkeypatch.setattr(MetaReplica, "final_state", final_state_checked)
+    strategies = set()
+    for seed in range(1, 240):
+        cfg = random_config(seed)
+        if cfg.mds_mode != "replicated":
+            continue
+        byz.clear()
+        byz.update(cfg.byz_meta)
+        strategies.update(cfg.byz_meta.values())
+        queried.clear()
+        run(cfg)
+    assert strategies == set(ByzStrategy)
+    assert min(seen.values()) > 0 and len(seen) == 4, seen
 
 
 # -- full-system runs ---------------------------------------------------------

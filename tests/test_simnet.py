@@ -10,7 +10,7 @@ from splitstore.scenarios import SCENARIO_NAMES, random_config, run_scenario
 from splitstore.simnet import (
     AdversaryAction, Config, Match, Script, Simulation, build_world, run,
 )
-from splitstore.types import ConfigError, HarnessError
+from splitstore.types import ConfigError, HarnessError, HashMode
 
 
 def trace_bytes(result):
@@ -74,6 +74,12 @@ def test_schedule_limits_below_one_are_config_errors(name, value):
 def test_a_config_that_cannot_run_is_a_config_error(config, says):
     with pytest.raises(ConfigError, match=says):
         config.validate()
+
+
+def test_an_unknown_hash_mode_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown hash mode 'sha1'; expected one of oracle, "):
+        Config(hash_mode="sha1")
+    assert Config(hash_mode="forgeable").hash_mode is HashMode.FORGEABLE
 
 
 def test_metadata_replicas_follow_3tm_plus_1_only():
