@@ -210,7 +210,10 @@ class MetaReplica(Process):
         """Take in a pair from a store or a write-back, or from ``echoer``'s
         echo. A stored pair is echoed at once, an echoed one only once it
         establishes; a pair already established acks its storers."""
-        st = self.register_for(reg).pairs.setdefault(pair, _PairState())
+        pairs = self.register_for(reg).pairs
+        st = pairs.get(pair)
+        if st is None:  # most intakes repeat a pair the replica holds
+            st = pairs[pair] = _PairState()
         st.storers.update(storers)
         if echoer is not None:
             st.echoes.add(echoer)
@@ -248,9 +251,11 @@ class MetaReplica(Process):
         self._notify(reg, pair)
 
     def _ack_storers(self, reg: RegisterId, pair: Pair, st: _PairState) -> None:
-        for storer in sorted(st.storers - st.acked):
-            st.acked.add(storer)
-            pid, seq = storer
+        new = st.storers - st.acked
+        if not new:
+            return
+        st.acked |= new
+        for pid, seq in sorted(new):
             self.port.send(META_ACK, self.pid, pid, reg=reg, key=pair.key, seq=seq)
 
     def _scope_registers(self, scope: Any) -> list[RegisterId]:
@@ -420,22 +425,40 @@ class ReplicatedMdsDriver:
         arrives. Reporters are kept as sets, so a replica that repeats a
         pair counts once. A pair is compared with its register's best
         when its reporters reach tm + 1; they only grow, so every pair
-        confirmed so far has been compared."""
+        confirmed so far has been compared.
+
+        A pair below its register's best can never become the best, so it
+        is not counted, and ``reporters`` may miss pairs below best. Only
+        ``_evaluate_hashread``'s empty-report count reads ``reporters``,
+        and only while best is None, when no pair has been skipped."""
         read = self._reads.get(msg["tag"])
         if read is None:
             return  # the read has ended or is writing its pair back
         src = msg.src
         read.snapshots.add(src)
+        confirmed = self.tm + 1
+        order = self._order
         for update in msg["updates"]:
             reg = update["reg"]
-            reporters = read.reporters.setdefault(reg, {})
+            reporters = read.reporters.get(reg)
+            if reporters is None:
+                reporters = read.reporters[reg] = {}
+            best = read.best.get(reg)
+            floor = None if best is None else order[best]
             for pair in update["pairs"]:
-                pids = reporters.setdefault(pair, set())
-                pids.add(src)
-                if len(pids) == self.tm + 1:
-                    best = read.best.get(reg)
-                    if best is None or self._order[pair] > self._order[best]:
-                        read.best[reg] = pair
+                # Nothing makes a report's pairs sorted (a lying replica
+                # picks its own order), so a pair below best is skipped,
+                # not taken as the end of the update.
+                if floor is not None and order[pair] < floor:
+                    continue
+                pids = reporters.get(pair)
+                if pids is None:
+                    pids = reporters[pair] = {src}
+                else:
+                    pids.add(src)
+                if len(pids) == confirmed and (floor is None or order[pair] > floor):
+                    read.best[reg] = pair
+                    floor = order[pair]
             if update["current"] is not None:
                 read.currents.setdefault(reg, {})[src] = update["current"]
         self._evaluate(read)

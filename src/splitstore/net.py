@@ -117,13 +117,14 @@ class Port:
 
     ``send`` builds the message and hands it to the sender, which queues
     it for asynchronous delivery; it is the one way a message enters the
-    network. ``trace`` adds a free-form note to the trace. ``begin`` and
-    ``end`` are the runtime's own callables. ``begin(rec)`` stamps the
-    current step as a `history.DirOpRecord`'s invoke and adds the record
-    to the run's directory operations; the simulator begins client
-    operations itself. ``end(rec)`` stamps the current step as the
-    response of a record the process has filled in, a `DirOpRecord` or
-    a client's `history.OpRecord`.
+    network. ``trace`` adds a free-form note to the trace; the note's
+    payload is rendered only when the trace is read, so its values must
+    be immutable. ``begin`` and ``end`` are the runtime's own callables.
+    ``begin(rec)`` stamps the current step as a `history.DirOpRecord`'s
+    invoke and adds the record to the run's directory operations; the
+    simulator begins client operations itself. ``end(rec)`` stamps the
+    current step as the response of a record the process has filled in,
+    a `DirOpRecord` or a client's `history.OpRecord`.
     """
 
     def __init__(
@@ -164,7 +165,8 @@ class Process:
         raise NotImplementedError
 
     def final_state(self) -> dict:
-        """State snapshot appended to the trace when the run ends."""
+        """State snapshot appended to the trace when the run ends. It is
+        rendered only when read, after the run."""
         return {}
 
 

@@ -79,20 +79,38 @@ What one step costs.
   crashes. `ready` and `pending` are mutated in place and never rebound,
   which is why `run()` may hold them in locals.
 
-Message events are recorded unrendered. `RunResult.trace` renders them
-to plain JSON types one at a time as it is iterated, so runs whose trace
-nobody reads never pay for rendering. `Trace.lines()` is the one writer of
-the trace file's JSON lines. Every message that is sent appears twice, at
-its send and at its deliver, drop or undelivered event, so `lines()`
-encodes each message's body once and splices it into both lines. It keeps
-a body only while its message is in flight, so its memory is bounded by
-the pending messages, not by the length of the trace. A body is written
-by `message_body` straight from the message's fields, with no rendered
-dict in between: the key order for each kind and set of field names is
-worked out once, and strings, ints, bools, None, timestamps and bytes are
-encoded inline. Any other field value is rendered by `render_field` and
-encoded by `json_line`, so the bytes are those of
-`json_line(msg.render())`.
+Nothing is rendered while a run is simulated, and a message's two trace
+events allocate nothing. `Simulation.events` is a log that `Trace` alone
+decodes. Its entries are:
+
+- a `Delivery`: the send of its message, at its `created_step`. It is
+  the pending event the scheduler built in `_send`, recorded as is;
+- a step int followed by a `Delivery`: the delivery of that message at
+  that step. The `Delivery` is the same object as at the message's send;
+- (step, ev, reason, msg): a drop or an undelivered message. They are
+  rare, so they keep a tuple of their own;
+- a dict: every other entry. A note's payload and a final entry's state
+  hold the raw values the process gave; `render_event` renders them.
+
+The decoder relies on this pairing: no other entry is an int, and a
+`Delivery` in the log is a send unless an int comes right before it.
+Every message that is sent appears twice, at its send and at its
+deliver, drop or undelivered event, and a delivered message always has
+its send before it. `RunResult.trace` decodes and renders the log one
+entry at a time as it is iterated, and `RunResult.final_states` renders
+the final states when first read, so runs whose trace nobody reads never
+pay for rendering.
+
+`Trace.lines()` is the one writer of the trace file's JSON lines, and it
+decodes the log inline. It encodes each message's body once and splices
+it into both of the message's lines. It keeps a body only while its
+message is in flight, so its memory is bounded by the pending messages,
+not by the length of the trace. A body is written by `message_body`
+straight from the message's fields, with no rendered dict in between:
+the key order for each kind and set of field names is worked out once,
+and strings, ints, bools, None, timestamps and bytes are encoded inline.
+Any other field value is rendered by `render_field` and encoded by
+`json_line`, so the bytes are those of `json_line(msg.render())`.
 """
 from __future__ import annotations
 
@@ -389,9 +407,12 @@ def build_world(config: Config) -> World:
     return World(config, processes, clients, digests, workload)
 
 
-# A recorded trace event: a rendered dict, or (step, ev, reason, msg) for
-# an event that carries a message, whose rendering is deferred.
-Event = dict | tuple[int, str, str | None, Message]
+# An entry of `Simulation.events`, which only `Trace` decodes (see the
+# module docstring).
+Event = dict | Delivery | int | tuple[int, str, str | None, Message]
+# A decoded trace entry, unrendered: a dict, or (step, ev, reason, msg)
+# for an event that carries a message.
+Entry = dict | tuple[int, str, str | None, Message]
 
 
 # A trace-file line without its newline: compact, sort-keys JSON. One
@@ -456,10 +477,16 @@ def message_body(msg: Message) -> str:
     return template % pick(values)
 
 
-def render_event(event: Event) -> dict:
-    if isinstance(event, dict):
-        return event
-    step, ev, reason, msg = event
+def render_event(entry: Entry) -> dict:
+    """A decoded trace entry in plain JSON types."""
+    if isinstance(entry, dict):
+        ev = entry["ev"]
+        if ev == "note":
+            return {key: render_field(value) for key, value in entry.items()}
+        if ev == "final":
+            return {**entry, "state": render_field(entry["state"])}
+        return entry
+    step, ev, reason, msg = entry
     out: dict = {"step": step, "ev": ev}
     if reason is not None:
         out["reason"] = reason
@@ -468,10 +495,13 @@ def render_event(event: Event) -> dict:
 
 
 class Trace:
-    """A run's trace, rendered one entry at a time as it is iterated.
+    """A run's trace, decoded from its event log and rendered one entry at
+    a time as it is iterated.
 
-    Nothing rendered is kept, so each iteration renders afresh; the
-    entries are the same on every pass. `lines()` yields the same entries
+    `Trace` is the only decoder of `RunResult.events` (its format is in
+    the module docstring). Nothing rendered is kept, so each iteration
+    renders afresh; the entries are the same on every pass. `entries()`
+    yields them decoded but unrendered. `lines()` yields the same entries
     as the trace file's JSON lines without rendering a message: it encodes
     each message's body once with `message_body`, for the message's two
     lines, and keeps it only while the message is in flight, so its memory
@@ -482,28 +512,51 @@ class Trace:
         self._events = events
 
     def __iter__(self) -> Iterator[dict]:
-        return map(render_event, self._events)
+        return map(render_event, self.entries())
+
+    def entries(self) -> Iterator[Entry]:
+        """Yield each entry unrendered: a dict, or (step, ev, reason, msg)
+        for a send, deliver, drop or undelivered event."""
+        events = iter(self._events)
+        for event in events:
+            cls = type(event)
+            if cls is Delivery:
+                yield event[1], "send", None, event[2]
+            elif cls is int:
+                yield event, "deliver", None, next(events)[2]
+            else:
+                yield event
 
     def lines(self) -> Iterator[str]:
         """Yield each entry as `json_line(render_event(e)) + "\n"`.
 
-        A body is encoded by `message_body` at its message's send, kept in
-        `bodies` and popped at the deliver, drop or undelivered event that
-        closes the message. A message dropped as it is sent has no send
-        event, so its drop line encodes its body and does not keep it.
+        The log is decoded here, inline, not through `entries()`: this loop
+        writes every trace file. A body is encoded by `message_body` at its
+        message's send, kept in `bodies` and popped at the deliver, drop or
+        undelivered event that closes the message. A message dropped as it
+        is sent has no send event, so its drop line encodes its body and
+        does not keep it.
         """
         # Keyed by id: a Message holds a mapping proxy and is unhashable, and
         # the event list keeps every message alive, so no id is reused.
         bodies: dict[int, str] = {}
-        for event in self._events:
-            if isinstance(event, dict):
-                yield json_line(event) + "\n"
+        events = iter(self._events)
+        for event in events:
+            cls = type(event)
+            if cls is Delivery:
+                _, step, msg, _ = event
+                body = bodies[id(msg)] = message_body(msg)
+                yield f'{{"ev":"send","msg":{body},"step":{step}}}\n'
+                continue
+            if cls is int:  # the deliver's step; its Delivery comes next
+                msg = next(events)[2]
+                yield f'{{"ev":"deliver","msg":{bodies.pop(id(msg))},"step":{event}}}\n'
+                continue
+            if cls is dict:
+                yield json_line(render_event(event)) + "\n"
                 continue
             step, ev, reason, msg = event
-            if ev == "send":
-                body = bodies[id(msg)] = message_body(msg)
-            else:
-                body = bodies.pop(id(msg), None) or message_body(msg)
+            body = bodies.pop(id(msg), None) or message_body(msg)
             # The keys in sort order: ev, msg, reason, step. ev and reason are
             # fixed names set in this module, so they need no JSON escaping.
             if reason is None:
@@ -517,15 +570,20 @@ class RunResult:
     config: Config
     steps: int
     quiescent: bool
-    events: list[Event]
+    events: list[Event]  # decoded by `Trace` alone
     history: list[OpRecord]
     dir_ops: list[DirOpRecord]
-    final_states: dict[str, dict]
+    snapshots: dict[str, dict]  # pid -> the process's final_state(), unrendered
     crashed: set[str]
 
     @property
     def trace(self) -> Trace:
         return Trace(self.events)
+
+    @functools.cached_property
+    def final_states(self) -> dict[str, dict]:
+        """Each process's final state, rendered when first read."""
+        return {pid: render_field(state) for pid, state in self.snapshots.items()}
 
     def latencies(self) -> dict[int, int | None]:
         return {
@@ -593,7 +651,8 @@ class Simulation:
             self.events.append((self.step, "drop", "destination-crashed", msg))
             return
         self.seq = seq = self.seq + 1
-        self.pending[seq] = _new_tuple(Delivery, (seq, self.step, msg, None))
+        # The pending event is also the send's trace entry.
+        self.pending[seq] = delivery = _new_tuple(Delivery, (seq, self.step, msg, None))
         if self.fifo:
             chan = self.channels[(src, dst)]
             chan.append(seq)
@@ -601,11 +660,11 @@ class Simulation:
                 self.ready.append(seq)
         else:
             self.ready.append(seq)
-        self.events.append((self.step, "send", None, msg))
+        self.events.append(delivery)
 
     def _trace_note(self, proc: str, note: str, **payload: Any) -> None:
-        self._trace("note", proc=proc, note=note,
-                    **{k: render_field(v) for k, v in payload.items()})
+        # The payload stays raw: every note's values are immutable.
+        self._trace("note", proc=proc, note=note, **payload)
 
     def _begin(self, rec: DirOpRecord) -> None:
         rec.invoke = self.step
@@ -713,7 +772,9 @@ class Simulation:
             self.invoke_next(client)
         else:
             _, _, dst, _ = msg
-            self.events.append((self.step, "deliver", None, msg))
+            events = self.events
+            events.append(self.step)
+            events.append(delivery)
             self.processes[dst].on_message(msg)
         for pid, ops, phase in self.watched:
             if phase is None:
@@ -785,10 +846,9 @@ class Simulation:
                 self._trace_msg("undelivered", delivery.msg)
             else:
                 self._trace("undelivered", kind="invoke", payload={"pid": delivery.pid})
-        final_states = {}
+        snapshots = {}
         for pid, proc in sorted(self.world.processes.items()):
-            state = render_field(proc.final_state())
-            final_states[pid] = state
+            state = snapshots[pid] = proc.final_state()
             self._trace("final", proc=pid, crashed=pid in self.crashed, state=state)
         # Break the run's cycles: simulation -> process -> port -> bound
         # callback -> simulation, and client <-> driver.
@@ -803,7 +863,7 @@ class Simulation:
             events=self.events,
             history=self.history,
             dir_ops=sorted(self.dir_ops, key=lambda r: (r.invoke, r.proc, r.tag)),
-            final_states=final_states,
+            snapshots=snapshots,
             crashed=set(self.crashed),
         )
 

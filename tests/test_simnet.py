@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from splitstore import net, simnet
 from splitstore.faults import ByzStrategy, CrashSpec
-from splitstore.net import MsgKind, Port, Process
+from splitstore.net import MsgKind, Port, Process, render_field
 from splitstore.scenarios import SCENARIO_NAMES, random_config, run_scenario
 from splitstore.simnet import (
     AdversaryAction, Config, Match, Script, Simulation, build_world, run,
@@ -334,6 +335,70 @@ def test_final_states_are_rendered_into_the_trace():
     assert "Timestamp" not in payload
 
 
+# -- deferred rendering ----------------------------------------------------------
+
+
+def campaign_slice():
+    """random_config 0-59 in both metadata modes: one period of the
+    campaign's fault plans, so notes, crashes and Byzantine replicas occur."""
+    return [random_config(seed, mds_mode=mode)
+            for seed in range(60) for mode in ("oracle", "replicated")]
+
+
+def test_an_untraced_run_renders_nothing(monkeypatch):
+    rendered = []
+    original = net.render_field
+
+    def counting(value):
+        rendered.append(type(value))
+        return original(value)
+
+    monkeypatch.setattr(net, "render_field", counting)
+    monkeypatch.setattr(simnet, "render_field", counting)
+    results = [run(cfg) for cfg in campaign_slice()]
+    assert rendered == []
+    # The counter sees the rendering that reading a result does.
+    assert results[0].final_states and rendered
+
+
+def test_final_states_are_those_rendered_as_the_run_ends():
+    for cfg in campaign_slice():
+        world = build_world(cfg)
+        eager = {}
+        for pid, proc in world.processes.items():
+            def snapshot(original=proc.final_state, pid=pid):
+                state = original()
+                eager[pid] = render_field(state)
+                return state
+
+            proc.final_state = snapshot
+        result = Simulation(world).run()
+        assert result.final_states == eager
+        assert {e["proc"]: e["state"] for e in result.trace if e["ev"] == "final"} == eager
+
+
+def test_each_send_entry_is_at_the_step_its_send_ran(monkeypatch):
+    sends = []  # (message, step); holding the message keeps its id unique
+    original = Simulation._send
+
+    def recording(sim, msg):
+        sends.append((msg, sim.step))
+        original(sim, msg)
+
+    monkeypatch.setattr(Simulation, "_send", recording)
+    results = [run(cfg) for cfg in campaign_slice()]
+    results += [r for name in SCENARIO_NAMES for _label, r, _v in run_scenario(name, 0).runs]
+    sent_at = {id(msg): step for msg, step in sends}
+    checked = 0
+    for result in results:
+        for entry in result.trace.entries():
+            if isinstance(entry, tuple) and entry[1] == "send":
+                step, _ev, _reason, msg = entry
+                assert step == sent_at[id(msg)], msg
+                checked += 1
+    assert checked > 10_000
+
+
 # -- scheduler ready list -------------------------------------------------------
 
 
@@ -607,5 +672,5 @@ def test_run_pauses_the_collector_and_restores_the_callers_state(enabled, fails)
     if enabled and not fails:
         # The deferred collection ran as one pass that moved the run's
         # objects to the oldest generation.
-        msg = next(e[3] for e in result.events if isinstance(e, tuple))
+        msg = next(e[3] for e in result.trace.entries() if isinstance(e, tuple))
         assert any(o is msg for o in gc.get_objects(generation=2))

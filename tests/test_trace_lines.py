@@ -21,14 +21,14 @@ from splitstore.types import NIL, Timestamp
 def reference_lines(result) -> list[str]:
     return [
         json.dumps(render_event(e), sort_keys=True, separators=(",", ":")) + "\n"
-        for e in result.events
+        for e in result.trace.entries()
     ]
 
 
-def in_flight_after_each(events) -> list[int]:
+def in_flight_after_each(entries) -> list[int]:
     sent: set[int] = set()
     counts = []
-    for event in events:
+    for event in entries:
         if not isinstance(event, dict):
             _step, ev, _reason, msg = event
             if ev == "send":
@@ -47,12 +47,12 @@ def assert_lines_match(result) -> None:
         lines.append(line)
         cached.append(len(bodies))
     assert lines == reference_lines(result)
-    assert cached == in_flight_after_each(result.events)
+    assert cached == in_flight_after_each(result.trace.entries())
     assert bodies == {}
 
 
 def message_events(result, ev: str) -> list[tuple]:
-    return [e for e in result.events if not isinstance(e, dict) and e[1] == ev]
+    return [e for e in result.trace.entries() if not isinstance(e, dict) and e[1] == ev]
 
 
 def test_a_message_dropped_at_its_send():
@@ -83,7 +83,7 @@ def test_a_crash_drops_pending_messages_and_invocations():
     crash_drops = [e for e in message_events(result, "drop") if e[2] == "target-crashed"]
     assert crash_drops and all(id(e[3]) in sent for e in crash_drops)
     assert any(e["ev"] == "drop" and e["reason"] == "target-crashed"
-               for e in result.events if isinstance(e, dict))
+               for e in result.trace.entries() if isinstance(e, dict))
     assert_lines_match(result)
 
 
@@ -104,7 +104,8 @@ def test_random_runs_with_notes_and_faults():
     notes = 0
     for seed in range(12):
         result = run(random_config(seed))
-        notes += sum(1 for e in result.events if isinstance(e, dict) and e["ev"] == "note")
+        notes += sum(1 for e in result.trace.entries()
+                     if isinstance(e, dict) and e["ev"] == "note")
         assert_lines_match(result)
     assert notes
 
@@ -118,7 +119,7 @@ def test_message_body_matches_the_rendered_message():
     kinds, fabricated, checked = set(), set(), 0
     for result in results:
         seen = set()
-        for event in result.events:
+        for event in result.trace.entries():
             if isinstance(event, dict) or id(event[3]) in seen:
                 continue
             msg = event[3]
