@@ -444,21 +444,21 @@ class ReplicatedMdsDriver:
             if reporters is None:
                 reporters = read.reporters[reg] = {}
             best = read.best.get(reg)
-            floor = None if best is None else order[best]
             for pair in update["pairs"]:
-                # Nothing makes a report's pairs sorted (a lying replica
-                # picks its own order), so a pair below best is skipped,
-                # not taken as the end of the update.
-                if floor is not None and order[pair] < floor:
+                # Pair order compares keys first, so comparing keys finds a
+                # pair below best without looking its order up. Nothing
+                # makes a report's pairs sorted (a lying replica picks its
+                # own order), so the pair is skipped, not taken as the end
+                # of the update.
+                if best is not None and pair[0] < best[0]:
                     continue
                 pids = reporters.get(pair)
                 if pids is None:
                     pids = reporters[pair] = {src}
                 else:
                     pids.add(src)
-                if len(pids) == confirmed and (floor is None or order[pair] > floor):
-                    read.best[reg] = pair
-                    floor = order[pair]
+                if len(pids) == confirmed and (best is None or order[pair] > order[best]):
+                    best = read.best[reg] = pair
             if update["current"] is not None:
                 read.currents.setdefault(reg, {})[src] = update["current"]
         self._evaluate(read)
