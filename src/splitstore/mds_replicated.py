@@ -440,9 +440,7 @@ class ReplicatedMdsDriver:
         order = self._order
         for update in msg["updates"]:
             reg = update["reg"]
-            reporters = read.reporters.get(reg)
-            if reporters is None:
-                reporters = read.reporters[reg] = {}
+            reporters = read.reporters.setdefault(reg, {})
             best = read.best.get(reg)
             for pair in update["pairs"]:
                 # Pair order compares keys first, so comparing keys finds a

@@ -543,26 +543,24 @@ class Trace:
         events = iter(self._events)
         for event in events:
             cls = type(event)
+            # The keys in sort order: ev, msg, reason, step. ev and reason are
+            # fixed names set in this module, so they need no JSON escaping.
             if cls is Delivery:
                 _, step, msg, _ = event
                 body = bodies[id(msg)] = message_body(msg)
                 yield f'{{"ev":"send","msg":{body},"step":{step}}}\n'
-                continue
-            if cls is int:  # the deliver's step; its Delivery comes next
+            elif cls is int:  # the deliver's step; its Delivery comes next
                 msg = next(events)[2]
                 yield f'{{"ev":"deliver","msg":{bodies.pop(id(msg))},"step":{event}}}\n'
-                continue
-            if cls is dict:
+            elif cls is dict:
                 yield json_line(render_event(event)) + "\n"
-                continue
-            step, ev, reason, msg = event
-            body = bodies.pop(id(msg), None) or message_body(msg)
-            # The keys in sort order: ev, msg, reason, step. ev and reason are
-            # fixed names set in this module, so they need no JSON escaping.
-            if reason is None:
-                yield f'{{"ev":"{ev}","msg":{body},"step":{step}}}\n'
             else:
-                yield f'{{"ev":"{ev}","msg":{body},"reason":"{reason}","step":{step}}}\n'
+                step, ev, reason, msg = event
+                body = bodies.pop(id(msg), None) or message_body(msg)
+                if reason is None:
+                    yield f'{{"ev":"{ev}","msg":{body},"step":{step}}}\n'
+                else:
+                    yield f'{{"ev":"{ev}","msg":{body},"reason":"{reason}","step":{step}}}\n'
 
 
 @dataclass
