@@ -427,10 +427,12 @@ class ReplicatedMdsDriver:
         when its reporters reach tm + 1; they only grow, so every pair
         confirmed so far has been compared.
 
-        A pair below its register's best can never become the best, so it
-        is not counted, and ``reporters`` may miss pairs below best. Only
-        ``_evaluate_hashread``'s empty-report count reads ``reporters``,
-        and only while best is None, when no pair has been skipped."""
+        A pair whose key is below the key of its register's best is below
+        best in pair order, which compares keys first, so it can never
+        become the best. It is skipped without looking its order up, and
+        ``reporters`` may miss it. Only ``_evaluate_hashread``'s
+        empty-report count reads ``reporters``, and only while best is
+        None, when no pair has been skipped."""
         read = self._reads.get(msg["tag"])
         if read is None:
             return  # the read has ended or is writing its pair back
@@ -443,11 +445,8 @@ class ReplicatedMdsDriver:
             reporters = read.reporters.setdefault(reg, {})
             best = read.best.get(reg)
             for pair in update["pairs"]:
-                # Pair order compares keys first, so comparing keys finds a
-                # pair below best without looking its order up. Nothing
-                # makes a report's pairs sorted (a lying replica picks its
-                # own order), so the pair is skipped, not taken as the end
-                # of the update.
+                # A report's pairs need not be sorted (a lying replica picks
+                # its own order), so this skips the pair, not the update.
                 if best is not None and pair[0] < best[0]:
                     continue
                 pids = reporters.get(pair)
