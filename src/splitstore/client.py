@@ -122,16 +122,16 @@ class WriterClient(ClientBase):
     def on_message(self, msg: Message) -> None:
         if self.driver.handle(msg):
             return
-        if msg.kind is WRITE_ACK:
-            self._on_write_ack(msg)
+        kind, src, _, fields = msg
+        if kind is WRITE_ACK:
+            self._on_write_ack(src, fields["ts"])
 
-    def _on_write_ack(self, msg: Message) -> None:
+    def _on_write_ack(self, src: str, ack_ts: Timestamp) -> None:
         ctx = self.ctx
         if ctx is None or ctx.phase is not WRITE_DATA:
             return
         ts = ctx.op.ts
-        src = msg.src
-        if msg["ts"] != ts or src not in self.data_pids:
+        if ack_ts != ts or src not in self.data_pids:
             return  # ack for some other write, or from a stranger
         ctx.acks.add(self.replica_index(src))
         if len(ctx.acks) >= self.t + 1:
@@ -184,15 +184,14 @@ class ReaderClient(ClientBase):
     def on_message(self, msg: Message) -> None:
         if self.driver.handle(msg):
             return
-        if msg.kind is READ_VAL:
-            self._on_read_val(msg)
+        kind, src, _, fields = msg
+        if kind is READ_VAL:
+            self._on_read_val(src, fields["ts"], fields["val"])
 
-    def _on_read_val(self, msg: Message) -> None:
+    def _on_read_val(self, src: str, ts: Timestamp, val: bytes | None) -> None:
         ctx = self.ctx
         if ctx is None or ctx.md is None:
             return
-        ts: Timestamp = msg["ts"]
-        val = msg["val"]
         md_ts = ctx.md.ts
         if ts == md_ts:
             self._check(ctx, ts, val, md2_ts=None)
@@ -203,7 +202,7 @@ class ReaderClient(ClientBase):
                 lambda ts2, md2, ctx=ctx, ts=ts, val=val: self._revalidate(ctx, ts, val, ts2, md2)
             )
         else:
-            self.trace_note("readval-below-directory", ts=ts, src=msg.src)
+            self.trace_note("readval-below-directory", ts=ts, src=src)
 
     def _revalidate(
         self,

@@ -76,35 +76,36 @@ class ByzDataReplica(DataReplica):
 
     def on_message(self, msg: Message) -> None:
         if self.strategy is MUTE:
-            self.trace_note("byz-mute-drop", kind=msg.kind.value, src=msg.src)
+            kind, src, _, _ = msg
+            self.trace_note("byz-mute-drop", kind=kind.value, src=src)
             return
         super().on_message(msg)
 
-    def on_read(self, msg: Message) -> None:
+    def on_read(self, src: str, ts: Timestamp) -> None:
         strat = self.strategy
         if strat is STALE_CONCURRENT:
-            self._reply_max_pair(msg)
+            self._reply_max_pair(src)
         elif strat is FABRICATE_HIGH_TS:
-            fake = Timestamp(msg["ts"].num + 100, FABRICATED_CID)
+            fake = Timestamp(ts.num + 100, FABRICATED_CID)
             self.trace_note("byz-fabricate", ts=fake)
-            self.port.send(READ_VAL, self.pid, msg.src, ts=fake, val=JUNK_VALUE)
+            self.port.send(READ_VAL, self.pid, src, ts=fake, val=JUNK_VALUE)
         elif strat is EQUIVOCATE:
             self._flip += 1
             if self._flip % 2 == 0:
-                super().on_read(msg)
+                super().on_read(src, ts)
             else:
-                self._reply_max_pair(msg)
+                self._reply_max_pair(src)
         else:
             # STATE-SWITCH answers correctly from whatever its state is now.
-            super().on_read(msg)
+            super().on_read(src, ts)
 
-    def _reply_max_pair(self, msg: Message) -> None:
+    def _reply_max_pair(self, src: str) -> None:
         if self.data:
             ts = max(self.data)
             self.trace_note("byz-stale-concurrent", ts=ts)
-            self.port.send(READ_VAL, self.pid, msg.src, ts=ts, val=self.data[ts])
+            self.port.send(READ_VAL, self.pid, src, ts=ts, val=self.data[ts])
         else:
-            self.port.send(READ_VAL, self.pid, msg.src, ts=self.committed, val=None)
+            self.port.send(READ_VAL, self.pid, src, ts=self.committed, val=None)
 
     # The actions a run's fault plan may schedule: those that take no params.
     PLAN_ACTIONS = ("corrupt-all",)
@@ -155,7 +156,8 @@ class ByzMetaReplica(MetaReplica):
 
     def on_message(self, msg: Message) -> None:
         if self.strategy is MUTE:
-            self.trace_note("byz-mute-drop", kind=msg.kind.value, src=msg.src)
+            kind, src, _, _ = msg
+            self.trace_note("byz-mute-drop", kind=kind.value, src=src)
             return
         super().on_message(msg)
 

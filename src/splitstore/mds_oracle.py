@@ -90,22 +90,22 @@ class DirectoryOracle(Process):
         self.writer_pids = writer_pids
 
     def on_message(self, msg: Message) -> None:
-        kind, src, _, _ = msg
+        kind, src, _, fields = msg
         if kind is DIR_READ:
             ts, payload = self.store.tsread()
-            self.port.send(DIR_READ_RESP, self.pid, src, tag=msg["tag"], ts=ts, md=payload)
+            self.port.send(DIR_READ_RESP, self.pid, src, tag=fields["tag"], ts=ts, md=payload)
         elif kind is DIR_WRITE:
             if src not in self.writer_pids:
                 self.trace_note("dir-write-rejected", src=src)
                 return
-            md: Metadata = msg["md"]
+            md: Metadata = fields["md"]
             ts = md.ts
             if ts.cid != self.client_ids[src]:
                 raise HarnessError(
                     f"directory write from {src} with foreign timestamp {ts.render()}"
                 )
             self.store.tswrite(ts, md)
-            self.port.send(DIR_WRITE_RESP, self.pid, src, tag=msg["tag"])
+            self.port.send(DIR_WRITE_RESP, self.pid, src, tag=fields["tag"])
 
     def final_state(self) -> dict:
         ts, payload = self.store.tsread()
@@ -121,19 +121,19 @@ class HashArrayOracle(Process):
         self.client_ids = client_ids
 
     def on_message(self, msg: Message) -> None:
-        kind, src, _, _ = msg
+        kind, src, _, fields = msg
         if kind is HASH_WRITE:
-            index: Timestamp = msg["index"]
+            index: Timestamp = fields["index"]
             writer = self.client_ids.get(src, NIL)
             if writer != index.cid:
                 raise HarnessError(
                     f"digest index {index.render()} written by client {writer}"
                 )
-            self.array.write(index, msg["digest"], writer)
-            self.port.send(HASH_WRITE_RESP, self.pid, src, tag=msg["tag"])
+            self.array.write(index, fields["digest"], writer)
+            self.port.send(HASH_WRITE_RESP, self.pid, src, tag=fields["tag"])
         elif kind is HASH_READ:
-            digest = self.array.read(msg["index"])
-            self.port.send(HASH_READ_RESP, self.pid, src, tag=msg["tag"], digest=digest)
+            digest = self.array.read(fields["index"])
+            self.port.send(HASH_READ_RESP, self.pid, src, tag=fields["tag"], digest=digest)
 
     def final_state(self) -> dict:
         return {"entries": {idx.render(): d for idx, d in self.array.entries.items()}}
@@ -183,17 +183,17 @@ class OracleMdsDriver:
     def handle(self, msg: Message) -> bool:
         """Consume a metadata response addressed to the owner. Returns
         False when the message belongs to someone else's plane."""
-        kind = msg.kind
+        kind, _, _, fields = msg
         if kind not in RESPONSE_KINDS:
             return False
-        entry = self._pending.pop(msg["tag"], None)
+        entry = self._pending.pop(fields["tag"], None)
         if entry is None:
             return True  # response for a superseded operation
         rec, done = entry
         if kind is DIR_READ_RESP:
-            result = {"ts": msg["ts"], "md": msg["md"]}
+            result = {"ts": fields["ts"], "md": fields["md"]}
         elif kind is HASH_READ_RESP:
-            result = {"digest": msg["digest"]}
+            result = {"digest": fields["digest"]}
         else:
             result = {}
         self.log.end(rec, **result)

@@ -157,41 +157,35 @@ class MetaReplica(Process):
     # -- message handlers --------------------------------------------------
 
     def on_message(self, msg: Message) -> None:
-        kind = msg.kind
+        kind, src, _, fields = msg
         if kind is META_STORE:
-            self.on_store(msg)
+            pair = Pair(fields["key"], fields["payload"])
+            self.on_store(src, fields["reg"], pair, fields["seq"])
         elif kind is META_WRITEBACK:
-            self.on_writeback(msg)
+            # Write-backs republish a pair a reader confirmed; any client may
+            # send them, which is sound only because clients here are benign.
+            pair = Pair(fields["key"], fields["payload"])
+            self._take(fields["reg"], pair, ((src, fields["seq"]),))
         elif kind is META_ECHO:
-            self.on_echo(msg)
+            pair = Pair(fields["key"], fields["payload"])
+            self._take(fields["reg"], pair, map(tuple, fields["storers"]), echoer=src)
         elif kind is META_QUERY:
-            self.on_query(msg)
+            self.on_query(src, fields["tag"], fields["scope"])
         elif kind is META_UNSUB:
-            self.listeners.pop((msg.src, msg["tag"]), None)
+            self.listeners.pop((src, fields["tag"]), None)
 
     def register_for(self, reg: RegisterId) -> _Register:
         if reg not in self.registers:
             self.registers[reg] = _Register()
         return self.registers[reg]
 
-    def on_store(self, msg: Message) -> None:
-        reg: RegisterId = msg["reg"]
-        src = msg.src
+    def on_store(self, src: str, reg: RegisterId, pair: Pair, seq: int) -> None:
         if not self._store_allowed(reg, src):
             self.trace_note("meta-store-rejected", src=src, reg=reg)
             return
         if reg[0] == "hash":
-            self.digests.write(reg[1], msg["payload"], self.client_ids[src])
-        self._take(reg, Pair(msg["key"], msg["payload"]), ((src, msg["seq"]),))
-
-    def on_writeback(self, msg: Message) -> None:
-        # Write-backs republish a pair a reader confirmed; any client may
-        # send them, which is sound only because clients here are benign.
-        self._take(msg["reg"], Pair(msg["key"], msg["payload"]), ((msg.src, msg["seq"]),))
-
-    def on_echo(self, msg: Message) -> None:
-        pair = Pair(msg["key"], msg["payload"])
-        self._take(msg["reg"], pair, map(tuple, msg["storers"]), echoer=msg.src)
+            self.digests.write(reg[1], pair.payload, self.client_ids[src])
+        self._take(reg, pair, ((src, seq),))
 
     def _store_allowed(self, reg: RegisterId, src: str) -> bool:
         cid = self.client_ids.get(src)
@@ -276,10 +270,8 @@ class MetaReplica(Process):
         rs = self.register_for(reg)
         return update_entry(reg, rs.established, rs.current.key)
 
-    def on_query(self, msg: Message) -> None:
-        tag = msg["tag"]
-        src = msg.src
-        regs = self.listeners[(src, tag)] = self._scope_registers(msg["scope"])
+    def on_query(self, src: str, tag: int, scope: Any) -> None:
+        regs = self.listeners[(src, tag)] = self._scope_registers(scope)
         updates = tuple(self._report(reg, tag) for reg in regs)
         self.port.send(META_UPDATE, self.pid, src, tag=tag, updates=updates)
 
@@ -402,25 +394,25 @@ class ReplicatedMdsDriver:
     # -- inbound ------------------------------------------------------------
 
     def handle(self, msg: Message) -> bool:
-        kind = msg.kind
+        kind, src, _, fields = msg
         if kind is META_ACK:
-            self._on_ack(msg)
+            self._on_ack(src, fields["seq"], fields["key"])
             return True
         if kind is META_UPDATE:
-            self._on_update(msg)
+            self._on_update(src, fields["tag"], fields["updates"])
             return True
         return False
 
-    def _on_ack(self, msg: Message) -> None:
-        store = self._stores.get(msg["seq"])
-        if store is None or msg["key"] != store.key:
+    def _on_ack(self, src: str, seq: int, key: Timestamp) -> None:
+        store = self._stores.get(seq)
+        if store is None or key != store.key:
             return
-        store.acks.add(msg.src)
+        store.acks.add(src)
         if len(store.acks) >= self.quorum:
             del self._stores[store.seq]
             store.done(self)
 
-    def _on_update(self, msg: Message) -> None:
+    def _on_update(self, src: str, tag: int, updates: tuple[dict, ...]) -> None:
         """Count each reported pair once per reporting replica, as it
         arrives. Reporters are kept as sets, so a replica that repeats a
         pair counts once. A pair is compared with its register's best
@@ -433,14 +425,13 @@ class ReplicatedMdsDriver:
         ``reporters`` may miss it. Only ``_evaluate_hashread``'s
         empty-report count reads ``reporters``, and only while best is
         None, when no pair has been skipped."""
-        read = self._reads.get(msg["tag"])
+        read = self._reads.get(tag)
         if read is None:
             return  # the read has ended or is writing its pair back
-        src = msg.src
         read.snapshots.add(src)
         confirmed = self.tm + 1
         order = self._order
-        for update in msg["updates"]:
+        for update in updates:
             reg = update["reg"]
             reporters = read.reporters.setdefault(reg, {})
             best = read.best.get(reg)

@@ -57,19 +57,17 @@ class MsgKind(enum.Enum):
 
 class Message(NamedTuple):
     """An immutable message. As a tuple it is built by one tuple
-    allocation; its ``fields`` mapping proxy keeps it unhashable, and
-    ``msg[key]`` looks a field up by name, never a tuple slot."""
+    allocation, and its ``fields`` mapping proxy keeps it unhashable.
+
+    A handler reads a message by unpacking it once, ``kind, src, _,
+    fields = msg``, and looks its fields up by name in ``fields``; each
+    process's ``on_message`` then passes a handler just the fields it
+    reads, such as ``on_write(src, ts, val)``."""
 
     kind: MsgKind
     src: str
     dst: str
     fields: Any  # mapping proxy over an immutable-valued dict
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.fields.get(key, default)
-
-    def __getitem__(self, key: str) -> Any:
-        return self.fields[key]
 
     def render(self) -> dict:
         # One unpack: a tuple field read by name costs a descriptor call.

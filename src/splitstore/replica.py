@@ -27,21 +27,18 @@ class DataReplica(Process):
     # -- handlers ---------------------------------------------------------
 
     def on_message(self, msg: Message) -> None:
-        kind = msg.kind
+        kind, src, _, fields = msg
         if kind is WRITE:
-            self.on_write(msg)
+            self.on_write(src, fields["ts"], fields["val"])
         elif kind is COMMIT:
-            self.on_commit(msg)
+            self.on_commit(src, fields["ts"])
         elif kind is READ:
-            self.on_read(msg)
+            self.on_read(src, fields["ts"])
 
-    def on_write(self, msg: Message) -> None:
-        src = msg.src
+    def on_write(self, src: str, ts: Timestamp, val: bytes) -> None:
         if src not in self.writer_pids:
             self.trace_note("write-rejected", src=src)
             return
-        ts: Timestamp = msg["ts"]
-        val: bytes = msg["val"]
         if ts > self.committed:
             prior = self.data.get(ts)
             if prior is not None and prior != val:
@@ -50,27 +47,25 @@ class DataReplica(Process):
         # The ack is unconditional: a stale write is simply subsumed.
         self.port.send(WRITE_ACK, self.pid, src, ts=ts)
 
-    def on_commit(self, msg: Message) -> None:
-        if msg.src not in self.writer_pids:
+    def on_commit(self, src: str, ts: Timestamp) -> None:
+        if src not in self.writer_pids:
             return
-        ts: Timestamp = msg["ts"]
         if ts > self.committed and ts in self.data:
             self.committed = ts
             self.data = {t: v for t, v in self.data.items() if t >= ts}
 
-    def on_read(self, msg: Message) -> None:
-        ts: Timestamp = msg["ts"]
+    def on_read(self, src: str, ts: Timestamp) -> None:
         if ts < self.committed:
             ts = self.committed
         if ts in self.data:
-            self.port.send(READ_VAL, self.pid, msg.src, ts=ts, val=self.data[ts])
+            self.port.send(READ_VAL, self.pid, src, ts=ts, val=self.data[ts])
         else:
             # No tagged value at the requested timestamp (the requester is
             # ahead of us or fabricated the timestamp): answer with the
             # committed pair instead of blocking. A fresh replica serves
             # the initial pair, whose absent value readers reject.
             self.port.send(
-                READ_VAL, self.pid, msg.src,
+                READ_VAL, self.pid, src,
                 ts=self.committed, val=self.data.get(self.committed),
             )
 

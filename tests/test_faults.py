@@ -51,8 +51,8 @@ def test_stale_concurrent_serves_the_uncommitted_maximum(probe):
     probe.take_sent()
     read(d, Timestamp(1, 1))  # an honest replica would answer (1,1)
     reply = probe.sent[-1]
-    assert reply["ts"] == Timestamp(2, 1)
-    assert reply["val"] == b"tentative"
+    assert reply.fields["ts"] == Timestamp(2, 1)
+    assert reply.fields["val"] == b"tentative"
 
 
 def test_fabricate_high_ts_invents_a_timestamp(probe):
@@ -61,8 +61,8 @@ def test_fabricate_high_ts_invents_a_timestamp(probe):
     probe.take_sent()
     read(d, Timestamp(1, 1))
     reply = probe.sent[-1]
-    assert reply["ts"] == Timestamp(101, FABRICATED_CID)
-    assert reply["val"] == JUNK_VALUE
+    assert reply.fields["ts"] == Timestamp(101, FABRICATED_CID)
+    assert reply.fields["val"] == JUNK_VALUE
 
 
 def test_equivocate_alternates_between_answers(probe):
@@ -72,7 +72,7 @@ def test_equivocate_alternates_between_answers(probe):
     read(d, Timestamp(1, 1))
     read(d, Timestamp(1, 1))
     first, second = probe.sent[-2], probe.sent[-1]
-    assert first["ts"] != second["ts"]
+    assert first.fields["ts"] != second.fields["ts"]
 
 
 def test_state_switch_swaps_stored_values_on_command(probe):
@@ -81,7 +81,7 @@ def test_state_switch_swaps_stored_values_on_command(probe):
     probe.take_sent()
     d.apply_adversary("swap-values", {"pairs": [(Timestamp(1, 1), b"evil")]})
     read(d, Timestamp(1, 1))
-    assert probe.sent[-1]["val"] == b"evil"
+    assert probe.sent[-1].fields["val"] == b"evil"
 
 
 def test_corrupt_all_junks_every_pair(probe):

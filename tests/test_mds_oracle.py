@@ -96,7 +96,7 @@ def test_directory_process_end_to_end(probe):
     dir_proc.on_message(make_message(MsgKind.DIR_READ, "r1", "dir", tag=1))
     resp = probe.sent[-1]
     assert resp.kind is MsgKind.DIR_READ_RESP
-    assert resp["ts"] == Timestamp(1, 1) and resp["md"] == md
+    assert resp.fields["ts"] == Timestamp(1, 1) and resp.fields["md"] == md
 
 
 def test_directory_ignores_writes_from_readers(probe):
@@ -133,7 +133,7 @@ def test_hash_process_read_miss(probe):
     arr.on_message(
         make_message(MsgKind.HASH_READ, "r1", "hash", tag=1, index=Timestamp(3, 1))
     )
-    assert probe.sent[-1]["digest"] is None
+    assert probe.sent[-1].fields["digest"] is None
 
 
 # -- client driver ------------------------------------------------------------

@@ -137,7 +137,7 @@ def test_subscribers_get_snapshot_and_live_updates():
     r.inject(MsgKind.META_QUERY, "r1", "m1", scope="dir", tag=7)
     snapshot = [m for m in r.outbox if m.kind is MsgKind.META_UPDATE and m.dst == "r1"]
     assert snapshot
-    seen = {p.key for u in snapshot[-1]["updates"] for p in u["pairs"]}
+    seen = {p.key for u in snapshot[-1].fields["updates"] for p in u["pairs"]}
     assert Timestamp(1, 1) in seen
     # a later establishment is pushed incrementally
     md2 = Metadata(ts=Timestamp(2, 2), replicas=frozenset({2, 3}))
@@ -146,7 +146,7 @@ def test_subscribers_get_snapshot_and_live_updates():
                  reg=("dir", 2), key=Timestamp(2, 2), payload=md2, seq=2)
     r.pump()
     updates = [m for m in r.outbox if m.kind is MsgKind.META_UPDATE and m.dst == "r1"]
-    pushed = {p.key for u in updates[-1]["updates"] for p in u["pairs"]}
+    pushed = {p.key for u in updates[-1].fields["updates"] for p in u["pairs"]}
     assert Timestamp(2, 2) in pushed
 
 
@@ -160,7 +160,7 @@ def test_scrambled_replica_snapshots_its_scrambled_state_in_order():
 
     def snapshot(tag):
         r.inject(MsgKind.META_QUERY, "r1", "m4", scope="dir", tag=tag)
-        update = r.outbox[-1]["updates"][0]
+        update = r.outbox[-1].fields["updates"][0]
         assert update["reg"] == ("dir", 1)
         return update["pairs"]
 
@@ -190,13 +190,13 @@ def test_a_late_establishment_keeps_pair_order():
     reg = m1.registers[("dir", 1)]
     assert reg.established == tuple(pairs)
     assert reg.current == pairs[1]
-    pushed = [m["updates"] for m in r.outbox if m.kind is MsgKind.META_UPDATE][1:]
+    pushed = [m.fields["updates"] for m in r.outbox if m.kind is MsgKind.META_UPDATE][1:]
     assert pushed == [
         ({"reg": ("dir", 1), "pairs": (pair,), "current": pairs[1].key},)
         for pair in reversed(pairs)
     ]
     r.inject(MsgKind.META_QUERY, "r1", "m1", scope="dir", tag=8)
-    assert r.outbox[-1]["updates"][0] == {
+    assert r.outbox[-1].fields["updates"][0] == {
         "reg": ("dir", 1), "pairs": tuple(pairs), "current": pairs[1].key}
 
 
@@ -236,10 +236,10 @@ def test_byzantine_snapshot_replies(strategy):
     r.pump()
     for tag, scope in ((1, "dir"), (2, "dir"), (3, ("hash", idx)), (4, ("hash", idx))):
         r.inject(MsgKind.META_QUERY, "r1", "m1", scope=scope, tag=tag)
-        honest = r.outbox[-1]["updates"]
+        honest = r.outbox[-1].fields["updates"]
         r.inject(MsgKind.META_QUERY, "r1", "m4", scope=scope, tag=tag)
         reply = r.outbox[-1]
-        assert (reply.kind, reply.src, reply.dst, reply["tag"]) == (
+        assert (reply.kind, reply.src, reply.dst, reply.fields["tag"]) == (
             MsgKind.META_UPDATE, "m4", "r1", tag)
         regs = [u["reg"] for u in honest]
         assert regs == ([("dir", 1), ("dir", 2)] if scope == "dir" else [scope])
@@ -252,7 +252,7 @@ def test_byzantine_snapshot_replies(strategy):
             )
         else:
             want = honest
-        assert reply["updates"] == want
+        assert reply.fields["updates"] == want
         stored = MD if scope == "dir" else "d" * 64
         assert honest[0]["pairs"] == (Pair(idx, stored),)
     before = len(r.outbox)
@@ -266,7 +266,7 @@ def test_byzantine_snapshot_replies(strategy):
         assert pushed == []
     else:
         update = {"reg": ("dir", 2), "pairs": (Pair(md2.ts, md2),), "current": md2.ts}
-        assert [(m["tag"], m["updates"]) for m in pushed] == [(1, (update,)), (2, (update,))]
+        assert [(m.fields["tag"], m.fields["updates"]) for m in pushed] == [(1, (update,)), (2, (update,))]
 
 
 # -- incremental read evaluation against a recount ------------------------------
@@ -477,7 +477,7 @@ def test_replicated_driver_records_each_call_and_its_result(probe):
         record("tswrite", 1, ts=md.ts, md=md),
         record("hashwrite", 2, index=idx, digest=digest),
     ]
-    stores = [(m.kind, m["seq"]) for m in probe.take_sent()]
+    stores = [(m.kind, m.fields["seq"]) for m in probe.take_sent()]
     assert stores == [(MsgKind.META_STORE, 1)] * 4 + [(MsgKind.META_STORE, 2)] * 4
     for seq, reg, key in ((1, ("dir", 1), md.ts), (2, ("hash", idx), idx)):
         for src in ("m1", "m2", "m3"):
@@ -503,7 +503,8 @@ def test_replicated_driver_records_each_call_and_its_result(probe):
         feed(MsgKind.META_UPDATE, src, tag=3, updates=dir_updates)
     # the tsread writes the confirmed pair back before it returns
     writebacks = [m for m in probe.take_sent() if m.kind is MsgKind.META_WRITEBACK]
-    assert [(m["reg"], m["key"], m["payload"], m["seq"]) for m in writebacks] == [
+    assert [(m.fields["reg"], m.fields["key"], m.fields["payload"], m.fields["seq"])
+            for m in writebacks] == [
         (("dir", 1), md.ts, md, 3)] * 4
     for src in ("m1", "m2"):
         feed(MsgKind.META_ACK, src, reg=("dir", 1), key=md.ts, seq=3)
@@ -549,7 +550,7 @@ def test_a_tsread_in_write_back_takes_no_more_reports(probe):
     snapshot = ({"reg": ("dir", 1), "pairs": (Pair(md1.ts, md1),), "current": md1.ts}, empty_dir2)
     for src in ("m1", "m2", "m3"):
         feed(MsgKind.META_UPDATE, src, tag=tag, updates=snapshot)
-    assert [(m.kind, m.dst, m["key"], m["seq"]) for m in probe.take_sent()] == [
+    assert [(m.kind, m.dst, m.fields["key"], m.fields["seq"]) for m in probe.take_sent()] == [
         (MsgKind.META_WRITEBACK, pid, md1.ts, 1) for pid in meta_pids]
 
     # the window: every replica confirms a higher pair, m4's first snapshot
@@ -570,7 +571,7 @@ def test_a_tsread_in_write_back_takes_no_more_reports(probe):
     assert probe.ended == [DirOpRecord("r1", "tsread", tag, invoke=0, response=probe.step,
                                        ts=md1.ts, md=md1)]
     assert done == [(md1.ts, md1)]
-    assert [(m.kind, m.dst, m["tag"]) for m in probe.take_sent()] == [
+    assert [(m.kind, m.dst, m.fields["tag"]) for m in probe.take_sent()] == [
         (MsgKind.META_UNSUB, pid, tag) for pid in meta_pids]
 
     # a late ack and a late update end nothing and send nothing

@@ -26,7 +26,7 @@ def read(replica, src, ts):
 def last_read_val(probe):
     msg = probe.sent[-1]
     assert msg.kind is MsgKind.READ_VAL
-    return msg["ts"], msg["val"]
+    return msg.fields["ts"], msg.fields["val"]
 
 
 def test_write_stores_and_acks(probe):
@@ -35,7 +35,7 @@ def test_write_stores_and_acks(probe):
     write(d, "w1", ts, b"v")
     assert d.data == {ts: b"v"}
     ack = probe.sent[-1]
-    assert ack.kind is MsgKind.WRITE_ACK and ack.dst == "w1" and ack["ts"] == ts
+    assert ack.kind is MsgKind.WRITE_ACK and ack.dst == "w1" and ack.fields["ts"] == ts
 
 
 def test_stale_write_is_acked_but_not_stored(probe):

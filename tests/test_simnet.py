@@ -562,17 +562,11 @@ def test_a_message_is_unhashable_and_indexes_its_fields(probe):
     with pytest.raises(TypeError):
         hash(msg)
     assert (msg.kind, msg.src, msg.dst) == (MsgKind.DIR_READ, "p", "dir")
-    assert msg["tag"] == 7
-    assert msg.get("tag") == 7
-    assert msg.get("index", "absent") is None
-    assert msg.get("missing") is None
-    assert msg.get("missing", "absent") == "absent"
-    # Indexing looks fields up by name; it never reads positional slots.
-    for slot in (0, 1, 3, -1):
-        with pytest.raises(KeyError):
-            msg[slot]
-    with pytest.raises(KeyError):
-        msg["kind"]
+    assert msg.fields["tag"] == 7
+    assert msg.fields["index"] is None
+    # Fields are read through `fields` only: the message is a plain tuple.
+    with pytest.raises(TypeError):
+        msg["tag"]
 
 
 def test_a_sent_message_does_not_alias_the_senders_dict(probe):
@@ -581,7 +575,7 @@ def test_a_sent_message_does_not_alias_the_senders_dict(probe):
     proc.port.send(MsgKind.DIR_READ, proc.pid, "dir", **fields)
     fields["tag"] = 2
     msg, = probe.take_sent()
-    assert msg["tag"] == 1
+    assert msg.fields["tag"] == 1
 
 
 def test_every_message_carries_its_senders_pid(monkeypatch):
