@@ -89,8 +89,10 @@ decodes. Its entries are:
   that step. The `Delivery` is the same object as at the message's send;
 - (step, ev, reason, msg): a drop or an undelivered message. They are
   rare, so they keep a tuple of their own;
-- a dict: every other entry. A note's payload and a final entry's state
-  hold the raw values the process gave; `render_event` renders them.
+- a dict: every other entry. Its values are raw, as the run gave them:
+  a note's payload, an invocation's written value, a response's returned
+  value and a final entry's state. `render_event` renders every value of
+  the entry with `render_field`.
 
 The decoder relies on this pairing: no other entry is an int, and a
 `Delivery` in the log is a send unless an int comes right before it.
@@ -131,7 +133,7 @@ from .mds_oracle import DIR_PID, HASH_PID, DirectoryOracle, HashArrayOracle, Ora
 from .mds_replicated import MetaReplica, ReplicatedMdsDriver
 from .net import Delivery, Message, MsgKind, Port, Process, render_field
 from .replica import DataReplica
-from .types import NIL, ConfigError, DigestFacility, HarnessError, HashMode, Timestamp, render_value
+from .types import NIL, ConfigError, DigestFacility, HarnessError, HashMode, Timestamp
 
 # The values a generated workload writes.
 ALPHABET = (b"a", b"b", b"c", b"d")
@@ -478,14 +480,9 @@ def message_body(msg: Message) -> str:
 
 
 def render_event(entry: Entry) -> dict:
-    """A decoded trace entry in plain JSON types."""
+    """A decoded trace entry in plain JSON types, as a new dict."""
     if isinstance(entry, dict):
-        ev = entry["ev"]
-        if ev == "note":
-            return {key: render_field(value) for key, value in entry.items()}
-        if ev == "final":
-            return {**entry, "state": render_field(entry["state"])}
-        return entry
+        return {key: render_field(value) for key, value in entry.items()}
     step, ev, reason, msg = entry
     out: dict = {"step": step, "ev": ev}
     if reason is not None:
@@ -673,8 +670,7 @@ class Simulation:
         if isinstance(rec, OpRecord):
             pid = rec.client
             self.completed_ops[pid] += 1
-            self._trace("response", op_id=rec.op_id, client=pid,
-                        ret=render_value(rec.ret) if isinstance(rec.ret, bytes) else rec.ret)
+            self._trace("response", op_id=rec.op_id, client=pid, ret=rec.ret)
             if self.queues[pid]:
                 self.enqueue_invoke(pid)
 
@@ -749,8 +745,7 @@ class Simulation:
         op = OpRecord(op_id=len(self.history) + 1, client=pid, kind=kind, arg=arg,
                       invoke=self.step)
         self.history.append(op)
-        self._trace("invoke", op_id=op.op_id, client=pid, kind=kind,
-                    arg=render_value(arg) if arg is not None else None)
+        self._trace("invoke", op_id=op.op_id, client=pid, kind=kind, arg=arg)
         self.world.clients[pid].invoke(op)
         return op.op_id
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from splitstore import net, simnet
+from splitstore import history, net, simnet, types
 from splitstore.faults import ByzStrategy, CrashSpec
 from splitstore.net import MsgKind, Port, Process, render_field
 from splitstore.scenarios import SCENARIO_NAMES, random_config, run_scenario
@@ -347,18 +347,25 @@ def campaign_slice():
 
 def test_an_untraced_run_renders_nothing(monkeypatch):
     rendered = []
-    original = net.render_field
 
-    def counting(value):
-        rendered.append(type(value))
-        return original(value)
+    def counting(original):
+        def count(value):
+            rendered.append(type(value))
+            return original(value)
+        return count
 
-    monkeypatch.setattr(net, "render_field", counting)
-    monkeypatch.setattr(simnet, "render_field", counting)
+    monkeypatch.setattr(net, "render_field", counting(net.render_field))
+    monkeypatch.setattr(simnet, "render_field", counting(net.render_field))
+    # Every module-level binding of render_value, also one that is gone.
+    for module in (types, net, history, simnet):
+        monkeypatch.setattr(module, "render_value", counting(types.render_value), raising=False)
     results = [run(cfg) for cfg in campaign_slice()]
     assert rendered == []
-    # The counter sees the rendering that reading a result does.
+    # The counters see the rendering that reading a result does: its final
+    # states, and its trace's written and returned values.
     assert results[0].final_states and rendered
+    rendered.clear()
+    assert list(results[0].trace) and bytes in rendered
 
 
 def test_final_states_are_those_rendered_as_the_run_ends():
