@@ -205,14 +205,15 @@ def _workload(where: str, value: dict) -> dict:
 
 
 # Scenario-file keys are Config field names. These four are converted
-# from JSON, adversary has no JSON form, and every other field's value is
-# taken as given once it has its field's type.
+# from JSON, adversary has no JSON form, seed comes from --seed or --seeds
+# alone, and every other field's value is taken as given once it has its
+# field's type.
 _CONVERTERS = {
     "byz_data": _byz_strategies, "byz_meta": _byz_strategies,
     "crashes": _crash_specs, "workload": _workload,
 }
 _SCALAR_TYPES = {
-    f.name: f.type for f in fields(Config) if f.name not in {*_CONVERTERS, "adversary"}
+    f.name: f.type for f in fields(Config) if f.name not in {*_CONVERTERS, "adversary", "seed"}
 }
 _CRASH_TYPES = {f.name: f.type for f in fields(CrashSpec)}
 # The JSON values each field annotation accepts. JSON true and false are
@@ -229,8 +230,6 @@ _JSON_TYPES = {
 def _wanted(annotation: str, value: object) -> str | None:
     """What a value of a field annotated `annotation` must be, or None
     when `value` is one."""
-    if annotation == "Any":
-        return None
     if annotation == "HashMode":
         modes = [m.value for m in HashMode]
         return None if value in modes else f"one of {', '.join(modes)}"
@@ -255,14 +254,17 @@ def _checked(where: str, prefix: str, annotations: dict, values: dict) -> dict:
 def config_from(where: str, raw: dict) -> Config:
     """The Config a run description gives: a scenario file's JSON, or the
     mapping `flag_description` builds. Its keys are Config field names,
-    and Config supplies every default. An unknown key, a scalar of the
-    wrong type, a malformed structured value, or `ops` next to `workload`
-    (ops sizes only a generated workload) is a ConfigError naming `where`.
+    and Config supplies every default. An unknown key, `seed` (each run
+    takes its seed from --seed or --seeds), a scalar of the wrong type, a
+    malformed structured value, or `ops` next to `workload` (ops sizes only
+    a generated workload) is a ConfigError naming `where`.
     Whether the Config can run is `Config.validate`'s to judge."""
     if not isinstance(raw, dict):
         raise ConfigError(
             f"{where}: a run description is a JSON object, got {type(raw).__name__}"
         )
+    if "seed" in raw:
+        raise ConfigError(f"{where}: seed is set by --seed or --seeds, not in a run description")
     unknown = sorted(set(raw) - set(_SCALAR_TYPES) - set(_CONVERTERS))
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")

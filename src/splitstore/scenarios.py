@@ -21,7 +21,7 @@ from .types import ConfigError, HashMode, Timestamp
 @dataclass
 class ScenarioOutcome:
     name: str
-    seed: object
+    seed: int
     passed: bool
     expectation: str
     runs: list[tuple[str, RunResult, Verdict]] = field(default_factory=list)
@@ -50,7 +50,7 @@ class ScenarioOutcome:
 
 
 def single_run(
-    name: str, seed: object, expectation: str, config: Config, label: str | None = None,
+    name: str, seed: int, expectation: str, config: Config, label: str | None = None,
     script: Callable[[Script, World], None] | None = None,
     judge: Callable[[RunResult, Verdict], tuple[bool, list[str]]] | None = None,
 ) -> ScenarioOutcome:
@@ -77,7 +77,7 @@ def _op_result(result: RunResult, client: str) -> object:
 # -- fig1: concurrent write/read with a stale-serving Byzantine replica -------
 
 
-def scenario_fig1(seed: object = 0) -> ScenarioOutcome:
+def scenario_fig1(seed: int = 0) -> ScenarioOutcome:
     """One complete write, then a second write concurrent with a read.
 
     The third data replica is Byzantine and serves the concurrent,
@@ -124,7 +124,7 @@ def scenario_fig1(seed: object = 0) -> ScenarioOutcome:
 # -- theorem1: lower-bound demonstrations --------------------------------------
 
 
-def scenario_theorem1_crash(seed: object = 0) -> ScenarioOutcome:
+def scenario_theorem1_crash(seed: int = 0) -> ScenarioOutcome:
     """With only 2t data replicas, one silent replica blocks writes: the
     writer cannot assemble its ack quorum, which surfaces as a liveness
     violation at quiescence."""
@@ -149,7 +149,7 @@ def scenario_theorem1_crash(seed: object = 0) -> ScenarioOutcome:
     )
 
 
-def _theorem1_config(seed: object, value: bytes) -> Config:
+def _theorem1_config(seed: int, value: bytes) -> Config:
     return Config(
         t=1, tm=1, writers=1, readers=1, seed=seed,
         hash_mode=HashMode.FORGEABLE, mds_mode="oracle",
@@ -158,7 +158,7 @@ def _theorem1_config(seed: object, value: bytes) -> Config:
     )
 
 
-def scenario_theorem1_byz(seed: object = 0) -> ScenarioOutcome:
+def scenario_theorem1_byz(seed: int = 0) -> ScenarioOutcome:
     """Two sub-runs with D = 2t+b (b = 1) and a forgeable digest.
 
     The baseline writes v, crashes one correct replica, and reads v back.
@@ -221,17 +221,16 @@ def scenario_theorem1_byz(seed: object = 0) -> ScenarioOutcome:
     return outcome
 
 
-def scenario_control_2t1(seed: object = 0) -> ScenarioOutcome:
+def scenario_control_2t1(seed: int = 0) -> ScenarioOutcome:
     """Positive control for the lower bound: full 2t+1 data replicas, a
     collision-resistant digest, and the same state-switching adversary.
     The attack must achieve nothing."""
-    h = _seed_int(seed)
     config = Config(
         t=1, tm=1, writers=2, readers=2, seed=seed, ops=2,
         hash_mode=HashMode.PRODUCTION, mds_mode="oracle",
         byz_data={"d3": ByzStrategy.STATE_SWITCH},
         adversary=(
-            AdversaryAction(step=25 + h % 50, process="d3", action="corrupt-all"),
+            AdversaryAction(step=25 + seed % 50, process="d3", action="corrupt-all"),
         ),
     )
     return single_run(
@@ -244,7 +243,7 @@ def scenario_control_2t1(seed: object = 0) -> ScenarioOutcome:
 # -- garbage collection ---------------------------------------------------------
 
 
-def scenario_gc_quiescence(seed: object = 0) -> ScenarioOutcome:
+def scenario_gc_quiescence(seed: int = 0) -> ScenarioOutcome:
     """Fault-free run over in-order channels, driven to quiescence: every
     data replica must end up storing exactly one tagged value."""
     config = Config(
@@ -291,55 +290,47 @@ META_STRATEGY_CYCLE: tuple[ByzStrategy | None, ...] = (
 CRASH_PHASE_CYCLE = ("WRITE-DATA", "WRITE-DIR")
 
 
-def _seed_int(seed: object) -> int:
-    if isinstance(seed, int):
-        return seed
-    return sum(ord(c) for c in str(seed))
-
-
 def random_config(
-    seed: object,
+    seed: int,
     mds_mode: str | None = None,
     with_meta_faults: bool = True,
-    ops: int = 3,
 ) -> Config:
     """Per-seed fault plan for the randomized suite: Byzantine strategies
     cycle with the seed, every fifth seed crashes a writer mid-operation,
     and the metadata mode alternates unless pinned."""
-    h = _seed_int(seed)
     byz_data = {}
-    strategy = DATA_STRATEGY_CYCLE[h % len(DATA_STRATEGY_CYCLE)]
+    strategy = DATA_STRATEGY_CYCLE[seed % len(DATA_STRATEGY_CYCLE)]
     if strategy is not None:
         byz_data["d3"] = strategy
-    mode = mds_mode if mds_mode is not None else ("oracle" if h % 2 == 0 else "replicated")
+    mode = mds_mode if mds_mode is not None else ("oracle" if seed % 2 == 0 else "replicated")
     byz_meta = {}
     if mode == "replicated" and with_meta_faults:
-        meta_strategy = META_STRATEGY_CYCLE[(h // 2) % len(META_STRATEGY_CYCLE)]
+        meta_strategy = META_STRATEGY_CYCLE[(seed // 2) % len(META_STRATEGY_CYCLE)]
         if meta_strategy is not None:
             byz_meta["m4"] = meta_strategy
     crashes = ()
-    if h % 5 == 0 and h > 0:
-        phase = CRASH_PHASE_CYCLE[(h // 5) % len(CRASH_PHASE_CYCLE)]
+    if seed % 5 == 0 and seed > 0:
+        phase = CRASH_PHASE_CYCLE[(seed // 5) % len(CRASH_PHASE_CYCLE)]
         crashes = (CrashSpec(process="w2", at_phase=phase),)
     adversary = []
     if strategy is ByzStrategy.STATE_SWITCH:
         adversary.append(
-            AdversaryAction(step=40 + h % 60, process="d3", action="corrupt-all")
+            AdversaryAction(step=40 + seed % 60, process="d3", action="corrupt-all")
         )
     if byz_meta.get("m4") is ByzStrategy.STATE_SWITCH:
         adversary.append(
-            AdversaryAction(step=50 + h % 60, process="m4", action="scramble")
+            AdversaryAction(step=50 + seed % 60, process="m4", action="scramble")
         )
     return Config(
-        t=1, tm=1, writers=2, readers=2, seed=seed, ops=ops,
+        t=1, tm=1, writers=2, readers=2, seed=seed,
         hash_mode=HashMode.PRODUCTION, mds_mode=mode,
         byz_data=byz_data, byz_meta=byz_meta,
         crashes=crashes, adversary=tuple(adversary),
     )
 
 
-def scenario_random(seed: object = 0, mds_mode: str | None = None) -> ScenarioOutcome:
-    config = random_config(seed, mds_mode=mds_mode)
+def scenario_random(seed: int = 0) -> ScenarioOutcome:
+    config = random_config(seed)
     note = (
         f"mode={config.mds_mode} byz_data={sorted(config.byz_data)} "
         f"byz_meta={sorted(config.byz_meta)} crashes={len(config.crashes)}"
@@ -361,8 +352,8 @@ SCENARIOS = {
 SCENARIO_NAMES = tuple(SCENARIOS)
 
 
-def run_scenario(name: str, seed: object = 0, **kwargs: object) -> ScenarioOutcome:
+def run_scenario(name: str, seed: int = 0) -> ScenarioOutcome:
     fn = SCENARIOS.get(name)
     if fn is None:
         raise ConfigError(f"unknown scenario {name!r}; pick one of {', '.join(SCENARIO_NAMES)}")
-    return fn(seed, **kwargs)
+    return fn(seed)

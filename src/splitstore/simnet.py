@@ -110,7 +110,7 @@ message is in flight, so its memory is bounded by the pending messages,
 not by the length of the trace. A body is written by `message_body`
 straight from the message's fields, with no rendered dict in between:
 the key order for each kind and set of field names is worked out once,
-and strings, ints, bools, None, timestamps and bytes are encoded inline.
+and strings, ints, None, timestamps and bytes are encoded inline.
 Any other field value is rendered by `render_field` and encoded by
 `json_line`, so the bytes are those of `json_line(msg.render())`.
 """
@@ -164,7 +164,7 @@ class Config:
     writers: int = 2
     readers: int = 2
     d: int | None = None
-    seed: Any = 0
+    seed: int = 0
     hash_mode: HashMode = HashMode.PRODUCTION
     mds_mode: str = "oracle"
     ops: int = 3
@@ -452,9 +452,10 @@ def _body_format(kind: MsgKind, names: tuple[str, ...]) -> tuple[str, Callable]:
 def message_body(msg: Message) -> str:
     """`json_line(msg.render())`, written straight from the message's fields.
 
-    Strings, ints, bools, None, timestamps and bytes are encoded inline;
-    any other field value is rendered and encoded as `render` does. The
-    header's src and dst are pids, so they are strings."""
+    Strings, ints, None, timestamps and bytes are encoded inline; any
+    other field value (no protocol message carries a bool) is rendered and
+    encoded as `render` does. The header's src and dst are pids, so they
+    are strings."""
     kind, src, dst, fields = msg
     template, pick = _body_format(kind, tuple(fields))
     values = [_ascii(src), _ascii(dst)]
@@ -472,8 +473,6 @@ def message_body(msg: Message) -> str:
             append(_ascii(value.decode("latin-1")))
         elif value is None:
             append("null")
-        elif cls is bool:
-            append("true" if value else "false")
         else:
             append(json_line(render_field(value)))
     return template % pick(values)

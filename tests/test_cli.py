@@ -285,6 +285,21 @@ def test_ops_next_to_a_workload_exits_with_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_seed_in_a_scenario_file_exits_with_config_error(tmp_path, capsys):
+    """A file's seed would be replaced by --seed's default or by each
+    --seeds value, so it is rejected rather than dropped."""
+    path = tmp_path / "seeded.json"
+    path.write_text(json.dumps({"seed": 5, "ops": 2}))
+    assert main(["run", "--scenario-file", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "configuration error: seeded.json: seed is set by --seed or --seeds, "
+        "not in a run description\n"
+    )
+    assert "PASS" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_byz_flag_without_a_strategy_exits_with_config_error(tmp_path, capsys):
     assert main(["run", "--random", "--byz", "d3", "--out-dir", str(tmp_path)]) == 2
     assert "--byz expects replica:strategy, got 'd3'" in capsys.readouterr().err

@@ -266,7 +266,8 @@ def test_byzantine_snapshot_replies(strategy):
         assert pushed == []
     else:
         update = {"reg": ("dir", 2), "pairs": (Pair(md2.ts, md2),), "current": md2.ts}
-        assert [(m.fields["tag"], m.fields["updates"]) for m in pushed] == [(1, (update,)), (2, (update,))]
+        assert [(m.fields["tag"], m.fields["updates"]) for m in pushed] == [
+            (1, (update,)), (2, (update,))]
 
 
 # -- incremental read evaluation against a recount ------------------------------
