@@ -205,15 +205,15 @@ def _workload(where: str, value: dict) -> dict:
 
 
 # Scenario-file keys are Config field names. These four are converted
-# from JSON, adversary has no JSON form, seed comes from --seed or --seeds
-# alone, and every other field's value is taken as given once it has its
-# field's type.
+# from JSON, adversary has no JSON form, `config_from` rejects seed (each
+# run's seed comes from --seed or --seeds), and every other field's value
+# is taken as given once it has its field's type.
 _CONVERTERS = {
     "byz_data": _byz_strategies, "byz_meta": _byz_strategies,
     "crashes": _crash_specs, "workload": _workload,
 }
 _SCALAR_TYPES = {
-    f.name: f.type for f in fields(Config) if f.name not in {*_CONVERTERS, "adversary", "seed"}
+    f.name: f.type for f in fields(Config) if f.name not in {*_CONVERTERS, "adversary"}
 }
 _CRASH_TYPES = {f.name: f.type for f in fields(CrashSpec)}
 # The JSON values each field annotation accepts. JSON true and false are

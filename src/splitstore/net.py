@@ -2,7 +2,8 @@
 
 Processes never see the scheduler clock or each other's objects; they
 only receive immutable messages and emit new ones through the runtime
-port bound by the simulator. ``Port.send(kind, src, dst, **fields)`` is
+port bound by the simulator. A process's ``on_message`` unpacks each
+message once and calls its handler with the fields that handler reads. ``Port.send(kind, src, dst, **fields)`` is
 the send path and the only way a message enters the network. Channels
 are authenticated: a process passes its own pid as ``src``, never
 another's. The step belongs to the runtime too: a process fills in the

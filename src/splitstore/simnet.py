@@ -66,7 +66,9 @@ What one step costs.
   `Port.send` sees every one. A `Message` and each pending event's
   `Delivery` are NamedTuples built by `tuple.__new__`, one C call that
   skips the generated Python-level `__new__`; `_send`, `take`, `dispatch`
-  and the loop unpack them once.
+  and the loop unpack them once, and so do each process's `on_message`
+  and each metadata driver's `handle`, which pass their handlers the
+  fields they read.
 - Bound kinds: no per-message path looks a member up on an enum class
   (see `net.MsgKind`).
 - The collector sleeps through the loop: `run()` pauses it, so the
