@@ -13,6 +13,9 @@ random_config's fault plans) and 2333, every other scenario at seed 0, and
 three runs of the benchmark's cli-long shape wrapped the way the benchmark
 wraps them: 209 files.
 
+`SCRAMBLE_STRESS` pins 24 longer replicated runs with a scrambling
+metadata replica, trace fingerprint and files.
+
 `CLI_DIGESTS` pins the CLI's two one-off runs the same way, through
 `cli.main`: a run built from sizing and fault flags, and a scenario file
 with a workload and a crash, each at seeds 0-2.
@@ -28,8 +31,9 @@ import pytest
 
 from splitstore.checker import check_run
 from splitstore.cli import main, write_outputs
+from splitstore.faults import ByzStrategy
 from splitstore.scenarios import SCENARIOS, ScenarioOutcome, run_scenario, scenario_random
-from splitstore.simnet import Config, run
+from splitstore.simnet import AdversaryAction, Config, run
 
 
 def cli_long_outcome(seed: int) -> ScenarioOutcome:
@@ -695,3 +699,266 @@ def test_cli_one_off_runs_are_pinned(case, tmp_path):
     out = tmp_path / "out"
     assert main(["run", *argv, "--out-dir", str(out)]) == 0
     assert digests(sorted(out.iterdir())) == CLI_DIGESTS[case]
+
+
+# A scrambling metadata replica under load: replicated mode, a state-switch
+# m4 that scrambles at step 60, 200 or 600, ops 12 and 30, seeds 0-3. Their
+# keys pass 9 and the scrambled payloads carry client id 99, which no run
+# above reaches, so they pin how pairs order where keys and payloads have
+# two or more digits. Each case pins the run's trace fingerprint (as in
+# test_golden_traces.py) and the files `write_outputs` writes for it.
+def scramble_stress_outcome(step: int, ops: int, seed: int) -> ScenarioOutcome:
+    config = Config(
+        seed=seed, ops=ops, mds_mode="replicated", max_steps=200_000,
+        byz_meta={"m4": ByzStrategy.STATE_SWITCH},
+        adversary=(AdversaryAction(step=step, process="m4", action="scramble"),),
+    )
+    result = run(config)
+    verdict = check_run(result)
+    return ScenarioOutcome(
+        name=f"scramble-{step}-ops{ops}", seed=seed, passed=verdict.ok,
+        expectation="a scrambling metadata replica is tolerated",
+        runs=[("run", result, verdict)],
+    )
+
+
+def fingerprint(result) -> str:
+    h = hashlib.sha256()
+    for entry in result.trace:
+        h.update(json.dumps(entry, sort_keys=True, separators=(",", ":")).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+SCRAMBLE_STRESS = {
+    (60, 12, 0): {
+        "trace": "f315a487d62e79504affa5fc102fe445065151c920b1a2a969c3af2598fe5caa",
+        "history.json":
+            "3db3a0d9aed6f2f297b8fa8ff5a8bcba527271f00aea59b23bc5be0b0a202c3c",
+        "report.json":
+            "31788693339a4131a679c5716f31f76856499003edf7a24a2be69b2536f04c95",
+        "trace.jsonl":
+            "cf2a277bc40601d68aff8ef5f56ad184f11464f98c155fda983b5583be228d5f",
+    },
+    (60, 12, 1): {
+        "trace": "9585161a164ac4b9a5973880b948980e158257f30be7dd9616b9d557d4b62b26",
+        "history.json":
+            "8b0d19706a155eff4e0975f51945b487303b4b4102dc486bc6d9774ef00ce5e5",
+        "report.json":
+            "ee24d9dc0b6592890369044908a4cd8aed9b6e12b4b559f9496e1ffbb6917878",
+        "trace.jsonl":
+            "aa9a415b0fe9ffc53e56eb24edc7284855945422ad0c3faf4b5ee3ad5f1a3524",
+    },
+    (60, 12, 2): {
+        "trace": "a3b8848e5edab74fd20601436f6b7d9a8247394254b78aa312abf641823564ee",
+        "history.json":
+            "4a356f550125c381bbb334ebfdca080610035f6a0c225b258f07693d0278957b",
+        "report.json":
+            "e8a8d9a2bc961da314a7e5f5d094a386528456eaffe8ea2fd6f9d767ec9a2074",
+        "trace.jsonl":
+            "b71eccb0963d0029f5b85f000d5f77d7a8acc5e58ffef3c2afb7ad8fe394d8c8",
+    },
+    (60, 12, 3): {
+        "trace": "98ffd1af2194be6f1970cb9be5f332d9455be2e0d5729acca75cc8fc8893c124",
+        "history.json":
+            "56f9097ae2afbf904c42ac8cdb6d32cc7a9e9f36f22768431665c4097cf4a8bc",
+        "report.json":
+            "8963d5de46d5b4a4d674e5b8881b98f079936e7a1ba36072cc58af827d077a4e",
+        "trace.jsonl":
+            "00143e836f2e40d4bed0c14372a4475fa7440d7bf6b9791c8f5ca99e2090a483",
+    },
+    (60, 30, 0): {
+        "trace": "91d81ef95b402c3cb90dd061065dcec0b2538bd51934de0d65d0625f320e666a",
+        "history.json":
+            "c3bee7953ad06a4709dd4e31e6c287a9df47910491369480e9d0ae6c34393ffa",
+        "report.json":
+            "baed9918ed38265ea0b06b8193cf6ab2589285684221d9a7f0c3679571b220bc",
+        "trace.jsonl":
+            "c667016fa9a1fcd189beb397866905117bf43e83f96fc91d35b3f7bdb9a104a5",
+    },
+    (60, 30, 1): {
+        "trace": "5776e0de5e2acf0abc621a1d0eb919f97e8e0c94be14457dbe72cd7fbb806df2",
+        "history.json":
+            "02e599e9774bb87d2a50ee803e1fbadd9b1d41920c7b0f0474d219bb71620ff4",
+        "report.json":
+            "e2d986c545c3d8580e96fcf5aa6156352497ed06c25707653f7b2bba32f453bf",
+        "trace.jsonl":
+            "6132fd41bbe62d2f4f56b3c326c15b4905245e4b34c7e5fff84fd111bd71b926",
+    },
+    (60, 30, 2): {
+        "trace": "59610f13a46bf95ba99bbbe1ae3c40f1130c37dc36a2ca710b0aee4a74110299",
+        "history.json":
+            "f76a6cf5d1cb6750b8c82117f700cbf89561bb9c23db576d52df6852c45215c2",
+        "report.json":
+            "aaded2be20b1c2d0b4d2d46812eeeb48a1584894ffc5cacf6c4b404d3e242a12",
+        "trace.jsonl":
+            "2000eb7e896c1447bd2de7f7c270713de5edd62721d12b50edd4929bd81221fe",
+    },
+    (60, 30, 3): {
+        "trace": "0649c2b03dfd792586a6063313d9c07a528f78e5d804f75a50460035f021575f",
+        "history.json":
+            "c931e64b3e5f5dedfa16268c20a7d4ee914bfe0c10f6a10c56a11bf5a63d6fb1",
+        "report.json":
+            "b99d22157fad55033dbb6c9b3f2bd7cdcecd9ef4249bc57a823a966301d1b29e",
+        "trace.jsonl":
+            "40224b1488bb596b528f764f3fc9371eafe075c353c939cdee9464f72e334ace",
+    },
+    (200, 12, 0): {
+        "trace": "25b16b553e68e797aadc8c1fef9ffd020cac1929726fdcbabc2da8886da2659c",
+        "history.json":
+            "67b74cb752d5dc0422d874431374951604dc6f2014dd400223873afb558112fc",
+        "report.json":
+            "436c6efc175a16ae6b3c5b25d1c09ae61ee6bd3e6438c91b0494428b8c6bb1ba",
+        "trace.jsonl":
+            "62f5ad5000f12ab06ce184ebbcb0bf809e09120230c368c4795d3330f7211328",
+    },
+    (200, 12, 1): {
+        "trace": "d39ae760ea5ce82edf14c97d288788954151cc63bf6e0d4e3f75780f038d3bed",
+        "history.json":
+            "2fdb14bcb83a85fd15bb5d6356e73c0c1e1fb671cd317227e8fdbfe21f3fb437",
+        "report.json":
+            "9127d56ee7ecd21b04162b491907c7df12bfdc98141cf7186bea96505ce5c487",
+        "trace.jsonl":
+            "df527cc9ef202122735045b7c4214d1007b36254906a2d2c1039839476ff3bf2",
+    },
+    (200, 12, 2): {
+        "trace": "bc7b86e65affa08ab1e9dd3b8cb89c268865cda1db654b469de6a6731ed95ee8",
+        "history.json":
+            "09cb01d3a7664f5055db0200db835e5495648c2788775a79978911929806f3fe",
+        "report.json":
+            "1cea46abdfd220b2e2292c96a3230e023e81eb1998bab00eec332e50db0d748f",
+        "trace.jsonl":
+            "49fc969f30e6da188b912089295001d4275165811c4d09749b6559a47bf3f039",
+    },
+    (200, 12, 3): {
+        "trace": "24070c62a60ea3380d508f4dc2a282d1f6140714aa3765ed632a178e6ce3335f",
+        "history.json":
+            "6333c188f56cf2dc1e9da1bd39c208f7f43a2b77e103565049b19260118fb03f",
+        "report.json":
+            "47d2306765b92bd580912bf3bbc534c39ce1777ba11f62240b0c8bc4f681a4f4",
+        "trace.jsonl":
+            "52cc8bdcc2b0898d3dd236fd3fcdb0fe084128f0b4d3875751af1ed41b4395af",
+    },
+    (200, 30, 0): {
+        "trace": "9c52b438c98bdcb1b099bae99a07ff467e20c1144d3ee4b45e5116af0ebcf6b8",
+        "history.json":
+            "ac0136f858861a602ee77cbe236af85d3311cb740164c0f86177cdc8deaac110",
+        "report.json":
+            "b5feeeb1ba5f296c5bfcb8a50450c9071ee0e9974b6d6b7f581178f30bea2f15",
+        "trace.jsonl":
+            "8571f8fffdff54a39ee8f69a21f7b321e5d90974571324332e044d3af3cd9523",
+    },
+    (200, 30, 1): {
+        "trace": "7d8df56c03996055cfbd2c35b6c4c9f419882a9ec81a0a88616dc96973e65e8e",
+        "history.json":
+            "6c6b14652ae03c52fc540a4e406abd8bff236c51a0f6eb952b317163b581459d",
+        "report.json":
+            "e1d2f816e742edbccf9910b486f22ccf171868d8f92c6ac6cec8dd26ee41e117",
+        "trace.jsonl":
+            "7a4650d3d5b2fd535c392942d48c7657f44a9bf57b77bf3a7145e061ff5cc2bb",
+    },
+    (200, 30, 2): {
+        "trace": "355a3a8dad89665243ed151ec152ad52ab854210c044a752db7fafc56ede807e",
+        "history.json":
+            "eaa9763d84fbb290a51c10ba59c010cca1e1865bd524f999a74783a4a8335c2c",
+        "report.json":
+            "6d29a5e5ceb8d51dbf0a4e9883fe4ad42e68f3a747be0c215be44bba2e54ad6e",
+        "trace.jsonl":
+            "bd673d6feb3bf3ca834ee1b271b26668141c92497828d9b7702c98ba4baa0ade",
+    },
+    (200, 30, 3): {
+        "trace": "9d421bc05c65a1687fbc789206d5febd36f4deefa71b6c4304377c7aa745db50",
+        "history.json":
+            "e3fa69fab7f79aa693e977b48332ce0690e5f0e15efe2b67f1f6d73a197a61d4",
+        "report.json":
+            "27afa12c86ad5f773228629280c579f32f21e28ed4d8a147d33b85e3967418cc",
+        "trace.jsonl":
+            "855efd29b6801cb0368c8d9d7b69c66fa3060328f0f687ad4a75922c002cf2c0",
+    },
+    (600, 12, 0): {
+        "trace": "a746f63899d39eea928971c8fca85d2b71105476eefe1b1b20a08e12a576488e",
+        "history.json":
+            "922d6c78b11295410541e4d8556185df80082582dd79a66269303566142c625c",
+        "report.json":
+            "3fcd4b4bd9fa8f215740a377b23a3f0237dae5e35d79331cfd93db2ea6dfa6fc",
+        "trace.jsonl":
+            "b5a17da514360c9d2aa6638a4692fc362c843848adab126a6904093e803e2e20",
+    },
+    (600, 12, 1): {
+        "trace": "92875bb72ce7ccf813e9eeba9b2421287aa367d49a75a0f8d5604269f0083575",
+        "history.json":
+            "5adcd50a739e76afb209699df8f908a2aa0b3aaab730b7cf46a6d940c9542bf2",
+        "report.json":
+            "bc790ad4e291e249fa2827ca4421e1f6b490d08209998bd42ac5c9e274b6ad38",
+        "trace.jsonl":
+            "9ceac677d990158856fcedcb13f67644548964e0b9b2fafb652382510db813de",
+    },
+    (600, 12, 2): {
+        "trace": "bf3f188d4f400382a80a088ffda968e64fc4d8dfc229bc34fa56bcc8b8abbda1",
+        "history.json":
+            "1f411494be5b2f0f3cefc12ad034f6ed89638949a092e1ab0465574d10e2f65a",
+        "report.json":
+            "860ce8e7f3c8096d1f140516d57a10978650098571fb1d6230ee9197e98b733d",
+        "trace.jsonl":
+            "47c24c5b15e1d389f5d40b1a4203877cae4fcbcfc2e8fd70ba55a76abaa13e61",
+    },
+    (600, 12, 3): {
+        "trace": "6bdea67ca8ab6d854ec9267aab5257ca32bb27185313708dae345be14ceb3411",
+        "history.json":
+            "7d2664995d170d8f0dd5ecdb9e900d77ee2f4310419638c2c6decb94ac0b1b1f",
+        "report.json":
+            "26232e81cf8117ff22456341e3bba61e16f3ee245852e656b428aaf2f041aa20",
+        "trace.jsonl":
+            "f1cf1fc85c020c7c163aea68ed3f63a890ab22d694be2438d206c5c03c5031c6",
+    },
+    (600, 30, 0): {
+        "trace": "7e9df3db223352fea752be579413bdd76e0277848d59430450b4b94d02045c07",
+        "history.json":
+            "26d723b34c8bd9fb86297dba210086625ad2b90327f42a7cc92b719876531f02",
+        "report.json":
+            "4e9429bb0cebcb43c50917a361cdb673e690f7fe7919b12122fa417048b5c19f",
+        "trace.jsonl":
+            "a43196b37d2c430a7d72ea36dd01f205f4b3cd85520a5ea3846a997a47eda2d2",
+    },
+    (600, 30, 1): {
+        "trace": "e9b787ef682107ffa51d8d51243058622aaf6efcfcfed917bbf159652903b9c7",
+        "history.json":
+            "482dff973c97aee43b8654482c49774999bd50a0116f6e296c3fbf9a999a4fe2",
+        "report.json":
+            "5ab68ce26526842ab4f2cc269dcbd287b1dee3925753b6c95a292c046870ec47",
+        "trace.jsonl":
+            "0e7030bd47c90b39d7ece486720f19f73207dfcaa7e33c41e5f6d4c79161f89c",
+    },
+    (600, 30, 2): {
+        "trace": "9f68666e5bcb537b8d9aaf33d1a15a240ddd577631aafdd8865165543e8295c3",
+        "history.json":
+            "750aed74a05eb13963df67a405f9f56dc0f74f88fc9d3d2234cf86b0f435a822",
+        "report.json":
+            "88ccf085b423d7928d965b51d38f423f58e2d8e5d54fe0a2831d8197ac29f2b7",
+        "trace.jsonl":
+            "9789f74c5d8f7207edc171725ab3515997dde5b633e85789016c3a8b67da9561",
+    },
+    (600, 30, 3): {
+        "trace": "9c7808d74a53a5353a03e9a33b738dd3dd7de09c6078f93f1f7d87041c3ec2b8",
+        "history.json":
+            "3b15a7e8ed7d64806b873a7e2a0f786d743ddb7ceadd62f216b407c274e3073f",
+        "report.json":
+            "a8c4a0dc1f6091950d7bb1d6451964ee36b84b66be4d152428b6f05871361b2c",
+        "trace.jsonl":
+            "f9b161ebd870aae451ab213fa0e9ce31b20b2f32e7cc3bd96215a2accfcccf87",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCRAMBLE_STRESS))
+def test_scramble_stress_runs_are_pinned(case, tmp_path):
+    step, ops, seed = case
+    outcome = scramble_stress_outcome(step, ops, seed)
+    (_, result, verdict), = outcome.runs
+    assert verdict.ok and result.quiescent
+    written = digests(write_outputs(tmp_path, outcome))
+    stem = f"scramble-{step}-ops{ops}-{seed}."
+    want = SCRAMBLE_STRESS[case]
+    assert fingerprint(result) == want["trace"]
+    assert written == {stem + suffix: want[suffix]
+                       for suffix in ("history.json", "report.json", "trace.jsonl")}
