@@ -11,6 +11,13 @@ re-read each, and are accepted only if the directory has caught up.
 
 Clients are single-threaded state machines: the simulator delivers one
 message at a time, and at most one operation per client is in flight.
+A metadata driver calls each continuation it is given at most once. A
+writer has one continuation in flight, so each of its continuations
+fires in the phase that issued it and reads the operation from
+``self.ctx``; so does a reader's first directory read. A reader's
+re-reads and digest checks can still be in flight when its operation
+ends, so those continuations carry their operation and drop a stale
+answer.
 The simulator hands each invocation's `history.OpRecord` to the client,
 which sets its timestamp annotations and return value and ends it
 through the port.
@@ -97,22 +104,19 @@ class WriterClient(ClientBase):
             raise HarnessError(f"writer {self.pid} got invocation {op.kind!r}")
         if self.ctx is not None:
             raise HarnessError(f"writer {self.pid} already has an operation in flight")
-        ctx = WriteContext(op)
-        self.ctx = ctx
-        self.driver.tsread(lambda ts, md, ctx=ctx: self._dir_read_done(ctx, ts, md))
+        self.ctx = WriteContext(op)
+        self.driver.tsread(self._dir_read_done)
 
-    def _dir_read_done(self, ctx: WriteContext, ts: Timestamp, md: Metadata | None) -> None:
-        if self.ctx is not ctx or ctx.phase is not READ_DIR:
-            return
+    def _dir_read_done(self, ts: Timestamp, md: Metadata | None) -> None:
+        ctx = self.ctx
         op = ctx.op
         op.ts = ts.next_for(self.cid)
         ctx.phase = WRITE_HASH
         digest = self.digests.digest(op.arg)
-        self.driver.hash_write(op.ts, digest, lambda ctx=ctx: self._hash_written(ctx))
+        self.driver.hash_write(op.ts, digest, self._hash_written)
 
-    def _hash_written(self, ctx: WriteContext) -> None:
-        if self.ctx is not ctx or ctx.phase is not WRITE_HASH:
-            return
+    def _hash_written(self) -> None:
+        ctx = self.ctx
         ctx.phase = WRITE_DATA
         op = ctx.op
         send, me, ts, val = self.port.send, self.pid, op.ts, op.arg
@@ -137,11 +141,10 @@ class WriterClient(ClientBase):
         if len(ctx.acks) >= self.t + 1:
             ctx.phase = WRITE_DIR
             md = Metadata(ts=ts, replicas=frozenset(ctx.acks))
-            self.driver.tswrite(md, lambda ctx=ctx: self._dir_written(ctx))
+            self.driver.tswrite(md, self._dir_written)
 
-    def _dir_written(self, ctx: WriteContext) -> None:
-        if self.ctx is not ctx or ctx.phase is not WRITE_DIR:
-            return
+    def _dir_written(self) -> None:
+        ctx = self.ctx
         send, me, ts = self.port.send, self.pid, ctx.op.ts
         for pid in self.data_pids:
             send(COMMIT, me, pid, ts=ts)
@@ -160,13 +163,11 @@ class ReaderClient(ClientBase):
             raise HarnessError(f"reader {self.pid} got invocation {op.kind!r}")
         if self.ctx is not None:
             raise HarnessError(f"reader {self.pid} already has an operation in flight")
-        ctx = ReadContext(op)
-        self.ctx = ctx
-        self.driver.tsread(lambda ts, md, ctx=ctx: self._dir_read_done(ctx, ts, md))
+        self.ctx = ReadContext(op)
+        self.driver.tsread(self._dir_read_done)
 
-    def _dir_read_done(self, ctx: ReadContext, ts: Timestamp, md: Metadata | None) -> None:
-        if self.ctx is not ctx or ctx.md is not None:
-            return
+    def _dir_read_done(self, ts: Timestamp, md: Metadata | None) -> None:
+        ctx = self.ctx
         if md is None:
             # Nothing written yet: return the absent value.
             ctx.op.ts = TS_INIT

@@ -196,6 +196,6 @@ class ByzMetaReplica(MetaReplica):
                     scrambled.add(Pair(pair.key, "ff" * 32))
                 else:
                     scrambled.add(pair)
-            rs.established = tuple(sorted(scrambled, key=self._order.__getitem__))
+            rs.established = tuple(sorted(scrambled))
         self.trace_note("byz-state-switch")
 

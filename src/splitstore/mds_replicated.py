@@ -38,9 +38,18 @@ snapshot ships; the register's current pair is the tuple's last entry.
 A reader counts each report once, as it arrives: per register it keeps
 the replicas that reported each pair and the highest pair that has
 reached tm + 1 of them. Only the current-key evidence, one entry per
-replica, is recounted on each evaluation. Each process memoizes a pair's
-order key (``PairOrder``), so payload tokens are rendered once per pair,
-not once per comparison.
+replica, is recounted on each evaluation.
+
+Pairs compare as the tuples they are, and their keys decide every
+comparison, because no two pairs that are compared share a key. A
+correct replica establishes only pairs that a client stored or wrote
+back, and those carry one payload per key: a writer stores one record per
+timestamp, a digest index is written once, and a write-back republishes a
+pair that tm + 1 replicas reported. A scramble
+(``faults.ByzMetaReplica``) replaces payloads but keeps keys, so a
+scrambled register's pairs still have distinct keys. And every pair a
+reader confirms has tm + 1 reporters, at least one of them correct, so no
+two confirmed pairs of one register share a key.
 
 A replica takes in every pair, stored, written back or echoed, through
 one method (``_take``). It answers a query with one ``_report`` per
@@ -80,33 +89,10 @@ class Pair(NamedTuple):
 INITIAL_PAIR = Pair(TS_INIT, None)
 
 
-def payload_token(payload: Any) -> str:
-    """Stable ordering/equality token for pair payloads."""
-    if payload is None:
-        return ""
-    if isinstance(payload, Metadata):
-        return f"md:{payload.ts.render()}|{','.join(map(str, sorted(payload.replicas)))}"
-    return f"raw:{payload!r}"
-
-
-def pair_sort_key(pair: Pair) -> tuple:
-    return (pair.key, payload_token(pair.payload))
-
-
 def update_entry(reg: RegisterId, pairs: tuple[Pair, ...], current: Timestamp) -> dict:
     """One entry of a META-UPDATE: ``pairs`` of ``reg`` in pair order, and
     the reporting replica's current key for ``reg``."""
     return {"reg": reg, "pairs": pairs, "current": current}
-
-
-class PairOrder(dict):
-    """One process's memo of ``pair_sort_key``: ``order[pair]`` renders a
-    pair's order key the first time the process meets the pair and looks
-    it up after that."""
-
-    def __missing__(self, pair: Pair) -> tuple:
-        key = self[pair] = pair_sort_key(pair)
-        return key
 
 
 @dataclass
@@ -152,7 +138,6 @@ class MetaReplica(Process):
         self.listeners: dict[tuple[str, int], list[RegisterId]] = {}
         # the digests stored over an authenticated channel, write-once
         self.digests = HashArraySpec()
-        self._order = PairOrder()
 
     # -- message handlers --------------------------------------------------
 
@@ -236,7 +221,7 @@ class MetaReplica(Process):
         rs = self.registers[reg]
         # A copy: an update in flight may hold the old tuple.
         established = list(rs.established)
-        bisect.insort(established, pair, key=self._order.__getitem__)
+        bisect.insort(established, pair)
         rs.established = tuple(established)
         # Pass the pair on even when we only learned it from echoes, so
         # that establishment spreads to every correct replica.
@@ -333,7 +318,6 @@ class ReplicatedMdsDriver:
         self._seq = 0
         self._stores: dict[int, _StoreOp] = {}
         self._reads: dict[int, _ReadOp] = {}
-        self._order = PairOrder()
 
     @property
     def quorum(self) -> int:
@@ -421,16 +405,15 @@ class ReplicatedMdsDriver:
 
         A pair whose key is below the key of its register's best is below
         best in pair order, which compares keys first, so it can never
-        become the best. It is skipped without looking its order up, and
-        ``reporters`` may miss it. Only ``_evaluate_hashread``'s
-        empty-report count reads ``reporters``, and only while best is
-        None, when no pair has been skipped."""
+        become the best. It is skipped uncounted, and ``reporters`` may
+        miss it. Only ``_evaluate_hashread``'s empty-report count reads
+        ``reporters``, and only while best is None, when no pair has been
+        skipped."""
         read = self._reads.get(tag)
         if read is None:
             return  # the read has ended or is writing its pair back
         read.snapshots.add(src)
         confirmed = self.tm + 1
-        order = self._order
         for update in updates:
             reg = update["reg"]
             reporters = read.reporters.setdefault(reg, {})
@@ -445,7 +428,7 @@ class ReplicatedMdsDriver:
                     pids = reporters[pair] = {src}
                 else:
                     pids.add(src)
-                if len(pids) == confirmed and (best is None or order[pair] > order[best]):
+                if len(pids) == confirmed and (best is None or pair > best):
                     best = read.best[reg] = pair
             if update["current"] is not None:
                 read.currents.setdefault(reg, {})[src] = update["current"]
@@ -485,7 +468,7 @@ class ReplicatedMdsDriver:
             )
             if evidence < self.quorum:
                 return  # cannot yet rule out a higher completed store here
-            if best is None or self._order[candidate] > self._order[best]:
+            if best is None or candidate > best:
                 best, best_reg = candidate, reg
         assert best is not None
         if best.key == TS_INIT:

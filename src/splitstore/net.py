@@ -87,10 +87,14 @@ def make_message(kind: MsgKind, src: str, dst: str, **fields: Any) -> Message:
 
 def render_field(value: Any) -> Any:
     """Render a message field or state entry for the JSON trace."""
-    # The value types are the most common fields, so they are tested
-    # before the scalar types, which they never belong to; they are tuples,
-    # so they must also come before the tuple branch.
+    # Plain strs and ints are the most common values, and an exact type
+    # test is cheaper than the isinstance chain; a bool is an int subclass,
+    # so it stays on the chain. The value types come next: they are tuples,
+    # so they must come before the tuple branch.
     if value is None:
+        return value
+    cls = type(value)
+    if cls is str or cls is int:
         return value
     if isinstance(value, Timestamp):
         return value.render()

@@ -16,7 +16,9 @@ step on, while messages it already sent stay in flight (the network does
 not forget). Events for it are dropped in two places and nowhere else:
 `crash()` drops every pending event that targets or invokes the process,
 and `_send` drops each later message to it. So `dispatch` never meets an
-event for a crashed process and does not test for one.
+event for a crashed process and does not test for one. Only a dispatch
+sends, and only to a live process, so a crashed process sends nothing
+and `_send` does not test the sender.
 
 The simulator owns the history and its steps. `invoke_next` creates each
 client operation's `OpRecord` and hands it to the client; a metadata
@@ -640,10 +642,7 @@ class Simulation:
         _, src, dst, _ = msg
         if dst not in self.processes:
             raise HarnessError(f"message to unknown process {dst!r}")
-        crashed = self.crashed
-        if src in crashed:
-            return
-        if dst in crashed:
+        if dst in self.crashed:
             self.events.append((self.step, "drop", "destination-crashed", msg))
             return
         self.seq = seq = self.seq + 1

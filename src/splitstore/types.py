@@ -78,36 +78,30 @@ def render_value(val: bytes | None) -> str | None:
 class HashMode(enum.Enum):
     """How digests are produced.
 
-    ORACLE models an idealized collision-free function as a list of every
-    value ever hashed; the digest is the value's position in that list.
     PRODUCTION uses a real hash. FORGEABLE behaves like PRODUCTION until
     ``forge`` installs a second preimage, which models a broken hash.
     """
 
-    ORACLE = "oracle"
     PRODUCTION = "production"
     FORGEABLE = "forgeable"
 
     def collision_resistant(self) -> bool:
         """True when the mode guarantees distinct values get distinct
         digests, which is what the integrity monitor relies on."""
-        return self in (HashMode.ORACLE, HashMode.PRODUCTION)
+        return self is HashMode.PRODUCTION
 
 
 class DigestFacility:
-    """Produces digests for values and rejects collisions in the
-    collision-resistant modes.
+    """Produces digests for values and rejects collisions when the mode is
+    collision resistant.
 
     One instance is shared by all processes in a run, mirroring a hash
-    function everyone agrees on. In ORACLE mode the instance keeps the
-    list of values seen so far and returns positions, so distinct values
-    can never share a digest. ``forge`` is rejected unless the mode is
+    function everyone agrees on. ``forge`` is rejected unless the mode is
     FORGEABLE.
     """
 
-    def __init__(self, mode: HashMode = HashMode.ORACLE):
+    def __init__(self, mode: HashMode = HashMode.PRODUCTION):
         self.mode = mode
-        self._positions: dict[bytes, int] = {}
         self._forged: dict[bytes, str] = {}
         # digest token -> first value observed for it
         self._first_preimage: dict[str, bytes] = {}
@@ -117,14 +111,10 @@ class DigestFacility:
             raise HarnessError("cannot digest the absent value")
         if not isinstance(value, bytes):
             raise HarnessError(f"values are bytes, got {type(value).__name__}")
-        if self.mode is HashMode.ORACLE:
-            pos = self._positions.setdefault(value, len(self._positions))
-            token = f"h{pos:08d}"
+        if value in self._forged:
+            token = self._forged[value]
         else:
-            if value in self._forged:
-                token = self._forged[value]
-            else:
-                token = hashlib.sha256(value).hexdigest()
+            token = hashlib.sha256(value).hexdigest()
         self._note(token, value)
         return token
 

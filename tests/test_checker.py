@@ -148,6 +148,30 @@ def test_ladder_agrees_with_exhaustive_on_random_histories():
         assert full.passed == lad.passed, [op.render() for op in hist]
 
 
+def test_the_witness_handles_ops_without_a_timestamp():
+    """An accepted read or a complete write without a timestamp fails the
+    witness, and the whole-history search decides; an open write without
+    one never took effect, and the witness drops it."""
+    write, read = W(1, "w1", b"a", 0, 10, 1, 1), R(2, "r1", b"a", 20, 30, 1, 1)
+    read.ts = None
+    res = check_register_linearizable([write, read], small_limit=0)
+    assert res.passed and res.witness == [1, 2]
+    assert res.detail == ("witness failed (read 2 lacks a timestamp annotation); "
+                          "exhaustive fallback passed")
+    write, read = W(1, "w1", b"a", 0, 10, 1, 1), R(2, "r1", b"a", 20, 30, 1, 1)
+    write.ts = None
+    res = check_register_linearizable([write, read], small_limit=0)
+    assert res.passed and res.witness == [1, 2]
+    assert res.detail == ("witness failed (write 1 lacks a timestamp annotation); "
+                          "exhaustive fallback passed")
+    write, read = W(1, "w1", b"a", 0, 10, 1, 1), R(3, "r1", b"a", 20, 30, 1, 1)
+    open_write = W(2, "w2", b"b", 5, None, 1, 2)
+    open_write.ts = None
+    res = check_register_linearizable([write, open_write, read], small_limit=0)
+    assert res.passed and res.witness == [1, 3]
+    assert res.detail == "timestamp witness"
+
+
 def test_a_failing_suspect_pair_does_not_convict_a_repeated_value():
     # The read carries w1's timestamp, so the witness puts it before w2 and
     # fails; but w3 wrote the same value again, and reading it is linearizable.
@@ -465,6 +489,13 @@ def test_read_sandwich_lemma():
     revalidated.md_ts = Timestamp(1, 1)
     revalidated.md2_ts = Timestamp(2, 1)  # second directory read covers it
     assert lemma_read_sandwich([revalidated]).passed
+    unannotated = R(4, "r1", b"a", 0, 10, 1, 1)
+    unannotated.ts = None  # an accepted value without its timestamp
+    assert lemma_read_sandwich([unannotated]).passed is False
+    for ts in (Timestamp(1, 1), Timestamp(3, 1)):  # at or past an end of the bracket
+        outside = R(5, "r1", b"a", 0, 10, *ts)
+        outside.md_ts, outside.md2_ts = Timestamp(1, 1), Timestamp(2, 1)
+        assert lemma_read_sandwich([outside]).passed is False
 
 
 def test_directory_monotone_lemma():

@@ -204,6 +204,22 @@ def test_scenario_file_with_an_unknown_hash_mode_exits_with_config_error(tmp_pat
     assert '"nope"' in err and "Traceback" not in err
 
 
+def test_the_oracle_hash_mode_exits_with_config_error(tmp_path, capsys):
+    """Digests come from a real hash, forgeable or not; "oracle" names no
+    mode, as a flag or in a scenario file."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--hash-mode", "oracle", "--out-dir", str(tmp_path / "flag")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'oracle'" in capsys.readouterr().err
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps({"hash_mode": "oracle"}))
+    assert main(["run", "--scenario-file", str(path), "--out-dir", str(tmp_path / "file")]) == 2
+    assert capsys.readouterr().err == (
+        'configuration error: oracle.json: hash_mode must be one of production, forgeable,'
+        ' got "oracle"\n')
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["oracle.json"]
+
+
 def test_scenario_file_with_an_ill_typed_scalar_exits_with_config_error(tmp_path, capsys):
     for spec, field in (({"fairness": "8"}, "fairness"), ({"ops": True}, "ops"),
                         ({"d": 3.0}, "d"), ({"fifo": 1}, "fifo")):

@@ -1,8 +1,16 @@
 """End-to-end behavior of writer and reader clients, driven through small
 scripted simulations so the schedules are explicit."""
-from splitstore.net import MsgKind
+import itertools
+from collections import Counter, defaultdict
+
+from splitstore.client import ReaderClient, WritePhase, WriterClient
+from splitstore.history import OpRecord
+from splitstore.mds_oracle import DIR_PID, HASH_PID, OracleMdsDriver
+from splitstore.mds_replicated import ReplicatedMdsDriver
+from splitstore.net import MsgKind, make_message
+from splitstore.scenarios import SCENARIO_NAMES, random_config, run_scenario
 from splitstore.simnet import Config, Match, run
-from splitstore.types import Timestamp
+from splitstore.types import DigestFacility, Metadata, Timestamp
 
 
 def one_shot_config(**kw):
@@ -143,3 +151,82 @@ def test_crash_after_directory_write_leaves_the_value_readable():
     res = run(cfg, script=script)
     reads = [op for op in res.history if op.kind == "READ"]
     assert reads[0].ret == b"v"
+
+
+def test_a_reply_without_a_value_is_noted_and_the_read_completes_elsewhere(probe):
+    """A READ-VAL at the directory's timestamp that carries no value is
+    noted as readval-absent-value and starts no digest read; the read then
+    completes from another replica's reply."""
+    digests = DigestFacility()
+    reader = probe.attach(ReaderClient("r1", 3, digests, ["d1", "d2", "d3"], t=1))
+    reader.driver = OracleMdsDriver(reader)
+    op = OpRecord(op_id=1, client="r1", kind="READ", arg=None, invoke=0)
+    reader.invoke(op)
+    (dir_read,) = probe.take_sent()
+    md = Metadata(ts=Timestamp(1, 1), replicas=frozenset({1, 2}))
+    reader.on_message(make_message(MsgKind.DIR_READ_RESP, DIR_PID, "r1",
+                                   tag=dir_read.fields["tag"], ts=md.ts, md=md))
+    assert [(m.kind, m.dst) for m in probe.take_sent()] == [
+        (MsgKind.READ, "d1"), (MsgKind.READ, "d2")]
+    reader.on_message(make_message(MsgKind.READ_VAL, "d1", "r1", ts=md.ts, val=None))
+    assert probe.notes == [("r1", "readval-absent-value", {"ts": md.ts})]
+    assert probe.sent == [] and reader.ctx is not None
+    reader.on_message(make_message(MsgKind.READ_VAL, "d2", "r1", ts=md.ts, val=b"v"))
+    (hash_read,) = probe.take_sent()
+    assert hash_read.kind is MsgKind.HASH_READ and hash_read.fields["index"] == md.ts
+    reader.on_message(make_message(MsgKind.HASH_READ_RESP, HASH_PID, "r1",
+                                   tag=hash_read.fields["tag"], digest=digests.digest(b"v")))
+    assert probe.ended[-1] is op and reader.ctx is None
+    assert (op.ret, op.ts, op.md_ts, op.md2_ts) == (b"v", md.ts, md.ts, None)
+
+
+# A writer's driver calls in the order it makes them, with the phase the
+# writer is in while each is in flight.
+WRITER_CALLS = {"tsread": WritePhase.READ_DIR, "hash_write": WritePhase.WRITE_HASH,
+                "tswrite": WritePhase.WRITE_DIR}
+
+
+def test_each_driver_continuation_fires_at_most_once_and_in_phase_order(monkeypatch):
+    """Over random_config 0-59 in both metadata modes and every scenario, a
+    metadata driver calls each continuation it is given at most once, and
+    a writer's continuations fire in phase order, each while the writer is
+    in the phase that made the call. So a writer's continuations need no
+    staleness guard."""
+    ids = itertools.count()
+    fired = Counter()  # continuation id -> calls
+    order = defaultdict(list)  # (run, writer) -> its calls, as their continuations fire
+
+    def tracked(call, name):
+        def track(driver, *args):
+            *request, done = args
+            owner, key = driver.owner, next(ids)
+
+            def once(*result):
+                fired[key] += 1
+                assert fired[key] == 1, (owner.pid, name)
+                if isinstance(owner, WriterClient):
+                    ctx = owner.ctx
+                    assert ctx is not None and ctx.phase is WRITER_CALLS[name], (
+                        owner.pid, name, ctx)
+                    order[runs, owner.pid].append(name)
+                done(*result)
+
+            call(driver, *request, once)
+        return track
+
+    for cls in (OracleMdsDriver, ReplicatedMdsDriver):
+        for name in ("tsread", "tswrite", "hash_write", "hash_read"):
+            monkeypatch.setattr(cls, name, tracked(getattr(cls, name), name))
+    runs = 0
+    for seed in range(60):
+        for mode in ("oracle", "replicated"):
+            runs += 1
+            run(random_config(seed, mds_mode=mode))
+    for name in SCENARIO_NAMES:
+        runs += 1
+        run_scenario(name, 0)
+    cycle = list(WRITER_CALLS)
+    for calls in order.values():
+        assert calls == (cycle * len(calls))[:len(calls)], calls
+    assert max(fired.values()) == 1 and len(fired) > 3000, len(fired)
+    assert max(len(calls) for calls in order.values()) >= 3 * 3  # three whole writes

@@ -10,7 +10,7 @@ from splitstore.faults import (
     FABRICATED_CID, ByzMetaReplica, ByzStrategy, CrashSpec,
 )
 from splitstore.mds_replicated import (
-    INITIAL_PAIR, MetaReplica, Pair, ReplicatedMdsDriver, pair_sort_key,
+    INITIAL_PAIR, MetaReplica, Pair, ReplicatedMdsDriver,
 )
 from splitstore.history import DirOpRecord
 from splitstore.net import MsgKind, Port, Process, make_message
@@ -19,6 +19,22 @@ from splitstore.simnet import Config, run
 from splitstore.types import TS_INIT, HarnessError, Metadata, Timestamp
 
 CLIENTS = {"w1": 1, "w2": 2, "r1": 3}
+
+
+def payload_token(payload):
+    """A string token for a pair's payload, for the reference order."""
+    if payload is None:
+        return ""
+    if isinstance(payload, Metadata):
+        return f"md:{payload.ts.render()}|{','.join(map(str, sorted(payload.replicas)))}"
+    return f"raw:{payload!r}"
+
+
+def pair_sort_key(pair):
+    """The tests' reference pair order: the key, then the payload's token.
+    It is total, so it also orders pairs that share a key, which the
+    service never compares; where keys differ it is the tuple order."""
+    return (pair.key, payload_token(pair.payload))
 
 
 class Router:
@@ -345,18 +361,22 @@ class DriverOwner:
         self.sent.append((msg.kind, msg.dst, dict(msg.fields)))
 
 
-def pair_pool(scope, writer_cids):
-    """Candidate pairs per register: equal keys with different payloads,
-    a key-only initial pair and a pair no writer stored."""
+def pair_pool(scope, writer_cids, liar):
+    """Candidate pairs per register: a key-only initial pair, stored pairs
+    and a pair no writer stored. A liar's pool also holds each stored key
+    with other payloads, as a scrambled replica reports it. At most tm
+    replicas lie, so, as in a run, no two pairs that reach tm + 1
+    reporters share a key."""
     if scope != "dir":
         index = scope[1]
-        return {scope: [Pair(index, d * 32) for d in ("aa", "bb", "ff")]}
+        digests = ("aa", "bb", "ff") if liar else ("aa",)
+        return {scope: [Pair(index, d * 32) for d in digests]}
     pool = {}
     for cid in writer_cids:
         pairs = [INITIAL_PAIR]
         for num in (1, 2, 3):
             ts = Timestamp(num, cid)
-            for replicas in ({1, 2}, {2, 3}):
+            for replicas in ({1, 2}, {2, 3}) if liar else ({1, 2},):
                 pairs.append(Pair(ts, Metadata(ts=ts, replicas=frozenset(replicas))))
         fake = Timestamp(999, 99)
         pairs.append(Pair(fake, Metadata(ts=fake, replicas=frozenset({1}))))
@@ -379,7 +399,7 @@ def random_updates(rng, pool, sent_before, sparse):
         elif roll < sparse + 0.2 and sent_before.get(reg):
             pairs = tuple(rng.sample(sent_before[reg], k=min(2, len(sent_before[reg]))))
         else:
-            pairs = tuple(rng.sample(pool[reg], k=rng.randint(1, 3)))
+            pairs = tuple(rng.sample(pool[reg], k=rng.randint(1, min(3, len(pool[reg])))))
         sent_before.setdefault(reg, []).extend(pairs)
         roll = rng.random()
         if roll < 0.05:
@@ -426,11 +446,12 @@ def test_incremental_read_evaluation_matches_a_recount(tm, op):
             driver.hash_read(scope[1], lambda *args: done_calls.append(args))
         tag = owner.sent[0][2]["tag"]
         reference = RecountRead(tm, writer_cids, scope)
-        pool = pair_pool(scope, writer_cids)
+        pools = {pid: pair_pool(scope, writer_cids, liar=pid in meta_pids[-tm:])
+                 for pid in meta_pids}
         sent_before = {pid: {} for pid in meta_pids}
         for step in range(40):
             src = rng.choice(meta_pids)
-            updates = random_updates(rng, pool, sent_before[src], sparse)
+            updates = random_updates(rng, pools[src], sent_before[src], sparse)
             reference.add(src, updates)
             driver.handle(make_message(MsgKind.META_UPDATE, src, "r1", tag=tag, updates=updates))
             want = reference.decision()
@@ -594,17 +615,36 @@ def test_replicas_report_established_pairs_in_pair_order(monkeypatch):
     replica sends lists its pairs strictly ascending in pair order, and in
     a query's reply its current is the last pair's key, or TS_INIT when it
     lists none. Every honest replica's final state keeps the same rule. A
-    scrambled replica's entries are still ascending."""
+    scrambled replica's entries are still ascending. In every honest or
+    scrambled entry keys strictly increase, and no two pairs that tm + 1
+    replicas report to one read share a key: the service compares pairs
+    as tuples, and these are why keys decide every comparison."""
     send, final_state = Port.send, MetaReplica.final_state
     byz = {}  # pid -> strategy, for the run in progress
     queried = set()  # (replica, client, tag) of each query not yet answered
+    reporters = {}  # (client, tag, reg, pair) -> replicas that reported it
+    confirmed = {}  # (client, tag, reg, key) -> the pair tm + 1 replicas reported
+    tm = 1
     seen = Counter()
 
     def ascending(pairs):
         keys = [pair_sort_key(p) for p in pairs]
         return all(a < b for a, b in zip(keys, keys[1:]))
 
+    def confirm(src, dst, tag, entry):
+        reg = entry["reg"]
+        for pair in entry["pairs"]:
+            pids = reporters.setdefault((dst, tag, reg, pair), set())
+            pids.add(src)
+            if len(pids) == tm + 1:
+                other = confirmed.setdefault((dst, tag, reg, pair.key), pair)
+                assert other == pair, (dst, tag, reg, other, pair)
+                seen["confirmed"] += 1
+
     def send_checked(port, kind, src, dst, **fields):
+        if kind is MsgKind.META_UPDATE:
+            for entry in fields["updates"]:
+                confirm(src, dst, fields["tag"], entry)
         if kind is MsgKind.META_QUERY:
             queried.add((dst, src, fields["tag"]))
         elif kind is MsgKind.META_UPDATE and byz.get(src) in (None, ByzStrategy.STATE_SWITCH):
@@ -613,6 +653,7 @@ def test_replicas_report_established_pairs_in_pair_order(monkeypatch):
             for entry in fields["updates"]:
                 pairs = entry["pairs"]
                 assert ascending(pairs), (src, entry)
+                assert all(a.key < b.key for a, b in zip(pairs, pairs[1:])), (src, entry)
                 if byz.get(src) is not None:
                     seen["scrambled"] += any(
                         p.key != TS_INIT and p.payload in SCRAMBLED for p in pairs)
@@ -641,13 +682,16 @@ def test_replicas_report_established_pairs_in_pair_order(monkeypatch):
         cfg = random_config(seed)
         if cfg.mds_mode != "replicated":
             continue
+        assert cfg.tm == tm
         byz.clear()
         byz.update(cfg.byz_meta)
         strategies.update(cfg.byz_meta.values())
         queried.clear()
+        reporters.clear()
+        confirmed.clear()
         run(cfg)
     assert strategies == set(ByzStrategy)
-    assert min(seen.values()) > 0 and len(seen) == 4, seen
+    assert min(seen.values()) > 0 and len(seen) == 5, seen
 
 
 # -- full-system runs ---------------------------------------------------------

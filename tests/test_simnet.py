@@ -78,8 +78,10 @@ def test_a_config_that_cannot_run_is_a_config_error(config, says):
 
 
 def test_an_unknown_hash_mode_is_a_config_error():
-    with pytest.raises(ConfigError, match="unknown hash mode 'sha1'; expected one of oracle, "):
-        Config(hash_mode="sha1")
+    for mode in ("sha1", "oracle"):
+        with pytest.raises(ConfigError, match=(
+                f"unknown hash mode '{mode}'; expected one of production, forgeable$")):
+            Config(hash_mode=mode)
     assert Config(hash_mode="forgeable").hash_mode is HashMode.FORGEABLE
 
 
@@ -587,13 +589,15 @@ def test_a_sent_message_does_not_alias_the_senders_dict(probe):
 
 def test_every_message_carries_its_senders_pid(monkeypatch):
     """Channels are authenticated: each message's src is the process whose
-    handler or invocation the simulator is dispatching when it is sent."""
-    dispatching = []
+    handler or invocation the simulator is dispatching when it is sent,
+    and that process has not crashed, in random runs and in the scripted
+    scenarios. So `_send` need not test the sender."""
+    dispatching = []  # (simulation, pid) of each dispatch in progress
     dispatch, send = Simulation.dispatch, Port.send
 
     def dispatch_tracking(sim, delivery):
         msg = delivery.msg
-        dispatching.append(delivery.pid if msg is None else msg.dst)
+        dispatching.append((sim, delivery.pid if msg is None else msg.dst))
         try:
             dispatch(sim, delivery)
         finally:
@@ -603,15 +607,21 @@ def test_every_message_carries_its_senders_pid(monkeypatch):
 
     def send_checked(port, kind, src, dst, **fields):
         nonlocal sends
-        assert dispatching and src == dispatching[-1], (kind, src, dst)
+        assert dispatching, (kind, src, dst)
+        sim, pid = dispatching[-1]
+        assert src == pid and src not in sim.crashed, (kind, src, dst)
         sends += 1
         send(port, kind, src, dst, **fields)
 
     monkeypatch.setattr(Simulation, "dispatch", dispatch_tracking)
     monkeypatch.setattr(Port, "send", send_checked)
+    crashed = 0
     for seed in range(60):
-        run(random_config(seed))
-    assert sends > 0
+        crashed += len(run(random_config(seed)).crashed)
+    for name in SCENARIO_NAMES:
+        for _, result, _ in run_scenario(name, 0).runs:
+            crashed += len(result.crashed)
+    assert sends > 0 and crashed > 0
 
 
 # -- the collector ---------------------------------------------------------------

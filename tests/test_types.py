@@ -53,8 +53,8 @@ def test_metadata_render():
 
 
 # The value-type contract. Set iteration order, dict order and therefore
-# traces depend on these hashes; `payload_token` and
-# `MetaReplica.final_state` depend on these reprs.
+# traces depend on these hashes; `MetaReplica.final_state` depends on
+# these reprs.
 
 VALUES = [
     Timestamp(3, 2),
@@ -122,12 +122,6 @@ class TestDigestFacility:
         )
         assert d.collision_resistant()
 
-    def test_oracle_mode_is_injective_by_construction(self):
-        d = DigestFacility(HashMode.ORACLE)
-        assert d.digest(b"x") != d.digest(b"y")
-        assert d.digest(b"x") == d.digest(b"x")
-        assert d.collision_resistant()
-
     def test_forgeable_mode_accepts_planted_collisions(self):
         d = DigestFacility(HashMode.FORGEABLE)
         target = d.digest(b"real")
@@ -135,7 +129,7 @@ class TestDigestFacility:
         assert d.digest(b"fake") == target
         assert not d.collision_resistant()
 
-    @pytest.mark.parametrize("mode", [HashMode.PRODUCTION, HashMode.ORACLE])
+    @pytest.mark.parametrize("mode", [HashMode.PRODUCTION])
     def test_forgery_requires_forgeable_mode(self, mode):
         d = DigestFacility(mode)
         with pytest.raises(HarnessError):
