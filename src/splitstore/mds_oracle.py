@@ -149,7 +149,9 @@ class OracleMdsDriver:
 
     Each call sends one request and resolves the continuation when the
     matching response arrives; the owner routes inbound metadata messages
-    here. Its `DirOpLog` records operation intervals for the checker.
+    here. The oracle answers each request once (a rejected write not at
+    all), so a response always finds its call pending. Its `DirOpLog`
+    records operation intervals for the checker.
     """
 
     def __init__(self, owner: Process):
@@ -186,10 +188,7 @@ class OracleMdsDriver:
         kind, _, _, fields = msg
         if kind not in RESPONSE_KINDS:
             return False
-        entry = self._pending.pop(fields["tag"], None)
-        if entry is None:
-            return True  # response for a superseded operation
-        rec, done = entry
+        rec, done = self._pending.pop(fields["tag"])
         if kind is DIR_READ_RESP:
             result = {"ts": fields["ts"], "md": fields["md"]}
         elif kind is HASH_READ_RESP:

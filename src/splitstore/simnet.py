@@ -74,10 +74,13 @@ What one step costs.
 - Bound kinds: no per-message path looks a member up on an enum class
   (see `net.MsgKind`).
 - The collector sleeps through the loop: `run()` pauses it, so the
-  growing event list is not walked over and over, and collects the young
-  generations once on the way out. `finish` breaks the run's two
-  reference cycles (each process drops its port, each client its
-  driver), so a dropped `RunResult` is freed by reference counting.
+  growing event list is not walked over and over. On the way out the
+  run's objects move to the oldest generation without being walked: a
+  collection there could free nothing, because the simulation still
+  holds everything the run made and a run makes no cyclic garbage.
+  `finish` breaks the run's two reference cycles (each process drops its
+  port, each client its driver), so a dropped `RunResult` is freed by
+  reference counting.
 - A run without faults pays one dict lookup per step for the timed
   entries and one loop over an empty list per dispatch for the watched
   crashes. `ready` and `pending` are mutated in place and never rebound,
@@ -785,12 +788,16 @@ class Simulation:
 
         The loop pauses the cyclic garbage collector, a global side effect:
         nothing in the interpreter is collected meanwhile. The caller's
-        collector state is restored in a `finally`. If it was on, the
-        collection the loop deferred runs here, before `finish`, as one
-        pass over the two young generations. That charges it to this run
-        and moves the run's objects straight to the oldest generation;
-        left to the thresholds, a young pass here and a middle-generation
-        pass in the caller's next allocations would each walk them.
+        collector state is restored in a `finally`. If it was on and the
+        loop returned, `gc.freeze()` then `gc.unfreeze()` move every tracked
+        object, the run's included, to the oldest generation without walking
+        them, and zero the generations' counts; left to the thresholds, a
+        young pass here and a middle-generation pass in the caller's next
+        allocations would each walk them. No collection is needed here, as
+        it could free nothing: the simulation still holds every message,
+        delivery and record of the run, and a run makes no cyclic garbage
+        (`finish` breaks its two cycles). A further side effect: objects
+        the caller had frozen are thawed into the oldest generation too.
         """
         for pid in sorted(self.queues):
             if self.queues[pid]:
@@ -828,7 +835,8 @@ class Simulation:
             if collecting:
                 gc.enable()
         if collecting:
-            gc.collect(1)
+            gc.freeze()
+            gc.unfreeze()
         return self.finish(quiescent)
 
     # -- wrap-up ------------------------------------------------------------

@@ -5,10 +5,13 @@ from splitstore.mds_oracle import (
     DirectoryOracle,
     HashArrayOracle,
     HashArraySpec,
+    RESPONSE_KINDS,
     OracleMdsDriver,
     TimestampedStore,
 )
 from splitstore.net import MsgKind, Process, make_message
+from splitstore.scenarios import SCENARIO_NAMES, random_config, run_scenario
+from splitstore.simnet import run
 from splitstore.types import TS_INIT, HarnessError, Metadata, Timestamp
 
 
@@ -185,8 +188,40 @@ def test_oracle_driver_records_each_call_and_its_response(probe):
     ]
     # each response ends the record its call began
     assert all(ended is probe.begun[i] for ended, i in zip(probe.ended, (3, 1, 0, 2)))
-    # a second response to a finished call is consumed and ignored; the
-    # data plane's messages are not the driver's
-    assert driver.handle(make_message(MsgKind.DIR_WRITE_RESP, "dir", "r1", tag=2))
+    # the oracle answers each request once, so a second response to a
+    # finished call is a harness fault, not something to skip; the data
+    # plane's messages are not the driver's
+    with pytest.raises(KeyError):
+        driver.handle(make_message(MsgKind.DIR_WRITE_RESP, "dir", "r1", tag=2))
     assert not driver.handle(make_message(MsgKind.READ_VAL, "d1", "r1", ts=md.ts, val=b"v"))
     assert len(probe.begun) == len(probe.ended) == len(done) == 4 and not probe.sent
+
+
+def test_every_oracle_request_is_answered_at_most_once_and_only_while_pending(monkeypatch):
+    """The directory and the digest array answer each request once, and a
+    rejected write not at all, so every response the driver meets finds its
+    call pending and no call is answered twice. This is why `handle` pops
+    the tag without a default: there is no superseded call to skip."""
+    handle = OracleMdsDriver.handle
+    answered: dict[int, tuple[OracleMdsDriver, set[int]]] = {}
+    responses = 0
+
+    def handle_checked(driver, msg):
+        nonlocal responses
+        kind, _, _, fields = msg
+        if kind in RESPONSE_KINDS:
+            # the driver stays referenced, so its id is not reused
+            _, tags = answered.setdefault(id(driver), (driver, set()))
+            tag = fields["tag"]
+            assert tag not in tags, (driver.owner.pid, kind, tag)
+            assert tag in driver._pending, (driver.owner.pid, kind, tag)
+            tags.add(tag)
+            responses += 1
+        return handle(driver, msg)
+
+    monkeypatch.setattr(OracleMdsDriver, "handle", handle_checked)
+    for seed in range(60):
+        run(random_config(seed, mds_mode="oracle"))
+    for name in SCENARIO_NAMES:
+        run_scenario(name)
+    assert responses > 0

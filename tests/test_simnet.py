@@ -656,32 +656,50 @@ def test_a_dropped_run_leaves_no_cyclic_garbage():
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
 def test_run_pauses_the_collector_and_restores_the_callers_state(enabled, fails):
-    sim = Simulation(build_world(Config(seed=0)))
-    if fails:
-        del sim.processes["d3"]  # the first write to d3 then raises
-    collecting = []
-    dispatch = sim.dispatch
-
-    def dispatch_watching(delivery):
-        collecting.append(gc.isenabled())
-        dispatch(delivery)
-
-    sim.dispatch = dispatch_watching
-    was = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
+    """The loop runs with the collector off and `run()` starts no
+    collection of generation 1 or 2: a finished run's objects reach the
+    oldest generation unwalked, and nothing stays frozen. A generation-0
+    pass may still start from `finish`'s allocations. Checked on the
+    oracle, replicated and `random_config` shapes."""
+    for config in (Config(seed=0), Config(seed=0, mds_mode="replicated"), random_config(15)):
+        sim = Simulation(build_world(config))
         if fails:
-            with pytest.raises(HarnessError, match="unknown process 'd3'"):
-                sim.run()
-        else:
-            result = sim.run()
-            assert result.quiescent
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
-    assert collecting and not any(collecting)
-    if enabled and not fails:
-        # The deferred collection ran as one pass that moved the run's
-        # objects to the oldest generation.
-        msg = next(e[3] for e in result.trace.entries() if isinstance(e, tuple))
-        assert any(o is msg for o in gc.get_objects(generation=2))
+            del sim.processes["d3"]  # the first write to d3 then raises
+        collecting = []
+        dispatch = sim.dispatch
+
+        def dispatch_watching(delivery):
+            collecting.append(gc.isenabled())
+            dispatch(delivery)
+
+        sim.dispatch = dispatch_watching
+        started = []
+
+        def watch(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        gc.callbacks.append(watch)
+        try:
+            if fails:
+                with pytest.raises(HarnessError, match="unknown process 'd3'"):
+                    sim.run()
+            else:
+                result = sim.run()
+                assert result.quiescent
+            assert gc.isenabled() is enabled
+        finally:
+            gc.callbacks.remove(watch)
+            (gc.enable if was else gc.disable)()
+        assert collecting and not any(collecting)
+        assert gc.get_freeze_count() == 0
+        if not fails:
+            assert set(started) <= {0}, (config.mds_mode, started)
+        # A run that raises moves nothing: once the collector is back on,
+        # its thresholds may start a collection of any generation.
+        if enabled and not fails:
+            # The run's objects were moved to the oldest generation.
+            msg = next(e[3] for e in result.trace.entries() if isinstance(e, tuple))
+            assert any(o is msg for o in gc.get_objects(generation=2))
