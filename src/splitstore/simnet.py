@@ -791,7 +791,7 @@ class Simulation:
         collector state is restored in a `finally`. If it was on and the
         loop returned, `gc.freeze()` then `gc.unfreeze()` move every tracked
         object, the run's included, to the oldest generation without walking
-        them, and zero the generations' counts; left to the thresholds, a
+        them, and zero generation 0's count; left to the thresholds, a
         young pass here and a middle-generation pass in the caller's next
         allocations would each walk them. No collection is needed here, as
         it could free nothing: the simulation still holds every message,

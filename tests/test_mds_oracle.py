@@ -2,10 +2,10 @@ import pytest
 
 from splitstore.history import DirOpRecord
 from splitstore.mds_oracle import (
+    RESPONSE_KINDS,
     DirectoryOracle,
     HashArrayOracle,
     HashArraySpec,
-    RESPONSE_KINDS,
     OracleMdsDriver,
     TimestampedStore,
 )
@@ -203,20 +203,15 @@ def test_every_oracle_request_is_answered_at_most_once_and_only_while_pending(mo
     call pending and no call is answered twice. This is why `handle` pops
     the tag without a default: there is no superseded call to skip."""
     handle = OracleMdsDriver.handle
-    answered: dict[int, tuple[OracleMdsDriver, set[int]]] = {}
-    responses = 0
+    answered: set[tuple[OracleMdsDriver, int]] = set()
 
     def handle_checked(driver, msg):
-        nonlocal responses
         kind, _, _, fields = msg
         if kind in RESPONSE_KINDS:
-            # the driver stays referenced, so its id is not reused
-            _, tags = answered.setdefault(id(driver), (driver, set()))
             tag = fields["tag"]
-            assert tag not in tags, (driver.owner.pid, kind, tag)
+            assert (driver, tag) not in answered, (driver.owner.pid, kind, tag)
             assert tag in driver._pending, (driver.owner.pid, kind, tag)
-            tags.add(tag)
-            responses += 1
+            answered.add((driver, tag))
         return handle(driver, msg)
 
     monkeypatch.setattr(OracleMdsDriver, "handle", handle_checked)
@@ -224,4 +219,4 @@ def test_every_oracle_request_is_answered_at_most_once_and_only_while_pending(mo
         run(random_config(seed, mds_mode="oracle"))
     for name in SCENARIO_NAMES:
         run_scenario(name)
-    assert responses > 0
+    assert answered

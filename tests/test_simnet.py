@@ -695,10 +695,10 @@ def test_run_pauses_the_collector_and_restores_the_callers_state(enabled, fails)
             (gc.enable if was else gc.disable)()
         assert collecting and not any(collecting)
         assert gc.get_freeze_count() == 0
+        # A run that raises skips the freeze: once the collector is back
+        # on, its thresholds may start a collection of any generation.
         if not fails:
             assert set(started) <= {0}, (config.mds_mode, started)
-        # A run that raises moves nothing: once the collector is back on,
-        # its thresholds may start a collection of any generation.
         if enabled and not fails:
             # The run's objects were moved to the oldest generation.
             msg = next(e[3] for e in result.trace.entries() if isinstance(e, tuple))
