@@ -123,7 +123,7 @@ def write_outputs(out_dir: Path, outcome: ScenarioOutcome) -> list[Path]:
                 "label": label,
                 "config": result.config.render(),
             }) + "\n")
-            fh.writelines(result.trace.lines())
+            fh.writelines(result.trace_lines())
         written.append(trace_path)
         history_path = out_dir / f"{run_stem}.history.json"
         history_payload = {

@@ -215,7 +215,7 @@ class MetaReplica(Process):
             send(META_ECHO, me, peer, reg=reg, key=key, payload=payload, storers=storers)
 
     def _maybe_establish(self, reg: RegisterId, pair: Pair, st: _PairState) -> None:
-        if st.established or len(st.echoes) < self.tm + 1:
+        if len(st.echoes) < self.tm + 1:  # `_take` never passes an established pair
             return
         st.established = True
         rs = self.registers[reg]
@@ -430,8 +430,7 @@ class ReplicatedMdsDriver:
                     pids.add(src)
                 if len(pids) == confirmed and (best is None or pair > best):
                     best = read.best[reg] = pair
-            if update["current"] is not None:
-                read.currents.setdefault(reg, {})[src] = update["current"]
+            read.currents.setdefault(reg, {})[src] = update["current"]
         self._evaluate(read)
 
     # -- read evaluation ----------------------------------------------------

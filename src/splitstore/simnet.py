@@ -87,8 +87,8 @@ What one step costs.
   which is why `run()` may hold them in locals.
 
 Nothing is rendered while a run is simulated, and a message's two trace
-events allocate nothing. `Simulation.events` is a log that `Trace` alone
-decodes. Its entries are:
+events allocate nothing. `Simulation.events` is a log that
+`RunResult.trace_lines` alone decodes. Its entries are:
 
 - a `Delivery`: the send of its message, at its `created_step`. It is
   the pending event the scheduler built in `_send`, recorded as is;
@@ -98,20 +98,19 @@ decodes. Its entries are:
   rare, so they keep a tuple of their own;
 - a dict: every other entry. Its values are raw, as the run gave them:
   a note's payload, an invocation's written value, a response's returned
-  value and a final entry's state. `render_event` renders every value of
-  the entry with `render_field`.
+  value and a final entry's state. Each is rendered by `render_field`
+  when its line is written.
 
 The decoder relies on this pairing: no other entry is an int, and a
 `Delivery` in the log is a send unless an int comes right before it.
 Every message that is sent appears twice, at its send and at its
 deliver, drop or undelivered event, and a delivered message always has
-its send before it. `RunResult.trace` decodes and renders the log one
-entry at a time as it is iterated, and `RunResult.final_states` renders
-the final states when first read, so runs whose trace nobody reads never
-pay for rendering.
+its send before it. `RunResult.final_states` renders the final states
+when first read, so runs whose trace nobody writes never pay for
+rendering.
 
-`Trace.lines()` is the one writer of the trace file's JSON lines, and it
-decodes the log inline. It encodes each message's body once and splices
+`RunResult.trace_lines()` yields the trace file's JSON lines, the one
+rendered form of a trace. It encodes each message's body once and splices
 it into both of the message's lines. It keeps a body only while its
 message is in flight, so its memory is bounded by the pending messages,
 not by the length of the trace. A body is written by `message_body`
@@ -416,12 +415,9 @@ def build_world(config: Config) -> World:
     return World(config, processes, clients, digests, workload)
 
 
-# An entry of `Simulation.events`, which only `Trace` decodes (see the
-# module docstring).
+# An entry of `Simulation.events`, which only `RunResult.trace_lines`
+# decodes (see the module docstring).
 Event = dict | Delivery | int | tuple[int, str, str | None, Message]
-# A decoded trace entry, unrendered: a dict, or (step, ev, reason, msg)
-# for an event that carries a message.
-Entry = dict | tuple[int, str, str | None, Message]
 
 
 # A trace-file line without its newline: compact, sort-keys JSON. One
@@ -457,12 +453,14 @@ def _body_format(kind: MsgKind, names: tuple[str, ...]) -> tuple[str, Callable]:
 
 
 def message_body(msg: Message) -> str:
-    """`json_line(msg.render())`, written straight from the message's fields.
+    """A message's body in the trace file, written straight from its
+    fields. Its bytes are those of `json_line(msg.render())`, the reference
+    it is tested against; `render` itself is never called.
 
     Strings, ints, None, timestamps and bytes are encoded inline; any
-    other field value (no protocol message carries a bool) is rendered and
-    encoded as `render` does. The header's src and dst are pids, so they
-    are strings."""
+    other field value (no protocol message carries a bool) is rendered by
+    `render_field` and encoded by `json_line`, as `render` does. The
+    header's src and dst are pids, so they are strings."""
     kind, src, dst, fields = msg
     template, pick = _body_format(kind, tuple(fields))
     values = [_ascii(src), _ascii(dst)]
@@ -485,65 +483,30 @@ def message_body(msg: Message) -> str:
     return template % pick(values)
 
 
-def render_event(entry: Entry) -> dict:
-    """A decoded trace entry in plain JSON types, as a new dict."""
-    if isinstance(entry, dict):
-        return {key: render_field(value) for key, value in entry.items()}
-    step, ev, reason, msg = entry
-    out: dict = {"step": step, "ev": ev}
-    if reason is not None:
-        out["reason"] = reason
-    out["msg"] = msg.render()
-    return out
+@dataclass
+class RunResult:
+    config: Config
+    steps: int
+    quiescent: bool
+    events: list[Event]  # decoded by `trace_lines` alone
+    history: list[OpRecord]
+    dir_ops: list[DirOpRecord]
+    snapshots: dict[str, dict]  # pid -> the process's final_state(), unrendered
+    crashed: set[str]
 
+    def trace_lines(self) -> Iterator[str]:
+        """Yield the trace file's lines, one per entry of the event log,
+        each a `json_line` with its newline.
 
-class Trace:
-    """A run's trace, decoded from its event log and rendered one entry at
-    a time as it is iterated.
-
-    `Trace` is the only decoder of `RunResult.events` (its format is in
-    the module docstring). Nothing rendered is kept, so each iteration
-    renders afresh; the entries are the same on every pass. `entries()`
-    yields them decoded but unrendered. `lines()` yields the same entries
-    as the trace file's JSON lines without rendering a message: it encodes
-    each message's body once with `message_body`, for the message's two
-    lines, and keeps it only while the message is in flight, so its memory
-    is bounded by the pending messages.
-    """
-
-    def __init__(self, events: list[Event]):
-        self._events = events
-
-    def __iter__(self) -> Iterator[dict]:
-        return map(render_event, self.entries())
-
-    def entries(self) -> Iterator[Entry]:
-        """Yield each entry unrendered: a dict, or (step, ev, reason, msg)
-        for a send, deliver, drop or undelivered event."""
-        events = iter(self._events)
-        for event in events:
-            cls = type(event)
-            if cls is Delivery:
-                yield event[1], "send", None, event[2]
-            elif cls is int:
-                yield event, "deliver", None, next(events)[2]
-            else:
-                yield event
-
-    def lines(self) -> Iterator[str]:
-        """Yield each entry as `json_line(render_event(e)) + "\n"`.
-
-        The log is decoded here, inline, not through `entries()`: this loop
-        writes every trace file. A body is encoded by `message_body` at its
-        message's send, kept in `bodies` and popped at the deliver, drop or
-        undelivered event that closes the message. A message dropped as it
-        is sent has no send event, so its drop line encodes its body and
-        does not keep it.
+        A body is encoded by `message_body` at its message's send, kept in
+        `bodies` and popped at the deliver, drop or undelivered event that
+        closes the message. A message dropped as it is sent has no send
+        event, so its drop line encodes its body and does not keep it.
         """
         # Keyed by id: a Message holds a mapping proxy and is unhashable, and
         # the event list keeps every message alive, so no id is reused.
         bodies: dict[int, str] = {}
-        events = iter(self._events)
+        events = iter(self.events)
         for event in events:
             cls = type(event)
             # The keys in sort order: ev, msg, reason, step. ev and reason are
@@ -556,7 +519,7 @@ class Trace:
                 msg = next(events)[2]
                 yield f'{{"ev":"deliver","msg":{bodies.pop(id(msg))},"step":{event}}}\n'
             elif cls is dict:
-                yield json_line(render_event(event)) + "\n"
+                yield json_line({k: render_field(v) for k, v in event.items()}) + "\n"
             else:
                 step, ev, reason, msg = event
                 body = bodies.pop(id(msg), None) or message_body(msg)
@@ -564,22 +527,6 @@ class Trace:
                     yield f'{{"ev":"{ev}","msg":{body},"step":{step}}}\n'
                 else:
                     yield f'{{"ev":"{ev}","msg":{body},"reason":"{reason}","step":{step}}}\n'
-
-
-@dataclass
-class RunResult:
-    config: Config
-    steps: int
-    quiescent: bool
-    events: list[Event]  # decoded by `Trace` alone
-    history: list[OpRecord]
-    dir_ops: list[DirOpRecord]
-    snapshots: dict[str, dict]  # pid -> the process's final_state(), unrendered
-    crashed: set[str]
-
-    @property
-    def trace(self) -> Trace:
-        return Trace(self.events)
 
     @functools.cached_property
     def final_states(self) -> dict[str, dict]:

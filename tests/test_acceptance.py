@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from conftest import trace_entries
 from splitstore.checker import (
     check_register_exhaustive,
     check_register_linearizable,
@@ -104,7 +105,7 @@ def test_criterion_5_garbage_collection_leaves_one_value_per_replica():
         outcome = run_scenario("gc-quiescence", seed)
         assert outcome.passed, outcome.summary()
         label, result, verdict = outcome.runs[0]
-        for entry in result.trace:
+        for entry in trace_entries(result):
             proc = entry.get("proc", "")
             is_data_replica = proc.startswith("d") and proc[1:].isdigit()
             if entry["ev"] != "final" or not is_data_replica:

@@ -3,6 +3,7 @@ scripted simulations so the schedules are explicit."""
 import itertools
 from collections import Counter, defaultdict
 
+from conftest import trace_entries
 from splitstore.client import ReaderClient, WritePhase, WriterClient
 from splitstore.history import OpRecord
 from splitstore.mds_oracle import DIR_PID, HASH_PID, OracleMdsDriver
@@ -61,7 +62,7 @@ def test_response_does_not_wait_for_commit_delivery():
 
     res = run(one_shot_config(), script=script)
     assert res.history[0].ret == "OK"
-    leftover = [e for e in res.trace if e["ev"] == "undelivered"]
+    leftover = [e for e in trace_entries(res) if e["ev"] == "undelivered"]
     assert any(e["msg"]["kind"] == "COMMIT" for e in leftover)
 
 
@@ -79,7 +80,7 @@ def test_read_of_untouched_register_returns_no_value():
 def test_readers_never_store_values_back():
     res = run(Config(seed=5, writers=2, readers=2, ops=3))
     reader_pids = {"r1", "r2"}
-    for entry in res.trace:
+    for entry in trace_entries(res):
         if entry["ev"] != "send":
             continue
         msg = entry["msg"]

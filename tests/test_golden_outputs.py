@@ -29,6 +29,7 @@ import json
 
 import pytest
 
+from conftest import fingerprint
 from splitstore.checker import check_run
 from splitstore.cli import main, write_outputs
 from splitstore.faults import ByzStrategy
@@ -705,8 +706,9 @@ def test_cli_one_off_runs_are_pinned(case, tmp_path):
 # m4 that scrambles at step 60, 200 or 600, ops 12 and 30, seeds 0-3. Their
 # keys pass 9 and the scrambled payloads carry client id 99, which no run
 # above reaches, so they pin how pairs order where keys and payloads have
-# two or more digits. Each case pins the run's trace fingerprint (as in
-# test_golden_traces.py) and the files `write_outputs` writes for it.
+# two or more digits. Each case pins the run's trace fingerprint
+# (`conftest.fingerprint`, as in test_golden_traces.py) and the files
+# `write_outputs` writes for it.
 def scramble_stress_outcome(step: int, ops: int, seed: int) -> ScenarioOutcome:
     config = Config(
         seed=seed, ops=ops, mds_mode="replicated", max_steps=200_000,
@@ -720,14 +722,6 @@ def scramble_stress_outcome(step: int, ops: int, seed: int) -> ScenarioOutcome:
         expectation="a scrambling metadata replica is tolerated",
         runs=[("run", result, verdict)],
     )
-
-
-def fingerprint(result) -> str:
-    h = hashlib.sha256()
-    for entry in result.trace:
-        h.update(json.dumps(entry, sort_keys=True, separators=(",", ":")).encode())
-        h.update(b"\n")
-    return h.hexdigest()
 
 
 SCRAMBLE_STRESS = {

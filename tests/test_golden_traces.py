@@ -1,34 +1,25 @@
-"""Golden trace fingerprints: sha256 digests of rendered traces for a fixed
+"""Golden trace fingerprints: sha256 digests of written traces for a fixed
 set of runs.
 
 The determinism tests in test_simnet.py compare a run with itself, so they
 cannot notice a refactor that changes behaviour. These digests can: they
 were taken before the scheduler and trace recorder were rewritten for
 speed, and a change to the simulator passes only if every one of them still
-matches. A digest covers every trace entry as a compact, sort-keys JSON
-line, which is the byte content of the trace file that `write_outputs`
-writes after its header line.
+matches. A digest (`conftest.fingerprint`) hashes the lines of
+`RunResult.trace_lines()`: every trace entry as a compact, sort-keys JSON
+line, the bytes of the trace file that `write_outputs` writes after its
+header line.
 
 Do not regenerate a digest to make a test pass. A mismatch means the run's
 behaviour or its trace format changed; if that is intended, say so in the
 change that updates the digest.
 """
-import hashlib
-import json
-
 import pytest
 
+from conftest import fingerprint, trace_entries
 from splitstore.faults import CrashSpec
 from splitstore.scenarios import SCENARIOS, random_config, run_scenario
 from splitstore.simnet import Config, run
-
-
-def fingerprint(result) -> str:
-    h = hashlib.sha256()
-    for entry in result.trace:
-        h.update(json.dumps(entry, sort_keys=True, separators=(",", ":")).encode())
-        h.update(b"\n")
-    return h.hexdigest()
 
 
 # Seeds 0-59 are one full period of random_config's fault plans, half of
@@ -176,7 +167,7 @@ def test_fixed_config_trace_is_pinned(name):
 @pytest.mark.parametrize("name", sorted(AFTER_OPS))
 def test_after_ops_crash_trace_is_pinned(name):
     result = run(after_ops_config(name))
-    dropped = [e for e in result.trace if e["ev"] == "drop" and e.get("kind") == "invoke"]
+    dropped = [e for e in trace_entries(result) if e["ev"] == "drop" and e.get("kind") == "invoke"]
     assert result.crashed == {name.split("-")[0]} and len(dropped) == 1
     assert fingerprint(result) == AFTER_OPS[name]
 

@@ -15,7 +15,7 @@ from splitstore.mds_replicated import (
 from splitstore.history import DirOpRecord
 from splitstore.net import MsgKind, Port, Process, make_message
 from splitstore.scenarios import random_config
-from splitstore.simnet import Config, run
+from splitstore.simnet import Config, Simulation, build_world, run
 from splitstore.types import TS_INIT, HarnessError, Metadata, Timestamp
 
 CLIENTS = {"w1": 1, "w2": 2, "r1": 3}
@@ -308,8 +308,7 @@ class RecountRead:
             reg = update["reg"]
             pairs = self.reports.setdefault(reg, {}).setdefault(src, set())
             pairs.update(update["pairs"])
-            if update["current"] is not None:
-                self.currents.setdefault(reg, {})[src] = update["current"]
+            self.currents.setdefault(reg, {})[src] = update["current"]
 
     def confirmed(self, reg):
         counts = Counter()
@@ -402,9 +401,7 @@ def random_updates(rng, pool, sent_before, sparse):
             pairs = tuple(rng.sample(pool[reg], k=rng.randint(1, min(3, len(pool[reg])))))
         sent_before.setdefault(reg, []).extend(pairs)
         roll = rng.random()
-        if roll < 0.05:
-            current = None
-        elif roll < sparse:
+        if roll < sparse:
             current = TS_INIT
         else:
             current = rng.choice([p.key for p in pool[reg]])
@@ -618,7 +615,10 @@ def test_replicas_report_established_pairs_in_pair_order(monkeypatch):
     scrambled replica's entries are still ascending. In every honest or
     scrambled entry keys strictly increase, and no two pairs that tm + 1
     replicas report to one read share a key: the service compares pairs
-    as tuples, and these are why keys decide every comparison."""
+    as tuples, and these are why keys decide every comparison. Every
+    entry of every replica, Byzantine ones included, carries a `Timestamp`
+    current, as `update_entry` builds it, so the driver takes each current
+    without testing it for None."""
     send, final_state = Port.send, MetaReplica.final_state
     byz = {}  # pid -> strategy, for the run in progress
     queried = set()  # (replica, client, tag) of each query not yet answered
@@ -632,6 +632,7 @@ def test_replicas_report_established_pairs_in_pair_order(monkeypatch):
         return all(a < b for a, b in zip(keys, keys[1:]))
 
     def confirm(src, dst, tag, entry):
+        assert type(entry["current"]) is Timestamp, (src, entry)
         reg = entry["reg"]
         for pair in entry["pairs"]:
             pids = reporters.setdefault((dst, tag, reg, pair), set())
@@ -694,6 +695,33 @@ def test_replicas_report_established_pairs_in_pair_order(monkeypatch):
     assert min(seen.values()) > 0 and len(seen) == 5, seen
 
 
+def test_only_a_pair_not_yet_established_can_establish(monkeypatch):
+    """`_take` acks an established pair's storers and returns, so
+    `_maybe_establish`, which only `_take` calls, never meets an
+    established pair."""
+    take, maybe_establish = MetaReplica._take, MetaReplica._maybe_establish
+    seen = Counter()
+
+    def take_counting(rep, reg, pair, storers, echoer=None):
+        rs = rep.registers.get(reg)
+        st = rs.pairs.get(pair) if rs is not None else None
+        seen["intake of an established pair"] += st is not None and st.established
+        take(rep, reg, pair, storers, echoer)
+
+    def maybe_establish_checked(rep, reg, pair, st):
+        assert not st.established, (rep.pid, reg, pair)
+        maybe_establish(rep, reg, pair, st)
+        seen["established" if st.established else "still short of echoes"] += 1
+
+    monkeypatch.setattr(MetaReplica, "_take", take_counting)
+    monkeypatch.setattr(MetaReplica, "_maybe_establish", maybe_establish_checked)
+    for seed in range(1, 240):
+        cfg = random_config(seed)
+        if cfg.mds_mode == "replicated":
+            run(cfg)
+    assert len(seen) == 3 and min(seen.values()) > 0, seen
+
+
 # -- full-system runs ---------------------------------------------------------
 
 
@@ -752,3 +780,27 @@ def test_seed_2333_stale_snapshot_read_is_directory_linearizable():
     assert res.config.mds_mode == "replicated"
     verdict = check_run(res)
     assert verdict.ok, verdict.failed()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: a replica can take a read's META-UNSUB before that read's "
+    "META-QUERY; the unsubscribe is then a no-op and the late query subscribes "
+    "the finished read for the rest of the run (152 listeners left over 68 "
+    "replicated runs, every one from this race)"
+))
+def test_a_finished_read_leaves_no_listener_at_a_live_replica():
+    configs = [cfg for cfg in (random_config(seed) for seed in range(1, 120, 2))
+               if cfg.mds_mode == "replicated"]
+    configs += [replicated_config(seed=seed, ops=30) for seed in range(8)]
+    for cfg in configs:
+        world = build_world(cfg)
+        result = Simulation(world).run()
+        assert result.quiescent  # no META-UNSUB is left in flight
+        finished = {(op.proc, op.tag) for op in result.dir_ops
+                    if op.op in ("tsread", "hashread") and op.complete}
+        left = [
+            (pid, key) for pid, proc in sorted(world.processes.items())
+            if isinstance(proc, MetaReplica) and pid not in result.crashed
+            for key in proc.listeners if key in finished
+        ]
+        assert left == [], (cfg.seed, cfg.ops, left)

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import trace_entries
 from splitstore.scenarios import (
     SCENARIO_NAMES,
     random_config,
@@ -61,7 +62,7 @@ def test_garbage_collection_scenario():
     outcome = run_scenario("gc-quiescence", 0)
     assert outcome.passed, outcome.summary()
     label, result, verdict = outcome.runs[0]
-    finals = {e["proc"]: e for e in result.trace if e["ev"] == "final"}
+    finals = {e["proc"]: e for e in trace_entries(result) if e["ev"] == "final"}
     for pid in ("d1", "d2", "d3"):
         state = finals[pid]["state"]
         assert len(state["data"]) == 1

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import decode_events, trace_entries
 from splitstore import history, net, simnet, types
 from splitstore.faults import ByzStrategy, CrashSpec
 from splitstore.net import MsgKind, Port, Process, render_field
@@ -15,9 +16,7 @@ from splitstore.types import ConfigError, HarnessError, HashMode
 
 
 def trace_bytes(result):
-    return "\n".join(
-        json.dumps(e, sort_keys=True, separators=(",", ":")) for e in result.trace
-    ).encode()
+    return "".join(result.trace_lines()).encode()
 
 
 def test_same_seed_same_trace():
@@ -93,8 +92,9 @@ def test_metadata_replicas_follow_3tm_plus_1_only():
 def test_a_run_cut_by_max_steps_traces_its_undelivered_invocations():
     res = run(Config(seed=0, max_steps=1))
     assert (res.steps, res.quiescent) == (1, False)
-    invoked = [e["client"] for e in res.trace if e["ev"] == "invoke"]
-    left = [e["payload"]["pid"] for e in res.trace
+    entries = trace_entries(res)
+    invoked = [e["client"] for e in entries if e["ev"] == "invoke"]
+    left = [e["payload"]["pid"] for e in entries
             if e["ev"] == "undelivered" and e.get("kind") == "invoke"]
     assert len(invoked) == 1
     assert sorted(left + invoked) == ["r1", "r2", "w1", "w2"]
@@ -154,8 +154,9 @@ def test_crashed_process_goes_silent():
     cfg = Config(seed=8, ops=3, crashes=(CrashSpec(process="d1", at_step=crash_at),))
     res = run(cfg)
     assert "d1" in res.crashed
-    crash_step = next(e["step"] for e in res.trace if e["ev"] == "crash" and e["proc"] == "d1")
-    for entry in res.trace:
+    entries = trace_entries(res)
+    crash_step = next(e["step"] for e in entries if e["ev"] == "crash" and e["proc"] == "d1")
+    for entry in entries:
         if entry["ev"] == "deliver" and entry["msg"]["dst"] == "d1":
             assert entry["step"] <= crash_step
         if entry["ev"] == "send" and entry["msg"]["src"] == "d1":
@@ -184,14 +185,14 @@ def test_messages_in_flight_survive_the_sender_crash():
     # d2 received the write even though w1 was gone by then
     assert any(
         e["ev"] == "deliver" and e["msg"]["dst"] == "d2" and e["msg"]["kind"] == "WRITE"
-        for e in res.trace
+        for e in trace_entries(res)
     )
 
 
 def test_fifo_channels_deliver_in_send_order():
     res = run(Config(seed=6, ops=3, fifo=True))
     sends: dict[tuple, list] = {}
-    for entry in res.trace:
+    for entry in trace_entries(res):
         if entry["ev"] not in ("send", "deliver"):
             continue
         msg = entry["msg"]
@@ -213,7 +214,7 @@ def test_fairness_bounds_message_age():
     # longer than the backlog that piles up while overdue events drain
     send_steps: dict[str, int] = {}
     worst = 0
-    for entry in res.trace:
+    for entry in trace_entries(res):
         if entry["ev"] == "send":
             send_steps[json.dumps(entry["msg"], sort_keys=True)] = entry["step"]
         elif entry["ev"] == "deliver":
@@ -230,7 +231,7 @@ def test_adversary_actions_fire_at_their_step():
         adversary=(AdversaryAction(step=10, process="d3", action="corrupt-all"),),
     )
     res = run(cfg)
-    assert [e["step"] for e in res.trace if e["ev"] == "adversary"] == [10]
+    assert [e["step"] for e in trace_entries(res) if e["ev"] == "adversary"] == [10]
 
 
 STATE_SWITCH_D3 = {"d3": ByzStrategy.STATE_SWITCH}
@@ -273,7 +274,7 @@ def test_planned_adversary_actions_on_byzantine_replicas_are_valid():
 
 
 def steps_of(result, ev, **match):
-    return [e["step"] for e in result.trace
+    return [e["step"] for e in trace_entries(result)
             if e["ev"] == ev and all(e.get(k) == v for k, v in match.items())]
 
 
@@ -288,7 +289,7 @@ def test_a_config_step_crash_fires_at_its_step_under_a_script():
     res = run(cfg, script)
     assert res.crashed == {"d1"}
     assert steps_of(res, "crash", proc="d1") == [3]
-    assert not [e for e in res.trace if e["ev"] == "deliver" and e["step"] >= 3
+    assert not [e for e in trace_entries(res) if e["ev"] == "deliver" and e["step"] >= 3
                 and e["msg"]["dst"] == "d1"]
 
 
@@ -331,7 +332,7 @@ def test_latency_table_covers_completed_ops():
 
 def test_final_states_are_rendered_into_the_trace():
     res = run(Config(seed=1, ops=1))
-    finals = [e for e in res.trace if e["ev"] == "final"]
+    finals = [e for e in trace_entries(res) if e["ev"] == "final"]
     assert {e["proc"] for e in finals} >= {"d1", "d2", "d3", "dir", "hash"}
     payload = json.dumps(finals, sort_keys=True)  # must be plain JSON types
     assert "Timestamp" not in payload
@@ -367,7 +368,7 @@ def test_an_untraced_run_renders_nothing(monkeypatch):
     # states, and its trace's written and returned values.
     assert results[0].final_states and rendered
     rendered.clear()
-    assert list(results[0].trace) and bytes in rendered
+    assert trace_entries(results[0]) and bytes in rendered
 
 
 def test_final_states_are_those_rendered_as_the_run_ends():
@@ -383,7 +384,8 @@ def test_final_states_are_those_rendered_as_the_run_ends():
             proc.final_state = snapshot
         result = Simulation(world).run()
         assert result.final_states == eager
-        assert {e["proc"]: e["state"] for e in result.trace if e["ev"] == "final"} == eager
+        finals = [e for e in trace_entries(result) if e["ev"] == "final"]
+        assert {e["proc"]: e["state"] for e in finals} == eager
 
 
 def test_each_send_entry_is_at_the_step_its_send_ran(monkeypatch):
@@ -400,7 +402,7 @@ def test_each_send_entry_is_at_the_step_its_send_ran(monkeypatch):
     sent_at = {id(msg): step for msg, step in sends}
     checked = 0
     for result in results:
-        for entry in result.trace.entries():
+        for entry in decode_events(result):
             if isinstance(entry, tuple) and entry[1] == "send":
                 step, _ev, _reason, msg = entry
                 assert step == sent_at[id(msg)], msg
@@ -533,7 +535,7 @@ def test_every_message_and_note_passes_through_the_port(port_call_counts, mds_mo
         res = run(Config(seed=seed, ops=3, readers=3, mds_mode=mds_mode, fifo=fifo,
                          byz_data=mute))
         assert res.quiescent and not res.crashed
-        events = [e["ev"] for e in res.trace]
+        events = [e["ev"] for e in trace_entries(res)]
         sends += events.count("send")
         notes += events.count("note")
     assert sends > 0 and notes > 0
@@ -701,5 +703,5 @@ def test_run_pauses_the_collector_and_restores_the_callers_state(enabled, fails)
             assert set(started) <= {0}, (config.mds_mode, started)
         if enabled and not fails:
             # The run's objects were moved to the oldest generation.
-            msg = next(e[3] for e in result.trace.entries() if isinstance(e, tuple))
+            msg = next(e[3] for e in decode_events(result) if isinstance(e, tuple))
             assert any(o is msg for o in gc.get_objects(generation=2))

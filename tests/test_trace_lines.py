@@ -1,28 +1,47 @@
-"""`Trace.lines()` against a plain re-encoding of every rendered entry,
-and `message_body` against `json_line(msg.render())` for every message.
+"""`RunResult.trace_lines()` against a reference rendering of every
+logged entry, and `message_body` against `json_line(msg.render())` for
+every message.
 
-`lines()` encodes a message's body once, at its send, keeps it while the
-message is in flight and splices it into the send line and the line that
-closes the message. Each case below is a way a message's life can end
-that the cache must survive. Besides the bytes, every case checks that
-the cache holds exactly one body per message in flight after each line
-and nothing at the end, which is what bounds the writer's memory.
+The reference shares nothing with the writer but `render_field`:
+`conftest.decode_events` decodes the event log from its documented format,
+`Message.render` renders each message, and `json.dumps` encodes each
+entry. `trace_lines()` encodes a message's body once, at its send, keeps
+it while the message is in flight and splices it into the send line and
+the line that closes the message. Each case below is a way a message's
+life can end that the cache must survive. Besides the bytes, every case
+checks that the cache holds exactly one body per message in flight after
+each line and nothing at the end, which is what bounds the writer's
+memory.
 """
 import json
 from types import MappingProxyType
 
+import pytest
+
+from conftest import decode_events
+from splitstore.checker import check_run
+from splitstore.cli import write_outputs
 from splitstore.faults import FABRICATED_CID, ByzStrategy
-from splitstore.net import Message, MsgKind
-from splitstore.scenarios import SCENARIO_NAMES, random_config, run_scenario
-from splitstore.simnet import Config, Match, json_line, message_body, render_event, run
+from splitstore.net import Message, MsgKind, render_field
+from splitstore.scenarios import (
+    SCENARIO_NAMES, ScenarioOutcome, random_config, run_scenario, scenario_random,
+)
+from splitstore.simnet import Config, Match, json_line, message_body, run
 from splitstore.types import NIL, Timestamp
 
 
 def reference_lines(result) -> list[str]:
-    return [
-        json.dumps(render_event(e), sort_keys=True, separators=(",", ":")) + "\n"
-        for e in result.trace.entries()
-    ]
+    lines = []
+    for entry in decode_events(result):
+        if isinstance(entry, dict):
+            rendered = {key: render_field(value) for key, value in entry.items()}
+        else:
+            step, ev, reason, msg = entry
+            rendered = {"step": step, "ev": ev, "msg": msg.render()}
+            if reason is not None:
+                rendered["reason"] = reason
+        lines.append(json.dumps(rendered, sort_keys=True, separators=(",", ":")) + "\n")
+    return lines
 
 
 def in_flight_after_each(entries) -> list[int]:
@@ -41,18 +60,18 @@ def in_flight_after_each(entries) -> list[int]:
 
 def assert_lines_match(result) -> None:
     lines, cached = [], []
-    writer = result.trace.lines()
+    writer = result.trace_lines()
     for line in writer:
         bodies = writer.gi_frame.f_locals["bodies"]  # its body cache, paused at a yield
         lines.append(line)
         cached.append(len(bodies))
     assert lines == reference_lines(result)
-    assert cached == in_flight_after_each(result.trace.entries())
+    assert cached == in_flight_after_each(decode_events(result))
     assert bodies == {}
 
 
 def message_events(result, ev: str) -> list[tuple]:
-    return [e for e in result.trace.entries() if not isinstance(e, dict) and e[1] == ev]
+    return [e for e in decode_events(result) if not isinstance(e, dict) and e[1] == ev]
 
 
 def test_a_message_dropped_at_its_send():
@@ -83,7 +102,7 @@ def test_a_crash_drops_pending_messages_and_invocations():
     crash_drops = [e for e in message_events(result, "drop") if e[2] == "target-crashed"]
     assert crash_drops and all(id(e[3]) in sent for e in crash_drops)
     assert any(e["ev"] == "drop" and e["reason"] == "target-crashed"
-               for e in result.trace.entries() if isinstance(e, dict))
+               for e in decode_events(result) if isinstance(e, dict))
     assert_lines_match(result)
 
 
@@ -104,7 +123,7 @@ def test_random_runs_with_notes_and_faults():
     notes = 0
     for seed in range(12):
         result = run(random_config(seed))
-        notes += sum(1 for e in result.trace.entries()
+        notes += sum(1 for e in decode_events(result)
                      if isinstance(e, dict) and e["ev"] == "note")
         assert_lines_match(result)
     assert notes
@@ -119,7 +138,7 @@ def test_message_body_matches_the_rendered_message():
     kinds, fabricated, checked = set(), set(), 0
     for result in results:
         seen = set()
-        for event in result.trace.entries():
+        for event in decode_events(result):
             if isinstance(event, dict) or id(event[3]) in seen:
                 continue
             msg = event[3]
@@ -160,3 +179,24 @@ def test_message_body_on_hand_built_messages():
     for fields in cases:
         msg = Message(MsgKind.WRITE, "w1", "d1", MappingProxyType(fields))
         assert message_body(msg) == json_line(msg.render())
+
+
+def test_the_writer_never_renders_a_message(monkeypatch, tmp_path):
+    # Message.render is the reference above, not a writer: every output
+    # file is written with it raising.
+    def refuse(msg):
+        raise AssertionError(f"rendered {msg.kind.value} through Message.render")
+
+    monkeypatch.setattr(Message, "render", refuse)
+    outcomes = [scenario_random(seed) for seed in range(60)]
+    outcomes += [run_scenario(name, 0) for name in SCENARIO_NAMES]
+    long_run = run(Config(seed=0, writers=4, readers=4, ops=50))  # the cli-long shape
+    outcomes.append(ScenarioOutcome(
+        name="cli-long", seed=0, passed=True, expectation="benchmark shape",
+        runs=[("run", long_run, check_run(long_run))],
+    ))
+    for outcome in outcomes:
+        write_outputs(tmp_path, outcome)
+    msg = next(e[3] for e in decode_events(long_run) if not isinstance(e, dict))
+    with pytest.raises(AssertionError, match="rendered"):
+        msg.render()  # the patch was in place
