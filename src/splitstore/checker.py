@@ -64,7 +64,6 @@ violating pair, so quadratic work is spent only on failing histories.
 from __future__ import annotations
 
 import json
-import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -72,7 +71,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .history import DirOpRecord, OpRecord
 from .mds_oracle import TimestampedStore
-from .types import HarnessError, Timestamp, TS_INIT
+from .types import HarnessError, Timestamp
 
 SMALL_LIMIT = 8  # histories this small skip the witness
 NODE_BUDGET = 500_000  # search nodes per search
@@ -416,11 +415,6 @@ def check_register_linearizable(
     return CheckResult("linearizable", order is not None, detail, counterexample, witness)
 
 
-def check_register_exhaustive(ops: Sequence[OpRecord]) -> CheckResult:
-    """Ground-truth linearizability: the search alone, whatever the size."""
-    return check_register_linearizable(ops, small_limit=len(ops))
-
-
 # -- directory (timestamped store) checking ----------------------------------
 
 
@@ -473,7 +467,7 @@ def _directory_witness(ops: list[DirOpRecord]) -> tuple[list, str, list]:
 
 _DIRECTORY = _Spec(
     step=_directory_step,
-    init=(TS_INIT, None),
+    init=TimestampedStore.INITIAL,
     order_key=lambda o: o.invoke,
     is_write=lambda o: o.op == "tswrite",
     value=lambda o: (o.ts, o.md),
@@ -637,64 +631,3 @@ def check_run(result: Any) -> Verdict:
         )
     )
     return verdict
-
-
-# -- randomized self-validation ------------------------------------------------
-
-
-def random_history(rng: random.Random, max_ops: int = 6) -> list[OpRecord]:
-    """Small register histories with protocol-shaped annotations, plus a
-    sprinkling of corrupted ones, for witness/exhaustive agreement runs."""
-    n = rng.randint(1, max_ops)
-    clients = [f"c{i}" for i in range(1, rng.randint(2, 4) + 1)]
-    clock = {c: 0 for c in clients}
-    exhausted: set[str] = set()
-    ops: list[OpRecord] = []
-    writes: list[OpRecord] = []
-    ts_num = 0
-    for op_id in range(1, n + 1):
-        available = [c for c in clients if c not in exhausted]
-        if not available:
-            break
-        client = rng.choice(available)
-        invoke = clock[client] + rng.randint(1, 4)
-        open_op = rng.random() < 0.15
-        response = None if open_op else invoke + rng.randint(1, 8)
-        if open_op:
-            exhausted.add(client)
-        else:
-            clock[client] = response
-        if rng.random() < 0.5:
-            ts_num += 1
-            ts = Timestamp(ts_num, int(client[1:]))
-            if rng.random() < 0.08:
-                ts = Timestamp(rng.randint(1, 3), int(client[1:]))  # possible duplicate
-            op = OpRecord(
-                op_id=op_id, client=client, kind="WRITE",
-                arg=bytes([96 + ts_num]), invoke=invoke, response=response,
-                ret="OK" if response is not None else None, ts=ts,
-            )
-            writes.append(op)
-        else:
-            if not writes or rng.random() < 0.3:
-                op = OpRecord(
-                    op_id=op_id, client=client, kind="READ", arg=None,
-                    invoke=invoke, response=response, ret=None, ts=TS_INIT,
-                )
-            else:
-                src = rng.choice(writes)
-                ret: bytes | None = src.arg
-                ts = src.ts
-                if rng.random() < 0.12:
-                    ret = b"z"  # corrupted value
-                if rng.random() < 0.08:
-                    ts = Timestamp(ts.num + 7, ts.cid)  # fabricated timestamp
-                if response is None:
-                    ret = None
-                op = OpRecord(
-                    op_id=op_id, client=client, kind="READ", arg=None,
-                    invoke=invoke, response=response,
-                    ret=ret if response is not None else None, ts=ts,
-                )
-        ops.append(op)
-    return ops

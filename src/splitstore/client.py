@@ -20,7 +20,9 @@ ends, so those continuations carry their operation and drop a stale
 answer.
 The simulator hands each invocation's `history.OpRecord` to the client,
 which sets its timestamp annotations and return value and ends it
-through the port.
+through the port. A reader's operation in flight is that record itself:
+its ``md_ts`` stays None until the first directory read answers, and
+then holds the timestamp of the record the read fetches against.
 """
 from __future__ import annotations
 
@@ -59,12 +61,6 @@ class WriteContext:
     acks: set[int] = field(default_factory=set)
 
 
-@dataclass
-class ReadContext:
-    op: OpRecord
-    md: Metadata | None = None
-
-
 class ClientBase(Process):
     """Shared plumbing: id mapping, driver routing, history records."""
 
@@ -82,7 +78,8 @@ class ClientBase(Process):
         self.data_pids = data_pids
         self.t = t
         self.driver: Any = None  # bound by build_world, dropped by Simulation.finish
-        self.ctx: WriteContext | ReadContext | None = None  # the operation in flight
+        # the operation in flight: a writer's context, a reader's record
+        self.ctx: WriteContext | OpRecord | None = None
 
     def replica_index(self, pid: str) -> int:
         return self.data_pids.index(pid) + 1
@@ -163,21 +160,20 @@ class ReaderClient(ClientBase):
             raise HarnessError(f"reader {self.pid} got invocation {op.kind!r}")
         if self.ctx is not None:
             raise HarnessError(f"reader {self.pid} already has an operation in flight")
-        self.ctx = ReadContext(op)
+        self.ctx = op
         self.driver.tsread(self._dir_read_done)
 
     def _dir_read_done(self, ts: Timestamp, md: Metadata | None) -> None:
-        ctx = self.ctx
+        op = self.ctx
         if md is None:
             # Nothing written yet: return the absent value.
-            ctx.op.ts = TS_INIT
-            ctx.op.md_ts = ts
+            op.ts = TS_INIT
+            op.md_ts = ts
             self.ctx = None
-            self.respond(ctx.op, None)
+            self.respond(op, None)
             return
         ts, replicas = md
-        ctx.md = md
-        ctx.op.md_ts = ts
+        op.md_ts = ts
         send, me = self.port.send, self.pid
         for index in sorted(replicas):
             send(READ, me, self.replica_pid(index), ts=ts)
@@ -190,69 +186,69 @@ class ReaderClient(ClientBase):
             self._on_read_val(src, fields["ts"], fields["val"])
 
     def _on_read_val(self, src: str, ts: Timestamp, val: bytes | None) -> None:
-        ctx = self.ctx
-        if ctx is None or ctx.md is None:
+        op = self.ctx
+        if op is None or op.md_ts is None:
             return
-        md_ts = ctx.md.ts
+        md_ts = op.md_ts
         if ts == md_ts:
-            self._check(ctx, ts, val, md2_ts=None)
+            self._check(op, ts, val, md2_ts=None)
         elif ts > md_ts:
             # The replica is ahead of the directory record we hold. Re-read
             # the directory once for this reply; accept only if it caught up.
             self.driver.tsread(
-                lambda ts2, md2, ctx=ctx, ts=ts, val=val: self._revalidate(ctx, ts, val, ts2, md2)
+                lambda ts2, md2, op=op, ts=ts, val=val: self._revalidate(op, ts, val, ts2, md2)
             )
         else:
             self.trace_note("readval-below-directory", ts=ts, src=src)
 
     def _revalidate(
         self,
-        ctx: ReadContext,
+        op: OpRecord,
         ts: Timestamp,
         val: bytes | None,
         dir_ts: Timestamp,
         md2: Metadata | None,
     ) -> None:
-        if self.ctx is not ctx:
+        if self.ctx is not op:
             return
         if md2 is not None and md2.ts >= ts:
-            self._check(ctx, ts, val, md2_ts=md2.ts)
+            self._check(op, ts, val, md2_ts=md2.ts)
         else:
             self.trace_note("readval-discarded", ts=ts, dir_ts=dir_ts)
 
     def _check(
-        self, ctx: ReadContext, ts: Timestamp, val: bytes | None, md2_ts: Timestamp | None
+        self, op: OpRecord, ts: Timestamp, val: bytes | None, md2_ts: Timestamp | None
     ) -> None:
         if val is None:
             self.trace_note("readval-absent-value", ts=ts)
             return
         self.driver.hash_read(
             ts,
-            lambda digest, ctx=ctx, ts=ts, val=val, md2_ts=md2_ts: self._check_done(
-                ctx, ts, val, md2_ts, digest
+            lambda digest, op=op, ts=ts, val=val, md2_ts=md2_ts: self._check_done(
+                op, ts, val, md2_ts, digest
             ),
         )
 
     def _check_done(
         self,
-        ctx: ReadContext,
+        op: OpRecord,
         ts: Timestamp,
         val: bytes,
         md2_ts: Timestamp | None,
         digest: str | None,
     ) -> None:
-        if self.ctx is not ctx:
+        if self.ctx is not op:
             return
         if digest is None or digest != self.digests.digest(val):
             self.trace_note("digest-check-failed", ts=ts)
             return
-        ctx.op.ts = ts
+        op.ts = ts
         if md2_ts is not None:
-            ctx.op.md2_ts = md2_ts
+            op.md2_ts = md2_ts
         self.ctx = None
-        self.respond(ctx.op, val)
+        self.respond(op, val)
 
     def final_state(self) -> dict:
         if self.ctx is None:
             return {"idle": True}
-        return {"idle": False, "md_ts": None if self.ctx.md is None else self.ctx.md.ts}
+        return {"idle": False, "md_ts": self.ctx.md_ts}

@@ -2,14 +2,15 @@
 
 The directory and the digest array are single logical processes whose
 handlers run atomically, so their operations are trivially linearizable.
-`TimestampedStore` is also the checker's reference for the directory:
-the checker's directory spec applies writes with
-`TimestampedStore.after_write`, the one statement of the write rule.
-`HashArraySpec` is the one statement of the digest array's write-once
-rule: the hash-array oracle applies it, and so does every replicated
-`MetaReplica`, which writes each digest a client stores through its own
-`HashArraySpec`. The checker does not use it yet, so digest-array
-histories stay unchecked.
+`TimestampedStore` is the one statement of the directory's semantics:
+`DirectoryOracle` holds a (ts, md) pair, starts it at
+`TimestampedStore.INITIAL` and applies every write with
+`TimestampedStore.after_write`, and the checker's directory spec does the
+same. `HashArraySpec` is the one statement of the digest array's
+write-once and ownership rules: the hash-array oracle applies it, and so
+does every replicated `MetaReplica`, which writes each digest a client
+stores through its own `HashArraySpec`. The checker does not use it yet,
+so digest-array histories stay unchecked.
 
 The directory is a timestamped store: a write carries its own timestamp
 and takes effect only when that timestamp is at least the stored one,
@@ -35,12 +36,11 @@ HASH_WRITE, HASH_WRITE_RESP = MsgKind.HASH_WRITE, MsgKind.HASH_WRITE_RESP
 
 
 class TimestampedStore:
-    """Sequential timestamped register: (ts, payload) with a monotone
-    guard. Fresh state is ((0, nil), None)."""
+    """Sequential timestamped register over (ts, payload) states, stated
+    as its initial state and its write rule; a tsread returns the state.
+    A write always acknowledges, whether or not it takes effect."""
 
-    def __init__(self) -> None:
-        self.ts: Timestamp = TS_INIT
-        self.payload: Any = None
+    INITIAL: tuple[Timestamp, Any] = (TS_INIT, None)
 
     @staticmethod
     def after_write(
@@ -49,30 +49,24 @@ class TimestampedStore:
         """The (ts, payload) state that tswrite(ts, payload) leaves behind."""
         return (ts, payload) if ts >= state[0] else state
 
-    def tswrite(self, ts: Timestamp, payload: Any) -> str:
-        self.ts, self.payload = self.after_write((self.ts, self.payload), ts, payload)
-        return "OK"
-
-    def tsread(self) -> tuple[Timestamp, Any]:
-        return self.ts, self.payload
-
 
 class HashArraySpec:
-    """Sequential write-once digest array indexed by timestamp."""
+    """Sequential write-once digest array indexed by timestamp. Index
+    ``ts`` belongs to the writer whose id is ``ts.cid``: a write by any
+    other writer, or a second write with a different digest, raises."""
 
     def __init__(self) -> None:
         self.entries: dict[Timestamp, str] = {}
-        self.writers: dict[Timestamp, int] = {}
 
     def write(self, index: Timestamp, digest: str, writer: int) -> str:
-        prior_writer = self.writers.get(index)
-        if prior_writer is not None and (prior_writer != writer or self.entries[index] != digest):
+        if writer != index.cid:
+            raise HarnessError(f"digest index {index.render()} written by client {writer}")
+        prior = self.entries.setdefault(index, digest)
+        if prior != digest:
             raise HarnessError(
-                f"write-once violation on digest index {index.render()}: writer {writer} "
-                f"with {digest} after writer {prior_writer} with {self.entries[index]}"
+                f"write-once violation on digest index {index.render()}: "
+                f"{digest} after {prior}"
             )
-        self.writers[index] = writer
-        self.entries[index] = digest
         return "OK"
 
     def read(self, index: Timestamp) -> str | None:
@@ -85,15 +79,15 @@ class DirectoryOracle(Process):
 
     def __init__(self, pid: str, client_ids: dict[str, int], writer_pids: frozenset[str]):
         super().__init__(pid)
-        self.store = TimestampedStore()
+        self.state = TimestampedStore.INITIAL  # the directory's (ts, md)
         self.client_ids = client_ids
         self.writer_pids = writer_pids
 
     def on_message(self, msg: Message) -> None:
         kind, src, _, fields = msg
         if kind is DIR_READ:
-            ts, payload = self.store.tsread()
-            self.port.send(DIR_READ_RESP, self.pid, src, tag=fields["tag"], ts=ts, md=payload)
+            ts, md = self.state
+            self.port.send(DIR_READ_RESP, self.pid, src, tag=fields["tag"], ts=ts, md=md)
         elif kind is DIR_WRITE:
             if src not in self.writer_pids:
                 self.trace_note("dir-write-rejected", src=src)
@@ -104,12 +98,12 @@ class DirectoryOracle(Process):
                 raise HarnessError(
                     f"directory write from {src} with foreign timestamp {ts.render()}"
                 )
-            self.store.tswrite(ts, md)
+            self.state = TimestampedStore.after_write(self.state, ts, md)
             self.port.send(DIR_WRITE_RESP, self.pid, src, tag=fields["tag"])
 
     def final_state(self) -> dict:
-        ts, payload = self.store.tsread()
-        return {"ts": ts, "md": payload}
+        ts, md = self.state
+        return {"ts": ts, "md": md}
 
 
 class HashArrayOracle(Process):
@@ -123,13 +117,7 @@ class HashArrayOracle(Process):
     def on_message(self, msg: Message) -> None:
         kind, src, _, fields = msg
         if kind is HASH_WRITE:
-            index: Timestamp = fields["index"]
-            writer = self.client_ids.get(src, NIL)
-            if writer != index.cid:
-                raise HarnessError(
-                    f"digest index {index.render()} written by client {writer}"
-                )
-            self.array.write(index, fields["digest"], writer)
+            self.array.write(fields["index"], fields["digest"], self.client_ids.get(src, NIL))
             self.port.send(HASH_WRITE_RESP, self.pid, src, tag=fields["tag"])
         elif kind is HASH_READ:
             digest = self.array.read(fields["index"])

@@ -19,17 +19,23 @@ the storing client crashed mid-broadcast.
 
 A reader subscribes to all replicas and collects, per register, the
 established pairs each replica reports plus each replica's current
-(highest established) key. It accepts the highest candidate confirmed
-by tm + 1 matching reports, but only returns once 2*tm + 1 replicas
-have reported snapshots and, for every register, 2*tm + 1 replicas
-report a current key at or below the accepted candidate; that rules out
-missing a completed store, because a completed store keeps tm + 1
-correct replicas at or above its key forever. Directory reads then
-write the chosen pair back and wait for 2*tm + 1 acks before returning,
-which is what makes reads atomic relative to each other. Digest-array
-reads skip the write-back: their register is write-once and only safe
-semantics are promised, so tm + 1 matching reports (or 2*tm + 1 empty
-reports for an unwritten entry) settle the answer.
+(highest established) key. Every entry of every update records its
+sender's current, and every update carries an entry for each register in
+the query's scope, so the replicas that have replied to a read are the
+replicas with a current recorded for any one of its registers. It
+accepts the highest candidate confirmed by tm + 1 matching reports, but
+only returns once, for every register, 2*tm + 1 replicas report a
+current key at or below the accepted candidate (so 2*tm + 1 replicas
+have replied); that rules out missing a completed store, because a
+completed store keeps tm + 1 correct replicas at or above its key
+forever. A directory read in a run with no writers has no register to
+wait on, and returns the initial state. Directory reads then write the
+chosen pair back and wait for 2*tm + 1 acks before returning, which is
+what makes reads atomic relative to each other. Digest-array reads skip
+the write-back: their register is write-once and only safe semantics are
+promised, so once 2*tm + 1 replicas have replied, tm + 1 matching
+reports (or 2*tm + 1 empty reports for an unwritten entry) settle the
+answer.
 
 Neither side recomputes a quorum from scratch per message. A replica
 keeps each register's established pairs as one tuple in pair order,
@@ -275,7 +281,6 @@ class MetaReplica(Process):
 
 @dataclass
 class _StoreOp:
-    seq: int
     key: Timestamp
     # Called with the driver rather than closing over it, so a store still
     # pending when the run ends leaves no reference cycle.
@@ -288,10 +293,10 @@ class _ReadOp:
     rec: DirOpRecord  # a tsread or a hashread
     scope: Any
     done: Callable[..., None]
-    snapshots: set[str] = field(default_factory=set)
     reporters: dict = field(default_factory=dict)  # reg -> Pair -> set of pids
     best: dict = field(default_factory=dict)  # reg -> highest pair with tm + 1 reporters
-    currents: dict = field(default_factory=dict)  # reg -> pid -> Timestamp
+    # reg -> pid -> Timestamp; a register's pids are the replicas that replied
+    currents: dict = field(default_factory=dict)
 
 
 class ReplicatedMdsDriver:
@@ -334,7 +339,7 @@ class ReplicatedMdsDriver:
         done: Callable[[ReplicatedMdsDriver], None],
     ) -> None:
         self._seq = seq = self._seq + 1
-        self._stores[seq] = _StoreOp(seq=seq, key=key, done=done)
+        self._stores[seq] = _StoreOp(key=key, done=done)
         owner = self.owner
         send, me = owner.port.send, owner.pid
         for pid in self.meta_pids:
@@ -393,7 +398,7 @@ class ReplicatedMdsDriver:
             return
         store.acks.add(src)
         if len(store.acks) >= self.quorum:
-            del self._stores[store.seq]
+            del self._stores[seq]
             store.done(self)
 
     def _on_update(self, src: str, tag: int, updates: tuple[dict, ...]) -> None:
@@ -412,7 +417,6 @@ class ReplicatedMdsDriver:
         read = self._reads.get(tag)
         if read is None:
             return  # the read has ended or is writing its pair back
-        read.snapshots.add(src)
         confirmed = self.tm + 1
         for update in updates:
             reg = update["reg"]
@@ -436,8 +440,6 @@ class ReplicatedMdsDriver:
     # -- read evaluation ----------------------------------------------------
 
     def _evaluate(self, read: _ReadOp) -> None:
-        if len(read.snapshots) < self.quorum:
-            return
         if read.rec.op == "hashread":
             self._evaluate_hashread(read)
         else:
@@ -445,17 +447,20 @@ class ReplicatedMdsDriver:
 
     def _evaluate_hashread(self, read: _ReadOp) -> None:
         reg = read.scope
+        repliers = read.currents[reg].keys()  # the scope is this one register
+        if len(repliers) < self.quorum:
+            return
         best = read.best.get(reg)
         if best is not None:
             self._finish_read(read, digest=best.payload)
             return
         reported = set().union(*read.reporters.get(reg, {}).values())
-        if len(read.snapshots - reported) >= self.quorum:
+        if len(repliers - reported) >= self.quorum:
             self._finish_read(read, digest=None)
 
     def _evaluate_tsread(self, read: _ReadOp) -> None:
-        best: Pair | None = None
-        best_reg: RegisterId | None = None
+        # The evidence quorum below is also the 2*tm + 1 repliers.
+        best, best_reg = INITIAL_PAIR, None
         for cid in self.writer_cids:
             reg = ("dir", cid)
             candidate = read.best.get(reg, INITIAL_PAIR)
@@ -467,9 +472,8 @@ class ReplicatedMdsDriver:
             )
             if evidence < self.quorum:
                 return  # cannot yet rule out a higher completed store here
-            if best is None or candidate > best:
+            if candidate > best:
                 best, best_reg = candidate, reg
-        assert best is not None
         if best.key == TS_INIT:
             self._finish_read(read, ts=TS_INIT, md=None)
             return

@@ -92,19 +92,19 @@ class HashMode(enum.Enum):
 
 
 class DigestFacility:
-    """Produces digests for values and rejects collisions when the mode is
-    collision resistant.
+    """Produces digests for values.
 
     One instance is shared by all processes in a run, mirroring a hash
     function everyone agrees on. ``forge`` is rejected unless the mode is
-    FORGEABLE.
+    FORGEABLE, so a PRODUCTION digest is always the value's sha256 and two
+    values share one only through a sha256 collision. Whether the digests
+    can be trusted is the mode's fact (``HashMode.collision_resistant``);
+    the checker's value-integrity lemma is what monitors it.
     """
 
     def __init__(self, mode: HashMode = HashMode.PRODUCTION):
         self.mode = mode
         self._forged: dict[bytes, str] = {}
-        # digest token -> first value observed for it
-        self._first_preimage: dict[str, bytes] = {}
 
     def digest(self, value: bytes) -> str:
         if value is None:
@@ -112,11 +112,8 @@ class DigestFacility:
         if not isinstance(value, bytes):
             raise HarnessError(f"values are bytes, got {type(value).__name__}")
         if value in self._forged:
-            token = self._forged[value]
-        else:
-            token = hashlib.sha256(value).hexdigest()
-        self._note(token, value)
-        return token
+            return self._forged[value]
+        return hashlib.sha256(value).hexdigest()
 
     def forge(self, value: bytes, target: str) -> None:
         """Install ``value`` as a second preimage of ``target``. Models an
@@ -124,15 +121,3 @@ class DigestFacility:
         if self.mode is not HashMode.FORGEABLE:
             raise HarnessError(f"forge is not available in {self.mode.value} mode")
         self._forged[value] = target
-        self._note(target, value)
-
-    def collision_resistant(self) -> bool:
-        return self.mode.collision_resistant()
-
-    def _note(self, token: str, value: bytes) -> None:
-        first = self._first_preimage.setdefault(token, value)
-        if first != value and self.collision_resistant():
-            raise HarnessError(
-                f"digest collision in {self.mode.value} mode: "
-                f"{first!r} and {value!r} -> {token}"
-            )

@@ -9,13 +9,8 @@ import time
 
 import pytest
 
-from conftest import trace_entries
-from splitstore.checker import (
-    check_register_exhaustive,
-    check_register_linearizable,
-    check_run,
-    random_history,
-)
+from conftest import check_register_exhaustive, random_history, trace_entries
+from splitstore.checker import check_register_linearizable, check_run
 from splitstore.scenarios import random_config, run_scenario
 from splitstore.simnet import run
 

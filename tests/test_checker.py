@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import check_register_exhaustive, random_history
 from splitstore import checker
 from splitstore.checker import (
     SMALL_LIMIT,
@@ -12,7 +13,6 @@ from splitstore.checker import (
     _max_ts_before,
     _real_time_violation,
     check_directory_linearizable,
-    check_register_exhaustive,
     check_register_linearizable,
     check_run,
     check_wait_freedom,
@@ -21,7 +21,6 @@ from splitstore.checker import (
     lemma_timestamp_order,
     lemma_unique_write_timestamps,
     lemma_value_integrity,
-    random_history,
 )
 from splitstore.history import DirOpRecord, OpRecord
 from splitstore.scenarios import random_config

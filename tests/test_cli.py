@@ -82,6 +82,17 @@ def test_random_flag_is_an_alias_with_explicit_sizing(tmp_path, capsys):
     assert len(reports) == 10
 
 
+def test_a_replicated_run_with_no_writers_passes(tmp_path, capsys):
+    code = main(["run", "--random", "--writers", "0", "--mds-mode", "replicated",
+                 "--seeds", "0..2", "--out-dir", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS random seed=") == 3 and "3/3" in out
+    for seed in range(3):
+        rep = json.loads((tmp_path / f"random-{seed}.report.json").read_text())
+        assert rep["runs"]["random"]["config"]["writers"] == 0
+
+
 def test_custom_flags_build_a_bespoke_run(tmp_path):
     code = main(["run", "--scenario", "random", "--seed", "9",
                  "--writers", "1", "--readers", "1", "--ops", "2",

@@ -181,6 +181,30 @@ def test_a_reply_without_a_value_is_noted_and_the_read_completes_elsewhere(probe
     assert (op.ret, op.ts, op.md_ts, op.md2_ts) == (b"v", md.ts, md.ts, None)
 
 
+def test_a_reader_shows_its_directory_timestamp_once_the_directory_answers(probe):
+    """A reader's final state names the timestamp of the record its read
+    fetches against: none while its directory read is unanswered, then
+    the record's timestamp, and it is idle once the read returns."""
+    digests = DigestFacility()
+    reader = probe.attach(ReaderClient("r1", 3, digests, ["d1", "d2", "d3"], t=1))
+    reader.driver = OracleMdsDriver(reader)
+    assert reader.final_state() == {"idle": True}
+    op = OpRecord(op_id=1, client="r1", kind="READ", arg=None, invoke=0)
+    reader.invoke(op)
+    assert reader.final_state() == {"idle": False, "md_ts": None}
+    (dir_read,) = probe.take_sent()
+    md = Metadata(ts=Timestamp(2, 1), replicas=frozenset({1, 2}))
+    reader.on_message(make_message(MsgKind.DIR_READ_RESP, DIR_PID, "r1",
+                                   tag=dir_read.fields["tag"], ts=md.ts, md=md))
+    assert reader.final_state() == {"idle": False, "md_ts": Timestamp(2, 1)}
+    reader.on_message(make_message(MsgKind.READ_VAL, "d1", "r1", ts=md.ts, val=b"v"))
+    (hash_read,) = [m for m in probe.take_sent() if m.kind is MsgKind.HASH_READ]
+    reader.on_message(make_message(MsgKind.HASH_READ_RESP, HASH_PID, "r1",
+                                   tag=hash_read.fields["tag"], digest=digests.digest(b"v")))
+    assert reader.final_state() == {"idle": True}
+    assert (op.ret, op.md_ts) == (b"v", Timestamp(2, 1))
+
+
 # A writer's driver calls in the order it makes them, with the phase the
 # writer is in while each is in flight.
 WRITER_CALLS = {"tsread": WritePhase.READ_DIR, "hash_write": WritePhase.WRITE_HASH,

@@ -17,41 +17,50 @@ from splitstore.types import TS_INIT, HarnessError, Metadata, Timestamp
 
 # -- sequential store ---------------------------------------------------------
 
+CLIENTS = {"w1": 1, "w2": 2, "r1": 3}
+WRITERS = frozenset({"w1", "w2"})
+after_write = TimestampedStore.after_write
+
 
 def test_store_starts_empty():
-    s = TimestampedStore()
-    assert s.tsread() == (TS_INIT, None)
+    assert TimestampedStore.INITIAL == (TS_INIT, None)
+    assert DirectoryOracle("dir", CLIENTS, WRITERS).state == (TS_INIT, None)
 
 
 def test_store_write_then_read():
-    s = TimestampedStore()
-    assert s.tswrite(Timestamp(1, 1), "payload") == "OK"
-    assert s.tsread() == (Timestamp(1, 1), "payload")
+    state = after_write(TimestampedStore.INITIAL, Timestamp(1, 1), "payload")
+    assert state == (Timestamp(1, 1), "payload")
 
 
-def test_store_ignores_older_timestamps_but_still_acks():
-    s = TimestampedStore()
-    s.tswrite(Timestamp(2, 1), "new")
-    assert s.tswrite(Timestamp(1, 2), "old") == "OK"
-    assert s.tsread() == (Timestamp(2, 1), "new")
+def test_store_ignores_older_timestamps_but_still_acks(probe):
+    newer = (Timestamp(2, 1), "new")
+    assert after_write(newer, Timestamp(1, 2), "old") == newer
+    # The directory applies that rule, and acknowledges the older write too.
+    dir_proc = probe.attach(DirectoryOracle("dir", CLIENTS, WRITERS))
+    new = Metadata(ts=Timestamp(2, 1), replicas=frozenset({1}))
+    old = Metadata(ts=Timestamp(1, 2), replicas=frozenset({2}))
+    dir_proc.on_message(make_message(MsgKind.DIR_WRITE, "w1", "dir", tag=1, md=new))
+    dir_proc.on_message(make_message(MsgKind.DIR_WRITE, "w2", "dir", tag=4, md=old))
+    assert [(m.kind, m.dst, m.fields["tag"]) for m in probe.take_sent()] == [
+        (MsgKind.DIR_WRITE_RESP, "w1", 1), (MsgKind.DIR_WRITE_RESP, "w2", 4)]
+    assert dir_proc.state == (new.ts, new)
+    dir_proc.on_message(make_message(MsgKind.DIR_READ, "r1", "dir", tag=1))
+    (resp,) = probe.sent
+    assert (resp.fields["ts"], resp.fields["md"]) == (new.ts, new)
 
 
 def test_store_equal_timestamp_overwrites():
     # the guard is greater-or-equal, not strictly greater
-    s = TimestampedStore()
-    s.tswrite(Timestamp(1, 1), "first")
-    s.tswrite(Timestamp(1, 1), "second")
-    assert s.tsread() == (Timestamp(1, 1), "second")
+    state = after_write((Timestamp(1, 1), "first"), Timestamp(1, 1), "second")
+    assert state == (Timestamp(1, 1), "second")
 
 
 def test_store_timestamp_never_decreases():
-    s = TimestampedStore()
-    seen = TS_INIT
+    state = TimestampedStore.INITIAL
     for ts in (Timestamp(1, 2), Timestamp(1, 1), Timestamp(3, 1), Timestamp(2, 2)):
-        s.tswrite(ts, ts.render())
-        now, _ = s.tsread()
-        assert now >= seen
-        seen = now
+        after = after_write(state, ts, ts.render())
+        assert after[0] >= state[0]
+        state = after
 
 
 # -- digest array -------------------------------------------------------------
@@ -87,9 +96,6 @@ def test_hash_array_miss_returns_none():
 
 # -- process wrappers ---------------------------------------------------------
 
-CLIENTS = {"w1": 1, "w2": 2, "r1": 3}
-WRITERS = frozenset({"w1", "w2"})
-
 
 def test_directory_process_end_to_end(probe):
     dir_proc = probe.attach(DirectoryOracle("dir", CLIENTS, WRITERS))
@@ -106,7 +112,7 @@ def test_directory_ignores_writes_from_readers(probe):
     dir_proc = probe.attach(DirectoryOracle("dir", CLIENTS, WRITERS))
     md = Metadata(ts=Timestamp(1, 3), replicas=frozenset({1}))
     dir_proc.on_message(make_message(MsgKind.DIR_WRITE, "r1", "dir", tag=1, md=md))
-    assert dir_proc.store.tsread() == (TS_INIT, None)
+    assert dir_proc.state == (TS_INIT, None)
     assert not probe.sent
 
 

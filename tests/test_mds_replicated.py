@@ -722,6 +722,54 @@ def test_only_a_pair_not_yet_established_can_establish(monkeypatch):
     assert len(seen) == 3 and min(seen.values()) > 0, seen
 
 
+def test_a_read_has_replied_to_it_every_replica_it_holds_a_current_from(monkeypatch):
+    """Every entry of a META-UPDATE records its sender's current, and a
+    hashread's scope is one register, so whenever a hashread is evaluated
+    the replicas that have sent it an update, counted here from the
+    delivered messages, are exactly its register's ``currents`` keys. A
+    tsread needs 2*tm + 1 currents at or below its candidate in every
+    register, so by the time it decides, 2*tm + 1 replicas have replied.
+    Over random_config 0-59 in replicated mode and the replicated-long
+    shape (ops 30) at seeds 0-7."""
+    handle = ReplicatedMdsDriver.handle
+    evaluate_hashread = ReplicatedMdsDriver._evaluate_hashread
+    evaluate_tsread = ReplicatedMdsDriver._evaluate_tsread
+    senders = {}  # (run, client, tag) -> the replicas whose updates reached the read
+    seen = Counter()
+    runs = 0
+
+    def handle_counting(driver, msg):
+        if msg.kind is MsgKind.META_UPDATE:
+            senders.setdefault((runs, msg.dst, msg.fields["tag"]), set()).add(msg.src)
+        return handle(driver, msg)
+
+    def repliers(driver, read):
+        return senders[runs, driver.owner.pid, read.rec.tag]
+
+    def evaluate_hashread_checked(driver, read):
+        assert repliers(driver, read) == read.currents[read.scope].keys()
+        evaluate_hashread(driver, read)
+        seen["hashread decided" if read.rec.tag not in driver._reads else
+             "hashread undecided"] += 1
+
+    def evaluate_tsread_checked(driver, read):
+        evaluate_tsread(driver, read)
+        if read.rec.tag not in driver._reads:
+            assert len(repliers(driver, read)) >= driver.quorum
+            seen["tsread decided"] += 1
+
+    monkeypatch.setattr(ReplicatedMdsDriver, "handle", handle_counting)
+    monkeypatch.setattr(ReplicatedMdsDriver, "_evaluate_hashread", evaluate_hashread_checked)
+    monkeypatch.setattr(ReplicatedMdsDriver, "_evaluate_tsread", evaluate_tsread_checked)
+    configs = [random_config(seed, mds_mode="replicated") for seed in range(60)]
+    configs += [Config(seed=seed, t=1, tm=1, writers=2, readers=2, ops=30,
+                       mds_mode="replicated") for seed in range(8)]
+    for cfg in configs:
+        runs += 1
+        run(cfg)
+    assert len(seen) == 3 and min(seen.values()) > 100, seen
+
+
 # -- full-system runs ---------------------------------------------------------
 
 
@@ -765,6 +813,21 @@ def test_byzantine_metadata_plus_data_replica_together():
     res = run(cfg)
     verdict = check_run(res)
     assert verdict.ok, verdict.failed()
+
+
+@pytest.mark.parametrize("mode", ["oracle", "replicated"])
+@pytest.mark.parametrize("readers", [1, 2])
+def test_a_run_with_no_writers_reads_the_initial_state(mode, readers):
+    """With no writer there is no directory register to wait on: every
+    read returns the absent value, and the run ends quiescent and clean."""
+    for seed in range(5):
+        res = run(Config(seed=seed, writers=0, readers=readers, mds_mode=mode))
+        assert res.quiescent
+        verdict = check_run(res)
+        assert verdict.ok, verdict.failed()
+        assert len(res.history) == readers * res.config.ops
+        assert all(op.kind == "READ" and op.complete and op.ret is None
+                   for op in res.history)
 
 
 @pytest.mark.xfail(strict=True, reason=(
