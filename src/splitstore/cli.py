@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .faults import ByzStrategy
 from .scenarios import SCENARIO_NAMES, ScenarioOutcome, run_scenario, single_run
-from .simnet import Config, CrashSpec, json_line
+from .simnet import Config, CrashSpec, OBJECT_FORMATS, json_line
 from .types import ConfigError, HashMode
 
 TRACE_SCHEMA = "trace/v1"
@@ -43,11 +43,10 @@ def _parse_seeds(args: argparse.Namespace) -> list[int]:
 
 
 _ascii = json.encoder.encode_basestring_ascii
-_int_repr = int.__repr__
 # Leaves by exact type; subclasses take `_indented`'s isinstance tests.
 _LEAVES = {
     str: _ascii,
-    int: _int_repr,
+    int: str,  # an exact int's str is its repr, by a cheaper call
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
     float: json_line,
@@ -58,7 +57,11 @@ def json_indent(doc: object) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte.
 
     json's indenting encoder is pure Python and runs a generator per
-    container; this walk builds each container's text with one join."""
+    container; this walk builds each container's text with one join: a
+    list's from its items, an exact dict's whose keys are exact strs from
+    its values and its shape's template (`simnet.object_format`), whose
+    keys are sorted and escaped once per shape. Any other dict is joined
+    as json writes it."""
     return _indented(doc, "\n")
 
 
@@ -68,11 +71,18 @@ def _indented(o: object, nl: str) -> str:
     leaf = _LEAVES.get(type(o))
     if leaf is not None:
         return leaf(o)
+    inner = nl + "  "
+    get = _LEAVES.get
+    # An exact dict whose keys are exact strs takes its shape's template.
+    if type(o) is dict and (fmt := OBJECT_FORMATS[(nl, *o)]) is not None:
+        parts, pick = fmt
+        return "".join(pick([
+            leaf(v) if (leaf := get(type(v))) is not None else _indented(v, inner)
+            for v in o.values()
+        ] + parts))
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        inner = nl + "  "
-        get = _LEAVES.get
         return "[" + inner + ("," + inner).join([
             leaf(v) if (leaf := get(type(v))) is not None else _indented(v, inner)
             for v in o
@@ -80,8 +90,6 @@ def _indented(o: object, nl: str) -> str:
     if isinstance(o, dict):
         if not o:
             return "{}"
-        inner = nl + "  "
-        get = _LEAVES.get
         return "{" + inner + ("," + inner).join([
             (_ascii(k) if type(k) is str else _key(k)) + ": "
             + (leaf(v) if (leaf := get(type(v))) is not None else _indented(v, inner))

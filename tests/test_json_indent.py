@@ -16,6 +16,7 @@ import pytest
 from splitstore import cli
 from splitstore.cli import json_indent, write_outputs
 from splitstore.scenarios import run_scenario
+from splitstore.simnet import OBJECT_FORMATS
 
 
 class Pair(NamedTuple):
@@ -40,9 +41,14 @@ class Name(str):
     pass
 
 
+class Record(dict):
+    pass
+
+
 STRINGS = (
     "", "a", 'quote " inside', "back\\slash", "tab\tnew\nline\r", "\x00nul", "\x1f\x7f",
     "café", "☃ snow", "\U0001f600", "</script>", "1:nil", Name("sub"), Tag.QUOTED,
+    "%", "%s", "100%%", "%(x)s",  # %-directives, which a template must not read as its own
 )
 INTS = (0, 1, -1, 7, 2**31, -(2**63), 10**30, -(10**40), Level.HIGH)
 FLOATS = (0.0, -0.0, 1.5, -2.25, 1e300, -1e-300, float("nan"), float("inf"), float("-inf"),
@@ -140,6 +146,9 @@ def test_random_documents_match_json_dumps():
     {1: "int", 2.5: "float", True: "bool"}, {None: "none"}, {Level.LOW: 1, Ratio(0.5): 2},
     {Name("x"): [Tag.QUOTED, Level.HIGH, Ratio(1e300)]},
     [["\x00", "é"], [[[{"deep": [float("-inf")]}]]]],
+    # one key set in two insertion orders, at two depths: each order is its own shape
+    [{"b": 1, "a": "%s", "%": 2}, {"%": 3, "a": 4, "b": "%(a)s"}, {"x": {"b": 5, "a": 6}}],
+    Record(b=1, a=[Record()]), {2: "b", 1: {"a": 1}},
 ])
 def test_edge_documents_match_json_dumps(value):
     assert json_indent(value) == reference(value)
@@ -151,6 +160,29 @@ def test_documents_json_rejects_raise_type_error(value):
         reference(value)
     with pytest.raises(TypeError):
         json_indent(value)
+
+
+def test_only_an_exact_dict_with_str_keys_takes_a_template(monkeypatch):
+    # A dict subclass never looks its shape up; a dict with a key that is
+    # not an exact str looks it up and gets no format. Both are written
+    # by the generic path, as json writes them.
+    looked_up = []
+
+    class Recording(dict):
+        def __getitem__(self, shape):
+            looked_up.append((shape, OBJECT_FORMATS[shape]))
+            return looked_up[-1][1]
+
+    monkeypatch.setattr(cli, "OBJECT_FORMATS", Recording())
+    for value in (Record(b=1, a=2), {1: "a", 2: "b"}, {None: 2}, {3.5: 4, 1: 5}, {True: 1}):
+        assert json_indent([value]) == reference([value])
+    assert looked_up and all(fmt is None for _shape, fmt in looked_up)
+    # An exact dict with str keys takes one, at any depth.
+    looked_up.clear()
+    assert json_indent({"doc": [{"b": 1, "a": 2}]}) == reference({"doc": [{"b": 1, "a": 2}]})
+    assert [shape for shape, fmt in looked_up if fmt is not None] == [
+        ("\n", "doc"), ("\n    ", "b", "a"),
+    ]
 
 
 def test_every_written_document_matches_json_dumps(tmp_path, monkeypatch):

@@ -15,19 +15,22 @@ memory.
 """
 import json
 from types import MappingProxyType
+from typing import NamedTuple
 
 import pytest
 
 from conftest import decode_events
+from splitstore import simnet
 from splitstore.checker import check_run
 from splitstore.cli import write_outputs
 from splitstore.faults import FABRICATED_CID, ByzStrategy
+from splitstore.mds_replicated import Pair
 from splitstore.net import Message, MsgKind, render_field
 from splitstore.scenarios import (
     SCENARIO_NAMES, ScenarioOutcome, random_config, run_scenario, scenario_random,
 )
-from splitstore.simnet import Config, Match, json_line, message_body, run
-from splitstore.types import NIL, Timestamp
+from splitstore.simnet import Config, Match, json_line, message_body, object_format, run
+from splitstore.types import NIL, Metadata, Timestamp
 
 
 def reference_lines(result) -> list[str]:
@@ -200,3 +203,107 @@ def test_the_writer_never_renders_a_message(monkeypatch, tmp_path):
     msg = next(e[3] for e in decode_events(long_run) if not isinstance(e, dict))
     with pytest.raises(AssertionError, match="rendered"):
         msg.render()  # the patch was in place
+
+
+def test_written_values_with_json_and_format_characters():
+    # Values a scenario file may write: %-directives, which the templates
+    # must not read as theirs, quotes, backslashes and latin-1 bytes above
+    # 0x7f, in the invoke, WRITE, READ-VAL and response lines and the
+    # replicas' final states.
+    values = [b"100%", b"%s", b"%(x)s", b"100%%", b'say "hi"', b"back\\slash", b"\xe9\xff\x80"]
+    workload = {"w1": [("WRITE", value) for value in values],
+                "r1": [("READ", None)] * len(values)}
+    for mds_mode in ("oracle", "replicated"):
+        result = run(Config(writers=1, readers=1, workload=workload, mds_mode=mds_mode))
+        assert_lines_match(result)
+        written = {e["arg"] for e in map(json.loads, result.trace_lines()) if e["ev"] == "invoke"}
+        assert {value.decode("latin-1") for value in values} <= written
+
+
+def test_message_body_needs_no_render_field(monkeypatch):
+    # Every field of every message a run sends is encoded inline: the
+    # replicated metadata plane's tuples, update dicts, pairs and
+    # metadata records included. The reference, Message.render, uses
+    # net's render_field, which stays in place.
+    def refuse(value):
+        raise AssertionError(f"render_field called on a {type(value).__name__}")
+
+    monkeypatch.setattr(simnet, "render_field", refuse)
+    kinds = set()
+    for seed in range(60):
+        for mode in ("oracle", "replicated"):
+            result = run(random_config(seed, mds_mode=mode))
+            for event in decode_events(result):
+                if not isinstance(event, dict):
+                    msg = event[3]
+                    assert message_body(msg) == json_line(msg.render()), msg
+                    kinds.add(msg.kind)
+            assert all(result.trace_lines())  # nor does any other entry
+    assert kinds == set(MsgKind)
+
+
+class Triple(NamedTuple):
+    a: object
+    b: object
+    c: object
+
+
+class Keyed(dict):
+    pass
+
+
+def test_message_body_on_nested_and_rare_values():
+    # render_field's rules on values no run sends: nested containers,
+    # sets sorted by rendered value ("10:1" before "2:1"), dict keys as
+    # str(k) with the last of equal keys kept, dict subclasses, empty
+    # containers, enums, bools and NamedTuples other than Pair.
+    ts, md = Timestamp(2, 1), Metadata(Timestamp(3, NIL), frozenset({3, 1}))
+    cases = (
+        {"pairs": (Pair(ts, md), Pair(Timestamp(10, 1), "d%s")), "reg": ("hash", ts)},
+        {"updates": ({"reg": ("dir", 1), "pairs": (), "current": ts},), "set": {Timestamp(10, 1), ts}},
+        {"keys": {1: "int", "1": "str", True: "bool", None: "none", ts: "ts"}},
+        {"sub": Keyed(b=[b"\xff"], a={}), "empty": ({}, [], (), frozenset()), "md": md},
+        {"enum": ByzStrategy.MUTE, "flags": [True, False, None], "nt": Triple(ts, {md}, ("x",))},
+        {"order": {"b": 1, "a": 2}, "again": {"a": 3, "b": 4}, "ids": frozenset({"b", "a"})},
+        # sets whose JSON texts sort otherwise than their rendered values
+        {"ints": frozenset({10, 9}), "escaped": {"é", "f"}},
+    )
+    for fields in cases:
+        msg = Message(MsgKind.META_UPDATE, "m1", "r1", MappingProxyType(fields))
+        assert message_body(msg) == json_line(msg.render())
+
+
+def test_object_format_writes_fixed_values_and_the_last_of_a_repeated_key():
+    # What message_body relies on: the kind written in as a fixed value,
+    # and a field that repeats a header key taking its place. Keys and
+    # fixed values with % in them come through as they are.
+    for nl in (None, "\n  "):
+        parts, pick = object_format(["b%s", "a", "b%s"], nl, fixed=(("%k", '"100%"'),))
+        text = "".join(pick(['"first"', "7", '"last"'] + parts))
+        expected = {"%k": "100%", "b%s": "last", "a": 7}
+        if nl is None:
+            assert text == json_line(expected)
+        else:
+            assert text == json.dumps(expected, sort_keys=True, indent=2).replace("\n", nl)
+    assert object_format(["a", 1]) is None  # a key that is not an exact str
+    for nl in (None, "\n  "):  # no key: the one part is the whole text
+        parts, pick = object_format([], nl)
+        assert "".join(pick([] + parts)) == "{}"
+
+
+def test_the_format_caches_do_not_grow_per_run(tmp_path):
+    # Shapes whose keys are data (HashArrayOracle's entries, the report's
+    # latencies) are not kept, so writing one more run of the cli-long
+    # shape adds no format.
+    def sizes():
+        return len(simnet.OBJECT_FORMATS), len(simnet._BODY_FORMATS)
+
+    seen = []
+    for seed in range(10):
+        result = run(Config(seed=seed, writers=4, readers=4, ops=50))
+        write_outputs(tmp_path, ScenarioOutcome(
+            name="cli-long", seed=seed, passed=True, expectation="benchmark shape",
+            runs=[("run", result, check_run(result))],
+        ))
+        seen.append(sizes())
+    assert seen[0] == seen[-1], seen
