@@ -13,12 +13,17 @@ import json
 import os
 import sys
 from dataclasses import fields, replace
+from itertools import islice
+from operator import attrgetter
 from pathlib import Path
+from typing import Any, Callable
 
 from .faults import ByzStrategy
+from .history import DirOpRecord, OpRecord
+from .net import render_field
 from .scenarios import SCENARIO_NAMES, ScenarioOutcome, run_scenario, single_run
-from .simnet import Config, CrashSpec, OBJECT_FORMATS, json_line
-from .types import ConfigError, HashMode
+from .simnet import Config, CrashSpec, OBJECT_FORMATS, RunResult, json_line
+from .types import ConfigError, HashMode, Metadata, Timestamp
 
 TRACE_SCHEMA = "trace/v1"
 HISTORY_SCHEMA = "history/v1"
@@ -111,6 +116,76 @@ def _key(key: object) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+# Trace lines joined for each write to the trace file: about 35 KB, so a
+# run's trace takes a few dozen writes and a chunk's memory stays bounded.
+TRACE_CHUNK_LINES = 512
+
+_RECORD_NL = "\n    "  # a record is an item of a list under a top-level key
+_VALUE_NL = _RECORD_NL + "  "
+
+
+def _bytes_text(value: bytes) -> str:
+    return _ascii(value.decode("latin-1"))  # `types.render_value`, inlined
+
+
+class _Memo(dict):
+    """Each value's text, made by `encode` on first use. It serves the
+    value types, whose fields are ints and int sets (every constructor in
+    the code makes them so), so equal values have one text."""
+
+    def __init__(self, encode: Callable[[Any], str]):
+        self.encode = encode
+
+    def __missing__(self, value: object) -> str:
+        text = self[value] = self.encode(value)
+        return text
+
+
+def _records_text(records: list, cls: type, encoders: dict) -> str:
+    """`json_indent`'s text of `[rec.render() for rec in records]` as the
+    value of a top-level key, written from each record's fields. `cls` is
+    the records' dataclass; its field names are `render()`'s keys in the
+    same order. A value whose exact type has no encoder in `encoders`
+    takes `_indented` over its rendered value."""
+    if not records:
+        return "[]"
+    names = [f.name for f in fields(cls)]
+    values_of = attrgetter(*names)
+    parts, pick = OBJECT_FORMATS[(_RECORD_NL, *names)]
+    get = encoders.get
+    texts = [
+        "".join(pick([
+            enc(v) if (enc := get(type(v))) is not None
+            else _indented(render_field(v), _VALUE_NL)
+            for v in values_of(rec)
+        ] + parts))
+        for rec in records
+    ]
+    return "[" + _RECORD_NL + ("," + _RECORD_NL).join(texts) + "\n  ]"
+
+
+def history_text(name: str, seed: int, label: str, result: RunResult) -> str:
+    """The history file's text: `json_indent` over the document whose
+    "ops" and "directory_ops" are the records' `render()`s, byte for
+    byte, without rendering a record."""
+    encoders = {
+        str: _ascii,
+        int: str,
+        type(None): {None: "null"}.__getitem__,
+        bytes: _bytes_text,
+        Timestamp: _Memo(lambda ts: _ascii(ts.render())).__getitem__,
+        Metadata: _Memo(lambda md: _indented(md.render(), _VALUE_NL)).__getitem__,
+    }
+    head = {"schema": HISTORY_SCHEMA, "scenario": name, "seed": seed, "label": label}
+    parts, pick = OBJECT_FORMATS[("\n", *head, "ops", "directory_ops")]
+    return "".join(pick([
+        *[_indented(v, "\n  ") for v in head.values()],
+        _records_text(result.history, OpRecord, encoders),
+        _records_text(result.dir_ops, DirOpRecord, encoders),
+        *parts,
+    ])) + "\n"
+
+
 def write_outputs(out_dir: Path, outcome: ScenarioOutcome) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -131,18 +206,14 @@ def write_outputs(out_dir: Path, outcome: ScenarioOutcome) -> list[Path]:
                 "label": label,
                 "config": result.config.render(),
             }) + "\n")
-            fh.writelines(result.trace_lines())
+            lines = result.trace_lines()
+            while chunk := "".join(islice(lines, TRACE_CHUNK_LINES)):
+                fh.write(chunk)
         written.append(trace_path)
         history_path = out_dir / f"{run_stem}.history.json"
-        history_payload = {
-            "schema": HISTORY_SCHEMA,
-            "scenario": outcome.name,
-            "seed": outcome.seed,
-            "label": label,
-            "ops": [op.render() for op in result.history],
-            "directory_ops": [op.render() for op in result.dir_ops],
-        }
-        history_path.write_text(json_indent(history_payload) + "\n", encoding="utf-8")
+        history_path.write_text(
+            history_text(outcome.name, outcome.seed, label, result), encoding="utf-8"
+        )
         written.append(history_path)
         report["runs"][label] = {
             "config": result.config.render(),

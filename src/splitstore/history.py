@@ -9,17 +9,26 @@ steps, which no process reads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, fields
+from typing import Any
 
-from .types import Timestamp, render_value
+from .net import Process, render_field
+from .types import Timestamp
 
-if TYPE_CHECKING:
-    from .net import Process
+
+class _Record:
+    """What both record types share: their rendered form."""
+
+    def render(self) -> dict:
+        """The record's JSON value: each field, in field order, as
+        `net.render_field` renders it. This is the reference form of a
+        record; `cli.write_outputs` writes the same bytes straight from
+        the fields."""
+        return {f.name: render_field(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass
-class OpRecord:
+class OpRecord(_Record):
     """One register operation as observed at the client boundary."""
 
     op_id: int
@@ -38,23 +47,9 @@ class OpRecord:
     def complete(self) -> bool:
         return self.response is not None
 
-    def render(self) -> dict:
-        return {
-            "op_id": self.op_id,
-            "client": self.client,
-            "kind": self.kind,
-            "arg": None if self.arg is None else render_value(self.arg),
-            "invoke": self.invoke,
-            "response": self.response,
-            "ret": render_value(self.ret) if isinstance(self.ret, bytes) else self.ret,
-            "ts": self.ts.render() if self.ts else None,
-            "md_ts": self.md_ts.render() if self.md_ts else None,
-            "md2_ts": self.md2_ts.render() if self.md2_ts else None,
-        }
-
 
 @dataclass
-class DirOpRecord:
+class DirOpRecord(_Record):
     """One directory (or digest-array) operation as seen by a client driver."""
 
     proc: str
@@ -70,19 +65,6 @@ class DirOpRecord:
     @property
     def complete(self) -> bool:
         return self.response is not None
-
-    def render(self) -> dict:
-        return {
-            "proc": self.proc,
-            "op": self.op,
-            "tag": self.tag,
-            "invoke": self.invoke,
-            "response": self.response,
-            "ts": self.ts.render() if self.ts else None,
-            "md": self.md.render() if self.md is not None else None,
-            "index": self.index.render() if self.index else None,
-            "digest": self.digest,
-        }
 
 
 class DirOpLog:

@@ -9,7 +9,9 @@ handlers run atomically, so their operations are trivially linearizable.
 same. `HashArraySpec` is the one statement of the digest array's
 write-once and ownership rules: the hash-array oracle applies it, and so
 does every replicated `MetaReplica`, which writes each digest a client
-stores through its own `HashArraySpec`. The checker does not use it yet,
+stores through its own `HashArraySpec`. Both answer a refused rewrite of
+an index with a trace note and no acknowledgement, so the writer's
+operation never completes and the run's verdict fails. The checker does not use it yet,
 so digest-array histories stay unchecked.
 
 The directory is a timestamped store: a write carries its own timestamp
@@ -53,21 +55,18 @@ class TimestampedStore:
 class HashArraySpec:
     """Sequential write-once digest array indexed by timestamp. Index
     ``ts`` belongs to the writer whose id is ``ts.cid``: a write by any
-    other writer, or a second write with a different digest, raises."""
+    other writer raises, since no caller sends one. A second write with a
+    different digest is refused and leaves the first: a writer that
+    reuses a timestamp is a protocol fault, for the checker to convict."""
 
     def __init__(self) -> None:
         self.entries: dict[Timestamp, str] = {}
 
-    def write(self, index: Timestamp, digest: str, writer: int) -> str:
+    def write(self, index: Timestamp, digest: str, writer: int) -> bool:
+        """Store ``digest`` at ``index``; False if the write is refused."""
         if writer != index.cid:
             raise HarnessError(f"digest index {index.render()} written by client {writer}")
-        prior = self.entries.setdefault(index, digest)
-        if prior != digest:
-            raise HarnessError(
-                f"write-once violation on digest index {index.render()}: "
-                f"{digest} after {prior}"
-            )
-        return "OK"
+        return self.entries.setdefault(index, digest) == digest
 
     def read(self, index: Timestamp) -> str | None:
         return self.entries.get(index)
@@ -117,7 +116,10 @@ class HashArrayOracle(Process):
     def on_message(self, msg: Message) -> None:
         kind, src, _, fields = msg
         if kind is HASH_WRITE:
-            self.array.write(fields["index"], fields["digest"], self.client_ids.get(src, NIL))
+            index, digest = fields["index"], fields["digest"]
+            if not self.array.write(index, digest, self.client_ids.get(src, NIL)):
+                self.trace_note("hash-write-refused", src=src, index=index, digest=digest)
+                return
             self.port.send(HASH_WRITE_RESP, self.pid, src, tag=fields["tag"])
         elif kind is HASH_READ:
             digest = self.array.read(fields["index"])

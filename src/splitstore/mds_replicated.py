@@ -4,8 +4,8 @@ The directory becomes one single-writer register per writer client; a
 directory read returns the highest pair across all of them. The digest
 array reuses the same register machinery with write-once usage: each
 replica writes every digest a client stores through its own
-`mds_oracle.HashArraySpec`, which raises on a rewrite with a different
-digest.
+`mds_oracle.HashArraySpec`, and neither echoes nor acknowledges a
+rewrite with a different digest, which the spec refuses.
 
 Register replication works as follows. A client stores a (key, payload)
 pair by sending it to every replica. A correct replica that accepts a
@@ -174,8 +174,9 @@ class MetaReplica(Process):
         if not self._store_allowed(reg, src):
             self.trace_note("meta-store-rejected", src=src, reg=reg)
             return
-        if reg[0] == "hash":
-            self.digests.write(reg[1], pair.payload, self.client_ids[src])
+        if reg[0] == "hash" and not self.digests.write(reg[1], pair.payload, self.client_ids[src]):
+            self.trace_note("meta-store-refused", src=src, reg=reg, payload=pair.payload)
+            return
         self._take(reg, pair, ((src, seq),))
 
     def _store_allowed(self, reg: RegisterId, src: str) -> bool:

@@ -9,14 +9,27 @@ mode: the first 16 hex digits of the sha256 of
 
 Do not regenerate a digest to make a test pass. A mismatch means a
 record renders differently, which changes the benchmark's digest.
+
+`cli.write_outputs` writes the history file straight from the records'
+fields. The tests below hold it to `json_indent` over the `render()`
+payload, the document the file used to be written from: on runs, and on
+hand-built records with every byte value and with values of types no run
+produces, which take the writer's fallback.
 """
+import enum
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from splitstore.scenarios import random_config
-from splitstore.simnet import run
+from splitstore import cli
+from splitstore.checker import check_run
+from splitstore.cli import history_text, json_indent, write_outputs
+from splitstore.history import DirOpRecord, OpRecord
+from splitstore.scenarios import SCENARIO_NAMES, ScenarioOutcome, random_config, run_scenario
+from splitstore.simnet import Config, run
+from splitstore.types import NIL, Metadata, Timestamp
 
 RENDERED = {
     "oracle": [
@@ -65,3 +78,124 @@ def rendered_digest(result) -> str:
 def test_rendered_records_are_pinned(mode):
     got = [rendered_digest(run(random_config(seed, mds_mode=mode))) for seed in range(60)]
     assert got == RENDERED[mode]
+
+
+def reference(name: str, seed: int, label: str, result) -> str:
+    """The history file as it was written before the records were encoded
+    from their fields: `json_indent` over the rendered payload."""
+    return json_indent({
+        "schema": cli.HISTORY_SCHEMA,
+        "scenario": name,
+        "seed": seed,
+        "label": label,
+        "ops": [op.render() for op in result.history],
+        "directory_ops": [op.render() for op in result.dir_ops],
+    }) + "\n"
+
+
+def cli_long_outcome(seed: int, mode: str) -> ScenarioOutcome:
+    result = run(Config(seed=seed, writers=4, readers=4, ops=50, mds_mode=mode))
+    verdict = check_run(result)
+    return ScenarioOutcome(name=f"cli-long-{mode}", seed=seed, passed=verdict.ok,
+                           expectation="", runs=[("run", result, verdict)])
+
+
+OUTCOMES = {
+    **{f"random-{seed}": lambda seed=seed: run_scenario("random", seed)
+       for seed in [*range(60), 2333]},
+    **{f"{name}-0": lambda name=name: run_scenario(name, 0)
+       for name in SCENARIO_NAMES if name != "random"},
+    **{f"cli-long-{mode}": lambda mode=mode: cli_long_outcome(0, mode)
+       for mode in ("oracle", "replicated")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTCOMES))
+def test_written_history_equals_json_indent_over_render(case, tmp_path):
+    outcome = OUTCOMES[case]()
+    written = {p.name: p for p in write_outputs(tmp_path, outcome)}
+    stem = f"{outcome.name}-{outcome.seed}"
+    for label, result, _ in outcome.runs:
+        run_stem = stem if len(outcome.runs) == 1 else f"{stem}-{label}"
+        text = written[f"{run_stem}.history.json"].read_text(encoding="utf-8")
+        assert text == reference(outcome.name, outcome.seed, label, result)
+
+
+def test_no_record_is_rendered_and_only_the_report_is_indented(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a record was rendered")
+
+    indented = []
+    monkeypatch.setattr(OpRecord, "render", refuse)
+    monkeypatch.setattr(DirOpRecord, "render", refuse)
+    monkeypatch.setattr(cli, "json_indent", lambda doc: indented.append(doc) or json_indent(doc))
+    write_outputs(tmp_path, run_scenario("random", 1))
+    assert [doc["schema"] for doc in indented] == [cli.REPORT_SCHEMA]
+
+
+class Name(str):
+    pass
+
+
+class Level(enum.IntEnum):
+    HIGH = 7
+
+
+ALL_BYTES = bytes(range(256))  # among them '"', '\\' and 0xe9
+ODD = [
+    (1, "a", None, b"\xe9"), Name("odd \"name\""), Level.HIGH,
+    {"b": [1, Timestamp(2, 1)], "a": {"z": None}, "": Name("k")}, True, [], {},
+]
+TS = [None, Timestamp(0, NIL), Timestamp(3, 2), Timestamp(12, 1)]
+
+
+def hand_built() -> SimpleNamespace:
+    history = []
+    for i, arg in enumerate([None, ALL_BYTES, b'"', b"\\", b"\xe9", b""]):
+        history.append(OpRecord(op_id=i + 1, client="w1", kind="WRITE", arg=arg, invoke=i,
+                                response=None if i % 2 else i + 3, ret=arg,
+                                ts=TS[i % 4], md_ts=TS[(i + 1) % 4], md2_ts=TS[(i + 2) % 4]))
+    for i, ret in enumerate([ALL_BYTES, None, "OK", *ODD]):
+        history.append(OpRecord(op_id=len(history) + 1, client="r\u00e91", kind="READ",
+                                arg=None, invoke=i, ret=ret, ts=TS[i % 4]))
+    mds = [
+        None,
+        Metadata(Timestamp(1, 1), frozenset()),
+        Metadata(Timestamp(4, 2), frozenset({5, 1, 3, 2})),
+        *ODD,
+    ]
+    dir_ops = [
+        DirOpRecord(proc="w2", op=op, tag=i + 1, invoke=i, response=None if i % 3 else i + 1,
+                    ts=TS[i % 4], md=md, index=TS[(i + 3) % 4],
+                    digest=None if i % 2 else "d" * 64)
+        for i, (op, md) in enumerate(
+            zip(["tsread", "tswrite", "hashread", "hashwrite"] * 3, mds)
+        )
+    ]
+    return SimpleNamespace(history=history, dir_ops=dir_ops)
+
+
+@pytest.mark.parametrize("name, seed, label", [
+    ("edges", 0, "run"), ("\u00e9\"\\", -3, "file \u2603"), ("empty", 2**70, ""),
+])
+def test_hand_built_records_with_edge_values(name, seed, label):
+    result = hand_built()
+    assert len(result.dir_ops) == len(ODD) + 3
+    assert history_text(name, seed, label, result) == reference(name, seed, label, result)
+    # the same Timestamp and Metadata objects again, and their equals, hit the memos
+    twice = SimpleNamespace(history=result.history * 2, dir_ops=result.dir_ops * 2)
+    assert history_text(name, seed, label, twice) == reference(name, seed, label, twice)
+
+
+def test_a_history_with_no_records():
+    empty = SimpleNamespace(history=[], dir_ops=[])
+    assert history_text("none", 0, "run", empty) == reference("none", 0, "run", empty)
+
+
+def test_a_value_render_rejects_is_rejected_by_the_writer_too():
+    rec = DirOpRecord(proc="w1", op="tsread", tag=1, md=1.5)
+    result = SimpleNamespace(history=[], dir_ops=[rec])
+    with pytest.raises(TypeError):
+        rec.render()
+    with pytest.raises(TypeError):
+        history_text("float", 0, "run", result)

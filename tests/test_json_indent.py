@@ -195,6 +195,8 @@ def test_every_written_document_matches_json_dumps(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "json_indent", recording)
     for seed in range(60):
         write_outputs(tmp_path, run_scenario("random", seed))
-    assert len(documents) == 120  # one history and one report per seed
+    # One report per seed: the history file is written from its records'
+    # fields, and test_history_file.py holds it to json_indent over them.
+    assert len(documents) == 60
     for value in documents:
         assert json_indent(value) == reference(value)

@@ -85,9 +85,10 @@ def test_hash_array_rejects_a_second_writer():
 def test_hash_array_rejects_conflicting_digests():
     a = HashArraySpec()
     idx = Timestamp(1, 1)
-    a.write(idx, "a" * 64, writer=1)
-    with pytest.raises(HarnessError):
-        a.write(idx, "b" * 64, writer=1)
+    assert a.write(idx, "a" * 64, writer=1)
+    assert not a.write(idx, "b" * 64, writer=1)  # refused, not raised
+    assert a.read(idx) == "a" * 64
+    assert a.write(idx, "a" * 64, writer=1)  # the first digest again is fine
 
 
 def test_hash_array_miss_returns_none():
@@ -135,6 +136,21 @@ def test_hash_process_checks_index_ownership(probe):
             make_message(MsgKind.HASH_WRITE, "w2", "hash", tag=2,
                          index=Timestamp(2, 1), digest="e" * 64)
         )
+
+
+def test_hash_process_refuses_a_second_digest_without_an_ack(probe):
+    arr = probe.attach(HashArrayOracle("hash", CLIENTS))
+    idx = Timestamp(2, 1)
+    for tag, digest in ((1, "a" * 64), (2, "b" * 64)):
+        arr.on_message(
+            make_message(MsgKind.HASH_WRITE, "w1", "hash", tag=tag, index=idx, digest=digest)
+        )
+    # the first write is acknowledged, the second only noted
+    assert [(m.kind, m.fields["tag"]) for m in probe.sent] == [(MsgKind.HASH_WRITE_RESP, 1)]
+    assert probe.notes == [
+        ("hash", "hash-write-refused", {"src": "w1", "index": idx, "digest": "b" * 64}),
+    ]
+    assert arr.array.read(idx) == "a" * 64
 
 
 def test_hash_process_read_miss(probe):

@@ -16,7 +16,7 @@ from splitstore.history import DirOpRecord
 from splitstore.net import MsgKind, Port, Process, make_message
 from splitstore.scenarios import random_config
 from splitstore.simnet import Config, Simulation, build_world, run
-from splitstore.types import TS_INIT, HarnessError, Metadata, Timestamp
+from splitstore.types import TS_INIT, Metadata, Timestamp
 
 CLIENTS = {"w1": 1, "w2": 2, "r1": 3}
 
@@ -136,14 +136,21 @@ def test_store_for_a_foreign_register_is_rejected():
     assert r.replicas["m1"].registers[("dir", 1)].pairs == {}
 
 
-def test_digest_register_rejects_a_second_digest():
-    r = Router()
+def test_digest_register_rejects_a_second_digest(probe):
+    rep = probe.attach(MetaReplica("m1", ["m1", "m2", "m3", "m4"], 1, CLIENTS, [1, 2]))
     idx = Timestamp(1, 1)
-    r.inject(MsgKind.META_STORE, "w1", "m1",
-             reg=("hash", idx), key=idx, payload="a" * 64, seq=1)
-    with pytest.raises(HarnessError):
-        r.inject(MsgKind.META_STORE, "w1", "m1",
-                 reg=("hash", idx), key=idx, payload="b" * 64, seq=2)
+    for seq, digest in ((1, "a" * 64), (2, "b" * 64)):
+        rep.on_message(make_message(MsgKind.META_STORE, "w1", "m1",
+                                    reg=("hash", idx), key=idx, payload=digest, seq=seq))
+    # the first digest is echoed to the three peers; the second is only noted
+    assert [(m.kind, m.fields["payload"]) for m in probe.sent] == [
+        (MsgKind.META_ECHO, "a" * 64)
+    ] * 3
+    assert probe.notes == [
+        ("m1", "meta-store-refused", {"src": "w1", "reg": ("hash", idx), "payload": "b" * 64}),
+    ]
+    assert list(rep.registers[("hash", idx)].pairs) == [Pair(idx, "a" * 64)]
+    assert rep.digests.read(idx) == "a" * 64
 
 
 def test_subscribers_get_snapshot_and_live_updates():

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import pytest
 
 from conftest import decode_events
-from splitstore import simnet
+from splitstore import cli, simnet
 from splitstore.checker import check_run
 from splitstore.cli import write_outputs
 from splitstore.faults import FABRICATED_CID, ByzStrategy
@@ -307,3 +307,23 @@ def test_the_format_caches_do_not_grow_per_run(tmp_path):
         ))
         seen.append(sizes())
     assert seen[0] == seen[-1], seen
+
+
+def test_the_trace_file_holds_its_lines_at_any_chunk_size(tmp_path, monkeypatch):
+    # write_outputs joins TRACE_CHUNK_LINES lines per write; whatever the
+    # size, and also when it divides the line count exactly, the file
+    # after its header line is every line once, in order.
+    for config in (Config(seed=0), Config(seed=0, writers=0, readers=0)):
+        result = run(config)
+        lines = list(result.trace_lines())
+        n = len(lines)
+        divisor = next(d for d in range(2, n + 1) if n % d == 0)
+        for size in sorted({1, 2, 7, divisor, n, n + 1}):
+            monkeypatch.setattr(cli, "TRACE_CHUNK_LINES", size)
+            outcome = ScenarioOutcome(name="chunks", seed=size, passed=True, expectation="",
+                                      runs=[("run", result, check_run(result))])
+            path = tmp_path / f"chunks-{size}.trace.jsonl"
+            assert path in write_outputs(tmp_path, outcome)
+            header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+            assert json.loads(header)["seed"] == size
+            assert rest == "".join(lines), (config.writers, size)
