@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .faults import ByzStrategy
-from .history import DirOpRecord, OpRecord
+from .history import DirOpRecord, OpRecord, field_names
 from .net import render_field
 from .scenarios import SCENARIO_NAMES, ScenarioOutcome, run_scenario, single_run
 from .simnet import Config, CrashSpec, OBJECT_FORMATS, RunResult, json_line
@@ -61,12 +61,14 @@ _LEAVES = {
 def json_indent(doc: object) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte.
 
-    json's indenting encoder is pure Python and runs a generator per
-    container; this walk builds each container's text with one join: a
-    list's from its items, an exact dict's whose keys are exact strs from
-    its values and its shape's template (`simnet.object_format`), whose
-    keys are sorted and escaped once per shape. Any other dict is joined
-    as json writes it."""
+    It writes the report file; the history file is written from its
+    records by `history_text`, which hands it only the values of types it
+    does not encode itself. json's indenting encoder is pure Python and
+    runs a generator per container; this walk builds each container's
+    text with one join: a list's from its items, an exact dict's whose
+    keys are exact strs from its values and its shape's template
+    (`simnet.object_format`), whose keys are sorted and escaped once per
+    shape. Any other dict is joined as json writes it."""
     return _indented(doc, "\n")
 
 
@@ -144,12 +146,12 @@ class _Memo(dict):
 def _records_text(records: list, cls: type, encoders: dict) -> str:
     """`json_indent`'s text of `[rec.render() for rec in records]` as the
     value of a top-level key, written from each record's fields. `cls` is
-    the records' dataclass; its field names are `render()`'s keys in the
-    same order. A value whose exact type has no encoder in `encoders`
+    the records' dataclass, whose `field_names` are `render()`'s keys in
+    the same order. A value whose exact type has no encoder in `encoders`
     takes `_indented` over its rendered value."""
     if not records:
         return "[]"
-    names = [f.name for f in fields(cls)]
+    names = field_names(cls)
     values_of = attrgetter(*names)
     parts, pick = OBJECT_FORMATS[(_RECORD_NL, *names)]
     get = encoders.get

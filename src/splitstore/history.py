@@ -6,9 +6,17 @@ at its invocation and hands it to the client, and `DirOpLog` creates each
 directory and digest-array operation's `DirOpRecord`. The process sets
 the record's protocol fields; the port stamps its invoke and response
 steps, which no process reads.
+
+A record's `render()` is its JSON value, stated once for both record
+types: every dataclass field, in field order, as `net.render_field`
+renders it. perfbench's outcome digest reads it. `cli.history_text`
+writes the history file straight from the same field list
+(`field_names`), with no rendered dict in between, and is tested
+against `render()`.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -16,15 +24,19 @@ from .net import Process, render_field
 from .types import Timestamp
 
 
+@functools.cache
+def field_names(cls: type) -> tuple[str, ...]:
+    """A record class's field names in field order: `render()`'s keys."""
+    return tuple(f.name for f in fields(cls))
+
+
 class _Record:
     """What both record types share: their rendered form."""
 
     def render(self) -> dict:
         """The record's JSON value: each field, in field order, as
-        `net.render_field` renders it. This is the reference form of a
-        record; `cli.write_outputs` writes the same bytes straight from
-        the fields."""
-        return {f.name: render_field(getattr(self, f.name)) for f in fields(self)}
+        `net.render_field` renders it."""
+        return {name: render_field(getattr(self, name)) for name in field_names(type(self))}
 
 
 @dataclass

@@ -9,10 +9,11 @@ handlers run atomically, so their operations are trivially linearizable.
 same. `HashArraySpec` is the one statement of the digest array's
 write-once and ownership rules: the hash-array oracle applies it, and so
 does every replicated `MetaReplica`, which writes each digest a client
-stores through its own `HashArraySpec`. Both answer a refused rewrite of
-an index with a trace note and no acknowledgement, so the writer's
-operation never completes and the run's verdict fails. The checker does not use it yet,
-so digest-array histories stay unchecked.
+stores through its own `HashArraySpec`. Both answer a rewrite of an
+index with a different digest, which the spec refuses, with a trace note
+and no acknowledgement, and the checker convicts the run: the writer
+blocks, or its reused timestamp shows. The checker does not use the spec
+yet, so digest-array histories stay unchecked.
 
 The directory is a timestamped store: a write carries its own timestamp
 and takes effect only when that timestamp is at least the stored one,

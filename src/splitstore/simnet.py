@@ -121,8 +121,10 @@ either. `object_format` builds, once per shape (the keys in insertion
 order, and the layout), the object's literal parts, with the keys sorted
 and escaped, and a picker that interleaves them with the encoded values
 for one join. A body's shape is its kind and field names, the kind
-written in. `cli.json_indent` uses the same templates for the history
-and report files. `_encoded` encodes the values by `render_field`'s
+written in. The CLI's indented files use the same templates at their
+indents: `cli.json_indent` for the report's objects, and
+`cli.history_text` for each history record, which it encodes from the
+record's fields. `_encoded` encodes the values by `render_field`'s
 rules: strings, ints, None, bools, timestamps, bytes and metadata
 records inline, and tuples (pairs and register ids), lists, dicts and
 sets by recursion. Only a type no run's trace holds (a dict keyed by
