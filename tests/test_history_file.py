@@ -176,13 +176,13 @@ def hand_built() -> SimpleNamespace:
 
 
 @pytest.mark.parametrize("name, seed, label", [
-    ("edges", 0, "run"), ("\u00e9\"\\", -3, "file \u2603"), ("empty", 2**70, ""),
+    ("edges", 0, "run"), ("\u00e9\"\\", -3, "file \u2603"), ("big-seed", 2**70, ""),
 ])
 def test_hand_built_records_with_edge_values(name, seed, label):
     result = hand_built()
     assert len(result.dir_ops) == len(ODD) + 3
     assert history_text(name, seed, label, result) == reference(name, seed, label, result)
-    # the same Timestamp and Metadata objects again, and their equals, hit the memos
+    # records written twice take their Timestamp and Metadata texts from the memos
     twice = SimpleNamespace(history=result.history * 2, dir_ops=result.dir_ops * 2)
     assert history_text(name, seed, label, twice) == reference(name, seed, label, twice)
 
