@@ -29,13 +29,44 @@ current key at or below the accepted candidate (so 2*tm + 1 replicas
 have replied); that rules out missing a completed store, because a
 completed store keeps tm + 1 correct replicas at or above its key
 forever. A directory read in a run with no writers has no register to
-wait on, and returns the initial state. Directory reads then write the
-chosen pair back and wait for 2*tm + 1 acks before returning, which is
-what makes reads atomic relative to each other. Digest-array reads skip
-the write-back: their register is write-once and only safe semantics are
-promised, so once 2*tm + 1 replicas have replied, tm + 1 matching
-reports (or 2*tm + 1 empty reports for an unwritten entry) settle the
-answer.
+wait on, and returns the initial state.
+
+A directory read returns its chosen pair only once the pair is known to
+be established at 2*tm + 1 replicas, which is what makes reads atomic
+relative to each other: a later read cannot return a lower pair. Either
+of two pieces of evidence shows it. When 2*tm + 1 replicas have reported
+the pair, the read returns at once (the "fast read" of Dutta, Guerraoui,
+Levy & Chakraborty, "How Fast can a Distributed Atomic Read be?", PODC
+2004; for Byzantine quorums, Guerraoui & Vukolic, "Refined Quorum
+Systems", PODC 2007). Otherwise it writes the pair back and waits for
+2*tm + 1 acks. The two are equally safe. A report lists a pair as
+established at its sender, and a replica acks a write-back only once it
+has established the pair. Establishment at a correct replica is
+permanent. So 2*tm + 1 reporters, like 2*tm + 1 ackers, put the pair at
+tm + 1 correct replicas for good, before the read returns. A later read
+needs 2*tm + 1 of the 3*tm + 1 replicas to report a current at or below
+its candidate, and 2*tm + 1 + tm + 1 > 3*tm + 1, so its evidence includes
+one of those tm + 1, whose every report to it has a current at or above
+the pair: its candidate for the pair's register is not below the pair.
+Digest-array reads never write back: their
+register is write-once and only safe semantics are promised, so once
+2*tm + 1 replicas have replied, tm + 1 matching reports (or 2*tm + 1
+empty reports for an unwritten entry) settle the answer.
+
+A read's subscription is the listeners pattern of Martin, Alvisi &
+Dahlin ("Minimal Byzantine Storage", DISC 2002): the reader's
+META-QUERY registers it at a replica, which replies with a snapshot and
+then pushes each later establishment in the query's scope, and the
+reader's META-UNSUB ends the registration once the read ends. Channels
+are not FIFO, so a META-UNSUB can reach a replica before its own
+META-QUERY. The replica then keeps a tombstone for the (client, tag),
+and the late query consumes it: it subscribes nothing and sends no
+snapshot. A per-client tag floor would not do, because a client's reads
+overlap and end out of tag order. The tombstones stay bounded: a reader
+sends its META-UNSUB to a replica only after its META-QUERY to the same
+replica, and a tag names one read, so each tombstone is consumed when
+that query is delivered, and a quiescent run leaves none at a live
+replica.
 
 Neither side recomputes a quorum from scratch per message. A replica
 keeps each register's established pairs as one tuple in pair order,
@@ -142,6 +173,8 @@ class MetaReplica(Process):
         }
         # (client pid, tag) -> the registers the query covers
         self.listeners: dict[tuple[str, int], list[RegisterId]] = {}
+        # (client pid, tag) of each META-UNSUB that overtook its META-QUERY
+        self.tombstones: set[tuple[str, int]] = set()
         # the digests stored over an authenticated channel, write-once
         self.digests = HashArraySpec()
 
@@ -163,7 +196,9 @@ class MetaReplica(Process):
         elif kind is META_QUERY:
             self.on_query(src, fields["tag"], fields["scope"])
         elif kind is META_UNSUB:
-            self.listeners.pop((src, fields["tag"]), None)
+            listener = (src, fields["tag"])
+            if self.listeners.pop(listener, None) is None:
+                self.tombstones.add(listener)
 
     def register_for(self, reg: RegisterId) -> _Register:
         if reg not in self.registers:
@@ -263,7 +298,11 @@ class MetaReplica(Process):
         return update_entry(reg, rs.established, rs.current.key)
 
     def on_query(self, src: str, tag: int, scope: Any) -> None:
-        regs = self.listeners[(src, tag)] = self._scope_registers(scope)
+        listener = (src, tag)
+        if listener in self.tombstones:  # the read has ended already
+            self.tombstones.remove(listener)
+            return
+        regs = self.listeners[listener] = self._scope_registers(scope)
         updates = tuple(self._report(reg, tag) for reg in regs)
         self.port.send(META_UPDATE, self.pid, src, tag=tag, updates=updates)
 
@@ -412,9 +451,13 @@ class ReplicatedMdsDriver:
         A pair whose key is below the key of its register's best is below
         best in pair order, which compares keys first, so it can never
         become the best. It is skipped uncounted, and ``reporters`` may
-        miss it. Only ``_evaluate_hashread``'s empty-report count reads
-        ``reporters``, and only while best is None, when no pair has been
-        skipped."""
+        miss it. Two readers of ``reporters`` need no skipped pair.
+        ``_evaluate_hashread``'s empty-report count reads it only while
+        best is None, when no pair has been skipped. ``_evaluate_tsread``'s
+        fast path reads only the reporters of a register's best, which are
+        complete: a pair is skipped only when its key is below the key of
+        the register's best at the time, and best only rises, so no pair
+        at the key of the current best was ever skipped."""
         read = self._reads.get(tag)
         if read is None:
             return  # the read has ended or is writing its pair back
@@ -477,6 +520,10 @@ class ReplicatedMdsDriver:
                 best, best_reg = candidate, reg
         if best.key == TS_INIT:
             self._finish_read(read, ts=TS_INIT, md=None)
+            return
+        if len(read.reporters[best_reg][best]) >= self.quorum:
+            # 2*tm + 1 replicas have it established: a write-back adds nothing
+            self._finish_read(read, ts=best.key, md=best.payload)
             return
         # Out of `_reads` for its write-back, so no update evaluates it again.
         del self._reads[read.rec.tag]

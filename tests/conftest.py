@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from typing import Sequence
 
 import pytest
@@ -80,6 +81,22 @@ def decode_events(result) -> list:
         else:
             decoded.append(event)
     return decoded
+
+
+def message_counts(result) -> Counter:
+    """Messages sent per `MsgKind` over the run's event log. A message
+    counts once, at its first event: its send, or the drop of a message
+    sent to a crashed process, which has no send."""
+    counts: Counter = Counter()
+    seen = set()
+    for event in decode_events(result):
+        if isinstance(event, dict) or event[3] is None:  # None: an invocation
+            continue
+        msg = event[3]
+        if id(msg) not in seen:
+            seen.add(id(msg))
+            counts[msg.kind] += 1
+    return counts
 
 
 def fingerprint(result) -> str:

@@ -9,7 +9,8 @@ the report. They were taken before the trace-line writer moved into
 the files are written passes only if every byte stays the same.
 
 The set is the CLI's `--scenario random` at seeds 0-59 (one full period of
-random_config's fault plans) and 2333, every other scenario at seed 0, and
+random_config's fault plans) and 2333 (see test_golden_traces.py), every
+other scenario at seed 0, and
 three runs of the benchmark's cli-long shape wrapped the way the benchmark
 wraps them: 209 files.
 
@@ -95,11 +96,11 @@ DIGESTS = {
     },
     "fig1-0": {
         "fig1-0.history.json":
-            "27ea00c675b0078a200b4c064aae65fed26e8e4d10c8dae6d8428d581f2d137d",
+            "ebd42e7032d76250f76326c95d532f56512f154c9b0557af12276f67c98ff406",
         "fig1-0.report.json":
-            "1004386d2041348334e69bd306c704e49176f0875fe3c4358213a05c7463e052",
+            "e7e3b8584a2112077a226b66cc770ca4ccaf03f16e2fafd48f7336b527076436",
         "fig1-0.trace.jsonl":
-            "67a78839790d003f7ee9f75d99b88b9a7a0c7260dc30c9cb22a2566165a8fceb",
+            "7fab18d2698874da0129416ee8d0e8bf31739650dd3b6049b5921aaf9474c751",
     },
     "gc-quiescence-0": {
         "gc-quiescence-0.history.json":
@@ -119,11 +120,11 @@ DIGESTS = {
     },
     "random-1": {
         "random-1.history.json":
-            "9a5e72748d6b18fcdeed46025215ec0de11afb1d272128717bcafc36c7df229e",
+            "77e3147c094275dc5e7490f3e12eb0fe771d50b2f3eb61710957d69c88e22ad4",
         "random-1.report.json":
-            "d7f7cdb300060cdb44e4aced0ea3650e58e1104e9325633a0a956dabc2e60471",
+            "e79a7b21a7779d27da1a6888d0a420e8f96abaa8bdc819a9084256fc0a3985e8",
         "random-1.trace.jsonl":
-            "2ff8fdc26a7d8e8c1c051b40f02b84d2057a2cde184d393e8164b5eac800a785",
+            "e82d989df08cf01217600f734a3df734cba25c21dd66a27be8cc0b964fb36632",
     },
     "random-2": {
         "random-2.history.json":
@@ -135,11 +136,11 @@ DIGESTS = {
     },
     "random-3": {
         "random-3.history.json":
-            "068b571e24417c069757a327ed0ef3809674771d48693ea89b08749e6265bd2b",
+            "7ab1ac4948a7e1931bc412ce3229257341b2b7a4e9f192be58492fe8798e329a",
         "random-3.report.json":
-            "fc6f7ed9ce95280b726dd5587d6b7ce6c7d334df13581f55fc74d6e2ff9a53f7",
+            "5f92a86c88b7506aa09dbd20255f49888a6d150d2e299544a8aaaf6f7af9f230",
         "random-3.trace.jsonl":
-            "ed3905b38bad9795cefa767848785b480920bcf00d3fd80e55b7d1785b13ee01",
+            "44e93125ac274d8edc9889dbe8565eb7cc377f6ad80c5783706e1430a6a43b53",
     },
     "random-4": {
         "random-4.history.json":
@@ -151,11 +152,11 @@ DIGESTS = {
     },
     "random-5": {
         "random-5.history.json":
-            "07177e0949ff76c1ba5b9435b6f342ac03a0e742738cb8ee1541f6a460ae1f64",
+            "f0f1d1c634454ffbccdfae6758ac22c5c48d65609c1facbd2a3ae4866e4ac3d6",
         "random-5.report.json":
-            "6e2819a7fc5c1b91fbec1930f1f7e06965669e75e00ca98aff064d55bd60b95f",
+            "577ddb0fb6413bc53d74474b1824240fd44c9b7edc5d56adf06119e80bbc3513",
         "random-5.trace.jsonl":
-            "37d041d76bfc7316a0d913afa171ec2a3d631684ac074ffc332fe40aa5c6230f",
+            "1372f157dc2864d982ece29e261d1f16937d916abb6ba3e7b681e70a43b651dd",
     },
     "random-6": {
         "random-6.history.json":
@@ -167,11 +168,11 @@ DIGESTS = {
     },
     "random-7": {
         "random-7.history.json":
-            "20eb4fba349e958e80e9f7e7264240522e2662596629d4af86ece0654603636f",
+            "2bda36282f3e63366521dfb3b4ab088ec35913ec8667b6e7052476a374aa26c5",
         "random-7.report.json":
-            "dbe22e95b87c54cea9d4a459c88b8d74fcdd6ce30873684b67234e14f43d4063",
+            "546600ba23f3271ed0c63aed1c817d9454bb5c5572ae7f3f55cdf8e2dcda5fcd",
         "random-7.trace.jsonl":
-            "395217b4031fdd74e430d3fc8145c5ab7717e3692d23957c476512e52517d307",
+            "099d02ccb96e9ac5df7c49dd06663912bf5771051a2e3cbef3bdea00c69917d2",
     },
     "random-8": {
         "random-8.history.json":
@@ -183,11 +184,11 @@ DIGESTS = {
     },
     "random-9": {
         "random-9.history.json":
-            "8a66b869d32e4e1cabb81da2cac836b5a246dcc067d8aed9d27f6317c88da696",
+            "e4771de25e5c88b150975d314acf9bf1edaf51f144b3d3813b18b41545ad63be",
         "random-9.report.json":
-            "34f2b22860b76e0b3a5a4ca2cf876900814fb63e583012b14477860c2ea46384",
+            "b8d4df7fd38c6e10b5feb064130f0871096924b11e74334034b89a87107c7ca7",
         "random-9.trace.jsonl":
-            "060f83ae9a12677b46afbd7aade41972c3145e33641f5804498a624deaa564e8",
+            "a9110651bea28e6f1dca8c1c7d8124fdc11e1820ee93b5e592348804693b1cc3",
     },
     "random-10": {
         "random-10.history.json":
@@ -199,11 +200,11 @@ DIGESTS = {
     },
     "random-11": {
         "random-11.history.json":
-            "45bf5de6019c53340d71cde9afc9d7df61f3d007c4c059bcd7d7b82e1e6b3d2a",
+            "e8e0f6117f49136fd44f39d2db7a8192656163cb1f06cc9bb3ced52d31befb1b",
         "random-11.report.json":
-            "7afab7d32890475488944fe5c8e9ad7444b2ffff6a466267b69b7471e0a2fb23",
+            "8b2e367ccaeb4f1f5c80f0319f94ee77edafa4d1bfd0592140a3e2c5f0c4cb09",
         "random-11.trace.jsonl":
-            "5cae0dc72affe3ff1946da62bfec5bdca092d7e87b7d2543bae714dd23a65e8b",
+            "a2b1f4d7662217dd2fff3c60449521bb8d90c97571eab2f462e127410b54b506",
     },
     "random-12": {
         "random-12.history.json":
@@ -215,11 +216,11 @@ DIGESTS = {
     },
     "random-13": {
         "random-13.history.json":
-            "29c55973defc4b34c019e5502d122636e1edaa6b790c9134e91cc474668e783b",
+            "1c45efec5ea763b6ac67f37001c756d0d63c4df844773ac9a8266f34e60ab797",
         "random-13.report.json":
-            "2a4b6682351c895614cacc837e9a06a5f8e31fe1716f1b6f7a8b6e88bfcf2126",
+            "70e07364efd3c06f626057662eb7c5fcdfd10d73edc1c871432cdfcb357cc8ba",
         "random-13.trace.jsonl":
-            "196c88790939d87b368796b6bbed4e2de74a488df5010c96dd4f93215bde0da0",
+            "0f6b9189fd76a731efce77ea168c3c641ccab466d09d0255f165b25c5b91d8c6",
     },
     "random-14": {
         "random-14.history.json":
@@ -231,11 +232,11 @@ DIGESTS = {
     },
     "random-15": {
         "random-15.history.json":
-            "de9d0c288444e0aeaf15eecf9f1d4f08c401ed17045a5b64ea1613d717ac61c4",
+            "c368260dc31b3643086d26f2a94b5b578ec3951d797818f46e6f03918006b0ba",
         "random-15.report.json":
-            "b59850c88ce4dd903fe3c754818fcb913b821a12eaf6b752481504ada7b1c5f1",
+            "9469ba915931a3ad2fdc3e6d818caae5213fdaa5557b4b351eda8ca65efdd776",
         "random-15.trace.jsonl":
-            "2ad46a2e89a3a4951ba9804d5c56f11f1094baea9cdafe04cf61804354a9d382",
+            "a82e9e988056282f9c6965a295470455f947d91ad89889469c03bc26961051a7",
     },
     "random-16": {
         "random-16.history.json":
@@ -247,11 +248,11 @@ DIGESTS = {
     },
     "random-17": {
         "random-17.history.json":
-            "782c7e971d4e57ce73508a278a63e68e711fadb69551ddffdc96edd81e9dc3dc",
+            "add314793a37de51866a2ea43aa6ead9c19e9acd2a96138e8e3b009ab5ad5552",
         "random-17.report.json":
-            "9b80036cd490ef8a6291c721ef1fff3bb826b9b32fbab20133118d5f0e14d163",
+            "4f4c2be892c71d738eabd034a3838b0a91ba815ff45e414b438ed1f692341191",
         "random-17.trace.jsonl":
-            "c344ac0166f43612e37d8c72b62fa6ebb059434d1a45381442f07bd377591bac",
+            "0e41a1de5d668495616c98eb31f7e9f181752fab297a0881146e6cf82d52366a",
     },
     "random-18": {
         "random-18.history.json":
@@ -263,11 +264,11 @@ DIGESTS = {
     },
     "random-19": {
         "random-19.history.json":
-            "9c4f52fcf3d93aae5a39620bd739ec52f62efd870c3904e376667f577ea99dfe",
+            "c567f4a608cf05026d3b06a86dcbe6d8ee30662eeeca3e032c7705c4fa20df82",
         "random-19.report.json":
-            "7b097da23e1a05d7bc71404059ea4f52c8c6812fd669c18cfaf349d1d1488297",
+            "2678ea83ecce46801623ff89ea4a75f16644911713c99e15e721272ea2108080",
         "random-19.trace.jsonl":
-            "2e347202869b1279629aca0992d64a3bbbf3897beae2ede0d51067ea1a038afe",
+            "7dff3a9501640a5b8849555f4f7306808fba0f8069205161eebc9d54d040cb1b",
     },
     "random-20": {
         "random-20.history.json":
@@ -279,11 +280,11 @@ DIGESTS = {
     },
     "random-21": {
         "random-21.history.json":
-            "1869f094cc04b2c3b5adbb2edff9e759a289d15ef518c7ed62a8f16564ccd089",
+            "044595479ec16c7963a7387a6bb614bd52aa0a21f4ed96618ed8b022afa9e912",
         "random-21.report.json":
-            "bafd7dc1a24deeb5e2be43cc75fbb9d778ed1a0da34a98170a8bf8e213cf51ba",
+            "aded84599d87330c2a035189ab459c6f7660bc05d5bdb001395ca70f0b0e6404",
         "random-21.trace.jsonl":
-            "43a8231da90530bfa24f8c6e6904a11b388e7116e69ff1a168d56158a25a60d3",
+            "3276d2d6554dc5607733c9273409ee0ad8c8dfe6b3f46dcdadcb249376fc88e6",
     },
     "random-22": {
         "random-22.history.json":
@@ -295,11 +296,11 @@ DIGESTS = {
     },
     "random-23": {
         "random-23.history.json":
-            "66464edc1c3070d989c0df23401fb6122bc1ff31ba917b3a41234f0cca4111da",
+            "410ac195fd636bc7bae9eb52d633006ed54736d212dc3ef3ea23246fb4924e48",
         "random-23.report.json":
-            "21e01209204b123f9e90ddad928fd266998df2e3f2a158f105a465f8d14daa45",
+            "c81337d5941adae8772a4aa5c677eca86bb9cd8546ae6dddc512cc306fa3a254",
         "random-23.trace.jsonl":
-            "232ff1477caa56d0b7cc2bb10964b22f4215ae5a414e1a61a846273a588f23c0",
+            "3f9a331faadaf076feaa210a01d6aaa21b138e024fdc2a06a59ca88b11ddf89d",
     },
     "random-24": {
         "random-24.history.json":
@@ -311,11 +312,11 @@ DIGESTS = {
     },
     "random-25": {
         "random-25.history.json":
-            "01619772d2124d9c71702433a10007671a204248b656e7768a3706c8aea851ad",
+            "695f344b4a2fe3be1fd1841aa12877c3ab1f1b57f15a9d0292996859e7d0d6b9",
         "random-25.report.json":
-            "b069232398e40e1bb79b6c30179ab8993378125c3a7d5c9ff2688f9b78cd1855",
+            "dc6113e83a9be5a92de74ee762b6bf852934de075cb8f1296da4aaede9d646e1",
         "random-25.trace.jsonl":
-            "c628dac9a5838e1129bdf1ffda4b375b10417108c117b68af201acc0473a2a6f",
+            "f51bc3ddd57bf80e4acf012f6191af0e139fa27f2dab87806f236904a8bea6ec",
     },
     "random-26": {
         "random-26.history.json":
@@ -327,11 +328,11 @@ DIGESTS = {
     },
     "random-27": {
         "random-27.history.json":
-            "eea990040f25583504fa022141d742cf2923868b1b44dce4a52878520c1e46d2",
+            "5cadc24813b478ac2da32032ae7d36e797b814cea5cb4cda4b08ac5524269b48",
         "random-27.report.json":
-            "44b0564daa5c8768efd07b9e5fe1c5b14e90d6c4a65ac14afaefc0557c90f80b",
+            "05452db372ab9718e0418efca53ed7428926cff6440a186f55f362a49da5ba12",
         "random-27.trace.jsonl":
-            "847e533a9aac9be32ab234ff6fcaf9b5c0d00c9ce324d64d553a9b954bad1b6a",
+            "94ace83af8d1c8ea653609c3c8974cb290b8e462edbb8b1477e7dae328bffae6",
     },
     "random-28": {
         "random-28.history.json":
@@ -343,11 +344,11 @@ DIGESTS = {
     },
     "random-29": {
         "random-29.history.json":
-            "78d775528c0a137b0d65d2da2cb29e5985eca4da86e44531b868296faf016c6a",
+            "1255a5850c3f859c3e3c6166a4ccccb3b1c12c4d4281803cfcd95638a55627c1",
         "random-29.report.json":
-            "d2194ff339a756f6f83255dd5dd8644e06cfa6b619d29d33db07ba1bb6674d1a",
+            "f3105f5f89bc32d9186cad52da82d54ace145bd35a225794ea2f870a7ae0dbe2",
         "random-29.trace.jsonl":
-            "b97237aae49880273ac749a743dccbada73778fbe8e9d0ff881909c16e5df73c",
+            "1d79e551b5f4d623b63fcfccbf8041e4e3fa73f2b5ee470f550e52872a5f8eba",
     },
     "random-30": {
         "random-30.history.json":
@@ -359,11 +360,11 @@ DIGESTS = {
     },
     "random-31": {
         "random-31.history.json":
-            "9e74c5a1843843f683609538be0440c7369ebac27d7725e35f037483e0286c6c",
+            "802151160d9f1067c435a8fcf28d42c96af7207a7cd40b8602fd68eaf48378ee",
         "random-31.report.json":
-            "a2ddc7ffafbe835919b66ef9191b187d29b2e015417008fb38e2ab53197f0eaf",
+            "e0228fc549fc5db89644b59598e009052cb6f0300c0be6fc0eb0f0aa96878885",
         "random-31.trace.jsonl":
-            "8aaf1dad00c047c3795656b5e2f814adc65fb99df599d9757659256a6942f5c3",
+            "a39f5ed0ba5571277df7b2c36e008ed23dde620ca8667d591df048a4eff4ddf8",
     },
     "random-32": {
         "random-32.history.json":
@@ -375,11 +376,11 @@ DIGESTS = {
     },
     "random-33": {
         "random-33.history.json":
-            "bd67b3c92c28de84b41064d0437172f46984df02c7eaa7091ad08b532e411e5b",
+            "0c394dc3d3f78812b3c9a4938cb6f5aebbba9dbec9a5341c6c0507de9787f446",
         "random-33.report.json":
-            "75c3dcc342fde728896123b5e3cd1ebee9fd673498a2d53b887e217e914708ab",
+            "012c674dac6b78715419651b26c64668c5fc35deaf322882c9cbaf7b5d5de6ce",
         "random-33.trace.jsonl":
-            "ba73b5470ce2b826291ca05d400ac7ee9693ab060faa77007623d1925c4c8335",
+            "37ea7854f41e7291bdd456e99414ccbdc242ce236922a8d3b9894275522094dd",
     },
     "random-34": {
         "random-34.history.json":
@@ -391,11 +392,11 @@ DIGESTS = {
     },
     "random-35": {
         "random-35.history.json":
-            "7a6a1cf8242aee9a644efb38b47895286ee2afd897ed50738aacfce366e14c85",
+            "5f5f474a470420dfe9354386f409532a52cc7cd925c370831cb35025b67103fe",
         "random-35.report.json":
-            "ecce93657ba64617834906bdc034fa02c662024134aed25103d6b8c02aa6a69a",
+            "191e18ba3081aff1081f927182077b222fbe7e3abf06ce1474b6510656ce36f5",
         "random-35.trace.jsonl":
-            "4af3a5101392a50bb8871157caa70133b7a334e363a7b4712ccfa46ac2d3d578",
+            "6cc9b866e391db4ec5c523ccd21cdd0c5b79e47eebb1ef99f061a452331d56a2",
     },
     "random-36": {
         "random-36.history.json":
@@ -407,11 +408,11 @@ DIGESTS = {
     },
     "random-37": {
         "random-37.history.json":
-            "a0b4c691e9bd0ac1d480afdb2a7fa9c69360888b4860be4eb041d6d6e15c7d01",
+            "ab9dd178ef4cb41fc34130a1cd685676e01b49bf29726885fb15759a4bbd15ee",
         "random-37.report.json":
-            "b4d2de01763b81ecc36809ffa76a3e22820e5a83059f7c56aa820997628d5f8f",
+            "8821b2ef55f79018375d3c1cabaaaab27358b4df373eebb27d8cbc35daf8d335",
         "random-37.trace.jsonl":
-            "728dc303a88caa8455661a9abc0390fda3e86bde6ff601bfc56a651595f68477",
+            "fa025ab3f1da8307b87642a77a1256dd5cb9892261395840169f8147cc866909",
     },
     "random-38": {
         "random-38.history.json":
@@ -423,11 +424,11 @@ DIGESTS = {
     },
     "random-39": {
         "random-39.history.json":
-            "384eb24fcbe5933ad794bf03256b8f6a19bd0522afbaa4de15377df696b630e9",
+            "2976d97f7feb987e8d536aab32742409c4a48e3dc8b4d8aac3db7cb6ec89d5e0",
         "random-39.report.json":
-            "84c7f4db15ff240bc30c92c90052a5bbc94b86bfdb81eee79369f7391c1add86",
+            "37698fa9ce1e62f28acc142987ae8531b3b62fd37d86bc8f9dd329659596ebf9",
         "random-39.trace.jsonl":
-            "35988b60fafed2b053f2480fb0adab1f00bc1faad82c8f4ef5f47d8392c62ee2",
+            "aa9514877c186cd90063386f20c433d627b598d55723f0f2c9fa005ddaec8b92",
     },
     "random-40": {
         "random-40.history.json":
@@ -439,11 +440,11 @@ DIGESTS = {
     },
     "random-41": {
         "random-41.history.json":
-            "8a104bd7e353616b8f14c884c40efd108888d68d8299258914cd58d690b0e47e",
+            "ffc7ab6d74df9171c202aabc1a253632448712260333ec60bb53a8cb0672f19b",
         "random-41.report.json":
-            "2c8fc21992e1d5d1bb4f8b6fce3e0f04161314ff1c4e2ae661ae469932568ecb",
+            "e13ac563b8b80f2f1ecc005990a3494a741922f023cf67c0d30f4bec652be04a",
         "random-41.trace.jsonl":
-            "f1c08c9665bde579a0cd9c6a62d34d5aae0d755e51cbabd5ae98669a4039cbb5",
+            "72297dbb0042985df9ad2c9c6ffdd44276f9ad68192b93fedf6e300efde4b7e9",
     },
     "random-42": {
         "random-42.history.json":
@@ -455,11 +456,11 @@ DIGESTS = {
     },
     "random-43": {
         "random-43.history.json":
-            "dce9c3c9013515b883d2dbd02417b01635d05829e03ba17e2785e8a51734febe",
+            "9f2458b9c6a89784362aae9b7e02db50768bac09ec67df903ea531db2460651f",
         "random-43.report.json":
-            "41bc695bbd9d70d78c2870a06d61c267ef19d5bd8ca7ee4bf47258c8a93afa8a",
+            "120efcd28ddcfab9179811673f0a61500cbd10da0d4fda93d7197c83617cfdfb",
         "random-43.trace.jsonl":
-            "0668776cb9932f84f5cb56b6a82b6eb25c13f30d754bc10696c4092612d4b05b",
+            "474e5ca8b65d2ef6dbf134143f30d74886af742611ec669f479e5f38e1481073",
     },
     "random-44": {
         "random-44.history.json":
@@ -471,11 +472,11 @@ DIGESTS = {
     },
     "random-45": {
         "random-45.history.json":
-            "7a9be436df224afad9ba4ced59b7d58dc6ead0360e7b528b556fc327c4a0b438",
+            "5d323222d2c5dbb326a777ba6ebff2c9d7f622b73ad1eb864ea09febb006b906",
         "random-45.report.json":
-            "17175aeda7505e69ea33365a55bdce6184b32a494b96b4b95cb0533e1ff47ba8",
+            "3886ba4c3f48d356be753a62f2d00ac3fc6a02a33bec2cce5f2a5a62540bdcc7",
         "random-45.trace.jsonl":
-            "2605ba710385feb99a22f2a2fdeaa1efd5276e7f0a2a0d3b6251e35eec909531",
+            "2e4c1eebc56f77d1352e5f36bef333d3fca20597720c6d0fea6d5af63e67cc73",
     },
     "random-46": {
         "random-46.history.json":
@@ -487,11 +488,11 @@ DIGESTS = {
     },
     "random-47": {
         "random-47.history.json":
-            "e404cd418cb4ac81829f76c7196ee4ccf6fc9915b2cf814620c8af9d6dfdd155",
+            "6cf4fb7e2fd4a8dc256a9faa10c790311b909dc35d2dcd817138184584ddab42",
         "random-47.report.json":
-            "c0edcd7880188de5bc5286b5af9bc86a4ce37d21c27db600ee0978b8cca48c43",
+            "d192de9fce8b724c14371ccd33cc233c64b2acf14be05c3bbba229cb7d121a78",
         "random-47.trace.jsonl":
-            "5bcca389f02e0a9c6ec57d1f77ae6fb82bc4a55ff2a590cdb2bd5cbd6abc123d",
+            "e4b1a76e36716867ccecf240267df4dd6b853c6e1f42d4c48dfff52417b0b39c",
     },
     "random-48": {
         "random-48.history.json":
@@ -503,11 +504,11 @@ DIGESTS = {
     },
     "random-49": {
         "random-49.history.json":
-            "dad745801e5ec1b044cee4bab6441b2ae9a47b92166f0bcebbd99f24eb94af1a",
+            "52dcba5180263e53f939f067e3478f7f06f077390728da8a589eae42bd555c2c",
         "random-49.report.json":
-            "3b68a035cafda605cdb9bc42828cdee3ee3d5546ec53a69665d0e04304741694",
+            "2d2119534be7d9d17f9a2c74c5858c618f85e8dcb55e22f55e13b876d17a771d",
         "random-49.trace.jsonl":
-            "3b9edf48c5d74ad531f8714eb4e356cf0dfd759306bffee2540b0a09a2a43042",
+            "f24fa4853135219aa21c54b1e5bee1e9c1070500f5f5a1247030ed327ef240b5",
     },
     "random-50": {
         "random-50.history.json":
@@ -519,11 +520,11 @@ DIGESTS = {
     },
     "random-51": {
         "random-51.history.json":
-            "64f82b61a1f6beec40678c38801138336f5b27346f4606c37176c7d0253f090e",
+            "7b547a6021ada6394ef819e8179993dce6858090487109ac4b0e7cd15d5ea915",
         "random-51.report.json":
-            "033871235578d694f51a015fdd0d0e94c2f8bcab90ba252381a4a5048f3ba6c6",
+            "9469bbc07120fade4e71043313013a081f473ddb839f91b54d082f3da710c7c1",
         "random-51.trace.jsonl":
-            "f261c46c19298de96dc718d50fb0ad2886a9f82eabad59daf931f398bee49d8a",
+            "f71003ae20c8ed4df31257453981095891ea72deeed6a13409cfd816965d68dc",
     },
     "random-52": {
         "random-52.history.json":
@@ -535,11 +536,11 @@ DIGESTS = {
     },
     "random-53": {
         "random-53.history.json":
-            "f2598ed68003c8838cee1d8f9e057e972d3b9c8d000c9aa312d8a1c20c23b182",
+            "dee810dc31d217b75743ea0f0379a7a7540898fbe352d34a76f14bbfca01aa1b",
         "random-53.report.json":
-            "eb3e2e730ef28e37b595398dc06963fbc60858c918f14be205eb8da18c7b871f",
+            "20ecd35adc5f4d96b368f395b25de2c78ae7d72b3d19f135b6c3448c926cc69e",
         "random-53.trace.jsonl":
-            "a49d18a9b92c038101e367789264cc1a82432772a99b7a91815890fcfd226cac",
+            "7a9fe39b285739d4b0f95a9dafaae960c5cecc49333fc393598769c5636a5243",
     },
     "random-54": {
         "random-54.history.json":
@@ -551,11 +552,11 @@ DIGESTS = {
     },
     "random-55": {
         "random-55.history.json":
-            "de8fc68290a2f5ceaec0607022f08f71b9f9e06b94e3df5c826dfbcd4ba949a8",
+            "1c3b333efdbaf8b02a7c279735294e7268bd18f98f4b047fc61f8133d0714297",
         "random-55.report.json":
-            "579ad389afe2f94dbc8a32780f98ea0fefa350c34b256431ab0347c08cc7319f",
+            "d899b47313865a031fb5baca763f520aef23c2eecece80b28c79c1192fa83db7",
         "random-55.trace.jsonl":
-            "b71afe782753056d6f83591f6f26e1f8200cb2bcffb0d3d8926589177019509c",
+            "9dd169170478397a072f4ffe0685d5ae2e601abe7e7e6e73678148f4096eaf59",
     },
     "random-56": {
         "random-56.history.json":
@@ -567,11 +568,11 @@ DIGESTS = {
     },
     "random-57": {
         "random-57.history.json":
-            "30834eef6b1e9654ae992f619630f53f1d6073f3f2ee7d3782abb3794352aa93",
+            "eb11ee0cb833e23a38e45b43fc91f04a3c25b1bab19b8d217c2a00db11370f01",
         "random-57.report.json":
-            "7d6f0c2e170dd98b0523a40687587f0fadd381a1b973064b752aaa50324c83d5",
+            "5797892ff2e347bca1ab5f098113f38b0c7c2abed3e282cf7ae809890cc1cd66",
         "random-57.trace.jsonl":
-            "dab172c3ca355695d08886e3f878b7cc3f9b493923adb052181a38acdbfbb768",
+            "e267795e2bb61148834ed8a05fdc9bf030b07a6c6c33328d75bd3692ce5e0d85",
     },
     "random-58": {
         "random-58.history.json":
@@ -583,19 +584,19 @@ DIGESTS = {
     },
     "random-59": {
         "random-59.history.json":
-            "20f0c6c8340f235f1321b694382c1ebb0b78723b908dbbb0c4168c3980683dc7",
+            "9acf2c3ccd1a3bebf4b6cd97c7825a60eb5ba4a0b4b1e62ba1e4af9ec5633a5d",
         "random-59.report.json":
-            "afd99aab48c507ee43c42fb3c2b4e1e5ddde6a9381c5090b3da023ec5da3b64d",
+            "a3102c0d32e4906878440cdbba87914eba3c810895c0d9b29bce8ba354e0166e",
         "random-59.trace.jsonl":
-            "d578c937630181e25258b50ad31efc518c5f1afddd8b8f522aa427e912470268",
+            "cf227c054dea143cadd0c6095d33de7e56a70feb899dbc58ea38a9fcc0b98a8f",
     },
     "random-2333": {
         "random-2333.history.json":
-            "5385f3d5c6aeff24574be57b1effc21b0987e64757aa41ee93d2bf379170d096",
+            "75e6eabb406a7a1eddf2d2431b63e9b9e6e6960dc5d14ee60f6075481cef059d",
         "random-2333.report.json":
-            "2f5b0ea596e73945d4e4901a1d4a2c1c1f5593df5308e30692ef5b8c588f641d",
+            "3ab7a7176ae3221b60fed11a3db802c5fc5733a223fbfe5eb8f9476b2c98e70c",
         "random-2333.trace.jsonl":
-            "3e3459fa9c0963630d4aebd2e4cf68d4a10f9da0743534a278f24c6702bf77ce",
+            "183e7dbff06f5e259f0c3aadbef6b188be70f6b1d8c5220afc82b33d2af22e34",
     },
     "theorem1-byz-0": {
         "theorem1-byz-0-baseline.history.json":
@@ -651,23 +652,23 @@ CLI_CASES = {
 CLI_DIGESTS = {
     "flags": {
         "random-0.history.json":
-            "37f56f0c9e858bfa1129281025564667dfa4a0a06ac199957104802c8cfc7dc7",
+            "f6304cabf8aff4282f5ac0d4cbb15c1badf9e2112fe55c611c38a992d7212b26",
         "random-0.report.json":
-            "685f1fff5429879ddf06f7e9b06fc35d54e13d12552d5882816798191c7e942e",
+            "ee6e483b45bc20344f8c3d7be76e3953bc7accd280a8545f381c92d6c5b66d07",
         "random-0.trace.jsonl":
-            "94ba09877ab4dd4fad97197f58ccd2971d723d20e5e021917d1e75668936ced3",
+            "9b27803028176d0fb6c27f6d34905934ac525069fc72438c3a3f4e9b557afc40",
         "random-1.history.json":
-            "11580a8cf0ad4092948bb43d07804e8c01adb9b357d46b072218a00aeab85fb5",
+            "32252f3d7c6a40dd16a25e887abc03c6b056bed651623c61f8a722b0486e8908",
         "random-1.report.json":
-            "c84caa3c1fc51935d2f9d26d1a7cd7d619deb66a72750f3c6f45b653d5db40d2",
+            "24d65ccf6e77fe9c3ddfeae3cfed0a38fb3d668a27218c0ca272110d34a520c3",
         "random-1.trace.jsonl":
-            "6c9f3d943dc256ffbe214398a811df0287f4729705f5b8b3e8f006f7edbc9be6",
+            "eb456384e0deb96a7346ebd73b7294ade7a26c77640d900eba2c413312017457",
         "random-2.history.json":
-            "c5c9ef55d241a35f70dd32f4a9a5af827d05aa8c65c9742e1ec7e91347fc87a6",
+            "730e372e340b43b0d6e66aeea4278c6c69594ea4c27c26e51b9790bfe6351686",
         "random-2.report.json":
-            "5ce3941e311a61f7f25bb0d3063ffef310afdc94888db45950b85a88fea86869",
+            "d92bfc8458951fe77aa692d7c164a08812ea49b31fdcece494320e54d00d8ada",
         "random-2.trace.jsonl":
-            "9c37ed3b202025c6627f46f54a5bd2fc2351704feb30b8a04934d61c77f27bab",
+            "a6b1d3973dc3b03d9d6bb449aa12a7dcc58a51f749c87c7d265f01b89daa1527",
     },
     "file": {
         "pinned-0.history.json":
@@ -726,220 +727,220 @@ def scramble_stress_outcome(step: int, ops: int, seed: int) -> ScenarioOutcome:
 
 SCRAMBLE_STRESS = {
     (60, 12, 0): {
-        "trace": "f315a487d62e79504affa5fc102fe445065151c920b1a2a969c3af2598fe5caa",
+        "trace": "4212f07611c6d0693feba2ade15f62f278e19686e045bb71d29db2e7c6b66c7c",
         "history.json":
-            "3db3a0d9aed6f2f297b8fa8ff5a8bcba527271f00aea59b23bc5be0b0a202c3c",
+            "94f752984d0502b49cefb1e2d3e8ab3f64ec4ed422940a0f435eb0839ec5d3ad",
         "report.json":
-            "31788693339a4131a679c5716f31f76856499003edf7a24a2be69b2536f04c95",
+            "0e39ddca50b0afcf4a6e6e8a2ea444b20b9d99ba564357f2ed42a17def928a4e",
         "trace.jsonl":
-            "cf2a277bc40601d68aff8ef5f56ad184f11464f98c155fda983b5583be228d5f",
+            "c15244729a5d023775a9c599f58d691472932ea680ecd2c3b68edc9d9be5648a",
     },
     (60, 12, 1): {
-        "trace": "9585161a164ac4b9a5973880b948980e158257f30be7dd9616b9d557d4b62b26",
+        "trace": "1ba4ce64b6a7034dc85532b8b40b20beb31743b940170d349076a975d429dddf",
         "history.json":
-            "8b0d19706a155eff4e0975f51945b487303b4b4102dc486bc6d9774ef00ce5e5",
+            "4e0de012927d64e0bb5d5c5c98fe6418ecc3cf7829a3b85b6a704af8119140e3",
         "report.json":
-            "ee24d9dc0b6592890369044908a4cd8aed9b6e12b4b559f9496e1ffbb6917878",
+            "e97c115d7ef55631013848c68b90bf24a4703ede50aeb18c93aaa5daf8c19f82",
         "trace.jsonl":
-            "aa9a415b0fe9ffc53e56eb24edc7284855945422ad0c3faf4b5ee3ad5f1a3524",
+            "04fef2e0f9faee05495659aeb085dd3fe829adb132a8add3b3d4d349a478c790",
     },
     (60, 12, 2): {
-        "trace": "a3b8848e5edab74fd20601436f6b7d9a8247394254b78aa312abf641823564ee",
+        "trace": "f1d5c1c0c2a5566415843ba11d7055a5c62145f67f039a46ed2f7916ada66780",
         "history.json":
-            "4a356f550125c381bbb334ebfdca080610035f6a0c225b258f07693d0278957b",
+            "89584d93c94f766c7dd0f4d7541d60ad2bcddd4ea2c9d21cfca8d8098652809b",
         "report.json":
-            "e8a8d9a2bc961da314a7e5f5d094a386528456eaffe8ea2fd6f9d767ec9a2074",
+            "9a1640fea1c786793993a9dc083a6d6bed126d407695d168ecbba502e5fd2a1f",
         "trace.jsonl":
-            "b71eccb0963d0029f5b85f000d5f77d7a8acc5e58ffef3c2afb7ad8fe394d8c8",
+            "f6bac692522a9d94f03934f2ca13780f32b467a7be562adaeba376db9fed23ed",
     },
     (60, 12, 3): {
-        "trace": "98ffd1af2194be6f1970cb9be5f332d9455be2e0d5729acca75cc8fc8893c124",
+        "trace": "7d098c1ad67ea38d3716e4e40783f62aa92889c93ed54f88f8a0ff1c3e24544b",
         "history.json":
-            "56f9097ae2afbf904c42ac8cdb6d32cc7a9e9f36f22768431665c4097cf4a8bc",
+            "df10220728bc25cfa147bd8f833435d69dea5a3a5c12f559d3008a221622ac15",
         "report.json":
-            "8963d5de46d5b4a4d674e5b8881b98f079936e7a1ba36072cc58af827d077a4e",
+            "cbf51d976753ee4376de8a841d3d7ef27fd13b90c526087bd18b4f147510fd05",
         "trace.jsonl":
-            "00143e836f2e40d4bed0c14372a4475fa7440d7bf6b9791c8f5ca99e2090a483",
+            "640754234fbe5b973dd9888f2adf990c3d162df249ae2d0ce8f3d28d17388f04",
     },
     (60, 30, 0): {
-        "trace": "91d81ef95b402c3cb90dd061065dcec0b2538bd51934de0d65d0625f320e666a",
+        "trace": "069d2e513ea03a06795ab7071166c3ff7aa92f6eee72b472442a9567a3fa3694",
         "history.json":
-            "c3bee7953ad06a4709dd4e31e6c287a9df47910491369480e9d0ae6c34393ffa",
+            "bd717594694249849d15a548d07d54c19a82ffbc20c3668180f1d64687c493a8",
         "report.json":
-            "baed9918ed38265ea0b06b8193cf6ab2589285684221d9a7f0c3679571b220bc",
+            "5e1c547ee85d69adb00efd350eaf4d2d389e9364f35077aef0a32027e6ce87d9",
         "trace.jsonl":
-            "c667016fa9a1fcd189beb397866905117bf43e83f96fc91d35b3f7bdb9a104a5",
+            "65d0f9355dfe95e8caea0717d32692112d1af94b712e7683a26add3bcfed6e54",
     },
     (60, 30, 1): {
-        "trace": "5776e0de5e2acf0abc621a1d0eb919f97e8e0c94be14457dbe72cd7fbb806df2",
+        "trace": "7f70f5d7d8850a79ea1331ea166957bdb0a122f08e16010268666263bc911584",
         "history.json":
-            "02e599e9774bb87d2a50ee803e1fbadd9b1d41920c7b0f0474d219bb71620ff4",
+            "e11b5acde44dc3a4fd8a5a3104dd3f0e4dff9b478646b41b60adbf00fc5c60b4",
         "report.json":
-            "e2d986c545c3d8580e96fcf5aa6156352497ed06c25707653f7b2bba32f453bf",
+            "dbe314491e2496abde80dc46599c696baccfba56de95485836569236c83670e7",
         "trace.jsonl":
-            "6132fd41bbe62d2f4f56b3c326c15b4905245e4b34c7e5fff84fd111bd71b926",
+            "9ff6926c405da15e62908f0b028da9a2d73d67527c71df082423e39650c4d79d",
     },
     (60, 30, 2): {
-        "trace": "59610f13a46bf95ba99bbbe1ae3c40f1130c37dc36a2ca710b0aee4a74110299",
+        "trace": "dffeff0b48472d9318780e1c822226f3c24f1bfb9c3b0a97d80fc6681d1fc6d5",
         "history.json":
-            "f76a6cf5d1cb6750b8c82117f700cbf89561bb9c23db576d52df6852c45215c2",
+            "469e31b7f108871ec292faaf8836200b707483b2fd47d158759daf00e87278ae",
         "report.json":
-            "aaded2be20b1c2d0b4d2d46812eeeb48a1584894ffc5cacf6c4b404d3e242a12",
+            "c07e2789910b5c4fc7ae7d1f1db159ba80b564b2932487507363ed0e91f31dfe",
         "trace.jsonl":
-            "2000eb7e896c1447bd2de7f7c270713de5edd62721d12b50edd4929bd81221fe",
+            "89db9808ee60bc362f5c0ac3eabe663148c84bc9a56dc0016395da6955b9074c",
     },
     (60, 30, 3): {
-        "trace": "0649c2b03dfd792586a6063313d9c07a528f78e5d804f75a50460035f021575f",
+        "trace": "226fcaad56c3b34dc96ad4eda0831aeda7835b7455ba6b318b1b508c666757ef",
         "history.json":
-            "c931e64b3e5f5dedfa16268c20a7d4ee914bfe0c10f6a10c56a11bf5a63d6fb1",
+            "388b6b656cf1be4640efe3baf70e5db86ae87814c2021053543d5ea9d924a37b",
         "report.json":
-            "b99d22157fad55033dbb6c9b3f2bd7cdcecd9ef4249bc57a823a966301d1b29e",
+            "cda54c8801173329eeb73b4a7da516edf70b40e262e4fc3f995515d9785740dd",
         "trace.jsonl":
-            "40224b1488bb596b528f764f3fc9371eafe075c353c939cdee9464f72e334ace",
+            "6b4f59e6793536f16302c94ef566c177b8f872c4220fab0e17bf7570eb0c8346",
     },
     (200, 12, 0): {
-        "trace": "25b16b553e68e797aadc8c1fef9ffd020cac1929726fdcbabc2da8886da2659c",
+        "trace": "6ea507ca831efa4bddb82b9c061907670380c2ccf68510d9557fc25e6678f050",
         "history.json":
-            "67b74cb752d5dc0422d874431374951604dc6f2014dd400223873afb558112fc",
+            "32c7c82b9706ba9074f3e85aef1a19bc3db4590116b5fee8962894f597db52e0",
         "report.json":
-            "436c6efc175a16ae6b3c5b25d1c09ae61ee6bd3e6438c91b0494428b8c6bb1ba",
+            "41f14e206f9426ac5a0d4118e86593b30a6a541dd650577dba477f8a19176105",
         "trace.jsonl":
-            "62f5ad5000f12ab06ce184ebbcb0bf809e09120230c368c4795d3330f7211328",
+            "4a96ceb9c930c1555226f9a6b2fde06c8f74c479eb91968343f2106848e77df5",
     },
     (200, 12, 1): {
-        "trace": "d39ae760ea5ce82edf14c97d288788954151cc63bf6e0d4e3f75780f038d3bed",
+        "trace": "e5510099e2b17f892c5695bb54361a7e550993a3ea2f96635b458a6511bdfefb",
         "history.json":
-            "2fdb14bcb83a85fd15bb5d6356e73c0c1e1fb671cd317227e8fdbfe21f3fb437",
+            "00a1a87968b974145b046d290a694f0b6332a3f453aa5738fd43161e4cdbaa3b",
         "report.json":
-            "9127d56ee7ecd21b04162b491907c7df12bfdc98141cf7186bea96505ce5c487",
+            "b5954f1f76b976dfe9a5ff0a8ac91b14fd3d60e7b7933264b9545ae116513c25",
         "trace.jsonl":
-            "df527cc9ef202122735045b7c4214d1007b36254906a2d2c1039839476ff3bf2",
+            "71726258964797a9fa1cdfd70475abe6677e90132966e64dd5710dfbf0275470",
     },
     (200, 12, 2): {
-        "trace": "bc7b86e65affa08ab1e9dd3b8cb89c268865cda1db654b469de6a6731ed95ee8",
+        "trace": "48414ac92d517cbed829448087f7e3f03a8aeaa2268bed26137eac25739aef01",
         "history.json":
-            "09cb01d3a7664f5055db0200db835e5495648c2788775a79978911929806f3fe",
+            "cea76e7b2330887e81bcb0a72a56cbe9b77183a412bfa784bf9a301c735225a9",
         "report.json":
-            "1cea46abdfd220b2e2292c96a3230e023e81eb1998bab00eec332e50db0d748f",
+            "959fc1a456fd0b3ef3291718615af60331a184d05ea37011c1b011b8f78e389c",
         "trace.jsonl":
-            "49fc969f30e6da188b912089295001d4275165811c4d09749b6559a47bf3f039",
+            "3515cfe2bc0ed6d7b60463a486f084e2acaa891c18f321100519bab1652e1e57",
     },
     (200, 12, 3): {
-        "trace": "24070c62a60ea3380d508f4dc2a282d1f6140714aa3765ed632a178e6ce3335f",
+        "trace": "4d0f0f4334b2f8c8d1aa8e3a0fee529c08a50ae85efca81931dbf9ecb4957683",
         "history.json":
-            "6333c188f56cf2dc1e9da1bd39c208f7f43a2b77e103565049b19260118fb03f",
+            "d985315673b386bb56b789a6131cdb6045fe8390e0b9066eb981d1f31489630d",
         "report.json":
-            "47d2306765b92bd580912bf3bbc534c39ce1777ba11f62240b0c8bc4f681a4f4",
+            "4c5123d56fca9f8c10d08700b37b8b5d0a0d3b810753ed6814fae4e33213724c",
         "trace.jsonl":
-            "52cc8bdcc2b0898d3dd236fd3fcdb0fe084128f0b4d3875751af1ed41b4395af",
+            "a5d6ca3fe2379869c4b45dd95f2be5d5b4a3b74720ccf067d26df17a33a9a013",
     },
     (200, 30, 0): {
-        "trace": "9c52b438c98bdcb1b099bae99a07ff467e20c1144d3ee4b45e5116af0ebcf6b8",
+        "trace": "e50d557db5f5cf2e9ea5a983ef0d6b427ce3568e590f3434d139a811c7a5283f",
         "history.json":
-            "ac0136f858861a602ee77cbe236af85d3311cb740164c0f86177cdc8deaac110",
+            "af7943b002b29c3a49d9a32a25568b002008ed7fed7c0fb2b01c5acd139fbe4a",
         "report.json":
-            "b5feeeb1ba5f296c5bfcb8a50450c9071ee0e9974b6d6b7f581178f30bea2f15",
+            "c4844e7c5d01457d6ecd783f7d660453fbbcce18a86e3f201e5750b85783503f",
         "trace.jsonl":
-            "8571f8fffdff54a39ee8f69a21f7b321e5d90974571324332e044d3af3cd9523",
+            "846f90fe066942dfc56d40fe79544c57778b6e30603f838ce80e3bb1c33a0298",
     },
     (200, 30, 1): {
-        "trace": "7d8df56c03996055cfbd2c35b6c4c9f419882a9ec81a0a88616dc96973e65e8e",
+        "trace": "205ba9b3e518f80dc5328e391a59903adaf3cba71b4eae35791cc1037633faa3",
         "history.json":
-            "6c6b14652ae03c52fc540a4e406abd8bff236c51a0f6eb952b317163b581459d",
+            "f1b32d0c6d7a6064aa554c0e4b6c68c2289623e1792d2e71e2e8944eddd5d097",
         "report.json":
-            "e1d2f816e742edbccf9910b486f22ccf171868d8f92c6ac6cec8dd26ee41e117",
+            "034bda3b42792af653f399d7a3dc84514baf9eb1fee6acee5ac38e397f4fb6b0",
         "trace.jsonl":
-            "7a4650d3d5b2fd535c392942d48c7657f44a9bf57b77bf3a7145e061ff5cc2bb",
+            "eb402848c66daa633f86bf341f3aedd31c6ef5a1bc6d21718accb65e7b1935fe",
     },
     (200, 30, 2): {
-        "trace": "355a3a8dad89665243ed151ec152ad52ab854210c044a752db7fafc56ede807e",
+        "trace": "d52704d2db58b12667022d32d72d18bd513c5fbdc06c7e3de107eb5ad520583e",
         "history.json":
-            "eaa9763d84fbb290a51c10ba59c010cca1e1865bd524f999a74783a4a8335c2c",
+            "405e04844e0b678ccce46b45d8dc591ea5ac5c66c2157d93864d3ab976cbcbf9",
         "report.json":
-            "6d29a5e5ceb8d51dbf0a4e9883fe4ad42e68f3a747be0c215be44bba2e54ad6e",
+            "3c19df05f003ca941cc659f59212a2b27c54113882f2b1a9ce96cfae47c18369",
         "trace.jsonl":
-            "bd673d6feb3bf3ca834ee1b271b26668141c92497828d9b7702c98ba4baa0ade",
+            "2872f9f67c94f1420819a30660d2c2128af60dc51302da066f8f1e38f612670b",
     },
     (200, 30, 3): {
-        "trace": "9d421bc05c65a1687fbc789206d5febd36f4deefa71b6c4304377c7aa745db50",
+        "trace": "4fd973136d54f1e844820cc90aaae64a8c6aa11b8cbdab494943235fcbb34b59",
         "history.json":
-            "e3fa69fab7f79aa693e977b48332ce0690e5f0e15efe2b67f1f6d73a197a61d4",
+            "21293aad0b5bbb0e2b97ac761ef116207123e12bd953c0edab6eb116314e36ad",
         "report.json":
-            "27afa12c86ad5f773228629280c579f32f21e28ed4d8a147d33b85e3967418cc",
+            "b55de0e2eed5d239e1b392e0cf6f19c6a910d3cdb10770c6374e806ff08bddaa",
         "trace.jsonl":
-            "855efd29b6801cb0368c8d9d7b69c66fa3060328f0f687ad4a75922c002cf2c0",
+            "d650bdefd039cc8d912b245812f75f1d640335097ecedd3ce3dec20a053a4aa9",
     },
     (600, 12, 0): {
-        "trace": "a746f63899d39eea928971c8fca85d2b71105476eefe1b1b20a08e12a576488e",
+        "trace": "27d6b275b708bf74aa2a9f4249394c12b24620783490e29e7beeba1646581de7",
         "history.json":
-            "922d6c78b11295410541e4d8556185df80082582dd79a66269303566142c625c",
+            "d7cc564ebcaf85cfbe07d1f3568e8045bc7c794cb39d95914df76c50318b59ca",
         "report.json":
-            "3fcd4b4bd9fa8f215740a377b23a3f0237dae5e35d79331cfd93db2ea6dfa6fc",
+            "2d35e7e6982e578bdcb968f5d4245a52a8eeec45f7af3299639e22378dde5148",
         "trace.jsonl":
-            "b5a17da514360c9d2aa6638a4692fc362c843848adab126a6904093e803e2e20",
+            "ff41ad1ad2ad47c8cff54b74bfb3db18f2a4590782d42f7ecf6d22c7506a651d",
     },
     (600, 12, 1): {
-        "trace": "92875bb72ce7ccf813e9eeba9b2421287aa367d49a75a0f8d5604269f0083575",
+        "trace": "6ca6826775152c244e9ba50642e4285ea00d4eb006e223dbde1408d737d8467e",
         "history.json":
-            "5adcd50a739e76afb209699df8f908a2aa0b3aaab730b7cf46a6d940c9542bf2",
+            "738988fa99bddd3974478837ec8bf646646ace371e4e41f50dda558766d65a07",
         "report.json":
-            "bc790ad4e291e249fa2827ca4421e1f6b490d08209998bd42ac5c9e274b6ad38",
+            "c550f0c45468324b1d0e5cbfbd266616a4edc640a67e544b340178d51247e75b",
         "trace.jsonl":
-            "9ceac677d990158856fcedcb13f67644548964e0b9b2fafb652382510db813de",
+            "06e96a4657ab26f8e215f9937784865f8176ff7aae5d52b44383fdcf6ce40a56",
     },
     (600, 12, 2): {
-        "trace": "bf3f188d4f400382a80a088ffda968e64fc4d8dfc229bc34fa56bcc8b8abbda1",
+        "trace": "34959f5706da4cbe66b20a7364d9da81b7fc68700da5f8afec4c2b8d46b9f75e",
         "history.json":
-            "1f411494be5b2f0f3cefc12ad034f6ed89638949a092e1ab0465574d10e2f65a",
+            "a7a5e20dbfaf208515193f42f767951e285ea6759216a2314934054f76cb3806",
         "report.json":
-            "860ce8e7f3c8096d1f140516d57a10978650098571fb1d6230ee9197e98b733d",
+            "86fa2da0f143bac2b60af891b36eefd0d353b11c1992c905197cf2c6ac223a70",
         "trace.jsonl":
-            "47c24c5b15e1d389f5d40b1a4203877cae4fcbcfc2e8fd70ba55a76abaa13e61",
+            "3b0010bb7f4ce98a88b35b538dc93cf051578f7b85f49a728b39ae495bf2b952",
     },
     (600, 12, 3): {
-        "trace": "6bdea67ca8ab6d854ec9267aab5257ca32bb27185313708dae345be14ceb3411",
+        "trace": "488d274c54165a431b58a721a3fad6e377987890d815cf14b14cd2ba5ff61e47",
         "history.json":
-            "7d2664995d170d8f0dd5ecdb9e900d77ee2f4310419638c2c6decb94ac0b1b1f",
+            "40ea47df6257a6e6f7c2e65f76527f211bc1bc9a1aadd43847be24ff660da6fa",
         "report.json":
-            "26232e81cf8117ff22456341e3bba61e16f3ee245852e656b428aaf2f041aa20",
+            "d7f09d8e5ecf3264d68050668b3014637649d5c87cc05e83adecb12ea89340c5",
         "trace.jsonl":
-            "f1cf1fc85c020c7c163aea68ed3f63a890ab22d694be2438d206c5c03c5031c6",
+            "77fd758bffde7613411d8a1cb421c3d5c55a74cb93fb33000555a1b87820c506",
     },
     (600, 30, 0): {
-        "trace": "7e9df3db223352fea752be579413bdd76e0277848d59430450b4b94d02045c07",
+        "trace": "1ea6d28d1257f95a59dc5827e5237a5d11b21ed117b8a60b9e99408ddf9a7777",
         "history.json":
-            "26d723b34c8bd9fb86297dba210086625ad2b90327f42a7cc92b719876531f02",
+            "38da1aa34a6e9b440c6dd01907b0135d8df675e0170301274c0f65db2bb868cc",
         "report.json":
-            "4e9429bb0cebcb43c50917a361cdb673e690f7fe7919b12122fa417048b5c19f",
+            "96178cd4ae894530293a625b910ebfbe83fa49cd3827b0aed6c07f5912c27c95",
         "trace.jsonl":
-            "a43196b37d2c430a7d72ea36dd01f205f4b3cd85520a5ea3846a997a47eda2d2",
+            "e09fe1ffffa7c002021e1221d47ab87ea8c236d5f08afe260bf2f75b9ec16de4",
     },
     (600, 30, 1): {
-        "trace": "e9b787ef682107ffa51d8d51243058622aaf6efcfcfed917bbf159652903b9c7",
+        "trace": "749e5d87083a38707d46824823f0804fe4a17da2b2cd857dc8c0b5fe3e7037e3",
         "history.json":
-            "482dff973c97aee43b8654482c49774999bd50a0116f6e296c3fbf9a999a4fe2",
+            "c5dbb36af12c4d853bc875cd2d7f4121e0bae4b02655884baadc19c2fc9360ca",
         "report.json":
-            "5ab68ce26526842ab4f2cc269dcbd287b1dee3925753b6c95a292c046870ec47",
+            "d78db40cadcfee7339563584356d7592497cca5e10f8a667bba84a557055c5d7",
         "trace.jsonl":
-            "0e7030bd47c90b39d7ece486720f19f73207dfcaa7e33c41e5f6d4c79161f89c",
+            "b69fc72e3710d5841d66a3a1a25df24cee0ef25198b83f8addd828a1c7a67233",
     },
     (600, 30, 2): {
-        "trace": "9f68666e5bcb537b8d9aaf33d1a15a240ddd577631aafdd8865165543e8295c3",
+        "trace": "a66ec0affe843d9de5ab66d3ddf15548d753dd597af3fcb62212b9af1f112dfd",
         "history.json":
-            "750aed74a05eb13963df67a405f9f56dc0f74f88fc9d3d2234cf86b0f435a822",
+            "976578811729163481be973d9832af22e4eec997d893089e55c8f692846fed83",
         "report.json":
-            "88ccf085b423d7928d965b51d38f423f58e2d8e5d54fe0a2831d8197ac29f2b7",
+            "4fde9c814f706c33b697936989cf956e47908d723cd1e4f23d05ea58264111cf",
         "trace.jsonl":
-            "9789f74c5d8f7207edc171725ab3515997dde5b633e85789016c3a8b67da9561",
+            "eb226f94f15e8416815e491175b75054dff26212916d7ac7dd86a7523ada6ba8",
     },
     (600, 30, 3): {
-        "trace": "9c7808d74a53a5353a03e9a33b738dd3dd7de09c6078f93f1f7d87041c3ec2b8",
+        "trace": "489ab5e583da31b6862901797d903e30eecb79ccfc54391cf231b6a4f97e05e8",
         "history.json":
-            "3b15a7e8ed7d64806b873a7e2a0f786d743ddb7ceadd62f216b407c274e3073f",
+            "0387bc0f681c797d96b4125e6dffcc5ca8b9c4799a2ce528f83c3ccc5e9da393",
         "report.json":
-            "a8c4a0dc1f6091950d7bb1d6451964ee36b84b66be4d152428b6f05871361b2c",
+            "2562c420829b65cfba3f250b651e600e50ae367a5da4ac5183d05bd68dbf8a13",
         "trace.jsonl":
-            "f9b161ebd870aae451ab213fa0e9ce31b20b2f32e7cc3bd96215a2accfcccf87",
+            "e17507b6e2a308f1c35646b1ba5ed39479711eacfb7aac824d0d50b32ca1312c",
     },
 }
 

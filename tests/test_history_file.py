@@ -50,21 +50,21 @@ RENDERED = {
         "75c542b901be09f8", "5b54d55f2f1c6907", "a3c4bdba57ae6dae", "35b51e8db03189f2",
     ],
     "replicated": [
-        "d5c73eaf080b0b81", "e6fb04ed5cf785dd", "fd3d8635dd5d1c66", "245dc784331e8574",
-        "47d29b87d0d3a10e", "5ea89176cae47c3f", "62b9b32656bd6d70", "f0dcbf50a6ca003b",
-        "99aee892f88f8853", "7f796e78764c9f09", "dc52f6a153f6e2a3", "7484edcbb830711f",
-        "8cb3c57c360c8d99", "d7dda9ff9e518b96", "49dc5f01b576d16d", "d66a74c1975eedc1",
-        "9f8eddc87a01b984", "32fa82a881b37f58", "b5fb0155b490bb2d", "315298d32ce28c14",
-        "4502a71935218f03", "7aa72e0f3d06d89b", "e86a0cd8106ef59a", "5807638b9b87c65c",
-        "86965bf19646d1b9", "6fc9a30b0526168f", "48ddc643c8152be9", "8b255dbcc0d00fcd",
-        "6e8d464646a8d07a", "943bdc04efadd64a", "dd545eb0e4601f6b", "268a7a7d8c4e13fb",
-        "606b7c981a14c2b0", "5be2eeafadf25822", "07a7157af663effc", "0726876a3f454521",
-        "deb98c6e0af7326d", "670c54f5e7833ae6", "3bcec1558ff133af", "57b0243ac4245f42",
-        "6c936b7ddd1ebaba", "57e10c6a3e251f92", "6d25acd352df362c", "00c02182aae0f578",
-        "55a706c3992ed4e9", "a3fd6270c161eab2", "768a24fd193cb358", "0de50fa2a71dd5ff",
-        "1ccab745c1f42293", "06b87179c4a33014", "5f0d76b7189a9441", "c64aba8cfb073258",
-        "9064f0ca8b359f63", "357e474212f05038", "179b53a1417b5f37", "ea7807dcafb95538",
-        "1c7a047cedd27cd2", "0dae44bd7ed0b581", "9cf711eaf13ebdf3", "d1ba7edf5c0e3de2",
+        "6b7120906d66ecbe", "6faed24eeee3436b", "29439ec7823d0773", "49aa8bd3fe31d21d",
+        "e3d69afa361ce480", "547c8cd0b94f4c4d", "2b53c60f4558086e", "95d36c6c7207e6f7",
+        "13a657b7fb1c68a2", "61fd7b7e2ec99623", "dc371dd0fd4c6b9d", "79c1ecffcbf95314",
+        "ecfe31fbae800c8a", "ae73b9a7f7006134", "a79d626fba27785b", "b15eae5c67f17178",
+        "b21b0d31f0644694", "720b8fadccf5058d", "438cef1462712978", "f7a966c5c4558a24",
+        "fd83685de3c0acd1", "454b135a5940049b", "fa5c9a3d7c977503", "33f904755cdb0ab5",
+        "6a39602c7a444e26", "637933ee65c54157", "20a85f17fb0fbb80", "7e68df36f6cf4ea2",
+        "21cab2658bb92eb8", "703819aa16f825f9", "c3bf94c5839eac88", "aea15c58874024b0",
+        "5363ebfc03121a28", "2279fabd08db39a9", "2c0d807aaa13aefe", "c34a85af5cc99243",
+        "86917bc1171603ff", "599b204b529a14ae", "bc330953ccbbaf95", "0277a9dd1da1d649",
+        "6beaba9e949ff671", "20b22a570af626ea", "1b6d69c40b6118a7", "0468d5fb71bb394e",
+        "1b7fe47c65db628c", "0e3a30afbea64846", "1f094bf853737539", "2456158c111193f5",
+        "e62d9a0b541069a3", "b36cc01eaba48ac2", "9681e7975a26016b", "8f0b297cb40e6b8e",
+        "6dac89349c595c75", "1792641035bb0bfd", "aea529f10f4af788", "a157cb67eb1e1fea",
+        "c93b643ea7f1a3bb", "41cee83e2062ceba", "6c955d61c0df6836", "7dd75807a00b8124",
     ],
 }
 

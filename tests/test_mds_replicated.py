@@ -5,6 +5,7 @@ from collections import Counter, deque
 
 import pytest
 
+from conftest import decode_events, message_counts
 from splitstore.checker import check_run
 from splitstore.faults import (
     FABRICATED_CID, ByzMetaReplica, ByzStrategy, CrashSpec,
@@ -235,6 +236,28 @@ def test_unsubscribe_stops_the_updates():
     assert not updates
 
 
+def test_an_unsubscribe_that_overtakes_its_query_leaves_a_tombstone():
+    """A META-UNSUB for a read the replica does not hold leaves a
+    tombstone; that read's late META-QUERY consumes it, subscribes nothing
+    and is sent no snapshot, and no later establishment is pushed to it.
+    In the usual order the unsubscribe removes the listener and leaves no
+    tombstone. Another read of the same client is not affected."""
+    r = Router()
+    m1 = r.replicas["m1"]
+    r.inject(MsgKind.META_UNSUB, "r1", "m1", tag=7)
+    assert m1.tombstones == {("r1", 7)} and m1.listeners == {}
+    r.inject(MsgKind.META_QUERY, "r1", "m1", scope="dir", tag=7)
+    assert m1.tombstones == set() and m1.listeners == {}
+    r.inject(MsgKind.META_QUERY, "r1", "m1", scope="dir", tag=8)
+    r.inject(MsgKind.META_UNSUB, "r1", "m1", tag=8)
+    assert m1.tombstones == set() and m1.listeners == {}
+    store_to(r, ["m1", "m2", "m3"])
+    r.pump()
+    assert m1.registers[("dir", 1)].current.key == Timestamp(1, 1)
+    assert [m.fields["tag"] for m in r.outbox
+            if m.kind is MsgKind.META_UPDATE and m.src == "m1"] == [8]
+
+
 FAKE_TS = Timestamp(999, FABRICATED_CID)
 FAKE_PAIRS = {
     "dir": Pair(FAKE_TS, Metadata(ts=FAKE_TS, replicas=frozenset({1}))),
@@ -346,6 +369,9 @@ class RecountRead:
                 best, best_reg = candidate, reg
         if best.key == TS_INIT:
             return ("tsread", TS_INIT, None)
+        reporters = sum(1 for pairs in self.reports[best_reg].values() if best in pairs)
+        if reporters >= self.quorum:
+            return ("tsread", best.key, best.payload)
         return ("writeback", best_reg, best.key, best.payload)
 
 
@@ -469,9 +495,10 @@ def test_incremental_read_evaluation_matches_a_recount(tm, op):
             if len(reference.snapshots) >= reference.quorum:
                 outcomes["not yet after a quorum of snapshots"] += 1
     # the streams reach every outcome, and often stay undecided after a
-    # quorum of snapshots has arrived
+    # quorum of snapshots has arrived; a tsread returns the initial state,
+    # writes back, or returns a pair 2t_M+1 replicas reported
     if op == "tsread":
-        kinds = {("writeback", False), ("tsread", True)}
+        kinds = {("writeback", False), ("tsread", True), ("tsread", False)}
     else:
         kinds = {("digest", False), ("digest", True)}
     assert kinds <= set(outcomes), outcomes
@@ -521,12 +548,12 @@ def test_replicated_driver_records_each_call_and_its_result(probe):
         record("tsread", 3, invoke=6), record("hashread", 4, invoke=6, index=idx),
     ]
     probe.take_sent()
-    dir_updates = (
-        {"reg": ("dir", 1), "pairs": (Pair(md.ts, md),), "current": md.ts},
-        {"reg": ("dir", 2), "pairs": (), "current": TS_INIT},
-    )
-    for src in ("m1", "m2", "m3"):
-        feed(MsgKind.META_UPDATE, src, tag=3, updates=dir_updates)
+    empty_dir2 = {"reg": ("dir", 2), "pairs": (), "current": TS_INIT}
+    dir_updates = ({"reg": ("dir", 1), "pairs": (Pair(md.ts, md),), "current": md.ts}, empty_dir2)
+    # m3 has not established the pair yet, so only 2t_M replicas report it
+    lagging = ({"reg": ("dir", 1), "pairs": (), "current": TS_INIT}, empty_dir2)
+    for src, updates in (("m1", dir_updates), ("m2", dir_updates), ("m3", lagging)):
+        feed(MsgKind.META_UPDATE, src, tag=3, updates=updates)
     # the tsread writes the confirmed pair back before it returns
     writebacks = [m for m in probe.take_sent() if m.kind is MsgKind.META_WRITEBACK]
     assert [(m.fields["reg"], m.fields["key"], m.fields["payload"], m.fields["seq"])
@@ -554,6 +581,46 @@ def test_replicated_driver_records_each_call_and_its_result(probe):
     assert len(probe.begun) == len(probe.ended) == len(done) == 4
 
 
+@pytest.mark.parametrize("tm", [1, 2])
+@pytest.mark.parametrize("reporters", ["2tm", "2tm+1"])
+def test_a_tsread_skips_the_write_back_of_a_pair_a_quorum_reported(probe, tm, reporters):
+    """A tsread whose chosen pair 2t_M+1 replicas report returns it at that
+    update, unsubscribes everywhere and writes nothing back. With 2t_M
+    reporters, and a third replier whose current is not above the pair,
+    its evidence is complete too, but it writes the pair back to every
+    replica and has not returned."""
+    meta_pids = [f"m{i}" for i in range(1, 3 * tm + 2)]
+    driver = ReplicatedMdsDriver(probe.attach(Process("r1")), meta_pids, tm, [1, 2], cid=3)
+    md = Metadata(ts=Timestamp(2, 1), replicas=frozenset({1, 2}))
+    done = []
+    driver.tsread(lambda ts, got: done.append((ts, got)))
+    tag = probe.begun[0].tag
+    probe.take_sent()
+    empty_dir2 = {"reg": ("dir", 2), "pairs": (), "current": TS_INIT}
+    reporting = ({"reg": ("dir", 1), "pairs": (Pair(md.ts, md),), "current": md.ts}, empty_dir2)
+    # at or below the pair: it reports an older pair of the same register
+    older = Pair(Timestamp(1, 1), Metadata(ts=Timestamp(1, 1), replicas=frozenset({1, 2})))
+    lagging = ({"reg": ("dir", 1), "pairs": (older,), "current": older.key}, empty_dir2)
+    count = 2 * tm if reporters == "2tm" else 2 * tm + 1
+    repliers = [(pid, reporting) for pid in meta_pids[:count]]
+    if reporters == "2tm":
+        repliers.append((meta_pids[count], lagging))
+    for pid, updates in repliers:
+        assert probe.ended == [] and probe.sent == []
+        probe.step += 1
+        assert driver.handle(make_message(MsgKind.META_UPDATE, pid, "r1", tag=tag,
+                                          updates=updates))
+    sent = [(m.kind, m.dst) for m in probe.take_sent()]
+    if reporters == "2tm":
+        assert sent == [(MsgKind.META_WRITEBACK, pid) for pid in meta_pids]
+        assert probe.ended == [] and done == []
+        return
+    assert sent == [(MsgKind.META_UNSUB, pid) for pid in meta_pids]
+    assert probe.ended == [DirOpRecord("r1", "tsread", tag, invoke=0, response=probe.step,
+                                       ts=md.ts, md=md)]
+    assert done == [(md.ts, md)]
+
+
 def test_a_tsread_in_write_back_takes_no_more_reports(probe):
     """Once a tsread writes its pair back, later reports change nothing:
     updates that confirm a higher pair and fresh snapshots send no second
@@ -574,8 +641,10 @@ def test_a_tsread_in_write_back_takes_no_more_reports(probe):
     probe.take_sent()
     empty_dir2 = {"reg": ("dir", 2), "pairs": (), "current": TS_INIT}
     snapshot = ({"reg": ("dir", 1), "pairs": (Pair(md1.ts, md1),), "current": md1.ts}, empty_dir2)
-    for src in ("m1", "m2", "m3"):
-        feed(MsgKind.META_UPDATE, src, tag=tag, updates=snapshot)
+    # m3 has not established the pair yet, so only 2t_M replicas report it
+    lagging = ({"reg": ("dir", 1), "pairs": (), "current": TS_INIT}, empty_dir2)
+    for src, updates in (("m1", snapshot), ("m2", snapshot), ("m3", lagging)):
+        feed(MsgKind.META_UPDATE, src, tag=tag, updates=updates)
     assert [(m.kind, m.dst, m.fields["key"], m.fields["seq"]) for m in probe.take_sent()] == [
         (MsgKind.META_WRITEBACK, pid, md1.ts, 1) for pid in meta_pids]
 
@@ -837,28 +906,46 @@ def test_a_run_with_no_writers_reads_the_initial_state(mode, readers):
                    for op in res.history)
 
 
+@pytest.mark.parametrize("tm", [1, 2, 3])
+def test_most_tsreads_skip_their_write_back(tm):
+    """By the time a tsread's evidence is complete, 2t_M+1 replicas usually
+    report the pair it chose, so at most one tsread in ten writes back.
+    Every read that queries the 3t_M+1 replicas also unsubscribes at each."""
+    res = run(Config(seed=1, t=tm, tm=tm, ops=30, mds_mode="replicated"))
+    counts = message_counts(res)
+    replicas = 3 * tm + 1
+    tsreads = sum(1 for op in res.dir_ops if op.op == "tsread")
+    assert counts[MsgKind.META_WRITEBACK] % replicas == 0
+    assert 0 < counts[MsgKind.META_WRITEBACK] // replicas <= tsreads // 10
+    assert counts[MsgKind.META_QUERY] == counts[MsgKind.META_UNSUB]
+
+
 @pytest.mark.xfail(strict=True, reason=(
-    "known defect: a tsread lets an older snapshot overwrite a newer current. "
-    "In r1's tsread [100,198], m3's snapshot (sent at step 106) arrives at 170, "
-    "after m3's later live update, and resets m3's dir currents to 0:nil. With "
-    "the stale-concurrent m4 and m1's snapshot from before w2's tswrite 1:2 "
-    "completed at 140, three replicas then vouch that dir/2 holds nothing, and "
-    "the read returns w1's 1:1, whose tswrite began at 142"
+    "known defect: a tsread takes a collect over the per-writer registers, not "
+    "an atomic snapshot, so its evidence for each register can come from reports "
+    "of different ages. In r1's tsread [256,352], dir/2's evidence that no pair "
+    "above 1:2 completed is m2's and m1's snapshots, sent at steps 257 and 265 "
+    "before either established w2's 2:2, and the stale-concurrent m4; w2's "
+    "tswrite 2:2 [261,289] completes meanwhile. dir/1's 2:1 is confirmed by m1's "
+    "and m3's live updates, sent at 304 and 311, after w1's tswrite 2:1 began at "
+    "294. The read writes 2:1 back and returns it, below the completed 2:2"
 ))
-def test_seed_2333_stale_snapshot_read_is_directory_linearizable():
-    res = run(random_config(2333))
-    assert res.config.mds_mode == "replicated"
-    verdict = check_run(res)
+def test_a_collect_read_is_directory_linearizable():
+    """The smallest known witness of the collect defect: t = t_M = 1, two
+    writers, one reader, six ops each, a stale-concurrent m4. Seed 5628 is
+    the only failing seed of this shape in 0-17999."""
+    cfg = Config(seed=5628, readers=1, ops=6, mds_mode="replicated",
+                 byz_meta={"m4": ByzStrategy.STALE_CONCURRENT})
+    verdict = check_run(run(cfg))
     assert verdict.ok, verdict.failed()
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: a replica can take a read's META-UNSUB before that read's "
-    "META-QUERY; the unsubscribe is then a no-op and the late query subscribes "
-    "the finished read for the rest of the run (152 listeners left over 68 "
-    "replicated runs, every one from this race)"
-))
 def test_a_finished_read_leaves_no_listener_at_a_live_replica():
+    """A replica can take a read's META-UNSUB before that read's
+    META-QUERY. It then keeps a tombstone, which the late query consumes,
+    so at quiescence no live replica holds a finished read's listener or
+    any tombstone. The runs do take that order, many times."""
+    raced = 0
     configs = [cfg for cfg in (random_config(seed) for seed in range(1, 120, 2))
                if cfg.mds_mode == "replicated"]
     configs += [replicated_config(seed=seed, ops=30) for seed in range(8)]
@@ -874,3 +961,18 @@ def test_a_finished_read_leaves_no_listener_at_a_live_replica():
             for key in proc.listeners if key in finished
         ]
         assert left == [], (cfg.seed, cfg.ops, left)
+        tombstones = [
+            (pid, proc.tombstones) for pid, proc in sorted(world.processes.items())
+            if isinstance(proc, MetaReplica) and pid not in result.crashed and proc.tombstones
+        ]
+        assert tombstones == [], (cfg.seed, cfg.ops, tombstones)
+        queried = set()
+        for event in decode_events(result):
+            if isinstance(event, dict) or event[1] != "deliver":
+                continue
+            msg = event[3]
+            if msg.kind is MsgKind.META_QUERY:
+                queried.add((msg.dst, msg.src, msg.fields["tag"]))
+            elif msg.kind is MsgKind.META_UNSUB:
+                raced += (msg.dst, msg.src, msg.fields["tag"]) not in queried
+    assert raced >= 100, raced
