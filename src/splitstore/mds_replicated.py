@@ -48,10 +48,10 @@ needs 2*tm + 1 of the 3*tm + 1 replicas to report a current at or below
 its candidate, and 2*tm + 1 + tm + 1 > 3*tm + 1, so its evidence includes
 one of those tm + 1, whose every report to it has a current at or above
 the pair: its candidate for the pair's register is not below the pair.
-Digest-array reads never write back: their
-register is write-once and only safe semantics are promised, so once
-2*tm + 1 replicas have replied, tm + 1 matching reports (or 2*tm + 1
-empty reports for an unwritten entry) settle the answer.
+Digest-array reads never write back: their register is write-once and
+only safe semantics are promised, so once 2*tm + 1 replicas have
+replied, tm + 1 matching reports (or 2*tm + 1 empty reports for an
+unwritten entry) settle the answer.
 
 A read's subscription is the listeners pattern of Martin, Alvisi &
 Dahlin ("Minimal Byzantine Storage", DISC 2002): the reader's
@@ -451,7 +451,7 @@ class ReplicatedMdsDriver:
         A pair whose key is below the key of its register's best is below
         best in pair order, which compares keys first, so it can never
         become the best. It is skipped uncounted, and ``reporters`` may
-        miss it. Two readers of ``reporters`` need no skipped pair.
+        miss it. Neither reader of ``reporters`` needs a skipped pair.
         ``_evaluate_hashread``'s empty-report count reads it only while
         best is None, when no pair has been skipped. ``_evaluate_tsread``'s
         fast path reads only the reporters of a register's best, which are
