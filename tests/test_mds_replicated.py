@@ -614,11 +614,11 @@ def test_a_tsread_skips_the_write_back_of_a_pair_a_quorum_reported(probe, tm, re
     if reporters == "2tm":
         assert sent == [(MsgKind.META_WRITEBACK, pid) for pid in meta_pids]
         assert probe.ended == [] and done == []
-        return
-    assert sent == [(MsgKind.META_UNSUB, pid) for pid in meta_pids]
-    assert probe.ended == [DirOpRecord("r1", "tsread", tag, invoke=0, response=probe.step,
-                                       ts=md.ts, md=md)]
-    assert done == [(md.ts, md)]
+    else:
+        assert sent == [(MsgKind.META_UNSUB, pid) for pid in meta_pids]
+        assert probe.ended == [DirOpRecord("r1", "tsread", tag, invoke=0,
+                                           response=probe.step, ts=md.ts, md=md)]
+        assert done == [(md.ts, md)]
 
 
 def test_a_tsread_in_write_back_takes_no_more_reports(probe):
