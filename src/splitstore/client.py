@@ -5,9 +5,42 @@ latest timestamp, publish the digest of the new value, send the value
 to all data replicas, store the new directory record once a quorum of
 acknowledgments is in, then fire commit messages and return. A read
 learns the latest directory record, asks the replicas it names, and
-accepts the first reply that passes the digest check; replies carrying
-a newer timestamp than the directory record trigger one directory
-re-read each, and are accepted only if the directory has caught up.
+accepts the first reply that passes the digest check: the digest of the
+reply's value must equal the one the metadata service holds at the
+reply's timestamp, its index. Replies carrying a newer timestamp than
+the directory record trigger one directory re-read each, and are
+checked only if the directory has caught up.
+
+A reader's digest checks cost at most one metadata read (a hashread) per
+index. It keeps at most one hashread per index in flight: a reply at an
+index whose hashread is in flight waits on it and is checked against its
+answer. It remembers every digest a hashread returns, so a later reply
+at that index, in this read or a later one, is checked at once. A None
+answer is not remembered. It refutes only the replies that arrived
+before its hashread began; the replies that joined the hashread later
+wait on one new hashread of the index.
+
+Sharing is safe. An honest writer stores one digest per index, and the
+digest array is write-once. A digest the metadata service returns is the
+one the index's writer stored: the oracle holds what was stored, and a
+replicated hashread returns a digest only on tm + 1 matching reports,
+one of them from a correct replica. So a reply passes a shared or a
+remembered check exactly when it would pass a hashread of its own that
+returned a digest.
+
+It keeps reads live. A correct data replica holds a value at an index
+only after the writer's hashwrite of that index completed, so that
+hashwrite completed before the reply arrived. A hashread that begins
+after the reply arrived overlaps no write at its index, and under the
+digest array's safe semantics it returns the stored digest. Every reply
+is checked by a remembered digest, by a hashread that began after it
+arrived (its own, or the one a None answer starts), or by a digest that
+a hashread which began earlier returned; in each case a correct reply
+passes. So, as with one hashread per reply, a read completes once a
+correct reply at an acceptable timestamp arrives. A None answer
+refutes every reply that arrived before its hashread began, and the new
+hashread began after every reply it serves arrived, so each reply waits
+on at most two hashreads.
 
 Clients are single-threaded state machines: the simulator delivers one
 message at a time, and at most one operation per client is in flight.
@@ -16,8 +49,8 @@ writer has one continuation in flight, so each of its continuations
 fires in the phase that issued it and reads the operation from
 ``self.ctx``; so does a reader's first directory read. A reader's
 re-reads and digest checks can still be in flight when its operation
-ends, so those continuations carry their operation and drop a stale
-answer.
+ends, so a re-read's continuation and each reply waiting on a hashread
+carry their operation, and a stale one is dropped.
 The simulator hands each invocation's `history.OpRecord` to the client,
 which sets its timestamp annotations and return value and ends it
 through the port. A reader's operation in flight is that record itself:
@@ -28,7 +61,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .history import OpRecord
 from .net import Message, MsgKind, Process
@@ -154,7 +187,30 @@ class WriterClient(ClientBase):
         return {"idle": False, "phase": self.ctx.phase.value, "ts": self.ctx.op.ts}
 
 
+class _Waiter(NamedTuple):
+    """A reply at an index, waiting on the reader's hashread of the index."""
+
+    op: OpRecord
+    val: bytes
+    md2_ts: Timestamp | None
+    covered: bool  # it arrived before the hashread began: a None refutes it
+
+
 class ReaderClient(ClientBase):
+    def __init__(
+        self,
+        pid: str,
+        cid: int,
+        digests: DigestFacility,
+        data_pids: list[str],
+        t: int,
+    ):
+        super().__init__(pid, cid, digests, data_pids, t)
+        # index -> the digest a hashread of it returned; the array is write-once
+        self.known: dict[Timestamp, str] = {}
+        # index -> the replies waiting on the one hashread of it in flight
+        self.hashreads: dict[Timestamp, list[_Waiter]] = {}
+
     def invoke(self, op: OpRecord) -> None:
         if op.kind != "READ":
             raise HarnessError(f"reader {self.pid} got invocation {op.kind!r}")
@@ -222,12 +278,43 @@ class ReaderClient(ClientBase):
         if val is None:
             self.trace_note("readval-absent-value", ts=ts)
             return
+        digest = self.known.get(ts)
+        if digest is not None:
+            self._check_done(op, ts, val, md2_ts, digest)
+            return
+        waiters = self.hashreads.get(ts)
+        if waiters is not None:
+            waiters.append(_Waiter(op, val, md2_ts, covered=False))
+            return
+        self._hash_read(ts, [_Waiter(op, val, md2_ts, covered=True)])
+
+    def _hash_read(self, index: Timestamp, waiters: list[_Waiter]) -> None:
+        self.hashreads[index] = waiters
         self.driver.hash_read(
-            ts,
-            lambda digest, op=op, ts=ts, val=val, md2_ts=md2_ts: self._check_done(
-                op, ts, val, md2_ts, digest
-            ),
+            index, lambda digest, index=index: self._hash_read_done(index, digest)
         )
+
+    def _hash_read_done(self, index: Timestamp, digest: str | None) -> None:
+        """Check each reply waiting on the hashread of ``index``. A digest
+        answers them all and is remembered. A None answer refutes only the
+        replies that arrived before the hashread began; the others, if
+        their operation is still in flight, wait on a new hashread."""
+        waiters = self.hashreads.pop(index)
+        if digest is not None:
+            self.known[index] = digest
+            for op, val, md2_ts, _ in waiters:
+                self._check_done(op, index, val, md2_ts, digest)
+            return
+        late = []
+        for waiter in waiters:
+            if self.ctx is not waiter.op:
+                continue
+            if waiter.covered:
+                self._check_done(waiter.op, index, waiter.val, waiter.md2_ts, None)
+            else:
+                late.append(waiter._replace(covered=True))
+        if late:
+            self._hash_read(index, late)
 
     def _check_done(
         self,

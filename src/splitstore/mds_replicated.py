@@ -5,7 +5,10 @@ directory read returns the highest pair across all of them. The digest
 array reuses the same register machinery with write-once usage: each
 replica writes every digest a client stores through its own
 `mds_oracle.HashArraySpec`, and neither echoes nor acknowledges a
-rewrite with a different digest, which the spec refuses.
+rewrite with a different digest, which the spec refuses. So a correct
+replica establishes at most one digest per index, the one its writer
+stored, and a digest read returns as soon as tm + 1 replicas report it
+(below).
 
 Register replication works as follows. A client stores a (key, payload)
 pair by sending it to every replica. A correct replica that accepts a
@@ -48,10 +51,22 @@ needs 2*tm + 1 of the 3*tm + 1 replicas to report a current at or below
 its candidate, and 2*tm + 1 + tm + 1 > 3*tm + 1, so its evidence includes
 one of those tm + 1, whose every report to it has a current at or above
 the pair: its candidate for the pair's register is not below the pair.
-Digest-array reads never write back: their register is write-once and
-only safe semantics are promised, so once 2*tm + 1 replicas have
-replied, tm + 1 matching reports (or 2*tm + 1 empty reports for an
-unwritten entry) settle the answer.
+Digest-array reads never write back, and a digest needs no 2*tm + 1
+repliers. Their register is write-once and only safe semantics are
+promised: a hashread that overlaps no hashwrite of its index returns
+the digest a completed hashwrite stored, or None if none was invoked.
+A hashread returns a digest as soon as tm + 1 replicas report it. That
+is safe: tm + 1 matching reports include a correct replica, which
+established only the digest the index's writer stored. Only a None
+answer waits for 2*tm + 1 repliers, 2*tm + 1 of them with empty reports.
+A completed hashwrite had its digest established at tm + 1 correct
+replicas before a read that does not overlap it sent its queries, and
+2*tm + 1 + tm + 1 > 3*tm + 1, so such a read gets a report of the
+digest from one of them and never 2*tm + 1 empty ones. A hashread
+stays live. If some correct replica establishes a digest, every correct
+replica does and pushes it to the subscribed reader, so the 2*tm + 1
+correct replicas give it tm + 1 matching reports. If none ever does,
+the snapshots of the 2*tm + 1 correct replicas report the index empty.
 
 A read's subscription is the listeners pattern of Martin, Alvisi &
 Dahlin ("Minimal Byzantine Storage", DISC 2002): the reader's
@@ -490,13 +505,13 @@ class ReplicatedMdsDriver:
             self._evaluate_tsread(read)
 
     def _evaluate_hashread(self, read: _ReadOp) -> None:
-        reg = read.scope
-        repliers = read.currents[reg].keys()  # the scope is this one register
-        if len(repliers) < self.quorum:
-            return
+        reg = read.scope  # the scope is this one register
         best = read.best.get(reg)
-        if best is not None:
+        if best is not None:  # tm + 1 matching reports
             self._finish_read(read, digest=best.payload)
+            return
+        repliers = read.currents[reg].keys()
+        if len(repliers) < self.quorum:
             return
         reported = set().union(*read.reporters.get(reg, {}).values())
         if len(repliers - reported) >= self.quorum:

@@ -3,15 +3,17 @@ scripted simulations so the schedules are explicit."""
 import itertools
 from collections import Counter, defaultdict
 
-from conftest import trace_entries
+import pytest
+
+from conftest import decode_events, trace_entries
 from splitstore.client import ReaderClient, WritePhase, WriterClient
 from splitstore.history import OpRecord
 from splitstore.mds_oracle import DIR_PID, HASH_PID, OracleMdsDriver
-from splitstore.mds_replicated import ReplicatedMdsDriver
+from splitstore.mds_replicated import Pair, ReplicatedMdsDriver
 from splitstore.net import MsgKind, make_message
 from splitstore.scenarios import SCENARIO_NAMES, random_config, run_scenario
 from splitstore.simnet import Config, Match, run
-from splitstore.types import DigestFacility, Metadata, Timestamp
+from splitstore.types import TS_INIT, DigestFacility, Metadata, Timestamp
 
 
 def one_shot_config(**kw):
@@ -255,3 +257,158 @@ def test_each_driver_continuation_fires_at_most_once_and_in_phase_order(monkeypa
         assert calls == (cycle * len(calls))[:len(calls)], calls
     assert max(fired.values()) == 1 and len(fired) > 3000, len(fired)
     assert max(len(calls) for calls in order.values()) >= 3 * 3  # three whole writes
+
+
+# -- digest checks: one hashread per index ------------------------------------
+
+META_PIDS = ["m1", "m2", "m3", "m4"]
+
+
+def probed_reader(probe, mode):
+    """Reader r1 with t = t_M = 1 over data replicas d1-d3 and the
+    metadata service of ``mode``, wired to the probe."""
+    reader = probe.attach(ReaderClient("r1", 3, DigestFacility(), ["d1", "d2", "d3"], t=1))
+    if mode == "oracle":
+        reader.driver = OracleMdsDriver(reader)
+    else:
+        reader.driver = ReplicatedMdsDriver(reader, META_PIDS, 1, [1, 2], cid=3)
+    return reader
+
+
+def answer(reader, rec, md=None, digest=None):
+    """Answer the reader's metadata read ``rec`` as a fault-free service
+    would: the oracle with its one response; the replicas with a tsread's
+    snapshots from three of them, a digest's reports from t_M + 1 = 2, and
+    an unwritten index's empty reports from 2t_M + 1 = 3."""
+    if isinstance(reader.driver, OracleMdsDriver):
+        if rec.op == "tsread":
+            msg = make_message(MsgKind.DIR_READ_RESP, DIR_PID, "r1", tag=rec.tag,
+                               ts=md.ts, md=md)
+        else:
+            msg = make_message(MsgKind.HASH_READ_RESP, HASH_PID, "r1", tag=rec.tag,
+                               digest=digest)
+        reader.on_message(msg)
+        return
+    if rec.op == "tsread":
+        updates = tuple(
+            {"reg": ("dir", cid), "pairs": (Pair(md.ts, md),), "current": md.ts}
+            if cid == md.ts.cid else {"reg": ("dir", cid), "pairs": (), "current": TS_INIT}
+            for cid in (1, 2))
+        reporters = META_PIDS[:3]
+    elif digest is None:
+        updates = ({"reg": ("hash", rec.index), "pairs": (), "current": TS_INIT},)
+        reporters = META_PIDS[:3]
+    else:
+        updates = ({"reg": ("hash", rec.index), "pairs": (Pair(rec.index, digest),),
+                    "current": rec.index},)
+        reporters = META_PIDS[:2]
+    for pid in reporters:
+        reader.on_message(make_message(MsgKind.META_UPDATE, pid, "r1", tag=rec.tag,
+                                       updates=updates))
+
+
+def hashreads(probe):
+    return [rec for rec in probe.begun if rec.op == "hashread"]
+
+
+def read_val(reader, src, ts, val):
+    reader.on_message(make_message(MsgKind.READ_VAL, src, "r1", ts=ts, val=val))
+
+
+@pytest.mark.parametrize("mode", ["oracle", "replicated"])
+def test_replies_at_one_index_share_one_hashread_and_remember_its_digest(probe, mode):
+    """The t + 1 READ-VALs at the directory's index start one hashread,
+    and each is checked against its answer: a Byzantine reply with a wrong
+    value fails its check and the correct one passes. The reader keeps the
+    digest, so a second READ at the same directory timestamp checks both
+    its replies at once and starts no hashread."""
+    reader = probed_reader(probe, mode)
+    digest = reader.digests.digest
+    md = Metadata(ts=Timestamp(1, 1), replicas=frozenset({1, 2}))
+    for op_id in (1, 2):
+        op = OpRecord(op_id=op_id, client="r1", kind="READ", arg=None, invoke=0)
+        reader.invoke(op)
+        answer(reader, probe.begun[-1], md=md)
+        assert [(m.kind, m.dst) for m in probe.take_sent() if m.kind is MsgKind.READ] == [
+            (MsgKind.READ, "d1"), (MsgKind.READ, "d2")]
+        read_val(reader, "d1", md.ts, b"forged")
+        read_val(reader, "d2", md.ts, b"v")
+        if op_id == 1:
+            (hashread,) = hashreads(probe)
+            assert hashread.index == md.ts and reader.ctx is op and probe.notes == []
+            answer(reader, hashread, digest=digest(b"v"))
+        assert probe.notes[-1] == ("r1", "digest-check-failed", {"ts": md.ts})
+        assert len(probe.notes) == op_id
+        assert probe.ended[-1] is op and reader.ctx is None
+        assert (op.ret, op.ts, op.md_ts) == (b"v", md.ts, md.ts)
+    assert len(hashreads(probe)) == 1 and reader.known == {md.ts: digest(b"v")}
+    assert reader.hashreads == {}
+
+
+@pytest.mark.parametrize("mode", ["oracle", "replicated"])
+def test_a_none_answer_sends_the_replies_that_joined_later_to_a_new_hashread(probe, mode):
+    """A Byzantine replica answers with index 1:2 while w2's hashwrite of it
+    is still in flight, so the hashread its reply starts can answer None.
+    The correct reply at 1:2 that arrives meanwhile waits on that hashread.
+    The None refutes the Byzantine reply only; the correct one waits on a
+    new hashread, and the READ returns its value."""
+    reader = probed_reader(probe, mode)
+    digest = reader.digests.digest
+    md1 = Metadata(ts=Timestamp(1, 1), replicas=frozenset({1, 2}))
+    md2 = Metadata(ts=Timestamp(2, 1), replicas=frozenset({1, 2}))
+    index = Timestamp(1, 2)
+    op = OpRecord(op_id=1, client="r1", kind="READ", arg=None, invoke=0)
+    reader.invoke(op)
+    answer(reader, probe.begun[-1], md=md1)
+    for src in ("d2", "d1"):  # d2 lies ahead of w2's hashwrite; d1 follows it
+        read_val(reader, src, index, b"w")
+        reread = probe.begun[-1]
+        assert reread.op == "tsread"
+        answer(reader, reread, md=md2)  # the directory has moved past 1:2
+    (first,) = hashreads(probe)
+    assert first.index == index and probe.notes == []
+    answer(reader, first, digest=None)
+    assert probe.notes == [("r1", "digest-check-failed", {"ts": index})]
+    assert reader.ctx is op
+    first_again, second = hashreads(probe)
+    assert first_again is first and second.index == index
+    assert second.invoke == first.response  # it begins as the first one ends
+    answer(reader, second, digest=digest(b"w"))
+    assert probe.ended[-1] is op and reader.ctx is None
+    assert (op.ret, op.ts, op.md_ts, op.md2_ts) == (b"w", index, md1.ts, md2.ts)
+    assert reader.known == {index: digest(b"w")} and reader.hashreads == {}
+
+
+def test_no_reader_has_two_hashreads_of_one_index_in_flight():
+    """Over random_config 0-59 in both metadata modes, no reader's hashreads
+    of one index overlap, and readers do share: replies reach a reader at
+    an index whose hashread is in flight, and READs return a value with no
+    hashread of their own."""
+    joins = remembered = 0
+    for seed in range(60):
+        for mode in ("oracle", "replicated"):
+            result = run(random_config(seed, mds_mode=mode))
+            readers = {op.client for op in result.history if op.kind == "READ"}
+            by_index = defaultdict(list)
+            for rec in result.dir_ops:  # in invoke order
+                if rec.op == "hashread" and rec.proc in readers:
+                    by_index[rec.proc, rec.index].append(rec)
+            for recs in by_index.values():
+                for before, after in zip(recs, recs[1:]):
+                    assert before.response is not None, (seed, mode, before)
+                    assert before.response <= after.invoke, (seed, mode, before, after)
+            for event in decode_events(result):
+                if isinstance(event, dict) or event[1] != "deliver":
+                    continue
+                step, _, _, msg = event
+                if msg is None or msg.kind is not MsgKind.READ_VAL:
+                    continue
+                joins += any(
+                    rec.invoke < step and (rec.response is None or step < rec.response)
+                    for rec in by_index.get((msg.dst, msg.fields["ts"]), ()))
+            for op in result.history:
+                if op.kind == "READ" and op.complete and op.ret is not None:
+                    remembered += not any(
+                        op.invoke <= rec.invoke <= op.response
+                        for rec in by_index.get((op.client, op.ts), ()))
+    assert joins >= 50 and remembered >= 10, (joins, remembered)  # 98 and 27

@@ -64,43 +64,43 @@ def digests(paths) -> dict[str, str]:
 DIGESTS = {
     "cli-long-0": {
         "cli-long-0.history.json":
-            "6cbea46f5f740dd5e3248367f0ecb1ba023f61e352fba6bf5c9eb44df05b6a98",
+            "9587b7c5414a24c2ef0f7f64d92a1e8a3b476a56b4f80b0f2a4ab5d8eeee7ee9",
         "cli-long-0.report.json":
-            "51589cf4a5e0b65242d81682a2a6c08e4c7ccd617a89ebf60d195c791238f133",
+            "9e0c7899268fdf7f2d9bb2cf142dd0c89974714f0cd1a21cb1d9323acebc5d2c",
         "cli-long-0.trace.jsonl":
-            "1f0f1720d9fd128440ddabb0f7ac8215d16e6350040a74124a10de14321c9a0d",
+            "00de96f3e80c889382290a1863e372409777c732bd660f8f495fc4c2af3fa27b",
     },
     "cli-long-1": {
         "cli-long-1.history.json":
-            "a7a78b1265265c3286bc89e5fe5b2ccfca2dde28db41ef008eb3f9da93c18573",
+            "7ca1e83b1c51b536d3f9394d68ce0572fbf35b68d5e2e8e03b28ddfdecd413f5",
         "cli-long-1.report.json":
-            "0278de9af18e4fdc74517e095a99a99ca50709ed4bebfac3280c2d9534c434e9",
+            "fdc517d06cb1250fe8c265943a5fa401148960f74287a046fb232142632ce9c9",
         "cli-long-1.trace.jsonl":
-            "5a1614db40863d31ddc8607f31ead1579c95c925171a83d0fce5ef19accd0991",
+            "1b299f2483c82ca116d3594448913a00bc43ec1485c195c6ed6579453df534a8",
     },
     "cli-long-2": {
         "cli-long-2.history.json":
-            "214c6674c594d9a6ae322797395ab17f8c2262ff7f29aea267d0a98d5866269b",
+            "6ffacebc523f61f226b9b0de54e2baa20190d4e0f2037fca6a67d5a2e3ddbe71",
         "cli-long-2.report.json":
-            "bf0baaef8ca61a388e4f52339a6273daafd6195291527597e332aeec49f3ca6e",
+            "9b048bf6609cdc65e16c42cec999f63e4137ccc20951a6303849ccaa45ecf501",
         "cli-long-2.trace.jsonl":
-            "b97510fac0cec4552d6650f1cade83414cc0640a6c5159c09909b9e332d154db",
+            "e60fc7b2b27616e123da6f6a2f1ceac4f13571956c6ea9a160614df151234061",
     },
     "control-2t1-0": {
         "control-2t1-0.history.json":
-            "8f9d1690abc2c19bd23f4998660aab51e68fac9a0ba120a0752316f0b2e8d700",
+            "734cc4b512431e482d51eae8bfd1ff8b620a32b8b2432d5d0779e44897709ad5",
         "control-2t1-0.report.json":
-            "c098aea88575e09019472f389b2535d6ef620dada867ea4d7c348b67f357a144",
+            "8d0df57c82baea5171cf38c4f8b008cfe7d14308ea5f4193eaeb9be403f38250",
         "control-2t1-0.trace.jsonl":
-            "83849887adc854644c69e31f909d2feb902fe467f26a24828050edfc36b77b1b",
+            "a8263e4a9de559de14486311b61b3ca9bd947efed635c2b746011e66d1e6a44c",
     },
     "fig1-0": {
         "fig1-0.history.json":
-            "ebd42e7032d76250f76326c95d532f56512f154c9b0557af12276f67c98ff406",
+            "73d38fe21c83b9aedfa2da273007b9d1ed46451c408acd0a3ae5636985d54377",
         "fig1-0.report.json":
-            "e7e3b8584a2112077a226b66cc770ca4ccaf03f16e2fafd48f7336b527076436",
+            "9e1f2c04f9215ccd681c3b257366d9b78d10dd6ed8d73fe68e464f36d1661f87",
         "fig1-0.trace.jsonl":
-            "7fab18d2698874da0129416ee8d0e8bf31739650dd3b6049b5921aaf9474c751",
+            "d0cedfd601d4b45476c42bded979797b5559e2b80329ac30abe8fc9af9d92e8a",
     },
     "gc-quiescence-0": {
         "gc-quiescence-0.history.json":
@@ -112,43 +112,43 @@ DIGESTS = {
     },
     "random-0": {
         "random-0.history.json":
-            "d7ed2170226ac96ad174359a6c5f1b7d5ff393cc914c3c49c7364c6dfa3d25c3",
+            "1a8dfbc53160af54dc1258499fee31736bf484e24db3ca878c460f7707102fdb",
         "random-0.report.json":
-            "6b0690e0e86334e82bbc7194c73be93e64d89d3619ae940df49a44a0f58163c0",
+            "b4488e931aeaedb152b3f49bd0b3559cc45af611c9387b7a8b23a572cb2914d3",
         "random-0.trace.jsonl":
-            "87d22cae7bfff1d9ed5c23895eb1a449f44f7a9ac36d2e877085601545242db0",
+            "514c61c3acc694871eabd743dcb27c1a47f607b70296c2e8e6b2e2fc3c4fa4f7",
     },
     "random-1": {
         "random-1.history.json":
-            "77e3147c094275dc5e7490f3e12eb0fe771d50b2f3eb61710957d69c88e22ad4",
+            "33942447a87de0dbba24b87a58f45ff1930867a1defdff141d16b5b361031dcc",
         "random-1.report.json":
-            "e79a7b21a7779d27da1a6888d0a420e8f96abaa8bdc819a9084256fc0a3985e8",
+            "01ffb630f6c3e95c039a68e1307ccb3d6096038c3d5a29d653e817b9ee49b806",
         "random-1.trace.jsonl":
-            "e82d989df08cf01217600f734a3df734cba25c21dd66a27be8cc0b964fb36632",
+            "3666e990ecf61579e07b76ce6d076fdfc1d417425e7e3b69eba24e1eb2f0306a",
     },
     "random-2": {
         "random-2.history.json":
-            "207499624e5ed0307f6e256b7858a4439dd9b3ac001e37495560557e52911a48",
+            "9ec9634284b08094e473edca0e375226e66cf4424452a45e286bbc3db80d8d05",
         "random-2.report.json":
-            "40b6a56af9bfcba47aede6240d30bd4921fbde865ff5bdae1cd78e25c75d5309",
+            "e608d516744775622927a4c6d0ecbe378cee40e3ab5994fc4841f23b208da0fa",
         "random-2.trace.jsonl":
-            "f97b34e2fc6541c977d367e9d277610e802ee8025fbd798fbd8ade134b77baae",
+            "b9d77cbfa9b070d8ed7c4d04fdb436e765177d92332dc2f6435e21f29e543c48",
     },
     "random-3": {
         "random-3.history.json":
-            "7ab1ac4948a7e1931bc412ce3229257341b2b7a4e9f192be58492fe8798e329a",
+            "9418ac182147c59ee0061a9a90dacdd7aadd9e4dc08081c94a93234d0f1b6221",
         "random-3.report.json":
-            "5f92a86c88b7506aa09dbd20255f49888a6d150d2e299544a8aaaf6f7af9f230",
+            "2bcdd3bf0ed6bb30c34317cf810b6c0f68f6a14790dccd852d047f75828aae62",
         "random-3.trace.jsonl":
-            "44e93125ac274d8edc9889dbe8565eb7cc377f6ad80c5783706e1430a6a43b53",
+            "4ec09510919d932ecf8923b0d1ceb5d0844cab07d10aae3abe64efc35f0a778d",
     },
     "random-4": {
         "random-4.history.json":
-            "bbb6394f39e1fc00fed35eed989d8cb2aa8eb652fd9c01741a6669577925f539",
+            "ef9c97d1b3dccc4bbed5eb15ed6f695e73e486eff1d67df91948b5c9545718c1",
         "random-4.report.json":
-            "207c4a08f2e1953c8ebc6683222aec1969121a493d9e9d716b79ee0293fba38b",
+            "c15928b3eb75e7991e36c2f15fe9281ee73e4d0ebd75beae8f00d7c65cf79ed5",
         "random-4.trace.jsonl":
-            "5bd7df5b34a16c4680fc0f5aaf46d6db46f310131f1bb69560050f018035e1fa",
+            "6b4f9aa14afff2b9aaabbba854cf3f6014bbd5c6cd6b40af6f05ea53ad26b522",
     },
     "random-5": {
         "random-5.history.json":
@@ -160,19 +160,19 @@ DIGESTS = {
     },
     "random-6": {
         "random-6.history.json":
-            "9717affa6ed9944e673f9e3f76259e623641670c6b87e0169939613dd4fe619a",
+            "6033fcc695d83c55799538db832ea8bd90e3b8d2f7fb992c78fe6e080bccd675",
         "random-6.report.json":
-            "a70d957cd1190c6bd1b4c7a899739aac870752c748835cbd280347961b607dde",
+            "3b06b9c9d747fb8fdb6746b52dddaf654231fa8449950e7ea989966538105376",
         "random-6.trace.jsonl":
-            "e3c0cb5622b7c44127e385f03a160a779677c9b647b239fc8fcd42bdc8f555c3",
+            "7e0d2ad49e8c7e7a8afd3a0be8fa883806e4e72fdfa7a88818dbd6af77953b1a",
     },
     "random-7": {
         "random-7.history.json":
-            "2bda36282f3e63366521dfb3b4ab088ec35913ec8667b6e7052476a374aa26c5",
+            "93cdaa4e89038b7d54774df27364af2476fc4466d3360acf348f40de8f4644cf",
         "random-7.report.json":
             "546600ba23f3271ed0c63aed1c817d9454bb5c5572ae7f3f55cdf8e2dcda5fcd",
         "random-7.trace.jsonl":
-            "099d02ccb96e9ac5df7c49dd06663912bf5771051a2e3cbef3bdea00c69917d2",
+            "f5a81522626a9fbca40ca9b625e4f9137006b0f2d2efa9886bcfb64d9051aa28",
     },
     "random-8": {
         "random-8.history.json":
@@ -184,35 +184,35 @@ DIGESTS = {
     },
     "random-9": {
         "random-9.history.json":
-            "e4771de25e5c88b150975d314acf9bf1edaf51f144b3d3813b18b41545ad63be",
+            "e6acd409fc53be459e3f3650cfd1efccd29afafdbd90b62ca6c1a5a0706691a8",
         "random-9.report.json":
-            "b8d4df7fd38c6e10b5feb064130f0871096924b11e74334034b89a87107c7ca7",
+            "059fed36668dfb3459877cbada4125b44e3118a21914b42ae69318e68cd034b1",
         "random-9.trace.jsonl":
-            "a9110651bea28e6f1dca8c1c7d8124fdc11e1820ee93b5e592348804693b1cc3",
+            "2f7676ca88c8a6e5f8fdc6988b8e82f429fb7b921c2c1ced88c8416016b1c302",
     },
     "random-10": {
         "random-10.history.json":
-            "0eb9263d5c29f3e874e383492f8c2f9ceb09f8d37cd627d5577a381909dfca31",
+            "8d4b06af22acb2be3be81a1e4e69a58c929936b827b55addff1a38c863513b9e",
         "random-10.report.json":
-            "b516bba87518a3d68951e62efb9bd238509307789ac0b2234949d47b8baf3e29",
+            "f55ef7e3bb68d351ab601988181a061e05022a82219918b09544189d203cb435",
         "random-10.trace.jsonl":
-            "5141c55f65eada0290551f1155244a8f82410a14a21dc54d99c46f0c714ac037",
+            "4cedab42b9497604b8869864be7e4b3b35dba571feaa95e16aab194bb937ca94",
     },
     "random-11": {
         "random-11.history.json":
-            "e8e0f6117f49136fd44f39d2db7a8192656163cb1f06cc9bb3ced52d31befb1b",
+            "ab82eca0a9fda227e4f9a648c08db94f6e83476078fc3a82bf03fc3b2a7cbfd0",
         "random-11.report.json":
-            "8b2e367ccaeb4f1f5c80f0319f94ee77edafa4d1bfd0592140a3e2c5f0c4cb09",
+            "402d47f5c13ab951781985eab0e909db2d2e76e553024b26fe99dcdc3ab06625",
         "random-11.trace.jsonl":
-            "a2b1f4d7662217dd2fff3c60449521bb8d90c97571eab2f462e127410b54b506",
+            "a41fbd3620195d2454e1ca66bb3bc0f0fb2c234cdd751ef827f30b67acd06014",
     },
     "random-12": {
         "random-12.history.json":
-            "2078450ee6661ead1ef74d41b13c3d5de7b6cd6a9b84455d045354f5b218902e",
+            "738e6036b675813259b17fb8d09e1b47d2bd4fe1d1fef5f1d2773a7222e0d3b6",
         "random-12.report.json":
-            "e598d8a411eb5d353d4625abebc2b5881eaded2e6f68b6b3054eca79a450914e",
+            "aa445c8403b0b9b7c080671d63d28febb10277a931eb7ec1e4a8283152762692",
         "random-12.trace.jsonl":
-            "054b3be352bc8a2517155909e83cca623c171d5ccb96246e1ecd8de606df22d7",
+            "acf30c4a251308479843802c478acc1c944ef7c4578eccb35dc8f43fa45206ad",
     },
     "random-13": {
         "random-13.history.json":
@@ -224,19 +224,19 @@ DIGESTS = {
     },
     "random-14": {
         "random-14.history.json":
-            "2b4c491bf1fe2a2971b80f2ee8e3ffb137a0689b2d188ea000dc4cf62383ee9e",
+            "0d7686520ce54b1bd5ffdac140d43eb70f1e23458192c81d6016d713f45e747e",
         "random-14.report.json":
-            "de2fb25baa1c6517fcc666670635bd694555cf61a202dfdcf2d4be7cb1b29bec",
+            "21a6ace4a399eed5a9290cf88bda23647f902f7dc8c936a9dc2f06eea600f68f",
         "random-14.trace.jsonl":
-            "ba473f6545da2694878540ea13431e941a60ab2eabb34c1a099c169db143ea6b",
+            "67f8e94c51c3d669c36560829f9fafe9508e3249e1e9184b569e9dc9c82ec162",
     },
     "random-15": {
         "random-15.history.json":
-            "c368260dc31b3643086d26f2a94b5b578ec3951d797818f46e6f03918006b0ba",
+            "2d47c423b5ada61828463905c3663246dcd8a4784c9fa1c80cbadb87fc25a2ad",
         "random-15.report.json":
-            "9469ba915931a3ad2fdc3e6d818caae5213fdaa5557b4b351eda8ca65efdd776",
+            "d6f9cecbce28e6a4e3d06805355c008f45a4f8ff40c737a91c05c43f7c276e1e",
         "random-15.trace.jsonl":
-            "a82e9e988056282f9c6965a295470455f947d91ad89889469c03bc26961051a7",
+            "43b1a9b06fedbcdab3dbfd97d1753e6fd49839ce61b0245bc73392e138da65b7",
     },
     "random-16": {
         "random-16.history.json":
@@ -248,11 +248,11 @@ DIGESTS = {
     },
     "random-17": {
         "random-17.history.json":
-            "add314793a37de51866a2ea43aa6ead9c19e9acd2a96138e8e3b009ab5ad5552",
+            "a6d1d5a90587eba4b70ca2e73fa8c21e973144333087bef39a157cfae82fb972",
         "random-17.report.json":
-            "4f4c2be892c71d738eabd034a3838b0a91ba815ff45e414b438ed1f692341191",
+            "b8358a67e022a8f3735f7da99ff8f118e18279c4919186669f2bc7c455729cf2",
         "random-17.trace.jsonl":
-            "0e41a1de5d668495616c98eb31f7e9f181752fab297a0881146e6cf82d52366a",
+            "50a81e2169c0c1027aa96ee55d5cfe81c09c126db2b0e7806a4eff8a9fe4f406",
     },
     "random-18": {
         "random-18.history.json":
@@ -264,11 +264,11 @@ DIGESTS = {
     },
     "random-19": {
         "random-19.history.json":
-            "c567f4a608cf05026d3b06a86dcbe6d8ee30662eeeca3e032c7705c4fa20df82",
+            "adf08178615d3d4cdd6f41c5732a110c7e50cd72f959e9f5d12af7a322e1f652",
         "random-19.report.json":
-            "2678ea83ecce46801623ff89ea4a75f16644911713c99e15e721272ea2108080",
+            "af6b1d2cebae3750054df9eae6d3e74b4a767e97e5dd51a928367ae70624f176",
         "random-19.trace.jsonl":
-            "7dff3a9501640a5b8849555f4f7306808fba0f8069205161eebc9d54d040cb1b",
+            "9774be9aa68a18c843687287a9c15c37394f4772bfd0a760e73f5ad9f23ef7fa",
     },
     "random-20": {
         "random-20.history.json":
@@ -280,11 +280,11 @@ DIGESTS = {
     },
     "random-21": {
         "random-21.history.json":
-            "044595479ec16c7963a7387a6bb614bd52aa0a21f4ed96618ed8b022afa9e912",
+            "11f1f74227ae425b8a43d13529503ec93a107720937ed1ce8fae795c18b622f4",
         "random-21.report.json":
-            "aded84599d87330c2a035189ab459c6f7660bc05d5bdb001395ca70f0b0e6404",
+            "92d1e6e88563c97a3938052706e7942d9fb6a3415e9c8b37be1d1847137fcf9b",
         "random-21.trace.jsonl":
-            "3276d2d6554dc5607733c9273409ee0ad8c8dfe6b3f46dcdadcb249376fc88e6",
+            "9c386b5111e44339c21518845722ebbc9fb2fa0759b5fb92bc08c7bedd921b35",
     },
     "random-22": {
         "random-22.history.json":
@@ -296,27 +296,27 @@ DIGESTS = {
     },
     "random-23": {
         "random-23.history.json":
-            "410ac195fd636bc7bae9eb52d633006ed54736d212dc3ef3ea23246fb4924e48",
+            "b5488305626600b465d5dbadad8f9f27a2289b7c272c38d7363141dfcc35c69c",
         "random-23.report.json":
-            "c81337d5941adae8772a4aa5c677eca86bb9cd8546ae6dddc512cc306fa3a254",
+            "15647da853ab225fad26a79dcd87b69032816f23ccbf6c916162593fd61f59f7",
         "random-23.trace.jsonl":
-            "3f9a331faadaf076feaa210a01d6aaa21b138e024fdc2a06a59ca88b11ddf89d",
+            "2815bc65a2d6874d7faa1f0e1b07627d800bc1a76ae45bfd5f2d762498deedb4",
     },
     "random-24": {
         "random-24.history.json":
-            "0c17e364cce83694dc6b07d09f7d74e9836b6cd4a1b08cf96f2d6d1619a418d4",
+            "bc569fb9689c517dd41195865cb9012cc54702c9107a4790334b608835f68c97",
         "random-24.report.json":
-            "4a26cf436382bf538fead5335b22cba3fe5e7af6e98d5b24b35c4b352bcf048c",
+            "05a598bad22d5e6394d893c5600fe3f70382a53387c607218a45137f7a4c24ef",
         "random-24.trace.jsonl":
-            "b8d85ee1a3b6925c0820a715d08cf4167f4b6d22603cca7c28a0290600275941",
+            "ff6e7456f3bd0efc28b918e57ba053c055fb11288a556cb91a1eb98047e46494",
     },
     "random-25": {
         "random-25.history.json":
-            "695f344b4a2fe3be1fd1841aa12877c3ab1f1b57f15a9d0292996859e7d0d6b9",
+            "f529385f9b49699cab7f636f8195fe5bfc9797d2d114d5c8b34ba3e640ad71e2",
         "random-25.report.json":
-            "dc6113e83a9be5a92de74ee762b6bf852934de075cb8f1296da4aaede9d646e1",
+            "07ba22331f9e29f075169bd393dee8684e5df001ddd1f83fea40ecc54016901e",
         "random-25.trace.jsonl":
-            "f51bc3ddd57bf80e4acf012f6191af0e139fa27f2dab87806f236904a8bea6ec",
+            "094521c002ebbf0d389928ae0056e661eba20166348c557903943c0560c129b4",
     },
     "random-26": {
         "random-26.history.json":
@@ -328,19 +328,19 @@ DIGESTS = {
     },
     "random-27": {
         "random-27.history.json":
-            "5cadc24813b478ac2da32032ae7d36e797b814cea5cb4cda4b08ac5524269b48",
+            "510c95ba4171f3917cbe131b152691876b391b07fbc1c9926bb2b447a84dc13a",
         "random-27.report.json":
-            "05452db372ab9718e0418efca53ed7428926cff6440a186f55f362a49da5ba12",
+            "21510f635f4594592f009fcf9c20bab28ac5d620f2e4362a612bbe3ac8cce49c",
         "random-27.trace.jsonl":
-            "94ace83af8d1c8ea653609c3c8974cb290b8e462edbb8b1477e7dae328bffae6",
+            "4582ca09bd70b6486b320c90458e25de3dad1e363e138137e50f139dfe84b289",
     },
     "random-28": {
         "random-28.history.json":
-            "24dcd51f67870e05f8ad2adc0a83caed1a30b16fcd57d7a97ad3388f1a8dc53c",
+            "96385b7a376ba5815d604c7d358cffbf7f2a51a7ea0c1b106d5eeb132ebb955e",
         "random-28.report.json":
-            "8d21acb5322c4e1d59ee4eb17849182519f5e9225c31a9ff7d89513b7bb882e9",
+            "2c8c5365f22a1a08207c133c23fe4df9a1e17e441d440bf3a7b811d82901d90c",
         "random-28.trace.jsonl":
-            "535a8798094a9d9f4a789d1fd3d709b21360b4c99a382ee84d22783882ed9efc",
+            "878c20202c87cea63ff5588f2de5960793d3855acc4aa25619a5767ff6c7ac09",
     },
     "random-29": {
         "random-29.history.json":
@@ -360,59 +360,59 @@ DIGESTS = {
     },
     "random-31": {
         "random-31.history.json":
-            "802151160d9f1067c435a8fcf28d42c96af7207a7cd40b8602fd68eaf48378ee",
+            "1f38c6736c606bb744263140942a173a578d5a2998371f1cbeab761d558e2364",
         "random-31.report.json":
-            "e0228fc549fc5db89644b59598e009052cb6f0300c0be6fc0eb0f0aa96878885",
+            "c56a349d4433f0361a9b871bcc52c5ee2a08eae5818378f8115bfde49b14023c",
         "random-31.trace.jsonl":
-            "a39f5ed0ba5571277df7b2c36e008ed23dde620ca8667d591df048a4eff4ddf8",
+            "9eb332498d411d0e61b844fb9261b33182ee6efde3a14029e2e7315b3f9bdda3",
     },
     "random-32": {
         "random-32.history.json":
-            "5fe3f86ffcbb04731adfc386a8ee367d7deabf92fa19c184d3aaf9c0096baff3",
+            "f74cf01f6781802fc1f02356103fa8e85364d91d37c2baa0770bc90818fa8bfc",
         "random-32.report.json":
-            "fa2200bf831dd801561b675aed3e20436436494a75695b827a99cad769c4528e",
+            "c64104619fa74d5e462dcf0be4bea41e85a5c3cb8373bbac9056c041c19b6049",
         "random-32.trace.jsonl":
-            "79e9096463cf26c1785fa4e41699dfcea46797892e016893db8dc3a77f50e44d",
+            "1d1599159e0cf58a3ff882ebd5d16e71e62d36e09814b86a1652c2b0318f18a0",
     },
     "random-33": {
         "random-33.history.json":
-            "0c394dc3d3f78812b3c9a4938cb6f5aebbba9dbec9a5341c6c0507de9787f446",
+            "f2c820e139c861d0988963807e0c984c498a6f770d270151eef64895186edea8",
         "random-33.report.json":
-            "012c674dac6b78715419651b26c64668c5fc35deaf322882c9cbaf7b5d5de6ce",
+            "b389320d4d49cd6236b1fbc06cfc75cf2312507bff05f9cca9054fe5d54e8643",
         "random-33.trace.jsonl":
-            "37ea7854f41e7291bdd456e99414ccbdc242ce236922a8d3b9894275522094dd",
+            "05b88c4961ee830d54e4819f000331f4c1c935948c2bdf99f804df5c848f3096",
     },
     "random-34": {
         "random-34.history.json":
-            "cc7f8436568177c485d3ca117567ddaf3e2507c40b70efa14739acb5b00a35e0",
+            "d023b9ec9992e1faf30654e46db487bf28623cfbf58b1809fac5ee6bd776cd47",
         "random-34.report.json":
-            "6cf6495fe830b78cbfc781101deb5ef506e0b5210b2be467373943b01da3b8d2",
+            "6f8634ed5cc313dd567641e6169bcba6ba4f7f0f16cce75349351bfc66ec259d",
         "random-34.trace.jsonl":
-            "7441542f50333630e11c5b4607ff5c1d7025200504a36b65ff220f0701696799",
+            "62515a8c4cc16d9b51754904aee3140217da2c3934c84a420f760388ce7c7c54",
     },
     "random-35": {
         "random-35.history.json":
-            "5f5f474a470420dfe9354386f409532a52cc7cd925c370831cb35025b67103fe",
+            "cc447c86a6dc527a96cd3fba3c735c2cf2d145f948df9ba63a912f6a456857e4",
         "random-35.report.json":
-            "191e18ba3081aff1081f927182077b222fbe7e3abf06ce1474b6510656ce36f5",
+            "9427d80444489567c12c4cf1ab63d8c1c8315376940db1a5628e627298d6d567",
         "random-35.trace.jsonl":
-            "6cc9b866e391db4ec5c523ccd21cdd0c5b79e47eebb1ef99f061a452331d56a2",
+            "c5fd0c5192bd99e64bd79a9b6b1b69ece70d8a6ec2de7c630e6ab78f447f70f6",
     },
     "random-36": {
         "random-36.history.json":
-            "19af7017831b0e2810d1f2fc75abb8dbbc495527d6e8302dc46d40687d0b4d0c",
+            "6027ad232d1ae8993e626f1000238fdd1e9993ba3c1abaa20ecb9ca98e8e58f8",
         "random-36.report.json":
-            "e5f56bfabff98a2ad9d5d9c5a795a74e83ad008408ef689058d1d3a0f43a1a66",
+            "667258bd3aaaa55d046f0743c2604bae69ed30f676af60e5eb00a709d262418e",
         "random-36.trace.jsonl":
-            "14c3d98fe53577ce57a79f7331095c4afd5e470069ee27d3bd072c70c48c1ca5",
+            "c6b6487f8157a646aef9f804c4959b94634ff0653a49a6964432d1fe0ef8f27c",
     },
     "random-37": {
         "random-37.history.json":
-            "ab9dd178ef4cb41fc34130a1cd685676e01b49bf29726885fb15759a4bbd15ee",
+            "ece8b200788b68876704b6c8f130cb25cfb5fe83a9289971892dfde5a754ea0d",
         "random-37.report.json":
-            "8821b2ef55f79018375d3c1cabaaaab27358b4df373eebb27d8cbc35daf8d335",
+            "b91624ade2f30c22735ccf27e1d2e4c14a26dd9ffa8947a0d7067a51ac06f7b2",
         "random-37.trace.jsonl":
-            "fa025ab3f1da8307b87642a77a1256dd5cb9892261395840169f8147cc866909",
+            "82240c66b790cbdfc1e1fe1ae4fb199eae29dbdc88a8e4393b1b922b2dfbda4f",
     },
     "random-38": {
         "random-38.history.json":
@@ -424,11 +424,11 @@ DIGESTS = {
     },
     "random-39": {
         "random-39.history.json":
-            "2976d97f7feb987e8d536aab32742409c4a48e3dc8b4d8aac3db7cb6ec89d5e0",
+            "e73c596a05229990b58dda36acc3347ebdaab88c269a7c823ff20bbc17ae6ef7",
         "random-39.report.json":
-            "37698fa9ce1e62f28acc142987ae8531b3b62fd37d86bc8f9dd329659596ebf9",
+            "c26c45022b3f0e616a59b527b5eb2b2a13e7fe9235d9565135ae25e20a5a58e4",
         "random-39.trace.jsonl":
-            "aa9514877c186cd90063386f20c433d627b598d55723f0f2c9fa005ddaec8b92",
+            "31d243de37f72cc37c6dcca8a18bba0b12720e17b7f0338026fe7fedf0bc259d",
     },
     "random-40": {
         "random-40.history.json":
@@ -440,11 +440,11 @@ DIGESTS = {
     },
     "random-41": {
         "random-41.history.json":
-            "ffc7ab6d74df9171c202aabc1a253632448712260333ec60bb53a8cb0672f19b",
+            "3b9cbc691509dc89745130bde12eaf832e0d6a47637b0cfad17a4a3d5f94227c",
         "random-41.report.json":
-            "e13ac563b8b80f2f1ecc005990a3494a741922f023cf67c0d30f4bec652be04a",
+            "96f17b2b544f6e8784de42334315b171cd4b4df0222286be0081232243514474",
         "random-41.trace.jsonl":
-            "72297dbb0042985df9ad2c9c6ffdd44276f9ad68192b93fedf6e300efde4b7e9",
+            "8e9eb50fedd25f8d67dcbed0711d5d0bd4651f404b29e98a1f1a3df514fea392",
     },
     "random-42": {
         "random-42.history.json":
@@ -488,11 +488,11 @@ DIGESTS = {
     },
     "random-47": {
         "random-47.history.json":
-            "6cf4fb7e2fd4a8dc256a9faa10c790311b909dc35d2dcd817138184584ddab42",
+            "04955f8ffc1371bc17e97c02f5c4376d3b820810e84880ca17d37c2490fc2c9b",
         "random-47.report.json":
-            "d192de9fce8b724c14371ccd33cc233c64b2acf14be05c3bbba229cb7d121a78",
+            "432ee8ec562ca8924f3d0e374e398519a8d63bd22e2d35957cb0fc57925323c4",
         "random-47.trace.jsonl":
-            "e4b1a76e36716867ccecf240267df4dd6b853c6e1f42d4c48dfff52417b0b39c",
+            "680e6700e0365c2519548daf05bca9602ce138731a75c804b2e7f27c44e26b6e",
     },
     "random-48": {
         "random-48.history.json":
@@ -504,11 +504,11 @@ DIGESTS = {
     },
     "random-49": {
         "random-49.history.json":
-            "52dcba5180263e53f939f067e3478f7f06f077390728da8a589eae42bd555c2c",
+            "446dfff1e8dcfa16148325ddb91f129185e3cca23d080801be668087237ce7d3",
         "random-49.report.json":
-            "2d2119534be7d9d17f9a2c74c5858c618f85e8dcb55e22f55e13b876d17a771d",
+            "fb0129364c06ef7cd7160d62625eb8b98437cc570b5f7bc08db691eb808aad9e",
         "random-49.trace.jsonl":
-            "f24fa4853135219aa21c54b1e5bee1e9c1070500f5f5a1247030ed327ef240b5",
+            "a2c95664a5638ee4d1ee8a7d0ddcecf5900ac178a130ca2033e7398094c1c0b2",
     },
     "random-50": {
         "random-50.history.json":
@@ -520,19 +520,19 @@ DIGESTS = {
     },
     "random-51": {
         "random-51.history.json":
-            "7b547a6021ada6394ef819e8179993dce6858090487109ac4b0e7cd15d5ea915",
+            "37bb0f9e1a2fb927822655c94a539297e19856d6d3aa9dc59d080a9737ed9c93",
         "random-51.report.json":
-            "9469bbc07120fade4e71043313013a081f473ddb839f91b54d082f3da710c7c1",
+            "e41c9df37a70236c3fe47ae1e3a0b4300b5fb3bedc0597a5c864e4b47831e1ac",
         "random-51.trace.jsonl":
-            "f71003ae20c8ed4df31257453981095891ea72deeed6a13409cfd816965d68dc",
+            "ec38b7db8695b2931c94bbb1576ee16bb50ffcac60341017a3ff5c1fd43c0af1",
     },
     "random-52": {
         "random-52.history.json":
-            "8cb9b1f46b2e5ce49f7b068df66634c8d21980c81d4e04b11c26fdfdcca5e13a",
+            "d1ef35f71fbc82c384d916c7d1e347c07cf07abc2f5310c7968356a672755ec3",
         "random-52.report.json":
-            "27759889e7367fc7f189cb64407a54d0b025c0e8752e1f4f5296f3c349824d17",
+            "60f143eb7a0d3c82c339b124d62dfbdb21c98c0394165ea17f29903c3215a73a",
         "random-52.trace.jsonl":
-            "78075bc41b94d2631586a17cf490f0c48594d3882450cc5661b193e6e1d9c78b",
+            "9726389e472ffa883215bd5c3f181676d8ef239895b71ebfa677fafccc0ba682",
     },
     "random-53": {
         "random-53.history.json":
@@ -544,19 +544,19 @@ DIGESTS = {
     },
     "random-54": {
         "random-54.history.json":
-            "43331c195ebd13c84d434ead2989096ee32af8976e437e60ffa883745e3dcf8f",
+            "5f03422a4b6b27b2a2354cc415b64eb838ed0aeab4f15957be923844273e1c3a",
         "random-54.report.json":
-            "69270c485b1b9df130f88515898e5f67fb518b10276f21d1dc78f917c0565c3f",
+            "bfe97f1d54e2b45d8fb68347a65eb601f6240747cf7e9f21ddf0c6476b907541",
         "random-54.trace.jsonl":
-            "882c5e79c2575e0818175e713fa32ab1bd6714a40bfd2212f4161d4f7a9624eb",
+            "f35aad4ab20de716f1aa3e6fcd3e7ce384981589b49073ec90297d475eed3b37",
     },
     "random-55": {
         "random-55.history.json":
-            "1c3b333efdbaf8b02a7c279735294e7268bd18f98f4b047fc61f8133d0714297",
+            "ec225c8fc83ceb282065d8b18343931354fc2047a26d787545f3824fb2fa8ce7",
         "random-55.report.json":
-            "d899b47313865a031fb5baca763f520aef23c2eecece80b28c79c1192fa83db7",
+            "f22706592826d2d365f7c5c562162ff1327c0ed4e70310509be887313d737156",
         "random-55.trace.jsonl":
-            "9dd169170478397a072f4ffe0685d5ae2e601abe7e7e6e73678148f4096eaf59",
+            "de8b474169a8952bed2f3f16ddab8359dc8d8e5fd3b4621674a9207f406e8b85",
     },
     "random-56": {
         "random-56.history.json":
@@ -568,35 +568,35 @@ DIGESTS = {
     },
     "random-57": {
         "random-57.history.json":
-            "eb11ee0cb833e23a38e45b43fc91f04a3c25b1bab19b8d217c2a00db11370f01",
+            "fc2b32ae944bdb8fe8e462cddd052991749744620f292ccc0870711ef83dfd5b",
         "random-57.report.json":
-            "5797892ff2e347bca1ab5f098113f38b0c7c2abed3e282cf7ae809890cc1cd66",
+            "4e3ccac1dbdc4319d5b0bf6cc68073003c779548d5e58784c5d9d6d3ac4862f6",
         "random-57.trace.jsonl":
-            "e267795e2bb61148834ed8a05fdc9bf030b07a6c6c33328d75bd3692ce5e0d85",
+            "669f9946b16dbc4f821f37d4793ec72825c15a35d4c5eacdd34980772d9b218f",
     },
     "random-58": {
         "random-58.history.json":
-            "977ef82f6fd12d1dfacca2f614c4be0d96e1b5a4a8b86085de2dc5dde13b883a",
+            "de48b08bfc393da85227585f3d73e671e07225813278725234dc05bfba55f69f",
         "random-58.report.json":
-            "a75304974d3f1fb35bbc862b52b9bcc435ea1761f8d5427448dd42bfab6c409c",
+            "afa308b2ad35d2877dfa60747ec1966cfff6c677d81dc3df14a0aa4852ffc4b3",
         "random-58.trace.jsonl":
-            "6fca1ed2fc6f17a7648e4d52406bf22be96843f96fdbd9cab0f30f5f80c2c594",
+            "71627f7bd8bcd5c500a45aa64ba5b4220759275e8b2cb66d2d83efa7f846e2c1",
     },
     "random-59": {
         "random-59.history.json":
-            "9acf2c3ccd1a3bebf4b6cd97c7825a60eb5ba4a0b4b1e62ba1e4af9ec5633a5d",
+            "1f10ee0f44376fccf87f525498a2c4f790700fb1198b85bd8cb84bba78d097f7",
         "random-59.report.json":
-            "a3102c0d32e4906878440cdbba87914eba3c810895c0d9b29bce8ba354e0166e",
+            "4452f27e6b04eb5b53bc6e6a5c7226ab4194756c6e4f6e7858eaa55eb1d7527c",
         "random-59.trace.jsonl":
-            "cf227c054dea143cadd0c6095d33de7e56a70feb899dbc58ea38a9fcc0b98a8f",
+            "2246df3d15d11fdce56ac75c338142eac9e2af4c31f9886a6f032d4ea80dce62",
     },
     "random-2333": {
         "random-2333.history.json":
-            "75e6eabb406a7a1eddf2d2431b63e9b9e6e6960dc5d14ee60f6075481cef059d",
+            "f70b13de34db127f2dfa6ad32128fbcf5f42942b52ccafe44d8d28673fb03856",
         "random-2333.report.json":
-            "3ab7a7176ae3221b60fed11a3db802c5fc5733a223fbfe5eb8f9476b2c98e70c",
+            "8c1d1108ba932577f9d3fd6b6226936b9c2b89c7ea3fda7674ab49f5ef1c6bcf",
         "random-2333.trace.jsonl":
-            "183e7dbff06f5e259f0c3aadbef6b188be70f6b1d8c5220afc82b33d2af22e34",
+            "167280c1b4ceb1e9b2b09f3b2a77c5061a8b89e197a52c91bd8484c19aa57f83",
     },
     "theorem1-byz-0": {
         "theorem1-byz-0-baseline.history.json":
@@ -652,23 +652,23 @@ CLI_CASES = {
 CLI_DIGESTS = {
     "flags": {
         "random-0.history.json":
-            "f6304cabf8aff4282f5ac0d4cbb15c1badf9e2112fe55c611c38a992d7212b26",
+            "a71d39b8f9a4d9f441ca181f02b8db2855e07b9dfc116de734d30deb080e46f0",
         "random-0.report.json":
-            "ee6e483b45bc20344f8c3d7be76e3953bc7accd280a8545f381c92d6c5b66d07",
+            "29d7e9f3701812379f589859e47ef0f0727f2a2d08c8a559afd923433c227265",
         "random-0.trace.jsonl":
-            "9b27803028176d0fb6c27f6d34905934ac525069fc72438c3a3f4e9b557afc40",
+            "ee480188565696a38cee8f821f8986ecf153b3388fa80c3267a0b286e3035701",
         "random-1.history.json":
-            "32252f3d7c6a40dd16a25e887abc03c6b056bed651623c61f8a722b0486e8908",
+            "5b9182db5b812608aa408bd62a0f83071e8ce3654a2fe8fda43038187aca8176",
         "random-1.report.json":
-            "24d65ccf6e77fe9c3ddfeae3cfed0a38fb3d668a27218c0ca272110d34a520c3",
+            "37f6d531e76a497c5ffb7df3244654c61e112c13da73177d5b396941fb7bb7b4",
         "random-1.trace.jsonl":
-            "eb456384e0deb96a7346ebd73b7294ade7a26c77640d900eba2c413312017457",
+            "b0b1ebcc18e176ee353fa81205088146f47a26aa359ecdbd1970adf1c837c1f4",
         "random-2.history.json":
-            "730e372e340b43b0d6e66aeea4278c6c69594ea4c27c26e51b9790bfe6351686",
+            "2b99d9cec40ef52c64895d8cb93ed725e8ef96d26cadfcfc36b402f69adb5697",
         "random-2.report.json":
-            "d92bfc8458951fe77aa692d7c164a08812ea49b31fdcece494320e54d00d8ada",
+            "c7894736462fc6ea3de5f68effea11b2f38c4d88698a19379a9a71f039ec1c9b",
         "random-2.trace.jsonl":
-            "a6b1d3973dc3b03d9d6bb449aa12a7dcc58a51f749c87c7d265f01b89daa1527",
+            "194cfab1a532175261880708928378f4eb67117101b38a96b40bf894ac33a024",
     },
     "file": {
         "pinned-0.history.json":
@@ -727,220 +727,220 @@ def scramble_stress_outcome(step: int, ops: int, seed: int) -> ScenarioOutcome:
 
 SCRAMBLE_STRESS = {
     (60, 12, 0): {
-        "trace": "4212f07611c6d0693feba2ade15f62f278e19686e045bb71d29db2e7c6b66c7c",
+        "trace": "5118d41489ae631757cbb0f0594339200681e8ea74c2d08852e417829084ceaa",
         "history.json":
-            "94f752984d0502b49cefb1e2d3e8ab3f64ec4ed422940a0f435eb0839ec5d3ad",
+            "ec4b71d0b476db27dab06a0ebd5e8754280777072f17123c097e54ff3a9921eb",
         "report.json":
-            "0e39ddca50b0afcf4a6e6e8a2ea444b20b9d99ba564357f2ed42a17def928a4e",
+            "d49d734c72da835d8b90ad149b69ef3607222c340e550582edfb45df9086a732",
         "trace.jsonl":
-            "c15244729a5d023775a9c599f58d691472932ea680ecd2c3b68edc9d9be5648a",
+            "3b5139e22939ef5b799f81c9eb7bc5610ed03c5c6579f988be9f2fd6d284eb76",
     },
     (60, 12, 1): {
-        "trace": "1ba4ce64b6a7034dc85532b8b40b20beb31743b940170d349076a975d429dddf",
+        "trace": "19a2c11eb013c0e43913692e43a1a9139626d652f4b63f7369d20c506bb25a67",
         "history.json":
-            "4e0de012927d64e0bb5d5c5c98fe6418ecc3cf7829a3b85b6a704af8119140e3",
+            "93d9fcf9892d8a5fab67b8ed8a501b1302622fe09ec4e87f1dfb16bf1b57429c",
         "report.json":
-            "e97c115d7ef55631013848c68b90bf24a4703ede50aeb18c93aaa5daf8c19f82",
+            "45ad0e28512a60c5c9f82110a31a55ed0023ae3caf8f5b2bd24aacf3a72976c2",
         "trace.jsonl":
-            "04fef2e0f9faee05495659aeb085dd3fe829adb132a8add3b3d4d349a478c790",
+            "2271dc3d770ce05651ec736a677db9684e18d7324b1957d3b7169d0081e74954",
     },
     (60, 12, 2): {
-        "trace": "f1d5c1c0c2a5566415843ba11d7055a5c62145f67f039a46ed2f7916ada66780",
+        "trace": "ef548f33170d22c04af76353337dbcd4278f36e6c6ea3fdfbe65baa8bc399d99",
         "history.json":
-            "89584d93c94f766c7dd0f4d7541d60ad2bcddd4ea2c9d21cfca8d8098652809b",
+            "c3b15d0984178d50f6e2c781e911812073d488c25b9e9c7caa5d1504311217be",
         "report.json":
-            "9a1640fea1c786793993a9dc083a6d6bed126d407695d168ecbba502e5fd2a1f",
+            "f131a0da68c42173027451573e86ff3ae2e887085e259626c7fb17103c9e8dff",
         "trace.jsonl":
-            "f6bac692522a9d94f03934f2ca13780f32b467a7be562adaeba376db9fed23ed",
+            "1a6e9ec3636e8f1af5a55de356b74051b0b4b750d6b196b9c79d94ff4111d7c4",
     },
     (60, 12, 3): {
-        "trace": "7d098c1ad67ea38d3716e4e40783f62aa92889c93ed54f88f8a0ff1c3e24544b",
+        "trace": "8fd61bbcb3a833901213030178656e93fc5178a30ece28eddf6bfb05703f28c4",
         "history.json":
-            "df10220728bc25cfa147bd8f833435d69dea5a3a5c12f559d3008a221622ac15",
+            "69cd0cacab17e42c69f8a423d0ea366c0d38dfd5582178e76e839e6d1a063694",
         "report.json":
-            "cbf51d976753ee4376de8a841d3d7ef27fd13b90c526087bd18b4f147510fd05",
+            "ed41b1f5ab18efdfe5f9195cb2cf966877de8a8e8a0711becdf6f948fcaae5a3",
         "trace.jsonl":
-            "640754234fbe5b973dd9888f2adf990c3d162df249ae2d0ce8f3d28d17388f04",
+            "fa60f3b1d5b718b728a500f60d7d80ed68fb7eb9e1ec442cd90c6677a12a5b20",
     },
     (60, 30, 0): {
-        "trace": "069d2e513ea03a06795ab7071166c3ff7aa92f6eee72b472442a9567a3fa3694",
+        "trace": "8b84405bea4d06c82aa80dadc25eb4d907b5cf8cf7a85ca9e8fbefb516b856ce",
         "history.json":
-            "bd717594694249849d15a548d07d54c19a82ffbc20c3668180f1d64687c493a8",
+            "a711a4c440c3e4a8b8bd6382de56544c3fc994dbda1ae3ede908d610382a3387",
         "report.json":
-            "5e1c547ee85d69adb00efd350eaf4d2d389e9364f35077aef0a32027e6ce87d9",
+            "3ea75422d3830703fe8054b3ece327e6be4ce0f7da0da9c14644081e4e07f7ed",
         "trace.jsonl":
-            "65d0f9355dfe95e8caea0717d32692112d1af94b712e7683a26add3bcfed6e54",
+            "ad207b39dbb7d2767016a156b72383ba51f65ac05a75713b3ca808a2f00ff512",
     },
     (60, 30, 1): {
-        "trace": "7f70f5d7d8850a79ea1331ea166957bdb0a122f08e16010268666263bc911584",
+        "trace": "2a5fd8662cf209b1117f426ab2119da441e7cbe72dd0d14c04b0e1e5d6d68273",
         "history.json":
-            "e11b5acde44dc3a4fd8a5a3104dd3f0e4dff9b478646b41b60adbf00fc5c60b4",
+            "db9abe53112cfdc990d25b2492ad31ed1b61adbdee446eb29566a1199c38d9db",
         "report.json":
-            "dbe314491e2496abde80dc46599c696baccfba56de95485836569236c83670e7",
+            "480743e653c168c5a20ba0ed04bf649b95a4bd3bd9da41510430c0cc81d64994",
         "trace.jsonl":
-            "9ff6926c405da15e62908f0b028da9a2d73d67527c71df082423e39650c4d79d",
+            "f824e03a2c9a8beea9d29dc4879771644331161ce61db9b51acf1d36a378164c",
     },
     (60, 30, 2): {
-        "trace": "dffeff0b48472d9318780e1c822226f3c24f1bfb9c3b0a97d80fc6681d1fc6d5",
+        "trace": "298a7859904611f6d584d68ceb44b011a395e466522a978310c059cb0673fa2c",
         "history.json":
-            "469e31b7f108871ec292faaf8836200b707483b2fd47d158759daf00e87278ae",
+            "ca73f5addf91d0fe7305aa0ec5fe0de1bab73dcf5feabbcb5e55bdd0f18d2ab1",
         "report.json":
-            "c07e2789910b5c4fc7ae7d1f1db159ba80b564b2932487507363ed0e91f31dfe",
+            "ce1c4679522ed3d43965abdd83fd1d14a7b177d4ba248a5ad934f6dc7a02ea42",
         "trace.jsonl":
-            "89db9808ee60bc362f5c0ac3eabe663148c84bc9a56dc0016395da6955b9074c",
+            "59168ef0bb9f9888ef7713ba6a1cd5e713db0a17efd36a9e9165215770bf5826",
     },
     (60, 30, 3): {
-        "trace": "226fcaad56c3b34dc96ad4eda0831aeda7835b7455ba6b318b1b508c666757ef",
+        "trace": "61789995dd1684e239c4cb1e7b01484afd416095788e19804f6e52b2a4fc4a85",
         "history.json":
-            "388b6b656cf1be4640efe3baf70e5db86ae87814c2021053543d5ea9d924a37b",
+            "d3e8af790d36886bfaddef8dab51833c26d6d181bbc9ffbfd96c00780406d77e",
         "report.json":
-            "cda54c8801173329eeb73b4a7da516edf70b40e262e4fc3f995515d9785740dd",
+            "09a5d54d31256c35e3376eac834fc7138a18151db222c7765d3db1918f070e1a",
         "trace.jsonl":
-            "6b4f59e6793536f16302c94ef566c177b8f872c4220fab0e17bf7570eb0c8346",
+            "66130f7c1654ffbb1ab7891691ff76fd20dd3140fec44df0cf169a256e80721b",
     },
     (200, 12, 0): {
-        "trace": "6ea507ca831efa4bddb82b9c061907670380c2ccf68510d9557fc25e6678f050",
+        "trace": "f34413f3aa2cb77af3241fb0916fe555495253e735c3cc514f478125b5de6e8b",
         "history.json":
-            "32c7c82b9706ba9074f3e85aef1a19bc3db4590116b5fee8962894f597db52e0",
+            "be22166d8e19c9dc790b8a74c3dc33797026201e70cdf97561d8694cf6c792a4",
         "report.json":
-            "41f14e206f9426ac5a0d4118e86593b30a6a541dd650577dba477f8a19176105",
+            "1f4ff37e7b24458e4b02f214aa1294d5b6b33982edb980cb5be10eaea237db88",
         "trace.jsonl":
-            "4a96ceb9c930c1555226f9a6b2fde06c8f74c479eb91968343f2106848e77df5",
+            "902c011aa10d571053521a2541945d979e4f8a9fd096483e0278e9a41a9ddea3",
     },
     (200, 12, 1): {
-        "trace": "e5510099e2b17f892c5695bb54361a7e550993a3ea2f96635b458a6511bdfefb",
+        "trace": "c318c94397f5669a1cb41b0d034bd3c5bbb20ea60366e6e751d45ff5d1cbfc75",
         "history.json":
-            "00a1a87968b974145b046d290a694f0b6332a3f453aa5738fd43161e4cdbaa3b",
+            "7163aebd21c5b6ce78d086da124d651606a37f1462064ca610b31cc0427fe50d",
         "report.json":
-            "b5954f1f76b976dfe9a5ff0a8ac91b14fd3d60e7b7933264b9545ae116513c25",
+            "0720abfa0dba9286bd9d01e743fc4331656443e34a8db7aa853831f9a3f59b4b",
         "trace.jsonl":
-            "71726258964797a9fa1cdfd70475abe6677e90132966e64dd5710dfbf0275470",
+            "cd7339e3d99950409a75df1bda36b703ce9bfbdff916b76c77c716e812426720",
     },
     (200, 12, 2): {
-        "trace": "48414ac92d517cbed829448087f7e3f03a8aeaa2268bed26137eac25739aef01",
+        "trace": "bf2657fcb6861379599337e4b8e161c51fa39993c798cf770f2f7fe78e59b103",
         "history.json":
-            "cea76e7b2330887e81bcb0a72a56cbe9b77183a412bfa784bf9a301c735225a9",
+            "b2e4e0d98c1ab575c7fbc43134135ab0c786d9584e6dbe3710eae74db9eac47f",
         "report.json":
-            "959fc1a456fd0b3ef3291718615af60331a184d05ea37011c1b011b8f78e389c",
+            "c95c6ecce3430948f23b07031438060470e44ee0bb6e3707b2e13b34cd36d7ec",
         "trace.jsonl":
-            "3515cfe2bc0ed6d7b60463a486f084e2acaa891c18f321100519bab1652e1e57",
+            "5b9c63039fc5b5ea7bb308fbd8d6746aabeb286b3453ee85a604239caf85ee05",
     },
     (200, 12, 3): {
-        "trace": "4d0f0f4334b2f8c8d1aa8e3a0fee529c08a50ae85efca81931dbf9ecb4957683",
+        "trace": "957c18c96215b912ec678e1c1ad7dbc0ce7e6e49fb11746bef2cdcbe0886b471",
         "history.json":
-            "d985315673b386bb56b789a6131cdb6045fe8390e0b9066eb981d1f31489630d",
+            "96fe30d2f6d56eb4defde2f4338da046b002e5a1a2eb4d6aadc003e1cf8ffe0e",
         "report.json":
-            "4c5123d56fca9f8c10d08700b37b8b5d0a0d3b810753ed6814fae4e33213724c",
+            "ee155188a503e4b3a08fceb2fc2aed6355fdaf5bec33686d5eac8ee09aba7edd",
         "trace.jsonl":
-            "a5d6ca3fe2379869c4b45dd95f2be5d5b4a3b74720ccf067d26df17a33a9a013",
+            "ba198fb6bf0cfa1ee165d3ca211896e1e423efc3f17d2344db8924055dc1d1e0",
     },
     (200, 30, 0): {
-        "trace": "e50d557db5f5cf2e9ea5a983ef0d6b427ce3568e590f3434d139a811c7a5283f",
+        "trace": "679a29544a8048c4c32f046ed506831af26f57a36e514cfab690bb0524aa64ea",
         "history.json":
-            "af7943b002b29c3a49d9a32a25568b002008ed7fed7c0fb2b01c5acd139fbe4a",
+            "7cc278fa8a39e0ef0a13dee4a841d499ab48dda665f239602badd1a422202298",
         "report.json":
-            "c4844e7c5d01457d6ecd783f7d660453fbbcce18a86e3f201e5750b85783503f",
+            "94dcec7457a76ba6e7bf4cf14ca73cae36c1ca10f1eea05eb1123fca612b0a51",
         "trace.jsonl":
-            "846f90fe066942dfc56d40fe79544c57778b6e30603f838ce80e3bb1c33a0298",
+            "b055110758cce981e469991adc6e920dc372f452ffcd07a648562c07dd6cec03",
     },
     (200, 30, 1): {
-        "trace": "205ba9b3e518f80dc5328e391a59903adaf3cba71b4eae35791cc1037633faa3",
+        "trace": "a724135a5f65a7fe4775decd29bab1208ef908b5bcccffc7ef37ca17e3ffe36e",
         "history.json":
-            "f1b32d0c6d7a6064aa554c0e4b6c68c2289623e1792d2e71e2e8944eddd5d097",
+            "a45deae22988300f602b2a5692099f32a99239f762afe7e5fc2a63799c20191d",
         "report.json":
-            "034bda3b42792af653f399d7a3dc84514baf9eb1fee6acee5ac38e397f4fb6b0",
+            "ec597afd546fdc7f33efd17ef50d5994b31dce75c6b5826e308c541ef1e202d8",
         "trace.jsonl":
-            "eb402848c66daa633f86bf341f3aedd31c6ef5a1bc6d21718accb65e7b1935fe",
+            "5ce88571fced8ab09658167d486371ea24e87f4228bdff4a399ad9e372131490",
     },
     (200, 30, 2): {
-        "trace": "d52704d2db58b12667022d32d72d18bd513c5fbdc06c7e3de107eb5ad520583e",
+        "trace": "b207cf7fe49161b8cd9f3fd30bfa4198ea3a0ce80488858671bc72a1f2c63e22",
         "history.json":
-            "405e04844e0b678ccce46b45d8dc591ea5ac5c66c2157d93864d3ab976cbcbf9",
+            "92509667aac6fb60a6183ec07ddd8fd7a0d48b556c5c07184e4ec49d65ea4258",
         "report.json":
-            "3c19df05f003ca941cc659f59212a2b27c54113882f2b1a9ce96cfae47c18369",
+            "94aabd4594587b8664ca4117f57bba27285a03aadb7ef8831edf26372f7d8d24",
         "trace.jsonl":
-            "2872f9f67c94f1420819a30660d2c2128af60dc51302da066f8f1e38f612670b",
+            "cb1bf5ae73e608f5974d81e40f8baf5f5386d60a885e23f908d1cdc43e940927",
     },
     (200, 30, 3): {
-        "trace": "4fd973136d54f1e844820cc90aaae64a8c6aa11b8cbdab494943235fcbb34b59",
+        "trace": "b457c59989b01fe17dc7afe3ab15747bb732b425fb68f0c77d5a27ee0b5713d5",
         "history.json":
-            "21293aad0b5bbb0e2b97ac761ef116207123e12bd953c0edab6eb116314e36ad",
+            "4b78476811976ea7ff81ec5a355ee78e8fc5ce37b01c8909f094d54832388c6a",
         "report.json":
-            "b55de0e2eed5d239e1b392e0cf6f19c6a910d3cdb10770c6374e806ff08bddaa",
+            "954916fe6cd69711aa00627091102ada4383bd5155a7187f74e66922434b877e",
         "trace.jsonl":
-            "d650bdefd039cc8d912b245812f75f1d640335097ecedd3ce3dec20a053a4aa9",
+            "72297dc47092f7137430599c4d475c5f63cf4b3ec1e02597400ae62a58f4eeb1",
     },
     (600, 12, 0): {
-        "trace": "27d6b275b708bf74aa2a9f4249394c12b24620783490e29e7beeba1646581de7",
+        "trace": "979fa7667653e9dd3b2f6fd4d7694ab8a379b91f51c357f6c190cf899fd9202d",
         "history.json":
-            "d7cc564ebcaf85cfbe07d1f3568e8045bc7c794cb39d95914df76c50318b59ca",
+            "bab91da6cb977f92813af9ad76cd237f17b765c38baf5d31192f546418f0fcd4",
         "report.json":
-            "2d35e7e6982e578bdcb968f5d4245a52a8eeec45f7af3299639e22378dde5148",
+            "2ef3ad2809f9c58ebe6b7584706f5cec8e584ad320eabd27420da4ff33abdb42",
         "trace.jsonl":
-            "ff41ad1ad2ad47c8cff54b74bfb3db18f2a4590782d42f7ecf6d22c7506a651d",
+            "80d74dd8cbeb601b617751b1cda9029918ba9b5d332b7ed901682c21cb66e53e",
     },
     (600, 12, 1): {
-        "trace": "6ca6826775152c244e9ba50642e4285ea00d4eb006e223dbde1408d737d8467e",
+        "trace": "541441523cc11f4a6540dc716fa90bfbfa944b314bef50c07d235eda0eaeac9d",
         "history.json":
-            "738988fa99bddd3974478837ec8bf646646ace371e4e41f50dda558766d65a07",
+            "e5786ad5c0f604af7f97006aacfd871f0a0596e992b965eb36cd61742b970497",
         "report.json":
-            "c550f0c45468324b1d0e5cbfbd266616a4edc640a67e544b340178d51247e75b",
+            "bf6038567b7b0ec962629a52807e293adcc36c81625fbd120964b0d7efb06f7b",
         "trace.jsonl":
-            "06e96a4657ab26f8e215f9937784865f8176ff7aae5d52b44383fdcf6ce40a56",
+            "0612753bbe2726d27500e6ee4e1daad9e34f0e75e153709fa68060539358c653",
     },
     (600, 12, 2): {
-        "trace": "34959f5706da4cbe66b20a7364d9da81b7fc68700da5f8afec4c2b8d46b9f75e",
+        "trace": "f552f1269bc04adbdcb7ccd6e4f4f63d5e68489b04e37b3be875cc8f1384000e",
         "history.json":
-            "a7a5e20dbfaf208515193f42f767951e285ea6759216a2314934054f76cb3806",
+            "a5a3f1942e0ad190e7b28b351388f708eb075472c4ff8dd2045548d56e13758d",
         "report.json":
-            "86fa2da0f143bac2b60af891b36eefd0d353b11c1992c905197cf2c6ac223a70",
+            "b86e292a6769c6486def1d4d5320e66c3d11330d6af803757e5c059c0c363f2b",
         "trace.jsonl":
-            "3b0010bb7f4ce98a88b35b538dc93cf051578f7b85f49a728b39ae495bf2b952",
+            "93106efd134f74632640dbc3f417fe035e90d1c421f653419540c297eac6fbb5",
     },
     (600, 12, 3): {
-        "trace": "488d274c54165a431b58a721a3fad6e377987890d815cf14b14cd2ba5ff61e47",
+        "trace": "89f78fa46521f5296c0813f4de2b53f7f24948b618991ac6a43510b2cc2b59f0",
         "history.json":
-            "40ea47df6257a6e6f7c2e65f76527f211bc1bc9a1aadd43847be24ff660da6fa",
+            "85dd2d089c88cdc5058c0f24e3e52c0f016e38d00853eb2c939f95ff1ee8c5c8",
         "report.json":
-            "d7f09d8e5ecf3264d68050668b3014637649d5c87cc05e83adecb12ea89340c5",
+            "97a9e5682398b556e677e71819fe74b194442e7203ee6dd42567dca235dde43f",
         "trace.jsonl":
-            "77fd758bffde7613411d8a1cb421c3d5c55a74cb93fb33000555a1b87820c506",
+            "411bbd8df132aeaef270fceeeee73f0250c281bc8c61537202be0b0ed06dbea7",
     },
     (600, 30, 0): {
-        "trace": "1ea6d28d1257f95a59dc5827e5237a5d11b21ed117b8a60b9e99408ddf9a7777",
+        "trace": "6e4d0417b20b3690dc947de60b7c8f7f52f314665aed1a6a54e3859df8a19806",
         "history.json":
-            "38da1aa34a6e9b440c6dd01907b0135d8df675e0170301274c0f65db2bb868cc",
+            "601643cf360693373d460078703551aa04f71472b208f17e71707468fba1b7b6",
         "report.json":
-            "96178cd4ae894530293a625b910ebfbe83fa49cd3827b0aed6c07f5912c27c95",
+            "286a421a75809df107c94291d6772a24c0f931676c056e4f04f0d72df60d0d26",
         "trace.jsonl":
-            "e09fe1ffffa7c002021e1221d47ab87ea8c236d5f08afe260bf2f75b9ec16de4",
+            "4c9e40c36ef4ef369e84688f3b7a5186cc7a57eb697d87ef0762f7388eeae4bb",
     },
     (600, 30, 1): {
-        "trace": "749e5d87083a38707d46824823f0804fe4a17da2b2cd857dc8c0b5fe3e7037e3",
+        "trace": "88cabed63f0d5ff6214175d4bb1aa9c7be8a152faa0fb760e88e9c90fa463f5c",
         "history.json":
-            "c5dbb36af12c4d853bc875cd2d7f4121e0bae4b02655884baadc19c2fc9360ca",
+            "06a0319e2486fe031338fb600bfff911b1e80e107cc0e047de3973ed0f3c56a3",
         "report.json":
-            "d78db40cadcfee7339563584356d7592497cca5e10f8a667bba84a557055c5d7",
+            "bd376a962b14e3f09439934ab54c35ee5b949c470d9f00c32d22146a073b8daf",
         "trace.jsonl":
-            "b69fc72e3710d5841d66a3a1a25df24cee0ef25198b83f8addd828a1c7a67233",
+            "8be68b112282d0c8888cbf38e13d8f40f752768247803ecae3b121e08f30df90",
     },
     (600, 30, 2): {
-        "trace": "a66ec0affe843d9de5ab66d3ddf15548d753dd597af3fcb62212b9af1f112dfd",
+        "trace": "c546c0a0087696c073c6bdeb9bb2602a80aa9eb3300f58118c5ddfe78fc8bbf9",
         "history.json":
-            "976578811729163481be973d9832af22e4eec997d893089e55c8f692846fed83",
+            "f0a437aee6c33f039e102bf7aacf73952d27d219f2fc1c5d439ed628209b1efd",
         "report.json":
-            "4fde9c814f706c33b697936989cf956e47908d723cd1e4f23d05ea58264111cf",
+            "b43e6109d8cd616bd04e25a1c87f5b57af711bc88db84d6ba9d3abdbd1dc34c7",
         "trace.jsonl":
-            "eb226f94f15e8416815e491175b75054dff26212916d7ac7dd86a7523ada6ba8",
+            "d09fec28f757c9a0f41cce5a31a9aecc355de7a470afcd77682c061ca011ae89",
     },
     (600, 30, 3): {
-        "trace": "489ab5e583da31b6862901797d903e30eecb79ccfc54391cf231b6a4f97e05e8",
+        "trace": "52c0fbb6af82f8a8162eaf007f83894d657c840821a60e43c5d4982c11517e1c",
         "history.json":
-            "0387bc0f681c797d96b4125e6dffcc5ca8b9c4799a2ce528f83c3ccc5e9da393",
+            "96727dbd28267ed7278145b9effee7773c8f17e013c7a501f0a6d2ac88be50a7",
         "report.json":
-            "2562c420829b65cfba3f250b651e600e50ae367a5da4ac5183d05bd68dbf8a13",
+            "d84b13d929f0c43cd8d00f15e39f5d3f702a0104d199982983c3f524c3ba508a",
         "trace.jsonl":
-            "e17507b6e2a308f1c35646b1ba5ed39479711eacfb7aac824d0d50b32ca1312c",
+            "93888abee620f7f0a584a3576327e4f71aeb0f95eec95a1e6a10ca4a67a7d18a",
     },
 }
 

@@ -28,7 +28,13 @@ result of that verdict changed. Every replicated-mode digest, 2333's
 among them, was re-taken when a tsread began to skip the write-back of a
 pair 2t_M+1 replicas report and replicas began to keep a tombstone for an
 unsubscribe that overtakes its query: both change the messages of a
-replicated run. 2333 now passes; no oracle-mode digest changed.
+replicated run. 2333 now passes; no oracle-mode digest changed. The
+digests of 27 runs in both modes were re-taken when a reader began to
+keep one hashread per index in flight and to remember the digests it is
+given, and a replicated hashread began to return on t_M+1 matching
+reports; every re-taken verdict of an unmutated run still passes. Both
+mutated runs still fail; the stale register read, now another read,
+also fails value-integrity.
 
 Do not regenerate a digest to make a test pass. A mismatch means a verdict
 changed; if that is intended, say so in the change that updates the digest.
@@ -74,65 +80,65 @@ def stale_middle_dir_read(result):
 # verdict has passed since a tsread skips the write-back of a pair 2t_M+1
 # replicas report, which moved its schedule.
 RANDOM_CONFIG = {
-    0: "6e2c777bfb50c86de08dfef3d6d757dcdb2b1f831add75bd77fcc920673249a2",
-    1: "9baed1452a9087c8c703151155c0b8556664e3da77181d531778bcf2f45de5b6",
-    2: "9d76bc6cd0e7f0bbb73391e77a6bb4269625bdca43d8459362269594abecf64f",
+    0: "e45faf8466a52e79ee4ae8e7b783a41fbd8811485123f5ce972ee08090350854",
+    1: "4d7b9f462cc7f843b1a2314b982b679a3d95efdd6e162dc68a4f05a752129976",
+    2: "b96864eac3d7ff3e148ece7dd426cc2dabe32adb63db65a604be025658f14f41",
     3: "d60587917d0ca05ef4d331c6df20d1848cf6a9ad5dae53bdf75fcc028659d935",
     4: "7f7639e334eae7e29d04aabeb3c1ea70b5a32de1df22afa0948e72694678a4fa",
     5: "d383b31f67d349d9219234e4f11d4d162a1de3c2b5a7c103b711909081a61d41",
-    6: "8fb54ccd398c52c33baeb2311ba63e3b377b21b7dd87ffb929570f863cda1c2b",
+    6: "7218080f49a4ec76e2f4affcccb03e8848a0c2b8058b9763c52c5f9b13197948",
     7: "3ef92a4d2e58a67e381c917d7578cfac6b45a98ebf5719487ebbe18927fb1df8",
     8: "5fea0966a80baf08c37d23d3c85873bce5764ac72718568a5ce299fdf1ad928e",
     9: "27205ac39aba842fa49c404899a7645803b33fdd5789dfe6c68630e7cbba09de",
-    10: "c37a1621abfc73339addf383efa2eed88872e0b1018864ec3837660b3935a600",
+    10: "f41b2ac65956b8bee43ce0f5657097a2e0bcdfefe132950b68e1c7cdac16ba0a",
     11: "8ae6485635bfa7939911ad882c0b5e6ef045e5a3f6e40b28a4f68d67522b04de",
-    12: "239dcb16ac41534f948579a20f22776c09268bf4b1c6053c2a95049a6cb2aa35",
+    12: "88d930ed754651feaa1751f172fe793834d4de0a24f26bf2c355ff03169466ae",
     13: "d9a158c3dc53543d270e7fd1583b2943f707eadfd14082e1bd3f4fc72dfa4c89",
     14: "c88d7922367e000ae7bc63f00e40976fd6c898c9e5d80c3eb07bacafb944af20",
     15: "d4fc4d3fbba69104908b768c146a616fc3ad5e432cd5d9363afe59a99d51f0f8",
     16: "5decf3c17b21b0193243c4e3bd6308c0bff965fba1f2cf679de54b962c9ca634",
-    17: "93a4eccd17381fa230a0c240fedc7b227cde4f9a65719abf32fd45910816483f",
+    17: "adaa36f7f6865b91fcd922daa002b0abef284c71075d26f8e2e1afd97c7fcb87",
     18: "f79d891c7fd13e9f7dc4a674f5771d4fe3cd9fb1bbd2e4b33bd30a870cbf311b",
-    19: "80022b078dd6aaee300872baa1b697688d691e01c261eb2a6fc10cd88f2846c3",
+    19: "0e2745255593bdaedd5ad8c05ee6532e55259a9755d2ac098a120fe4566a1619",
     20: "e0441b29e0fbc6cf20fd1eb3e20eeef8ed9a0b67816f9261f7ee1cfce6d4d7b6",
     21: "90ce835584c590131798347844dac9ec90706aa82c74459d5a7bc9ff3b3f0c6f",
     22: "6855b293495b0ab29a55fe11cef4b1bb46bef817b560c230528f75a6d67d5723",
-    23: "c64dc26a5a4336c0b4a2d64f904da92c09cc4ce1315ed9c3a226d8597abd27a6",
+    23: "b2c371c005942e70fea2f08f43f72684700aba6e9748bce4f3a7789261cbe69f",
     24: "f19fba88a077c6e39096ed3f255eada8c8bc76bd6566b7e41427d634f09230de",
     25: "0992a93730c14db1a12487f5f456f8726c44e2e961b91966d1fe89c29b014ab5",
     26: "f0ced6440ec9a91a8cdabd4c2194adb5a6ca1b3c8cd12fdb6293d47a36a3ba2d",
-    27: "b7acb3ada15a26ac39ffa09b835328a96d1c67112e90f8fa993c62d2f35acfd0",
+    27: "822c4d17ba34cb0a28d355b35c99a1a89b9b0d399ce6972c6a1898297233ef5d",
     28: "846b8ad8b555c5211ff9297099cb37839a19a3f4b4de44ec23c3a624df6bf638",
     29: "6dee98dc064babc92aea0618a849bef021964a9c3c98510c0b9f0cee94e7538b",
     30: "b153b462496146061a52e688b3c2e1b93b61e94a67acdee8a3cc64a503519ca0",
-    31: "6dfecafc884c08aea91bf6d17dc0592cb16840b34a0979fba7e7952ff6163050",
-    32: "345ef3fc5159455875791116ffc7c7b524d5cbc79c5e580a2b74e44f8abe0b76",
-    33: "1b95b9a32ba39ad36a1ad1f8238f0fda0e73b46a26f56c428c3cdee126462fb4",
-    34: "94c93741d105d70a1def82bc369cad7b747cc978902a3f1e2d88a8109d4632c9",
+    31: "155a1bc104f0364bcf57ab929116490b74a7805875408bd9e06a30552fdb7233",
+    32: "98aa38653deb51836639d9f902970fdab75431f5a296c7cc4f85bdbdd51cd6a9",
+    33: "cb373fd8f2851a32606e156c1ca6c1f25798fc534be204b7affc8bdead14e380",
+    34: "6975963af91f481468d6c57826974d715387598fa1b04278e915ad59f9187cb6",
     35: "432717ba1cd05dbac6c5d83f2e5495f99191770d922ea02090b83df0d43a5b18",
-    36: "52a1ce911f862902eb4b86f2765d130364d5701e0141d2370ae915c5f348fab7",
+    36: "d5a5db42060215d5c120609b1fefecb420156b2c2ffe866442050c8eb8078bdb",
     37: "36043a4ce42fdd5c81627da67ed86c7756f56d68368e9385e102c23082536fb9",
     38: "cf2bc77e12dbd1d280090790bfc8f04470f256cd34d1e3b3fee7a037f30743eb",
     39: "890f3f26100f94ce55c90e6cd7cdf6340a72b4ae46a5a9bd9ba52c6323ac9402",
     40: "d383b31f67d349d9219234e4f11d4d162a1de3c2b5a7c103b711909081a61d41",
-    41: "97c819f5a643df5095a061216b9f09616d02b1f9c57c23c845ae908120a06d1d",
+    41: "dbd10efb238179cfcdbce50d10c31fc55f889c1a2c3713fe86a3fa9b46f8f19d",
     42: "88d930ed754651feaa1751f172fe793834d4de0a24f26bf2c355ff03169466ae",
     43: "a9cad0ba8ba27fbc36676d2773b450cff0e609140823cf0f81cfb4f8449d6913",
     44: "038dfb9f0d7be7ab7aeda10c3a412d807002f47c6c798144d828904d392f3b13",
     45: "94833f09b08f04fabece72341b27267badc060a4f9a782980be385548b569cf2",
     46: "afa80fda04be379a8eed038a2fce8a5679e5edb1ce3eba513544ef0f4e7d2e52",
-    47: "33c41444795512045692bdba1374850cae32bb1db9885da2df1a0d77cce4f58a",
+    47: "76bd943664368a64f1f84469afde9fe7975d23b5e650039b6b57f5237e756d4e",
     48: "fcc69ddc7f13cf97f8a9d37f2a8b920803a6027c195ad24f34eb00caeb36ab7b",
-    49: "ccdc7ccb489622f749e11db43b5c306601a1e127b07d935237fab1b4f99e779f",
+    49: "fb5204f4c3fea05528850915fdcdce23d28a8332e5189c0db84a7ff5b1c4b141",
     50: "df90e153b8ff6e69beb18ae146b9e5733510ff95bf996b0975461966afb1cd62",
     51: "e428f89518f81578aa9070452974958746b9b7eeea1a6798ea733b2c1d526aca",
-    52: "0e5181ec46cf44d6750aa021a792cd84f314eda1348f494742242684ddd4b546",
+    52: "1db3e1ab88bd8570cc3e9f8d31a080e0cf0ec3f02ca781b86fc193af724abcd4",
     53: "a2457a96bb85af5990bdb0611f73843926a4c6304599005b86b004b4c8eb0d0a",
-    54: "14fb25bc8272dd4401e3423299fa0918dd452f1c305a931e02101dbb54c3ab64",
-    55: "bb8357f1bdd925a350049d43b669396b0b7bdd1151f75dab18b77a350a8c0082",
+    54: "6826264933354dabb34e35d4808520c2d848b01b071c781ec064ecde4d1a74bf",
+    55: "313fa42fe47db74c0bdfb8ae415313eca09fde74ccd833485288d75babe65276",
     56: "6674633cdb6107ce6cd95e64789ee1ebf905d722884c9840fd23826bd38584bc",
     57: "17a8d4ea1b86f1419c54d5859e200f799c00b640baf948116521a6862262cfc7",
-    58: "2fa2e30521a4db9d44755b89e332a8806448f906f33fbb5f098d4b4d2c66bc95",
+    58: "c7d4967abc7be8aea6d3251059c79b56d70dee98c41f334f17ba5c66518b7162",
     59: "ca62b9c6113103d944f50748a78f7c6611f43bc61315a2a2698ee5a76f36fd2b",
     2333: "7786c89c4345ce9843744cadd81f75511d107c2b0989a310a8844603cf524e50",
 }
@@ -148,10 +154,10 @@ MUTATED = {
     "oracle-4w4r-ops50-stale-dir-read": ("oracle-4w4r-ops50", stale_middle_dir_read),
 }
 FIXED = {
-    "oracle-4w4r-ops50": "640702c78861ef5cd15c60a7f932ec165a547673e15e9a6d4ee3e65138d1867b",
-    "replicated-ops30": "9512d004d3a2fc90860f5f9a1c4a17d81301dd0ad4169a7d777fe5a73eb821e6",
-    "oracle-4w4r-ops50-stale-read": "4b8709e2c5dc3edbd5f215331bfe03f2505bc05acb94029f5bcc18c46996aace",
-    "oracle-4w4r-ops50-stale-dir-read": "ee30584e5e60b881f18b950c4f429b25422510140bbf826ed26d7a02807470d9",
+    "oracle-4w4r-ops50": "e9da16172f47c9b7beeaaf2c78812d737c14a2aa1521e2052a171d387faffac5",
+    "replicated-ops30": "7c366c5623e55a3460fdb449a12f32c4566e2c49aeee016729e0b6f1821b87cd",
+    "oracle-4w4r-ops50-stale-read": "7ed788439a3fc7184bdc75f477539ebe7877b80d52f9c279d501b0ef773c2ca6",
+    "oracle-4w4r-ops50-stale-dir-read": "fea016823d5a73b923f837ee696d2a8cca04f272c085bc5cbf710d0a1101b0f8",
 }
 
 SCENARIOS_AT_SEED_0 = {
@@ -165,7 +171,7 @@ SCENARIOS_AT_SEED_0 = {
         "gc": "92ac97ad4fa5084a303978f6706ebb01e501e018e4a8e94ab2c983eafda4c641",
     },
     "random": {
-        "random": "6e2c777bfb50c86de08dfef3d6d757dcdb2b1f831add75bd77fcc920673249a2",
+        "random": "e45faf8466a52e79ee4ae8e7b783a41fbd8811485123f5ce972ee08090350854",
     },
     "theorem1-byz": {
         "baseline": "b7ed7139e13776bca0ad2ed5b7b4451b812c08faae5a9cea970954a5b24456a9",

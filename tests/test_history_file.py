@@ -33,38 +33,38 @@ from splitstore.types import NIL, Metadata, Timestamp
 
 RENDERED = {
     "oracle": [
-        "00be13e3cf5570fa", "abe270d9778ba9db", "b8caab395926a654", "7b9a07d455bc6978",
-        "2469cfe3a3d12524", "1c6b8c0b040be4dc", "61645f4262610383", "3fd777ed8c7d6c3e",
-        "d2bc8aa16057e71f", "0ac722e20aaff633", "1ceb5a99a690473a", "9d1be077c50cedbc",
-        "9df887c2cd74d881", "f0451d237f7c065c", "99e72e51da36680f", "2ae77df75b3cefaf",
-        "8e8de425f0918cda", "e8e9945b20fcfd57", "bfeb60d872162bd2", "68f19230f01815e9",
-        "252995cc2b754f36", "86a75bc389cf5f56", "c90b76996fe99050", "a221a05c9bac89de",
-        "548425fca8c88f89", "68f0ba2877126fc7", "6b621a498e00b739", "7081995f0f1c0cbf",
-        "9d711011050f6c4e", "01bf57ed2b4ede06", "f056f0e0c77713d0", "630b24b27352ace9",
-        "05a626b93f84c3c4", "d7b7232698c34e79", "111960ca473a1abf", "32d4fbd675803981",
-        "e3f1157ee50daa8b", "7ab935b4acacdeaa", "e3f8cf12bba99cac", "aa400960059da811",
-        "6a0c240de9abc178", "c7404cd361545d87", "aafac503bd976c1f", "1c5660b9881820c3",
-        "623aaaed7a0474f6", "cde7d9e6b1474b5a", "5660590764b6fec4", "c3e64f639da2927e",
-        "a1eaa343ce002cca", "94bd5433b47258a0", "b889e8f9364b3830", "bb93dcf25dd8f620",
-        "1f0af9450c064329", "3c2225def4d47ec4", "50cd01d0f88dbbc3", "62e597c03f3533d9",
-        "75c542b901be09f8", "5b54d55f2f1c6907", "a3c4bdba57ae6dae", "35b51e8db03189f2",
+        "b408e820fd875c95", "090cceee20d6645a", "2d97b3ef02ab2a05", "90bd6a62604eb868",
+        "1b859d76c74c39e1", "a99600cee2221acf", "427b732f104bcadc", "3fd777ed8c7d6c3e",
+        "d2bc8aa16057e71f", "c5f16e184aada0bc", "ea66f2e1e17cfb45", "9f4c16cebda5de9f",
+        "0f4fa6004f0f1a38", "bba70cbb231a65a2", "8b7c4f6b3193966b", "b8e24e178d9856d9",
+        "8e8de425f0918cda", "360da3529b5fb00b", "bfeb60d872162bd2", "65ba2bf963528e4d",
+        "252995cc2b754f36", "86a75bc389cf5f56", "c90b76996fe99050", "9eb79700fa25bbf5",
+        "0ddda4ded9c87c10", "e6a16d4d1f1d039a", "6b621a498e00b739", "06c069d276473709",
+        "d05b1c30ebf352f6", "559a16e808dc5479", "f056f0e0c77713d0", "6c0ea2dc735e8946",
+        "66ed05d4b53490e7", "d7b7232698c34e79", "f232d6b8287b32d5", "32d4fbd675803981",
+        "b6cb122183b7b5a9", "7ab935b4acacdeaa", "e3f8cf12bba99cac", "aa400960059da811",
+        "6a0c240de9abc178", "2685cc56dd157cf6", "aafac503bd976c1f", "1c5660b9881820c3",
+        "623aaaed7a0474f6", "403bbe76a2c6474f", "5660590764b6fec4", "c3e64f639da2927e",
+        "a1eaa343ce002cca", "2abb1ac96b42569c", "b889e8f9364b3830", "53555860d1638b1c",
+        "7f1896cf8af634b3", "ecedc9be0f172207", "a1dd483cab4d5144", "62e597c03f3533d9",
+        "75c542b901be09f8", "4f56edb4c073f8dd", "4eaa5d7378a9d324", "35b51e8db03189f2",
     ],
     "replicated": [
-        "6b7120906d66ecbe", "6faed24eeee3436b", "29439ec7823d0773", "49aa8bd3fe31d21d",
-        "e3d69afa361ce480", "547c8cd0b94f4c4d", "2b53c60f4558086e", "95d36c6c7207e6f7",
-        "13a657b7fb1c68a2", "61fd7b7e2ec99623", "dc371dd0fd4c6b9d", "79c1ecffcbf95314",
-        "ecfe31fbae800c8a", "ae73b9a7f7006134", "a79d626fba27785b", "b15eae5c67f17178",
-        "b21b0d31f0644694", "720b8fadccf5058d", "438cef1462712978", "f7a966c5c4558a24",
-        "fd83685de3c0acd1", "454b135a5940049b", "fa5c9a3d7c977503", "33f904755cdb0ab5",
-        "6a39602c7a444e26", "637933ee65c54157", "20a85f17fb0fbb80", "7e68df36f6cf4ea2",
-        "21cab2658bb92eb8", "703819aa16f825f9", "c3bf94c5839eac88", "aea15c58874024b0",
-        "5363ebfc03121a28", "2279fabd08db39a9", "2c0d807aaa13aefe", "c34a85af5cc99243",
-        "86917bc1171603ff", "599b204b529a14ae", "bc330953ccbbaf95", "0277a9dd1da1d649",
-        "6beaba9e949ff671", "20b22a570af626ea", "1b6d69c40b6118a7", "0468d5fb71bb394e",
-        "1b7fe47c65db628c", "0e3a30afbea64846", "1f094bf853737539", "2456158c111193f5",
-        "e62d9a0b541069a3", "b36cc01eaba48ac2", "9681e7975a26016b", "8f0b297cb40e6b8e",
-        "6dac89349c595c75", "1792641035bb0bfd", "aea529f10f4af788", "a157cb67eb1e1fea",
-        "c93b643ea7f1a3bb", "41cee83e2062ceba", "6c955d61c0df6836", "7dd75807a00b8124",
+        "6b7120906d66ecbe", "bb2349eb396a37a9", "29439ec7823d0773", "7a7ba31fe4e9af7b",
+        "6cd130a096a15786", "547c8cd0b94f4c4d", "3fd8ddd37af5e59d", "d13f613c8f4d6e51",
+        "46f755fc39db86f0", "a22f20be99e934ef", "d93b9a832fd87ae8", "b633d459247f1779",
+        "5cab771f6a29d4d9", "ae73b9a7f7006134", "bd88b68e6838f2ad", "bc81d72e8c4626f6",
+        "b21b0d31f0644694", "817709031eda7c2a", "dc4cfa15f3d83de6", "14d55487ab217725",
+        "bd326169c8859fa6", "b933441c8fdf7166", "8fe10b2e8dc8c86b", "cdd9ce9ea30988c9",
+        "f47215fa4470bcee", "210035b4760a2624", "2b0b0c8ff546e424", "01d4c5a5822796cd",
+        "ebdaff1c1aeb10da", "703819aa16f825f9", "de5f93ee8c264c58", "8bd5205d636e1c77",
+        "4b42503722ea67a3", "9d5e50956af6b794", "ffbfff786caf3bfb", "3ba742c2d192c03b",
+        "f5d66b2d48ddc753", "c8bc3571a6197de5", "bc330953ccbbaf95", "dad13c5b4f348d8e",
+        "0f398106f07c63cc", "a0e1bc838ac0b8e5", "acee0fc0a8b304ca", "0468d5fb71bb394e",
+        "196f7799bc2e6a59", "0e3a30afbea64846", "73fbaa9dc47ca00b", "bc17189dda49705d",
+        "1433027268dda84b", "e8273f6372e5f798", "bfd5d5503eac0e62", "560360e9b7a1063c",
+        "042e9547499a875b", "1792641035bb0bfd", "113911d439292d74", "481b4b982c99f2c4",
+        "873f278b576d6f91", "a9fdf4079231520c", "1f358bd7d6d8f644", "e00bba713bf40a79",
     ],
 }
 

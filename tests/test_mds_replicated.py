@@ -347,16 +347,20 @@ class RecountRead:
         return [pair for pair, n in counts.items() if n >= self.tm + 1]
 
     def decision(self):
-        """None while undecided, else what the read does next."""
-        if len(self.snapshots) < self.quorum:
-            return None
+        """None while undecided, else what the read does next. A hashread
+        returns a pair tm + 1 replicas report at once, and waits for 2tm + 1
+        repliers only to return None."""
         if self.scope != "dir":
             confirmed = self.confirmed(self.scope)
             if confirmed:
                 return ("digest", max(confirmed, key=pair_sort_key).payload)
+            if len(self.snapshots) < self.quorum:
+                return None
             empties = sum(1 for pid in self.snapshots
                           if not self.reports.get(self.scope, {}).get(pid))
             return ("digest", None) if empties >= self.quorum else None
+        if len(self.snapshots) < self.quorum:
+            return None
         best = best_reg = None
         for cid in self.writer_cids:
             reg = ("dir", cid)
@@ -491,16 +495,19 @@ def test_incremental_read_evaluation_matches_a_recount(tm, op):
             assert owner.ended == (owner.begun if done_calls else [])
             if want is not None:
                 outcomes[want[0], want[-1] is None] += 1
+                if len(reference.snapshots) < reference.quorum:
+                    outcomes["before a quorum of snapshots"] += 1
                 break
             if len(reference.snapshots) >= reference.quorum:
                 outcomes["not yet after a quorum of snapshots"] += 1
     # the streams reach every outcome, and often stay undecided after a
     # quorum of snapshots has arrived; a tsread returns the initial state,
-    # writes back, or returns a pair 2t_M+1 replicas reported
+    # writes back, or returns a pair 2t_M+1 replicas reported; a hashread
+    # returns a digest or None, and a digest also before 2t_M+1 repliers
     if op == "tsread":
         kinds = {("writeback", False), ("tsread", True), ("tsread", False)}
     else:
-        kinds = {("digest", False), ("digest", True)}
+        kinds = {("digest", False), ("digest", True), "before a quorum of snapshots"}
     assert kinds <= set(outcomes), outcomes
     assert outcomes["not yet after a quorum of snapshots"] >= 100, outcomes
 
@@ -508,7 +515,8 @@ def test_incremental_read_evaluation_matches_a_recount(tm, op):
 def test_replicated_driver_records_each_call_and_its_result(probe):
     """Each call begins one record. A store ends it at its 2t_M+1-th ack;
     a tsread only after its write-back quorum, with ts and md; a hashread
-    with its digest. Late acks and updates end nothing."""
+    with its digest, at its t_M+1-th report of it. Late acks and updates
+    end nothing."""
     meta_pids = ["m1", "m2", "m3", "m4"]
     driver = ReplicatedMdsDriver(
         probe.attach(Process("w1")), meta_pids, 1, [1, 2], cid=1
@@ -564,8 +572,10 @@ def test_replicated_driver_records_each_call_and_its_result(probe):
     assert len(probe.ended) == 2
     feed(MsgKind.META_ACK, "m3", reg=("dir", 1), key=md.ts, seq=3)
     hash_updates = ({"reg": ("hash", idx), "pairs": (Pair(idx, digest),), "current": idx},)
-    for src in ("m1", "m2", "m3"):
-        feed(MsgKind.META_UPDATE, src, tag=4, updates=hash_updates)
+    # m2 has not established the digest yet, so the t_M+1-th report is m3's
+    hash_lagging = ({"reg": ("hash", idx), "pairs": (), "current": TS_INIT},)
+    for src, updates in (("m1", hash_updates), ("m2", hash_lagging), ("m3", hash_updates)):
+        feed(MsgKind.META_UPDATE, src, tag=4, updates=updates)
     assert probe.ended[2:] == [
         record("tsread", 3, 12, invoke=6, ts=md.ts, md=md),
         record("hashread", 4, 15, invoke=6, index=idx, digest=digest),
@@ -619,6 +629,48 @@ def test_a_tsread_skips_the_write_back_of_a_pair_a_quorum_reported(probe, tm, re
         assert probe.ended == [DirOpRecord("r1", "tsread", tag, invoke=0,
                                            response=probe.step, ts=md.ts, md=md)]
         assert done == [(md.ts, md)]
+
+
+@pytest.mark.parametrize("tm", [1, 2])
+def test_a_hashread_returns_a_digest_on_tm_plus_1_matching_reports(probe, tm):
+    """A hashread of a written index ends at its t_M+1-th matching report,
+    before 2t_M+1 replicas have replied, and unsubscribes everywhere. A
+    hashread of an unwritten index waits for 2t_M+1 empty reports and
+    returns None."""
+    meta_pids = [f"m{i}" for i in range(1, 3 * tm + 2)]
+    driver = ReplicatedMdsDriver(probe.attach(Process("r1")), meta_pids, tm, [1, 2], cid=3)
+    written, unwritten = Timestamp(1, 1), Timestamp(2, 1)
+    digest = "d" * 64
+    done = []
+    driver.hash_read(written, lambda got: done.append(("written", got)))
+    driver.hash_read(unwritten, lambda got: done.append(("unwritten", got)))
+    probe.take_sent()
+
+    def feed(pid, rec, pairs):
+        probe.step += 1
+        current = pairs[0].key if pairs else TS_INIT
+        updates = ({"reg": ("hash", rec.index), "pairs": pairs, "current": current},)
+        assert driver.handle(make_message(MsgKind.META_UPDATE, pid, "r1", tag=rec.tag,
+                                          updates=updates))
+
+    first, second = probe.begun
+    for pid in meta_pids[:tm]:
+        feed(pid, first, (Pair(written, digest),))
+    assert probe.sent == [] and probe.ended == [] and done == []
+    feed(meta_pids[tm], first, (Pair(written, digest),))  # t_M+1 < 2t_M+1 repliers
+    assert done == [("written", digest)]
+    assert probe.ended == [DirOpRecord("r1", "hashread", first.tag, invoke=0,
+                                       response=probe.step, index=written, digest=digest)]
+    assert [(m.kind, m.dst) for m in probe.take_sent()] == [
+        (MsgKind.META_UNSUB, pid) for pid in meta_pids]
+
+    for pid in meta_pids[:2 * tm]:
+        feed(pid, second, ())
+    assert probe.sent == [] and len(probe.ended) == 1
+    feed(meta_pids[2 * tm], second, ())  # the 2t_M+1-th empty report
+    assert done[1:] == [("unwritten", None)]
+    assert probe.ended[1:] == [DirOpRecord("r1", "hashread", second.tag, invoke=0,
+                                           response=probe.step, index=unwritten)]
 
 
 def test_a_tsread_in_write_back_takes_no_more_reports(probe):
@@ -932,8 +984,10 @@ def test_most_tsreads_skip_their_write_back(tm):
 ))
 def test_a_collect_read_is_directory_linearizable():
     """The smallest known witness of the collect defect: t = t_M = 1, two
-    writers, one reader, six ops each, a stale-concurrent m4. Seed 5628 is
-    the only failing seed of this shape in 0-17999."""
+    writers, one reader, six ops each, a stale-concurrent m4. Seeds 5628
+    and 12623 are the failing seeds of this shape in 0-17999; both fail
+    directory linearizability with a tsread that returns w1's 2:1 after
+    w2's tswrite 2:2 completed."""
     cfg = Config(seed=5628, readers=1, ops=6, mds_mode="replicated",
                  byz_meta={"m4": ByzStrategy.STALE_CONCURRENT})
     verdict = check_run(run(cfg))
