@@ -13,17 +13,16 @@ import json
 import os
 import sys
 from dataclasses import fields, replace
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable
 
+from .encoding import OBJECT_FORMATS, encoded, json_line
 from .faults import ByzStrategy
 from .history import DirOpRecord, OpRecord, field_names
-from .net import render_field
 from .scenarios import SCENARIO_NAMES, ScenarioOutcome, run_scenario, single_run
-from .simnet import Config, CrashSpec, OBJECT_FORMATS, RunResult, json_line
-from .types import ConfigError, HashMode, Metadata, Timestamp
+from .simnet import Config, CrashSpec, RunResult
+from .types import ConfigError, HashMode
 
 TRACE_SCHEMA = "trace/v1"
 HISTORY_SCHEMA = "history/v1"
@@ -47,75 +46,9 @@ def _parse_seeds(args: argparse.Namespace) -> list[int]:
     return seeds
 
 
-_ascii = json.encoder.encode_basestring_ascii
-# Leaves by exact type; subclasses take `_indented`'s isinstance tests.
-_LEAVES = {
-    str: _ascii,
-    int: str,  # an exact int's str is its repr, by a cheaper call
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-    float: json_line,
-}
-
-
 def json_indent(doc: object) -> str:
-    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte.
-
-    It writes the report file; the history file is written from its
-    records by `history_text`, which hands it only the values of types it
-    does not encode itself. json's indenting encoder is pure Python and
-    runs a generator per container; this walk builds each container's
-    text with one join: a list's from its items, an exact dict's whose
-    keys are exact strs from its values and its shape's template
-    (`simnet.object_format`), whose keys are sorted and escaped once per
-    shape. Any other dict is joined as json writes it."""
-    return _indented(doc, "\n")
-
-
-def _indented(o: object, nl: str) -> str:
-    """`o` encoded with `nl` (a newline and the indent) before its closing
-    bracket."""
-    leaf = _LEAVES.get(type(o))
-    if leaf is not None:
-        return leaf(o)
-    inner = nl + "  "
-    get = _LEAVES.get
-    # An exact dict whose keys are exact strs takes its shape's template.
-    if type(o) is dict and (fmt := OBJECT_FORMATS[(nl, *o)]) is not None:
-        parts, pick = fmt
-        return "".join(pick([
-            leaf(v) if (leaf := get(type(v))) is not None else _indented(v, inner)
-            for v in o.values()
-        ] + parts))
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        return "[" + inner + ("," + inner).join([
-            leaf(v) if (leaf := get(type(v))) is not None else _indented(v, inner)
-            for v in o
-        ]) + nl + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        return "{" + inner + ("," + inner).join([
-            (_ascii(k) if type(k) is str else _key(k)) + ": "
-            + (leaf(v) if (leaf := get(type(v))) is not None else _indented(v, inner))
-            for k, v in sorted(o.items())
-        ]) + nl + "}"
-    # A str, int or float subclass, which the compact encoder writes as
-    # json does; anything else raises json's TypeError. No type is both a
-    # leaf and a container, so json's order of tests needs no more here.
-    return json_line(o)
-
-
-def _key(key: object) -> str:
-    """A dict key that is not exactly a str, as json writes it: a str
-    subclass as itself, a number, bool or None as its JSON text, quoted."""
-    if isinstance(key, str):
-        return _ascii(key)
-    if isinstance(key, (int, float)) or key is None:
-        return _ascii(json_line(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    """The report file's text: `doc` in `encoded`'s indented layout."""
+    return encoded((doc,), "\n")[0]
 
 
 # Trace lines joined for each write to the trace file: about 35 KB, so a
@@ -123,67 +56,34 @@ def _key(key: object) -> str:
 TRACE_CHUNK_LINES = 512
 
 _RECORD_NL = "\n    "  # a record is an item of a list under a top-level key
-_VALUE_NL = _RECORD_NL + "  "
 
 
-def _bytes_text(value: bytes) -> str:
-    return _ascii(value.decode("latin-1"))  # `types.render_value`, inlined
-
-
-class _Memo(dict):
-    """Each value's text, made by `encode` on first use. It serves the
-    value types, whose fields are ints and int sets (every constructor in
-    the code makes them so), so equal values have one text."""
-
-    def __init__(self, encode: Callable[[Any], str]):
-        self.encode = encode
-
-    def __missing__(self, value: object) -> str:
-        text = self[value] = self.encode(value)
-        return text
-
-
-def _records_text(records: list, cls: type, encoders: dict) -> str:
-    """`json_indent`'s text of `[rec.render() for rec in records]` as the
-    value of a top-level key, written from each record's fields. `cls` is
-    the records' dataclass, whose `field_names` are `render()`'s keys in
-    the same order. A value whose exact type has no encoder in `encoders`
-    takes `_indented` over its rendered value."""
+def _records_text(records: list, cls: type) -> str:
+    """The text of `[rec.render() for rec in records]` as the value of a
+    top-level key, written from each record's fields. `cls` is the
+    records' dataclass, whose `field_names` are `render()`'s keys in the
+    same order."""
     if not records:
         return "[]"
     names = field_names(cls)
-    values_of = attrgetter(*names)
     parts, pick = OBJECT_FORMATS[(_RECORD_NL, *names)]
-    get = encoders.get
-    texts = [
-        "".join(pick([
-            enc(v) if (enc := get(type(v))) is not None
-            else _indented(render_field(v), _VALUE_NL)
-            for v in values_of(rec)
-        ] + parts))
-        for rec in records
-    ]
+    # Every record's values in one call, then each record's slice of them.
+    values = encoded(chain.from_iterable(map(attrgetter(*names), records)), _RECORD_NL + "  ")
+    n = len(names)
+    texts = ["".join(pick(values[i:i + n] + parts)) for i in range(0, len(values), n)]
     return "[" + _RECORD_NL + ("," + _RECORD_NL).join(texts) + "\n  ]"
 
 
 def history_text(name: str, seed: int, label: str, result: RunResult) -> str:
-    """The history file's text: `json_indent` over the document whose
-    "ops" and "directory_ops" are the records' `render()`s, byte for
-    byte, without rendering a record."""
-    encoders = {
-        str: _ascii,
-        int: str,
-        type(None): {None: "null"}.__getitem__,
-        bytes: _bytes_text,
-        Timestamp: _Memo(lambda ts: _ascii(ts.render())).__getitem__,
-        Metadata: _Memo(lambda md: _indented(md.render(), _VALUE_NL)).__getitem__,
-    }
+    """The history file's text: the document whose "ops" and
+    "directory_ops" are the records' `render()`s in `encoded`'s indented
+    layout, byte for byte, without rendering a record."""
     head = {"schema": HISTORY_SCHEMA, "scenario": name, "seed": seed, "label": label}
     parts, pick = OBJECT_FORMATS[("\n", *head, "ops", "directory_ops")]
     return "".join(pick([
-        *[_indented(v, "\n  ") for v in head.values()],
-        _records_text(result.history, OpRecord, encoders),
-        _records_text(result.dir_ops, DirOpRecord, encoders),
+        *encoded(head.values(), "\n  "),
+        _records_text(result.history, OpRecord),
+        _records_text(result.dir_ops, DirOpRecord),
         *parts,
     ])) + "\n"
 

@@ -11,7 +11,9 @@ A record's `render()` is its JSON value, stated once for both record
 types: every dataclass field, in field order, as `net.render_field`
 renders it. perfbench's outcome digest reads it. `cli.history_text`
 writes the history file straight from the same field list
-(`field_names`), with no rendered dict in between, and is tested
+(`field_names`), with no rendered dict in between: the one output
+encoder, `encoding.encoded`, writes each field in its indented layout,
+as json writes `render_field(value)` with `indent=2`. It is tested
 against `render()`.
 """
 from __future__ import annotations

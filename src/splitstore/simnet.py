@@ -115,46 +115,35 @@ it into both of the message's lines. It keeps a body only while its
 message is in flight, so its memory is bounded by the pending messages,
 not by the length of the trace.
 
-Every JSON object in a line is written from a template, with no rendered
-dict in between: a message body, every other entry, and a dict nested in
-either. `object_format` builds, once per shape (the keys in insertion
-order, and the layout), the object's literal parts, with the keys sorted
-and escaped, and a picker that interleaves them with the encoded values
-for one join. A body's shape is its kind and field names, the kind
-written in. The CLI's indented files use the same templates at their
-indents: `cli.json_indent` for the report's objects, and
-`cli.history_text` for each history record, which it encodes from the
-record's fields. `_encoded` encodes the values by `render_field`'s
-rules: strings, ints, None, bools, timestamps, bytes and metadata
-records inline, and tuples (pairs and register ids), lists, dicts and
-sets by recursion. Only a type no run's trace holds (a dict keyed by
-other than exact strs, a subclass or an enum) goes through
-`render_field` and `json_line`. So a body's bytes are those of
-`json_line(msg.render())`, and an entry's those of `json_line` over its
-values rendered.
+Every line is written by the one output encoder, `encoding.encoded`, in
+its compact layout; the history and report files use its indented one.
+It writes each value as json writes `render_field(value)`: the value
+types inline, containers by recursion and every object from its shape's
+template, and any other type through `render_field` itself. A message
+body is an object whose keys are its kind, src, dst and field names
+(`message_body`). So a body's bytes are those of `json_line(msg.render())`,
+and an entry's those of `json_line` over its values rendered.
 """
 from __future__ import annotations
 
 import functools
 import gc
-import json
 import random
 from bisect import bisect_left, insort
 from collections import defaultdict, deque
 from dataclasses import dataclass, field as dc_field
-from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from json.encoder import encode_basestring_ascii as _ascii
+from typing import Any, Callable, Iterator
 
 from .client import ClientBase, ReaderClient, WritePhase, WriterClient
+from .encoding import OBJECT_FORMATS, encoded
 from .faults import ByzDataReplica, ByzMetaReplica, CrashSpec
 from .history import DirOpRecord, OpRecord
 from .mds_oracle import DIR_PID, HASH_PID, DirectoryOracle, HashArrayOracle, OracleMdsDriver
-from .mds_replicated import MetaReplica, Pair, ReplicatedMdsDriver
+from .mds_replicated import MetaReplica, ReplicatedMdsDriver
 from .net import Delivery, Message, MsgKind, Port, Process, render_field
 from .replica import DataReplica
-from .types import (
-    NIL, ConfigError, DigestFacility, HarnessError, HashMode, Metadata, Timestamp, render_value,
-)
+from .types import ConfigError, DigestFacility, HarnessError, HashMode
 
 # The values a generated workload writes.
 ALPHABET = (b"a", b"b", b"c", b"d")
@@ -435,129 +424,20 @@ def build_world(config: Config) -> World:
 Event = dict | Delivery | int | tuple[int, str, str | None, Message]
 
 
-# A trace-file line without its newline: compact, sort-keys JSON. One
-# encoder serves every line; json.dumps builds a new one per call whenever
-# it is given options.
-json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-_ascii = json.encoder.encode_basestring_ascii
-
-
-def object_format(
-    keys: Sequence[str], nl: str | None = None, fixed: tuple[tuple[str, str], ...] = ()
-) -> tuple[list[str], Callable] | None:
-    """The literal parts of a JSON object whose keys, in insertion order,
-    are `keys`, and the picker that interleaves them with its values:
-    `"".join(pick(values + parts))` is the object's text, where `values`
-    are its encoded values in insertion order. The parts hold the keys
-    sorted and escaped, the separators and brackets, and each `fixed`
-    pair's encoded value; a key also in `keys` takes its value from
-    there, as a later key does in a dict. None if a key is not an exact
-    str. `nl` None is the compact layout of a trace line; otherwise `nl`
-    is the newline and indent before the object's closing brace, as
-    `json.dumps(indent=2)` writes it. The join sizes the text once, where
-    a %-template's writer grows its buffer by a quarter at a time and a
-    result that shrinks by less than a quarter keeps its block."""
-    slots: dict[str, int | str] = dict(fixed)  # an int: the index of a value
-    for i, key in enumerate(keys):
-        if type(key) is not str:
-            return None
-        slots[key] = i
-    inner, colon = ("", ":") if nl is None else (nl + "  ", ": ")
-    parts, order, text = [], [], "{" + inner  # order: indices into values + parts
-    for n, (key, slot) in enumerate(sorted(slots.items())):
-        text += ("," + inner if n else "") + _ascii(key) + colon
-        if type(slot) is int:
-            order += (len(keys) + len(parts), slot)
-            parts.append(text)
-            text = ""
-        else:
-            text += slot
-    order.append(len(keys) + len(parts))
-    parts.append(text + (nl or "") + "}" if slots else "{}")
-    # With no value, itemgetter returns the one part itself, which the
-    # join passes through character by character.
-    return parts, itemgetter(*order)
-
-
-class _Formats(dict):
-    """`object_format`'s answers by shape, `(nl, *keys)`: a lookup that
-    hits costs one dict probe. A shape is kept only when every key is an
-    identifier. Keys that are data (timestamps, op ids, register names)
-    are not, so the cache holds the shapes the code writes, not those of
-    each run. A str subclass key finds the format of the equal str, which
-    is right for `cli.json_indent`: json writes such a key as its
-    characters. The compact encoder looks up exact strs only."""
-
-    def __missing__(self, shape: tuple) -> tuple[list[str], Callable] | None:
-        fmt = object_format(shape[1:], shape[0])
-        if fmt is not None and all(map(str.isidentifier, shape[1:])):
-            self[shape] = fmt
-        return fmt
-
-
-OBJECT_FORMATS = _Formats()
-# Message-body formats by (kind value, *field names), the kind written in.
-_BODY_FORMATS: dict[tuple, tuple[list[str], Callable]] = {}
-
-
-def _encoded(values: Iterable) -> list[str]:
-    """Each value as `json_line(render_field(value))` writes it. Every
-    type a run's trace holds is encoded here, with `render_field`'s rules:
-    a value type as its own `render` gives it, a tuple (a `Pair`, a
-    register id) or list as a list, a set sorted by rendered value, and a
-    bool as true or false, never as an int. Anything else (a dict keyed
-    by other than exact strs, a subclass, an enum) is left to
-    `render_field` itself."""
-    out: list[str] = []
-    append = out.append
-    for value in values:
-        cls = type(value)
-        if cls is str:
-            append(_ascii(value))
-        elif cls is int:
-            append(str(value))  # an exact int's str is its repr, by a cheaper call
-        elif cls is Timestamp:
-            num, cid = value  # Timestamp.render, inlined
-            append(_ascii(f"{num}:nil" if cid == NIL else f"{num}:{cid}"))
-        elif value is None:
-            append("null")
-        elif cls is bytes:
-            append(_ascii(render_value(value)))
-        elif cls is Metadata:  # Metadata.render, inlined; json writes the ids
-            ids = [str(r) if type(r) is int else json_line(r) for r in sorted(value.replicas)]
-            append('{"replicas":[' + ",".join(ids) + '],"ts":' + _ascii(value.ts.render()) + "}")
-        elif cls is tuple or cls is Pair or cls is list:
-            append("[" + ",".join(_encoded(value)) + "]")
-        elif cls is dict and {*map(type, value)} <= {str}:
-            parts, pick = OBJECT_FORMATS[(None, *value)]
-            append("".join(pick(_encoded(value.values()) + parts)))
-        elif cls is bool:
-            append("true" if value else "false")
-        elif cls is set or cls is frozenset:
-            # A rendered value is what its JSON text decodes to.
-            append("[" + ",".join(sorted(_encoded(value), key=json.loads)) + "]")
-        else:
-            append(json_line(render_field(value)))
-    return out
-
-
 def message_body(msg: Message) -> str:
     """A message's body in the trace file, written straight from its
-    fields. Its bytes are those of `json_line(msg.render())`, the reference
-    it is tested against; neither `render` nor `render_field` is called.
-    As in `render`, a field named kind, src or dst takes the place of the
-    header key (`Port.send` cannot build one: Python rejects the keyword).
-    The kind is read as `_value_`, an instance attribute; `value` is a
-    Python-level property."""
+    fields by `encoded`. Its bytes are those of `json_line(msg.render())`,
+    the reference it is tested against; neither `render` nor
+    `render_field` is called. The kind, src and dst are keys of the body's
+    shape like its fields, so, as in `render`, a field named kind, src or
+    dst takes the place of the header key (`Port.send` cannot build one:
+    Python rejects the keyword). The kind is read as `_value_`, an
+    instance attribute; `value` is a Python-level property."""
     kind, src, dst, fields = msg
-    fmt = _BODY_FORMATS.get(shape := (kind._value_, *fields))
-    if fmt is None:
-        fmt = _BODY_FORMATS[shape] = object_format(
-            ("src", "dst", *fields), fixed=(("kind", _ascii(kind._value_)),)
-        )
-    parts, pick = fmt
-    return "".join(pick([_ascii(src), _ascii(dst), *_encoded(fields.values()), *parts]))
+    parts, pick = OBJECT_FORMATS[(None, "kind", "src", "dst", *fields)]
+    return "".join(pick([
+        _ascii(kind._value_), _ascii(src), _ascii(dst), *encoded(fields.values()), *parts,
+    ]))
 
 
 @dataclass
@@ -597,7 +477,7 @@ class RunResult:
                 yield f'{{"ev":"deliver","msg":{bodies.pop(id(msg))},"step":{event}}}\n'
             elif cls is dict:  # its keys are keyword names, so exact strs
                 parts, pick = OBJECT_FORMATS[(None, *event)]
-                yield "".join(pick(_encoded(event.values()) + parts)) + "\n"
+                yield "".join(pick(encoded(event.values()) + parts)) + "\n"
             else:
                 step, ev, reason, msg = event
                 body = bodies.pop(id(msg), None) or message_body(msg)

@@ -182,7 +182,7 @@ def test_hand_built_records_with_edge_values(name, seed, label):
     result = hand_built()
     assert len(result.dir_ops) == len(ODD) + 3
     assert history_text(name, seed, label, result) == reference(name, seed, label, result)
-    # records written twice take their Timestamp and Metadata texts from the memos
+    # records written twice, so equal Timestamp and Metadata values recur
     twice = SimpleNamespace(history=result.history * 2, dir_ops=result.dir_ops * 2)
     assert history_text(name, seed, label, twice) == reference(name, seed, label, twice)
 

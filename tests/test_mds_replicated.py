@@ -972,23 +972,90 @@ def test_most_tsreads_skip_their_write_back(tm):
     assert counts[MsgKind.META_QUERY] == counts[MsgKind.META_UNSUB]
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_a_lone_writers_messages_follow_a_closed_form(t):
+    """One writer, no readers, no faults, t = t_M. Each write sends 2t+1
+    each of WRITE, WRITE-ACK and COMMIT. In oracle mode it also sends one
+    each of DIR-READ, DIR-WRITE and HASH-WRITE, and their responses. In
+    replicated mode each metadata store (a tswrite or a hashwrite) sends
+    M META-STORE, M(M-1) META-ECHO and M META-ACK, where M = 3t_M+1, and
+    each tsread M META-QUERY and M META-UNSUB. Its META-UPDATEs depend on
+    the schedule, so they are bounds: a tsread hears a snapshot from at
+    least 2t_M+1 replicas (a replica that takes the unsubscribe first
+    sends none), and beyond one snapshot per query a replica pushes at
+    most one update per store it takes."""
+    ops, data = 4, 2 * t + 1
+    oracle = message_counts(run(Config(seed=1, t=t, tm=t, writers=1, readers=0, ops=ops)))
+    assert oracle == {
+        **{kind: data * ops for kind in (MsgKind.WRITE, MsgKind.WRITE_ACK, MsgKind.COMMIT)},
+        **{kind: ops for kind in (
+            MsgKind.DIR_READ, MsgKind.DIR_READ_RESP, MsgKind.DIR_WRITE, MsgKind.DIR_WRITE_RESP,
+            MsgKind.HASH_WRITE, MsgKind.HASH_WRITE_RESP,
+        )},
+    }
+    res = run(Config(seed=1, t=t, tm=t, writers=1, readers=0, ops=ops, mds_mode="replicated"))
+    counts = message_counts(res)
+    m = 3 * t + 1
+    stores = sum(1 for op in res.dir_ops if op.op in ("tswrite", "hashwrite"))
+    tsreads = sum(1 for op in res.dir_ops if op.op == "tsread")
+    assert (stores, tsreads) == (2 * ops, ops)
+    assert {kind: counts.pop(kind) for kind in (
+        MsgKind.WRITE, MsgKind.WRITE_ACK, MsgKind.COMMIT,
+        MsgKind.META_STORE, MsgKind.META_ECHO, MsgKind.META_ACK,
+    )} == {
+        MsgKind.WRITE: data * ops, MsgKind.WRITE_ACK: data * ops, MsgKind.COMMIT: data * ops,
+        MsgKind.META_STORE: m * stores, MsgKind.META_ECHO: m * (m - 1) * stores,
+        MsgKind.META_ACK: m * stores,
+    }
+    assert counts.keys() == {MsgKind.META_QUERY, MsgKind.META_UNSUB, MsgKind.META_UPDATE}
+    assert counts[MsgKind.META_QUERY] == counts[MsgKind.META_UNSUB] == m * tsreads
+    assert (2 * t + 1) * tsreads <= counts[MsgKind.META_UPDATE] <= m * (tsreads + stores)
+    # A replica acks a store once it has established the pair: it holds
+    # t_M+1 echoes of it, its own and t_M delivered from its peers.
+    echoed: dict = {}
+    for event in decode_events(res):
+        if isinstance(event, dict):
+            continue
+        _step, ev, _reason, msg = event
+        pair = (msg.fields.get("reg"), msg.fields.get("key"))
+        if ev == "deliver" and msg.kind is MsgKind.META_ECHO:
+            echoed.setdefault((msg.dst, *pair), set()).add(msg.src)
+        elif ev == "send" and msg.kind is MsgKind.META_ACK:
+            assert len(echoed.get((msg.src, *pair), ())) >= t, (msg.src, pair)
+
+
+COLLECT_DEFECT = (
     "known defect: a tsread takes a collect over the per-writer registers, not "
     "an atomic snapshot, so its evidence for each register can come from reports "
-    "of different ages. In r1's tsread [256,352], dir/2's evidence that no pair "
-    "above 1:2 completed is m2's and m1's snapshots, sent at steps 257 and 265 "
-    "before either established w2's 2:2, and the stale-concurrent m4; w2's "
-    "tswrite 2:2 [261,289] completes meanwhile. dir/1's 2:1 is confirmed by m1's "
-    "and m3's live updates, sent at 304 and 311, after w1's tswrite 2:1 began at "
-    "294. The read writes 2:1 back and returns it, below the completed 2:2"
-))
-def test_a_collect_read_is_directory_linearizable():
-    """The smallest known witness of the collect defect: t = t_M = 1, two
+    "of different ages. "
+)
+
+
+@pytest.mark.parametrize("seed", [
+    pytest.param(5628, marks=pytest.mark.xfail(strict=True, reason=COLLECT_DEFECT + (
+        "In r1's tsread [256,352], dir/2's evidence that no pair above 1:2 "
+        "completed is m2's and m1's snapshots, sent at steps 257 and 265 before "
+        "either established w2's 2:2, and the stale-concurrent m4; w2's tswrite "
+        "2:2 [261,289] completes meanwhile. dir/1's 2:1 is confirmed by m1's and "
+        "m3's live updates, sent at 304 and 311, after w1's tswrite 2:1 began at "
+        "294. The read writes 2:1 back and returns it, below the completed 2:2"
+    ))),
+    pytest.param(12623, marks=pytest.mark.xfail(strict=True, reason=COLLECT_DEFECT + (
+        "r1's tsread [296,401] returns 2:1, although w2's tswrite 2:2 [292,320] "
+        "completed before w1's tswrite 2:1 [330,358] began. At step 362, dir/2's "
+        "evidence includes m2's snapshot sent at 307 and delivered at 345, after "
+        "m2's live push of 2:2 (delivered at 328), so it lowered m2's recorded "
+        "current back to 1:2: channels are not FIFO, and currents can go down"
+    ))),
+])
+def test_a_collect_read_is_directory_linearizable(seed):
+    """The known witnesses of the collect defect: t = t_M = 1, two
     writers, one reader, six ops each, a stale-concurrent m4. Seeds 5628
     and 12623 are the failing seeds of this shape in 0-17999; both fail
     directory linearizability with a tsread that returns w1's 2:1 after
-    w2's tswrite 2:2 completed."""
-    cfg = Config(seed=5628, readers=1, ops=6, mds_mode="replicated",
+    w2's tswrite 2:2 completed. Each is its own strict xfail, so one
+    seed moving does not hide the other."""
+    cfg = Config(seed=seed, readers=1, ops=6, mds_mode="replicated",
                  byz_meta={"m4": ByzStrategy.STALE_CONCURRENT})
     verdict = check_run(run(cfg))
     assert verdict.ok, verdict.failed()

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import decode_events, trace_entries
-from splitstore import history, net, simnet, types
+from splitstore import encoding, history, net, simnet, types
 from splitstore.faults import ByzStrategy, CrashSpec
 from splitstore.net import MsgKind, Port, Process, render_field
 from splitstore.scenarios import SCENARIO_NAMES, random_config, run_scenario
@@ -359,8 +359,9 @@ def test_an_untraced_run_renders_nothing(monkeypatch):
 
     monkeypatch.setattr(net, "render_field", counting(net.render_field))
     monkeypatch.setattr(simnet, "render_field", counting(net.render_field))
+    monkeypatch.setattr(encoding, "render_field", counting(net.render_field))
     # Every module-level binding of render_value, also one that is gone.
-    for module in (types, net, history, simnet):
+    for module in (types, net, history, simnet, encoding):
         monkeypatch.setattr(module, "render_value", counting(types.render_value), raising=False)
     results = [run(cfg) for cfg in campaign_slice()]
     assert rendered == []

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import pytest
 
 from conftest import decode_events
-from splitstore import cli, simnet
+from splitstore import cli, encoding, simnet
 from splitstore.checker import check_run
 from splitstore.cli import write_outputs
 from splitstore.faults import FABRICATED_CID, ByzStrategy
@@ -29,7 +29,8 @@ from splitstore.net import Message, MsgKind, render_field
 from splitstore.scenarios import (
     SCENARIO_NAMES, ScenarioOutcome, random_config, run_scenario, scenario_random,
 )
-from splitstore.simnet import Config, Match, json_line, message_body, object_format, run
+from splitstore.encoding import json_line, object_format
+from splitstore.simnet import Config, Match, message_body, run
 from splitstore.types import NIL, Metadata, Timestamp
 
 
@@ -228,6 +229,7 @@ def test_message_body_needs_no_render_field(monkeypatch):
     def refuse(value):
         raise AssertionError(f"render_field called on a {type(value).__name__}")
 
+    monkeypatch.setattr(encoding, "render_field", refuse)
     monkeypatch.setattr(simnet, "render_field", refuse)
     kinds = set()
     for seed in range(60):
@@ -273,19 +275,25 @@ def test_message_body_on_nested_and_rare_values():
         assert message_body(msg) == json_line(msg.render())
 
 
-def test_object_format_writes_fixed_values_and_the_last_of_a_repeated_key():
-    # What message_body relies on: the kind written in as a fixed value,
-    # and a field that repeats a header key taking its place. Keys and
-    # fixed values with % in them come through as they are.
+def test_a_field_named_kind_takes_the_header_keys_place():
+    # A body's kind, src and dst are keys of its shape like its fields, so
+    # a field of the same name is a later key and its value is the one
+    # written, as in Message.render. Keys with % in them come through as
+    # they are, in both layouts.
+    cases = ({"kind": 5}, {"tag": 1, "kind": "x", "src": None}, {"dst": [1], "%": "%s"})
+    for fields in cases:
+        msg = Message(MsgKind.WRITE, "w1", "d1", MappingProxyType(fields))
+        body = message_body(msg)
+        assert body == json_line(msg.render())
+        assert json.loads(body)["kind"] == fields.get("kind", "WRITE")
     for nl in (None, "\n  "):
-        parts, pick = object_format(["b%s", "a", "b%s"], nl, fixed=(("%k", '"100%"'),))
+        parts, pick = object_format(["b%s", "a", "b%s"], nl)
         text = "".join(pick(['"first"', "7", '"last"'] + parts))
-        expected = {"%k": "100%", "b%s": "last", "a": 7}
+        expected = {"b%s": "last", "a": 7}
         if nl is None:
             assert text == json_line(expected)
         else:
             assert text == json.dumps(expected, sort_keys=True, indent=2).replace("\n", nl)
-    assert object_format(["a", 1]) is None  # a key that is not an exact str
     for nl in (None, "\n  "):  # no key: the one part is the whole text
         parts, pick = object_format([], nl)
         assert "".join(pick([] + parts)) == "{}"
@@ -293,20 +301,29 @@ def test_object_format_writes_fixed_values_and_the_last_of_a_repeated_key():
 
 def test_the_format_caches_do_not_grow_per_run(tmp_path):
     # Shapes whose keys are data (HashArrayOracle's entries, the report's
-    # latencies) are not kept, so writing one more run of the cli-long
-    # shape adds no format.
-    def sizes():
-        return len(simnet.OBJECT_FORMATS), len(simnet._BODY_FORMATS)
+    # latencies) are not kept, so writing a pass of runs a second time
+    # adds no format: the cache holds the shapes the code writes. Each
+    # pass is written twice, since a first run against a last one misses
+    # a shape that first appears in between.
+    def outcome(name, config):
+        result = run(config)
+        return ScenarioOutcome(name=name, seed=config.seed, passed=True, expectation="",
+                               runs=[("run", result, check_run(result))])
 
-    seen = []
-    for seed in range(10):
-        result = run(Config(seed=seed, writers=4, readers=4, ops=50))
-        write_outputs(tmp_path, ScenarioOutcome(
-            name="cli-long", seed=seed, passed=True, expectation="benchmark shape",
-            runs=[("run", result, check_run(result))],
-        ))
-        seen.append(sizes())
-    assert seen[0] == seen[-1], seen
+    passes = {
+        "cli-long": [Config(seed=seed, writers=4, readers=4, ops=50) for seed in range(10)],
+        "replicated": [Config(seed=seed, writers=2, readers=2, ops=30, mds_mode="replicated")
+                       for seed in range(10)],
+        "random": [random_config(seed) for seed in range(60)],
+    }
+    for name, configs in passes.items():
+        outcomes = [outcome(name, config) for config in configs]
+        sizes = []
+        for _ in range(2):
+            for written in outcomes:
+                write_outputs(tmp_path, written)
+            sizes.append(len(encoding.OBJECT_FORMATS))
+        assert sizes[0] == sizes[1], (name, sizes)
 
 
 def test_the_trace_file_holds_its_lines_at_any_chunk_size(tmp_path, monkeypatch):
