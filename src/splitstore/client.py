@@ -333,6 +333,9 @@ class ReaderClient(ClientBase):
         if md2_ts is not None:
             op.md2_ts = md2_ts
         self.ctx = None
+        # Every reply waiting on a hashread in flight belongs to an ended READ.
+        for index in [i for i in self.hashreads if self.driver.abandon_hash_read(i)]:
+            del self.hashreads[index]
         self.respond(op, val)
 
     def final_state(self) -> dict:

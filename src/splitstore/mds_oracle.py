@@ -173,6 +173,11 @@ class OracleMdsDriver:
     def hash_read(self, index: Timestamp, done: Callable[[str | None], None]) -> None:
         self._request("hashread", HASH_READ, HASH_PID, done, {"index": index}, index=index)
 
+    def abandon_hash_read(self, index: Timestamp) -> bool:
+        """The oracle answers every hashread, so none is abandoned: its
+        continuation fires when the answer arrives."""
+        return False
+
     def handle(self, msg: Message) -> bool:
         """Consume a metadata response addressed to the owner. Returns
         False when the message belongs to someone else's plane."""

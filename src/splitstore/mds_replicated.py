@@ -4,21 +4,65 @@ The directory becomes one single-writer register per writer client; a
 directory read returns the highest pair across all of them. The digest
 array reuses the same register machinery with write-once usage: each
 replica writes every digest a client stores through its own
-`mds_oracle.HashArraySpec`, and neither echoes nor acknowledges a
-rewrite with a different digest, which the spec refuses. So a correct
-replica establishes at most one digest per index, the one its writer
-stored, and a digest read returns as soon as tm + 1 replicas report it
-(below).
+`mds_oracle.HashArraySpec`, which refuses a rewrite with a different
+digest. Directory registers replicate by echoes; a digest register
+needs none, because only its owner's store can establish it (below).
 
-Register replication works as follows. A client stores a (key, payload)
-pair by sending it to every replica. A correct replica that accepts a
-pair echoes it to its peers, and marks the pair established once tm + 1
-distinct replicas (itself included) have echoed the same pair; only then
-does it acknowledge the storers. Establishment is contagious: the
-echoes that establish a pair at one correct replica eventually establish
-it at all of them, so every pair whose store completed (2*tm + 1 acks)
-is eventually visible everywhere despite tm lying replicas, even when
-the storing client crashed mid-broadcast.
+Directory registers replicate as follows. A client stores a (key,
+payload) pair by sending it to every replica. A correct replica that
+accepts a pair echoes it to its peers, and marks the pair established
+once tm + 1 distinct replicas (itself included) have echoed the same
+pair; only then does it acknowledge the storers. Establishment is
+contagious: the echoes that establish a pair at one correct replica
+eventually establish it at all of them, so every pair whose store
+completed (2*tm + 1 acks) is eventually visible everywhere despite tm
+lying replicas, even when the storing client crashed mid-broadcast.
+
+Digest registers are write-once, and the index's owner is the only
+client that may store one. A correct replica establishes a ("hash",
+index) pair as soon as it accepts the owner's META-STORE (the sender is
+the owner, over an authenticated channel, and the replica's
+`HashArraySpec` takes the digest); it then acks the storer and pushes
+the pair to its listeners. It echoes nothing for it, and a META-ECHO or
+a META-WRITEBACK of a digest register, from any sender, changes
+nothing. That saves M(M - 1) echoes per hashwrite, for M = 3*tm + 1
+replicas, and half of all metadata stores are hashwrites. A hashread
+returns a digest on tm + 1 matching reports, and None on 2*tm + 1 empty
+ones (see the read paragraphs below). The rule keeps that:
+
+- Safety. tm + 1 matching reports include one from a correct replica,
+  and a correct replica holds only the digest the index's owner stored.
+  An honest writer stores one digest per index, so a returned digest is
+  the one its hashwrite stored (the write-once register of Malkhi &
+  Reiter's Byzantine quorum systems, Distributed Computing 1998).
+- A hashread that overlaps no hashwrite of its index is live and
+  answers right. A completed hashwrite had 2*tm + 1 acks, each sent by a
+  replica that holds the digest, and tm + 1 of them are correct and hold
+  it for good. They report it to a read that began after the write
+  ended, so the read gets tm + 1 matching reports. A None answer needs
+  2*tm + 1 empty reports, and at most 2*tm replicas are not among those
+  tm + 1. An index nobody stored is reported empty by every correct
+  replica, and 2*tm + 1 of them answer.
+- A hashread that overlaps a live writer's hashwrite is live. The
+  writer's store reaches every correct replica, and each one that takes
+  it pushes it to the subscribed reader, so the reader gets tm + 1
+  matching reports, unless 2*tm + 1 empty ones came first.
+- The trap: a writer that crashes mid-hashwrite can leave its store at
+  1 to tm correct replicas only. A hashread of that index can then get
+  neither tm + 1 matching reports nor 2*tm + 1 empty ones, for ever.
+  Only a Byzantine data replica's READ-VAL names such an index: a
+  correct data replica holds a value only after its hashwrite completed.
+  The READ stays live, because no correct reply waits on that index,
+  but the hashread would hold its listeners at the replicas for ever.
+  So a reader abandons a hashread once every reply waiting on it belongs
+  to a READ that has ended, that is, when the READ that started it ends
+  (``ReplicatedMdsDriver.abandon_hash_read``). Abandoning sends the
+  META-UNSUBs and leaves the hashread's record with no response. No
+  waiter needs its answer: `client.ReaderClient._check_done` drops a
+  reply of an ended READ. The cost is that an abandoned hashread's
+  digest is not remembered, so a later READ that needs the index starts
+  a new hashread. The count of abandoned hashreads and the effect on
+  steps per run are in CHANGES.md of the change that made the rule.
 
 A reader subscribes to all replicas and collects, per register, the
 established pairs each replica reports plus each replica's current
@@ -55,24 +99,17 @@ Digest-array reads never write back, and a digest needs no 2*tm + 1
 repliers. Their register is write-once and only safe semantics are
 promised: a hashread that overlaps no hashwrite of its index returns
 the digest a completed hashwrite stored, or None if none was invoked.
-A hashread returns a digest as soon as tm + 1 replicas report it. That
-is safe: tm + 1 matching reports include a correct replica, which
-established only the digest the index's writer stored. Only a None
-answer waits for 2*tm + 1 repliers, 2*tm + 1 of them with empty reports.
-A completed hashwrite had its digest established at tm + 1 correct
-replicas before a read that does not overlap it sent its queries, and
-2*tm + 1 + tm + 1 > 3*tm + 1, so such a read gets a report of the
-digest from one of them and never 2*tm + 1 empty ones. A hashread
-stays live. If some correct replica establishes a digest, every correct
-replica does and pushes it to the subscribed reader, so the 2*tm + 1
-correct replicas give it tm + 1 matching reports. If none ever does,
-the snapshots of the 2*tm + 1 correct replicas report the index empty.
+A hashread returns a digest as soon as tm + 1 replicas report it. Only
+a None answer waits for 2*tm + 1 repliers, 2*tm + 1 of them with empty
+reports. Why that is safe and live is argued above, with the digest
+registers.
 
 A read's subscription is the listeners pattern of Martin, Alvisi &
 Dahlin ("Minimal Byzantine Storage", DISC 2002): the reader's
 META-QUERY registers it at a replica, which replies with a snapshot and
 then pushes each later establishment in the query's scope, and the
-reader's META-UNSUB ends the registration once the read ends. Channels
+reader's META-UNSUB ends the registration once the read ends or is
+abandoned. Channels
 are not FIFO, so a META-UNSUB can reach a replica before its own
 META-QUERY. The replica then keeps a tombstone for the (client, tag),
 and the late query consumes it: it subscribes nothing and sends no
@@ -203,11 +240,13 @@ class MetaReplica(Process):
         elif kind is META_WRITEBACK:
             # Write-backs republish a pair a reader confirmed; any client may
             # send them, which is sound only because clients here are benign.
-            pair = Pair(fields["key"], fields["payload"])
-            self._take(fields["reg"], pair, ((src, fields["seq"]),))
+            if fields["reg"][0] == "dir":  # only its owner's store sets a digest
+                pair = Pair(fields["key"], fields["payload"])
+                self._take(fields["reg"], pair, ((src, fields["seq"]),))
         elif kind is META_ECHO:
-            pair = Pair(fields["key"], fields["payload"])
-            self._take(fields["reg"], pair, map(tuple, fields["storers"]), echoer=src)
+            if fields["reg"][0] == "dir":  # a digest register is never echoed
+                pair = Pair(fields["key"], fields["payload"])
+                self._take(fields["reg"], pair, map(tuple, fields["storers"]), echoer=src)
         elif kind is META_QUERY:
             self.on_query(src, fields["tag"], fields["scope"])
         elif kind is META_UNSUB:
@@ -244,8 +283,10 @@ class MetaReplica(Process):
         echoer: str | None = None,
     ) -> None:
         """Take in a pair from a store or a write-back, or from ``echoer``'s
-        echo. A stored pair is echoed at once, an echoed one only once it
-        establishes; a pair already established acks its storers."""
+        echo. A digest pair comes only from its owner's accepted store, and
+        establishes at once. A stored directory pair is echoed at once, an
+        echoed one only once it establishes; a pair already established
+        acks its storers."""
         pairs = self.register_for(reg).pairs
         st = pairs.get(pair)
         if st is None:  # most intakes repeat a pair the replica holds
@@ -256,7 +297,7 @@ class MetaReplica(Process):
         if st.established:
             self._ack_storers(reg, pair, st)
             return
-        if echoer is None:
+        if echoer is None and reg[0] == "dir":
             self._echo(reg, pair, st)
         self._maybe_establish(reg, pair, st)
 
@@ -272,7 +313,9 @@ class MetaReplica(Process):
             send(META_ECHO, me, peer, reg=reg, key=key, payload=payload, storers=storers)
 
     def _maybe_establish(self, reg: RegisterId, pair: Pair, st: _PairState) -> None:
-        if len(st.echoes) < self.tm + 1:  # `_take` never passes an established pair
+        # A digest pair establishes on its owner's store, a directory pair
+        # on tm + 1 echoes. `_take` never passes an established pair.
+        if reg[0] == "dir" and len(st.echoes) < self.tm + 1:
             return
         st.established = True
         rs = self.registers[reg]
@@ -280,9 +323,10 @@ class MetaReplica(Process):
         established = list(rs.established)
         bisect.insort(established, pair)
         rs.established = tuple(established)
-        # Pass the pair on even when we only learned it from echoes, so
-        # that establishment spreads to every correct replica.
-        self._echo(reg, pair, st)
+        if reg[0] == "dir":
+            # Pass the pair on even when we only learned it from echoes, so
+            # that establishment spreads to every correct replica.
+            self._echo(reg, pair, st)
         self._ack_storers(reg, pair, st)
         self._notify(reg, pair)
 
@@ -551,9 +595,23 @@ class ReplicatedMdsDriver:
         """Unsubscribe, record the end and pass the result's values on."""
         tag = read.rec.tag
         self._reads.pop(tag, None)  # a read in write-back has left already
+        self._unsubscribe(tag)
+        self.log.end(read.rec, **result)
+        read.done(*result.values())
+
+    def abandon_hash_read(self, index: Timestamp) -> bool:
+        """Abandon the hashread of ``index`` in flight, whose answer no
+        operation in flight waits for: unsubscribe, and leave its record
+        with no response and its continuation uncalled. A replicated
+        hashread can wait for ever (the trap in the module docstring)."""
+        reg = ("hash", index)
+        tag = next(tag for tag, read in self._reads.items() if read.scope == reg)
+        del self._reads[tag]
+        self._unsubscribe(tag)
+        return True
+
+    def _unsubscribe(self, tag: int) -> None:
         owner = self.owner
         send, me = owner.port.send, owner.pid
         for pid in self.meta_pids:
             send(META_UNSUB, me, pid, tag=tag)
-        self.log.end(read.rec, **result)
-        read.done(*result.values())

@@ -379,6 +379,46 @@ def test_a_none_answer_sends_the_replies_that_joined_later_to_a_new_hashread(pro
     assert reader.known == {index: digest(b"w")} and reader.hashreads == {}
 
 
+@pytest.mark.parametrize("mode", ["oracle", "replicated"])
+def test_a_read_that_ends_abandons_its_replicated_hashreads_in_flight(probe, mode):
+    """A READ checks one reply at the directory's 1:1 and one at 2:1 that a
+    re-read vouches for; the hashread of 2:1 answers first and the READ
+    returns. The hashread of 1:1 is still in flight and no READ waits on
+    it. A replicated reader abandons it: it unsubscribes at every replica,
+    the record keeps no response, and a late answer is ignored. The
+    oracle answers every hashread, so there the hashread runs on and its
+    digest is remembered."""
+    reader = probed_reader(probe, mode)
+    digest = reader.digests.digest
+    md1 = Metadata(ts=Timestamp(1, 1), replicas=frozenset({1, 2}))
+    md2 = Metadata(ts=Timestamp(2, 1), replicas=frozenset({1, 2}))
+    op = OpRecord(op_id=1, client="r1", kind="READ", arg=None, invoke=0)
+    reader.invoke(op)
+    answer(reader, probe.begun[-1], md=md1)
+    read_val(reader, "d1", md1.ts, b"v1")
+    read_val(reader, "d2", md2.ts, b"v2")
+    answer(reader, probe.begun[-1], md=md2)  # the re-read
+    first, second = hashreads(probe)
+    assert (first.index, second.index) == (md1.ts, md2.ts)
+    probe.take_sent()
+    answer(reader, second, digest=digest(b"v2"))
+    assert probe.ended[-1] is op and (op.ret, op.ts) == (b"v2", md2.ts)
+    unsubs = [(m.dst, m.fields["tag"]) for m in probe.take_sent() if m.kind is MsgKind.META_UNSUB]
+    if mode == "oracle":
+        assert unsubs == [] and list(reader.hashreads) == [md1.ts]
+        answer(reader, first, digest=digest(b"v1"))
+        assert first.digest == digest(b"v1") and probe.ended[-1] is first
+        assert reader.known == {md1.ts: digest(b"v1"), md2.ts: digest(b"v2")}
+    else:
+        # the second hashread's own unsubscribes, then the first one's
+        assert unsubs == [(pid, tag) for tag in (second.tag, first.tag) for pid in META_PIDS]
+        assert reader.hashreads == {} and reader.driver._reads == {}
+        answer(reader, first, digest=digest(b"v1"))
+        assert first.response is None and first.digest is None and probe.ended[-1] is op
+        assert reader.known == {md2.ts: digest(b"v2")}
+    assert reader.hashreads == {}
+
+
 def test_no_reader_has_two_hashreads_of_one_index_in_flight():
     """Over random_config 0-59 in both metadata modes, no reader's hashreads
     of one index overlap, and readers do share: replies reach a reader at

@@ -96,11 +96,11 @@ DIGESTS = {
     },
     "fig1-0": {
         "fig1-0.history.json":
-            "73d38fe21c83b9aedfa2da273007b9d1ed46451c408acd0a3ae5636985d54377",
+            "d7923a286bafa11ecf7597ba5abdad9e2522d6f8ae05c5d215a4e656a7085c37",
         "fig1-0.report.json":
-            "9e1f2c04f9215ccd681c3b257366d9b78d10dd6ed8d73fe68e464f36d1661f87",
+            "666edca8754148485885c99d8bea2f94b8a1cfa89eab149d8500186390c65691",
         "fig1-0.trace.jsonl":
-            "d0cedfd601d4b45476c42bded979797b5559e2b80329ac30abe8fc9af9d92e8a",
+            "616de44c4beb42469b31f5f24ba5a50cc5b8e281256809c1bb5f2023ef533e7f",
     },
     "gc-quiescence-0": {
         "gc-quiescence-0.history.json":
@@ -120,11 +120,11 @@ DIGESTS = {
     },
     "random-1": {
         "random-1.history.json":
-            "33942447a87de0dbba24b87a58f45ff1930867a1defdff141d16b5b361031dcc",
+            "0563683c08fbf6d2704af26be4c2221fbf658b1d166c8f4f2d0f3bd9a6f444f1",
         "random-1.report.json":
-            "01ffb630f6c3e95c039a68e1307ccb3d6096038c3d5a29d653e817b9ee49b806",
+            "5172af95fc8d552f08d4d60d830c9381b0dc7a14045290672490d3654372105b",
         "random-1.trace.jsonl":
-            "3666e990ecf61579e07b76ce6d076fdfc1d417425e7e3b69eba24e1eb2f0306a",
+            "1df897a5be8554e47a951dcc7d733ff60fb9cf51d129465b57c51774119d85b0",
     },
     "random-2": {
         "random-2.history.json":
@@ -136,11 +136,11 @@ DIGESTS = {
     },
     "random-3": {
         "random-3.history.json":
-            "9418ac182147c59ee0061a9a90dacdd7aadd9e4dc08081c94a93234d0f1b6221",
+            "af023ed6051254309a56fc36605e6de82b4ebdac8d207407a0397cdd712f8283",
         "random-3.report.json":
-            "2bcdd3bf0ed6bb30c34317cf810b6c0f68f6a14790dccd852d047f75828aae62",
+            "e94568486425d27a782f7ecc720997fa8b47f8e0362c0a482be2d775a894453e",
         "random-3.trace.jsonl":
-            "4ec09510919d932ecf8923b0d1ceb5d0844cab07d10aae3abe64efc35f0a778d",
+            "1f2a4c55cdc0d7838b41658e0150c4d07336f11a6fb14f351a11d43fd301d156",
     },
     "random-4": {
         "random-4.history.json":
@@ -152,11 +152,11 @@ DIGESTS = {
     },
     "random-5": {
         "random-5.history.json":
-            "f0f1d1c634454ffbccdfae6758ac22c5c48d65609c1facbd2a3ae4866e4ac3d6",
+            "1759637d274f755481349f38299f7019b4d0cc075cff286aeb105ebe1bdff0dc",
         "random-5.report.json":
-            "577ddb0fb6413bc53d74474b1824240fd44c9b7edc5d56adf06119e80bbc3513",
+            "07b703a5b86eca1253ff1a92c74176fda0fa18fab0e39e8f09fde3e825ffae53",
         "random-5.trace.jsonl":
-            "1372f157dc2864d982ece29e261d1f16937d916abb6ba3e7b681e70a43b651dd",
+            "8e73edab4b367805575dd05faa91bba934bafd9506362fe8df46a94c816f1606",
     },
     "random-6": {
         "random-6.history.json":
@@ -168,11 +168,11 @@ DIGESTS = {
     },
     "random-7": {
         "random-7.history.json":
-            "93cdaa4e89038b7d54774df27364af2476fc4466d3360acf348f40de8f4644cf",
+            "a9567350a7a175ae239543f69048d091b2f12770440ce0add477ec3c1674cfe1",
         "random-7.report.json":
-            "546600ba23f3271ed0c63aed1c817d9454bb5c5572ae7f3f55cdf8e2dcda5fcd",
+            "e374d74a4974ad8bd5b058c86ba28601a8a897df207862eba3046a9034c662cc",
         "random-7.trace.jsonl":
-            "f5a81522626a9fbca40ca9b625e4f9137006b0f2d2efa9886bcfb64d9051aa28",
+            "162ebe5659fec4ad356261fa55f5817efcecb1a2803da645fe048bef785b2f78",
     },
     "random-8": {
         "random-8.history.json":
@@ -184,11 +184,11 @@ DIGESTS = {
     },
     "random-9": {
         "random-9.history.json":
-            "e6acd409fc53be459e3f3650cfd1efccd29afafdbd90b62ca6c1a5a0706691a8",
+            "a5c2db61cfa3b0e9a49fab412b0201549cfbdc8f354545eb796d64a23b2ef7e5",
         "random-9.report.json":
-            "059fed36668dfb3459877cbada4125b44e3118a21914b42ae69318e68cd034b1",
+            "aac8bb9a3244905fb40a898f39f053932709921e8b738cf9fadbdf6d4110bb26",
         "random-9.trace.jsonl":
-            "2f7676ca88c8a6e5f8fdc6988b8e82f429fb7b921c2c1ced88c8416016b1c302",
+            "8f23a3f8379f9d308ab4a9cbcd7469865acc87239148a7e7b14a0b7cbc6e91e8",
     },
     "random-10": {
         "random-10.history.json":
@@ -200,11 +200,11 @@ DIGESTS = {
     },
     "random-11": {
         "random-11.history.json":
-            "ab82eca0a9fda227e4f9a648c08db94f6e83476078fc3a82bf03fc3b2a7cbfd0",
+            "848a5060ff7300af7c4066ef0186c9306053f62b52a1fe2ed6a36c619b823bb1",
         "random-11.report.json":
-            "402d47f5c13ab951781985eab0e909db2d2e76e553024b26fe99dcdc3ab06625",
+            "e99011837a9a648653afa411490e8b4abc0c1f21e733d187953f405d66ac8967",
         "random-11.trace.jsonl":
-            "a41fbd3620195d2454e1ca66bb3bc0f0fb2c234cdd751ef827f30b67acd06014",
+            "9ea8013ad8ef98d536178ba430d735bbcdcedb05944bcc1624a52b5f109a5b5c",
     },
     "random-12": {
         "random-12.history.json":
@@ -216,11 +216,11 @@ DIGESTS = {
     },
     "random-13": {
         "random-13.history.json":
-            "1c45efec5ea763b6ac67f37001c756d0d63c4df844773ac9a8266f34e60ab797",
+            "448af6d94fefa469005f0de0a6a2411a35f2f248b501cdc5b0a317b5a442d182",
         "random-13.report.json":
-            "70e07364efd3c06f626057662eb7c5fcdfd10d73edc1c871432cdfcb357cc8ba",
+            "b28632f05db230b7b463b84f857d54f6d8c6160b190439d27545b1989486b829",
         "random-13.trace.jsonl":
-            "0f6b9189fd76a731efce77ea168c3c641ccab466d09d0255f165b25c5b91d8c6",
+            "0a5461c8d39ff7d8b432048c51c63f6924a3ff81c4d30d692835bf91e6c80319",
     },
     "random-14": {
         "random-14.history.json":
@@ -232,11 +232,11 @@ DIGESTS = {
     },
     "random-15": {
         "random-15.history.json":
-            "2d47c423b5ada61828463905c3663246dcd8a4784c9fa1c80cbadb87fc25a2ad",
+            "fc61ae1ed1a6111521250b4d137dc79e8cc55315a4e01665684db3406fef8934",
         "random-15.report.json":
-            "d6f9cecbce28e6a4e3d06805355c008f45a4f8ff40c737a91c05c43f7c276e1e",
+            "b59297549f1a1a2d54d3a9c1a0db705ed608d2056637353b766cc952c8198160",
         "random-15.trace.jsonl":
-            "43b1a9b06fedbcdab3dbfd97d1753e6fd49839ce61b0245bc73392e138da65b7",
+            "08cb290a10782ab5a4d5f7b75b33ecfde1d121a4c286fe798bfe473f8e423f3a",
     },
     "random-16": {
         "random-16.history.json":
@@ -248,11 +248,11 @@ DIGESTS = {
     },
     "random-17": {
         "random-17.history.json":
-            "a6d1d5a90587eba4b70ca2e73fa8c21e973144333087bef39a157cfae82fb972",
+            "e421efce459536e79ba45072fe48f21059ba041a81ef7ba17e4f6858f1400193",
         "random-17.report.json":
-            "b8358a67e022a8f3735f7da99ff8f118e18279c4919186669f2bc7c455729cf2",
+            "7d00276f32b6d5b029ec8f3a405192fe7ff6b2c7363b45280667e25d859ce504",
         "random-17.trace.jsonl":
-            "50a81e2169c0c1027aa96ee55d5cfe81c09c126db2b0e7806a4eff8a9fe4f406",
+            "babb89c6ac3b42c0d18f9bc7fc997af0bfbfc23b156f05203121bc780e907298",
     },
     "random-18": {
         "random-18.history.json":
@@ -264,11 +264,11 @@ DIGESTS = {
     },
     "random-19": {
         "random-19.history.json":
-            "adf08178615d3d4cdd6f41c5732a110c7e50cd72f959e9f5d12af7a322e1f652",
+            "0e4cbb27743188fdd56dd5f9e58eb07c9cb00230f6d3983a60b2c79bee10bf8a",
         "random-19.report.json":
-            "af6b1d2cebae3750054df9eae6d3e74b4a767e97e5dd51a928367ae70624f176",
+            "d8fb9e608de51a33d950fa75cd8f49802b632d0dfc969b0464bee15d6d53315d",
         "random-19.trace.jsonl":
-            "9774be9aa68a18c843687287a9c15c37394f4772bfd0a760e73f5ad9f23ef7fa",
+            "4322bc2fda7c8877b6963d8f5906ed1912b3031f918df1616d5a46a371cc5f51",
     },
     "random-20": {
         "random-20.history.json":
@@ -280,11 +280,11 @@ DIGESTS = {
     },
     "random-21": {
         "random-21.history.json":
-            "11f1f74227ae425b8a43d13529503ec93a107720937ed1ce8fae795c18b622f4",
+            "f328483d98bcb022b2d7aa62cbf6c6743ee3eb9c307813fd93ab1a2c4bef9081",
         "random-21.report.json":
-            "92d1e6e88563c97a3938052706e7942d9fb6a3415e9c8b37be1d1847137fcf9b",
+            "b7d9e2a3abae521d5e2cc4f7e9f5692a06a2b88e0b9ec9676c0d1707d4845b3a",
         "random-21.trace.jsonl":
-            "9c386b5111e44339c21518845722ebbc9fb2fa0759b5fb92bc08c7bedd921b35",
+            "37479ad925865868c6a2edfea88b589f6b0adf6c504b32c5f815cb3812b5aeab",
     },
     "random-22": {
         "random-22.history.json":
@@ -296,11 +296,11 @@ DIGESTS = {
     },
     "random-23": {
         "random-23.history.json":
-            "b5488305626600b465d5dbadad8f9f27a2289b7c272c38d7363141dfcc35c69c",
+            "9d21e63876c1b5c84775a2b4b4d65370b3fbdc6d79992755129a099ddca9c03a",
         "random-23.report.json":
-            "15647da853ab225fad26a79dcd87b69032816f23ccbf6c916162593fd61f59f7",
+            "ffae4d3237b3deb73342dda35f07414053bbff7b33af97ccc20ab3c5b0b36590",
         "random-23.trace.jsonl":
-            "2815bc65a2d6874d7faa1f0e1b07627d800bc1a76ae45bfd5f2d762498deedb4",
+            "16c97c40980064d07a6afe7b3825cbda89b23f7cf06562f80f06049b181925ec",
     },
     "random-24": {
         "random-24.history.json":
@@ -312,11 +312,11 @@ DIGESTS = {
     },
     "random-25": {
         "random-25.history.json":
-            "f529385f9b49699cab7f636f8195fe5bfc9797d2d114d5c8b34ba3e640ad71e2",
+            "3fca88c0a8768b74e95e080946ea7c3732a64a90e72d1621882eedaafd03bb68",
         "random-25.report.json":
-            "07ba22331f9e29f075169bd393dee8684e5df001ddd1f83fea40ecc54016901e",
+            "c565a4e506ee8389b47c843733eed0ce512f7aee534f70442f7e6669420108ad",
         "random-25.trace.jsonl":
-            "094521c002ebbf0d389928ae0056e661eba20166348c557903943c0560c129b4",
+            "d99c620d60a569cda4e60e0b08a695b158c6967c7c69ca842b0b91215fde8cb0",
     },
     "random-26": {
         "random-26.history.json":
@@ -328,11 +328,11 @@ DIGESTS = {
     },
     "random-27": {
         "random-27.history.json":
-            "510c95ba4171f3917cbe131b152691876b391b07fbc1c9926bb2b447a84dc13a",
+            "09d7e5af3a3e0f055115df48e75018e887a431cc94d9275b5ab29805132f771d",
         "random-27.report.json":
-            "21510f635f4594592f009fcf9c20bab28ac5d620f2e4362a612bbe3ac8cce49c",
+            "58ea815e195d6161b5dc62f525817b8d3fffe9c46de55234650014d1e81c06c6",
         "random-27.trace.jsonl":
-            "4582ca09bd70b6486b320c90458e25de3dad1e363e138137e50f139dfe84b289",
+            "b90918542041de7846de24d849106ff0191942b0f53cf4cb22209080e686e184",
     },
     "random-28": {
         "random-28.history.json":
@@ -344,11 +344,11 @@ DIGESTS = {
     },
     "random-29": {
         "random-29.history.json":
-            "1255a5850c3f859c3e3c6166a4ccccb3b1c12c4d4281803cfcd95638a55627c1",
+            "764f99a1a4f3d7c8a247708a4003853488bb6bf873a72f59f3a9f6b1bb0f0de5",
         "random-29.report.json":
-            "f3105f5f89bc32d9186cad52da82d54ace145bd35a225794ea2f870a7ae0dbe2",
+            "21400c10c32ca2a650a1cf2477a7e0dafdaeae85c89e8692398ce6f9b2b2d4ac",
         "random-29.trace.jsonl":
-            "1d79e551b5f4d623b63fcfccbf8041e4e3fa73f2b5ee470f550e52872a5f8eba",
+            "7f0d7d1ed6ad0d8f8e5e4eeb514a006b4ecb90f31b970d71ef096e9e39128544",
     },
     "random-30": {
         "random-30.history.json":
@@ -360,11 +360,11 @@ DIGESTS = {
     },
     "random-31": {
         "random-31.history.json":
-            "1f38c6736c606bb744263140942a173a578d5a2998371f1cbeab761d558e2364",
+            "07254b2eadd68ebf6fd1312555647899e067c15e3a4bd0e4d22694bf5cf1a5dd",
         "random-31.report.json":
-            "c56a349d4433f0361a9b871bcc52c5ee2a08eae5818378f8115bfde49b14023c",
+            "f073499640384fbe232f902cbc14ee69223ed97ab745162677f5c2875bfafe8a",
         "random-31.trace.jsonl":
-            "9eb332498d411d0e61b844fb9261b33182ee6efde3a14029e2e7315b3f9bdda3",
+            "d9fb8e621e6714492abe2916754b85f4b17f0cce5dc95f2cc5e15a98247351b8",
     },
     "random-32": {
         "random-32.history.json":
@@ -376,11 +376,11 @@ DIGESTS = {
     },
     "random-33": {
         "random-33.history.json":
-            "f2c820e139c861d0988963807e0c984c498a6f770d270151eef64895186edea8",
+            "be858710bf835ccce45b608ebc794b4e5f887dcd6d8912a836661159f6623bc8",
         "random-33.report.json":
-            "b389320d4d49cd6236b1fbc06cfc75cf2312507bff05f9cca9054fe5d54e8643",
+            "cce6e8b34c15667741dc6f0ac590c8de92c9d84c171684808fb68a3530f0b389",
         "random-33.trace.jsonl":
-            "05b88c4961ee830d54e4819f000331f4c1c935948c2bdf99f804df5c848f3096",
+            "60b66a1be93cd3ba42748adfa5cf0c0a64800fd0d41e5c67e1be6c8002d07712",
     },
     "random-34": {
         "random-34.history.json":
@@ -392,11 +392,11 @@ DIGESTS = {
     },
     "random-35": {
         "random-35.history.json":
-            "cc447c86a6dc527a96cd3fba3c735c2cf2d145f948df9ba63a912f6a456857e4",
+            "d128f82ac79a0b649dd1922c71046281c96271431dd3b2e6a1203203fddf740f",
         "random-35.report.json":
-            "9427d80444489567c12c4cf1ab63d8c1c8315376940db1a5628e627298d6d567",
+            "63e3c5b326e2dd797245a620db1fc3cfd6cf142d21569cf169b332f8935d73ed",
         "random-35.trace.jsonl":
-            "c5fd0c5192bd99e64bd79a9b6b1b69ece70d8a6ec2de7c630e6ab78f447f70f6",
+            "24067761b309b6067b2bdc80f2628cfd00cf34db51852bc07addb201d7669219",
     },
     "random-36": {
         "random-36.history.json":
@@ -408,11 +408,11 @@ DIGESTS = {
     },
     "random-37": {
         "random-37.history.json":
-            "ece8b200788b68876704b6c8f130cb25cfb5fe83a9289971892dfde5a754ea0d",
+            "76e0e55350d720c705e87a46b65e66e18203b2c5872eeaa3c283bbd015c55325",
         "random-37.report.json":
-            "b91624ade2f30c22735ccf27e1d2e4c14a26dd9ffa8947a0d7067a51ac06f7b2",
+            "0f6f6b680e6f4caa5e03ef15248d3165ae536baa24d0de45eb8e12cb066385f0",
         "random-37.trace.jsonl":
-            "82240c66b790cbdfc1e1fe1ae4fb199eae29dbdc88a8e4393b1b922b2dfbda4f",
+            "98e826d54fbdd9020c112c347b40b84e1446aac8ffc78aa120785f43599690f9",
     },
     "random-38": {
         "random-38.history.json":
@@ -424,11 +424,11 @@ DIGESTS = {
     },
     "random-39": {
         "random-39.history.json":
-            "e73c596a05229990b58dda36acc3347ebdaab88c269a7c823ff20bbc17ae6ef7",
+            "42c906781e6f66652b0ec72ba97ce06b2884c2d135a196e213280449753246ce",
         "random-39.report.json":
-            "c26c45022b3f0e616a59b527b5eb2b2a13e7fe9235d9565135ae25e20a5a58e4",
+            "fcd59fe74077e4ff43b2236b567b8a8e539fca127bf3602ef12e5ea6b056d2a6",
         "random-39.trace.jsonl":
-            "31d243de37f72cc37c6dcca8a18bba0b12720e17b7f0338026fe7fedf0bc259d",
+            "0d0adc337b5b6db886f07138bfc5bbb2fe7997b2c168997c51d4c416ff34864d",
     },
     "random-40": {
         "random-40.history.json":
@@ -440,11 +440,11 @@ DIGESTS = {
     },
     "random-41": {
         "random-41.history.json":
-            "3b9cbc691509dc89745130bde12eaf832e0d6a47637b0cfad17a4a3d5f94227c",
+            "c766b9b9356aa936b85e13309cd11bc3c68a54cf8334c0ab852672ca63d24010",
         "random-41.report.json":
-            "96f17b2b544f6e8784de42334315b171cd4b4df0222286be0081232243514474",
+            "c7d7a0854a4d4671f7cef2eba2ed34429d07944bc2f5d5a4ac0b4f458ca25412",
         "random-41.trace.jsonl":
-            "8e9eb50fedd25f8d67dcbed0711d5d0bd4651f404b29e98a1f1a3df514fea392",
+            "157379f84cdc46ee117cc2c9d8cd753cfa4793ce7b78f517abb6507b1eb3a56e",
     },
     "random-42": {
         "random-42.history.json":
@@ -456,11 +456,11 @@ DIGESTS = {
     },
     "random-43": {
         "random-43.history.json":
-            "9f2458b9c6a89784362aae9b7e02db50768bac09ec67df903ea531db2460651f",
+            "c3682d5893175594950f364fcb9a3548084907eee51706e76da594b663453619",
         "random-43.report.json":
-            "120efcd28ddcfab9179811673f0a61500cbd10da0d4fda93d7197c83617cfdfb",
+            "765a6184f8b081459a48a4fdc69147ed13925f20918b11bf3e24e879bef60423",
         "random-43.trace.jsonl":
-            "474e5ca8b65d2ef6dbf134143f30d74886af742611ec669f479e5f38e1481073",
+            "9e3639ab89c078aa7e5b4dc6e39c1eedd458ac0b83ec3cfc1f04dbc72f8da0fc",
     },
     "random-44": {
         "random-44.history.json":
@@ -472,11 +472,11 @@ DIGESTS = {
     },
     "random-45": {
         "random-45.history.json":
-            "5d323222d2c5dbb326a777ba6ebff2c9d7f622b73ad1eb864ea09febb006b906",
+            "c380edb98c54554481d9cdf611f483a021657d685d6a9c41a5f64e2d3ee4674f",
         "random-45.report.json":
-            "3886ba4c3f48d356be753a62f2d00ac3fc6a02a33bec2cce5f2a5a62540bdcc7",
+            "5c0f46821b03c33d5b763a8c705e8a52da828824c3b69dfc4888321cba6c8b82",
         "random-45.trace.jsonl":
-            "2e4c1eebc56f77d1352e5f36bef333d3fca20597720c6d0fea6d5af63e67cc73",
+            "7f77b7a0cfc6b1006f2e6c2b4788fb7146c0c75e12a2e88b6d95cf0c68c471c7",
     },
     "random-46": {
         "random-46.history.json":
@@ -488,11 +488,11 @@ DIGESTS = {
     },
     "random-47": {
         "random-47.history.json":
-            "04955f8ffc1371bc17e97c02f5c4376d3b820810e84880ca17d37c2490fc2c9b",
+            "57c365f822c9889c22c65fd578a632f124e19304b9a3d26a1752bcc85a961558",
         "random-47.report.json":
-            "432ee8ec562ca8924f3d0e374e398519a8d63bd22e2d35957cb0fc57925323c4",
+            "6525ba782df142ada8b80bc2333b2c51319514151b09f74adcdde08a7e757ad4",
         "random-47.trace.jsonl":
-            "680e6700e0365c2519548daf05bca9602ce138731a75c804b2e7f27c44e26b6e",
+            "426f3860c87d8fcff96d04177ad4d111875ed3e25324a843b42a03c03dbcb639",
     },
     "random-48": {
         "random-48.history.json":
@@ -504,11 +504,11 @@ DIGESTS = {
     },
     "random-49": {
         "random-49.history.json":
-            "446dfff1e8dcfa16148325ddb91f129185e3cca23d080801be668087237ce7d3",
+            "9787f9d825c271863b1f3ee5f58ce7966b18c9cb257518546cd1cb4cf0644be7",
         "random-49.report.json":
-            "fb0129364c06ef7cd7160d62625eb8b98437cc570b5f7bc08db691eb808aad9e",
+            "50f181360bd8f0f448078bb9b27cf54ce4cb65acd0b9b6949e7ce8f7d3ce0b95",
         "random-49.trace.jsonl":
-            "a2c95664a5638ee4d1ee8a7d0ddcecf5900ac178a130ca2033e7398094c1c0b2",
+            "26139fb3754aea78c63494d9de7f5714d3092c383784741e26bf3a106ac7b965",
     },
     "random-50": {
         "random-50.history.json":
@@ -520,11 +520,11 @@ DIGESTS = {
     },
     "random-51": {
         "random-51.history.json":
-            "37bb0f9e1a2fb927822655c94a539297e19856d6d3aa9dc59d080a9737ed9c93",
+            "d2c4190f7bbdc4ede4a47c670535a03182ddb20a9bde120f8bf3045ffa02508d",
         "random-51.report.json":
-            "e41c9df37a70236c3fe47ae1e3a0b4300b5fb3bedc0597a5c864e4b47831e1ac",
+            "3e4bad39cd045071178685c3c7086159554caece6e2e8bc4bb398918e364b767",
         "random-51.trace.jsonl":
-            "ec38b7db8695b2931c94bbb1576ee16bb50ffcac60341017a3ff5c1fd43c0af1",
+            "97cb317e112eac02b1af5826d01e755d7fe7c5128efc1c51d66bedee0856ca3e",
     },
     "random-52": {
         "random-52.history.json":
@@ -536,11 +536,11 @@ DIGESTS = {
     },
     "random-53": {
         "random-53.history.json":
-            "dee810dc31d217b75743ea0f0379a7a7540898fbe352d34a76f14bbfca01aa1b",
+            "d6dcba6569a431c1aa57c5d82e2e7da25c33402f370a10d156ca95c416659d4d",
         "random-53.report.json":
-            "20ecd35adc5f4d96b368f395b25de2c78ae7d72b3d19f135b6c3448c926cc69e",
+            "959fc0edffa0a73ee4452ffe502611320a7756e967d1c173904e7d7607736a5b",
         "random-53.trace.jsonl":
-            "7a9fe39b285739d4b0f95a9dafaae960c5cecc49333fc393598769c5636a5243",
+            "3e5154a6fc4eaca713cbfdd2e14a4a85d7634bdf870393bc5eff7d6d461bfd41",
     },
     "random-54": {
         "random-54.history.json":
@@ -552,11 +552,11 @@ DIGESTS = {
     },
     "random-55": {
         "random-55.history.json":
-            "ec225c8fc83ceb282065d8b18343931354fc2047a26d787545f3824fb2fa8ce7",
+            "ad4cc202e56a11c3a5ec8fb8630d63bedc00cbf6f371ddfd7fd261fa539e3066",
         "random-55.report.json":
-            "f22706592826d2d365f7c5c562162ff1327c0ed4e70310509be887313d737156",
+            "7d7a56309558a22af1f175455304a02e163df3b351d2d9bb1ab2a00eb99d60f0",
         "random-55.trace.jsonl":
-            "de8b474169a8952bed2f3f16ddab8359dc8d8e5fd3b4621674a9207f406e8b85",
+            "bf1816831d62f02eac3e91347235b6bbed8c52e5e5f85ac15ecfb2cd31c5c335",
     },
     "random-56": {
         "random-56.history.json":
@@ -568,11 +568,11 @@ DIGESTS = {
     },
     "random-57": {
         "random-57.history.json":
-            "fc2b32ae944bdb8fe8e462cddd052991749744620f292ccc0870711ef83dfd5b",
+            "4e27cd47bde5dfd42312c32b1cf0c050313760626b0fe8e02780e33334101372",
         "random-57.report.json":
-            "4e3ccac1dbdc4319d5b0bf6cc68073003c779548d5e58784c5d9d6d3ac4862f6",
+            "4d6366e821d007637dd2d9126651997e6ba643a4611d0bc8132b1917f1a284c3",
         "random-57.trace.jsonl":
-            "669f9946b16dbc4f821f37d4793ec72825c15a35d4c5eacdd34980772d9b218f",
+            "0ad7fb61c2811693728c8a1601f71bb10ea44db1a345a4912c38e8edff0e19ac",
     },
     "random-58": {
         "random-58.history.json":
@@ -584,19 +584,19 @@ DIGESTS = {
     },
     "random-59": {
         "random-59.history.json":
-            "1f10ee0f44376fccf87f525498a2c4f790700fb1198b85bd8cb84bba78d097f7",
+            "71fd188d0469f2f2e7f447be747490396f55264ccc16e6898896533baac600af",
         "random-59.report.json":
-            "4452f27e6b04eb5b53bc6e6a5c7226ab4194756c6e4f6e7858eaa55eb1d7527c",
+            "ae32eb259959bd343c2c705d9fe26e64658b227a1a22db9ee09408ecb086effe",
         "random-59.trace.jsonl":
-            "2246df3d15d11fdce56ac75c338142eac9e2af4c31f9886a6f032d4ea80dce62",
+            "7467934d266ca76f2fa9a2df3fad8866f74bb695e3fa8cc7bcaa70d350cb3538",
     },
     "random-2333": {
         "random-2333.history.json":
-            "f70b13de34db127f2dfa6ad32128fbcf5f42942b52ccafe44d8d28673fb03856",
+            "b5d6071cab213ca09702ece15bb046358f1dda340e647c589c0eace1bb3f6141",
         "random-2333.report.json":
-            "8c1d1108ba932577f9d3fd6b6226936b9c2b89c7ea3fda7674ab49f5ef1c6bcf",
+            "03acbc7d9ad6da48a1fc979c1f38f414d4715fb733300f6b2f4fc2181d8c6d1d",
         "random-2333.trace.jsonl":
-            "167280c1b4ceb1e9b2b09f3b2a77c5061a8b89e197a52c91bd8484c19aa57f83",
+            "6037be8267652ca6c9d74275298b01cfa851403539b1abc3e9545acc34c17a1a",
     },
     "theorem1-byz-0": {
         "theorem1-byz-0-baseline.history.json":
@@ -652,23 +652,23 @@ CLI_CASES = {
 CLI_DIGESTS = {
     "flags": {
         "random-0.history.json":
-            "a71d39b8f9a4d9f441ca181f02b8db2855e07b9dfc116de734d30deb080e46f0",
+            "e389cc205a423b5f8840f422d06cc65a75c540589394c06c9e614f921e075fbd",
         "random-0.report.json":
-            "29d7e9f3701812379f589859e47ef0f0727f2a2d08c8a559afd923433c227265",
+            "b391553ba1cfe3e6a01efa659467ed750afc5ea0f131f9797267ead6455bd18e",
         "random-0.trace.jsonl":
-            "ee480188565696a38cee8f821f8986ecf153b3388fa80c3267a0b286e3035701",
+            "c697b0f434a4c9820a3818e94fbdf922918c30a4fe2b17f661dd7c20fffc7f80",
         "random-1.history.json":
-            "5b9182db5b812608aa408bd62a0f83071e8ce3654a2fe8fda43038187aca8176",
+            "9a2969453c6ded16481c50406ed20a4cb4a27f3ded7942f74f9dab4416a607f0",
         "random-1.report.json":
-            "37f6d531e76a497c5ffb7df3244654c61e112c13da73177d5b396941fb7bb7b4",
+            "6664251ca0a680652bbb04755f46d62c9b4c50ca921f850d776e04ed74a6526a",
         "random-1.trace.jsonl":
-            "b0b1ebcc18e176ee353fa81205088146f47a26aa359ecdbd1970adf1c837c1f4",
+            "11c94419397ebedadeb4f675727eaf1760fa7cbcfd742cd8481bcfb8b23ee579",
         "random-2.history.json":
-            "2b99d9cec40ef52c64895d8cb93ed725e8ef96d26cadfcfc36b402f69adb5697",
+            "07b634cd71d9a967d7a86a55f6e8b08878d906b7841ac4c0fddc283c8e96e9ae",
         "random-2.report.json":
-            "c7894736462fc6ea3de5f68effea11b2f38c4d88698a19379a9a71f039ec1c9b",
+            "876f12ac70d27cafb39c133b5bc1a90d3150571c17f71ebcf775d7074f261fd3",
         "random-2.trace.jsonl":
-            "194cfab1a532175261880708928378f4eb67117101b38a96b40bf894ac33a024",
+            "fd385e302104e08915608bbd0a7c490d2a9cf01b214995cf4d5205d579e9cd19",
     },
     "file": {
         "pinned-0.history.json":
@@ -727,220 +727,220 @@ def scramble_stress_outcome(step: int, ops: int, seed: int) -> ScenarioOutcome:
 
 SCRAMBLE_STRESS = {
     (60, 12, 0): {
-        "trace": "5118d41489ae631757cbb0f0594339200681e8ea74c2d08852e417829084ceaa",
+        "trace": "f32dd9d9608893de2a2123a68bd6303d22f9ee2c86fac7fc47ffe451bf409fdb",
         "history.json":
-            "ec4b71d0b476db27dab06a0ebd5e8754280777072f17123c097e54ff3a9921eb",
+            "ba9084589216abfc5122edf4c219c531baad8db1d792b2fe1729860f6b8b5eba",
         "report.json":
-            "d49d734c72da835d8b90ad149b69ef3607222c340e550582edfb45df9086a732",
+            "08eb9737d226d5677596ef8cbbf4c5dce0f18fd7e12d45ecbc199e4ae0bb1b4f",
         "trace.jsonl":
-            "3b5139e22939ef5b799f81c9eb7bc5610ed03c5c6579f988be9f2fd6d284eb76",
+            "b36eedaedc031c9f74d5e9d4b7ead4cb94d543acf3329e7152405c5efc5fb12e",
     },
     (60, 12, 1): {
-        "trace": "19a2c11eb013c0e43913692e43a1a9139626d652f4b63f7369d20c506bb25a67",
+        "trace": "1ba09ce135f31df3e04e5760a25b7b8896fdcef1ded006dbec62c35db8eba65d",
         "history.json":
-            "93d9fcf9892d8a5fab67b8ed8a501b1302622fe09ec4e87f1dfb16bf1b57429c",
+            "cb3a367ca1742bb25966050c0d0ee85fa68b1da4e703efcc60e70b89c19e4e1b",
         "report.json":
-            "45ad0e28512a60c5c9f82110a31a55ed0023ae3caf8f5b2bd24aacf3a72976c2",
+            "b24e0a14e6d2dfb466e1a9c5c806bddf7c795494035a5b0edc4f452840ff3792",
         "trace.jsonl":
-            "2271dc3d770ce05651ec736a677db9684e18d7324b1957d3b7169d0081e74954",
+            "cc3425bd13e636ea09a27108583e061bcc8ba83b2cf4fc0fd87eebceec4139b0",
     },
     (60, 12, 2): {
-        "trace": "ef548f33170d22c04af76353337dbcd4278f36e6c6ea3fdfbe65baa8bc399d99",
+        "trace": "57c7e24fb3e230df8f54d10e6f73753e32bb51308ce5367d0bb1fae87d3abe7c",
         "history.json":
-            "c3b15d0984178d50f6e2c781e911812073d488c25b9e9c7caa5d1504311217be",
+            "b0b84b3fc9a88ec3b83b6e2e160b3fd84ed314b28433a573d20dde2130e45370",
         "report.json":
-            "f131a0da68c42173027451573e86ff3ae2e887085e259626c7fb17103c9e8dff",
+            "461fc2af8acfe6fae0883147c300099fdbb1a3f7118c8728b02023db536f4325",
         "trace.jsonl":
-            "1a6e9ec3636e8f1af5a55de356b74051b0b4b750d6b196b9c79d94ff4111d7c4",
+            "3d43edd8cf8d0a11d0f89bad90f31a8e2240ddc7ca03787107be422c955c908e",
     },
     (60, 12, 3): {
-        "trace": "8fd61bbcb3a833901213030178656e93fc5178a30ece28eddf6bfb05703f28c4",
+        "trace": "68e3d101440d77efcaf107bb430c2f4a789f6a91219b56019b64a35639efc10e",
         "history.json":
-            "69cd0cacab17e42c69f8a423d0ea366c0d38dfd5582178e76e839e6d1a063694",
+            "f0b24778e7d2daf9a72422c4249bcb8522bba77d97615b138432fc39a2a728c2",
         "report.json":
-            "ed41b1f5ab18efdfe5f9195cb2cf966877de8a8e8a0711becdf6f948fcaae5a3",
+            "4de90453f2455fa6d2ab78334da8f99aceded027424fffcc8baac150f326de90",
         "trace.jsonl":
-            "fa60f3b1d5b718b728a500f60d7d80ed68fb7eb9e1ec442cd90c6677a12a5b20",
+            "e5d5f93a17aa41fbeec4539acd5fe22cb03fd1da717795521a11373758a28334",
     },
     (60, 30, 0): {
-        "trace": "8b84405bea4d06c82aa80dadc25eb4d907b5cf8cf7a85ca9e8fbefb516b856ce",
+        "trace": "216c1eb1b86c4c1b081710b316eb26dec0357bcfbb9fbbe0af93ba577c01b391",
         "history.json":
-            "a711a4c440c3e4a8b8bd6382de56544c3fc994dbda1ae3ede908d610382a3387",
+            "79d6d8d7f3e0a6f410fde5f5688fb9266565e2668a5d06b0f64c95722340e7b4",
         "report.json":
-            "3ea75422d3830703fe8054b3ece327e6be4ce0f7da0da9c14644081e4e07f7ed",
+            "8c14a1f0174e684b4046bebad9c1dc56d58e9f16829ae5c37a362f31a3613d72",
         "trace.jsonl":
-            "ad207b39dbb7d2767016a156b72383ba51f65ac05a75713b3ca808a2f00ff512",
+            "8e433037d1c510f8f8d5beb74682c6ec7ddc2241a2a9b6863837a2f926a8c67c",
     },
     (60, 30, 1): {
-        "trace": "2a5fd8662cf209b1117f426ab2119da441e7cbe72dd0d14c04b0e1e5d6d68273",
+        "trace": "7982dc390a6b233d9da2607f3918d102c302f3f3ef2ee8053370eae076bf784b",
         "history.json":
-            "db9abe53112cfdc990d25b2492ad31ed1b61adbdee446eb29566a1199c38d9db",
+            "91066bbb2ff8c39b1424faee85801673a0ccf0e2a49a258a131626f2b8367a25",
         "report.json":
-            "480743e653c168c5a20ba0ed04bf649b95a4bd3bd9da41510430c0cc81d64994",
+            "d0e48d95bcffa8fc13849fb9acf92fa501c70f8037c1fcc1d58d951639c0d916",
         "trace.jsonl":
-            "f824e03a2c9a8beea9d29dc4879771644331161ce61db9b51acf1d36a378164c",
+            "6484fd2a3636c0e271eff499d1527932cc9abdb83f4ddeb39506a969e90e2941",
     },
     (60, 30, 2): {
-        "trace": "298a7859904611f6d584d68ceb44b011a395e466522a978310c059cb0673fa2c",
+        "trace": "18230dac814eeb7977eb811fbb04be8f61129fb6abafa9820270382290b9f7e4",
         "history.json":
-            "ca73f5addf91d0fe7305aa0ec5fe0de1bab73dcf5feabbcb5e55bdd0f18d2ab1",
+            "2be877fe543debc73ee8d32352b654587ef06ab6afcf532be9b1e423f026a0ce",
         "report.json":
-            "ce1c4679522ed3d43965abdd83fd1d14a7b177d4ba248a5ad934f6dc7a02ea42",
+            "9364beebe67110c5fba9bf384e94bdfff17c4d76c9307c2f1e2587b98cc914f1",
         "trace.jsonl":
-            "59168ef0bb9f9888ef7713ba6a1cd5e713db0a17efd36a9e9165215770bf5826",
+            "168bfee36fb3537742de5d9f1453f330c4a9ced865910286c5aea2691717d19b",
     },
     (60, 30, 3): {
-        "trace": "61789995dd1684e239c4cb1e7b01484afd416095788e19804f6e52b2a4fc4a85",
+        "trace": "6bcbdc72d22a65edc44fc4c6438f78ba89e0811df52bce054af525118d1f5341",
         "history.json":
-            "d3e8af790d36886bfaddef8dab51833c26d6d181bbc9ffbfd96c00780406d77e",
+            "869368770c1c86b49a72f8f4a3792b298d7cf23563221f63dce4b8765916d762",
         "report.json":
-            "09a5d54d31256c35e3376eac834fc7138a18151db222c7765d3db1918f070e1a",
+            "33c4cc309ead9dbaf678a0826329c14fafa1323bb22f343c92e816caa7cfa7e9",
         "trace.jsonl":
-            "66130f7c1654ffbb1ab7891691ff76fd20dd3140fec44df0cf169a256e80721b",
+            "126e4e126136fbe2a6f01d2a21c2850a10759182d70188d8621c52b717fda93e",
     },
     (200, 12, 0): {
-        "trace": "f34413f3aa2cb77af3241fb0916fe555495253e735c3cc514f478125b5de6e8b",
+        "trace": "85ce0ce999b0905b6c875e98f2c3aa79c84d860aed88f08b6df471fd40d152c5",
         "history.json":
-            "be22166d8e19c9dc790b8a74c3dc33797026201e70cdf97561d8694cf6c792a4",
+            "402b59589bb34a71cbd289ce7bfa77494e9383a66d25447659fc53a45cdb8107",
         "report.json":
-            "1f4ff37e7b24458e4b02f214aa1294d5b6b33982edb980cb5be10eaea237db88",
+            "e0bd8dc5ea5a4ec3920702c31639f4ad7e5fa8d07f940ca404d6944bddc0deaf",
         "trace.jsonl":
-            "902c011aa10d571053521a2541945d979e4f8a9fd096483e0278e9a41a9ddea3",
+            "dfdd910e2159c7524cda4ae5a4abbd3f8cbd609215819793b474c92d0a894f1a",
     },
     (200, 12, 1): {
-        "trace": "c318c94397f5669a1cb41b0d034bd3c5bbb20ea60366e6e751d45ff5d1cbfc75",
+        "trace": "fe76238b7568759612c76fe514c53a2efa253137d9844470c7777c885d101481",
         "history.json":
-            "7163aebd21c5b6ce78d086da124d651606a37f1462064ca610b31cc0427fe50d",
+            "2f30a82d9eca41448ddc6ca6fe48d95cf58c405a0985920ddd8914d7c7571142",
         "report.json":
-            "0720abfa0dba9286bd9d01e743fc4331656443e34a8db7aa853831f9a3f59b4b",
+            "ebfb395da9d46df7f9b810c398a5c2aab19c671f0f6fef5238832c511ee41ffe",
         "trace.jsonl":
-            "cd7339e3d99950409a75df1bda36b703ce9bfbdff916b76c77c716e812426720",
+            "1cbaf5bcdf82ec13ebf0ea4531773c7e6c45ed7355788b2ecbc40b9d9ca46fb4",
     },
     (200, 12, 2): {
-        "trace": "bf2657fcb6861379599337e4b8e161c51fa39993c798cf770f2f7fe78e59b103",
+        "trace": "4abc0e271f1f0d651d378d316eb2e1b201ff262327f0ffa4f9c24b73bb61e87c",
         "history.json":
-            "b2e4e0d98c1ab575c7fbc43134135ab0c786d9584e6dbe3710eae74db9eac47f",
+            "44f220aeefd9e11cfefa603c7da3f7c71f9314e5b83bd28b390100eab1eb95f1",
         "report.json":
-            "c95c6ecce3430948f23b07031438060470e44ee0bb6e3707b2e13b34cd36d7ec",
+            "1812503b9eeb7920bccc4c33a680fa0e71d03943b1d73966f618ff7df4266571",
         "trace.jsonl":
-            "5b9c63039fc5b5ea7bb308fbd8d6746aabeb286b3453ee85a604239caf85ee05",
+            "43b0eefa50542ff8efaee0e34a53064bdaeb59f4d0a9e6451bb3a0a635fefd6d",
     },
     (200, 12, 3): {
-        "trace": "957c18c96215b912ec678e1c1ad7dbc0ce7e6e49fb11746bef2cdcbe0886b471",
+        "trace": "f6566235e2bf808ba26874c0d1d35edd92fc048618cacb4874ecae12e397d632",
         "history.json":
-            "96fe30d2f6d56eb4defde2f4338da046b002e5a1a2eb4d6aadc003e1cf8ffe0e",
+            "adfda6fae0539853c68c85e8e1e06b7a2557de280f2e21246800c059d1ad0254",
         "report.json":
-            "ee155188a503e4b3a08fceb2fc2aed6355fdaf5bec33686d5eac8ee09aba7edd",
+            "0dfa55231233e459526217aa2ca6328efb5d3a95417dad72f0cb39c14c76be2f",
         "trace.jsonl":
-            "ba198fb6bf0cfa1ee165d3ca211896e1e423efc3f17d2344db8924055dc1d1e0",
+            "408259dd7ef589794b9c01e3fdd566496d0b233b939fe6eb9a098dcef2121888",
     },
     (200, 30, 0): {
-        "trace": "679a29544a8048c4c32f046ed506831af26f57a36e514cfab690bb0524aa64ea",
+        "trace": "7aad97da3a3619b0a5b24baadd6c032bbd10d6d8482e084a0942d61086301bea",
         "history.json":
-            "7cc278fa8a39e0ef0a13dee4a841d499ab48dda665f239602badd1a422202298",
+            "e04124ca9502175f0050379c16d169af879e877ea07e1642edc019c4f97b9ded",
         "report.json":
-            "94dcec7457a76ba6e7bf4cf14ca73cae36c1ca10f1eea05eb1123fca612b0a51",
+            "79cb8b056da384d7f0db81aa22956e9762693f85940652408168b424dd7709c0",
         "trace.jsonl":
-            "b055110758cce981e469991adc6e920dc372f452ffcd07a648562c07dd6cec03",
+            "a471165fa41aea0fe1150fef3f3f47b3f28cbe46810a167501ee95ed14b3b380",
     },
     (200, 30, 1): {
-        "trace": "a724135a5f65a7fe4775decd29bab1208ef908b5bcccffc7ef37ca17e3ffe36e",
+        "trace": "6cf7ef272f04154ff88df93ceb6f8105926ff4eeb5a4a128dcb67437e404cb17",
         "history.json":
-            "a45deae22988300f602b2a5692099f32a99239f762afe7e5fc2a63799c20191d",
+            "f52349cc3a7bf49a0ea36c7759b78a616fc21a01105fce5c6e78c2743043b1b5",
         "report.json":
-            "ec597afd546fdc7f33efd17ef50d5994b31dce75c6b5826e308c541ef1e202d8",
+            "1321aa98efa77b56d845f38c65a95b704845d43551291401a20e2cd20cd50c93",
         "trace.jsonl":
-            "5ce88571fced8ab09658167d486371ea24e87f4228bdff4a399ad9e372131490",
+            "eca60a175506c85dac70782474ed256d9df0cc1f2088d27e7debb5d3b374c77c",
     },
     (200, 30, 2): {
-        "trace": "b207cf7fe49161b8cd9f3fd30bfa4198ea3a0ce80488858671bc72a1f2c63e22",
+        "trace": "49ccbeefe64e9063df57fb8a4ac806082a583827b372a56677cc371819ff8821",
         "history.json":
-            "92509667aac6fb60a6183ec07ddd8fd7a0d48b556c5c07184e4ec49d65ea4258",
+            "09ddc65f85982cf6fac09436ac912289f03cb6736acf9b5720c3ecf1b2c4beba",
         "report.json":
-            "94aabd4594587b8664ca4117f57bba27285a03aadb7ef8831edf26372f7d8d24",
+            "350357b405598da4ab44195f66b06e673b088ffe391ce8d92ffa5e569c1b1251",
         "trace.jsonl":
-            "cb1bf5ae73e608f5974d81e40f8baf5f5386d60a885e23f908d1cdc43e940927",
+            "0c7bcb9adc9e2042932372f3b5d9336797c27a59815de81d00bcee90626acfdf",
     },
     (200, 30, 3): {
-        "trace": "b457c59989b01fe17dc7afe3ab15747bb732b425fb68f0c77d5a27ee0b5713d5",
+        "trace": "0b23e432d5b0b8da12fa3e118b46914d630f9ebe874382ef5f040d0a67b4dad8",
         "history.json":
-            "4b78476811976ea7ff81ec5a355ee78e8fc5ce37b01c8909f094d54832388c6a",
+            "4d0291eb631bae0b1cacc01117a5959e810eb58d313f167c11a394d370528427",
         "report.json":
-            "954916fe6cd69711aa00627091102ada4383bd5155a7187f74e66922434b877e",
+            "fb9522407c4a4ed2456fc40d3bdfe8264b9f59664db2e6d1dafb53af491fb0ce",
         "trace.jsonl":
-            "72297dc47092f7137430599c4d475c5f63cf4b3ec1e02597400ae62a58f4eeb1",
+            "380e7487f6c494b2a7f0295a0270f66dd0e52f246a057af119c388d5ced1b1a9",
     },
     (600, 12, 0): {
-        "trace": "979fa7667653e9dd3b2f6fd4d7694ab8a379b91f51c357f6c190cf899fd9202d",
+        "trace": "aeef5367bde9fcf1034724335389c05f696d180c97bc11e59bb9067e7f9adea0",
         "history.json":
-            "bab91da6cb977f92813af9ad76cd237f17b765c38baf5d31192f546418f0fcd4",
+            "b2243d5da48511f76119275024a288e2236cb7ff7ef43e38d507555d9a1d39b6",
         "report.json":
-            "2ef3ad2809f9c58ebe6b7584706f5cec8e584ad320eabd27420da4ff33abdb42",
+            "433cb994247db488d0ef87785dd0a7967010f205e64c026cd33460becdf3cee7",
         "trace.jsonl":
-            "80d74dd8cbeb601b617751b1cda9029918ba9b5d332b7ed901682c21cb66e53e",
+            "801ff842a800104646d24178f25d67bb601218f5a1d7408e8f9a84f8638da6aa",
     },
     (600, 12, 1): {
-        "trace": "541441523cc11f4a6540dc716fa90bfbfa944b314bef50c07d235eda0eaeac9d",
+        "trace": "0275ccbf9712d3458abf874c0ce734570a7e9903c310684ad6b41b059eb730fa",
         "history.json":
-            "e5786ad5c0f604af7f97006aacfd871f0a0596e992b965eb36cd61742b970497",
+            "4a51cab54cc141300bdecdf7dbebbb08114b3d2117a492684aae5b4b7c8cfb55",
         "report.json":
-            "bf6038567b7b0ec962629a52807e293adcc36c81625fbd120964b0d7efb06f7b",
+            "887d7b33135bcbd11818018e957a04d392161002a8b4d3b4b0b8d7f75375371e",
         "trace.jsonl":
-            "0612753bbe2726d27500e6ee4e1daad9e34f0e75e153709fa68060539358c653",
+            "ede74eb7478e504a2680592d8413545349d7deb3973e7005d2cec014aedaa101",
     },
     (600, 12, 2): {
-        "trace": "f552f1269bc04adbdcb7ccd6e4f4f63d5e68489b04e37b3be875cc8f1384000e",
+        "trace": "2aca6a09e5312bcc337bcf57733a9daa3c58776bf7e07d2c58c77a285d06f3e4",
         "history.json":
-            "a5a3f1942e0ad190e7b28b351388f708eb075472c4ff8dd2045548d56e13758d",
+            "9118237bf66980d38ef6c2e4903f72e312dd6c88076f9ff5b8473c8bbb18a0f7",
         "report.json":
-            "b86e292a6769c6486def1d4d5320e66c3d11330d6af803757e5c059c0c363f2b",
+            "8bd5bbc49ac49f1f61e810f7dc1ed322cd8324b877aab46f70a4a4b821149220",
         "trace.jsonl":
-            "93106efd134f74632640dbc3f417fe035e90d1c421f653419540c297eac6fbb5",
+            "c8e211b4141863c674bd94c990172552671301e6e01a013e63d048d9fa58bf99",
     },
     (600, 12, 3): {
-        "trace": "89f78fa46521f5296c0813f4de2b53f7f24948b618991ac6a43510b2cc2b59f0",
+        "trace": "a00952d1483cc7bc05c28c533eae6de48b7fd62b84a8276befaf40413ea9190e",
         "history.json":
-            "85dd2d089c88cdc5058c0f24e3e52c0f016e38d00853eb2c939f95ff1ee8c5c8",
+            "274816435893fb3583b0d92c717c184b0149f55df3239b126b6bb00a83ab8d0b",
         "report.json":
-            "97a9e5682398b556e677e71819fe74b194442e7203ee6dd42567dca235dde43f",
+            "0b17324d9ecf14d3cb26924e82420119e62dc31bb6afd24e76a362b4e3ec8b7e",
         "trace.jsonl":
-            "411bbd8df132aeaef270fceeeee73f0250c281bc8c61537202be0b0ed06dbea7",
+            "08ea8f95feacd264e5155abec44be450f39d27a80d08e5479416d487e0a4ace4",
     },
     (600, 30, 0): {
-        "trace": "6e4d0417b20b3690dc947de60b7c8f7f52f314665aed1a6a54e3859df8a19806",
+        "trace": "0eb76d986793b5e2754df189905e20b4978c025d2bea50acb38b4f508fb38ad9",
         "history.json":
-            "601643cf360693373d460078703551aa04f71472b208f17e71707468fba1b7b6",
+            "5a24f4eccf388da2da9f4cca5f1341f45bb3d4441017da5654cbe24fd9da4fc9",
         "report.json":
-            "286a421a75809df107c94291d6772a24c0f931676c056e4f04f0d72df60d0d26",
+            "df4a586f021e14a47bf2ae05b79f0b926800e20b7dd800077ced7a1424830fda",
         "trace.jsonl":
-            "4c9e40c36ef4ef369e84688f3b7a5186cc7a57eb697d87ef0762f7388eeae4bb",
+            "40191fcdfcefe896a6f729de8278a2b76415c03bdb81f389374d351864be42bf",
     },
     (600, 30, 1): {
-        "trace": "88cabed63f0d5ff6214175d4bb1aa9c7be8a152faa0fb760e88e9c90fa463f5c",
+        "trace": "e4bffbabf1c33136cf3f022a04d73ef6df872ce775d7e429f30121277f381add",
         "history.json":
-            "06a0319e2486fe031338fb600bfff911b1e80e107cc0e047de3973ed0f3c56a3",
+            "a11b186348d5507586e78521d568e46afe428d904f569471382aa81a6ef28ed2",
         "report.json":
-            "bd376a962b14e3f09439934ab54c35ee5b949c470d9f00c32d22146a073b8daf",
+            "7e6ccc85a1fd0db92c6210128c3ab64a8ac29e1c61c801fe5dcbb0af506e72e2",
         "trace.jsonl":
-            "8be68b112282d0c8888cbf38e13d8f40f752768247803ecae3b121e08f30df90",
+            "998022506418365307dd7558a47ae631e6e1f1e45ba6f311ce6921acf8a3892f",
     },
     (600, 30, 2): {
-        "trace": "c546c0a0087696c073c6bdeb9bb2602a80aa9eb3300f58118c5ddfe78fc8bbf9",
+        "trace": "27e023c5ec579d9f2c1a260f972fc9a3dadc998124063f31e6c30f4eb8027e76",
         "history.json":
-            "f0a437aee6c33f039e102bf7aacf73952d27d219f2fc1c5d439ed628209b1efd",
+            "1f330ffa65bc35d331888bea95ad2fa75e563a53647eaf135b272edc24f1aa68",
         "report.json":
-            "b43e6109d8cd616bd04e25a1c87f5b57af711bc88db84d6ba9d3abdbd1dc34c7",
+            "2912097fe65a150517db08f706b2d1d881675d414a2ba5273c439d6a58f9dfef",
         "trace.jsonl":
-            "d09fec28f757c9a0f41cce5a31a9aecc355de7a470afcd77682c061ca011ae89",
+            "ccd8359eea62233e6252bfaf4859fd8478d980ce48d60541c14c289df83688d7",
     },
     (600, 30, 3): {
-        "trace": "52c0fbb6af82f8a8162eaf007f83894d657c840821a60e43c5d4982c11517e1c",
+        "trace": "912ed3fd6c442782f20012b9b9214774d99144c9ef2148493e50cf8c206362ba",
         "history.json":
-            "96727dbd28267ed7278145b9effee7773c8f17e013c7a501f0a6d2ac88be50a7",
+            "6a30d457ffaaa5c5f2b7f88457580621217cbf46d6c43922ef10e3b5a246eb48",
         "report.json":
-            "d84b13d929f0c43cd8d00f15e39f5d3f702a0104d199982983c3f524c3ba508a",
+            "4a6e465ab35d3c04c1ae9f70bb4f941299a81f7baa7e28582463a54afacda8e9",
         "trace.jsonl":
-            "93888abee620f7f0a584a3576327e4f71aeb0f95eec95a1e6a10ca4a67a7d18a",
+            "3c909ebe69d8b192949b5b87da6a98b3bec3458b75d561d12973c7959a98cace",
     },
 }
 

@@ -81,66 +81,66 @@ def stale_middle_dir_read(result):
 # replicas report, which moved its schedule.
 RANDOM_CONFIG = {
     0: "e45faf8466a52e79ee4ae8e7b783a41fbd8811485123f5ce972ee08090350854",
-    1: "4d7b9f462cc7f843b1a2314b982b679a3d95efdd6e162dc68a4f05a752129976",
+    1: "39fd97ca829e6337723465c475cbc79c5ad38a863ae618823db530d9ef3cebd8",
     2: "b96864eac3d7ff3e148ece7dd426cc2dabe32adb63db65a604be025658f14f41",
-    3: "d60587917d0ca05ef4d331c6df20d1848cf6a9ad5dae53bdf75fcc028659d935",
+    3: "733381162499f80d219d67d857ec67855f09ad618b76cce8b7046a74b2db42e9",
     4: "7f7639e334eae7e29d04aabeb3c1ea70b5a32de1df22afa0948e72694678a4fa",
-    5: "d383b31f67d349d9219234e4f11d4d162a1de3c2b5a7c103b711909081a61d41",
+    5: "47a770c6474e7ab661a6715f8470d980a2c7444dec9f13fba4f67e202b9a3ddb",
     6: "7218080f49a4ec76e2f4affcccb03e8848a0c2b8058b9763c52c5f9b13197948",
-    7: "3ef92a4d2e58a67e381c917d7578cfac6b45a98ebf5719487ebbe18927fb1df8",
+    7: "19de1480f14f67a8db4c111cae75171f23b34c361d6ed34fac2f601c72464398",
     8: "5fea0966a80baf08c37d23d3c85873bce5764ac72718568a5ce299fdf1ad928e",
-    9: "27205ac39aba842fa49c404899a7645803b33fdd5789dfe6c68630e7cbba09de",
+    9: "1ebfd2d530ab17072007073cbaabc642e40a93db9546a2ea792b6e07da29a621",
     10: "f41b2ac65956b8bee43ce0f5657097a2e0bcdfefe132950b68e1c7cdac16ba0a",
-    11: "8ae6485635bfa7939911ad882c0b5e6ef045e5a3f6e40b28a4f68d67522b04de",
+    11: "667137bc4312aff30a6d729f25e55e42a8570af039b710ee817efc0f87523df9",
     12: "88d930ed754651feaa1751f172fe793834d4de0a24f26bf2c355ff03169466ae",
     13: "d9a158c3dc53543d270e7fd1583b2943f707eadfd14082e1bd3f4fc72dfa4c89",
     14: "c88d7922367e000ae7bc63f00e40976fd6c898c9e5d80c3eb07bacafb944af20",
-    15: "d4fc4d3fbba69104908b768c146a616fc3ad5e432cd5d9363afe59a99d51f0f8",
+    15: "d7b2b8e4d901e4645380d9bab70f86993512f88a9fbeb74d2a8d5de6dab45079",
     16: "5decf3c17b21b0193243c4e3bd6308c0bff965fba1f2cf679de54b962c9ca634",
-    17: "adaa36f7f6865b91fcd922daa002b0abef284c71075d26f8e2e1afd97c7fcb87",
+    17: "47c45bd1d87bb77dd9045ac0c1adc900964dadc5279c2931036df0da3afc99d6",
     18: "f79d891c7fd13e9f7dc4a674f5771d4fe3cd9fb1bbd2e4b33bd30a870cbf311b",
-    19: "0e2745255593bdaedd5ad8c05ee6532e55259a9755d2ac098a120fe4566a1619",
+    19: "d49d67386a144cd092f628f1760ec208533a5cc462fe556a933ce0ecc54d14bf",
     20: "e0441b29e0fbc6cf20fd1eb3e20eeef8ed9a0b67816f9261f7ee1cfce6d4d7b6",
-    21: "90ce835584c590131798347844dac9ec90706aa82c74459d5a7bc9ff3b3f0c6f",
+    21: "f701d03c5a665d0d935c4e3e9b75e4a3af774bbf53bde17cb52c13c95f1bc4fd",
     22: "6855b293495b0ab29a55fe11cef4b1bb46bef817b560c230528f75a6d67d5723",
-    23: "b2c371c005942e70fea2f08f43f72684700aba6e9748bce4f3a7789261cbe69f",
+    23: "caf79f7fa1637cb72a640ad98b9c27f996813ea2ab656a0f20ef45b9e341925c",
     24: "f19fba88a077c6e39096ed3f255eada8c8bc76bd6566b7e41427d634f09230de",
-    25: "0992a93730c14db1a12487f5f456f8726c44e2e961b91966d1fe89c29b014ab5",
+    25: "358389545894468046e0ca73601bbbdb3333f1d2fc58c65087c40672dbe6655e",
     26: "f0ced6440ec9a91a8cdabd4c2194adb5a6ca1b3c8cd12fdb6293d47a36a3ba2d",
-    27: "822c4d17ba34cb0a28d355b35c99a1a89b9b0d399ce6972c6a1898297233ef5d",
+    27: "afb462cf654a31cb90a01bd80c53e1f25654d152ff9df9536c579b5addcd9845",
     28: "846b8ad8b555c5211ff9297099cb37839a19a3f4b4de44ec23c3a624df6bf638",
     29: "6dee98dc064babc92aea0618a849bef021964a9c3c98510c0b9f0cee94e7538b",
     30: "b153b462496146061a52e688b3c2e1b93b61e94a67acdee8a3cc64a503519ca0",
-    31: "155a1bc104f0364bcf57ab929116490b74a7805875408bd9e06a30552fdb7233",
+    31: "26dc45e6792a24b4bc03ee89b6cad724e48a6f2a92d816e8d3d14a68aaf890b3",
     32: "98aa38653deb51836639d9f902970fdab75431f5a296c7cc4f85bdbdd51cd6a9",
-    33: "cb373fd8f2851a32606e156c1ca6c1f25798fc534be204b7affc8bdead14e380",
+    33: "4bce7abba230463443816f1ccb79e644d5b89bbf92f711cbd5be2621b1b7e59e",
     34: "6975963af91f481468d6c57826974d715387598fa1b04278e915ad59f9187cb6",
-    35: "432717ba1cd05dbac6c5d83f2e5495f99191770d922ea02090b83df0d43a5b18",
+    35: "b153b462496146061a52e688b3c2e1b93b61e94a67acdee8a3cc64a503519ca0",
     36: "d5a5db42060215d5c120609b1fefecb420156b2c2ffe866442050c8eb8078bdb",
-    37: "36043a4ce42fdd5c81627da67ed86c7756f56d68368e9385e102c23082536fb9",
+    37: "c55233d67ea5f7ec9bf0c1811b19a50984c9aae362a1bf2d9b6159d770c6b524",
     38: "cf2bc77e12dbd1d280090790bfc8f04470f256cd34d1e3b3fee7a037f30743eb",
-    39: "890f3f26100f94ce55c90e6cd7cdf6340a72b4ae46a5a9bd9ba52c6323ac9402",
+    39: "3d166dc98511dcc9141c6f976ee031bd6e956648500b04dc6f9402b9c7f250bd",
     40: "d383b31f67d349d9219234e4f11d4d162a1de3c2b5a7c103b711909081a61d41",
-    41: "dbd10efb238179cfcdbce50d10c31fc55f889c1a2c3713fe86a3fa9b46f8f19d",
+    41: "1b76652570252549360c4f17080603f5ac78e3e3e077ee04757ea4df2e428809",
     42: "88d930ed754651feaa1751f172fe793834d4de0a24f26bf2c355ff03169466ae",
-    43: "a9cad0ba8ba27fbc36676d2773b450cff0e609140823cf0f81cfb4f8449d6913",
+    43: "d318f5a833cf18381c16056499d2a62d000d10462d26f82c7991c65950fb833f",
     44: "038dfb9f0d7be7ab7aeda10c3a412d807002f47c6c798144d828904d392f3b13",
     45: "94833f09b08f04fabece72341b27267badc060a4f9a782980be385548b569cf2",
     46: "afa80fda04be379a8eed038a2fce8a5679e5edb1ce3eba513544ef0f4e7d2e52",
-    47: "76bd943664368a64f1f84469afde9fe7975d23b5e650039b6b57f5237e756d4e",
+    47: "548a1ae96fedc76a64f26b94636f2048d3b2251ac117dc3efca2da5a2e5634a9",
     48: "fcc69ddc7f13cf97f8a9d37f2a8b920803a6027c195ad24f34eb00caeb36ab7b",
-    49: "fb5204f4c3fea05528850915fdcdce23d28a8332e5189c0db84a7ff5b1c4b141",
+    49: "49d689025d7fafed8ed45aa0e3aeaa4eaf5b89e1d6cb73d2345ab442d5e715ea",
     50: "df90e153b8ff6e69beb18ae146b9e5733510ff95bf996b0975461966afb1cd62",
-    51: "e428f89518f81578aa9070452974958746b9b7eeea1a6798ea733b2c1d526aca",
+    51: "cf9a589c48a974f5ad4934513ddb789cb44e566621a8b1112ff259b5ce4d602a",
     52: "1db3e1ab88bd8570cc3e9f8d31a080e0cf0ec3f02ca781b86fc193af724abcd4",
-    53: "a2457a96bb85af5990bdb0611f73843926a4c6304599005b86b004b4c8eb0d0a",
+    53: "5a4386cd98963ae8878cd87322477b29e58b0468c75697677f90c6177d0a91af",
     54: "6826264933354dabb34e35d4808520c2d848b01b071c781ec064ecde4d1a74bf",
-    55: "313fa42fe47db74c0bdfb8ae415313eca09fde74ccd833485288d75babe65276",
+    55: "e38c01e7b77fd6d7a401841bf7091e6b60fe73b96b8de1d4384f8c642599f936",
     56: "6674633cdb6107ce6cd95e64789ee1ebf905d722884c9840fd23826bd38584bc",
-    57: "17a8d4ea1b86f1419c54d5859e200f799c00b640baf948116521a6862262cfc7",
+    57: "f819d32f361ed785df4bfbd0d3053e7aacd5f78cf732430311a10a01946555f4",
     58: "c7d4967abc7be8aea6d3251059c79b56d70dee98c41f334f17ba5c66518b7162",
-    59: "ca62b9c6113103d944f50748a78f7c6611f43bc61315a2a2698ee5a76f36fd2b",
-    2333: "7786c89c4345ce9843744cadd81f75511d107c2b0989a310a8844603cf524e50",
+    59: "da2ceaa4e7e549d2e7a3f0dc08b4b9e3023df7eaab9723f240ab21f5ec161218",
+    2333: "8f4ec30ecb8f54eba6bbb866ba2ad5f58720f95c6c6e61eb195ee8ffa5ff56c0",
 }
 
 # Large histories that take the witness path for both the register and
@@ -155,7 +155,7 @@ MUTATED = {
 }
 FIXED = {
     "oracle-4w4r-ops50": "e9da16172f47c9b7beeaaf2c78812d737c14a2aa1521e2052a171d387faffac5",
-    "replicated-ops30": "7c366c5623e55a3460fdb449a12f32c4566e2c49aeee016729e0b6f1821b87cd",
+    "replicated-ops30": "e8addc30ac2d02c2057609030b6793032955d740447a1038bc62dbed3df5961b",
     "oracle-4w4r-ops50-stale-read": "7ed788439a3fc7184bdc75f477539ebe7877b80d52f9c279d501b0ef773c2ca6",
     "oracle-4w4r-ops50-stale-dir-read": "fea016823d5a73b923f837ee696d2a8cca04f272c085bc5cbf710d0a1101b0f8",
 }

@@ -11,10 +11,12 @@ Do not regenerate a digest to make a test pass. A mismatch means a
 record renders differently, which changes the benchmark's digest.
 
 `cli.write_outputs` writes the history file straight from the records'
-fields. The tests below hold it to `json_indent` over the `render()`
-payload, the document the file used to be written from: on runs, and on
-hand-built records with every byte value and with values of types no run
-produces, which take the writer's fallback.
+fields. The tests below hold it to json's own encoder, with sorted keys
+and an indent of 2, over the `render()` payload, the document the file
+used to be written from: on runs, and on hand-built records with every
+byte value and with values of types no run produces, which take the
+writer's fallback. The reference does not go through the program's
+encoder, so a fault in that encoder cannot hide in both sides.
 """
 import enum
 import hashlib
@@ -25,7 +27,7 @@ import pytest
 
 from splitstore import cli
 from splitstore.checker import check_run
-from splitstore.cli import history_text, json_indent, write_outputs
+from splitstore.cli import history_text, write_outputs
 from splitstore.history import DirOpRecord, OpRecord
 from splitstore.scenarios import SCENARIO_NAMES, ScenarioOutcome, random_config, run_scenario
 from splitstore.simnet import Config, run
@@ -50,21 +52,21 @@ RENDERED = {
         "75c542b901be09f8", "4f56edb4c073f8dd", "4eaa5d7378a9d324", "35b51e8db03189f2",
     ],
     "replicated": [
-        "6b7120906d66ecbe", "bb2349eb396a37a9", "29439ec7823d0773", "7a7ba31fe4e9af7b",
-        "6cd130a096a15786", "547c8cd0b94f4c4d", "3fd8ddd37af5e59d", "d13f613c8f4d6e51",
-        "46f755fc39db86f0", "a22f20be99e934ef", "d93b9a832fd87ae8", "b633d459247f1779",
-        "5cab771f6a29d4d9", "ae73b9a7f7006134", "bd88b68e6838f2ad", "bc81d72e8c4626f6",
-        "b21b0d31f0644694", "817709031eda7c2a", "dc4cfa15f3d83de6", "14d55487ab217725",
-        "bd326169c8859fa6", "b933441c8fdf7166", "8fe10b2e8dc8c86b", "cdd9ce9ea30988c9",
-        "f47215fa4470bcee", "210035b4760a2624", "2b0b0c8ff546e424", "01d4c5a5822796cd",
-        "ebdaff1c1aeb10da", "703819aa16f825f9", "de5f93ee8c264c58", "8bd5205d636e1c77",
-        "4b42503722ea67a3", "9d5e50956af6b794", "ffbfff786caf3bfb", "3ba742c2d192c03b",
-        "f5d66b2d48ddc753", "c8bc3571a6197de5", "bc330953ccbbaf95", "dad13c5b4f348d8e",
-        "0f398106f07c63cc", "a0e1bc838ac0b8e5", "acee0fc0a8b304ca", "0468d5fb71bb394e",
-        "196f7799bc2e6a59", "0e3a30afbea64846", "73fbaa9dc47ca00b", "bc17189dda49705d",
-        "1433027268dda84b", "e8273f6372e5f798", "bfd5d5503eac0e62", "560360e9b7a1063c",
-        "042e9547499a875b", "1792641035bb0bfd", "113911d439292d74", "481b4b982c99f2c4",
-        "873f278b576d6f91", "a9fdf4079231520c", "1f358bd7d6d8f644", "e00bba713bf40a79",
+        "a4d34e16dedd88dc", "e2786ff2563df41a", "5c4949c6fd031580", "f38a86bd279dcb08",
+        "a04c3799541c0682", "59a4203f00a32f42", "61bd1fe0bb0ab090", "10bcf8f13211a5a1",
+        "2dac0e35382508cf", "397a2b5b6232ebc6", "6fcd5b2a649930d4", "b7a051fe5e6eff9f",
+        "94c287576ea957ab", "875a8e61c7b3b511", "b213968ddaec304a", "fd30571f09566d3e",
+        "78de4ca07571b1eb", "679c1e6b4ac11c8d", "9e04c3f7e8bf68fe", "3785c8f18085f470",
+        "2223aaf298f18a31", "623fe4bdd621bb7f", "9eb506d8ace8e293", "e50ba53292e57a45",
+        "b340f3d5b4ba4b22", "8a810995b5fa1018", "f7b86abdbfdedf80", "f9854dc2588a05e3",
+        "df785bf6bb51d0cb", "136936cabf912bdb", "cca8078a42e71436", "803930305911828f",
+        "2bcf58c7619d9c76", "939504aaa2dd1b61", "12a0b82fcd5b6559", "8a9f1457911c6b3b",
+        "9a64653da5823e09", "bd82536b30af440f", "ebccb1e7c0237982", "88f726c0dbfe2e62",
+        "315322113f16d53b", "6fd643f363ba8f25", "2659a58be1cdd4f5", "456f02083e1108ef",
+        "127a76ba427799b9", "97d8fdcc50e1e285", "705eeaed5333fc00", "17b922131455d1fd",
+        "c9ec6d62d16538cc", "454fe3cedb085785", "214d8e8ecd7022a2", "6f1a8a473c94ae5b",
+        "bd8efed25aa466e8", "1c5f3595d614765c", "b9e2b087548b5796", "c7c9ca263134daf6",
+        "da594f6a623f142d", "17152cdcc8446562", "67a129f5298296b0", "cc09ee66b2599f10",
     ],
 }
 
@@ -82,15 +84,15 @@ def test_rendered_records_are_pinned(mode):
 
 def reference(name: str, seed: int, label: str, result) -> str:
     """The history file as it was written before the records were encoded
-    from their fields: `json_indent` over the rendered payload."""
-    return json_indent({
+    from their fields: json's encoder over the rendered payload."""
+    return json.dumps({
         "schema": cli.HISTORY_SCHEMA,
         "scenario": name,
         "seed": seed,
         "label": label,
         "ops": [op.render() for op in result.history],
         "directory_ops": [op.render() for op in result.dir_ops],
-    }) + "\n"
+    }, sort_keys=True, indent=2) + "\n"
 
 
 def cli_long_outcome(seed: int, mode: str) -> ScenarioOutcome:
@@ -126,6 +128,7 @@ def test_no_record_is_rendered_and_only_the_report_is_indented(tmp_path, monkeyp
         raise AssertionError("a record was rendered")
 
     indented = []
+    json_indent = cli.json_indent
     monkeypatch.setattr(OpRecord, "render", refuse)
     monkeypatch.setattr(DirOpRecord, "render", refuse)
     monkeypatch.setattr(cli, "json_indent", lambda doc: indented.append(doc) or json_indent(doc))

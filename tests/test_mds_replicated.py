@@ -16,8 +16,8 @@ from splitstore.mds_replicated import (
 from splitstore.history import DirOpRecord
 from splitstore.net import MsgKind, Port, Process, make_message
 from splitstore.scenarios import random_config
-from splitstore.simnet import Config, Simulation, build_world, run
-from splitstore.types import TS_INIT, Metadata, Timestamp
+from splitstore.simnet import Config, Match, Simulation, build_world, run
+from splitstore.types import TS_INIT, DigestFacility, Metadata, Timestamp
 
 CLIENTS = {"w1": 1, "w2": 2, "r1": 3}
 
@@ -143,15 +143,81 @@ def test_digest_register_rejects_a_second_digest(probe):
     for seq, digest in ((1, "a" * 64), (2, "b" * 64)):
         rep.on_message(make_message(MsgKind.META_STORE, "w1", "m1",
                                     reg=("hash", idx), key=idx, payload=digest, seq=seq))
-    # the first digest is echoed to the three peers; the second is only noted
-    assert [(m.kind, m.fields["payload"]) for m in probe.sent] == [
-        (MsgKind.META_ECHO, "a" * 64)
-    ] * 3
+    # the first digest is established and acked at once; the second is only noted
+    assert [(m.kind, m.dst, m.fields) for m in probe.sent] == [
+        (MsgKind.META_ACK, "w1", {"reg": ("hash", idx), "key": idx, "seq": 1})
+    ]
     assert probe.notes == [
         ("m1", "meta-store-refused", {"src": "w1", "reg": ("hash", idx), "payload": "b" * 64}),
     ]
     assert list(rep.registers[("hash", idx)].pairs) == [Pair(idx, "a" * 64)]
     assert rep.digests.read(idx) == "a" * 64
+
+
+HASH_IDX = Timestamp(1, 1)
+HASH_PAIR = Pair(HASH_IDX, "a" * 64)
+
+
+def registers_of(rep):
+    """A replica's register state, for comparing before and after."""
+    return {
+        reg: (rs.established, {pair: (set(st.echoes), set(st.storers), st.established)
+                               for pair, st in rs.pairs.items()})
+        for reg, rs in rep.registers.items()
+    }
+
+
+@pytest.mark.parametrize("tm", [1, 2])
+def test_a_hash_store_is_established_and_acked_with_no_echo(probe, tm):
+    """A correct replica establishes its owner's digest as soon as it
+    accepts the store: it acks the storer and pushes the pair to a
+    subscribed reader, and echoes nothing, at whatever t_M."""
+    pids = [f"m{i}" for i in range(1, 3 * tm + 2)]
+    rep = probe.attach(MetaReplica("m1", pids, tm, CLIENTS, [1, 2]))
+    rep.on_message(make_message(MsgKind.META_QUERY, "r1", "m1", scope=("hash", HASH_IDX), tag=5))
+    probe.take_sent()  # the snapshot
+    rep.on_message(make_message(MsgKind.META_STORE, "w1", "m1", reg=("hash", HASH_IDX),
+                                key=HASH_IDX, payload=HASH_PAIR.payload, seq=3))
+    assert [(m.kind, m.dst) for m in probe.sent] == [
+        (MsgKind.META_ACK, "w1"), (MsgKind.META_UPDATE, "r1")]
+    assert probe.sent[1].fields["updates"] == (
+        {"reg": ("hash", HASH_IDX), "pairs": (HASH_PAIR,), "current": HASH_IDX},)
+    assert rep.registers[("hash", HASH_IDX)].established == (HASH_PAIR,)
+    # a repeated store is acked again and pushes nothing
+    probe.take_sent()
+    rep.on_message(make_message(MsgKind.META_STORE, "w1", "m1", reg=("hash", HASH_IDX),
+                                key=HASH_IDX, payload=HASH_PAIR.payload, seq=4))
+    assert [(m.kind, m.fields["seq"]) for m in probe.sent] == [(MsgKind.META_ACK, 4)]
+
+
+@pytest.mark.parametrize("kind", ["echo", "write-back", "foreign store"])
+def test_only_the_owners_store_changes_a_digest_register(probe, kind):
+    """A META-ECHO or a META-WRITEBACK of a digest register, from any
+    sender, and a META-STORE from a client that does not own the index,
+    leave a correct replica's registers as they were and send nothing,
+    whether the replica holds the index's digest or not."""
+    rep = probe.attach(MetaReplica("m1", ["m1", "m2", "m3", "m4"], 1, CLIENTS, [1, 2]))
+    other = Timestamp(2, 1)
+    rep.on_message(make_message(MsgKind.META_STORE, "w1", "m1", reg=("hash", HASH_IDX),
+                                key=HASH_IDX, payload=HASH_PAIR.payload, seq=1))
+    probe.take_sent()
+    before = registers_of(rep)
+    for idx in (HASH_IDX, other):
+        for digest in ("a" * 64, "b" * 64):
+            fields = dict(reg=("hash", idx), key=idx, payload=digest)
+            if kind == "echo":
+                msgs = [make_message(MsgKind.META_ECHO, src, "m1", storers=(("w1", 1),), **fields)
+                        for src in ("m2", "m3", "m4")]
+            elif kind == "write-back":
+                msgs = [make_message(MsgKind.META_WRITEBACK, "r1", "m1", seq=9, **fields)]
+            else:
+                msgs = [make_message(MsgKind.META_STORE, src, "m1", seq=9, **fields)
+                        for src in ("w2", "r1", "stranger")]
+            for msg in msgs:
+                rep.on_message(msg)
+    assert registers_of(rep) == before
+    assert probe.sent == []
+    assert rep.digests.entries == {HASH_IDX: "a" * 64}
 
 
 def test_subscribers_get_snapshot_and_live_updates():
@@ -943,6 +1009,40 @@ def test_byzantine_metadata_plus_data_replica_together():
     assert verdict.ok, verdict.failed()
 
 
+@pytest.mark.parametrize("byz", ["none", "byzantine"])
+@pytest.mark.parametrize("tm", [1, 2])
+def test_no_run_echoes_a_digest_and_each_hash_ack_follows_its_store(tm, byz):
+    """Whole runs at t = t_M, without and with t_M Byzantine metadata
+    replicas: no replica sends a META-ECHO of a digest register, and a
+    correct replica acks a hashwrite in the step it takes the owner's
+    META-STORE. Every hashwrite completes and every run passes."""
+    strategies = [ByzStrategy.STALE_CONCURRENT, ByzStrategy.EQUIVOCATE]
+    byz_meta = {} if byz == "none" else {
+        f"m{3 * tm + 1 - i}": strategies[i] for i in range(tm)}
+    acks = 0
+    for seed in range(6):
+        res = run(Config(seed=seed, t=tm, tm=tm, ops=4, mds_mode="replicated",
+                         byz_meta=byz_meta))
+        verdict = check_run(res)
+        assert verdict.ok and res.quiescent, verdict.failed()
+        assert all(op.complete for op in res.dir_ops if op.op == "hashwrite")
+        stored = set()
+        for event in decode_events(res):
+            if isinstance(event, dict):
+                continue
+            step, ev, _reason, msg = event
+            if msg is None or msg.fields.get("reg", ("",))[0] != "hash":
+                continue
+            assert msg.kind is not MsgKind.META_ECHO, (seed, msg)
+            if ev == "deliver" and msg.kind is MsgKind.META_STORE:
+                stored.add((step, msg.dst, msg.src, msg.fields["seq"]))
+            elif ev == "send" and msg.kind is MsgKind.META_ACK and msg.src not in byz_meta:
+                assert (step, msg.src, msg.dst, msg.fields["seq"]) in stored, (seed, msg)
+                acks += 1
+    # 2 writers x 4 hashwrites a run, each acked by every correct replica
+    assert acks >= 6 * 2 * 4 * (2 * tm + 1)
+
+
 @pytest.mark.parametrize("mode", ["oracle", "replicated"])
 @pytest.mark.parametrize("readers", [1, 2])
 def test_a_run_with_no_writers_reads_the_initial_state(mode, readers):
@@ -961,15 +1061,21 @@ def test_a_run_with_no_writers_reads_the_initial_state(mode, readers):
 @pytest.mark.parametrize("tm", [1, 2, 3])
 def test_most_tsreads_skip_their_write_back(tm):
     """By the time a tsread's evidence is complete, 2t_M+1 replicas usually
-    report the pair it chose, so at most one tsread in ten writes back.
-    Every read that queries the 3t_M+1 replicas also unsubscribes at each."""
-    res = run(Config(seed=1, t=tm, tm=tm, ops=30, mds_mode="replicated"))
-    counts = message_counts(res)
+    report the pair it chose, so at most one tsread in ten writes back,
+    counted over seeds 0-9 together. A tsread writes back when it overlaps
+    the tswrite of the pair it chose, and one seed's readers can overlap
+    writes more often than that (seed 1 at t_M = 2: 21 of 121). Every read
+    that queries the 3t_M+1 replicas also unsubscribes at each."""
     replicas = 3 * tm + 1
-    tsreads = sum(1 for op in res.dir_ops if op.op == "tsread")
-    assert counts[MsgKind.META_WRITEBACK] % replicas == 0
-    assert 0 < counts[MsgKind.META_WRITEBACK] // replicas <= tsreads // 10
-    assert counts[MsgKind.META_QUERY] == counts[MsgKind.META_UNSUB]
+    write_backs = tsreads = 0
+    for seed in range(10):
+        res = run(Config(seed=seed, t=tm, tm=tm, ops=30, mds_mode="replicated"))
+        counts = message_counts(res)
+        assert counts[MsgKind.META_WRITEBACK] % replicas == 0
+        assert counts[MsgKind.META_QUERY] == counts[MsgKind.META_UNSUB]
+        write_backs += counts[MsgKind.META_WRITEBACK] // replicas
+        tsreads += sum(1 for op in res.dir_ops if op.op == "tsread")
+    assert 0 < write_backs <= tsreads // 10
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
@@ -978,8 +1084,9 @@ def test_a_lone_writers_messages_follow_a_closed_form(t):
     each of WRITE, WRITE-ACK and COMMIT. In oracle mode it also sends one
     each of DIR-READ, DIR-WRITE and HASH-WRITE, and their responses. In
     replicated mode each metadata store (a tswrite or a hashwrite) sends
-    M META-STORE, M(M-1) META-ECHO and M META-ACK, where M = 3t_M+1, and
-    each tsread M META-QUERY and M META-UNSUB. Its META-UPDATEs depend on
+    M META-STORE and M META-ACK, where M = 3t_M+1; a tswrite also sends
+    M(M-1) META-ECHO, and a hashwrite none. Each tsread sends M
+    META-QUERY and M META-UNSUB. Its META-UPDATEs depend on
     the schedule, so they are bounds: a tsread hears a snapshot from at
     least 2t_M+1 replicas (a replica that takes the unsubscribe first
     sends none), and beyond one snapshot per query a replica pushes at
@@ -996,22 +1103,24 @@ def test_a_lone_writers_messages_follow_a_closed_form(t):
     res = run(Config(seed=1, t=t, tm=t, writers=1, readers=0, ops=ops, mds_mode="replicated"))
     counts = message_counts(res)
     m = 3 * t + 1
-    stores = sum(1 for op in res.dir_ops if op.op in ("tswrite", "hashwrite"))
+    tswrites = sum(1 for op in res.dir_ops if op.op == "tswrite")
+    stores = tswrites + sum(1 for op in res.dir_ops if op.op == "hashwrite")
     tsreads = sum(1 for op in res.dir_ops if op.op == "tsread")
-    assert (stores, tsreads) == (2 * ops, ops)
+    assert (tswrites, stores, tsreads) == (ops, 2 * ops, ops)
     assert {kind: counts.pop(kind) for kind in (
         MsgKind.WRITE, MsgKind.WRITE_ACK, MsgKind.COMMIT,
         MsgKind.META_STORE, MsgKind.META_ECHO, MsgKind.META_ACK,
     )} == {
         MsgKind.WRITE: data * ops, MsgKind.WRITE_ACK: data * ops, MsgKind.COMMIT: data * ops,
-        MsgKind.META_STORE: m * stores, MsgKind.META_ECHO: m * (m - 1) * stores,
+        MsgKind.META_STORE: m * stores, MsgKind.META_ECHO: m * (m - 1) * tswrites,
         MsgKind.META_ACK: m * stores,
     }
     assert counts.keys() == {MsgKind.META_QUERY, MsgKind.META_UNSUB, MsgKind.META_UPDATE}
     assert counts[MsgKind.META_QUERY] == counts[MsgKind.META_UNSUB] == m * tsreads
     assert (2 * t + 1) * tsreads <= counts[MsgKind.META_UPDATE] <= m * (tsreads + stores)
-    # A replica acks a store once it has established the pair: it holds
-    # t_M+1 echoes of it, its own and t_M delivered from its peers.
+    # A replica acks a store once it has established the pair. A tswrite's
+    # pair needs t_M+1 echoes of it, its own and t_M delivered from its
+    # peers; a hashwrite's needs only the owner's store.
     echoed: dict = {}
     for event in decode_events(res):
         if isinstance(event, dict):
@@ -1020,7 +1129,7 @@ def test_a_lone_writers_messages_follow_a_closed_form(t):
         pair = (msg.fields.get("reg"), msg.fields.get("key"))
         if ev == "deliver" and msg.kind is MsgKind.META_ECHO:
             echoed.setdefault((msg.dst, *pair), set()).add(msg.src)
-        elif ev == "send" and msg.kind is MsgKind.META_ACK:
+        elif ev == "send" and msg.kind is MsgKind.META_ACK and pair[0][0] == "dir":
             assert len(echoed.get((msg.src, *pair), ())) >= t, (msg.src, pair)
 
 
@@ -1032,41 +1141,105 @@ COLLECT_DEFECT = (
 
 
 @pytest.mark.parametrize("seed", [
-    pytest.param(5628, marks=pytest.mark.xfail(strict=True, reason=COLLECT_DEFECT + (
-        "In r1's tsread [256,352], dir/2's evidence that no pair above 1:2 "
-        "completed is m2's and m1's snapshots, sent at steps 257 and 265 before "
-        "either established w2's 2:2, and the stale-concurrent m4; w2's tswrite "
-        "2:2 [261,289] completes meanwhile. dir/1's 2:1 is confirmed by m1's and "
-        "m3's live updates, sent at 304 and 311, after w1's tswrite 2:1 began at "
-        "294. The read writes 2:1 back and returns it, below the completed 2:2"
+    pytest.param(3755, marks=pytest.mark.xfail(strict=True, reason=COLLECT_DEFECT + (
+        "r1's tsread [71,169] returns w1's 1:1, although w2's tswrite 1:2 [65,96] "
+        "completed before w1's tswrite 1:1 [100,146] began. dir/2's evidence that "
+        "no pair above the initial one completed is m2's snapshot, sent at step 79 "
+        "before m2 established 1:2 at 85; m1's snapshot, sent at 77 before m1 "
+        "established 1:2 at 81 and delivered at 92, after m1's live push of 1:2 "
+        "(delivered at 83), so it lowered m1's recorded current back to the initial "
+        "key; and the stale-concurrent m4. dir/1's 1:1 is confirmed by m1's and m2's "
+        "live updates, sent at 114 and 126; the read writes it back at 130"
     ))),
-    pytest.param(12623, marks=pytest.mark.xfail(strict=True, reason=COLLECT_DEFECT + (
-        "r1's tsread [296,401] returns 2:1, although w2's tswrite 2:2 [292,320] "
-        "completed before w1's tswrite 2:1 [330,358] began. At step 362, dir/2's "
-        "evidence includes m2's snapshot sent at 307 and delivered at 345, after "
-        "m2's live push of 2:2 (delivered at 328), so it lowered m2's recorded "
-        "current back to 1:2: channels are not FIFO, and currents can go down"
-    ))),
+    # Witnesses of earlier read paths, which pass since digest stores stopped
+    # echoing and moved their schedules; the defect is not mended.
+    5628,
+    12623,
 ])
 def test_a_collect_read_is_directory_linearizable(seed):
     """The known witnesses of the collect defect: t = t_M = 1, two
-    writers, one reader, six ops each, a stale-concurrent m4. Seeds 5628
-    and 12623 are the failing seeds of this shape in 0-17999; both fail
-    directory linearizability with a tsread that returns w1's 2:1 after
-    w2's tswrite 2:2 completed. Each is its own strict xfail, so one
-    seed moving does not hide the other."""
+    writers, one reader, six ops each, a stale-concurrent m4. Seed 3755
+    is the one failing seed of this shape in 0-17999; it fails directory
+    linearizability with a tsread that returns w1's 1:1 after w2's
+    tswrite 1:2 completed. Seeds 5628 and 12623 failed the same way
+    before digest stores stopped echoing, and are kept as runs that
+    must pass."""
     cfg = Config(seed=seed, readers=1, ops=6, mds_mode="replicated",
                  byz_meta={"m4": ByzStrategy.STALE_CONCURRENT})
     verdict = check_run(run(cfg))
     assert verdict.ok, verdict.failed()
 
 
+def test_a_hashread_of_a_crashed_writers_index_is_abandoned_with_its_read():
+    """The trap of the digest-register rule, scripted at t = t_M = 1 with
+    a mute m4 and a Byzantine d3. w1 reads the directory at w2's 1:2 and
+    crashes mid-hashwrite of 2:1: its store reaches m1 only. r1's READ
+    fetches at 1:2, and d3 forges a reply at 2:1. A re-read finds the
+    directory at w3's 2:3, so r1 starts a hashread of 2:1; it hears one
+    report of w1's digest (m1) and two empty ones (m2, m3), neither t_M+1
+    matching nor 2t_M+1 empty, and can never end. The correct replies at
+    1:2 end the READ, which abandons that hashread: its META-UNSUBs go
+    out, its record keeps no response, and no correct replica keeps a
+    listener or a tombstone for it."""
+    cfg = Config(seed=0, writers=3, readers=1, ops=1, mds_mode="replicated",
+                 byz_meta={"m4": ByzStrategy.MUTE}, byz_data={"d3": ByzStrategy.MUTE},
+                 workload={"w1": [("WRITE", b"a")], "w2": [("WRITE", b"b")],
+                           "w3": [("WRITE", b"c")], "r1": [("READ", None)]})
+    trapped = Timestamp(2, 1)
+    lost = [Match(kind=MsgKind.META_STORE, src="w1", dst=pid) for pid in ("m2", "m3")]
+    replies = [Match(kind=MsgKind.READ_VAL, src=pid) for pid in ("d1", "d2")]
+    seen = {}
+
+    def script(s, world):
+        s.invoke("w2")
+        s.drain()
+        s.invoke("w1")
+        s.drain(*lost, Match(kind=MsgKind.META_ACK, dst="w1"))
+        s.crash("w1")
+        s.invoke("r1")
+        s.drain(*lost, *replies)  # r1 fetches at 1:2; the replies wait
+        s.invoke("w3")
+        s.drain(*lost, *replies)
+        world.processes["d3"].port.send(MsgKind.READ_VAL, "d3", "r1", ts=trapped, val=b"x")
+        s.drain(*lost, *replies)
+        driver = world.processes["r1"].driver
+        (read,) = driver._reads.values()
+        assert read.rec.op == "hashread" and read.rec.index == trapped
+        seen["reports"] = {pair: sorted(pids) for pair, pids in
+                           read.reporters[("hash", trapped)].items()}
+        seen["repliers"] = sorted(read.currents[("hash", trapped)])
+        s.drain(*lost)
+        seen["listeners"] = {pid: (world.processes[pid].listeners, world.processes[pid].tombstones)
+                             for pid in ("m1", "m2", "m3")}
+        seen["in flight"] = (dict(driver._reads), dict(world.processes["r1"].hashreads))
+
+    res = run(cfg, script=script)
+    digest = DigestFacility().digest(b"a")
+    assert seen["reports"] == {Pair(trapped, digest): ["m1"]}
+    assert seen["repliers"] == ["m1", "m2", "m3"]
+    read = next(op for op in res.history if op.kind == "READ")
+    assert (read.ret, read.ts) == (b"b", Timestamp(1, 2))
+    (hashread,) = [rec for rec in res.dir_ops if rec.op == "hashread" and rec.index == trapped]
+    assert hashread.response is None and hashread.digest is None
+    unsubs = [e[3].dst for e in decode_events(res) if not isinstance(e, dict)
+              and e[1] == "send" and e[3] is not None and e[3].kind is MsgKind.META_UNSUB
+              and e[3].fields["tag"] == hashread.tag]
+    assert unsubs == ["m1", "m2", "m3", "m4"]
+    assert seen["listeners"] == {pid: ({}, set()) for pid in ("m1", "m2", "m3")}
+    assert seen["in flight"] == ({}, {})
+    # only the lost stores are left: the run is otherwise quiescent
+    assert not res.quiescent and check_run(res).ok
+
+
 def test_a_finished_read_leaves_no_listener_at_a_live_replica():
     """A replica can take a read's META-UNSUB before that read's
     META-QUERY. It then keeps a tombstone, which the late query consumes,
     so at quiescence no live replica holds a finished read's listener or
-    any tombstone. The runs do take that order, many times."""
-    raced = 0
+    any tombstone. A read is finished when it has ended or its reader has
+    abandoned it (a hashread no READ waits on), so at quiescence every
+    read of a live client is. The runs do take that order, many times,
+    and do abandon hashreads."""
+    raced = abandoned = 0
     configs = [cfg for cfg in (random_config(seed) for seed in range(1, 120, 2))
                if cfg.mds_mode == "replicated"]
     configs += [replicated_config(seed=seed, ops=30) for seed in range(8)]
@@ -1075,7 +1248,10 @@ def test_a_finished_read_leaves_no_listener_at_a_live_replica():
         result = Simulation(world).run()
         assert result.quiescent  # no META-UNSUB is left in flight
         finished = {(op.proc, op.tag) for op in result.dir_ops
-                    if op.op in ("tsread", "hashread") and op.complete}
+                    if op.op in ("tsread", "hashread") and op.proc not in result.crashed}
+        abandoned += sum(1 for op in result.dir_ops
+                         if op.op == "hashread" and not op.complete
+                         and op.proc not in result.crashed)
         left = [
             (pid, key) for pid, proc in sorted(world.processes.items())
             if isinstance(proc, MetaReplica) and pid not in result.crashed
@@ -1096,4 +1272,4 @@ def test_a_finished_read_leaves_no_listener_at_a_live_replica():
                 queried.add((msg.dst, msg.src, msg.fields["tag"]))
             elif msg.kind is MsgKind.META_UNSUB:
                 raced += (msg.dst, msg.src, msg.fields["tag"]) not in queried
-    assert raced >= 100, raced
+    assert raced >= 100 and abandoned > 0, (raced, abandoned)
