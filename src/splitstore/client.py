@@ -42,6 +42,14 @@ refutes every reply that arrived before its hashread began, and the new
 hashread began after every reply it serves arrived, so each reply waits
 on at most two hashreads.
 
+When a READ ends, the reader asks its driver to abandon each hashread
+still in flight. Every reply waiting on one belongs to that READ or an
+earlier one, so no operation in flight needs its answer, and a
+replicated hashread of an index whose writer crashed mid-hashwrite may
+never end (see `mds_replicated`). The replicated driver abandons it, and
+its digest is not remembered. The oracle answers every hashread, so its
+driver abandons none.
+
 Clients are single-threaded state machines: the simulator delivers one
 message at a time, and at most one operation per client is in flight.
 A metadata driver calls each continuation it is given at most once. A

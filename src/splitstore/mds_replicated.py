@@ -61,8 +61,12 @@ ones (see the read paragraphs below). The rule keeps that:
   waiter needs its answer: `client.ReaderClient._check_done` drops a
   reply of an ended READ. The cost is that an abandoned hashread's
   digest is not remembered, so a later READ that needs the index starts
-  a new hashread. The count of abandoned hashreads and the effect on
-  steps per run are in CHANGES.md of the change that made the rule.
+  a new hashread. Outside the trap the rule rarely fires: a READ seldom
+  ends with a hashread of another index in flight. In replicated runs of
+  2 writers and 2 readers at 30 ops (seeds 0-39), 7 of 1,619 hashreads
+  are abandoned and the mean run takes 4,776.2 steps, against 4,778.4
+  without the rule; in the replicated runs of `random_config` 0-999,
+  18 of 951 are, and the mean run takes 405.5 steps either way.
 
 A reader subscribes to all replicas and collects, per register, the
 established pairs each replica reports plus each replica's current
