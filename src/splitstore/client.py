@@ -59,6 +59,13 @@ fires in the phase that issued it and reads the operation from
 re-reads and digest checks can still be in flight when its operation
 ends, so a re-read's continuation and each reply waiting on a hashread
 carry their operation, and a stale one is dropped.
+
+A writer's one data-plane reply is a WRITE-ACK and a reader's a
+READ-VAL. Each client's `on_message` handles that kind itself, first,
+and hands every other message to its driver's `handle`, which consumes
+the metadata service's messages and ignores the rest: a stray data
+reply, such as a READ-VAL at a writer, changes nothing.
+
 The simulator hands each invocation's `history.OpRecord` to the client,
 which sets its timestamp annotations and return value and ends it
 through the port. A reader's operation in flight is that record itself:
@@ -162,18 +169,16 @@ class WriterClient(ClientBase):
             send(WRITE, me, pid, ts=ts, val=val)
 
     def on_message(self, msg: Message) -> None:
-        if self.driver.handle(msg):
-            return
+        """Count a WRITE-ACK; the driver takes every other message."""
         kind, src, _, fields = msg
-        if kind is WRITE_ACK:
-            self._on_write_ack(src, fields["ts"])
-
-    def _on_write_ack(self, src: str, ack_ts: Timestamp) -> None:
+        if kind is not WRITE_ACK:
+            self.driver.handle(msg)
+            return
         ctx = self.ctx
         if ctx is None or ctx.phase is not WRITE_DATA:
             return
         ts = ctx.op.ts
-        if ack_ts != ts or src not in self.data_pids:
+        if fields["ts"] != ts or src not in self.data_pids:
             return  # ack for some other write, or from a stranger
         ctx.acks.add(self.replica_index(src))
         if len(ctx.acks) >= self.t + 1:
@@ -243,17 +248,15 @@ class ReaderClient(ClientBase):
             send(READ, me, self.replica_pid(index), ts=ts)
 
     def on_message(self, msg: Message) -> None:
-        if self.driver.handle(msg):
-            return
+        """Check a READ-VAL; the driver takes every other message."""
         kind, src, _, fields = msg
-        if kind is READ_VAL:
-            self._on_read_val(src, fields["ts"], fields["val"])
-
-    def _on_read_val(self, src: str, ts: Timestamp, val: bytes | None) -> None:
+        if kind is not READ_VAL:
+            self.driver.handle(msg)
+            return
         op = self.ctx
         if op is None or op.md_ts is None:
             return
-        md_ts = op.md_ts
+        ts, val, md_ts = fields["ts"], fields["val"], op.md_ts
         if ts == md_ts:
             self._check(op, ts, val, md2_ts=None)
         elif ts > md_ts:

@@ -179,18 +179,24 @@ class OracleMdsDriver:
         return False
 
     def handle(self, msg: Message) -> bool:
-        """Consume a metadata response addressed to the owner. Returns
-        False when the message belongs to someone else's plane."""
+        """Consume a metadata response addressed to the owner: write its
+        fields onto the operation's record, end the record and call the
+        continuation with the fields as positional values. Returns False,
+        and does nothing, when the message is not a metadata response."""
         kind, _, _, fields = msg
         if kind not in RESPONSE_KINDS:
             return False
         rec, done = self._pending.pop(fields["tag"])
         if kind is DIR_READ_RESP:
-            result = {"ts": fields["ts"], "md": fields["md"]}
+            rec.ts = ts = fields["ts"]
+            rec.md = md = fields["md"]
+            self.log.end(rec)
+            done(ts, md)
         elif kind is HASH_READ_RESP:
-            result = {"digest": fields["digest"]}
+            rec.digest = digest = fields["digest"]
+            self.log.end(rec)
+            done(digest)
         else:
-            result = {}
-        self.log.end(rec, **result)
-        done(*result.values())
+            self.log.end(rec)
+            done()
         return True

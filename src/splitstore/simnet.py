@@ -52,10 +52,13 @@ events are pending:
   both only count up. So if any ready event is overdue, `ready[0]` is,
   and the overdue check looks at `ready[0]` alone.
 - `ready` is sorted. A new seq is larger than every existing one, so it
-  is appended; `take(seq)` removes one by bisection and, on a FIFO
-  channel, inserts the channel's next head in order. Without FIFO every
-  pending seq is ready; with FIFO the ready seqs are the invocations plus
-  the head of each channel.
+  is appended. `take(i)` removes the event at index i of `ready`, and
+  each caller has the index in hand: the random loop draws it, and a
+  `Script` finds it as it scans for the oldest event it accepts. Only
+  `crash()`, which finds its doomed events in `pending`, looks each
+  index up by bisection. On a FIFO channel `take` inserts the channel's
+  next head in order. Without FIFO every pending seq is ready; with
+  FIFO the ready seqs are the invocations plus the head of each channel.
 - the random pick indexes the same list, in the same order, as a sorted
   scan of every pending event filtered by the FIFO rule. The loop draws
   the index with `getrandbits` as `random.choice` does on Python 3.10 to
@@ -73,6 +76,13 @@ What one step costs.
   fields they read.
 - Bound kinds: no per-message path looks a member up on an enum class
   (see `net.MsgKind`).
+- A client handles its own data-plane reply before anything else: a
+  writer's `on_message` counts a WRITE-ACK and a reader's checks a
+  READ-VAL, and each hands every other message to its metadata driver.
+  So a data-plane reply, the most frequent message a client gets, pays
+  for no driver call. The oracle driver ends an operation by writing the
+  response's fields onto its record and passing them to the continuation
+  as positional values, with no result dict in between.
 - The collector sleeps through the loop: `run()` pauses it, so the
   growing event list is not walked over and over. On the way out the
   run's objects move to the oldest generation without being walked: a
@@ -596,7 +606,7 @@ class Simulation:
             if (d.msg.dst if d.msg is not None else d.pid) == pid
         ]
         for seq in doomed:
-            delivery = self.take(seq)
+            delivery = self.take(bisect_left(self.ready, seq))
             if delivery.msg is not None:
                 self._trace_msg("drop", delivery.msg, "target-crashed")
             else:
@@ -628,14 +638,15 @@ class Simulation:
         self.pending[seq] = _new_tuple(Delivery, (seq, self.step, None, pid))
         self.ready.append(seq)
 
-    def take(self, seq: int) -> Delivery:
-        """Remove a ready event from `pending` and `ready`, promoting the
-        next message of its FIFO channel. Only ready events are ever taken:
-        crashes drop a channel's messages oldest first."""
-        delivery = self.pending.pop(seq)
+    def take(self, i: int) -> Delivery:
+        """Remove the event at index ``i`` of `ready` from `ready` and
+        `pending`, promoting the next message of its FIFO channel. Only
+        ready events are ever taken: crashes drop a channel's messages
+        oldest first."""
         ready = self.ready
-        del ready[bisect_left(ready, seq)]
-        _, _, msg, _ = delivery
+        delivery = self.pending.pop(ready[i])
+        del ready[i]
+        seq, _, msg, _ = delivery
         if self.fifo and msg is not None:
             _, src, dst, _ = msg
             chan = self.channels[(src, dst)]
@@ -724,8 +735,8 @@ class Simulation:
                 if not ready:
                     quiescent = True
                     break
-                seq = ready[0]
-                _, created_step, _, _ = pending[seq]
+                i = 0
+                _, created_step, _, _ = pending[ready[0]]
                 if step - created_step < fairness:  # ready[0] is not overdue
                     # rng.choice(ready)'s draws, without its two Python frames
                     n = len(ready)
@@ -733,8 +744,7 @@ class Simulation:
                     i = getrandbits(k)
                     while i >= n:
                         i = getrandbits(k)
-                    seq = ready[i]
-                self.dispatch(self.take(seq))
+                self.dispatch(self.take(i))
                 self.step = step = step + 1
         finally:
             if collecting:
@@ -815,10 +825,10 @@ class Script:
         """Dispatch the oldest ready event that `accept` takes, if any."""
         sim = self.sim
         sim.fire_timed()  # before the pick: a timed crash may drop a candidate
-        seq = next((seq for seq in sim.ready if accept(sim.pending[seq])), None)
-        if seq is not None:
-            self._step(lambda: sim.dispatch(sim.take(seq)))
-        return seq is not None
+        i = next((i for i, seq in enumerate(sim.ready) if accept(sim.pending[seq])), None)
+        if i is not None:
+            self._step(lambda: sim.dispatch(sim.take(i)))
+        return i is not None
 
     def invoke(self, pid: str) -> int:
         sim = self.sim

@@ -419,6 +419,60 @@ def test_a_read_that_ends_abandons_its_replicated_hashreads_in_flight(probe, mod
     assert reader.hashreads == {}
 
 
+def client_state(client):
+    """A client's state and its driver's, as reprs: every field, and
+    every record, context and request that they hold."""
+    driver = client.driver
+    return repr(vars(client)), repr(vars(driver)), repr(vars(driver.log))
+
+
+@pytest.mark.parametrize("mode", ["oracle", "replicated"])
+def test_a_client_ignores_the_other_clients_data_reply(probe, mode):
+    """A writer in its data round given a READ-VAL, and a reader waiting
+    for READ-VALs given a WRITE-ACK, each at the timestamp in flight,
+    send nothing, note nothing and change no state of their own or of
+    their driver's. The reply each one does wait for still acts."""
+    writer = probe.attach(WriterClient("w1", 1, DigestFacility(), ["d1", "d2", "d3"], t=1))
+    if mode == "oracle":
+        writer.driver = OracleMdsDriver(writer)
+    else:
+        writer.driver = ReplicatedMdsDriver(writer, META_PIDS, 1, [1, 2], cid=1)
+    write = OpRecord(op_id=1, client="w1", kind="WRITE", arg=b"v", invoke=0)
+    writer.invoke(write)
+    answer(writer, probe.begun[-1], md=Metadata(ts=Timestamp(1, 2), replicas=frozenset({1})))
+    hash_write = probe.begun[-1]
+    assert hash_write.op == "hashwrite"
+    if mode == "oracle":
+        writer.on_message(make_message(MsgKind.HASH_WRITE_RESP, HASH_PID, "w1",
+                                       tag=hash_write.tag))
+    else:
+        store = next(m for m in probe.sent if m.kind is MsgKind.META_STORE)
+        for pid in META_PIDS[:3]:
+            writer.on_message(make_message(MsgKind.META_ACK, pid, "w1", reg=store.fields["reg"],
+                                           key=store.fields["key"], seq=store.fields["seq"]))
+    assert writer.ctx.phase is WritePhase.WRITE_DATA and write.ts == Timestamp(2, 1)
+    probe.take_sent()
+    before = client_state(writer)
+    writer.on_message(make_message(MsgKind.READ_VAL, "d1", "w1", ts=write.ts, val=b"v"))
+    assert probe.sent == [] and probe.notes == [] and client_state(writer) == before
+    writer.on_message(make_message(MsgKind.WRITE_ACK, "d1", "w1", ts=write.ts))
+    assert writer.ctx.acks == {1}
+
+    reader = probed_reader(probe, mode)
+    md = Metadata(ts=Timestamp(1, 1), replicas=frozenset({1, 2}))
+    read = OpRecord(op_id=2, client="r1", kind="READ", arg=None, invoke=0)
+    reader.invoke(read)
+    answer(reader, probe.begun[-1], md=md)
+    assert read.md_ts == md.ts
+    probe.take_sent()
+    before, begun = client_state(reader), len(probe.begun)
+    reader.on_message(make_message(MsgKind.WRITE_ACK, "d1", "r1", ts=md.ts))
+    assert probe.sent == [] and probe.notes == [] and client_state(reader) == before
+    assert len(probe.begun) == begun
+    read_val(reader, "d1", md.ts, b"v")
+    assert probe.begun[-1].op == "hashread" and list(reader.hashreads) == [md.ts]
+
+
 def test_no_reader_has_two_hashreads_of_one_index_in_flight():
     """Over random_config 0-59 in both metadata modes, no reader's hashreads
     of one index overlap, and readers do share: replies reach a reader at

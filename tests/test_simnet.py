@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import random
 
 import pytest
 
@@ -495,6 +496,52 @@ def test_ready_list_matches_brute_force_under_a_script(fifo):
     s.drain()
     assert checks
     assert not sim.pending and sim.ready == []
+
+
+def reference_run(cfg):
+    """The random loop by brute force. Each step fires the plan's timed
+    entries; then, over `reference_ready`, it takes the oldest event if
+    that one is overdue and otherwise `random.choice` of them all, drawn
+    from the loop's seeded generator, through `take` and `dispatch`."""
+    sim = Simulation(build_world(cfg))
+    rng = random.Random(f"{cfg.seed}|sched")
+    for pid in sorted(sim.queues):
+        if sim.queues[pid]:
+            sim.enqueue_invoke(pid)
+    quiescent = False
+    while sim.step < cfg.max_steps:
+        sim.fire_timed()
+        ready = reference_ready(sim)
+        if not ready:
+            quiescent = True
+            break
+        seq = ready[0]
+        if sim.step - sim.pending[seq].created_step < cfg.fairness:
+            seq = rng.choice(ready)
+        sim.dispatch(sim.take(sim.ready.index(seq)))
+        sim.step += 1
+    return sim.finish(quiescent)
+
+
+DIFFERENTIAL_RUNS = {
+    "random_config": [random_config(seed) for seed in range(60)],
+    "fifo": [dataclasses.replace(random_config(seed), fifo=True) for seed in range(20)],
+    "ready-list-plans": [
+        Config(ops=3, fifo=fifo, **plan) for plan in READY_LIST_RUNS.values()
+        for fifo in (False, True)
+    ],
+    # overdue picks on most steps; a run cut by max_steps
+    "fairness-2": [Config(seed=seed, fairness=2, fifo=seed % 2 == 1) for seed in range(4)],
+    "cut": [Config(seed=1, max_steps=40), Config(seed=2, max_steps=40, fifo=True)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_RUNS))
+def test_the_random_loop_matches_a_brute_force_scheduler(name):
+    for cfg in DIFFERENTIAL_RUNS[name]:
+        expected, result = reference_run(cfg), run(cfg)
+        assert (result.steps, result.quiescent) == (expected.steps, expected.quiescent), cfg
+        assert list(result.trace_lines()) == list(expected.trace_lines()), cfg
 
 
 # -- the benchmark tracer's entry points ---------------------------------------
