@@ -97,8 +97,6 @@ class DirOpLog:
         self.owner.port.begin(rec)
         return rec
 
-    def end(self, rec: DirOpRecord, **result: Any) -> None:
-        """Fill in the operation's result fields and end its record."""
-        for key, value in result.items():
-            setattr(rec, key, value)
+    def end(self, rec: DirOpRecord) -> None:
+        """End the record of an operation whose result fields are filled in."""
         self.owner.port.end(rec)

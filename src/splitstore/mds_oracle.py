@@ -17,8 +17,7 @@ yet, so digest-array histories stay unchecked.
 
 The directory is a timestamped store: a write carries its own timestamp
 and takes effect only when that timestamp is at least the stored one,
-and it always acknowledges. The equal case must take effect too; the
-protocol's write-back path depends on it.
+and it always acknowledges.
 """
 from __future__ import annotations
 

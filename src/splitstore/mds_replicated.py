@@ -8,27 +8,41 @@ replica writes every digest a client stores through its own
 digest. Directory registers replicate by echoes; a digest register
 needs none, because only its owner's store can establish it (below).
 
-Directory registers replicate as follows. A client stores a (key,
-payload) pair by sending it to every replica. A correct replica that
-accepts a pair echoes it to its peers, and marks the pair established
-once tm + 1 distinct replicas (itself included) have echoed the same
-pair; only then does it acknowledge the storers. Establishment is
-contagious: the echoes that establish a pair at one correct replica
-eventually establish it at all of them, so every pair whose store
-completed (2*tm + 1 acks) is eventually visible everywhere despite tm
-lying replicas, even when the storing client crashed mid-broadcast.
+Directory registers replicate by reliable broadcast (Bracha,
+"Asynchronous Byzantine Agreement Protocols", Information and
+Computation 1987). A client stores a (key, payload) pair by sending it
+to every replica. A correct replica echoes a pair to its peers when it
+accepts the owner's META-STORE of it, or once tm + 1 distinct replicas
+have echoed the pair to it (amplification). It establishes the pair
+once 2*tm + 1 distinct replicas, itself included, have echoed it; only
+then does it acknowledge the storers and push the pair to its
+listeners. Only a peer's echo counts. Two properties follow, with at
+most tm of the 3*tm + 1 replicas faulty:
+
+- No fabrication. The tm Byzantine replicas' echoes stay below the
+  amplification threshold, so the first correct replica to echo a pair
+  took it from its owner's store. A correct replica therefore
+  establishes only pairs that their owner stored.
+- Totality. If one correct replica establishes a pair, 2*tm + 1
+  replicas echoed it, tm + 1 of them correct. Each correct echo goes to
+  every peer, so every correct replica hears tm + 1 echoes and
+  amplifies; then each of the 2*tm + 1 correct replicas hears 2*tm + 1
+  echoes and establishes the pair. No reader has to spread it, even when
+  the storing client crashed mid-broadcast. In particular, every pair
+  whose store completed (2*tm + 1 acks) is established at every correct
+  replica in the end.
 
 Digest registers are write-once, and the index's owner is the only
 client that may store one. A correct replica establishes a ("hash",
 index) pair as soon as it accepts the owner's META-STORE (the sender is
 the owner, over an authenticated channel, and the replica's
 `HashArraySpec` takes the digest); it then acks the storer and pushes
-the pair to its listeners. It echoes nothing for it, and a META-ECHO or
-a META-WRITEBACK of a digest register, from any sender, changes
-nothing. That saves M(M - 1) echoes per hashwrite, for M = 3*tm + 1
-replicas, and half of all metadata stores are hashwrites. A hashread
-returns a digest on tm + 1 matching reports, and None on 2*tm + 1 empty
-ones (see the read paragraphs below). The rule keeps that:
+the pair to its listeners. It echoes nothing for it, and a META-ECHO of
+a digest register, from any sender, changes nothing. That saves M(M - 1)
+echoes per hashwrite, for M = 3*tm + 1 replicas, and half of all
+metadata stores are hashwrites. A hashread returns a digest on tm + 1
+matching reports, and None on 2*tm + 1 empty ones (see the read
+paragraphs below). The rule keeps that:
 
 - Safety. tm + 1 matching reports include one from a correct replica,
   and a correct replica holds only the digest the index's owner stored.
@@ -82,31 +96,40 @@ completed store keeps tm + 1 correct replicas at or above its key
 forever. A directory read in a run with no writers has no register to
 wait on, and returns the initial state.
 
-A directory read returns its chosen pair only once the pair is known to
-be established at 2*tm + 1 replicas, which is what makes reads atomic
-relative to each other: a later read cannot return a lower pair. Either
-of two pieces of evidence shows it. When 2*tm + 1 replicas have reported
-the pair, the read returns at once (the "fast read" of Dutta, Guerraoui,
-Levy & Chakraborty, "How Fast can a Distributed Atomic Read be?", PODC
-2004; for Byzantine quorums, Guerraoui & Vukolic, "Refined Quorum
-Systems", PODC 2007). Otherwise it writes the pair back and waits for
-2*tm + 1 acks. The two are equally safe. A report lists a pair as
-established at its sender, and a replica acks a write-back only once it
-has established the pair. Establishment at a correct replica is
-permanent. So 2*tm + 1 reporters, like 2*tm + 1 ackers, put the pair at
-tm + 1 correct replicas for good, before the read returns. A later read
-needs 2*tm + 1 of the 3*tm + 1 replicas to report a current at or below
-its candidate, and 2*tm + 1 + tm + 1 > 3*tm + 1, so its evidence includes
-one of those tm + 1, whose every report to it has a current at or above
-the pair: its candidate for the pair's register is not below the pair.
-Digest-array reads never write back, and a digest needs no 2*tm + 1
-repliers. Their register is write-once and only safe semantics are
-promised: a hashread that overlaps no hashwrite of its index returns
-the digest a completed hashwrite stored, or None if none was invoked.
-A hashread returns a digest as soon as tm + 1 replicas report it. Only
-a None answer waits for 2*tm + 1 repliers, 2*tm + 1 of them with empty
-reports. Why that is safe and live is argued above, with the digest
-registers.
+Once its evidence holds, a directory read fixes the chosen pair and
+chooses no more. It returns the fixed pair once 2*tm + 1 replicas report
+it (the "fast read" of Dutta, Guerraoui, Levy & Chakraborty, "How Fast
+can a Distributed Atomic Read be?", PODC 2004; for Byzantine quorums,
+Guerraoui & Vukolic, "Refined Quorum Systems", PODC 2007). The initial
+pair needs no reporters: it is the state every replica starts from.
+
+- Atomicity: a later read cannot return a lower pair. A report lists a
+  pair as established at its sender, and establishment at a correct
+  replica is permanent, so 2*tm + 1 reporters put the pair at tm + 1
+  correct replicas for good, before the read returns. A later read needs
+  2*tm + 1 of the 3*tm + 1 replicas to report a current at or below its
+  candidate, and 2*tm + 1 + tm + 1 > 3*tm + 1, so its evidence includes
+  one of those tm + 1, whose every report to it has a current at or
+  above the pair: its candidate for the pair's register is not below the
+  pair.
+- Liveness. The fixed pair has tm + 1 reporters, so a correct replica
+  established it, and by totality every correct replica does. Each of
+  the 2*tm + 1 correct replicas lists it in its snapshot or pushes it to
+  the subscribed reader when it establishes it. The wait is bounded
+  because the pair stays fixed while higher pairs are confirmed.
+- Readers write nothing. A reader sends the metadata service only
+  META-QUERY and META-UNSUB, and a replica takes a pair only from its
+  owner's store or a peer's echo. So any number of Byzantine readers, as
+  the paper allows, can change no register; their queries and
+  unsubscribes change only their own listeners and tombstones.
+
+A digest needs no 2*tm + 1 repliers. Its register is write-once and only
+safe semantics are promised: a hashread that overlaps no hashwrite of
+its index returns the digest a completed hashwrite stored, or None if
+none was invoked. A hashread returns a digest as soon as tm + 1 replicas
+report it. Only a None answer waits for 2*tm + 1 repliers, 2*tm + 1 of
+them with empty reports. Why that is safe and live is argued above, with
+the digest registers.
 
 A read's subscription is the listeners pattern of Martin, Alvisi &
 Dahlin ("Minimal Byzantine Storage", DISC 2002): the reader's
@@ -127,33 +150,31 @@ replica.
 Neither side recomputes a quorum from scratch per message. A replica
 keeps each register's established pairs as one tuple in pair order,
 which gains each pair as it is established and is exactly what a
-snapshot ships; the register's current pair is the tuple's last entry.
-A reader counts each report once, as it arrives: per register it keeps
-the replicas that reported each pair and the highest pair that has
-reached tm + 1 of them. Only the current-key evidence, one entry per
-replica, is recounted on each evaluation.
+snapshot ships; the register's current pair is the tuple's last entry. A
+reader counts each report once, as it arrives: per register it keeps the
+replicas that reported each pair and the highest pair that has reached
+tm + 1 of them, until a tsread fixes its pair. Only the current-key
+evidence, one entry per replica, is recounted on each evaluation.
 
 Pairs compare as the tuples they are, and their keys decide every
 comparison, because no two pairs that are compared share a key. A
-correct replica establishes only pairs that a client stored or wrote
-back, and those carry one payload per key: a writer stores one record per
-timestamp, a digest index is written once, and a write-back republishes a
-pair that tm + 1 replicas reported. A scramble
+correct replica establishes only pairs that their owner stored, and
+those carry one payload per key: a writer stores one record per
+timestamp, and a digest index is written once. A scramble
 (``faults.ByzMetaReplica``) replaces payloads but keeps keys, so a
 scrambled register's pairs still have distinct keys. And every pair a
 reader confirms has tm + 1 reporters, at least one of them correct, so no
 two confirmed pairs of one register share a key.
 
-A replica takes in every pair, stored, written back or echoed, through
-one method (``_take``). It answers a query with one ``_report`` per
-register in the query's scope; that method is the one hook through
+A replica takes in every pair, stored or echoed, through one method
+(``_take``). It answers a query with one ``_report`` per register in
+the query's scope; that method is the one hook through
 which a Byzantine replica (``faults.ByzMetaReplica``) lies in its
 snapshots, and ``update_entry`` builds every entry of an update. On the
 client side, ``ReplicatedMdsDriver`` has one store path (``_store``) for
 both writes and one read path (``_read`` and ``_finish_read``) for both
 reads, and its ``history.DirOpLog`` records every operation for the
-checker. A read is in ``_reads`` only while it collects reports; a tsread
-leaves it when its write-back starts.
+checker. A read is in ``_reads`` until it ends or is abandoned.
 """
 from __future__ import annotations
 
@@ -170,8 +191,7 @@ RegisterId = tuple  # ("dir", writer_cid) or ("hash", Timestamp)
 
 # The kinds this module compares or sends, bound once (see `MsgKind`).
 META_STORE, META_ACK, META_ECHO = MsgKind.META_STORE, MsgKind.META_ACK, MsgKind.META_ECHO
-META_QUERY, META_UPDATE = MsgKind.META_QUERY, MsgKind.META_UPDATE
-META_UNSUB, META_WRITEBACK = MsgKind.META_UNSUB, MsgKind.META_WRITEBACK
+META_QUERY, META_UPDATE, META_UNSUB = MsgKind.META_QUERY, MsgKind.META_UPDATE, MsgKind.META_UNSUB
 
 
 class Pair(NamedTuple):
@@ -221,6 +241,7 @@ class MetaReplica(Process):
     ):
         super().__init__(pid)
         self.peers = [p for p in peer_pids if p != pid]
+        self.peer_set = frozenset(self.peers)
         self.tm = tm
         self.client_ids = client_ids
         self.writer_cids = list(writer_cids)
@@ -241,14 +262,9 @@ class MetaReplica(Process):
         if kind is META_STORE:
             pair = Pair(fields["key"], fields["payload"])
             self.on_store(src, fields["reg"], pair, fields["seq"])
-        elif kind is META_WRITEBACK:
-            # Write-backs republish a pair a reader confirmed; any client may
-            # send them, which is sound only because clients here are benign.
-            if fields["reg"][0] == "dir":  # only its owner's store sets a digest
-                pair = Pair(fields["key"], fields["payload"])
-                self._take(fields["reg"], pair, ((src, fields["seq"]),))
         elif kind is META_ECHO:
-            if fields["reg"][0] == "dir":  # a digest register is never echoed
+            # A digest register is never echoed, and only a replica echoes.
+            if fields["reg"][0] == "dir" and src in self.peer_set:
                 pair = Pair(fields["key"], fields["payload"])
                 self._take(fields["reg"], pair, map(tuple, fields["storers"]), echoer=src)
         elif kind is META_QUERY:
@@ -286,11 +302,11 @@ class MetaReplica(Process):
         self, reg: RegisterId, pair: Pair, storers: Iterable[tuple[str, int]],
         echoer: str | None = None,
     ) -> None:
-        """Take in a pair from a store or a write-back, or from ``echoer``'s
-        echo. A digest pair comes only from its owner's accepted store, and
-        establishes at once. A stored directory pair is echoed at once, an
-        echoed one only once it establishes; a pair already established
-        acks its storers."""
+        """Take in a pair from its owner's accepted store, or from
+        ``echoer``'s echo. A digest pair comes only from the store, and
+        establishes at once. A directory pair is echoed on its store or on
+        tm + 1 echoes, and establishes on 2*tm + 1; a pair already
+        established acks its storers."""
         pairs = self.register_for(reg).pairs
         st = pairs.get(pair)
         if st is None:  # most intakes repeat a pair the replica holds
@@ -301,7 +317,7 @@ class MetaReplica(Process):
         if st.established:
             self._ack_storers(reg, pair, st)
             return
-        if echoer is None and reg[0] == "dir":
+        if reg[0] == "dir" and (echoer is None or len(st.echoes) > self.tm):
             self._echo(reg, pair, st)
         self._maybe_establish(reg, pair, st)
 
@@ -318,8 +334,8 @@ class MetaReplica(Process):
 
     def _maybe_establish(self, reg: RegisterId, pair: Pair, st: _PairState) -> None:
         # A digest pair establishes on its owner's store, a directory pair
-        # on tm + 1 echoes. `_take` never passes an established pair.
-        if reg[0] == "dir" and len(st.echoes) < self.tm + 1:
+        # on 2*tm + 1 echoes. `_take` never passes an established pair.
+        if reg[0] == "dir" and len(st.echoes) <= 2 * self.tm:
             return
         st.established = True
         rs = self.registers[reg]
@@ -327,10 +343,6 @@ class MetaReplica(Process):
         established = list(rs.established)
         bisect.insort(established, pair)
         rs.established = tuple(established)
-        if reg[0] == "dir":
-            # Pass the pair on even when we only learned it from echoes, so
-            # that establishment spreads to every correct replica.
-            self._echo(reg, pair, st)
         self._ack_storers(reg, pair, st)
         self._notify(reg, pair)
 
@@ -385,9 +397,8 @@ class MetaReplica(Process):
 @dataclass
 class _StoreOp:
     key: Timestamp
-    # Called with the driver rather than closing over it, so a store still
-    # pending when the run ends leaves no reference cycle.
-    done: Callable[[ReplicatedMdsDriver], None]
+    rec: DirOpRecord  # a tswrite or a hashwrite
+    done: Callable[[], None]
     acks: set[str] = field(default_factory=set)
 
 
@@ -398,6 +409,9 @@ class _ReadOp:
     done: Callable[..., None]
     reporters: dict = field(default_factory=dict)  # reg -> Pair -> set of pids
     best: dict = field(default_factory=dict)  # reg -> highest pair with tm + 1 reporters
+    # a tsread's (reg, pair) once its evidence holds; reg is None for the
+    # initial pair. Every best stays as it is from then on.
+    fixed: tuple | None = None
     # reg -> pid -> Timestamp; a register's pids are the replicas that replied
     currents: dict = field(default_factory=dict)
 
@@ -433,32 +447,17 @@ class ReplicatedMdsDriver:
 
     # -- store side ---------------------------------------------------------
 
-    def _start_store(
-        self,
-        reg: RegisterId,
-        key: Timestamp,
-        payload: Any,
-        kind: MsgKind,
-        done: Callable[[ReplicatedMdsDriver], None],
-    ) -> None:
-        self._seq = seq = self._seq + 1
-        self._stores[seq] = _StoreOp(key=key, done=done)
-        owner = self.owner
-        send, me = owner.port.send, owner.pid
-        for pid in self.meta_pids:
-            send(kind, me, pid, reg=reg, key=key, payload=payload, seq=seq)
-
     def _store(
         self, op: str, reg: RegisterId, key: Timestamp, payload: Any,
         done: Callable[[], None], **logged: Any,
     ) -> None:
         rec = self.log.start(op, **logged)
-
-        def finish(driver: ReplicatedMdsDriver) -> None:
-            driver.log.end(rec)
-            done()
-
-        self._start_store(reg, key, payload, META_STORE, finish)
+        self._seq = seq = self._seq + 1
+        self._stores[seq] = _StoreOp(key, rec, done)
+        owner = self.owner
+        send, me = owner.port.send, owner.pid
+        for pid in self.meta_pids:
+            send(META_STORE, me, pid, reg=reg, key=key, payload=payload, seq=seq)
 
     def tswrite(self, md: Metadata, done: Callable[[], None]) -> None:
         self._store("tswrite", ("dir", self.cid), md.ts, md, done, ts=md.ts, md=md)
@@ -502,7 +501,8 @@ class ReplicatedMdsDriver:
         store.acks.add(src)
         if len(store.acks) >= self.quorum:
             del self._stores[seq]
-            store.done(self)
+            self.log.end(store.rec)
+            store.done()
 
     def _on_update(self, src: str, tag: int, updates: tuple[dict, ...]) -> None:
         """Count each reported pair once per reporting replica, as it
@@ -516,15 +516,18 @@ class ReplicatedMdsDriver:
         become the best. It is skipped uncounted, and ``reporters`` may
         miss it. Neither reader of ``reporters`` needs a skipped pair.
         ``_evaluate_hashread``'s empty-report count reads it only while
-        best is None, when no pair has been skipped. ``_evaluate_tsread``'s
-        fast path reads only the reporters of a register's best, which are
-        complete: a pair is skipped only when its key is below the key of
-        the register's best at the time, and best only rises, so no pair
-        at the key of the current best was ever skipped."""
+        best is None, when no pair has been skipped. ``_evaluate_tsread``
+        reads only the reporters of its fixed pair, which are complete: the
+        pair was its register's best when it was fixed, and stays the best
+        from then on, because a fixed tsread's bests do not change. A pair
+        is skipped only when its key is below the key of the register's
+        best at the time, and best only rises, so no pair at the fixed
+        pair's key was ever skipped."""
         read = self._reads.get(tag)
         if read is None:
-            return  # the read has ended or is writing its pair back
+            return  # the read has ended or was abandoned
         confirmed = self.tm + 1
+        rising = read.fixed is None
         for update in updates:
             reg = update["reg"]
             reporters = read.reporters.setdefault(reg, {})
@@ -539,7 +542,7 @@ class ReplicatedMdsDriver:
                     pids = reporters[pair] = {src}
                 else:
                     pids.add(src)
-                if len(pids) == confirmed and (best is None or pair > best):
+                if rising and len(pids) == confirmed and (best is None or pair > best):
                     best = read.best[reg] = pair
             read.currents.setdefault(reg, {})[src] = update["current"]
         self._evaluate(read)
@@ -556,52 +559,51 @@ class ReplicatedMdsDriver:
         reg = read.scope  # the scope is this one register
         best = read.best.get(reg)
         if best is not None:  # tm + 1 matching reports
-            self._finish_read(read, digest=best.payload)
+            self._finish_read(read, best.payload)
             return
         repliers = read.currents[reg].keys()
         if len(repliers) < self.quorum:
             return
         reported = set().union(*read.reporters.get(reg, {}).values())
         if len(repliers - reported) >= self.quorum:
-            self._finish_read(read, digest=None)
+            self._finish_read(read, None)
 
     def _evaluate_tsread(self, read: _ReadOp) -> None:
-        # The evidence quorum below is also the 2*tm + 1 repliers.
-        best, best_reg = INITIAL_PAIR, None
-        for cid in self.writer_cids:
-            reg = ("dir", cid)
-            candidate = read.best.get(reg, INITIAL_PAIR)
-            # Currents can go down, so the evidence is recounted each time;
-            # it is at most one entry per replica.
-            evidence = sum(
-                1 for current in read.currents.get(reg, {}).values()
-                if current <= candidate.key
-            )
-            if evidence < self.quorum:
-                return  # cannot yet rule out a higher completed store here
-            if candidate > best:
-                best, best_reg = candidate, reg
-        if best.key == TS_INIT:
-            self._finish_read(read, ts=TS_INIT, md=None)
-            return
-        if len(read.reporters[best_reg][best]) >= self.quorum:
-            # 2*tm + 1 replicas have it established: a write-back adds nothing
-            self._finish_read(read, ts=best.key, md=best.payload)
-            return
-        # Out of `_reads` for its write-back, so no update evaluates it again.
-        del self._reads[read.rec.tag]
-        self._start_store(
-            best_reg, best.key, best.payload, META_WRITEBACK,
-            lambda driver: driver._finish_read(read, ts=best.key, md=best.payload),
-        )
+        if read.fixed is None:
+            # The evidence quorum below is also the 2*tm + 1 repliers.
+            best, best_reg = INITIAL_PAIR, None
+            for cid in self.writer_cids:
+                reg = ("dir", cid)
+                candidate = read.best.get(reg, INITIAL_PAIR)
+                # Currents can go down, so the evidence is recounted each
+                # time; it is at most one entry per replica.
+                evidence = sum(
+                    1 for current in read.currents.get(reg, {}).values()
+                    if current <= candidate.key
+                )
+                if evidence < self.quorum:
+                    return  # cannot yet rule out a higher completed store here
+                if candidate > best:
+                    best, best_reg = candidate, reg
+            read.fixed = (best_reg, best)
+        reg, pair = read.fixed
+        # The initial pair needs no reporters; any other needs 2*tm + 1.
+        if reg is None or len(read.reporters[reg][pair]) >= self.quorum:
+            self._finish_read(read, *pair)
 
-    def _finish_read(self, read: _ReadOp, **result: Any) -> None:
-        """Unsubscribe, record the end and pass the result's values on."""
-        tag = read.rec.tag
-        self._reads.pop(tag, None)  # a read in write-back has left already
-        self._unsubscribe(tag)
-        self.log.end(read.rec, **result)
-        read.done(*result.values())
+    def _finish_read(self, read: _ReadOp, *result: Any) -> None:
+        """Write the result, (ts, md) for a tsread and (digest,) for a
+        hashread, onto the read's record, unsubscribe, end the record and
+        pass the result on."""
+        rec = read.rec
+        if rec.op == "tsread":
+            rec.ts, rec.md = result
+        else:
+            (rec.digest,) = result
+        del self._reads[rec.tag]
+        self._unsubscribe(rec.tag)
+        self.log.end(rec)
+        read.done(*result)
 
     def abandon_hash_read(self, index: Timestamp) -> bool:
         """Abandon the hashread of ``index`` in flight, whose answer no

@@ -52,7 +52,6 @@ class MsgKind(enum.Enum):
     META_QUERY = "META-QUERY"
     META_UPDATE = "META-UPDATE"
     META_UNSUB = "META-UNSUB"
-    META_WRITEBACK = "META-WRITEBACK"
     META_ECHO = "META-ECHO"
 
 

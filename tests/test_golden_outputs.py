@@ -100,7 +100,7 @@ DIGESTS = {
         "fig1-0.report.json":
             "666edca8754148485885c99d8bea2f94b8a1cfa89eab149d8500186390c65691",
         "fig1-0.trace.jsonl":
-            "616de44c4beb42469b31f5f24ba5a50cc5b8e281256809c1bb5f2023ef533e7f",
+            "e39522a827d3836202748c3766a540aa8fb95e555d08cfa02641a3274197a26c",
     },
     "gc-quiescence-0": {
         "gc-quiescence-0.history.json":
@@ -120,11 +120,11 @@ DIGESTS = {
     },
     "random-1": {
         "random-1.history.json":
-            "0563683c08fbf6d2704af26be4c2221fbf658b1d166c8f4f2d0f3bd9a6f444f1",
+            "b7623c1601c9c1d48c3033660e0afdb3beb3f19f32ddd67502b594122e73c998",
         "random-1.report.json":
-            "5172af95fc8d552f08d4d60d830c9381b0dc7a14045290672490d3654372105b",
+            "50fa5a73775827f92d0050fe0f7ca68677b0b476ebb38581ef51dd557ce6e9e8",
         "random-1.trace.jsonl":
-            "1df897a5be8554e47a951dcc7d733ff60fb9cf51d129465b57c51774119d85b0",
+            "571239417c0e3c40c6b591c8dd1513d092c2165fd1adfb4f477ae6d394ac20f3",
     },
     "random-2": {
         "random-2.history.json":
@@ -136,11 +136,11 @@ DIGESTS = {
     },
     "random-3": {
         "random-3.history.json":
-            "af023ed6051254309a56fc36605e6de82b4ebdac8d207407a0397cdd712f8283",
+            "cf232e71f79e1e7f4ad6d7b0245d91fc851fec5d03da806e2775a65b527efe9e",
         "random-3.report.json":
-            "e94568486425d27a782f7ecc720997fa8b47f8e0362c0a482be2d775a894453e",
+            "8f0384ea1f7a88f2b42805254112ff36414cda4fe15c59cf4dc5c0fba4592c74",
         "random-3.trace.jsonl":
-            "1f2a4c55cdc0d7838b41658e0150c4d07336f11a6fb14f351a11d43fd301d156",
+            "d8bd34bc79fe4b9952729db4a211e32a7d481e84d01d93fa70b2ec5cfb20b209",
     },
     "random-4": {
         "random-4.history.json":
@@ -152,11 +152,11 @@ DIGESTS = {
     },
     "random-5": {
         "random-5.history.json":
-            "1759637d274f755481349f38299f7019b4d0cc075cff286aeb105ebe1bdff0dc",
+            "f003a0b1f865e54b6128506ff0d280c9e0f3c07dd06ccd14317d761994511752",
         "random-5.report.json":
-            "07b703a5b86eca1253ff1a92c74176fda0fa18fab0e39e8f09fde3e825ffae53",
+            "e183559e0af4599216e65660b228d2158bbdbebde6ccc7293ac25225c59d44a9",
         "random-5.trace.jsonl":
-            "8e73edab4b367805575dd05faa91bba934bafd9506362fe8df46a94c816f1606",
+            "68ac6bd23a8a85c2eb31a39c278f568692a988648792e9e020b06ea88e05d065",
     },
     "random-6": {
         "random-6.history.json":
@@ -168,11 +168,11 @@ DIGESTS = {
     },
     "random-7": {
         "random-7.history.json":
-            "a9567350a7a175ae239543f69048d091b2f12770440ce0add477ec3c1674cfe1",
+            "5dabcf8d34618a0f0c9d168acc1d735923748b8288c46b82e4a2d7f5667a070e",
         "random-7.report.json":
-            "e374d74a4974ad8bd5b058c86ba28601a8a897df207862eba3046a9034c662cc",
+            "70b4caca407388760ea566d98223878cb522c344c720bc695c0073bc5463144b",
         "random-7.trace.jsonl":
-            "162ebe5659fec4ad356261fa55f5817efcecb1a2803da645fe048bef785b2f78",
+            "f91b25a7bf4b54de43b9a599169bbd96b0ab0f00d0ab0ceb3d7621b0cbf6fdc1",
     },
     "random-8": {
         "random-8.history.json":
@@ -184,11 +184,11 @@ DIGESTS = {
     },
     "random-9": {
         "random-9.history.json":
-            "a5c2db61cfa3b0e9a49fab412b0201549cfbdc8f354545eb796d64a23b2ef7e5",
+            "466b7169e3e5b6cfc5ec03cbcc649014239902f192742333a52457017b6fdab6",
         "random-9.report.json":
-            "aac8bb9a3244905fb40a898f39f053932709921e8b738cf9fadbdf6d4110bb26",
+            "536a765a073e62f3757f58e1430a5ef0f6ccf122e317df754d3162f1693be311",
         "random-9.trace.jsonl":
-            "8f23a3f8379f9d308ab4a9cbcd7469865acc87239148a7e7b14a0b7cbc6e91e8",
+            "b970c1de0514406df5c1f87c75c1e6ededde8f9966ea9356b7df4a57fa541a31",
     },
     "random-10": {
         "random-10.history.json":
@@ -200,11 +200,11 @@ DIGESTS = {
     },
     "random-11": {
         "random-11.history.json":
-            "848a5060ff7300af7c4066ef0186c9306053f62b52a1fe2ed6a36c619b823bb1",
+            "4840612353a6a52f8ff1445f9f09b4b70d3a7ec8244f641ad9ece580d8ab00c0",
         "random-11.report.json":
-            "e99011837a9a648653afa411490e8b4abc0c1f21e733d187953f405d66ac8967",
+            "c5c6ef1ca25c0fa37856c0c9311fe42aecdec66c41f1f2dd6473aae6a48ea07f",
         "random-11.trace.jsonl":
-            "9ea8013ad8ef98d536178ba430d735bbcdcedb05944bcc1624a52b5f109a5b5c",
+            "5020aa3832d3709a3a7d747086a991a1226edb7ed1e3e890d8cc488ebe71c389",
     },
     "random-12": {
         "random-12.history.json":
@@ -216,11 +216,11 @@ DIGESTS = {
     },
     "random-13": {
         "random-13.history.json":
-            "448af6d94fefa469005f0de0a6a2411a35f2f248b501cdc5b0a317b5a442d182",
+            "024fa733358fefec9c809c5e79423bbe39dd5148b282d8cf681d2e0c002bf832",
         "random-13.report.json":
-            "b28632f05db230b7b463b84f857d54f6d8c6160b190439d27545b1989486b829",
+            "7bf89a14a31d1f680a94e8321340aa92757526e7d2af341766d9c3ce03284634",
         "random-13.trace.jsonl":
-            "0a5461c8d39ff7d8b432048c51c63f6924a3ff81c4d30d692835bf91e6c80319",
+            "5885dfde44dd2035e098efa419a358ea8c75ca1d4d558013ecdfe2b4e1555efe",
     },
     "random-14": {
         "random-14.history.json":
@@ -232,11 +232,11 @@ DIGESTS = {
     },
     "random-15": {
         "random-15.history.json":
-            "fc61ae1ed1a6111521250b4d137dc79e8cc55315a4e01665684db3406fef8934",
+            "7d8f926be2858fdda3d64a7e230bbd96d5c866ed6785990fc4e990960185dc57",
         "random-15.report.json":
-            "b59297549f1a1a2d54d3a9c1a0db705ed608d2056637353b766cc952c8198160",
+            "5078070c52a280b96fcc97afda896e42ca0249e37f77acf92ecd21b3a3555fc8",
         "random-15.trace.jsonl":
-            "08cb290a10782ab5a4d5f7b75b33ecfde1d121a4c286fe798bfe473f8e423f3a",
+            "5cfec905c9dc3992428930cee8ea8edc52f06e0226bddc1f23d5ad2cac7a399c",
     },
     "random-16": {
         "random-16.history.json":
@@ -248,11 +248,11 @@ DIGESTS = {
     },
     "random-17": {
         "random-17.history.json":
-            "e421efce459536e79ba45072fe48f21059ba041a81ef7ba17e4f6858f1400193",
+            "f58901d53727972e971522221ced97a28dba6913ea536aae9faf5396bbeaa783",
         "random-17.report.json":
-            "7d00276f32b6d5b029ec8f3a405192fe7ff6b2c7363b45280667e25d859ce504",
+            "63249f2b8270d4acacc0a9e540a194f68ab7ab7cda508b18b25594cdf9a91ebf",
         "random-17.trace.jsonl":
-            "babb89c6ac3b42c0d18f9bc7fc997af0bfbfc23b156f05203121bc780e907298",
+            "3e1cd1ca22cb9d4c1861b0fc54e62ed53bd7aafcbd5284350e643f5ec7eef0f9",
     },
     "random-18": {
         "random-18.history.json":
@@ -264,11 +264,11 @@ DIGESTS = {
     },
     "random-19": {
         "random-19.history.json":
-            "0e4cbb27743188fdd56dd5f9e58eb07c9cb00230f6d3983a60b2c79bee10bf8a",
+            "a74d942868afa178676acf340728766dcfd1977dda1bce459c7e7b1d7f840f12",
         "random-19.report.json":
-            "d8fb9e608de51a33d950fa75cd8f49802b632d0dfc969b0464bee15d6d53315d",
+            "941b407d6546ac4a6693eb88e281a8cda4f88a6fc731764c2e6040fbbc2697e6",
         "random-19.trace.jsonl":
-            "4322bc2fda7c8877b6963d8f5906ed1912b3031f918df1616d5a46a371cc5f51",
+            "5533559f203d3f3787a898f260cf8b171e12b3b3eaf01bfe1649c23df2676fef",
     },
     "random-20": {
         "random-20.history.json":
@@ -280,11 +280,11 @@ DIGESTS = {
     },
     "random-21": {
         "random-21.history.json":
-            "f328483d98bcb022b2d7aa62cbf6c6743ee3eb9c307813fd93ab1a2c4bef9081",
+            "560b4fba0b9bfae671cde905f63bf68c47dab098f290fac2f558b077340bd6de",
         "random-21.report.json":
-            "b7d9e2a3abae521d5e2cc4f7e9f5692a06a2b88e0b9ec9676c0d1707d4845b3a",
+            "e3cf9393f04d6632887d44658a9b3ba239cef0c6ddda00294885c55640590d41",
         "random-21.trace.jsonl":
-            "37479ad925865868c6a2edfea88b589f6b0adf6c504b32c5f815cb3812b5aeab",
+            "d729525404d679f904de0f388beef201204671cdbfe26f26f9a948b59cf128d8",
     },
     "random-22": {
         "random-22.history.json":
@@ -296,11 +296,11 @@ DIGESTS = {
     },
     "random-23": {
         "random-23.history.json":
-            "9d21e63876c1b5c84775a2b4b4d65370b3fbdc6d79992755129a099ddca9c03a",
+            "dba1e5271bca7734462dd0b3fcab22eb1e7d6794bb2438dddbfa48bd08478c86",
         "random-23.report.json":
-            "ffae4d3237b3deb73342dda35f07414053bbff7b33af97ccc20ab3c5b0b36590",
+            "32f39cb942ca55a75ebb8bfbc6fb3c9162faae7d2eb54dea3ec4b102907f82ec",
         "random-23.trace.jsonl":
-            "16c97c40980064d07a6afe7b3825cbda89b23f7cf06562f80f06049b181925ec",
+            "a79efaf2624b9100505d0a2d2c57927a70017db09c5bde7536b078a93038d441",
     },
     "random-24": {
         "random-24.history.json":
@@ -312,11 +312,11 @@ DIGESTS = {
     },
     "random-25": {
         "random-25.history.json":
-            "3fca88c0a8768b74e95e080946ea7c3732a64a90e72d1621882eedaafd03bb68",
+            "7e5391f63633b56c59bc38f2caadad10fd75e8e670a0dc887aed8410dea81a97",
         "random-25.report.json":
-            "c565a4e506ee8389b47c843733eed0ce512f7aee534f70442f7e6669420108ad",
+            "835376eb6f7739b8c8c1e56ead58d62fa2fa2f1bee8b84cc7d71df3489d08c70",
         "random-25.trace.jsonl":
-            "d99c620d60a569cda4e60e0b08a695b158c6967c7c69ca842b0b91215fde8cb0",
+            "fddade2b25f60d10687962ff3dbec0a1dcd205234c1c023bcb6b1e093253bf88",
     },
     "random-26": {
         "random-26.history.json":
@@ -328,11 +328,11 @@ DIGESTS = {
     },
     "random-27": {
         "random-27.history.json":
-            "09d7e5af3a3e0f055115df48e75018e887a431cc94d9275b5ab29805132f771d",
+            "7616e2a2b2888c513ff21d9f470f9b10d9bc492e9f7c3c3ec12c7a749577e0e1",
         "random-27.report.json":
-            "58ea815e195d6161b5dc62f525817b8d3fffe9c46de55234650014d1e81c06c6",
+            "a587fa064b17bc14497356e29f7c31885b3a13eabbd4c95a240fee440815b54f",
         "random-27.trace.jsonl":
-            "b90918542041de7846de24d849106ff0191942b0f53cf4cb22209080e686e184",
+            "013e69f40e6a14c397f444e9e8d6372e233cf02693ca971cc4d477ead43128d4",
     },
     "random-28": {
         "random-28.history.json":
@@ -344,11 +344,11 @@ DIGESTS = {
     },
     "random-29": {
         "random-29.history.json":
-            "764f99a1a4f3d7c8a247708a4003853488bb6bf873a72f59f3a9f6b1bb0f0de5",
+            "3f8b2204a11c33c15369ff78f3916a271a636587fc7034d1b7b999ee81d2ef32",
         "random-29.report.json":
-            "21400c10c32ca2a650a1cf2477a7e0dafdaeae85c89e8692398ce6f9b2b2d4ac",
+            "6a605f051dd8b65cfb67e25ad1436b07f8bcd86b36592264641a264d72e683d9",
         "random-29.trace.jsonl":
-            "7f0d7d1ed6ad0d8f8e5e4eeb514a006b4ecb90f31b970d71ef096e9e39128544",
+            "dda5f7bd961e6390d5438e715d231b02a0ce1b2e328c7a9de3bee7ca1bc6bab7",
     },
     "random-30": {
         "random-30.history.json":
@@ -360,11 +360,11 @@ DIGESTS = {
     },
     "random-31": {
         "random-31.history.json":
-            "07254b2eadd68ebf6fd1312555647899e067c15e3a4bd0e4d22694bf5cf1a5dd",
+            "fa9415d0221d842e16a1f73f3169bcfc75244e378424ab8cd0197219b95c9e24",
         "random-31.report.json":
-            "f073499640384fbe232f902cbc14ee69223ed97ab745162677f5c2875bfafe8a",
+            "84ca882b223546c90413fb8dfba2f188eb12a68c13838f7e12f0a2b5c995224f",
         "random-31.trace.jsonl":
-            "d9fb8e621e6714492abe2916754b85f4b17f0cce5dc95f2cc5e15a98247351b8",
+            "9aee542cf44c9b6d10eb82710e031c98a165b0a18027a9e8ee27c05c7a7e430a",
     },
     "random-32": {
         "random-32.history.json":
@@ -376,11 +376,11 @@ DIGESTS = {
     },
     "random-33": {
         "random-33.history.json":
-            "be858710bf835ccce45b608ebc794b4e5f887dcd6d8912a836661159f6623bc8",
+            "116f606681baa67727512e98c6fea9262b271838d03da318e56300e7e56654c6",
         "random-33.report.json":
-            "cce6e8b34c15667741dc6f0ac590c8de92c9d84c171684808fb68a3530f0b389",
+            "fd6c855acad061ec4ba4d6ef7c1852c3aa8290950d74403a5dbfd8a342a35eb3",
         "random-33.trace.jsonl":
-            "60b66a1be93cd3ba42748adfa5cf0c0a64800fd0d41e5c67e1be6c8002d07712",
+            "e4fdbe43414120bfac44bc956b56f78ae02a5ee4e05dbd949122f33b7b08c5b2",
     },
     "random-34": {
         "random-34.history.json":
@@ -392,11 +392,11 @@ DIGESTS = {
     },
     "random-35": {
         "random-35.history.json":
-            "d128f82ac79a0b649dd1922c71046281c96271431dd3b2e6a1203203fddf740f",
+            "84da872bfd79cfa988c0913f742f3a6d62f5b9ee458a4e625902819593643e9e",
         "random-35.report.json":
-            "63e3c5b326e2dd797245a620db1fc3cfd6cf142d21569cf169b332f8935d73ed",
+            "21906466c6fa445a6f80f58269b90086a8eb914a70c6a397b07412696d5fba25",
         "random-35.trace.jsonl":
-            "24067761b309b6067b2bdc80f2628cfd00cf34db51852bc07addb201d7669219",
+            "2576bf23b226b07e06b404880c2d3deb8bc7f4fbce16a5ef8530ec4dd0618d20",
     },
     "random-36": {
         "random-36.history.json":
@@ -408,11 +408,11 @@ DIGESTS = {
     },
     "random-37": {
         "random-37.history.json":
-            "76e0e55350d720c705e87a46b65e66e18203b2c5872eeaa3c283bbd015c55325",
+            "eaae9f0aca9575cda464d4c36909ef43230960b56719158a427c1e104f63e240",
         "random-37.report.json":
-            "0f6f6b680e6f4caa5e03ef15248d3165ae536baa24d0de45eb8e12cb066385f0",
+            "a2565ed23c7394101f2d352d75eb65307e228c44097384a606fcdb766aa82816",
         "random-37.trace.jsonl":
-            "98e826d54fbdd9020c112c347b40b84e1446aac8ffc78aa120785f43599690f9",
+            "18b25513386406b5dc79d02769e843a8eab5822e13620d0510dc3a98b20ae89b",
     },
     "random-38": {
         "random-38.history.json":
@@ -424,11 +424,11 @@ DIGESTS = {
     },
     "random-39": {
         "random-39.history.json":
-            "42c906781e6f66652b0ec72ba97ce06b2884c2d135a196e213280449753246ce",
+            "08a657d3ee90c0fec58ad2c442bca511f7180d3b703f0a27f29692c68e40f9ab",
         "random-39.report.json":
-            "fcd59fe74077e4ff43b2236b567b8a8e539fca127bf3602ef12e5ea6b056d2a6",
+            "179d2b05128ee66ce71888ed0ae1ba361ff1dd90be1ce5a923940f8c565077ca",
         "random-39.trace.jsonl":
-            "0d0adc337b5b6db886f07138bfc5bbb2fe7997b2c168997c51d4c416ff34864d",
+            "5e247a4b383988bba823291c0d7aa2c898b3d2eb5d76fdeba37d996aa63eab51",
     },
     "random-40": {
         "random-40.history.json":
@@ -440,11 +440,11 @@ DIGESTS = {
     },
     "random-41": {
         "random-41.history.json":
-            "c766b9b9356aa936b85e13309cd11bc3c68a54cf8334c0ab852672ca63d24010",
+            "4255c59e47e5278921157e952b9d53c2ad5d24d5e463ffa68579fa7e8e2d5e72",
         "random-41.report.json":
-            "c7d7a0854a4d4671f7cef2eba2ed34429d07944bc2f5d5a4ac0b4f458ca25412",
+            "ea93ded99146be608bcfc263728a74a087e5438ff16e3056d836cd376ac9c045",
         "random-41.trace.jsonl":
-            "157379f84cdc46ee117cc2c9d8cd753cfa4793ce7b78f517abb6507b1eb3a56e",
+            "d581d9e4a2e48af781564d5391ba5ad32a4a92afb991eb9fa40ead55b9962f2a",
     },
     "random-42": {
         "random-42.history.json":
@@ -456,11 +456,11 @@ DIGESTS = {
     },
     "random-43": {
         "random-43.history.json":
-            "c3682d5893175594950f364fcb9a3548084907eee51706e76da594b663453619",
+            "bd12affa52effbf63641a53f425aa338a491930bd5393efe1d345474b346aedc",
         "random-43.report.json":
-            "765a6184f8b081459a48a4fdc69147ed13925f20918b11bf3e24e879bef60423",
+            "eac7bf12d765913d0371f92551522b9870d0bbbc66f0c65313cc8112c4455178",
         "random-43.trace.jsonl":
-            "9e3639ab89c078aa7e5b4dc6e39c1eedd458ac0b83ec3cfc1f04dbc72f8da0fc",
+            "4772e3b55a2a6c9db154d633a14b194ccc91b594540117070e624ba1f8436b6a",
     },
     "random-44": {
         "random-44.history.json":
@@ -472,11 +472,11 @@ DIGESTS = {
     },
     "random-45": {
         "random-45.history.json":
-            "c380edb98c54554481d9cdf611f483a021657d685d6a9c41a5f64e2d3ee4674f",
+            "df324dd064d3ac00ef65525b66e78698f114a646f8126c41e2afa0c4d6a48531",
         "random-45.report.json":
-            "5c0f46821b03c33d5b763a8c705e8a52da828824c3b69dfc4888321cba6c8b82",
+            "153e4059099ac14dc154e519731ec9973936115abc3c3f8650f4c72e79175e9f",
         "random-45.trace.jsonl":
-            "7f77b7a0cfc6b1006f2e6c2b4788fb7146c0c75e12a2e88b6d95cf0c68c471c7",
+            "c6e04927e2a110f13e6105f266cb256a389d1eb809a29751ef24f5bc6d37d332",
     },
     "random-46": {
         "random-46.history.json":
@@ -488,11 +488,11 @@ DIGESTS = {
     },
     "random-47": {
         "random-47.history.json":
-            "57c365f822c9889c22c65fd578a632f124e19304b9a3d26a1752bcc85a961558",
+            "96b9bc983a50d9f08a202f7337914ff1dd0d2ab39e8fa48ba6236d05cd37028f",
         "random-47.report.json":
-            "6525ba782df142ada8b80bc2333b2c51319514151b09f74adcdde08a7e757ad4",
+            "07ae026a6a51e040a96fc441a1671e8bd4547da023497792a7e30fed91d07cd2",
         "random-47.trace.jsonl":
-            "426f3860c87d8fcff96d04177ad4d111875ed3e25324a843b42a03c03dbcb639",
+            "4e2c34cdfcfa1c86891d85e84a819a707e99151b1e58457924931197f202d212",
     },
     "random-48": {
         "random-48.history.json":
@@ -504,11 +504,11 @@ DIGESTS = {
     },
     "random-49": {
         "random-49.history.json":
-            "9787f9d825c271863b1f3ee5f58ce7966b18c9cb257518546cd1cb4cf0644be7",
+            "b9d84bf93717abb3b1375270fdc3bf8bf35b875a17e639594367feb322528112",
         "random-49.report.json":
-            "50f181360bd8f0f448078bb9b27cf54ce4cb65acd0b9b6949e7ce8f7d3ce0b95",
+            "57d347e595557d6013a5f7efe02e5280dec032227a7fa8f924212b2fe747151e",
         "random-49.trace.jsonl":
-            "26139fb3754aea78c63494d9de7f5714d3092c383784741e26bf3a106ac7b965",
+            "07bb9b78bd3aff81f40ef237a6acae5f9c12861cb9fd0d375f80aadbd1ad3667",
     },
     "random-50": {
         "random-50.history.json":
@@ -520,11 +520,11 @@ DIGESTS = {
     },
     "random-51": {
         "random-51.history.json":
-            "d2c4190f7bbdc4ede4a47c670535a03182ddb20a9bde120f8bf3045ffa02508d",
+            "7b7859e5f362104a8fe8b8d3dd1ca0ec66a090b834b1a9365f53442555d702ca",
         "random-51.report.json":
-            "3e4bad39cd045071178685c3c7086159554caece6e2e8bc4bb398918e364b767",
+            "5311813b9f4c1bea96604414f04c515149ed4e13209bd0b868074f3292c00d29",
         "random-51.trace.jsonl":
-            "97cb317e112eac02b1af5826d01e755d7fe7c5128efc1c51d66bedee0856ca3e",
+            "479863655be91e52bebb7dc12bd89adb7f244f53ce74a31f2b30266cacbcd52e",
     },
     "random-52": {
         "random-52.history.json":
@@ -536,11 +536,11 @@ DIGESTS = {
     },
     "random-53": {
         "random-53.history.json":
-            "d6dcba6569a431c1aa57c5d82e2e7da25c33402f370a10d156ca95c416659d4d",
+            "c632da562f4634dd0c95a22c993b9c699a12c19ca70803e69a167293fbcaa5be",
         "random-53.report.json":
-            "959fc0edffa0a73ee4452ffe502611320a7756e967d1c173904e7d7607736a5b",
+            "128f6fbf6f9ce10bf7f08c6dda187c5eb9b3746ac89fc3dddcc54bea516a0274",
         "random-53.trace.jsonl":
-            "3e5154a6fc4eaca713cbfdd2e14a4a85d7634bdf870393bc5eff7d6d461bfd41",
+            "ca2009e5528623c776ec60e78729fd24e95d1dc51b6c481f50274b42eaa64a83",
     },
     "random-54": {
         "random-54.history.json":
@@ -552,11 +552,11 @@ DIGESTS = {
     },
     "random-55": {
         "random-55.history.json":
-            "ad4cc202e56a11c3a5ec8fb8630d63bedc00cbf6f371ddfd7fd261fa539e3066",
+            "f172dfae4e78b8bc1c5324fa130f1ae5c3e10a42cdcce54f1349f0dff5ff3e88",
         "random-55.report.json":
-            "7d7a56309558a22af1f175455304a02e163df3b351d2d9bb1ab2a00eb99d60f0",
+            "892f4ff38d8d11f4e0dd2945b4875faa7b8ec76c2190993bd4459cea3926bf54",
         "random-55.trace.jsonl":
-            "bf1816831d62f02eac3e91347235b6bbed8c52e5e5f85ac15ecfb2cd31c5c335",
+            "bfd0911e65e5a1d8f0f50749c7ba84adedbc611d1f7490e9979bf3c48953fed1",
     },
     "random-56": {
         "random-56.history.json":
@@ -568,11 +568,11 @@ DIGESTS = {
     },
     "random-57": {
         "random-57.history.json":
-            "4e27cd47bde5dfd42312c32b1cf0c050313760626b0fe8e02780e33334101372",
+            "a7fb69f94a024c81afc62d27c623d9a839ffeae4116fe66b36b6f794639df619",
         "random-57.report.json":
-            "4d6366e821d007637dd2d9126651997e6ba643a4611d0bc8132b1917f1a284c3",
+            "27767d7a57284e35f3c3c44deb200dff893748b7d68f721da4543bd0bf80fce0",
         "random-57.trace.jsonl":
-            "0ad7fb61c2811693728c8a1601f71bb10ea44db1a345a4912c38e8edff0e19ac",
+            "aa0104c8e2e091b1da7e2f00ff54dffb4da87fbf0a1fecf78ed2b67fb1b846bc",
     },
     "random-58": {
         "random-58.history.json":
@@ -584,19 +584,19 @@ DIGESTS = {
     },
     "random-59": {
         "random-59.history.json":
-            "71fd188d0469f2f2e7f447be747490396f55264ccc16e6898896533baac600af",
+            "86f1de056400ad69fad3630a7772d7d611bc3db1179b6a0a9336bbad32bdebad",
         "random-59.report.json":
-            "ae32eb259959bd343c2c705d9fe26e64658b227a1a22db9ee09408ecb086effe",
+            "edf3e762296104d063388068b47e0612e6d945f2c2f7675a8f7a03d0d7e557dc",
         "random-59.trace.jsonl":
-            "7467934d266ca76f2fa9a2df3fad8866f74bb695e3fa8cc7bcaa70d350cb3538",
+            "7ef33f51503f1e0159fb181e115c734560433b2d9677f4f3043af2ebb112b13d",
     },
     "random-2333": {
         "random-2333.history.json":
-            "b5d6071cab213ca09702ece15bb046358f1dda340e647c589c0eace1bb3f6141",
+            "a4696780f57ec4e59f6e378221cdb9ef848273e4ad6a057f071464d8c3b2091b",
         "random-2333.report.json":
-            "03acbc7d9ad6da48a1fc979c1f38f414d4715fb733300f6b2f4fc2181d8c6d1d",
+            "96c1cc654c68def2b958277721b21099019389e9978594d0d6266c66c0f7b21a",
         "random-2333.trace.jsonl":
-            "6037be8267652ca6c9d74275298b01cfa851403539b1abc3e9545acc34c17a1a",
+            "b06ce99b032321ef30ec6ee133c4ffcab11522dc9eb86dada4826d5bc1e17c3f",
     },
     "theorem1-byz-0": {
         "theorem1-byz-0-baseline.history.json":
@@ -652,23 +652,23 @@ CLI_CASES = {
 CLI_DIGESTS = {
     "flags": {
         "random-0.history.json":
-            "e389cc205a423b5f8840f422d06cc65a75c540589394c06c9e614f921e075fbd",
+            "2cd2d2d9badb3570fe53ccddf2938e7418465ee9ace4e4badd857153eaaef183",
         "random-0.report.json":
-            "b391553ba1cfe3e6a01efa659467ed750afc5ea0f131f9797267ead6455bd18e",
+            "4ded4c066338c82adc63920dfcb30b61a169dc970866dcb8ca92750be18bcc97",
         "random-0.trace.jsonl":
-            "c697b0f434a4c9820a3818e94fbdf922918c30a4fe2b17f661dd7c20fffc7f80",
+            "1ff12369148c787496e5eb2057780b166e6e7b2cdcdd8d215c93fbd0a795d96e",
         "random-1.history.json":
-            "9a2969453c6ded16481c50406ed20a4cb4a27f3ded7942f74f9dab4416a607f0",
+            "5f2398a2adc8441a1ddedd19b6933aeae91b0d7bc26bf27fa14eafde6ef430b5",
         "random-1.report.json":
-            "6664251ca0a680652bbb04755f46d62c9b4c50ca921f850d776e04ed74a6526a",
+            "1c2e4117460f997c64c8f1752315d1ef5f860074c484f0caccb6d77c2f8f2f97",
         "random-1.trace.jsonl":
-            "11c94419397ebedadeb4f675727eaf1760fa7cbcfd742cd8481bcfb8b23ee579",
+            "3e62ffaf56e0ef79bf5a23bd6a14306b9fc0a6013deed8e131ec4c47e41729da",
         "random-2.history.json":
-            "07b634cd71d9a967d7a86a55f6e8b08878d906b7841ac4c0fddc283c8e96e9ae",
+            "06b438b87b51b9c2e27402d56091e2efff7fb2df1e6658dcc32995875570e5a8",
         "random-2.report.json":
-            "876f12ac70d27cafb39c133b5bc1a90d3150571c17f71ebcf775d7074f261fd3",
+            "e670a3f9c49f5950023cad0bf431fc27956c6af0215c7abb99e30471fa0f5fc2",
         "random-2.trace.jsonl":
-            "fd385e302104e08915608bbd0a7c490d2a9cf01b214995cf4d5205d579e9cd19",
+            "4310b7dea57e0282384a19d8cb5a5bea7590a04fe6013497e621b0ca50853b2d",
     },
     "file": {
         "pinned-0.history.json":
@@ -727,220 +727,220 @@ def scramble_stress_outcome(step: int, ops: int, seed: int) -> ScenarioOutcome:
 
 SCRAMBLE_STRESS = {
     (60, 12, 0): {
-        "trace": "f32dd9d9608893de2a2123a68bd6303d22f9ee2c86fac7fc47ffe451bf409fdb",
+        "trace": "c19a4f6d0ed428ed978b6ac32f11d5c981abc0b29fdc0df7643df0e01b599f54",
         "history.json":
-            "ba9084589216abfc5122edf4c219c531baad8db1d792b2fe1729860f6b8b5eba",
+            "86b127276afe842e28e3d7096ee18a287674135cda62dc8b19856b54325c1c3f",
         "report.json":
-            "08eb9737d226d5677596ef8cbbf4c5dce0f18fd7e12d45ecbc199e4ae0bb1b4f",
+            "97b137f2c1beeb1833896754927404931246c0bc71a6ae48dfd8ce0361f25001",
         "trace.jsonl":
-            "b36eedaedc031c9f74d5e9d4b7ead4cb94d543acf3329e7152405c5efc5fb12e",
+            "3372bed41c8ddd1e93d319a85cbc1d1f629d5c55d246c15f07ed8e49e0437dc2",
     },
     (60, 12, 1): {
-        "trace": "1ba09ce135f31df3e04e5760a25b7b8896fdcef1ded006dbec62c35db8eba65d",
+        "trace": "a36be58a315ed219e8979cc1856f8ac10cb4a87f3f8e4e4b8327462d5b85e5df",
         "history.json":
-            "cb3a367ca1742bb25966050c0d0ee85fa68b1da4e703efcc60e70b89c19e4e1b",
+            "c8f8bc9283ea1f682d260fb625b619077d706136ee617d3e09e2e7f48223e3ce",
         "report.json":
-            "b24e0a14e6d2dfb466e1a9c5c806bddf7c795494035a5b0edc4f452840ff3792",
+            "b8444cb5bc17866ae9dd66520c734aba741b46707b01dc2296b857053ad5216b",
         "trace.jsonl":
-            "cc3425bd13e636ea09a27108583e061bcc8ba83b2cf4fc0fd87eebceec4139b0",
+            "c24803f9d936e3eca4408877c753179ee4c5356348447aed37e39c5cd986a4a3",
     },
     (60, 12, 2): {
-        "trace": "57c7e24fb3e230df8f54d10e6f73753e32bb51308ce5367d0bb1fae87d3abe7c",
+        "trace": "eeba7642c03e7f232df5811ede2b8b161fb54fc00af77fcd10b19b843f04ffde",
         "history.json":
-            "b0b84b3fc9a88ec3b83b6e2e160b3fd84ed314b28433a573d20dde2130e45370",
+            "24a9e0422ce873fe96cfd84bafc72c8c833b9067fa26cf9f9095e0e6b366ad09",
         "report.json":
-            "461fc2af8acfe6fae0883147c300099fdbb1a3f7118c8728b02023db536f4325",
+            "6f65feca7ac88bc8b94c3039b48d2c172199f7f810004fc99cd990db6dc95cf6",
         "trace.jsonl":
-            "3d43edd8cf8d0a11d0f89bad90f31a8e2240ddc7ca03787107be422c955c908e",
+            "0b416104a067ec7c7351269636b8c139d88bea0bb51760a1b7bd458567ba1559",
     },
     (60, 12, 3): {
-        "trace": "68e3d101440d77efcaf107bb430c2f4a789f6a91219b56019b64a35639efc10e",
+        "trace": "66dbae9ce5934803c054fd123e0840591712051d4ec011267ac7454b378a6d71",
         "history.json":
-            "f0b24778e7d2daf9a72422c4249bcb8522bba77d97615b138432fc39a2a728c2",
+            "64df0e78c9f4b51e7e8cb81b1a6c9d8ee533d4db73bafbbbaa6fa814823273bd",
         "report.json":
-            "4de90453f2455fa6d2ab78334da8f99aceded027424fffcc8baac150f326de90",
+            "81aa930bbfc0ec2ffa8a0118e3b55824419d9bd09a7053e3482147182aa4ba53",
         "trace.jsonl":
-            "e5d5f93a17aa41fbeec4539acd5fe22cb03fd1da717795521a11373758a28334",
+            "c3fa60c5a6ad13323a87f146e06a308552d599ebf71e6731b06b9988c5b57815",
     },
     (60, 30, 0): {
-        "trace": "216c1eb1b86c4c1b081710b316eb26dec0357bcfbb9fbbe0af93ba577c01b391",
+        "trace": "21c15b15db5bd4505c7e038905f1d6ed386c1fc73a210a3e41ce4fc2099d930d",
         "history.json":
-            "79d6d8d7f3e0a6f410fde5f5688fb9266565e2668a5d06b0f64c95722340e7b4",
+            "d21758f21da9b56d724ad04372cd7281e44dbfa4f87158c3dabe327a9cd2471c",
         "report.json":
-            "8c14a1f0174e684b4046bebad9c1dc56d58e9f16829ae5c37a362f31a3613d72",
+            "72c9162266a5eedf1ad6b5d1e2e907fbe4f6bfb9048ec2c4cf2503e3d5a64e73",
         "trace.jsonl":
-            "8e433037d1c510f8f8d5beb74682c6ec7ddc2241a2a9b6863837a2f926a8c67c",
+            "3c2f661a5016d415b649a08efbb4dfe24d8ca49de00b60b3615e45e598ff0222",
     },
     (60, 30, 1): {
-        "trace": "7982dc390a6b233d9da2607f3918d102c302f3f3ef2ee8053370eae076bf784b",
+        "trace": "ccdf73948be4a5fa3ccca1e42404b9a7177e5a75b9aacd7c14f74e59db463f69",
         "history.json":
-            "91066bbb2ff8c39b1424faee85801673a0ccf0e2a49a258a131626f2b8367a25",
+            "c98cb167c9ec4a9ad1eda1f5561143173ad2657cac8bd0e5ce926037fe8bbf7c",
         "report.json":
-            "d0e48d95bcffa8fc13849fb9acf92fa501c70f8037c1fcc1d58d951639c0d916",
+            "d9afd43164122d247d7a0dd0ed862021a1b6230c47a0c01df0d05577bd980a08",
         "trace.jsonl":
-            "6484fd2a3636c0e271eff499d1527932cc9abdb83f4ddeb39506a969e90e2941",
+            "b363751d72387cb4f9f8f52cb0fb8b7126a0728ca08de7529aa85e95c6e7d68d",
     },
     (60, 30, 2): {
-        "trace": "18230dac814eeb7977eb811fbb04be8f61129fb6abafa9820270382290b9f7e4",
+        "trace": "34df36ca5186779810e7fc8879e9369d3af0da333466c53eb69423d8b4c986c5",
         "history.json":
-            "2be877fe543debc73ee8d32352b654587ef06ab6afcf532be9b1e423f026a0ce",
+            "acfc5e07ac270c9b2b0ca08b72e863eb156b7dbb03469783676085f1c1832e68",
         "report.json":
-            "9364beebe67110c5fba9bf384e94bdfff17c4d76c9307c2f1e2587b98cc914f1",
+            "0a9b96dd8327fe5a7aa0d3508a9fd13c7d417ff901df2676100229bc19de67e5",
         "trace.jsonl":
-            "168bfee36fb3537742de5d9f1453f330c4a9ced865910286c5aea2691717d19b",
+            "90e3accdf9fc6c99ed8acfa75921b86fbbf55ca141814308c9ed97a3ecaf4a27",
     },
     (60, 30, 3): {
-        "trace": "6bcbdc72d22a65edc44fc4c6438f78ba89e0811df52bce054af525118d1f5341",
+        "trace": "1865924ee9fa56b5d7a919e9f3d128f18e257f871d13df626363992d9ca1f604",
         "history.json":
-            "869368770c1c86b49a72f8f4a3792b298d7cf23563221f63dce4b8765916d762",
+            "b185dbeeeb82acbd5fa67116f561aae0d91fc1690208f1257e1d49827930a8ee",
         "report.json":
-            "33c4cc309ead9dbaf678a0826329c14fafa1323bb22f343c92e816caa7cfa7e9",
+            "e8101d9732ddc9774616f95cca0ed16d709ae34212bbd52af06a5c7bf7ca8cf7",
         "trace.jsonl":
-            "126e4e126136fbe2a6f01d2a21c2850a10759182d70188d8621c52b717fda93e",
+            "788228fa95ea1e64c69c91bf29280e6af02d85a801cfe50d88cbe26faaedc0d6",
     },
     (200, 12, 0): {
-        "trace": "85ce0ce999b0905b6c875e98f2c3aa79c84d860aed88f08b6df471fd40d152c5",
+        "trace": "a789f87470d7658abe1cdd8222a2b93f3a33b6f829ef85047380ebcdcd3ef063",
         "history.json":
-            "402b59589bb34a71cbd289ce7bfa77494e9383a66d25447659fc53a45cdb8107",
+            "0e8415025919082638a19575cc9892a8f0a986c60cd43198ba3ae55d6e73de46",
         "report.json":
-            "e0bd8dc5ea5a4ec3920702c31639f4ad7e5fa8d07f940ca404d6944bddc0deaf",
+            "77db46270c1afb3754c961d2e2111f56cb1ceef1d332d06e1fdeafb75548a644",
         "trace.jsonl":
-            "dfdd910e2159c7524cda4ae5a4abbd3f8cbd609215819793b474c92d0a894f1a",
+            "d777fc60cb3bd6ab814db6d050c67ecfc5faeda8928ab1e95571fb533747739e",
     },
     (200, 12, 1): {
-        "trace": "fe76238b7568759612c76fe514c53a2efa253137d9844470c7777c885d101481",
+        "trace": "7a212880aa7675f660a18aa764102a2cc2db856ac20d0dfb58ba3a1e02dbc93b",
         "history.json":
-            "2f30a82d9eca41448ddc6ca6fe48d95cf58c405a0985920ddd8914d7c7571142",
+            "14a79ab68f84138df46541707920fd3f7d1acbdc5668aeb50e1fd18f603086a5",
         "report.json":
-            "ebfb395da9d46df7f9b810c398a5c2aab19c671f0f6fef5238832c511ee41ffe",
+            "8a6d685c743204aa7219e618d6cf45f9c471c1095037f2e63a87063e2a42d7d7",
         "trace.jsonl":
-            "1cbaf5bcdf82ec13ebf0ea4531773c7e6c45ed7355788b2ecbc40b9d9ca46fb4",
+            "022c846fd02935a83dae864ea66369b38d684a67952d02e5549c483faea48dcf",
     },
     (200, 12, 2): {
-        "trace": "4abc0e271f1f0d651d378d316eb2e1b201ff262327f0ffa4f9c24b73bb61e87c",
+        "trace": "cef401eea7f317a4410e49f0c453bf0a27ae4a62f3fa0cfcae00a2136ed19377",
         "history.json":
-            "44f220aeefd9e11cfefa603c7da3f7c71f9314e5b83bd28b390100eab1eb95f1",
+            "df250c83949330c02e86d3f8f4246cbba08a17bbb74815b90c4e921ac75819f1",
         "report.json":
-            "1812503b9eeb7920bccc4c33a680fa0e71d03943b1d73966f618ff7df4266571",
+            "a539a5cae9951cfd5143880e9d9061413e3970db78921f2428db3d6c162e9e7e",
         "trace.jsonl":
-            "43b0eefa50542ff8efaee0e34a53064bdaeb59f4d0a9e6451bb3a0a635fefd6d",
+            "ee88155b0a3e4fe60e4477beea775bee889341e9763e60e82ad89a354ae6e485",
     },
     (200, 12, 3): {
-        "trace": "f6566235e2bf808ba26874c0d1d35edd92fc048618cacb4874ecae12e397d632",
+        "trace": "59145c1d07a06e6d3a4cefeda9dcc1b9c9b5d4780ab0a8a6e76043b81cd03bde",
         "history.json":
-            "adfda6fae0539853c68c85e8e1e06b7a2557de280f2e21246800c059d1ad0254",
+            "469c170e050b2c92116943d64f374816ecbdd5b6df670e595cf1fd3314a84c64",
         "report.json":
-            "0dfa55231233e459526217aa2ca6328efb5d3a95417dad72f0cb39c14c76be2f",
+            "7f166d0931c2e345330687830ee2132458b32e790615c4c24ece60483014dc4a",
         "trace.jsonl":
-            "408259dd7ef589794b9c01e3fdd566496d0b233b939fe6eb9a098dcef2121888",
+            "bf8b551459fb84fabf5b3b1e7e118f1a4c2e8d3b333c71821e3952dfa90399d1",
     },
     (200, 30, 0): {
-        "trace": "7aad97da3a3619b0a5b24baadd6c032bbd10d6d8482e084a0942d61086301bea",
+        "trace": "7a3333629a2febe5ae26279f701a75889bd1ab8a13c12b9b3259874142e27486",
         "history.json":
-            "e04124ca9502175f0050379c16d169af879e877ea07e1642edc019c4f97b9ded",
+            "a75fc6812b8c496664af4371901ca473ecc7223d8d10b892f9a49efa083a9f87",
         "report.json":
-            "79cb8b056da384d7f0db81aa22956e9762693f85940652408168b424dd7709c0",
+            "b940bab46344b3687aa7a37a6256481cb4ace088da0e1dfe8d04c9300ae3900f",
         "trace.jsonl":
-            "a471165fa41aea0fe1150fef3f3f47b3f28cbe46810a167501ee95ed14b3b380",
+            "4f8e38f1a06259b6f440739ac7cdae246fffa49b6070eba1816054f53a3f9277",
     },
     (200, 30, 1): {
-        "trace": "6cf7ef272f04154ff88df93ceb6f8105926ff4eeb5a4a128dcb67437e404cb17",
+        "trace": "22e77f13f404db892b92aaace1fb6d3e5fa3133afb659f0d57e49a9b02362694",
         "history.json":
-            "f52349cc3a7bf49a0ea36c7759b78a616fc21a01105fce5c6e78c2743043b1b5",
+            "6ae0196e5fc902fd1b68b820c76c9c6a724a927d9daa92f48bdae3a6046e0bc3",
         "report.json":
-            "1321aa98efa77b56d845f38c65a95b704845d43551291401a20e2cd20cd50c93",
+            "44ca8478d7f45752cc522c96d56165e246f068b8bb6cae9857f0d55700dea50a",
         "trace.jsonl":
-            "eca60a175506c85dac70782474ed256d9df0cc1f2088d27e7debb5d3b374c77c",
+            "b710c1217a5c7eef0264d5144f7d2a5109cde7729aaa0fea2eeb6f56da9a0f70",
     },
     (200, 30, 2): {
-        "trace": "49ccbeefe64e9063df57fb8a4ac806082a583827b372a56677cc371819ff8821",
+        "trace": "604c102670ab84f9b43d16de92907f47438a148b2d39f132e54df9f65f6907fe",
         "history.json":
-            "09ddc65f85982cf6fac09436ac912289f03cb6736acf9b5720c3ecf1b2c4beba",
+            "b8a3baf3a34b8b3f390b5d097ddf47841768000a4ab21b627652bd73e8cb44e6",
         "report.json":
-            "350357b405598da4ab44195f66b06e673b088ffe391ce8d92ffa5e569c1b1251",
+            "d1daf5c5f9d67ca04097601719280d76f93b29066a814821fd2ee8ddbee1a73f",
         "trace.jsonl":
-            "0c7bcb9adc9e2042932372f3b5d9336797c27a59815de81d00bcee90626acfdf",
+            "c3b1d67dde3151f3b184a71e495738a871494dcc10b083c09106e108daf6ce4a",
     },
     (200, 30, 3): {
-        "trace": "0b23e432d5b0b8da12fa3e118b46914d630f9ebe874382ef5f040d0a67b4dad8",
+        "trace": "e7e726020940abff77ba451a435617590c988790b15678026fb1822c145755c5",
         "history.json":
-            "4d0291eb631bae0b1cacc01117a5959e810eb58d313f167c11a394d370528427",
+            "eacda822dbe06932c7073c1279fbbed650ddab58d491f32e81df42e9ce998d31",
         "report.json":
-            "fb9522407c4a4ed2456fc40d3bdfe8264b9f59664db2e6d1dafb53af491fb0ce",
+            "326e57eff10f58c5de026a90253aa2d9e9f891efd001459b7f3929212bee0d7b",
         "trace.jsonl":
-            "380e7487f6c494b2a7f0295a0270f66dd0e52f246a057af119c388d5ced1b1a9",
+            "712d53ad690c5b676706261ee370829463f6c6b98008d7c6b33c2df035a63b7d",
     },
     (600, 12, 0): {
-        "trace": "aeef5367bde9fcf1034724335389c05f696d180c97bc11e59bb9067e7f9adea0",
+        "trace": "574e23d898f76baabb057abde8005d97d79fe3fac2f9285f9ec3c5f2d1954305",
         "history.json":
-            "b2243d5da48511f76119275024a288e2236cb7ff7ef43e38d507555d9a1d39b6",
+            "98c4e5dfef63e4941fa1c156f44aefe2df1a2a8aad0eab9b0312f49ecbf0385c",
         "report.json":
-            "433cb994247db488d0ef87785dd0a7967010f205e64c026cd33460becdf3cee7",
+            "ca1593f4e89b042b5072c64a520a6a4e2305dcb4612f886b00bad0bf709503b4",
         "trace.jsonl":
-            "801ff842a800104646d24178f25d67bb601218f5a1d7408e8f9a84f8638da6aa",
+            "7c2a03e146cce957450d4611434ec7f040a8bce58ae778534a6397be12b53dc4",
     },
     (600, 12, 1): {
-        "trace": "0275ccbf9712d3458abf874c0ce734570a7e9903c310684ad6b41b059eb730fa",
+        "trace": "543f58b858f60b51c822e4f605ff0bba1404dcb4dd2e7fdc15dc42ed4e62d387",
         "history.json":
-            "4a51cab54cc141300bdecdf7dbebbb08114b3d2117a492684aae5b4b7c8cfb55",
+            "311246889a22641a796412fc5c23862a2b3461b351fa700c582ddf8c1bd2f16e",
         "report.json":
-            "887d7b33135bcbd11818018e957a04d392161002a8b4d3b4b0b8d7f75375371e",
+            "cc1639cbf0848042b882533885ce4de08c6197e748f39963014371cd3df20152",
         "trace.jsonl":
-            "ede74eb7478e504a2680592d8413545349d7deb3973e7005d2cec014aedaa101",
+            "f20f2902b27d2cfbc7b2524ca03860867c14198ebbf76e6560aca434cc2f9130",
     },
     (600, 12, 2): {
-        "trace": "2aca6a09e5312bcc337bcf57733a9daa3c58776bf7e07d2c58c77a285d06f3e4",
+        "trace": "cfa58c1466a1024abd1134977dad486067b009b0c0e90b0f65aa3ada1a993ffe",
         "history.json":
-            "9118237bf66980d38ef6c2e4903f72e312dd6c88076f9ff5b8473c8bbb18a0f7",
+            "c028e8bf5ebbeda276b58e75508d520c0e865fa3806696049440c727dbce1c85",
         "report.json":
-            "8bd5bbc49ac49f1f61e810f7dc1ed322cd8324b877aab46f70a4a4b821149220",
+            "45c0bfce98c3257c41c6af48f68a8ae64a6623f44a08539da3f13547274d524e",
         "trace.jsonl":
-            "c8e211b4141863c674bd94c990172552671301e6e01a013e63d048d9fa58bf99",
+            "cbe6b1ba97a31960cc73643bbe30147b6173fe436101cb42a297bbad2956a433",
     },
     (600, 12, 3): {
-        "trace": "a00952d1483cc7bc05c28c533eae6de48b7fd62b84a8276befaf40413ea9190e",
+        "trace": "d7e583683c613bf3e453374c44255e17b6a1a9078c7fa76fa78ba6ad29de8694",
         "history.json":
-            "274816435893fb3583b0d92c717c184b0149f55df3239b126b6bb00a83ab8d0b",
+            "6a60a371673b8d64521411e0350cdcaea413fb15690b82e9aaca02e3d7944d19",
         "report.json":
-            "0b17324d9ecf14d3cb26924e82420119e62dc31bb6afd24e76a362b4e3ec8b7e",
+            "4ade724cf13604ab28f91d74ebd62169206af5a864148adc9e6df9d22be778d7",
         "trace.jsonl":
-            "08ea8f95feacd264e5155abec44be450f39d27a80d08e5479416d487e0a4ace4",
+            "73b850b8696c5302a2bd92ed6e5571c0bee8af01642e77b5073cb3aff8707ff1",
     },
     (600, 30, 0): {
-        "trace": "0eb76d986793b5e2754df189905e20b4978c025d2bea50acb38b4f508fb38ad9",
+        "trace": "38306df493e579f9700e9f7f6bf9b66dacd7cc57cce5ceab14a1d9885a5673bb",
         "history.json":
-            "5a24f4eccf388da2da9f4cca5f1341f45bb3d4441017da5654cbe24fd9da4fc9",
+            "7d0fcb1b32ec3fc97766f59d4e5f772435308b282bccf219b5e7255dab7c8d17",
         "report.json":
-            "df4a586f021e14a47bf2ae05b79f0b926800e20b7dd800077ced7a1424830fda",
+            "62a83b1e24f0f4f79aa7e732f42c5b066e0c97a18921414a9830175b9a03e571",
         "trace.jsonl":
-            "40191fcdfcefe896a6f729de8278a2b76415c03bdb81f389374d351864be42bf",
+            "820c72642fcffd5a3887b1256fa2a46f71fea283bfe7b3b8f248fe427b88401d",
     },
     (600, 30, 1): {
-        "trace": "e4bffbabf1c33136cf3f022a04d73ef6df872ce775d7e429f30121277f381add",
+        "trace": "daf5dbb8cdd86948e490028d9e97612f9257acaa428ba9a3e4e484fdc0e65a3f",
         "history.json":
-            "a11b186348d5507586e78521d568e46afe428d904f569471382aa81a6ef28ed2",
+            "6848fba203fb49c81b5a04c16d6c8c5a2ef07f53e0cdd733d0e898c8c3366ce9",
         "report.json":
-            "7e6ccc85a1fd0db92c6210128c3ab64a8ac29e1c61c801fe5dcbb0af506e72e2",
+            "2026ae05e05f178f0104d0f6076a45a6779c524f80e115a9aef792d78efc7e29",
         "trace.jsonl":
-            "998022506418365307dd7558a47ae631e6e1f1e45ba6f311ce6921acf8a3892f",
+            "d706eb4c2edd1379a29c9bcb2637bcf21bddd70da37d07bfbb2aaec34dbba6ed",
     },
     (600, 30, 2): {
-        "trace": "27e023c5ec579d9f2c1a260f972fc9a3dadc998124063f31e6c30f4eb8027e76",
+        "trace": "33246a8e31281498677586a63de0d21249783219800f7f1b98c7394625ab3cd6",
         "history.json":
-            "1f330ffa65bc35d331888bea95ad2fa75e563a53647eaf135b272edc24f1aa68",
+            "30f14ebf09f09984c076e53d84844ea3ab65990d09fb5ab3c0483de233b23f6c",
         "report.json":
-            "2912097fe65a150517db08f706b2d1d881675d414a2ba5273c439d6a58f9dfef",
+            "8eabba42072c91682f529b4d037f168b8a96df0526352fdfc5e9fbdb9cc4a92d",
         "trace.jsonl":
-            "ccd8359eea62233e6252bfaf4859fd8478d980ce48d60541c14c289df83688d7",
+            "a7c0662aa3f9639fd78055a00c6fe310178be817d3d7fb4e80ffa58d542c20dd",
     },
     (600, 30, 3): {
-        "trace": "912ed3fd6c442782f20012b9b9214774d99144c9ef2148493e50cf8c206362ba",
+        "trace": "a89cf5d2758493bbf6a422013079f5c8b25c63d5f812e9b57dc53e096c53e3d0",
         "history.json":
-            "6a30d457ffaaa5c5f2b7f88457580621217cbf46d6c43922ef10e3b5a246eb48",
+            "070a6e77638397614a276831c6c763219c09a8894ff1e4014fc91d6212f454d3",
         "report.json":
-            "4a6e465ab35d3c04c1ae9f70bb4f941299a81f7baa7e28582463a54afacda8e9",
+            "b0478f22b092280cece70132006a6e54ccf7bacaac6ee49121c2da61d06450f1",
         "trace.jsonl":
-            "3c909ebe69d8b192949b5b87da6a98b3bec3458b75d561d12973c7959a98cace",
+            "6363629b91e21051e70309f8a3cea58d5851350e390d913440dc292a02dd00f5",
     },
 }
 

@@ -52,21 +52,21 @@ RENDERED = {
         "75c542b901be09f8", "4f56edb4c073f8dd", "4eaa5d7378a9d324", "35b51e8db03189f2",
     ],
     "replicated": [
-        "a4d34e16dedd88dc", "e2786ff2563df41a", "5c4949c6fd031580", "f38a86bd279dcb08",
-        "a04c3799541c0682", "59a4203f00a32f42", "61bd1fe0bb0ab090", "10bcf8f13211a5a1",
-        "2dac0e35382508cf", "397a2b5b6232ebc6", "6fcd5b2a649930d4", "b7a051fe5e6eff9f",
-        "94c287576ea957ab", "875a8e61c7b3b511", "b213968ddaec304a", "fd30571f09566d3e",
-        "78de4ca07571b1eb", "679c1e6b4ac11c8d", "9e04c3f7e8bf68fe", "3785c8f18085f470",
-        "2223aaf298f18a31", "623fe4bdd621bb7f", "9eb506d8ace8e293", "e50ba53292e57a45",
-        "b340f3d5b4ba4b22", "8a810995b5fa1018", "f7b86abdbfdedf80", "f9854dc2588a05e3",
-        "df785bf6bb51d0cb", "136936cabf912bdb", "cca8078a42e71436", "803930305911828f",
-        "2bcf58c7619d9c76", "939504aaa2dd1b61", "12a0b82fcd5b6559", "8a9f1457911c6b3b",
-        "9a64653da5823e09", "bd82536b30af440f", "ebccb1e7c0237982", "88f726c0dbfe2e62",
-        "315322113f16d53b", "6fd643f363ba8f25", "2659a58be1cdd4f5", "456f02083e1108ef",
-        "127a76ba427799b9", "97d8fdcc50e1e285", "705eeaed5333fc00", "17b922131455d1fd",
-        "c9ec6d62d16538cc", "454fe3cedb085785", "214d8e8ecd7022a2", "6f1a8a473c94ae5b",
-        "bd8efed25aa466e8", "1c5f3595d614765c", "b9e2b087548b5796", "c7c9ca263134daf6",
-        "da594f6a623f142d", "17152cdcc8446562", "67a129f5298296b0", "cc09ee66b2599f10",
+        "104a495e72783fd3", "a4c2d8eb0d077121", "0b4f236de5bc4449", "b392594f403b4b76",
+        "960dad36a4faf9c9", "590d5a16dbf7c2fd", "20d39adca7b1c7c9", "74121e4d74331df6",
+        "c166f0ea073283b4", "bbd77b7b3e97d554", "cbc4276969aba967", "da92419cdab7faaa",
+        "e1702f545ea23b91", "fe9cfe3977723043", "bf4eab83f3472339", "6096831b7a69bde4",
+        "f0031dca42543c00", "22e3d3d6b953a9e8", "537e1045611b9dac", "205e4a418475df6c",
+        "57a1d84327ecc370", "17f39b427cfb4008", "8ac8ed53ca4bc85a", "22b8455aacad706f",
+        "db734a908c70d37c", "82cb125b859e8ccf", "ed6e019c28cee898", "6ff0ae9fc745e37e",
+        "0d25b50211a46d2a", "13fe1fdc9004ce3e", "1addce6af6e9fe53", "bc34f8fa4f743781",
+        "3d9ca1524d3e3f0e", "ebc07c48f3fee859", "7e0fa2a37e08f4bf", "0cc1c77ba39e90aa",
+        "852b6d6045192922", "470743bafac86499", "924a5c8b9a2c074c", "b3ad8fce919d09ad",
+        "66e2cb6093d0194b", "b7d400466ae2259c", "0d9124feaa48bc97", "1d06e6722cb52590",
+        "afec663680215f1d", "1065c4b7fafdc05f", "e7703682378bd0ee", "cfa85df32ae4d17f",
+        "09ec88f39d1cf943", "d0bb9fc9cf357a1e", "8ee479744bc7b4f4", "46420aedd1031f5b",
+        "93b70600c045e5b3", "82df11413b0be342", "3635ed2cf2e7c911", "b668415a24e866b9",
+        "28468ec1de59251c", "f0939fce97b79ac5", "9e507924964869ac", "15403af53d206975",
     ],
 }
 
